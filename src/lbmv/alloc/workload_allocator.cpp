@@ -1,6 +1,11 @@
 #include "lbmv/alloc/workload_allocator.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <vector>
 
 #include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
@@ -113,6 +118,122 @@ WorkloadSolve workload_solve_into(std::span<const double> thetas, double gamma,
   return solve;
 }
 
+WorkloadLooStats workload_leave_one_out_into(std::span<const double> thetas,
+                                             double gamma,
+                                             double arrival_rate,
+                                             const WorkloadSolve& full,
+                                             std::span<const double> rates,
+                                             std::span<double> out,
+                                             std::vector<double>& scratch) {
+  constexpr std::size_t kK = kWorkloadLooTerms;
+  constexpr std::size_t kLocalMaxIters = 32;
+  const std::size_t n = thetas.size();
+  LBMV_REQUIRE(n >= 2, "leave-one-out requires at least two computers");
+  LBMV_REQUIRE(rates.size() == n && out.size() == n,
+               "leave-one-out plane size mismatch");
+  const double lambda = full.lambda;
+  const double g3 = 3.0 * gamma;
+  const double inv3g = 1.0 / (3.0 * gamma);
+
+  // Moment pass.  With s_j = sqrt(1 + 3 gamma lambda / theta_j) the k-th
+  // Taylor coefficient of x_j is x_j^(k)/k!, and consecutive ones differ by
+  // the factor (3/2 - k)/k * 3 gamma / (theta_j + 3 gamma lambda).  coef[k]
+  // sums them over j; residual is what the full solve left of G - R.
+  std::array<double, kK + 2> ratio{};
+  for (std::size_t k = 2; k <= kK + 1; ++k) {
+    ratio[k] = (1.5 - static_cast<double>(k)) / static_cast<double>(k);
+  }
+  std::array<double, kK + 2> coef{};
+  double residual = -arrival_rate;
+  const double k3gl = 3.0 * gamma * lambda;
+  for (std::size_t j = 0; j < n; ++j) {
+    residual += rates[j];
+    const double theta = thetas[j];
+    const double s = std::sqrt(1.0 + k3gl / theta);
+    const double w = g3 / (theta + k3gl);
+    double term = 1.0 / (2.0 * theta * s);
+    coef[1] += term;
+    for (std::size_t k = 2; k <= kK + 1; ++k) {
+      term *= ratio[k] * w;
+      coef[k] += term;
+    }
+  }
+
+  WorkloadLooStats stats;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double theta = thetas[i];
+    // Newton from delta = 0 on phi(delta) = T_K(delta) + residual -
+    // x_i(lambda + delta), T_K the K-term model of G(lambda + delta) - G.
+    // The rest residual is increasing and concave, so the iteration climbs
+    // monotonically to the root.
+    double delta = 0.0;
+    bool converged = false;
+    for (std::size_t it = 0; it < kLocalMaxIters; ++it) {
+      double t = 0.0;
+      double tp = 0.0;
+      for (std::size_t k = kK; k >= 1; --k) {
+        t = t * delta + coef[k];
+        tp = tp * delta + static_cast<double>(k) * coef[k];
+      }
+      const double s = std::sqrt(1.0 + 3.0 * gamma * (lambda + delta) / theta);
+      const double phi = t * delta + residual - (s - 1.0) * inv3g;
+      const double dphi = tp - 1.0 / (2.0 * theta * s);
+      if (!(dphi > 0.0)) break;
+      const double next = delta - phi / dphi;
+      if (!(next >= 0.0 && next < std::numeric_limits<double>::infinity())) {
+        break;
+      }
+      const bool done = std::fabs(next - delta) <= 1e-15 * next;
+      delta = next;
+      if (done) {
+        converged = true;
+        break;
+      }
+    }
+
+    if (converged) {
+      // L_{-i} = L* + int_0^delta (lambda + t) T_K'(t) dt - c_i(x_i(lambda +
+      // delta)), with the remainder of G^(K+1) certified by its value at
+      // lambda: the residual error times a 2(lambda + delta) multiplier
+      // bound, plus the integral's own truncation.
+      double integral = 0.0;
+      double power = delta;
+      for (std::size_t k = 1; k <= kK; ++k) {
+        const double kd = static_cast<double>(k);
+        integral += coef[k] * power * (lambda + kd / (kd + 1.0) * delta);
+        power *= delta;
+      }
+      const double s =
+          std::sqrt(1.0 + 3.0 * gamma * (lambda + delta) / theta);
+      const double x = (s - 1.0) * inv3g;
+      const double loo =
+          full.optimal_latency + integral - x * (theta * x * (1.0 + gamma * x));
+      const double bound =
+          3.0 * (lambda + delta) * std::fabs(coef[kK + 1]) * power;
+      if (bound <= kWorkloadLooRelTol * loo) {
+        out[i] = loo;
+        continue;
+      }
+    }
+
+    // Exact fallback: the rest set in BidProfile::without order, warm-started
+    // at lambda* (g_rest(lambda*) = -x_i(lambda*) <= 0).
+    scratch.resize(2 * (n - 1));
+    const std::span<double> rest{scratch.data(), n - 1};
+    const std::span<double> rest_rates{scratch.data() + (n - 1), n - 1};
+    std::copy(thetas.begin(), thetas.begin() + static_cast<std::ptrdiff_t>(i),
+              rest.begin());
+    std::copy(thetas.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+              thetas.end(), rest.begin() + static_cast<std::ptrdiff_t>(i));
+    const WorkloadSolve solve =
+        workload_solve_into(rest, gamma, arrival_rate, rest_rates, lambda);
+    out[i] = solve.optimal_latency;
+    ++stats.fallbacks;
+    stats.newton_iters += solve.iterations;
+  }
+  return stats;
+}
+
 namespace {
 
 double family_gamma(const model::LatencyFamily& family) {
@@ -153,26 +274,16 @@ void WorkloadAllocator::leave_one_out_into(const model::LatencyFamily& family,
                                            std::span<const double> types,
                                            double arrival_rate,
                                            std::vector<double>& out) const {
-  const std::size_t n = types.size();
-  LBMV_REQUIRE(n >= 2, "leave-one-out requires at least two computers");
+  LBMV_REQUIRE(types.size() >= 2,
+               "leave-one-out requires at least two computers");
   const double gamma = family_gamma(family);
-  std::vector<double> rates(n, 0.0);
+  std::vector<double> rates(types.size(), 0.0);
   const WorkloadSolve full =
       workload_solve_into(types, gamma, arrival_rate, rates);
-  // Single reused scratch, BidProfile::without element order: starts as the
-  // profile with agent 0 removed; writing scratch[i] = types[i] afterwards
-  // turns it into the profile with agent i+1 removed.
-  std::vector<double> scratch(types.begin() + 1, types.end());
-  std::vector<double> rest_rates(n - 1, 0.0);
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // The full-set multiplier satisfies g_rest(lambda*) = -x_i(lambda*) <= 0,
-    // so it is a valid monotone warm start for every subsystem.
-    out[i] = workload_solve_into(scratch, gamma, arrival_rate, rest_rates,
-                                 full.lambda)
-                 .optimal_latency;
-    if (i + 1 < n) scratch[i] = types[i];
-  }
+  out.resize(types.size());
+  std::vector<double> scratch;
+  workload_leave_one_out_into(types, gamma, arrival_rate, full, rates, out,
+                              scratch);
 }
 
 }  // namespace lbmv::alloc

@@ -28,6 +28,23 @@
 /// inputs, never on timing or thread count.  The g/g' reductions run on the
 /// 4-lane util/simd.h vectors, whose AVX2 and emulated backends are
 /// bit-identical by construction.
+///
+/// Leave-one-out (workload_leave_one_out_into) needs no per-agent O(n)
+/// solve.  With G(lambda) = sum_j x_j(lambda), removing agent i moves the
+/// multiplier to lambda* + delta_i (delta_i >= 0) where
+/// G(lambda* + delta) - x_i(lambda* + delta) = R.  One O(nK) pass
+/// accumulates the Taylor coefficients G^(k)(lambda*)/k! for k <= K+1;
+/// each delta_i then solves the K-term model of G against the exact x_i
+/// by a local Newton iteration in O(K), and the KKT identity
+/// C'(lambda) = lambda G'(lambda) integrates the same model into
+///
+///     L_{-i} = L* + int_0^delta (lambda* + t) G'(lambda* + t) dt
+///                 - c_i(x_i(lambda* + delta)).
+///
+/// Every |x_j^(k)| decreases in lambda, so |G^(K+1)(lambda*)| bounds the
+/// remainder over [lambda*, lambda* + delta]; an agent whose certified
+/// error exceeds kWorkloadLooRelTol * L_{-i} (small n, where one agent
+/// moves the multiplier a lot) takes the exact warm-started solve instead.
 
 #include <cstddef>
 #include <span>
@@ -42,6 +59,15 @@ namespace lbmv::alloc {
 /// quadratically, so hitting this means the inputs are degenerate (and the
 /// result at the cap is still the best lower approximation found).
 inline constexpr std::size_t kWorkloadNewtonMaxIters = 128;
+
+/// Terms K of the leave-one-out moment expansion.  Fixed at compile time:
+/// the moment pass is O(nK) either way, and a fixed K makes every result a
+/// function of the inputs alone.
+inline constexpr std::size_t kWorkloadLooTerms = 8;
+
+/// Relative error an expanded L_{-i} must certify against; agents above it
+/// fall back to the exact solve.
+inline constexpr double kWorkloadLooRelTol = 1e-10;
 
 /// Everything one workload-family KKT solve derives.
 struct WorkloadSolve {
@@ -60,11 +86,28 @@ WorkloadSolve workload_solve_into(std::span<const double> thetas, double gamma,
                                   std::span<double> rates_out,
                                   double warm_start_lambda = 0.0);
 
+/// What one leave-one-out vector cost beyond its O(nK) moment pass.
+struct WorkloadLooStats {
+  std::size_t fallbacks = 0;     ///< agents that took the exact solve
+  std::size_t newton_iters = 0;  ///< O(n) Newton sweeps those solves used
+};
+
+/// Every leave-one-out optimum L_{-i} (out[i], thetas.size() slots) from
+/// the full-set solve \p full and its rates \p rates (workload_solve_into on
+/// the same inputs).  \p scratch holds the rest-set planes of fallback
+/// solves and is grown on demand.  Requires n >= 2.
+WorkloadLooStats workload_leave_one_out_into(std::span<const double> thetas,
+                                             double gamma,
+                                             double arrival_rate,
+                                             const WorkloadSolve& full,
+                                             std::span<const double> rates,
+                                             std::span<double> out,
+                                             std::vector<double>& scratch);
+
 /// Allocator-interface wrapper.  Requires the WorkloadFamily (the gamma is
 /// read off the family); exact, so the compensation-and-bonus construction
-/// applies.  leave_one_out_into warm-starts each subsystem's Newton at the
-/// full-set multiplier, so the whole vector costs a few O(n) refinement
-/// passes per agent instead of n cold solves.
+/// applies.  leave_one_out_into is one full solve plus
+/// workload_leave_one_out_into.
 class WorkloadAllocator final : public Allocator {
  public:
   [[nodiscard]] model::Allocation allocate(

@@ -28,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/model/bids.h"
 
@@ -157,9 +158,9 @@ class RoundWorkspace {
   std::vector<unsigned char> block_ok; ///< per-block validation masks
 
   // ---- nonlinear-family planes (family_round.cpp; reused across rounds) --
-  std::vector<double> sqrt_mu;         ///< a_i = sqrt(1/b_i) (M/M/1)
+  alloc::Mm1Planes mm1_planes;         ///< M/M/1 sorted prefix
   std::vector<double> inv_execs;       ///< 1/e_i (M/M/1 verified rates)
-  std::vector<double> family_scratch;  ///< rest-set / Newton scratch
+  std::vector<double> family_scratch;  ///< workload fallback rest sets
 
   /// Arena for generic (non-linear) families: the function objects are
   /// rebuilt per round via LatencyFamily::make, but the owning planes

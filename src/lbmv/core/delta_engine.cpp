@@ -246,8 +246,7 @@ double DeltaRoundEngine::mm1_actual(double c) const {
   for (std::size_t j = 0; j < bids_.size(); ++j) {
     const double x = mus_[j] - c * sqrt_mu_[j];
     const double mue = 1.0 / execs_[j];
-    LBMV_REQUIRE(x >= 0.0 && x < mue,
-                 "M/M/1 latency requires 0 <= x < mu");
+    if (!(x >= 0.0 && x < mue)) alloc::throw_mm1_domain_error(j, x, mue);
     actual += x / (mue - x);
   }
   return actual;
@@ -289,8 +288,9 @@ const RoundScalars& DeltaRoundEngine::scalars() {
           const double x = scratch_[j];
           if (x == 0.0) continue;
           const double mue = 1.0 / execs_[j];
-          LBMV_REQUIRE(x >= 0.0 && x < mue,
-                       "M/M/1 latency requires 0 <= x < mu");
+          if (!(x >= 0.0 && x < mue)) {
+            alloc::throw_mm1_domain_error(j, x, mue);
+          }
           actual += x / (mue - x);
         }
       }

@@ -67,24 +67,24 @@ void Mm1PrProfileContext::rebuild() {
   // Committed solve — raises the allocator's typed PreconditionErrors on
   // infeasible / near-saturated profiles, exactly when Mechanism::run would.
   rates_.resize(n);
+  alloc::Mm1Planes planes;
   const alloc::Mm1Solve solve =
-      alloc::mm1_solve_into(mus_, arrival_rate_, rates_);
+      alloc::mm1_solve_into(mus_, arrival_rate_, rates_, planes);
   reported_ = solve.optimal_latency;
   actual_ = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double xj = rates_[j];
     if (xj == 0.0) continue;
     const double de = mue_[j] - xj;
-    LBMV_REQUIRE(de > 0.0, "M/M/1 latency requires 0 <= x < mu");
+    if (!(de > 0.0)) alloc::throw_mm1_domain_error(j, xj, mue_[j]);
     actual_ += xj / de;
   }
 
   // Leave-one-out plane: deviation-independent, so precomputed eagerly —
   // utility() stays mutation-free and safe to call concurrently.
   if (rule_ != LinearPrRule::kNoPayment) {
-    const alloc::MM1Allocator allocator;
-    const model::MM1Family family;
-    allocator.leave_one_out_into(family, profile_.bids, arrival_rate_, loo_);
+    loo_.resize(n);
+    alloc::mm1_leave_one_out_into(mus_, arrival_rate_, solve, planes, loo_);
   }
 }
 
@@ -125,7 +125,7 @@ double Mm1PrProfileContext::utility(std::size_t agent, double bid,
       if (x > 0.0) {
         const double mu_e = 1.0 / execution;
         const double de = mu_e - x;
-        LBMV_REQUIRE(de > 0.0, "M/M/1 latency requires 0 <= x < mu");
+        if (!(de > 0.0)) alloc::throw_mm1_domain_error(agent, x, mu_e);
         const double cost_e = x / de;
         const double nm1 = static_cast<double>(profile_.size() - 1);
         const double actual = (st.rest_a / c - nm1) + cost_e;
@@ -170,7 +170,7 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
     if (xj == 0.0) continue;
     const double mu_e = j == agent ? 1.0 / execution : mue_[j];
     const double de = mu_e - xj;
-    LBMV_REQUIRE(de > 0.0, "M/M/1 latency requires 0 <= x < mu");
+    if (!(de > 0.0)) alloc::throw_mm1_domain_error(j, xj, mu_e);
     const double cost = xj / de;
     if (j == agent) cost_e = cost;
     actual += cost;
@@ -234,7 +234,7 @@ void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
     AgentOutcome& ag = out.agents[j];
     const double x = rates_[j];
     ag.allocation = x;
-    const double cost_e = x / (mue_[j] - x);  // 0 for dropped computers
+    const double cost_e = x / (mue_[j] - x);  // 0 for idle computers
     ag.valuation = -cost_e;
     switch (rule_) {
       case LinearPrRule::kCompBonusExecution:
@@ -298,9 +298,10 @@ void WorkloadProfileContext::rebuild() {
     actual_ += x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
   }
   if (rule_ != LinearPrRule::kNoPayment) {
-    const alloc::WorkloadAllocator allocator;
-    const model::WorkloadFamily family(gamma_);
-    allocator.leave_one_out_into(family, profile_.bids, arrival_rate_, loo_);
+    loo_.resize(n);
+    std::vector<double> scratch;
+    alloc::workload_leave_one_out_into(profile_.bids, gamma_, arrival_rate_,
+                                       solve, rates_, loo_, scratch);
   }
 }
 

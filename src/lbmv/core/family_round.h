@@ -14,38 +14,41 @@
 /// the transposed util::simd::store_records6 publish, and zero steady-state
 /// heap allocations once the workspace planes have grown to n.
 ///
-/// **M/M/1** (run_mm1_vectorized).  With mu_i = 1/b_i and a_i = sqrt(mu_i)
-/// the square-root closed form makes every round quantity a few vector ops
-/// per agent when every computer stays active — in the full set AND in all
-/// n leave-one-out subsystems, each an O(1) test against the cached
-/// min/second-min of the a plane:
+/// Neither engine holds any leave-one-out algebra: each calls its
+/// family's single definition in alloc/, the same function the allocator's
+/// leave_one_out_into and the profile contexts use.
 ///
-///   x_i    = mu_i - c a_i,          c   = (sum mu - R) / sum a
-///   L_{-i} = rest_a_i / c_i - (n-1),  c_i = (rest_mu_i - R) / rest_a_i
-///
-/// The engine returns false — publishing nothing — whenever any active set
-/// is a strict subset or any closed-form precondition fails, and the caller
-/// falls through to the generic path, whose allocator raises the canonical
-/// typed PreconditionError (capacity exceeded, saturation guard, or the
-/// leave-one-out message naming the agent whose departure overloads the
-/// rest).  Heavily loaded heterogeneous profiles where slow machines drop
-/// out therefore still work; they just take the generic path.
+/// **M/M/1** (run_mm1_vectorized).  With mu_i = 1/b_i the engine builds
+/// the mu and 1/e planes in 4-lane passes, takes the allocation from the
+/// active-set solve (alloc::mm1_solve_into; idle computers get x = 0 and
+/// so zero compensation) and the leave-one-out plane from the sorted
+/// prefix that solve leaves behind (alloc::mm1_leave_one_out_into,
+/// O(n log n), O(n) when every computer is active).  Idle-server rounds
+/// are served like any other.  The solve and the leave-one-out pass throw
+/// the generic path's own typed PreconditionErrors (capacity exceeded,
+/// saturation guard, the rest set without the named computer).  The
+/// engine returns false only when the allocation breaks some computer's
+/// execution domain x_i < 1/e_i; the generic path then raises the
+/// canonical diagnostic.
 ///
 /// **Workload-dependent rates** (run_workload_vectorized).  The family
 /// l(x) = theta x (1 + gamma x) is always interior, so the fused round
-/// always succeeds: one monotone damped-free Newton solve on the KKT
-/// conservation residual for the full set (alloc/workload_allocator.h),
-/// then n warm-started solves for the leave-one-out plane — every residual
-/// evaluation a 4-lane sweep — and one fused publish pass.  The Newton
-/// iteration count is returned so the caller can feed the
+/// always succeeds: one monotone Newton solve on the KKT conservation
+/// residual for the full set (alloc/workload_allocator.h), the
+/// leave-one-out plane from the K-term moment expansion around that
+/// multiplier (alloc::workload_leave_one_out_into, O(nK) plus an exact
+/// warm-started solve for any agent that does not certify), and one fused
+/// publish pass.  The returned Newton count covers only O(n) KKT sweeps,
+/// the full-set solve and any fallbacks, and feeds the
 /// lbmv_mech_newton_iters_total probe.
 ///
 /// Both engines run the agent axis serial: at the n these families target
 /// the 4-lane kernels are already memory-lean, and a serial fixed-order
 /// pass keeps results trivially independent of thread count.  Outcomes
 /// agree with the generic path to a bounded relative error (reassociated
-/// reductions), the contract the differential suite in
-/// tests/test_nonlinear_kernels.cpp enforces at 1e-9.
+/// reductions), the contract the differential suites in
+/// tests/test_nonlinear_kernels.cpp and tests/test_nonlinear_loo.cpp
+/// enforce at 1e-9.
 
 #include <cstddef>
 #include <span>
@@ -62,14 +65,17 @@ class RoundWorkspace;  // batch.h
 
 /// What a fused nonlinear round actually did, for the caller's obs probes.
 struct FamilyRoundStats {
-  std::size_t newton_iters = 0;  ///< KKT Newton iterations (workload only)
+  /// O(n) KKT Newton sweeps (workload only): the full-set solve plus any
+  /// leave-one-out fallbacks, not the O(K) local steps.
+  std::size_t newton_iters = 0;
 };
 
-/// Run one fused M/M/1 round end to end (validation, closed-form
+/// Run one fused M/M/1 round end to end (validation, active-set
 /// allocation, latency totals, payments, utilities) and return true, or
-/// return false without touching \p out when the round needs the generic
-/// active-set machinery (some computer would be dropped, or a closed-form
-/// precondition fails and the generic path owns the canonical diagnostic).
+/// return false when the allocation overloads some computer's execution
+/// rate (\p out's agents untouched; the generic path owns that
+/// diagnostic).  Infeasible rounds and saturated rest sets throw the
+/// generic path's typed PreconditionErrors directly.
 /// \p rule must be a leave-one-out rule or kNoPayment — never kNone or
 /// kArcherTardos (whose tail integral is linear-family-specific).
 /// Bids and executions are mean service times (MM1Family's convention);

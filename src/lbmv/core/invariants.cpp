@@ -88,8 +88,8 @@ std::size_t check_round_invariants(std::span<const double> bids,
   // KKT stationarity: the per-family marginal cost c_j'(x_j) is constant
   // across agents receiving load at the optimum.  Linear: d/dx [b x^2]
   // (tracked as b_j x_j, half the marginal — the spread is scale-free);
-  // M/M/1: mu_j / (mu_j - x_j)^2 over active agents only (dropped
-  // computers sit at a corner, not the equalised interior condition);
+  // M/M/1: mu_j / (mu_j - x_j)^2 over active agents only (idle computers
+  // sit at a corner and get the inequality check below);
   // workload: 2 b_j x_j + 3 b_j gamma x_j^2, always interior.
   if ((options.linear_pr || options.mm1_exact || options.workload_exact) &&
       bids.size() == n && n > 0) {
@@ -120,6 +120,24 @@ std::size_t check_round_invariants(std::span<const double> bids,
                        {"marginal_min", lo},
                        {"marginal_max", hi}})) {
         ++violations;
+      }
+    }
+    // An idle M/M/1 computer is optimal only while its marginal cost at
+    // zero, 1/mu_j, is at least the active multiplier lambda = 1/c^2 (that
+    // is, a_j <= c): a computer wrongly left idle fails mu_j * lambda <= 1.
+    // Each offender is recorded with its index; clean rounds add no checks.
+    if (options.mm1_exact && counted > 0) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (x[j] != 0.0) continue;
+        const double mu = 1.0 / bids[j];
+        const double excess = mu * lo - 1.0;
+        if (excess > monitors.kkt_stationarity.tolerance()) {
+          monitors.kkt_stationarity.check(
+              excess, {{"agent", static_cast<double>(j)},
+                       {"mu", mu},
+                       {"marginal_min", lo}});
+          ++violations;
+        }
       }
     }
   }

@@ -46,7 +46,9 @@ struct RoundInvariantOptions {
   /// The round is an M/M/1 round under the exact MM1Allocator: arms the
   /// participation monitor (exact optimum) and the M/M/1 KKT residual —
   /// at the optimum the active marginals mu_j / (mu_j - x_j)^2 with
-  /// mu_j = 1/b_j are equalised; dropped computers (x_j = 0) are skipped.
+  /// mu_j = 1/b_j are equalised, and every idle computer (x_j = 0) must
+  /// have a marginal cost at zero 1/mu_j no lower than that multiplier; each
+  /// idle offender is recorded with its agent index.
   bool mm1_exact = false;
   /// The round is a workload-family round under the exact
   /// WorkloadAllocator: arms participation and the workload KKT residual —

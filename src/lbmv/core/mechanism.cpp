@@ -100,9 +100,10 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   // workload families get their own fused engines when paired with their
   // exact allocators.  The Archer–Tardos tail integral is linear-family-
   // specific, so that rule stays on the generic path.  The M/M/1 engine
-  // declines rounds that need the active-set machinery (some computer
-  // dropped, or a closed-form precondition fails) by returning false; the
-  // generic path below then owns the round and its canonical diagnostics.
+  // serves idle-server rounds too; it declines only a round whose
+  // allocation overloads some computer's execution rate, by returning
+  // false, and the generic path below then raises the canonical
+  // diagnostic.
   if (!ws.linear_fast && rule != VectorRule::kNone &&
       rule != VectorRule::kArcherTardos &&
       kernel_backend() == KernelBackend::kVectorized) {

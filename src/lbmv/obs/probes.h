@@ -28,8 +28,10 @@
 ///                                             axis fanned over the pool
 ///     lbmv_mech_nonlinear_rounds_total        rounds on the fused nonlinear
 ///                                             engines (DESIGN.md §14)
-///     lbmv_mech_newton_iters_total            KKT Newton iterations spent
-///                                             by the workload engine
+///     lbmv_mech_newton_iters_total            O(n) KKT Newton sweeps of the
+///                                             workload engine (full-set
+///                                             solve + leave-one-out
+///                                             fallbacks, not O(K) steps)
 ///     lbmv_mech_audit_evaluations_total       audit grid points evaluated
 ///     lbmv_mech_leave_one_out_batches_total   leave-one-out batch solves
 ///     lbmv_core_delta_rounds_total            delta batches absorbed by the

@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/delta_engine.h"
 #include "lbmv/core/invariants.h"
 #include "lbmv/core/profile_context.h"
 #include "lbmv/model/bids.h"
+#include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
 #include "lbmv/obs/flight_recorder.h"
 #include "lbmv/obs/metrics.h"
@@ -123,6 +125,52 @@ TEST(RoundInvariants, CorruptedRoundFlagsEveryMonitor) {
     EXPECT_STREQ(rec.kv[0].key, "residual");
     EXPECT_GT(rec.kv[0].value, 1e-9);
   }
+}
+
+TEST(RoundInvariants, Mm1ComputerWronglyLeftIdleIsFlaggedWithItsIndex) {
+  SKIP_IF_COMPILED_OUT();
+  Registry::global().reset();
+  FlightRecorder::global().clear();
+  EnabledScope on;
+
+  // Service rates mu = {4, 4, 4, 1/4} at R = 5: c = 7/6 over the three
+  // fast computers, above sqrt(1/4), so computer 3 is rightly idle.
+  const lbmv::model::SystemConfig config(
+      {0.25, 0.25, 0.25, 4.0}, 5.0,
+      std::make_shared<const lbmv::model::MM1Family>());
+  const auto profile = lbmv::model::BidProfile::truthful(config);
+  const lbmv::core::CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::MM1Allocator>());
+  auto outcome = mechanism.run(config, profile);
+  ASSERT_EQ(outcome.allocation[3], 0.0);
+  EXPECT_EQ(monitor_totals(Registry::global().snapshot()).violations, 0u);
+
+  // Seed the defect: computer 1 left idle, its load split over computers 0
+  // and 2, so the round still ships R and the active marginals stay equal.
+  std::vector<double> rates = std::move(outcome.allocation).release();
+  rates[0] += 0.5 * rates[1];
+  rates[2] += 0.5 * rates[1];
+  rates[1] = 0.0;
+  outcome.allocation = lbmv::model::Allocation(std::move(rates));
+  lbmv::core::RoundInvariantOptions options;
+  options.participation_guaranteed = false;
+  options.mm1_exact = true;
+  EXPECT_EQ(lbmv::core::check_round_invariants(profile.bids,
+                                               profile.executions,
+                                               config.arrival_rate(),
+                                               outcome, options),
+            1u);
+
+  const MetricsSnapshot snap = Registry::global().snapshot();
+  EXPECT_EQ(counter_or_zero(
+                snap, "lbmv_monitor_kkt_stationarity_violations_total"),
+            1u);
+  const auto records = FlightRecorder::global().records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_STREQ(records[0].message, "kkt_stationarity");
+  ASSERT_GE(records[0].kv_count, 2u);
+  EXPECT_STREQ(records[0].kv[1].key, "agent");
+  EXPECT_EQ(records[0].kv[1].value, 1.0);  // not the rightly idle computer 3
 }
 
 TEST(RoundInvariants, ParticipationDisarmsOnInconsistentProfile) {

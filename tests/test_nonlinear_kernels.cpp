@@ -33,6 +33,7 @@
 #include "lbmv/core/audit.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
+#include "lbmv/core/delta_engine.h"
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
@@ -47,6 +48,7 @@
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
+#include "nonlinear_oracles.h"
 
 namespace {
 
@@ -78,8 +80,8 @@ class BackendGuard {
 
 /// Mean service times with mu = 1/theta in [1, 2]: at arrival rates up to
 /// roughly half the total capacity every computer stays active in the full
-/// set and all leave-one-out subsystems, so the fused M/M/1 engine owns the
-/// round (heterogeneous drop-out profiles take the generic path by design).
+/// set and all leave-one-out subsystems.  Idle-server profiles, which the
+/// fused M/M/1 engine serves too, are covered in test_nonlinear_loo.cpp.
 std::vector<double> narrow_types(std::size_t n, std::uint64_t seed) {
   lbmv::util::Rng rng(seed);
   std::vector<double> t(n);
@@ -214,38 +216,65 @@ TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothBackends) {
   }
 }
 
+/// Runs \p fn and expects the typed M/M/1 domain error naming \p agent.
+template <class Fn>
+void expect_domain_error_names(Fn fn, std::size_t agent) {
+  try {
+    fn();
+    ADD_FAILURE() << "execution overload did not throw";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("0 <= x < mu"), std::string::npos) << what;
+    EXPECT_NE(what.find("computer " + std::to_string(agent) + " "),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
+  using lbmv::core::LinearPrRule;
+  using lbmv::core::Mm1PrProfileContext;
+  // Committed profile: computer 2 bids mu = 10 but executes at mu~ = 1 and
+  // is assigned x_2 ~ 7.9 > 1 (the context's rebuild).
+  expect_domain_error_names(
+      [] {
+        Mm1PrProfileContext(LinearPrRule::kCompBonusExecution, 10.0,
+                            BidProfile{{0.5, 0.5, 0.1}, {0.5, 0.5, 1.0}});
+      },
+      2);
+  // Deviations by computer 1 against a uniform profile: a moderate
+  // speed-up keeps everyone active (utility()'s closed-form branch), a
+  // large one drops the rest out (the full re-solve branch).
+  const Mm1PrProfileContext context(
+      LinearPrRule::kCompBonusExecution, 2.0,
+      BidProfile{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}});
+  expect_domain_error_names([&] { (void)context.utility(1, 0.3, 1.0); }, 1);
+  expect_domain_error_names([&] { (void)context.utility(1, 0.1, 1.0); }, 1);
+
+  // The delta engine's M/M/1 scalars: all-active and active-set branches.
+  const CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::MM1Allocator>());
+  const auto family = std::make_shared<const MM1Family>();
+  for (double fast_bid : {0.3, 0.1}) {
+    const std::vector<double> bids{0.5, 0.5, fast_bid};
+    const std::vector<double> execs{0.5, 0.5, 1.0};
+    lbmv::core::DeltaRoundEngine engine(mechanism, family, 2.0, bids, execs);
+    expect_domain_error_names([&] { (void)engine.scalars(); }, 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Workload Newton vs long-double bisection oracle.
 
 double bisection_max_rel_err(std::span<const double> thetas, double gamma,
                              double arrival_rate,
                              std::span<const double> newton_rates) {
-  const long double g3 = 3.0L * static_cast<long double>(gamma);
-  const auto rate_at = [&](long double lambda, double theta) {
-    return (std::sqrt(1.0L + g3 * lambda / static_cast<long double>(theta)) -
-            1.0L) /
-           g3;
-  };
-  const auto residual = [&](long double lambda) {
-    long double sum = 0.0L;
-    for (double theta : thetas) sum += rate_at(lambda, theta);
-    return sum - static_cast<long double>(arrival_rate);
-  };
-  long double inv_sum = 0.0L;
-  for (double theta : thetas) inv_sum += 1.0L / theta;
-  // x_i(lambda) <= lambda/(2 theta_i), so g(2R/S) <= 0: a valid lower
-  // bracket (the same start the Newton solver uses).
-  long double lo = 2.0L * static_cast<long double>(arrival_rate) / inv_sum;
-  long double hi = lo > 0.0L ? 2.0L * lo : 1.0L;
-  while (residual(hi) <= 0.0L) hi *= 2.0L;
-  for (int it = 0; it < 200; ++it) {
-    const long double mid = 0.5L * (lo + hi);
-    (residual(mid) <= 0.0L ? lo : hi) = mid;
-  }
-  const long double lambda = 0.5L * (lo + hi);
+  const long double lambda = lbmv_test::workload_bisection_lambda(
+      thetas, gamma, arrival_rate, thetas.size());
   double max_err = 0.0;
   for (std::size_t i = 0; i < thetas.size(); ++i) {
-    const long double oracle = rate_at(lambda, thetas[i]);
+    const long double oracle =
+        lbmv_test::workload_rate(lambda, thetas[i], gamma);
     max_err = std::max(
         max_err,
         static_cast<double>(

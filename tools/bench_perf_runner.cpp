@@ -61,6 +61,12 @@
 // differential and a Newton-vs-long-double-bisection check on the workload
 // KKT multiplier, both gating the exit code at 1e-9.
 //
+// plus a `nonlinear_loo` section for the nonlinear families' leave-one-out
+// vectors (DESIGN.md §14): M/M/1 at n = 1000 with idle servers and the
+// workload family at n = 10^4, each against a same-run baseline of n
+// per-agent exact solves that also serves as the differential oracle
+// gating the exit code,
+//
 // plus a `delta_round` section for the cross-round delta engine
 // (DESIGN.md §15): the k = 1 changed-bid round scalars at n = 1024 through
 // a persistent DeltaRoundEngine (one O(1) apply + the O(1) closed-form
@@ -78,10 +84,10 @@
 // `--smoke` shrinks every workload (CI-sized: n = 64, short timing
 // windows, sim/obs sections skipped) while still emitting the
 // strategy_throughput, batch_round_throughput, deviation_grid,
-// obs_timeseries, nonlinear_round, and delta_round sections
-// (deviation_grid keeping its n = 256 row and nonlinear_round/delta_round
-// their n = 1024 rows so the speedup gates stay meaningful) and running
-// the full cross-checks.
+// obs_timeseries, nonlinear_round, nonlinear_loo, and delta_round sections
+// (deviation_grid keeping its n = 256 row, nonlinear_round/delta_round
+// their n = 1024 rows and nonlinear_loo its full sizes, so the speedup
+// gates stay meaningful) and running the full cross-checks.
 
 #include <chrono>
 #include <cmath>
@@ -146,10 +152,8 @@ std::vector<double> random_types(std::size_t n, std::uint64_t seed) {
 
 /// Mean service times in a narrow band (mu = 1/theta in [1, 2]): at
 /// R = half the total capacity every computer stays active in the full set
-/// and in all n leave-one-out subsystems, so the fused M/M/1 engine owns
-/// the round and the generic/fused comparison times identical all-active
-/// work (heterogeneous profiles that drop computers take the generic path
-/// by design; see family_round.h).
+/// and in all n leave-one-out subsystems, so the generic/fused comparison
+/// times all-active rounds (idle-server fleets are nonlinear_loo's).
 std::vector<double> narrow_types(std::size_t n, std::uint64_t seed) {
   lbmv::util::Rng rng(seed);
   std::vector<double> t(n);
@@ -1350,8 +1354,9 @@ int main(int argc, char** argv) {
         "generic rows run the virtual-dispatch arena path (kScalar backend) "
         "on the same MM1Allocator/WorkloadAllocator mechanisms as the fused "
         "rows (kVectorized), so the ratio isolates the §14 fused engines; "
-        "narrow service-rate band keeps every computer active (profiles "
-        "that drop computers take the generic path by design); "
+        "the narrow service-rate band keeps every computer active, so these "
+        "rows time all-active rounds (idle-server rounds run the same fused "
+        "engine; nonlinear_loo times their leave-one-out vector); "
         "newton_vs_bisection re-solves the workload KKT system with a "
         "long-double bisection oracle; probe fields are from one recorded "
         "fused round per family (outside the timed regions) at the largest "
@@ -1360,6 +1365,165 @@ int main(int argc, char** argv) {
               << ", workload " << workload_max_err << ", bisection "
               << bisect_max_err << " -> "
               << (nonlinear_check_pass ? "pass" : "FAIL") << "\n";
+  }
+
+  // Nonlinear leave-one-out vectors (DESIGN.md §14): the sorted-prefix
+  // M/M/1 pass and the workload moment expansion, each including the full
+  // solve it starts from, against a same-run baseline of n per-agent exact
+  // solves — mm1_optimal_latency on every rest set, and workload_solve_into
+  // on every rest set warm-started at the full-set multiplier.  The
+  // baseline values double as the differential oracle, whose max relative
+  // error gates the exit code (1e-12 M/M/1, 1e-9 workload).
+  JsonValue::Object nonlinear_loo;
+  bool loo_check_pass = true;
+  {
+    const double tmin = smoke ? 0.05 : 0.3;
+    const int treps = smoke ? 2 : 3;
+    const auto rest_of = [](std::span<const double> v, std::size_t i,
+                            std::vector<double>& rest) {
+      rest.assign(v.begin(), v.end());
+      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    const auto max_rel_err = [](std::span<const double> got,
+                                std::span<const double> want) {
+      double err = 0.0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        err = std::max(err, std::fabs(got[i] - want[i]) /
+                                std::max(1.0, std::fabs(want[i])));
+      }
+      return err;
+    };
+
+    // M/M/1: n = 1000 mean service times log-uniform over [0.1, 1] at 0.3
+    // load, the e2e `nonlinear` fleet, where about a third sit idle.
+    const std::size_t mm1_n = 1000;
+    std::vector<double> mus(mm1_n);
+    {
+      lbmv::util::Rng rng(71);
+      for (double& mu : mus) {
+        mu = 1.0 / std::exp(rng.uniform(std::log(0.1), std::log(1.0)));
+      }
+    }
+    double mus_total = 0.0;
+    for (double mu : mus) mus_total += mu;
+    const double mm1_rate = 0.3 * mus_total;
+    std::vector<double> mm1_baseline(mm1_n);
+    std::vector<double> rest;
+    const double mm1_baseline_secs = seconds_per_call(
+        [&] {
+          for (std::size_t i = 0; i < mm1_n; ++i) {
+            rest_of(mus, i, rest);
+            mm1_baseline[i] = lbmv::alloc::mm1_optimal_latency(rest, mm1_rate);
+          }
+        },
+        tmin, treps);
+    std::vector<double> mm1_rates(mm1_n);
+    std::vector<double> mm1_loo(mm1_n);
+    lbmv::alloc::Mm1Planes planes;
+    std::size_t mm1_active = 0;
+    const double mm1_loo_secs = seconds_per_call(
+        [&] {
+          const lbmv::alloc::Mm1Solve full =
+              lbmv::alloc::mm1_solve_into(mus, mm1_rate, mm1_rates, planes);
+          lbmv::alloc::mm1_leave_one_out_into(mus, mm1_rate, full, planes,
+                                              mm1_loo);
+          mm1_active = full.active;
+        },
+        tmin, treps);
+    const double mm1_err = max_rel_err(mm1_loo, mm1_baseline);
+    const double mm1_speedup = mm1_baseline_secs / mm1_loo_secs;
+    if (!(mm1_err <= 1e-12)) loo_check_pass = false;
+
+    // Workload family: n = 10^4 types log-uniform over [1, 10], gamma = 0.5,
+    // R = 2n.  The baseline costs ~n^2 Newton sweeps, so it is timed once.
+    const std::size_t wl_n = 10'000;
+    const double gamma = 0.5;
+    std::vector<double> thetas(wl_n);
+    {
+      lbmv::util::Rng rng(72);
+      for (double& t : thetas) {
+        t = std::exp(rng.uniform(std::log(1.0), std::log(10.0)));
+      }
+    }
+    const double wl_rate = 2.0 * static_cast<double>(wl_n);
+    std::vector<double> wl_rates(wl_n);
+    std::vector<double> wl_baseline(wl_n);
+    std::vector<double> rest_rates(wl_n - 1);
+    double wl_baseline_secs = 0.0;
+    {
+      const auto start = std::chrono::steady_clock::now();
+      const lbmv::alloc::WorkloadSolve full =
+          lbmv::alloc::workload_solve_into(thetas, gamma, wl_rate, wl_rates);
+      for (std::size_t i = 0; i < wl_n; ++i) {
+        rest_of(thetas, i, rest);
+        wl_baseline[i] = lbmv::alloc::workload_solve_into(
+                             rest, gamma, wl_rate, rest_rates, full.lambda)
+                             .optimal_latency;
+      }
+      wl_baseline_secs = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    }
+    std::vector<double> wl_loo(wl_n);
+    std::vector<double> wl_scratch;
+    lbmv::alloc::WorkloadLooStats wl_stats;
+    const double wl_loo_secs = seconds_per_call(
+        [&] {
+          const lbmv::alloc::WorkloadSolve full =
+              lbmv::alloc::workload_solve_into(thetas, gamma, wl_rate,
+                                               wl_rates);
+          wl_stats = lbmv::alloc::workload_leave_one_out_into(
+              thetas, gamma, wl_rate, full, wl_rates, wl_loo, wl_scratch);
+        },
+        tmin, treps);
+    const double wl_err = max_rel_err(wl_loo, wl_baseline);
+    const double wl_speedup = wl_baseline_secs / wl_loo_secs;
+    if (!(wl_err <= 1e-9)) loo_check_pass = false;
+
+    JsonValue::Object mm1_entry;
+    mm1_entry["n"] = static_cast<double>(mm1_n);
+    mm1_entry["load"] = 0.3;
+    mm1_entry["idle_share"] =
+        1.0 - static_cast<double>(mm1_active) / static_cast<double>(mm1_n);
+    mm1_entry["baseline_seconds"] = mm1_baseline_secs;
+    mm1_entry["loo_seconds"] = mm1_loo_secs;
+    mm1_entry["speedup"] = mm1_speedup;
+    mm1_entry["max_rel_err"] = mm1_err;
+    JsonValue::Object wl_entry;
+    wl_entry["n"] = static_cast<double>(wl_n);
+    wl_entry["gamma"] = gamma;
+    wl_entry["baseline_seconds"] = wl_baseline_secs;
+    wl_entry["loo_seconds"] = wl_loo_secs;
+    wl_entry["speedup"] = wl_speedup;
+    wl_entry["max_rel_err"] = wl_err;
+    wl_entry["fallbacks"] = static_cast<double>(wl_stats.fallbacks);
+    wl_entry["fallback_newton_iters"] =
+        static_cast<double>(wl_stats.newton_iters);
+    nonlinear_loo["mm1"] = std::move(mm1_entry);
+    nonlinear_loo["workload"] = std::move(wl_entry);
+    nonlinear_loo["cross_check_pass"] = loo_check_pass;
+    nonlinear_loo["hardware_concurrency"] =
+        static_cast<double>(std::thread::hardware_concurrency());
+    nonlinear_loo["threads_used"] = 1.0;
+    nonlinear_loo["note"] =
+        "loo rows time the full solve plus the whole leave-one-out vector "
+        "(sorted-prefix active-set search for M/M/1, K-term moment expansion "
+        "with certified fallback for the workload family); baseline rows "
+        "solve every rest set exactly in the same run (the workload baseline "
+        "once, warm-started at the full-set multiplier) and supply the "
+        "differential oracle";
+    derived["nonlinear_loo_mm1_speedup_n1000"] = mm1_speedup;
+    derived["nonlinear_loo_workload_speedup_n10000"] = wl_speedup;
+    std::cout << "nonlinear_loo: mm1 n=" << mm1_n << " idle "
+              << 1.0 - static_cast<double>(mm1_active) /
+                           static_cast<double>(mm1_n)
+              << ", baseline " << mm1_baseline_secs * 1e3 << " ms, loo "
+              << mm1_loo_secs * 1e3 << " ms (" << mm1_speedup
+              << "x, max rel err " << mm1_err << "); workload n=" << wl_n
+              << ", baseline " << wl_baseline_secs * 1e3 << " ms, loo "
+              << wl_loo_secs * 1e3 << " ms (" << wl_speedup << "x, "
+              << wl_stats.fallbacks << " fallbacks, max rel err " << wl_err
+              << ") -> " << (loo_check_pass ? "pass" : "FAIL") << "\n";
   }
 
   // Cross-round delta engine (DESIGN.md §15): the k = 1 changed-bid round
@@ -1516,6 +1680,7 @@ int main(int argc, char** argv) {
   doc["deviation_grid"] = std::move(deviation_grid);
   doc["obs_timeseries"] = std::move(obs_timeseries);
   doc["nonlinear_round"] = std::move(nonlinear_round);
+  doc["nonlinear_loo"] = std::move(nonlinear_loo);
   doc["delta_round"] = std::move(delta_round);
 
   // Machine-checkable shape manifest: every composite (object/array)
@@ -1555,6 +1720,10 @@ int main(int argc, char** argv) {
   }
   if (!nonlinear_check_pass) {
     std::cerr << "nonlinear round kernels cross-check FAILED\n";
+    return 1;
+  }
+  if (!loo_check_pass) {
+    std::cerr << "nonlinear leave-one-out cross-check FAILED\n";
     return 1;
   }
   if (!delta_check_pass) {
