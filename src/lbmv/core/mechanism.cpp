@@ -16,6 +16,22 @@
 
 namespace lbmv::core {
 
+namespace {
+
+/// Per-agent payment and bonus histograms: one batched record per family
+/// (one shard lookup each), the same values in the same order as a
+/// record() per agent.
+void record_round_histograms(obs::MechProbes& probes,
+                             const MechanismOutcome& out) {
+  const auto& agents = out.agents;
+  probes.round_payment.record_each(
+      agents.size(), [&](std::size_t i) { return agents[i].payment; });
+  probes.round_bonus.record_each(
+      agents.size(), [&](std::size_t i) { return agents[i].bonus; });
+}
+
+}  // namespace
+
 double MechanismOutcome::total_payment() const {
   double s = 0.0;
   for (const auto& a : agents) s += a.payment;
@@ -79,10 +95,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
         probes.sharded_rounds.inc();
         probes.shard_count.record(static_cast<double>(stats.shards));
       }
-      for (const auto& agent : out.agents) {
-        probes.round_payment.record(agent.payment);
-        probes.round_bonus.record(agent.bonus);
-      }
+      record_round_histograms(probes, out);
       // The vectorized engine only engages on PR-on-linear rounds, so the
       // full monitor set (feasibility, decomposition, participation, KKT)
       // is armed.
@@ -119,10 +132,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
           // The generic path would have built 2n latency functions for the
           // totals plus n more in the payment rule's compensation terms.
           probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-          for (const auto& agent : out.agents) {
-            probes.round_payment.record(agent.payment);
-            probes.round_bonus.record(agent.bonus);
-          }
+          record_round_histograms(probes, out);
           RoundInvariantOptions opts;
           opts.participation_guaranteed =
               guarantees_voluntary_participation();
@@ -144,10 +154,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
         probes.nonlinear_rounds.inc();
         probes.newton_iters.inc(stats.newton_iters);
         probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-        for (const auto& agent : out.agents) {
-          probes.round_payment.record(agent.payment);
-          probes.round_bonus.record(agent.bonus);
-        }
+        record_round_histograms(probes, out);
         RoundInvariantOptions opts;
         opts.participation_guaranteed = guarantees_voluntary_participation();
         opts.workload_exact = true;
@@ -245,10 +252,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
       // more in the payment rule's compensation terms.
       probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
     }
-    for (const auto& agent : out.agents) {
-      probes.round_payment.record(agent.payment);
-      probes.round_bonus.record(agent.bonus);
-    }
+    record_round_histograms(probes, out);
     RoundInvariantOptions opts;
     opts.linear_pr = ws.linear_fast && ws.pr_closed_form;
     opts.participation_guaranteed = guarantees_voluntary_participation();

@@ -17,28 +17,15 @@ namespace {
 constexpr double kHistogramMinValue = 1.0 / (1ull << 34);  // 2^-34
 constexpr double kHistogramMaxValue = double(1ull << 30);  // 2^30
 
-// CAS loops instead of atomic<double>::fetch_add keep us off the lowest
-// common denominator of libstdc++ versions; cells are per-thread so the
-// CAS succeeds first try in practice.
-void atomic_add(std::atomic<double>& cell, double delta) {
-  double cur = cell.load(std::memory_order_relaxed);
-  while (!cell.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& cell, double value) {
-  double cur = cell.load(std::memory_order_relaxed);
-  while (value < cur && !cell.compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& cell, double value) {
-  double cur = cell.load(std::memory_order_relaxed);
-  while (value > cur && !cell.compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
+// Single-writer cells: only the thread that owns a shard ever writes its
+// cells, so an update is a relaxed load plus a relaxed store instead of a
+// locked read-modify-write (fetch_add, or a CAS loop for doubles and
+// min/max).  Scrapers read the same atomics relaxed, so they never see a
+// torn value, only one that is a few updates old.
+template <typename T>
+void bump(std::atomic<T>& cell, T delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
 }
 
 /// JSON has no inf/nan: clamp to the largest finite double (the overflow
@@ -124,6 +111,36 @@ struct HistogramCell {
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
 
+  /// Fold value_at(0), ..., value_at(n-1) into the cell: one bucket bump
+  /// per sample, the scalar fields loaded and stored once.  Samples are
+  /// summed in order, so the cell ends up bit-identical to n single
+  /// records.
+  template <typename ValueAt>
+  void record(std::size_t n, ValueAt value_at) {
+    std::uint64_t finite = count.load(std::memory_order_relaxed);
+    std::uint64_t nans = nan_count.load(std::memory_order_relaxed);
+    double total = sum.load(std::memory_order_relaxed);
+    double lo = min.load(std::memory_order_relaxed);
+    double hi = max.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value = value_at(i);
+      if (std::isnan(value)) {
+        ++nans;
+        continue;
+      }
+      bump<std::uint64_t>(buckets[histogram_bucket(value)], 1);
+      ++finite;
+      total += value;
+      if (value < lo) lo = value;
+      if (value > hi) hi = value;
+    }
+    count.store(finite, std::memory_order_relaxed);
+    nan_count.store(nans, std::memory_order_relaxed);
+    sum.store(total, std::memory_order_relaxed);
+    min.store(lo, std::memory_order_relaxed);
+    max.store(hi, std::memory_order_relaxed);
+  }
+
   void zero() {
     for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
     count.store(0, std::memory_order_relaxed);
@@ -139,14 +156,23 @@ struct HistogramCell {
 }  // namespace
 
 /// One thread's private cells.  The owning thread grows the cell vectors
-/// (under `mutex`, because a scraper may be iterating them) and increments
-/// cells lock-free; scrapers only ever read, under `mutex`.  The registry
-/// keeps the shard alive after its thread exits so no sample is lost.
+/// (under `mutex`, because a scraper may be iterating them) and is the only
+/// writer of cell contents; scrapers only ever read, under `mutex`.  The
+/// registry keeps the shard alive after its thread exits so no sample is
+/// lost.
+///
+/// Reset is a request, not a write: Registry::reset() bumps
+/// `resets_requested`, and the owner zeroes its own cells before its next
+/// write (apply_pending_reset), so a reset can never interleave with an
+/// owner's load-then-store.  Until the owner catches up, snapshots read the
+/// shard as empty.
 struct Registry::Shard {
   std::mutex mutex;  ///< guards vector *structure*, not cell contents
   std::vector<std::unique_ptr<CounterCell>> counters;
   std::vector<std::unique_ptr<GaugeCell>> gauges;
   std::vector<std::unique_ptr<HistogramCell>> histograms;
+  std::atomic<std::uint64_t> resets_requested{0};
+  std::atomic<std::uint64_t> resets_applied{0};
 
   template <typename Cell>
   Cell& cell(std::vector<std::unique_ptr<Cell>>& cells, std::uint32_t index) {
@@ -157,6 +183,25 @@ struct Registry::Shard {
       while (cells.size() <= index) cells.push_back(std::make_unique<Cell>());
     }
     return *cells[index];
+  }
+
+  /// Owner only: honour every reset requested since the last write.
+  void apply_pending_reset() {
+    const std::uint64_t requested =
+        resets_requested.load(std::memory_order_relaxed);
+    if (requested == resets_applied.load(std::memory_order_relaxed)) return;
+    for (auto& c : counters) c->value.store(0, std::memory_order_relaxed);
+    for (auto& g : gauges) g->value.store(0.0, std::memory_order_relaxed);
+    for (auto& h : histograms) h->zero();
+    // Release: a scraper that sees the reset applied also sees the zeros.
+    resets_applied.store(requested, std::memory_order_release);
+  }
+
+  /// Scraper side: true while the owner has not yet zeroed its cells for
+  /// the latest reset, in which case the shard merges as empty.
+  [[nodiscard]] bool reset_pending() const {
+    return resets_applied.load(std::memory_order_acquire) !=
+           resets_requested.load(std::memory_order_relaxed);
   }
 };
 
@@ -190,7 +235,11 @@ Registry& Registry::global() {
 
 Registry::Shard& Registry::local_shard() {
   for (const TlsShardRef& ref : t_shard_cache) {
-    if (ref.registry_id == id_) return *static_cast<Shard*>(ref.shard);
+    if (ref.registry_id == id_) {
+      Shard& shard = *static_cast<Shard*>(ref.shard);
+      shard.apply_pending_reset();
+      return shard;
+    }
   }
   auto shard = std::make_shared<Shard>();
   {
@@ -235,34 +284,40 @@ Histogram Registry::histogram(const std::string& name) {
 
 void Registry::counter_add(std::uint32_t index, std::uint64_t n) {
   Shard& shard = local_shard();
-  shard.cell(shard.counters, index)
-      .value.fetch_add(n, std::memory_order_relaxed);
+  bump(shard.cell(shard.counters, index).value, n);
 }
 
 void Registry::gauge_add(std::uint32_t index, double delta) {
   Shard& shard = local_shard();
-  atomic_add(shard.cell(shard.gauges, index).value, delta);
+  bump(shard.cell(shard.gauges, index).value, delta);
 }
 
 void Registry::histogram_record(std::uint32_t index, double value) {
   Shard& shard = local_shard();
-  HistogramCell& cell = shard.cell(shard.histograms, index);
-  if (std::isnan(value)) {
-    cell.nan_count.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  cell.buckets[histogram_bucket(value)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(cell.sum, value);
-  atomic_min(cell.min, value);
-  atomic_max(cell.max, value);
+  shard.cell(shard.histograms, index).record(1, [value](std::size_t) {
+    return value;
+  });
+}
+
+void Registry::histogram_record_each(std::uint32_t index, std::size_t count,
+                                     const void* fn,
+                                     double (*value_at)(const void*,
+                                                        std::size_t)) {
+  Shard& shard = local_shard();
+  shard.cell(shard.histograms, index).record(count, [&](std::size_t i) {
+    return value_at(fn, i);
+  });
 }
 
 void Counter::detail_add(std::uint64_t n) { registry_->counter_add(index_, n); }
 void Gauge::detail_add(double delta) { registry_->gauge_add(index_, delta); }
 void Histogram::detail_record(double value) {
   registry_->histogram_record(index_, value);
+}
+void Histogram::detail_record_each(std::size_t count, const void* fn,
+                                   double (*value_at)(const void*,
+                                                      std::size_t)) {
+  registry_->histogram_record_each(index_, count, fn, value_at);
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -287,6 +342,7 @@ MetricsSnapshot Registry::snapshot() const {
   }
 
   for (const auto& shard : shards) {
+    if (shard->reset_pending()) continue;  // reads as empty until applied
     std::lock_guard lock(shard->mutex);
     for (std::size_t i = 0;
          i < shard->counters.size() && i < counter_names.size(); ++i) {
@@ -326,20 +382,9 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    std::lock_guard lock(mutex_);
-    shards = shards_;
-  }
-  for (const auto& shard : shards) {
-    std::lock_guard lock(shard->mutex);
-    for (auto& c : shard->counters) {
-      c->value.store(0, std::memory_order_relaxed);
-    }
-    for (auto& g : shard->gauges) {
-      g->value.store(0.0, std::memory_order_relaxed);
-    }
-    for (auto& h : shard->histograms) h->zero();
+  std::lock_guard lock(mutex_);
+  for (const auto& shard : shards_) {
+    shard->resets_requested.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

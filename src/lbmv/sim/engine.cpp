@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "lbmv/obs/probes.h"
@@ -18,7 +19,76 @@ namespace {
 constexpr std::size_t kMinBuckets = 64;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 
+static_assert(std::extent_v<decltype(obs::SimProbes::events_by_kind)> ==
+              kEventKindCount);
+
 }  // namespace
+
+// ---- observability deltas ---------------------------------------------------
+
+Simulation::ObsDeltas::ObsDeltas(ObsDeltas&& other) noexcept
+    : events(std::exchange(other.events, 0)),
+      queue_depth(std::exchange(other.queue_depth, 0)) {
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    by_kind[k] = std::exchange(other.by_kind[k], 0);
+  }
+}
+
+Simulation::ObsDeltas& Simulation::ObsDeltas::operator=(
+    ObsDeltas&& other) noexcept {
+  if (this != &other) {
+    flush();
+    events = std::exchange(other.events, 0);
+    queue_depth = std::exchange(other.queue_depth, 0);
+    for (std::size_t k = 0; k < kEventKindCount; ++k) {
+      by_kind[k] = std::exchange(other.by_kind[k], 0);
+    }
+  }
+  return *this;
+}
+
+void Simulation::ObsDeltas::flush() {
+  if (events == 0 && queue_depth == 0) return;  // by_kind sums to events
+  obs::SimProbes& probes = obs::SimProbes::get();
+  probes.events_total.inc(events);
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    if (by_kind[k] != 0) probes.events_by_kind[k].inc(by_kind[k]);
+    by_kind[k] = 0;
+  }
+  probes.queue_depth.add(static_cast<double>(queue_depth));
+  events = 0;
+  queue_depth = 0;
+}
+
+// ---- copies -----------------------------------------------------------------
+
+Simulation::Simulation(const Simulation& other)
+    : buckets_(other.buckets_),
+      overflow_(other.overflow_),
+      win_start_(other.win_start_),
+      win_end_(other.win_end_),
+      inv_width_(other.inv_width_),
+      cur_(other.cur_),
+      in_buckets_(other.in_buckets_),
+      closure_slots_(other.closure_slots_),
+      free_closure_slots_(other.free_closure_slots_),
+      now_(other.now_),
+      next_seq_(other.next_seq_),
+      last_key_(other.last_key_),
+      last_time_(other.last_time_),
+      processed_(other.processed_) {
+  if (obs::enabled()) {
+    // The copy's pending events and live closures are new occupancy.
+    obs_.queue_depth = static_cast<std::int64_t>(pending());
+    obs::SimProbes::get().slab_in_use.add(static_cast<double>(
+        closure_slots_.size() - free_closure_slots_.size()));
+  }
+}
+
+Simulation& Simulation::operator=(const Simulation& other) {
+  if (this != &other) *this = Simulation(other);
+  return *this;
+}
 
 void Simulation::push_event(SimTime time, EventKind kind,
                             std::uintptr_t payload) {
@@ -31,7 +101,7 @@ void Simulation::push_event(SimTime time, EventKind kind,
   } else {
     overflow_.push_back(event);
   }
-  if (obs::enabled()) obs::SimProbes::get().queue_depth.add(1.0);
+  if (obs::enabled()) ++obs_.queue_depth;
 }
 
 void Simulation::insert_bucket(const Event& event) {
@@ -199,18 +269,20 @@ bool Simulation::step() {
   now_ = event.time;
   ++processed_;
   if (obs::enabled()) {
-    obs::SimProbes& probes = obs::SimProbes::get();
-    probes.events_total.inc();
-    probes.events_by_kind[static_cast<std::size_t>(kind_of(event))].inc();
-    probes.queue_depth.add(-1.0);
+    ++obs_.events;
+    ++obs_.by_kind[static_cast<std::size_t>(kind_of(event))];
+    --obs_.queue_depth;
   }
   dispatch(event);
+  // After the dispatch, so a flushed queue_depth includes what it scheduled.
+  if (obs_.events >= kObsFlushEvents) obs_.flush();
   return true;
 }
 
 void Simulation::run() {
   while (step()) {
   }
+  obs_.flush();
 }
 
 void Simulation::run_until(SimTime t) {
@@ -222,6 +294,7 @@ void Simulation::run_until(SimTime t) {
     step();
   }
   now_ = t;
+  obs_.flush();
 }
 
 void Simulation::reserve(std::size_t events) {
@@ -234,12 +307,11 @@ void Simulation::reset() {
   if (obs::enabled()) {
     // Pending work vanishes with the reset; walk the occupancy gauges back
     // down so they keep meaning "currently live" across reuse.
-    obs::SimProbes& probes = obs::SimProbes::get();
-    probes.queue_depth.add(
-        -static_cast<double>(in_buckets_ + overflow_.size()));
-    probes.slab_in_use.add(-static_cast<double>(closure_slots_.size() -
-                                                free_closure_slots_.size()));
+    obs_.queue_depth -= static_cast<std::int64_t>(pending());
+    obs::SimProbes::get().slab_in_use.add(-static_cast<double>(
+        closure_slots_.size() - free_closure_slots_.size()));
   }
+  obs_.flush();
   for (auto& bucket : buckets_) bucket.clear();
   overflow_.clear();
   closure_slots_.clear();

@@ -48,6 +48,20 @@
 /// preserved verbatim in legacy_engine.h and a differential test
 /// (test_sim_determinism) proves both loops produce identical completion
 /// traces.
+///
+/// ## Observability
+///
+/// With recording on, every event would cost three registry probes
+/// (events_total, events_by_kind, queue_depth).  The simulation instead
+/// keeps those deltas in plain members and publishes them every
+/// kObsFlushEvents dispatched events, when run() and run_until() return,
+/// in reset(), and on destruction.  A scraper (the time-series sampler,
+/// `lbmv obs --watch`) therefore sees the event-loop families fewer than
+/// kObsFlushEvents events behind a running simulation, and exact once it
+/// has flushed: lbmv_sim_events_total == processed() and
+/// lbmv_sim_queue_depth == pending() for a lone simulation.  Deltas still
+/// unpublished when recording is switched off are dropped, like any probe
+/// fired while recording is off.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,6 +83,9 @@ enum class EventKind : std::uint8_t {
   kHorizon = 4,            ///< end-of-run marker
 };
 
+/// Number of EventKind values (the size of lbmv_sim_events_kind_total).
+inline constexpr std::size_t kEventKindCount = 5;
+
 class Simulation;
 
 /// Receiver of typed events.  Long-lived simulation components (servers,
@@ -88,6 +105,24 @@ class EventSink {
 class Simulation {
  public:
   using Handler = std::function<void()>;
+
+  /// Dispatched events between two publications of the event-loop probe
+  /// deltas (see "Observability" above).
+  static constexpr std::uint64_t kObsFlushEvents = 4096;
+
+  Simulation() = default;
+  /// A copy continues from the original's pending events and clock.  It
+  /// inherits none of the original's unpublished probe deltas (the original
+  /// still publishes those), and it adds its own pending events to
+  /// lbmv_sim_queue_depth, so the gauge keeps summing pending() over the
+  /// live simulations.
+  Simulation(const Simulation& other);
+  Simulation& operator=(const Simulation& other);
+  /// A move hands the unpublished probe deltas to the target.
+  Simulation(Simulation&& other) noexcept = default;
+  Simulation& operator=(Simulation&& other) noexcept = default;
+  /// Publishes the probe deltas still pending (ObsDeltas' destructor).
+  ~Simulation() = default;
 
   /// Schedule \p handler at absolute \p time.  Requires time >= now().
   /// The handler is stored in a pooled slab slot that is recycled after the
@@ -176,6 +211,24 @@ class Simulation {
   void refill_window();
   void dispatch(const Event& event);
 
+  /// Event-loop probe deltas, held in plain members and published to the
+  /// registry in one batch by flush().  Never copied (a Simulation copy
+  /// starts its own); a move hands the deltas over; destruction flushes.
+  struct ObsDeltas {
+    std::uint64_t events = 0;  ///< dispatches since the last flush
+    std::uint64_t by_kind[kEventKindCount] = {};
+    std::int64_t queue_depth = 0;
+
+    ObsDeltas() = default;
+    ObsDeltas(const ObsDeltas&) = delete;
+    ObsDeltas& operator=(const ObsDeltas&) = delete;
+    ObsDeltas(ObsDeltas&& other) noexcept;
+    ObsDeltas& operator=(ObsDeltas&& other) noexcept;
+    ~ObsDeltas() { flush(); }
+
+    void flush();
+  };
+
   // Calendar-queue state: the active window [win_start_, win_end_) hashed
   // into buckets_ (sorted descending within a bucket, so the minimum is a
   // pop_back), plus the unsorted overflow band for events beyond the window.
@@ -194,6 +247,7 @@ class Simulation {
   std::uint64_t last_key_ = 0;  // monotone-progress check across steps
   SimTime last_time_ = 0.0;
   std::size_t processed_ = 0;
+  ObsDeltas obs_;
 };
 
 }  // namespace lbmv::sim

@@ -36,7 +36,7 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
                                         const model::BidProfile& intents,
                                         std::uint64_t seed) const {
   const obs::Span span("protocol_round", "protocol");
-  obs::ProtocolProbes::get().rounds.inc();
+  if (obs::enabled()) obs::ProtocolProbes::get().rounds.inc();
   const std::size_t n = config.size();
   intents.validate(n);
   LBMV_REQUIRE(
@@ -106,7 +106,9 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
     report.estimate_available[i] = estimate.has_value();
     // A computer that received no jobs cannot be verified; the mechanism
     // falls back to trusting its bid for the round.
-    if (!estimate) obs::ProtocolProbes::get().estimate_fallbacks.inc();
+    if (!estimate && obs::enabled()) {
+      obs::ProtocolProbes::get().estimate_fallbacks.inc();
+    }
     report.estimated_execution[i] =
         estimate ? estimate->execution_value : intents.bids[i];
     verified.executions[i] = report.estimated_execution[i];

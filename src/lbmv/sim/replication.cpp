@@ -30,7 +30,7 @@ void ReplicationRunner::run(
         const obs::Span span("replication", "protocol");
         util::Rng rng = stream(rep);
         body(rep, rng);
-        obs::ProtocolProbes::get().replications.inc();
+        if (obs::enabled()) obs::ProtocolProbes::get().replications.inc();
       },
       options_.grain);
 }

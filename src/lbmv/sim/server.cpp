@@ -48,6 +48,7 @@ Server::Server(Simulation& sim, std::string name, double execution_value,
   // at construction time (enable observability before building the
   // simulation); otherwise the handles stay inert no-ops.
   if (obs::enabled()) {
+    obs_live_ = true;
     obs::Registry& registry = obs::Registry::global();
     obs_arrivals_ = registry.counter(
         obs::labeled("lbmv_server_arrivals_total", "server", name_));
@@ -58,8 +59,26 @@ Server::Server(Simulation& sim, std::string name, double execution_value,
   }
 }
 
+Server::~Server() { publish_obs(); }
+
+void Server::publish_obs() {
+  if (!obs_live_ || !obs::enabled()) return;
+  const std::size_t arrivals =
+      completions_.size() + queue_length() + (busy_ ? 1 : 0);
+  if (arrivals != obs_arrivals_published_) {
+    obs_arrivals_.inc(arrivals - obs_arrivals_published_);
+    obs_arrivals_published_ = arrivals;
+  }
+  const std::size_t fresh = completions_.size() - obs_published_;
+  if (fresh == 0) return;
+  obs_completions_.inc(fresh);
+  const Completion* first = completions_.data() + obs_published_;
+  obs_waiting_.record_each(
+      fresh, [first](std::size_t k) { return first[k].waiting_time(); });
+  obs_published_ = completions_.size();
+}
+
 void Server::submit(const Job& job) {
-  obs_arrivals_.inc();
   queue_.push_back(Job{job.id, sim_->now()});
   if (!busy_) begin_service();
 }
@@ -101,8 +120,10 @@ void Server::on_sim_event(Simulation& sim, EventKind kind) {
   completions_.push_back(Completion{in_service_.id, in_service_.arrival,
                                     service_start_,
                                     service_start_ + service_duration_});
-  obs_completions_.inc();
-  obs_waiting_.record(completions_.back().waiting_time());
+  if (obs_live_ &&
+      completions_.size() - obs_published_ >= kObsPublishCompletions) {
+    publish_obs();
+  }
   if (head_ < queue_.size()) {
     begin_service();
   } else {
@@ -117,6 +138,9 @@ void Server::reserve(std::size_t expected_jobs) {
 
 void Server::reset() {
   LBMV_REQUIRE(!busy_, "cannot reset a server with a job in service");
+  publish_obs();
+  obs_published_ = 0;
+  obs_arrivals_published_ = 0;
   queue_.clear();
   head_ = 0;
   busy_time_ = 0.0;

@@ -19,6 +19,16 @@
 /// steady-state run allocates nothing per job.  The job queue and the
 /// completion log are flat per-server arenas (reserve() pre-sizes them,
 /// reset() recycles them across replications without freeing).
+///
+/// Observability: the per-server arrival and completion counters and the
+/// waiting-time histogram are not touched per job.  They are published from
+/// the completion arena the server keeps anyway, every
+/// kObsPublishCompletions completions, in reset() and on destruction, so a
+/// scraper sees the completion families fewer than that many completions
+/// behind a running server, and every family exactly once the server is
+/// reset or gone.  Arrivals are counted as the jobs the server holds
+/// (completed, queued or in service) since its last reset, so between
+/// publications the arrival counter also misses the jobs queued since.
 
 #include <cstdint>
 #include <string>
@@ -72,6 +82,15 @@ class Server final : public EventSink {
   /// runs at; the mean service time is derived per \p model.
   Server(Simulation& sim, std::string name, double execution_value,
          ServiceModel model, util::Rng rng);
+  /// Publishes the completions not yet counted (see "Observability").
+  ~Server();
+  // Scheduled completion events carry this server's address, so it can
+  // be neither copied nor moved.
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
+
+  /// Completions between two publications of the per-server probes.
+  static constexpr std::size_t kObsPublishCompletions = 1024;
 
   /// Enqueue a job at the simulation's current time.
   void submit(const Job& job);
@@ -84,8 +103,8 @@ class Server final : public EventSink {
   void reserve(std::size_t expected_jobs);
 
   /// Forget all queued jobs, completions and accounting, keeping arena
-  /// capacity.  The RNG stream is NOT rewound; pass a fresh stream per
-  /// replication instead.
+  /// capacity, after publishing the probes.  The RNG stream is NOT
+  /// rewound; pass a fresh stream per replication instead.
   void reset();
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -105,6 +124,9 @@ class Server final : public EventSink {
 
  private:
   void begin_service();
+  /// Publish the arrivals and completions since the last publication.
+  /// Does nothing while recording is off.
+  void publish_obs();
 
   Simulation* sim_;
   std::string name_;
@@ -125,10 +147,15 @@ class Server final : public EventSink {
   std::vector<Completion> completions_;
 
   // Per-server metric handles, resolved once at construction (inert
-  // defaults when recording is off at that point; see server.cpp).
+  // defaults when recording is off at that point; see server.cpp), and the
+  // publication cursor: completions_[0, obs_published_) and
+  // obs_arrivals_published_ arrivals are already counted.
+  bool obs_live_ = false;
   obs::Counter obs_arrivals_;
   obs::Counter obs_completions_;
   obs::Histogram obs_waiting_;
+  std::size_t obs_published_ = 0;
+  std::size_t obs_arrivals_published_ = 0;
 };
 
 }  // namespace lbmv::sim

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/sim/engine.h"
 #include "lbmv/util/error.h"
 
@@ -230,6 +235,152 @@ TEST(Engine, ClosureSlotsAreRecycled) {
   sim.run();
   EXPECT_EQ(count, 10000);
   EXPECT_EQ(sim.processed(), 10000u);
+}
+
+// ---- observability flush contract -------------------------------------------
+
+/// Enables recording on a freshly reset global registry for one test.
+struct RecordingScope {
+  RecordingScope() {
+    lbmv::obs::set_enabled(true);
+    lbmv::obs::Registry::global().reset();
+  }
+  ~RecordingScope() { lbmv::obs::set_enabled(false); }
+};
+
+/// The event-loop families as the registry currently publishes them.
+struct SimTotals {
+  std::uint64_t events = 0;
+  std::uint64_t by_kind = 0;  ///< sum over lbmv_sim_events_kind_total
+  double queue_depth = 0.0;
+};
+
+SimTotals sim_totals() {
+  const lbmv::obs::MetricsSnapshot snap =
+      lbmv::obs::Registry::global().snapshot();
+  SimTotals t;
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "lbmv_sim_events_total") t.events = value;
+    if (name.rfind("lbmv_sim_events_kind_total{", 0) == 0) t.by_kind += value;
+  }
+  const auto depth = snap.gauges.find("lbmv_sim_queue_depth");
+  if (depth != snap.gauges.end()) t.queue_depth = depth->second;
+  return t;
+}
+
+/// Stateless periodic sink: reschedules itself on whichever simulation
+/// dispatched it, so copies of a simulation keep ticking independently.
+struct Ticker final : lbmv::sim::EventSink {
+  double period = 1.0;
+  double horizon = 1e12;
+  void on_sim_event(Simulation& sim, lbmv::sim::EventKind kind) override {
+    if (sim.now() + period <= horizon) {
+      sim.schedule_event_after(period, kind, this);
+    }
+  }
+};
+
+void start_tickers(Simulation& sim, Ticker& ticker, int count) {
+  for (int k = 0; k < count; ++k) {
+    sim.schedule_event(ticker.period * k / count,
+                       lbmv::sim::EventKind::kArrival, &ticker);
+  }
+}
+
+#define SKIP_IF_COMPILED_OUT()         \
+  if (!lbmv::obs::kCompiledIn)         \
+  GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)"
+
+TEST(EngineObs, StepLoopPublishesOnCadenceAndOnDestruction) {
+  SKIP_IF_COMPILED_OUT();
+  const RecordingScope recording;
+  Ticker ticker;
+  std::size_t processed = 0;
+  std::size_t pending = 0;
+  {
+    Simulation sim;
+    start_tickers(sim, ticker, 8);
+    for (std::uint64_t s = 0; s < Simulation::kObsFlushEvents; ++s) {
+      ASSERT_TRUE(sim.step());
+    }
+    // The cadence flush ran at the end of the last step.
+    SimTotals t = sim_totals();
+    EXPECT_EQ(t.events, sim.processed());
+    EXPECT_EQ(t.by_kind, sim.processed());
+    EXPECT_EQ(t.queue_depth, static_cast<double>(sim.pending()));
+
+    // Between flushes the families trail the loop, by less than the
+    // cadence.
+    for (int s = 0; s < 100; ++s) ASSERT_TRUE(sim.step());
+    t = sim_totals();
+    EXPECT_EQ(t.events, Simulation::kObsFlushEvents);
+    EXPECT_LT(sim.processed() - t.events, Simulation::kObsFlushEvents);
+    processed = sim.processed();
+    pending = sim.pending();
+  }
+  const SimTotals t = sim_totals();
+  EXPECT_EQ(t.events, processed);
+  EXPECT_EQ(t.by_kind, processed);
+  EXPECT_EQ(t.queue_depth, static_cast<double>(pending));
+}
+
+TEST(EngineObs, RunUntilLoopIsExactWhenItReturns) {
+  SKIP_IF_COMPILED_OUT();
+  const RecordingScope recording;
+  Ticker ticker;
+  ticker.period = 0.01;
+  Simulation sim;
+  start_tickers(sim, ticker, 5);
+  // Windows of ~500 to ~5000 events: some cross a cadence flush, some not.
+  for (const double t : {1.0, 2.0, 12.0, 12.5, 30.0}) {
+    sim.run_until(t);
+    const SimTotals totals = sim_totals();
+    EXPECT_EQ(totals.events, sim.processed()) << "t = " << t;
+    EXPECT_EQ(totals.by_kind, sim.processed()) << "t = " << t;
+    EXPECT_EQ(totals.queue_depth, static_cast<double>(sim.pending()))
+        << "t = " << t;
+  }
+  // reset() walks the depth back and publishes what it still held.
+  const std::size_t processed = sim.processed();
+  sim.reset();
+  const SimTotals totals = sim_totals();
+  EXPECT_EQ(totals.events, processed);
+  EXPECT_EQ(totals.queue_depth, 0.0);
+}
+
+TEST(EngineObs, CopiesAndMovesDoNotCountDeltasTwice) {
+  SKIP_IF_COMPILED_OUT();
+  const RecordingScope recording;
+  Ticker ticker;
+  ticker.horizon = 1e6;
+  std::size_t pending = 0;
+  {
+    // Every simulation stays far below the flush cadence, so each delta
+    // is still unpublished when it is copied or moved.
+    Simulation a;
+    start_tickers(a, ticker, 8);
+    for (int s = 0; s < 100; ++s) ASSERT_TRUE(a.step());
+    Simulation b(a);  // copy: inherits a's events, none of its deltas
+    for (int s = 0; s < 50; ++s) ASSERT_TRUE(b.step());
+    Simulation c(std::move(b));  // move: takes b's deltas over
+    for (int s = 0; s < 30; ++s) ASSERT_TRUE(c.step());
+    Simulation d;
+    d = a;  // copy-assign
+    for (int s = 0; s < 10; ++s) ASSERT_TRUE(d.step());
+    Simulation e;
+    start_tickers(e, ticker, 2);
+    ASSERT_TRUE(e.step());
+    e = std::move(c);  // move-assign: e publishes its own deltas first
+    for (int s = 0; s < 20; ++s) ASSERT_TRUE(e.step());
+    pending = a.pending() + d.pending() + e.pending();
+  }
+  const SimTotals t = sim_totals();
+  EXPECT_EQ(t.events, 100u + 50u + 30u + 10u + 1u + 20u);
+  EXPECT_EQ(t.by_kind, t.events);
+  // e's own two tickers were scheduled (+2), one dispatched and one
+  // rescheduled (net +0), then vanished with the move-assign like a
+  // destroyed simulation's pending events: +2 left behind.
+  EXPECT_EQ(t.queue_depth, static_cast<double>(pending + 2));
 }
 
 }  // namespace

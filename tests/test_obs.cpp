@@ -1,12 +1,16 @@
 // Tests for the sharded metrics registry: histogram bucket geometry at the
-// edges of the double range, merge associativity across thread counts, and
-// the zero-cost-when-off contract.
+// edges of the double range, merge associativity across thread counts,
+// single-writer cells under concurrent scrapes and resets, and the
+// zero-cost-when-off contract.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lbmv/obs/metrics.h"
@@ -209,6 +213,155 @@ TEST(Registry, ResetZeroesSamplesButKeepsFamilies) {
   // Handles stay valid after reset.
   c.inc();
   EXPECT_EQ(registry.snapshot().counters.at("c"), 1u);
+}
+
+TEST(Registry, RecordEachMatchesOneRecordPerValue) {
+  SKIP_IF_COMPILED_OUT();
+  EnabledScope on;
+  Registry one_by_one;
+  Registry batched;
+  Histogram a = one_by_one.histogram("h");
+  Histogram b = batched.histogram("h");
+  const auto expect_same = [&] {
+    const HistogramSnapshot x = one_by_one.snapshot().histograms.at("h");
+    const HistogramSnapshot y = batched.snapshot().histograms.at("h");
+    EXPECT_EQ(y.count, x.count);
+    EXPECT_EQ(y.nan_count, x.nan_count);
+    EXPECT_EQ(y.sum, x.sum);  // bit-identical, not merely close
+    EXPECT_EQ(y.min, x.min);
+    EXPECT_EQ(y.max, x.max);
+    EXPECT_EQ(y.buckets, x.buckets);
+  };
+  const auto record_both = [&](const std::vector<double>& values) {
+    for (const double v : values) a.record(v);
+    b.record_each(values.size(), [&](std::size_t i) { return values[i]; });
+  };
+  a.record(5.0);  // batches fold into existing cell state
+  b.record(5.0);
+  // Magnitudes whose running sum rounds differently in any other order.
+  std::vector<double> values;
+  for (int i = 1; i <= 200; ++i) values.push_back(1.0 / (i * 3.0 + 0.7));
+  record_both(values);
+  expect_same();
+  // Edge values: NaN, zero, negatives, below and above the bucket range.
+  record_both({0.0, -1.0, kNaN, 1e-40, 3.0, kInf, 1e30, kNaN});
+  expect_same();
+
+  // Disabled and empty batches record nothing.
+  const std::uint64_t count = batched.snapshot().histograms.at("h").count;
+  b.record_each(0, [](std::size_t) { return 1.0; });
+  set_enabled(false);
+  b.record_each(3, [](std::size_t) { return 1.0; });
+  set_enabled(true);
+  EXPECT_EQ(batched.snapshot().histograms.at("h").count, count);
+}
+
+TEST(Registry, SnapshotsDuringRecordingAreMonotoneAndExactAfterJoin) {
+  SKIP_IF_COMPILED_OUT();
+  EnabledScope on;
+  // Single-writer cells: each worker is the only writer of its shard while
+  // the main thread scrapes every shard.  Scrapes never see a count go
+  // backwards or past the total, and the joined totals are exact.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  Registry registry;
+  Counter c = registry.counter("c");
+  Gauge g = registry.gauge("g");
+  Histogram h = registry.histogram("h");
+  std::atomic<int> done{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        c.inc();
+        g.add(0.5);
+        h.record(static_cast<double>(i % 64 + 1));
+      }
+      done.fetch_add(1);
+    });
+  }
+  std::uint64_t last_count = 0;
+  std::uint64_t last_hist = 0;
+  int scrapes = 0;
+  // At least a few scrapes even if the workers finish first.
+  while (done.load() < kThreads || scrapes < 8) {
+    const MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t count = snap.counters.at("c");
+    const std::uint64_t hist = snap.histograms.at("h").count;
+    EXPECT_GE(count, last_count);
+    EXPECT_LE(count, kTotal);
+    EXPECT_GE(hist, last_hist);
+    EXPECT_LE(hist, kTotal);
+    last_count = count;
+    last_hist = hist;
+    ++scrapes;
+  }
+  for (auto& w : workers) w.join();
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("c"), kTotal);
+  EXPECT_EQ(snap.gauges.at("g"), 0.5 * static_cast<double>(kTotal));
+  const HistogramSnapshot& hs = snap.histograms.at("h");
+  EXPECT_EQ(hs.count, kTotal);
+  // Per thread: kPerThread / 64 full cycles of 1..64 (sum 2080 each).
+  EXPECT_EQ(hs.sum, kThreads * (kPerThread / 64) * 2080.0 +
+                        kThreads * ((kPerThread % 64) * (kPerThread % 64 + 1) /
+                                    2.0));
+  EXPECT_EQ(hs.min, 1.0);
+  EXPECT_EQ(hs.max, 64.0);
+}
+
+TEST(Registry, ResetWhileRecordingIsSafeAndLaterTotalsAreExact) {
+  SKIP_IF_COMPILED_OUT();
+  EnabledScope on;
+  // reset() only requests a reset; each owner zeroes its own cells before
+  // its next write.  Resets racing the writers (under TSan, too) must
+  // leave every count within bounds, and a reset taken while the writers
+  // are idle must make the next burst's totals exact.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kBurst = 20000;
+  constexpr std::uint64_t kTotal = kThreads * kBurst;
+  Registry registry;
+  Counter c = registry.counter("c");
+  Histogram h = registry.histogram("h");
+  const auto burst = [&] {
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      c.inc();
+      h.record(1.0);
+    }
+  };
+  std::atomic<int> arrived{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      burst();  // races the resets below
+      arrived.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      burst();  // after a reset taken while every writer was idle
+    });
+  }
+  int resets = 0;
+  while (arrived.load() < kThreads || resets < 8) {
+    registry.reset();
+    c.inc();  // the resetting thread records too
+    ++resets;
+    const MetricsSnapshot snap = registry.snapshot();
+    EXPECT_LE(snap.counters.at("c"), kTotal + 1);
+    EXPECT_LE(snap.histograms.at("h").count, kTotal);
+  }
+  registry.reset();
+  EXPECT_EQ(registry.snapshot().counters.at("c"), 0u);
+  EXPECT_EQ(registry.snapshot().histograms.at("h").count, 0u);
+  go.store(true);
+  for (auto& w : workers) w.join();
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("c"), kTotal);
+  const HistogramSnapshot& hs = snap.histograms.at("h");
+  EXPECT_EQ(hs.count, kTotal);
+  EXPECT_EQ(hs.sum, static_cast<double>(kTotal));
+  EXPECT_EQ(hs.min, 1.0);
+  EXPECT_EQ(hs.max, 1.0);
 }
 
 TEST(Registry, FindOrRegisterReturnsTheSameFamily) {

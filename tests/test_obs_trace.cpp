@@ -19,6 +19,7 @@
 #include "lbmv/obs/sampler.h"
 #include "lbmv/obs/trace.h"
 #include "lbmv/sim/protocol.h"
+#include "lbmv/sim/server.h"
 #include "lbmv/util/json.h"
 
 namespace {
@@ -228,14 +229,32 @@ TEST(ObsIntegration, ProtocolRoundCountersMatchSystemMetrics) {
   const MetricsSnapshot snap = Registry::global().snapshot();
   std::uint64_t counted = 0;
   for (std::size_t i = 0; i < config.size(); ++i) {
-    const std::string name = labeled("lbmv_server_completions_total",
-                                     "server", "C" + std::to_string(i + 1));
+    const std::string server = "C" + std::to_string(i + 1);
+    const std::string name =
+        labeled("lbmv_server_completions_total", "server", server);
     ASSERT_TRUE(snap.counters.contains(name)) << name;
-    EXPECT_EQ(snap.counters.at(name), report.metrics.servers[i].jobs_completed)
-        << name;
-    counted += snap.counters.at(name);
+    const std::uint64_t completions = snap.counters.at(name);
+    EXPECT_EQ(completions, report.metrics.servers[i].jobs_completed) << name;
+    counted += completions;
+    // Servers publish from their completion arenas in batches; once the
+    // round is over every arrival completed and every completion carried
+    // one waiting-time sample.
+    const std::string arrivals =
+        labeled("lbmv_server_arrivals_total", "server", server);
+    ASSERT_TRUE(snap.counters.contains(arrivals)) << arrivals;
+    EXPECT_EQ(snap.counters.at(arrivals), completions) << arrivals;
+    const std::string waiting =
+        labeled("lbmv_server_waiting_seconds", "server", server);
+    ASSERT_TRUE(snap.histograms.contains(waiting)) << waiting;
+    EXPECT_EQ(snap.histograms.at(waiting).count, completions) << waiting;
+    EXPECT_EQ(snap.histograms.at(waiting).nan_count, 0u) << waiting;
   }
   EXPECT_EQ(counted, report.metrics.total_jobs());
+  // More than one publication cadence's worth of jobs went through the
+  // loop, and the event-loop totals were flushed when run() returned.
+  EXPECT_GT(counted, lbmv::sim::Server::kObsPublishCompletions);
+  EXPECT_GE(snap.counters.at("lbmv_sim_events_total"), 2 * counted);
+  EXPECT_EQ(snap.gauges.at("lbmv_sim_queue_depth"), 0.0);
 
   // The round also left a protocol_round span behind.
   bool saw_round_span = false;
@@ -243,6 +262,33 @@ TEST(ObsIntegration, ProtocolRoundCountersMatchSystemMetrics) {
     if (std::string_view(e.name) == "protocol_round") saw_round_span = true;
   }
   EXPECT_TRUE(saw_round_span);
+}
+
+TEST(ObsIntegration, ProtocolRoundWithRecordingOffRegistersAndRecordsNothing) {
+  set_enabled(false);
+  // Five servers: C4 and C5 are names no other test in this binary uses,
+  // so a labelled family registered by this round would be new.
+  const lbmv::model::SystemConfig config({0.01, 0.01, 0.02, 0.015, 0.03}, 5.0);
+  const lbmv::core::CompBonusMechanism mechanism;
+  lbmv::sim::ProtocolOptions options;
+  options.horizon = 500.0;
+  options.warmup_fraction = 0.0;
+  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
+  const MetricsSnapshot before = Registry::global().snapshot();
+  const std::size_t spans_before = TraceRecorder::global().events().size();
+  const auto report =
+      protocol.run_round(config, lbmv::model::BidProfile::truthful(config));
+  ASSERT_GT(report.metrics.total_jobs(), 0u);
+  const MetricsSnapshot after = Registry::global().snapshot();
+  EXPECT_EQ(after.counters, before.counters);
+  EXPECT_EQ(after.gauges, before.gauges);
+  ASSERT_EQ(after.histograms.size(), before.histograms.size());
+  for (const auto& [name, h] : before.histograms) {
+    ASSERT_TRUE(after.histograms.contains(name)) << name;
+    EXPECT_EQ(after.histograms.at(name).count, h.count) << name;
+    EXPECT_EQ(after.histograms.at(name).buckets, h.buckets) << name;
+  }
+  EXPECT_EQ(TraceRecorder::global().events().size(), spans_before);
 }
 
 }  // namespace
