@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -55,6 +57,32 @@ std::unique_ptr<core::Mechanism> make_mechanism(const std::string& name) {
                    "' (comp-bonus | vcg | archer-tardos | no-payment)");
 }
 
+/// Integer option \p name narrowed to int; out-of-range values are usage
+/// errors instead of a silent wrap.
+int option_as_int(const ArgParser& args, const std::string& name) {
+  const long value = args.option_as_long(name);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw UsageError("option --" + name + " is out of range: " +
+                     args.option(name));
+  }
+  return static_cast<int>(value);
+}
+
+/// A number read as an agent index: it must be an integer in [0, n).  The
+/// check precedes the cast, which is undefined for NaN, negatives and huge
+/// values.
+std::size_t agent_index(double value, std::size_t n, const std::string& what) {
+  if (!(value >= 0.0 && value < static_cast<double>(n)) ||
+      value != std::floor(value)) {
+    std::ostringstream os;
+    os << what << " must be an agent index in [0, " << n << "), got "
+       << value;
+    throw UsageError(os.str());
+  }
+  return static_cast<std::size_t>(value);
+}
+
 model::SystemConfig config_from_args(const ArgParser& args) {
   const auto types = args.option_as_doubles("types");
   const double rate = args.option_as_double("rate");
@@ -82,10 +110,10 @@ model::BidProfile profile_from_deviations(const model::SystemConfig& config,
       throw UsageError("--deviate expects agent:bid_mult[:exec_mult]");
     }
     try {
-      const auto agent = static_cast<std::size_t>(std::stoul(parts[0]));
+      const std::size_t agent =
+          agent_index(std::stod(parts[0]), config.size(), "--deviate agent");
       const double bid_mult = std::stod(parts[1]);
       const double exec_mult = parts.size() == 3 ? std::stod(parts[2]) : 1.0;
-      if (agent >= config.size()) throw UsageError("--deviate agent index");
       profile.bids[agent] = config.true_value(agent) * bid_mult;
       profile.executions[agent] = config.true_value(agent) * exec_mult;
     } catch (const UsageError&) {
@@ -249,7 +277,7 @@ int cmd_dynamics(const std::vector<std::string>& rest, std::ostream& out) {
   const auto config = config_from_args(args);
   const auto mechanism = make_mechanism(args.option("mechanism"));
   strategy::BestResponseOptions options;
-  options.max_rounds = static_cast<int>(args.option_as_long("rounds"));
+  options.max_rounds = option_as_int(args, "rounds");
   const auto result =
       strategy::best_response_dynamics(*mechanism, config, options);
   out << "converged: " << (result.converged ? "yes" : "no") << " after "
@@ -282,7 +310,7 @@ int cmd_learn(const std::vector<std::string>& rest, std::ostream& out) {
   const auto config = config_from_args(args);
   const auto mechanism = make_mechanism(args.option("mechanism"));
   strategy::LearningOptions options;
-  options.rounds = static_cast<int>(args.option_as_long("rounds"));
+  options.rounds = option_as_int(args, "rounds");
   options.seed = static_cast<std::uint64_t>(args.option_as_long("seed"));
   const auto result = strategy::run_learning(*mechanism, config, options);
   Table table({"Agent", "Greedy bid mult", "Greedy exec mult"});
@@ -406,8 +434,8 @@ int cmd_config(const std::vector<std::string>& rest, std::ostream& out) {
   model::BidProfile profile = model::BidProfile::truthful(config);
   if (doc.contains("deviations")) {
     for (const auto& d : doc.at("deviations").as_array()) {
-      const auto agent = static_cast<std::size_t>(d.at("agent").as_number());
-      if (agent >= config.size()) throw UsageError("deviation agent index");
+      const std::size_t agent = agent_index(
+          d.at("agent").as_number(), config.size(), "deviations[].agent");
       profile.bids[agent] =
           config.true_value(agent) * d.number_or("bid_mult", 1.0);
       profile.executions[agent] =
@@ -483,8 +511,8 @@ int cmd_coalition(const std::vector<std::string>& rest, std::ostream& out) {
   const core::CompBonusMechanism mechanism;
   const core::CoalitionAuditor auditor(mechanism);
   const auto report = auditor.audit_pair(
-      config, static_cast<std::size_t>(pair[0]),
-      static_cast<std::size_t>(pair[1]));
+      config, agent_index(pair[0], config.size(), "--pair"),
+      agent_index(pair[1], config.size(), "--pair"));
   out << "joint truthful utility: "
       << Table::num(report.truthful_joint_utility, 4) << '\n'
       << "best joint utility:     "
@@ -515,10 +543,9 @@ int cmd_epochs(const std::vector<std::string>& rest, std::ostream& out) {
   const auto config = config_from_args(args);
   const core::CompBonusMechanism mechanism;
   sim::EpochOptions options;
-  options.epochs = static_cast<int>(args.option_as_long("epochs"));
+  options.epochs = option_as_int(args, "epochs");
   options.drift_sigma = args.option_as_double("drift");
-  options.bid_lags.assign(config.size(),
-                          static_cast<int>(args.option_as_long("lag")));
+  options.bid_lags.assign(config.size(), option_as_int(args, "lag"));
   const auto report = sim::run_epochs(mechanism, config, options);
   out << "mean efficiency (optimal/achieved): "
       << Table::num(report.mean_efficiency, 4) << '\n';
@@ -680,9 +707,8 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   const std::string flight_path = args.option("flight");
   const auto interval =
       std::chrono::milliseconds(args.option_as_long("interval-ms"));
-  const auto replications =
-      static_cast<std::size_t>(args.option_as_long("replications"));
-  if (replications == 0) throw UsageError("--replications must be positive");
+  const long replications = args.option_as_long("replications");
+  if (replications <= 0) throw UsageError("--replications must be positive");
 
   const auto dump_flight = [&flight_path] {
     if (flight_path.empty()) return;
@@ -694,13 +720,13 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   if (workload == "dynamics") {
     // Strategy-layer workload: run best-response dynamics so the
     // lbmv_strategy_* probe family shows up in the dashboard.
+    strategy::BestResponseOptions dynamics;
+    dynamics.max_rounds = option_as_int(args, "rounds");
     obs::Registry::global().reset();
     obs::TraceRecorder::global().clear();
     obs::FlightRecorder::global().clear();
     obs::set_enabled(true);
     const core::CompBonusMechanism mechanism;
-    strategy::BestResponseOptions dynamics;
-    dynamics.max_rounds = static_cast<int>(args.option_as_long("rounds"));
     obs::TimeSeriesSampler sampler;
     if (mode == "timeseries") sampler.start(interval);
     const auto result =
@@ -764,7 +790,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   options.warmup_fraction = 0.0;
   const sim::VerifiedProtocol protocol(mechanism, options);
   sim::ReplicationOptions replication;
-  replication.replications = replications;
+  replication.replications = static_cast<std::size_t>(replications);
   replication.root_seed = options.seed;
   const auto profile =
       profile_from_deviations(config, args.option("deviate"));
@@ -883,7 +909,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
   std::uint64_t delta_rounds = 0;
-  std::uint64_t full_rebuilds = 0;
   for (const auto& [name, value] : snap.counters) {
     if (name.rfind("lbmv_server_completions_total{", 0) == 0) {
       counted += value;
@@ -896,7 +921,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
     if (name == "lbmv_core_delta_rounds_total") delta_rounds = value;
-    if (name == "lbmv_core_full_rebuilds_total") full_rebuilds = value;
   }
   std::size_t measured = 0;
   for (const auto& round : merged.rounds) {
@@ -915,8 +939,8 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << " sharded), " << nonlinear_rounds
       << " fused nonlinear-family rounds (" << newton_iters
       << " Newton iterations)\n"
-      << "delta engine: " << delta_rounds << " O(k) delta rounds absorbed, "
-      << full_rebuilds << " exact aggregate rebuilds\n"
+      << "delta engine: " << delta_rounds
+      << " rounds re-run after a changing sync\n"
       << "trace: " << spans << " spans retained, "
       << obs::TraceRecorder::global().dropped() << " dropped";
   if (!trace_path.empty()) out << " -> " << trace_path;

@@ -1,44 +1,16 @@
 #pragma once
 
 /// \file delta_engine.h
-/// Persistent cross-round engine: O(k) recomputation under sparse deltas.
+/// Cached mechanism round for loops that re-run one mechanism on planes
+/// that change sparsely, or not at all, between rounds (epochs, the
+/// verified protocol's estimate-vs-oracle double round).
 ///
-/// Every iterated workload in the repro — epochs, protocol rounds, learning
-/// dynamics, tournaments — used to re-run a full O(n) mechanism round even
-/// when only k << n agents changed since the previous round.  The
-/// DeltaRoundEngine lives *across* rounds instead: it owns the committed
-/// bid/execution planes plus the family-specific aggregates those planes
-/// reduce to,
-///
-///   linear    S = sum_j 1/b_j,  W = sum_j e_j/b_j^2      (DESIGN.md §10)
-///   M/M/1     sum_j mu_j, sum_j sqrt(mu_j), min sqrt(mu_j),
-///             #(e_j != b_j)                              (DESIGN.md §14)
-///   workload  the committed KKT multiplier as a Newton warm start
-///
-/// and absorbs a batch of k bid/execution deltas — or membership add/remove
-/// deltas — in O(k).  The round scalars (optimal latency, total reported
-/// cost, the allocation parameter) then follow in O(1) from the aggregates
-/// on the linear and M/M/1 closed forms; the workload family re-runs its
-/// Newton solve warm-started at the committed multiplier (the solve itself
-/// is irreducibly O(n * iters), the warm start is what the deltas buy).
-///
-/// Per-agent outcome planes (rates, latencies, leave-one-out, payments) are
-/// *lazily* materialized: outcome() delegates to Mechanism::run_into on the
-/// committed planes — reusing the PR-5 RoundWorkspace and the PR-6 SIMD
-/// publish kernels — and caches the result until the next delta.  That
-/// delegation is what makes the engine safe to wire into the hot loops:
-/// a materialized outcome is bit-identical to the full-round path by
-/// construction, while the incrementally-maintained aggregates only feed
-/// the O(1) scalars()/leave_one_out() queries, which the differential suite
-/// holds within 1e-9 of a from-scratch rebuild.
-///
-/// Drift is bounded the PR-4 way: every max(64, n) applied deltas the
-/// aggregates are re-summed exactly from the planes (rebuild()), so the
-/// accumulated cancellation of the O(1) updates stays far below the 1e-9
-/// differential tolerance.  Typed PreconditionErrors are preserved
-/// bit-for-bit from the scalar path: apply/add validate with run_into's
-/// exact diagnostics, and the infeasible M/M/1 round (R >= sum mu) is
-/// re-raised by delegating to the same mm1_solve_into entry point.
+/// The engine owns the committed bid/execution planes, one RoundWorkspace
+/// and the last MechanismOutcome.  sync() diff-copies new planes in and
+/// drops the cached outcome only if some entry changed; outcome() runs
+/// Mechanism::run_into on the committed planes when the cache is stale.
+/// Every outcome is therefore bit-identical to a direct run_into call, and
+/// invalid planes raise run_into's own typed diagnostics (DESIGN.md §15).
 
 #include <cstddef>
 #include <memory>
@@ -52,160 +24,33 @@
 
 namespace lbmv::core {
 
-/// O(1)-recomputable summary of the committed round.
-struct RoundScalars {
-  /// min_x L(x, b): the allocator's optimum at the committed bids.
-  double optimal_latency = 0.0;
-  /// sum_i x_i l_i^b(x_i) at the committed allocation — equal to
-  /// optimal_latency for the exact allocators the fast paths require.
-  double total_cost = 0.0;
-  /// L(x(b), t~): total latency at the verified execution values.
-  double actual_latency = 0.0;
-  /// The family's allocation parameter: S (linear PR), c (M/M/1), the KKT
-  /// multiplier lambda (workload); 0 on the generic fallback.
-  double alloc_parameter = 0.0;
-};
-
-/// Cross-round delta engine (file comment above).  The mechanism and family
-/// must outlive the engine.
-///
-/// Membership semantics: add_agent appends at index size(); remove_agent
-/// swaps the last agent into the removed slot and pops (O(1)), so the
-/// caller's index map must apply the same swap.  Not thread-safe; one
+/// The mechanism and family must outlive the engine.  Not thread-safe; one
 /// engine per round loop, like a RoundWorkspace.
 class DeltaRoundEngine {
  public:
   DeltaRoundEngine(const Mechanism& mechanism,
                    std::shared_ptr<const model::LatencyFamily> family,
-                   double arrival_rate, std::span<const double> bids,
-                   std::span<const double> executions);
-  DeltaRoundEngine(const Mechanism& mechanism,
-                   std::shared_ptr<const model::LatencyFamily> family,
                    double arrival_rate, const model::BidProfile& initial);
 
-  // ---- deltas ------------------------------------------------------------
-
-  /// Move one agent to (bid, execution): O(1) aggregate update.
-  void apply(std::size_t agent, double bid, double execution);
-
-  /// Apply k deltas in order (later entries for the same agent win): O(k).
-  void apply(std::span<const BidDelta> deltas);
-
-  /// Diff-apply: move the committed planes to (bids, executions) — same
-  /// agent count — touching only the entries that differ.  Returns the
-  /// number of changed agents; 0 leaves every cache (including a
-  /// materialized outcome) valid, which is what makes quiescent rounds in
-  /// an epoch/protocol loop free.
+  /// Move the committed planes to (bids, executions), keeping the agent
+  /// count.  Returns the number of changed agents; 0 keeps the cached
+  /// outcome, so a quiescent round runs nothing.
   std::size_t sync(std::span<const double> bids,
                    std::span<const double> executions);
 
-  /// Append an agent at index size(): O(1) aggregate update.  Returns the
-  /// new agent's index.
-  std::size_t add_agent(double bid, double execution);
-
-  /// Remove one agent, swapping the last agent into its slot: O(1).
-  /// Requires at least three agents (mechanisms need two).
-  void remove_agent(std::size_t agent);
-
-  // ---- queries -----------------------------------------------------------
-
-  /// Round scalars from the aggregates: O(1) on the linear and M/M/1 closed
-  /// forms (M/M/1 actual latency falls back to O(n) only while some agent's
-  /// execution differs from its bid), one warm-started Newton solve on the
-  /// workload family, a full lazy materialization on the generic fallback.
-  /// Cached until the next delta.
-  [[nodiscard]] const RoundScalars& scalars();
-
-  /// L_{-agent}: the subsystem optimum with \p agent removed.  O(1) from
-  /// the aggregates on the linear and M/M/1 closed forms (guarded against
-  /// the catastrophic-cancellation profiles exactly like the batched plane
-  /// kernels; those and the remaining families re-solve the subsystem
-  /// against a reused O(n) scratch).
-  [[nodiscard]] double leave_one_out(std::size_t agent);
-
-  /// Full per-agent outcome at the committed planes, materialized through
-  /// Mechanism::run_into (bit-identical to the full-round path) and cached
-  /// until the next delta.
+  /// The mechanism outcome at the committed planes, computed by
+  /// Mechanism::run_into and cached until a sync changes them.
   [[nodiscard]] const MechanismOutcome& outcome();
 
-  /// Re-sum every aggregate exactly from the committed planes and reset the
-  /// drift counter.  Called automatically every max(64, size()) applied
-  /// deltas; idempotent and cheap to call by hand around a tolerance-
-  /// critical query.
-  void rebuild();
-
-  // ---- accessors ---------------------------------------------------------
-
-  [[nodiscard]] std::size_t size() const { return bids_.size(); }
-  [[nodiscard]] std::span<const double> bids() const { return bids_; }
-  [[nodiscard]] std::span<const double> executions() const { return execs_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
-  [[nodiscard]] FamilyKind family_kind() const { return kind_; }
-  /// Whether scalars() runs on a family closed form (false: every scalar
-  /// query materializes the round through run_into).
-  [[nodiscard]] bool closed_form() const {
-    return linear_pr_ || mm1_exact_ || workload_exact_;
-  }
-  /// Deltas absorbed since the last exact rebuild (drift budget consumed).
-  [[nodiscard]] std::size_t deltas_since_rebuild() const {
-    return deltas_since_rebuild_;
-  }
-
  private:
-  void invalidate(std::size_t dirty);
-  void note_membership_change();
-  /// Recompute min over sqrt_mu_ when a delta retired the previous minimum.
-  void ensure_min_a();
-  /// O(n) M/M/1 actual latency at the committed planes (inconsistent
-  /// profiles only), all computers active at multiplier \p c.
-  [[nodiscard]] double mm1_actual(double c) const;
-  /// Subsystem re-solve fallback for leave_one_out.
-  [[nodiscard]] double loo_slow(std::size_t agent);
-
   const Mechanism* mechanism_;
   std::shared_ptr<const model::LatencyFamily> family_;
   double arrival_rate_;
-  FamilyKind kind_;
-  bool linear_pr_ = false;       ///< linear family + PR allocator
-  bool mm1_exact_ = false;       ///< M/M/1 family + exact M/M/1 allocator
-  bool workload_exact_ = false;  ///< workload family + exact allocator
-  double gamma_ = 0.0;           ///< workload congestion coefficient
-
-  // Committed planes.
   std::vector<double> bids_;
   std::vector<double> execs_;
-
-  // Linear aggregates.
-  double s_ = 0.0;  ///< S = sum_j 1/b_j
-  double w_ = 0.0;  ///< W = sum_j e_j/b_j^2
-
-  // M/M/1 aggregates and planes (mu = 1/b, a = sqrt(mu)).
-  std::vector<double> mus_;
-  std::vector<double> sqrt_mu_;
-  double sum_mu_ = 0.0;
-  double sum_a_ = 0.0;
-  double min_a_ = 0.0;
-  bool min_a_valid_ = false;
-  std::size_t inconsistent_count_ = 0;  ///< #(e_j != b_j)
-
-  // Workload aggregate: committed multiplier, valid as a Newton warm start
-  // while it still lower-bounds the current optimum (bid increases and
-  // removals preserve that; decreases and additions reset to a cold start).
-  double lambda_ = 0.0;
-  bool lambda_warm_ = false;
-
-  // Drift-bounded rebuild cadence.
-  std::size_t rebuild_period_ = 64;
-  std::size_t deltas_since_rebuild_ = 0;
-
-  // Lazy caches.
-  bool scalars_valid_ = false;
-  RoundScalars scalars_;
   bool outcome_valid_ = false;
   MechanismOutcome outcome_;
   RoundWorkspace ws_;
-  std::vector<double> scratch_;          ///< leave-one-out / solver scratch
-  std::vector<BidDelta> delta_scratch_;  ///< sync's reusable change list
 };
 
 }  // namespace lbmv::core

@@ -224,6 +224,17 @@ void Mechanism::run_into(const model::LatencyFamily& family,
       ws.exec_fns[i] = family.make(executions[i]);
       ws.bid_fns[i] = family.make(bids[i]);
     }
+    // An M/M/1 load past a computer's execution rate would fail inside
+    // total_latency without naming it; raise the typed error naming the
+    // first such computer instead (same check, same index order).
+    if (classify_family(family) == FamilyKind::kMm1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double mue = 1.0 / executions[i];
+        if (x[i] != 0.0 && !(x[i] >= 0.0 && x[i] < mue)) {
+          alloc::throw_mm1_domain_error(i, x[i], mue);
+        }
+      }
+    }
     out.actual_latency = model::total_latency(
         out.allocation, std::span(ws.exec_fns).first(n));
     out.reported_latency = model::total_latency(

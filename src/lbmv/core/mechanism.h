@@ -90,8 +90,8 @@ class AgentUtilityContext {
 };
 
 /// One agent's pending (bid, execution) change, addressed by index.  The
-/// unit of work for batched commits (ProfileUtilityContext::commit_batch)
-/// and for the cross-round delta engine (delta_engine.h).
+/// unit of work for batched commits (ProfileUtilityContext::commit_batch,
+/// DeviationEvaluator::commit_batch in learning rounds).
 struct BidDelta {
   std::size_t agent = 0;
   double bid = 0.0;

@@ -53,7 +53,6 @@ CoreProbes& CoreProbes::get() {
     Registry& r = Registry::global();
     CoreProbes p;
     p.delta_rounds = r.counter("lbmv_core_delta_rounds_total");
-    p.full_rebuilds = r.counter("lbmv_core_full_rebuilds_total");
     p.dirty_agents = r.histogram("lbmv_core_delta_dirty_agents");
     return p;
   }();

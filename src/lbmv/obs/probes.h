@@ -38,11 +38,9 @@
 ///                                             fallbacks, not O(K) steps)
 ///     lbmv_mech_audit_evaluations_total       audit grid points evaluated
 ///     lbmv_mech_leave_one_out_batches_total   leave-one-out batch solves
-///     lbmv_core_delta_rounds_total            delta batches absorbed by the
-///                                             cross-round DeltaRoundEngine
+///     lbmv_core_delta_rounds_total            DeltaRoundEngine syncs that
+///                                             changed the committed planes
 ///                                             (DESIGN.md §15)
-///     lbmv_core_full_rebuilds_total           exact aggregate rebuilds
-///                                             (initial build + drift cadence)
 ///     lbmv_pool_tasks_total                   thread-pool tasks executed
 ///     lbmv_pool_parallel_for_total            parallel_for invocations
 ///     lbmv_protocol_rounds_total              VerifiedProtocol rounds
@@ -68,7 +66,7 @@
 ///     lbmv_mech_round_bonus         per-agent bonus per round
 ///     lbmv_mech_shard_count         pool tasks per sharded round
 ///     lbmv_mech_batch_size          profiles per run_batch call
-///     lbmv_core_delta_dirty_agents  dirty agents (k) per absorbed delta batch
+///     lbmv_core_delta_dirty_agents  changed agents (k) per changing sync
 ///     lbmv_mech_leave_one_out_batch_size
 ///     lbmv_pool_chunk_size          parallel_for grain sizes
 ///     lbmv_strategy_best_response_round_seconds  wall time per dynamics round
@@ -114,11 +112,10 @@ struct MechProbes {
   static MechProbes& get();
 };
 
-/// core::DeltaRoundEngine (cross-round sparse recomputation).
+/// core::DeltaRoundEngine (cached cross-round mechanism round).
 struct CoreProbes {
-  Counter delta_rounds;    ///< delta batches absorbed in O(k)
-  Counter full_rebuilds;   ///< exact aggregate re-sums (drift cadence)
-  Histogram dirty_agents;  ///< k per absorbed batch
+  Counter delta_rounds;    ///< syncs that changed the committed planes
+  Histogram dirty_agents;  ///< changed agents per such sync
 
   static CoreProbes& get();
 };

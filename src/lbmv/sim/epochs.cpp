@@ -46,10 +46,9 @@ EpochReport run_epochs(const core::Mechanism& mechanism,
   report.cumulative_utility.assign(n, 0.0);
   report.records.reserve(static_cast<std::size_t>(options.epochs));
   double efficiency_sum = 0.0;
-  // One delta engine for the whole horizon: each epoch's round diff-syncs
-  // against the previous epoch's committed planes, so the per-epoch cost is
-  // O(k) in the number of drifted entries plus one (cached, bit-identical)
-  // materialization — a lag-frozen fleet with zero drift re-runs nothing.
+  // One cached round for the whole horizon: each epoch diff-syncs against
+  // the previous epoch's committed planes, so a lag-frozen fleet with zero
+  // drift re-runs nothing.
   model::BidProfile profile;
   profile.bids.resize(n);
   profile.executions.resize(n);
@@ -66,9 +65,6 @@ EpochReport run_epochs(const core::Mechanism& mechanism,
       profile.bids[i] = lagged[i];
       profile.executions[i] = current[i];
     }
-    const model::SystemConfig config(current,
-                                     initial_config.arrival_rate(),
-                                     initial_config.family_ptr());
     EpochRecord record;
     record.true_values = current;
     if (!engine) {
@@ -79,7 +75,7 @@ EpochReport run_epochs(const core::Mechanism& mechanism,
     }
     record.outcome = engine->outcome();
     record.optimal_latency = mechanism.allocator().optimal_latency(
-        config.family(), current, config.arrival_rate());
+        initial_config.family(), current, initial_config.arrival_rate());
     record.efficiency =
         record.optimal_latency / record.outcome.actual_latency;
     efficiency_sum += record.efficiency;

@@ -115,10 +115,9 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   }
 
   // Step 5: payments (n messages) — at the estimates, and at the paper's
-  // oracle values for comparison.  Both rounds share one delta engine: the
-  // bids are identical, only the execution plane differs between verified
-  // and intents, so the second round is an O(k)-in-changed-entries sync of
-  // the first rather than a second from-scratch round.
+  // oracle values for comparison.  Both rounds share one cached round: the
+  // bids are identical and only the execution plane differs, so when every
+  // estimate matches its oracle value the second round re-runs nothing.
   core::DeltaRoundEngine engine(*mechanism_, config.family_ptr(),
                                 config.arrival_rate(), verified);
   report.outcome = engine.outcome();

@@ -248,6 +248,54 @@ TEST(Cli, CoalitionCommandFlagsManipulablePairs) {
   EXPECT_EQ(cli({"coalition", "--pair", "0"}).code, 2);
 }
 
+TEST(Cli, AgentIndicesMustBeIntegersInRange) {
+  for (const char* pair : {"-1,1", "nan,1", "0,1e300", "0.5,1", "0,3"}) {
+    const auto result =
+        cli({"coalition", "--types", "1,1,2", "--rate", "6", "--pair", pair});
+    EXPECT_EQ(result.code, 2) << pair;
+    EXPECT_NE(result.err.find("--pair"), std::string::npos) << result.err;
+  }
+  for (const char* spec : {"-1:2", "0.5:2", "1e300:2", "3:2"}) {
+    const auto result =
+        cli({"run", "--types", "1,2,4", "--rate", "8", "--deviate", spec});
+    EXPECT_EQ(result.code, 2) << spec;
+    EXPECT_NE(result.err.find("--deviate"), std::string::npos) << result.err;
+  }
+  const std::string path = ::testing::TempDir() + "lbmv_bad_agent.json";
+  for (const char* agent : {"-1", "0.5", "1e300", "3"}) {
+    {
+      std::ofstream file(path);
+      file << R"({"true_values": [1, 2, 4], "arrival_rate": 8,
+                  "deviations": [{"agent": )"
+           << agent << R"(, "bid_mult": 2.0}]})";
+    }
+    const auto result = cli({"config", "--file", path});
+    EXPECT_EQ(result.code, 2) << agent;
+    EXPECT_NE(result.err.find("deviations[].agent"), std::string::npos)
+        << result.err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Cli, IntegerOptionsRejectOutOfRangeValues) {
+  const auto expect_usage = [](const std::vector<std::string>& args,
+                               const std::string& option) {
+    const auto result = cli(args);
+    EXPECT_EQ(result.code, 2) << option;
+    EXPECT_NE(result.err.find(option), std::string::npos) << result.err;
+  };
+  const std::string huge = "4294967297";  // 2^32 + 1 wraps to int 1
+  expect_usage({"epochs", "--epochs", huge}, "--epochs");
+  expect_usage({"epochs", "--lag", huge}, "--lag");
+  expect_usage({"epochs", "--lag", "-" + huge}, "--lag");
+  expect_usage({"dynamics", "--rounds", huge}, "--rounds");
+  expect_usage({"learn", "--rounds", huge}, "--rounds");
+  expect_usage({"obs", "--workload", "dynamics", "--rounds", huge},
+               "--rounds");
+  expect_usage({"obs", "--replications", "-1"}, "--replications");
+  expect_usage({"obs", "--replications", "0"}, "--replications");
+}
+
 TEST(Cli, EpochsCommandReportsEfficiency) {
   const auto fresh = cli({"epochs", "--types", "1,2", "--rate", "4",
                           "--epochs", "15", "--drift", "0.2", "--lag", "0"});

@@ -1,16 +1,15 @@
-// Differential suite for the cross-round delta engine (DESIGN.md §15): the
-// O(k)-maintained aggregates must stay within 1e-9 of a from-scratch
-// rebuild across every mechanism and latency family — through bid/execution
-// deltas, membership add/remove churn (including remove-then-re-add round
-// trips), and 300+ deltas of accumulated drift — while the lazily
-// materialized outcome stays bit-identical to the full-round path, and the
-// hot loops wired onto the engine (epochs, protocol, learning) reproduce
-// the full-round trajectories bit-for-bit at 1, 2 and 8 threads.
+// Suite for the cross-round cached round (DESIGN.md §15): every outcome the
+// engine serves must be bit-identical to a direct Mechanism::run_into on the
+// same planes across every mechanism and latency family, a quiescent sync
+// must serve the cached outcome without re-running the mechanism, invalid
+// planes must raise run_into's own diagnostics, and the hot loops wired onto
+// the engine (epochs, protocol) must reproduce the full-round path
+// bit-for-bit.  Epochs and the batched learning commits must also be
+// thread-count invariant at 1, 2 and 8 threads.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +25,8 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/sim/epochs.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/strategy/deviation.h"
@@ -40,15 +41,9 @@ using lbmv::core::BidDelta;
 using lbmv::core::DeltaRoundEngine;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
-using lbmv::core::RoundScalars;
+using lbmv::model::BidProfile;
 using lbmv::model::LatencyFamily;
 using lbmv::util::PreconditionError;
-
-constexpr double kTol = 1e-9;
-
-double rel_err(double a, double b) {
-  return std::fabs(a - b) / std::max({1.0, std::fabs(a), std::fabs(b)});
-}
 
 /// One (mechanism, family, feasible arrival rate) test case.
 struct Case {
@@ -136,239 +131,185 @@ std::vector<Case> all_cases(std::size_t n, std::uint64_t seed) {
   return cases;
 }
 
-/// Delta-maintained aggregates vs a freshly-built engine on the same planes.
-void expect_matches_fresh(DeltaRoundEngine& engine, const Case& c,
+void expect_bit_identical(const MechanismOutcome& actual,
+                          const MechanismOutcome& expected,
                           const std::string& what) {
-  DeltaRoundEngine fresh(*c.mechanism, c.family, c.arrival_rate,
-                         engine.bids(), engine.executions());
-  const RoundScalars a = engine.scalars();
-  const RoundScalars b = fresh.scalars();
-  EXPECT_LT(rel_err(a.optimal_latency, b.optimal_latency), kTol)
-      << c.name << ": " << what;
-  EXPECT_LT(rel_err(a.total_cost, b.total_cost), kTol) << c.name << ": "
-                                                       << what;
-  EXPECT_LT(rel_err(a.actual_latency, b.actual_latency), kTol)
-      << c.name << ": " << what;
-  EXPECT_LT(rel_err(a.alloc_parameter, b.alloc_parameter), kTol)
-      << c.name << ": " << what;
-  for (std::size_t i = 0; i < engine.size(); i += 7) {
-    EXPECT_LT(rel_err(engine.leave_one_out(i), fresh.leave_one_out(i)), kTol)
-        << c.name << ": " << what << " (leave-one-out agent " << i << ")";
-  }
-  // The optimum must also agree with the allocator queried directly.
-  EXPECT_LT(rel_err(a.optimal_latency,
-                    c.mechanism->allocator().optimal_latency(
-                        *c.family, engine.bids(), c.arrival_rate)),
-            kTol)
-      << c.name << ": " << what << " (allocator ground truth)";
-}
-
-TEST(DeltaVsRebuild, BidDeltasAcrossAllMechanismsAndFamilies) {
-  const std::size_t n = 48;
-  for (const Case& c : all_cases(n, 11)) {
-    const auto types = band_types(n, 11);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(17);
-    for (int d = 0; d < 100; ++d) {
-      const auto agent = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const double bid = types[agent] * (0.8 + 0.4 * rng.uniform());
-      engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-    }
-    expect_matches_fresh(engine, c, "after 100 bid deltas");
+  ASSERT_EQ(actual.agents.size(), expected.agents.size()) << what;
+  EXPECT_EQ(actual.actual_latency, expected.actual_latency) << what;
+  EXPECT_EQ(actual.reported_latency, expected.reported_latency) << what;
+  for (std::size_t i = 0; i < expected.agents.size(); ++i) {
+    EXPECT_EQ(actual.agents[i].allocation, expected.agents[i].allocation)
+        << what << " agent " << i;
+    EXPECT_EQ(actual.agents[i].payment, expected.agents[i].payment)
+        << what << " agent " << i;
+    EXPECT_EQ(actual.agents[i].utility, expected.agents[i].utility)
+        << what << " agent " << i;
   }
 }
 
-TEST(DeltaVsRebuild, DriftStaysBoundedAfterHundredsOfDeltas) {
-  const std::size_t n = 40;
-  for (const Case& c : all_cases(n, 23)) {
-    const auto types = band_types(n, 23);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(29);
-    // 350 deltas crosses several max(64, n) rebuild periods; the drift
-    // between rebuilds (and right before one) must stay under the 1e-9
-    // contract.
-    for (int d = 0; d < 350; ++d) {
-      const auto agent = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const double bid = types[agent] * (0.8 + 0.4 * rng.uniform());
-      engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-      if (d % 97 == 0) (void)engine.scalars();  // query mid-stream too
-    }
-    EXPECT_LT(engine.deltas_since_rebuild(), std::max<std::size_t>(64, n))
-        << c.name;
-    expect_matches_fresh(engine, c, "after 350 deltas");
-  }
+std::uint64_t counter_or_zero(const std::string& name) {
+  const auto snap = lbmv::obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
-TEST(Membership, AddAndRemoveMatchFullRebuild) {
-  const std::size_t n = 24;
-  for (const Case& c : all_cases(n, 31)) {
-    const auto types = band_types(n, 31);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    lbmv::util::Rng rng(37);
-    for (int d = 0; d < 30; ++d) {
-      const double roll = rng.uniform();
-      if (roll < 0.3 && engine.size() >= 4) {
-        engine.remove_agent(static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(engine.size()) - 1)));
-      } else if (roll < 0.6) {
-        (void)engine.add_agent(0.8 + 0.5 * rng.uniform(),
-                               0.8 + 0.6 * rng.uniform());
-      } else {
-        const auto agent = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(engine.size()) - 1));
-        const double bid = 0.8 + 0.5 * rng.uniform();
-        engine.apply(agent, bid, bid * (1.0 + 0.05 * rng.uniform()));
-      }
-    }
-    expect_matches_fresh(engine, c, "after membership churn");
-  }
-}
-
-TEST(Membership, RemoveThenReAddRoundTripsTheScalars) {
-  const std::size_t n = 16;
-  for (const Case& c : all_cases(n, 41)) {
-    const auto types = band_types(n, 41);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    const RoundScalars before = engine.scalars();
-    // Remove from the middle (exercises the swap-with-last semantics), then
-    // re-add the same (bid, execution): the multiset of agents is restored,
-    // and every scalar is permutation-invariant.
-    const std::size_t victim = n / 2;
-    const double bid = engine.bids()[victim];
-    const double exec = engine.executions()[victim];
-    engine.remove_agent(victim);
-    EXPECT_EQ(engine.size(), n - 1) << c.name;
-    (void)engine.add_agent(bid, exec);
-    EXPECT_EQ(engine.size(), n) << c.name;
-    const RoundScalars after = engine.scalars();
-    EXPECT_LT(rel_err(before.optimal_latency, after.optimal_latency), kTol)
-        << c.name;
-    EXPECT_LT(rel_err(before.actual_latency, after.actual_latency), kTol)
-        << c.name;
-    EXPECT_LT(rel_err(before.alloc_parameter, after.alloc_parameter), kTol)
-        << c.name;
-    expect_matches_fresh(engine, c, "after remove/re-add round trip");
-  }
+/// Sum of the changed-agent samples sync has recorded so far.
+double dirty_agents_sum() {
+  const auto snap = lbmv::obs::Registry::global().snapshot();
+  const auto it = snap.histograms.find("lbmv_core_delta_dirty_agents");
+  return it == snap.histograms.end() ? 0.0 : it->second.sum;
 }
 
 TEST(Outcome, MaterializationIsBitIdenticalToRunInto) {
   const std::size_t n = 32;
   for (const Case& c : all_cases(n, 47)) {
     const auto types = band_types(n, 47);
-    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate, types,
-                            types);
-    engine.apply(3, types[3] * 1.1, types[3] * 1.12);
-    engine.apply(n - 1, types[n - 1] * 0.9, types[n - 1] * 0.93);
+    DeltaRoundEngine engine(*c.mechanism, c.family, c.arrival_rate,
+                            BidProfile{types, types});
+    (void)engine.outcome();
+    auto bids = types;
+    auto execs = types;
+    bids[3] *= 1.1;
+    execs[3] *= 1.12;
+    bids[n - 1] *= 0.9;
+    execs[n - 1] *= 0.93;
+    EXPECT_EQ(engine.sync(bids, execs), 2u) << c.name;
 
     lbmv::core::RoundWorkspace ws;
     MechanismOutcome expected;
-    c.mechanism->run_into(*c.family, c.arrival_rate, engine.bids(),
-                          engine.executions(), expected, ws);
-    const MechanismOutcome& actual = engine.outcome();
-    ASSERT_EQ(actual.agents.size(), expected.agents.size()) << c.name;
-    EXPECT_EQ(actual.actual_latency, expected.actual_latency) << c.name;
-    EXPECT_EQ(actual.reported_latency, expected.reported_latency) << c.name;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(actual.agents[i].allocation, expected.agents[i].allocation)
-          << c.name << " agent " << i;
-      EXPECT_EQ(actual.agents[i].payment, expected.agents[i].payment)
-          << c.name << " agent " << i;
-      EXPECT_EQ(actual.agents[i].utility, expected.agents[i].utility)
-          << c.name << " agent " << i;
-    }
+    c.mechanism->run_into(*c.family, c.arrival_rate, bids, execs, expected,
+                          ws);
+    expect_bit_identical(engine.outcome(), expected, c.name);
   }
 }
 
-TEST(Sync, QuiescentRoundsReuseEveryCache) {
+TEST(Sync, QuiescentSyncServesTheCachedOutcome) {
   const std::size_t n = 12;
   const auto types = band_types(n, 53);
   const lbmv::core::CompBonusMechanism mechanism;
   const lbmv::model::SystemConfig config(types, 20.0);
-  DeltaRoundEngine engine(mechanism, config.family_ptr(), 20.0, types, types);
-  (void)engine.outcome();
-  const std::size_t rebuild_mark = engine.deltas_since_rebuild();
-
-  // Unchanged planes: zero deltas applied, no cache invalidated.
-  EXPECT_EQ(engine.sync(types, types), 0u);
-  EXPECT_EQ(engine.deltas_since_rebuild(), rebuild_mark);
-
-  // Two changed entries: exactly two deltas, as one delta round.
   auto moved = types;
   moved[2] *= 1.2;
   moved[9] *= 0.85;
+  lbmv::core::RoundWorkspace ws;
+  MechanismOutcome expected;
+  mechanism.run_into(config.family(), 20.0, moved, types, expected, ws);
+
+  lbmv::obs::set_enabled(true);
+  DeltaRoundEngine engine(mechanism, config.family_ptr(), 20.0,
+                          BidProfile{types, types});
+  (void)engine.outcome();
+  const std::uint64_t rounds = counter_or_zero("lbmv_mech_rounds_total");
+  const std::uint64_t syncs = counter_or_zero("lbmv_core_delta_rounds_total");
+  const double dirty = dirty_agents_sum();
+
+  // Unchanged planes: nothing changed and no round re-runs.
+  EXPECT_EQ(engine.sync(types, types), 0u);
+  (void)engine.outcome();
+  EXPECT_EQ(counter_or_zero("lbmv_mech_rounds_total"), rounds);
+  EXPECT_EQ(counter_or_zero("lbmv_core_delta_rounds_total"), syncs);
+  EXPECT_EQ(dirty_agents_sum(), dirty);
+
+  // Two changed entries: one changing sync, one re-run round.
   EXPECT_EQ(engine.sync(moved, types), 2u);
-  EXPECT_EQ(engine.bids()[2], moved[2]);
-  EXPECT_EQ(engine.bids()[9], moved[9]);
+  expect_bit_identical(engine.outcome(), expected, "after a changing sync");
+  (void)engine.outcome();  // cached again: still one round
+  if (lbmv::obs::kCompiledIn) {
+    EXPECT_EQ(counter_or_zero("lbmv_mech_rounds_total"), rounds + 1);
+    EXPECT_EQ(counter_or_zero("lbmv_core_delta_rounds_total"), syncs + 1);
+    EXPECT_EQ(dirty_agents_sum(), dirty + 2.0);
+  }
+  lbmv::obs::set_enabled(false);
 }
 
-TEST(Errors, DiagnosticsArePreservedBitForBit) {
+TEST(Errors, OutcomeRaisesRunIntoDiagnostics) {
   const auto types = band_types(8, 59);
   const lbmv::core::CompBonusMechanism mechanism;
   const lbmv::model::SystemConfig config(types, 20.0);
   const auto family = config.family_ptr();
 
-  // LBMV_REQUIRE decorates what() with the failed expression and source
-  // location; the diagnostic text itself must survive verbatim.
-  const auto expect_throw = [](auto&& fn, const std::string& message) {
+  // The engine validates nothing itself: outcome() must surface run_into's
+  // typed error with the identical what() (message and source location).
+  const auto run_into_error = [](const Mechanism& mech,
+                                 const LatencyFamily& fam, double rate,
+                                 const std::vector<double>& bids,
+                                 const std::vector<double>& execs) {
+    lbmv::core::RoundWorkspace ws;
+    MechanismOutcome out;
     try {
-      fn();
-      FAIL() << "expected PreconditionError: " << message;
+      mech.run_into(fam, rate, bids, execs, out, ws);
     } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-          << e.what();
+      return std::string(e.what());
+    }
+    return std::string("run_into did not throw");
+  };
+  const auto expect_same_error = [&](const Mechanism& mech,
+                                     const std::shared_ptr<const LatencyFamily>&
+                                         fam,
+                                     double rate,
+                                     const std::vector<double>& bids,
+                                     const std::vector<double>& execs,
+                                     const std::string& message) {
+    const std::string expected =
+        run_into_error(mech, *fam, rate, bids, execs);
+    EXPECT_NE(expected.find(message), std::string::npos) << expected;
+    DeltaRoundEngine engine(mech, fam, rate, BidProfile{bids, execs});
+    try {
+      (void)engine.outcome();
+      ADD_FAILURE() << "expected PreconditionError: " << message;
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
     }
   };
 
-  expect_throw(
-      [&] {
-        DeltaRoundEngine engine(mechanism, family, 20.0,
-                                std::vector<double>{1.0},
-                                std::vector<double>{1.0});
-      },
-      "mechanisms require at least two agents");
-  expect_throw(
-      [&] {
-        DeltaRoundEngine engine(mechanism, family, 20.0, types,
-                                std::vector<double>{1.0, 2.0});
-      },
-      "execution vector size mismatch");
-  expect_throw(
-      [&] { DeltaRoundEngine engine(mechanism, family, 0.0, types, types); },
-      "arrival rate must be positive");
-  expect_throw(
-      [&] {
-        auto bad = types;
-        bad[3] = -1.0;
-        DeltaRoundEngine engine(mechanism, family, 20.0, bad, types);
-      },
-      "bids must be positive");
+  expect_same_error(mechanism, family, 20.0, {1.0}, {1.0},
+                    "mechanisms require at least two agents");
+  expect_same_error(mechanism, family, 20.0, types, {1.0, 2.0},
+                    "execution vector size mismatch");
+  expect_same_error(mechanism, family, 0.0, types, types,
+                    "arrival rate must be positive");
+  auto bad = types;
+  bad[3] = -1.0;
+  expect_same_error(mechanism, family, 20.0, bad, types,
+                    "bids must be positive");
+  expect_same_error(mechanism, family, 20.0, types, bad,
+                    "execution values must be positive");
 
-  DeltaRoundEngine engine(mechanism, family, 20.0, types, types);
-  expect_throw([&] { engine.apply(99, 1.0, 1.0); }, "agent index out of range");
-  expect_throw([&] { engine.apply(0, 0.0, 1.0); }, "bids must be positive");
-  expect_throw([&] { engine.apply(0, 1.0, -2.0); },
-               "execution values must be positive");
-  expect_throw([&] { engine.remove_agent(99); }, "agent index out of range");
+  // sync keeps the agent count fixed.
+  DeltaRoundEngine engine(mechanism, family, 20.0, BidProfile{types, types});
+  EXPECT_THROW(engine.sync(std::vector<double>(9, 1.0), types),
+               PreconditionError);
+  EXPECT_THROW(engine.sync(types, std::vector<double>(7, 1.0)),
+               PreconditionError);
 
-  // The infeasible M/M/1 round must re-raise the allocator's own typed
-  // error through the O(1) scalars path, not a homegrown variant.
+  // A saturated M/M/1 round reached through sync raises the allocator's
+  // own typed error, and the failed round poisons no cache: syncing back
+  // to a feasible profile serves run_into's outcome again.
   const auto mm1 = std::make_shared<const lbmv::model::MM1Family>();
   const lbmv::core::CompBonusMechanism mm1_mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
   double sum_mu = 0.0;
   for (double t : types) sum_mu += 1.0 / t;
-  DeltaRoundEngine saturated(mm1_mechanism, mm1, 0.5 * sum_mu, types, types);
-  // Push every bid up until the committed capacity can no longer carry R.
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    saturated.apply(i, types[i] * 20.0, types[i] * 20.0);
+  const double rate = 0.5 * sum_mu;
+  DeltaRoundEngine saturated(mm1_mechanism, mm1, rate,
+                             BidProfile{types, types});
+  (void)saturated.outcome();
+  auto slow = types;
+  for (double& t : slow) t *= 20.0;
+  saturated.sync(slow, slow);
+  const std::string expected =
+      run_into_error(mm1_mechanism, *mm1, rate, slow, slow);
+  try {
+    (void)saturated.outcome();
+    ADD_FAILURE() << "saturated M/M/1 round did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
   }
-  EXPECT_THROW((void)saturated.scalars(), PreconditionError);
+  EXPECT_EQ(saturated.sync(types, types), types.size());
+  lbmv::core::RoundWorkspace ws;
+  MechanismOutcome feasible;
+  mm1_mechanism.run_into(*mm1, rate, types, types, feasible, ws);
+  expect_bit_identical(saturated.outcome(), feasible, "after recovery");
 }
 
 TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {

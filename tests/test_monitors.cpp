@@ -424,15 +424,15 @@ TEST(NamingConvention, EveryRegisteredFamilyFollowsTheConvention) {
   (void)lbmv::strategy::best_response_dynamics(mechanism, game_config,
                                                dynamics);
 
-  // Delta-round engine: one O(k) delta plus a forced exact rebuild, so the
-  // lbmv_core_* counter/histogram families all register before the audit.
+  // Delta-round engine: one changing sync, so the lbmv_core_*
+  // counter/histogram families all register before the audit.
+  const auto truthful = lbmv::model::BidProfile::truthful(game_config);
   lbmv::core::DeltaRoundEngine engine(mechanism, game_config.family_ptr(),
-                                      game_config.arrival_rate(),
-                                      lbmv::model::BidProfile::truthful(
-                                          game_config));
-  engine.apply(0, 1.5, 1.5);
-  (void)engine.scalars();
-  engine.rebuild();
+                                      game_config.arrival_rate(), truthful);
+  (void)engine.outcome();
+  const std::vector<double> moved{1.5, 2.0, 5.0};
+  engine.sync(moved, moved);
+  (void)engine.outcome();
 
   // lbmv_<subsystem>_<metric>; counters additionally end in _total.
   const std::regex counter_re(

@@ -251,15 +251,15 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
   expect_domain_error_names([&] { (void)context.utility(1, 0.3, 1.0); }, 1);
   expect_domain_error_names([&] { (void)context.utility(1, 0.1, 1.0); }, 1);
 
-  // The delta engine's M/M/1 scalars: all-active and active-set branches.
+  // The delta engine's cached round: all-active and active-set profiles.
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
   const auto family = std::make_shared<const MM1Family>();
   for (double fast_bid : {0.3, 0.1}) {
-    const std::vector<double> bids{0.5, 0.5, fast_bid};
-    const std::vector<double> execs{0.5, 0.5, 1.0};
-    lbmv::core::DeltaRoundEngine engine(mechanism, family, 2.0, bids, execs);
-    expect_domain_error_names([&] { (void)engine.scalars(); }, 2);
+    lbmv::core::DeltaRoundEngine engine(
+        mechanism, family, 2.0,
+        BidProfile{{0.5, 0.5, fast_bid}, {0.5, 0.5, 1.0}});
+    expect_domain_error_names([&] { (void)engine.outcome(); }, 2);
   }
 }
 

@@ -65,15 +65,7 @@
 // vectors (DESIGN.md §14): M/M/1 at n = 1000 with idle servers and the
 // workload family at n = 10^4, each against a same-run baseline of n
 // per-agent exact solves that also serves as the differential oracle
-// gating the exit code,
-//
-// plus a `delta_round` section for the cross-round delta engine
-// (DESIGN.md §15): the k = 1 changed-bid round scalars at n = 1024 through
-// a persistent DeltaRoundEngine (one O(1) apply + the O(1) closed-form
-// scalars) vs a full run_into round measured in this same run, with a
-// delta-vs-full-rebuild scalar differential across all three latency
-// families — after hundreds of random deltas each — gating the exit code
-// at 1e-9.
+// gating the exit code.
 //
 // The emitted document carries a top-level `sections` manifest listing
 // every section key actually written, so consumers (the CI perf-smoke
@@ -84,10 +76,10 @@
 // `--smoke` shrinks every workload (CI-sized: n = 64, short timing
 // windows, sim/obs sections skipped) while still emitting the
 // strategy_throughput, batch_round_throughput, deviation_grid,
-// obs_timeseries, nonlinear_round, nonlinear_loo, and delta_round sections
-// (deviation_grid keeping its n = 256 row, nonlinear_round/delta_round
-// their n = 1024 rows and nonlinear_loo its full sizes, so the speedup
-// gates stay meaningful) and running the full cross-checks.
+// obs_timeseries, nonlinear_round, and nonlinear_loo sections
+// (deviation_grid keeping its n = 256 row, nonlinear_round its n = 1024
+// rows and nonlinear_loo its full sizes, so the speedup gates stay
+// meaningful) and running the full cross-checks.
 
 #include <chrono>
 #include <cmath>
@@ -107,7 +99,6 @@
 #include "lbmv/core/audit.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
-#include "lbmv/core/delta_engine.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
@@ -1526,139 +1517,6 @@ int main(int argc, char** argv) {
               << ") -> " << (loo_check_pass ? "pass" : "FAIL") << "\n";
   }
 
-  // Cross-round delta engine (DESIGN.md §15): the k = 1 changed-bid round
-  // through a persistent DeltaRoundEngine (O(1) apply + O(1) closed-form
-  // scalars) vs a full run_into round absorbing the identical bid toggle,
-  // plus a delta-vs-full-rebuild aggregate differential per latency family.
-  JsonValue::Object delta_round;
-  bool delta_check_pass = true;
-  {
-    const double tmin = smoke ? 0.05 : 0.3;
-    const int treps = smoke ? 2 : 3;
-    // Smoke keeps the n = 1024 row: the CI perf-smoke check asserts the
-    // >= 5x delta speedup there, so the gated configuration must exist in
-    // the smoke document too.
-    const std::size_t n = 1024;
-    const auto types = random_types(n, 93);
-    const lbmv::model::SystemConfig config(types, arrival_rate);
-    const lbmv::core::CompBonusMechanism mechanism;
-    auto profile = lbmv::model::BidProfile::truthful(config);
-
-    lbmv::core::RoundWorkspace ws;
-    lbmv::core::MechanismOutcome outcome;
-    // Full-round baseline: the same one-bid toggle, absorbed by re-running
-    // the whole O(n) round every time.
-    bool flip = false;
-    const double full_secs = seconds_per_call(
-        [&] {
-          flip = !flip;
-          profile.bids[0] = flip ? types[0] * 1.01 : types[0];
-          mechanism.run_into(config, profile, outcome, ws);
-        },
-        tmin, treps);
-    // Delta path: one O(1) aggregate update plus the O(1) scalars, with the
-    // engine's own drift-bounded exact rebuilds amortised into the timing.
-    profile.bids[0] = types[0];
-    lbmv::core::DeltaRoundEngine engine(mechanism, config.family_ptr(),
-                                        arrival_rate, profile);
-    flip = false;
-    const double delta_secs = seconds_per_call(
-        [&] {
-          flip = !flip;
-          engine.apply(0, flip ? types[0] * 1.01 : types[0],
-                       profile.executions[0]);
-          (void)engine.scalars();
-        },
-        tmin, treps);
-    const double delta_speedup = full_secs / delta_secs;
-
-    // Differential: drift an engine through hundreds of random deltas plus
-    // membership churn, then compare its O(1) scalars and leave-one-out
-    // values against a freshly-built engine (exact re-sum) per family.
-    double diff_max_err = 0.0;
-    const auto rel_err = [](double a, double b) {
-      return std::fabs(a - b) / std::max({1.0, std::fabs(a), std::fabs(b)});
-    };
-    const auto drift_check =
-        [&](const lbmv::core::Mechanism& mech,
-            const std::shared_ptr<const lbmv::model::LatencyFamily>& fam,
-            double rate, std::uint64_t seed) {
-          const std::size_t dn = 257;
-          const auto base = narrow_types(dn, seed);
-          lbmv::core::DeltaRoundEngine drifted(mech, fam, rate, base, base);
-          lbmv::util::Rng rng(seed + 1);
-          for (int d = 0; d < 400; ++d) {
-            const std::size_t agent = static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<std::int64_t>(drifted.size()) - 1));
-            const double b = base[agent % dn] * (0.8 + 0.4 * rng.uniform());
-            drifted.apply(agent, b, b * (1.0 + 0.1 * rng.uniform()));
-          }
-          (void)drifted.add_agent(base[0], base[0]);
-          drifted.remove_agent(1);
-          lbmv::core::DeltaRoundEngine fresh(mech, fam, rate, drifted.bids(),
-                                             drifted.executions());
-          const lbmv::core::RoundScalars a = drifted.scalars();
-          const lbmv::core::RoundScalars b = fresh.scalars();
-          diff_max_err = std::max(
-              {diff_max_err, rel_err(a.optimal_latency, b.optimal_latency),
-               rel_err(a.total_cost, b.total_cost),
-               rel_err(a.actual_latency, b.actual_latency),
-               rel_err(a.alloc_parameter, b.alloc_parameter)});
-          for (std::size_t i = 0; i < drifted.size(); i += 37) {
-            diff_max_err = std::max(diff_max_err,
-                                    rel_err(drifted.leave_one_out(i),
-                                            fresh.leave_one_out(i)));
-          }
-        };
-    {
-      const auto lin_types = narrow_types(257, 71);
-      const lbmv::model::SystemConfig lin_config(lin_types, arrival_rate);
-      drift_check(mechanism, lin_config.family_ptr(), arrival_rate, 71);
-      double sum_mu = 0.0;
-      for (double t : narrow_types(257, 72)) sum_mu += 1.0 / t;
-      const lbmv::core::CompBonusMechanism mm1_mechanism(
-          std::make_shared<const lbmv::alloc::MM1Allocator>());
-      drift_check(mm1_mechanism,
-                  std::make_shared<const lbmv::model::MM1Family>(),
-                  0.5 * sum_mu, 72);
-      const lbmv::core::CompBonusMechanism workload_mechanism(
-          std::make_shared<const lbmv::alloc::WorkloadAllocator>());
-      drift_check(workload_mechanism,
-                  std::make_shared<const lbmv::model::WorkloadFamily>(0.5),
-                  257.0, 73);
-    }
-    if (diff_max_err >= 1e-9) delta_check_pass = false;
-
-    JsonValue::Array dr_series;
-    JsonValue::Object entry;
-    entry["n"] = static_cast<double>(n);
-    entry["k"] = 1.0;
-    entry["full_rounds_per_sec"] = 1.0 / full_secs;
-    entry["delta_rounds_per_sec"] = 1.0 / delta_secs;
-    entry["delta_speedup"] = delta_speedup;
-    dr_series.emplace_back(std::move(entry));
-    derived["delta_round_speedup_n1024"] = delta_speedup;
-    delta_round["series"] = std::move(dr_series);
-    delta_round["differential_max_rel_err"] = diff_max_err;
-    delta_round["rebuild_period"] =
-        static_cast<double>(std::max<std::size_t>(64, n));
-    delta_round["cross_check_pass"] = delta_check_pass;
-    delta_round["note"] =
-        "full rows re-run the whole mechanism round through run_into for a "
-        "one-bid toggle; delta rows absorb the same toggle through the "
-        "persistent DeltaRoundEngine (O(1) apply + O(1) closed-form "
-        "scalars, exact aggregate rebuild every max(64, n) deltas "
-        "amortised into the timing); the differential drifts an engine "
-        "through 400 random deltas plus membership churn per latency "
-        "family and compares scalars and leave-one-out values against a "
-        "freshly-built engine";
-    std::cout << "delta_round n=" << n << ": full "
-              << 1.0 / full_secs << " rounds/s, delta "
-              << 1.0 / delta_secs << " (" << delta_speedup
-              << "x); differential max rel err " << diff_max_err << " -> "
-              << (delta_check_pass ? "pass" : "FAIL") << "\n";
-  }
-
   JsonValue::Object doc;
   doc["schema"] = "lbmv-bench-perf-v1";
   {
@@ -1681,7 +1539,6 @@ int main(int argc, char** argv) {
   doc["obs_timeseries"] = std::move(obs_timeseries);
   doc["nonlinear_round"] = std::move(nonlinear_round);
   doc["nonlinear_loo"] = std::move(nonlinear_loo);
-  doc["delta_round"] = std::move(delta_round);
 
   // Machine-checkable shape manifest: every composite (object/array)
   // section actually present in this document, in dump order.  The CI
@@ -1724,10 +1581,6 @@ int main(int argc, char** argv) {
   }
   if (!loo_check_pass) {
     std::cerr << "nonlinear leave-one-out cross-check FAILED\n";
-    return 1;
-  }
-  if (!delta_check_pass) {
-    std::cerr << "delta round engine cross-check FAILED\n";
     return 1;
   }
   return 0;
