@@ -43,7 +43,121 @@ std::size_t last_true(std::size_t lo, std::size_t hi, Pred pred) {
   return lo;
 }
 
+/// mm1_sort_into's body, file-local so mm1_solve_into inlines it (an
+/// out-of-line call measured ~1.5 % slower per solve at n = 1000).  Ties
+/// order by index, so the order is deterministic.
+inline void sort_into(std::span<const double> mus, Mm1Planes& planes) {
+  const std::size_t n = mus.size();
+  planes.order.resize(n);
+  std::iota(planes.order.begin(), planes.order.end(), std::size_t{0});
+  std::sort(planes.order.begin(), planes.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return mus[a] > mus[b] || (mus[a] == mus[b] && a < b);
+            });
+  planes.a.resize(n);
+  planes.prefix_mu.resize(n + 1);
+  planes.prefix_a.resize(n + 1);
+  planes.prefix_mu[0] = 0.0;
+  planes.prefix_a[0] = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double mu = mus[planes.order[k]];
+    planes.a[k] = std::sqrt(mu);
+    planes.prefix_mu[k + 1] = planes.prefix_mu[k] + mu;
+    planes.prefix_a[k + 1] = planes.prefix_a[k] + planes.a[k];
+  }
+}
+
+/// The sorted order with slot `skip` vacated: the leave-one-out's rest
+/// order.  Its r-prefix is the full r-prefix below the slot and the full
+/// (r+1)-prefix minus the leaver from it on.
+struct SkipSlotOrder {
+  const Mm1Planes& planes;
+  std::size_t skip;
+  double skip_mu;
+  double skip_a;
+
+  [[nodiscard]] std::size_t size() const { return planes.order.size() - 1; }
+  /// (sum mu, sum sqrt(mu)) over the r fastest.
+  [[nodiscard]] std::pair<double, double> sums(std::size_t r) const {
+    return r <= skip ? std::pair{planes.prefix_mu[r], planes.prefix_a[r]}
+                     : std::pair{planes.prefix_mu[r + 1] - skip_mu,
+                                 planes.prefix_a[r + 1] - skip_a};
+  }
+  /// sqrt rate of the k-th fastest, 1-based as the predicate reads it (a
+  /// 0-based form compiled to a slower search: ~5 % per fused M/M/1 round
+  /// at n = 1000).
+  [[nodiscard]] double a(std::size_t k) const {
+    return planes.a[k <= skip ? k - 1 : k];
+  }
+};
+
+/// A SkipSlotOrder with one computer of rate mu (sqrt a_new) inserted after
+/// the `rank` fastest rest computers: a deviation's order.  Same accessors.
+struct InsertedOrder {
+  SkipSlotOrder rest;
+  std::size_t rank;
+  double mu;
+  double a_new;
+
+  [[nodiscard]] std::size_t size() const { return rest.size() + 1; }
+  [[nodiscard]] std::pair<double, double> sums(std::size_t m) const {
+    if (m <= rank) return rest.sums(m);
+    const auto [smu, sa] = rest.sums(m - 1);
+    return {smu + mu, sa + a_new};
+  }
+  [[nodiscard]] double a(std::size_t k) const {
+    return k <= rank ? rest.a(k) : k == rank + 1 ? a_new : rest.a(k - 1);
+  }
+};
+
+/// The optimum over an edited order, given an active count \p lo known to
+/// hold: the same monotone predicate as the full solve, galloping up.
+template <class Order>
+Mm1Solve edited_solve(const Order& order, double arrival_rate,
+                      std::size_t lo) {
+  const std::size_t m = last_true(lo, order.size(), [&](std::size_t k) {
+    const auto [smu, sa] = order.sums(k);
+    return order.a(k) > prefix_c(smu, sa, arrival_rate);
+  });
+  const auto [smu, sa] = order.sums(m);
+  Mm1Solve solve;
+  solve.c = prefix_c(smu, sa, arrival_rate);
+  solve.active = m;
+  solve.sum_sqrt_active = sa;
+  solve.optimal_latency = sa / solve.c - static_cast<double>(m);
+  return solve;
+}
+
 }  // namespace
+
+void mm1_sort_into(std::span<const double> mus, Mm1Planes& planes) {
+  sort_into(mus, planes);
+}
+
+Mm1Deviation mm1_deviation_solve(const Mm1Planes& planes, std::size_t agent,
+                                 std::size_t slot, double old_mu, double mu,
+                                 double arrival_rate) {
+  const double a = std::sqrt(mu);
+  // Full-order slots ahead of the newcomer (binary search: a is
+  // non-increasing along the order), less the vacated slot if it is one.
+  std::size_t lo = 0;
+  std::size_t hi = planes.order.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const double a_mid = planes.a[mid];
+    if (a_mid > a || (a_mid == a && planes.order[mid] < agent)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const InsertedOrder order{SkipSlotOrder{planes, slot, old_mu, planes.a[slot]},
+                            slot < lo ? lo - 1 : lo, mu, a};
+  Mm1Deviation dev;
+  dev.solve = edited_solve(order, arrival_rate, 1);
+  dev.deviator_active = order.rank < dev.solve.active;
+  return dev;
+}
 
 Mm1Solve mm1_solve_into(std::span<const double> mus, double arrival_rate,
                         std::span<double> rates_out) {
@@ -92,25 +206,8 @@ Mm1Solve mm1_solve_into(std::span<const double> mus, double arrival_rate,
     return solve;
   }
 
-  // Indices sorted by decreasing service rate (ties by index, so the order
-  // is deterministic); the active set is always a prefix of this order.
-  planes.order.resize(n);
-  std::iota(planes.order.begin(), planes.order.end(), std::size_t{0});
-  std::sort(planes.order.begin(), planes.order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return mus[a] > mus[b] || (mus[a] == mus[b] && a < b);
-            });
-  planes.a.resize(n);
-  planes.prefix_mu.resize(n + 1);
-  planes.prefix_a.resize(n + 1);
-  planes.prefix_mu[0] = 0.0;
-  planes.prefix_a[0] = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double mu = mus[planes.order[k]];
-    planes.a[k] = std::sqrt(mu);
-    planes.prefix_mu[k + 1] = planes.prefix_mu[k] + mu;
-    planes.prefix_a[k + 1] = planes.prefix_a[k] + planes.a[k];
-  }
+  // The active set is always a prefix of the sorted order.
+  sort_into(mus, planes);
 
   // pred(1) holds for any R > 0 (a_(1) > (mu_(1) - R)/a_(1)).
   const std::size_t active = last_true(1, n, [&](std::size_t m) {
@@ -183,27 +280,12 @@ void mm1_leave_one_out_into(std::span<const double> mus, double arrival_rate,
       out[i] = full.optimal_latency;
       continue;
     }
-    // Rest order = sorted order with slot p skipped.  Its m-prefix is the
-    // full m-prefix below p and the full (m+1)-prefix minus computer i from
-    // p on.
-    const double mu_i = mus[i];
-    const double a_i = planes.a[p];
-    const auto rest_sums = [&](std::size_t m) {
-      return m <= p ? std::pair{planes.prefix_mu[m], planes.prefix_a[m]}
-                    : std::pair{planes.prefix_mu[m + 1] - mu_i,
-                                planes.prefix_a[m + 1] - a_i};
-    };
-    const auto rest_active = [&](std::size_t k) {
-      const auto [smu, sa] = rest_sums(k);
-      const double a_k = planes.a[k <= p ? k - 1 : k];
-      return a_k > prefix_c(smu, sa, arrival_rate);
-    };
     // Removing an active computer raises the load on the rest, so the rest
     // active set holds the other active - 1 computers and maybe more.
-    const std::size_t m = last_true(std::max<std::size_t>(1, active - 1),
-                                    n - 1, rest_active);
-    const auto [smu, sa] = rest_sums(m);
-    out[i] = sa / prefix_c(smu, sa, arrival_rate) - static_cast<double>(m);
+    const SkipSlotOrder rest{planes, p, mus[i], planes.a[p]};
+    out[i] = edited_solve(rest, arrival_rate,
+                          std::max<std::size_t>(1, active - 1))
+                 .optimal_latency;
   }
 }
 

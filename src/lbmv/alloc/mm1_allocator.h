@@ -34,6 +34,10 @@
 /// skipped slot, and the same monotone predicate, galloping up from the
 /// old active count, finds it in O(log n): O(n log n) in all instead of n
 /// full re-solves, and O(n) when every computer is active.
+///
+/// A unilateral deviation is the same edit plus one insertion: computer i
+/// leaves its slot and re-enters at the rank of its new rate
+/// (mm1_deviation_solve, which the M/M/1 profile context queries).
 
 #include <cstddef>
 #include <span>
@@ -69,6 +73,31 @@ struct Mm1Planes {
   std::vector<double> prefix_mu;   ///< prefix_mu[m] = sum of the m fastest mu
   std::vector<double> prefix_a;    ///< prefix_a[m] = sum of the m fastest a
 };
+
+/// Sort \p mus by decreasing rate (ties by index) into \p planes and fill
+/// its prefix sums.  mm1_solve_into calls this only when some computer is
+/// idle; callers that query edited orders call it on all-active profiles.
+void mm1_sort_into(std::span<const double> mus, Mm1Planes& planes);
+
+/// What mm1_deviation_solve derives.
+struct Mm1Deviation {
+  Mm1Solve solve;                ///< the deviated profile's optimum
+  bool deviator_active = false;  ///< whether the deviator receives load
+};
+
+/// The optimum after one unilateral deviation, against the sorted prefix
+/// \p planes of the committed rates (left by mm1_sort_into): computer
+/// \p agent, in sorted slot \p slot at rate \p old_mu, leaves its slot and
+/// re-enters at the rank of rate \p mu (ties by index, as in the full
+/// sort).  Every prefix sum of that edited order is an O(1) read of the
+/// full planes adjusted past the two edits, so the active-set search costs
+/// O(log n).  The leave-one-out is the same edit with nothing inserted and
+/// shares its skip-slot arithmetic.  Requires mu > 0 and the deviated
+/// total rate above \p arrival_rate; no checks are made.
+[[nodiscard]] Mm1Deviation mm1_deviation_solve(const Mm1Planes& planes,
+                                               std::size_t agent,
+                                               std::size_t slot, double old_mu,
+                                               double mu, double arrival_rate);
 
 /// Fused solve: fills rates_out[i] (mus.size() slots, zero for dropped
 /// computers) and returns the solve summary including the closed-form

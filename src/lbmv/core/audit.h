@@ -19,6 +19,10 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
 
+namespace lbmv::util {
+class ThreadPool;
+}  // namespace lbmv::util
+
 namespace lbmv::core {
 
 /// One evaluated deviation of the audited agent.
@@ -30,14 +34,17 @@ struct Deviation {
 
 /// Grid and execution options for an audit.
 struct AuditOptions {
-  /// Multipliers applied to the agent's true value to form candidate bids.
+  /// Multipliers applied to the agent's true value to form candidate bids;
+  /// each must be finite and > 0.
   std::vector<double> bid_multipliers{0.1,  0.25, 0.5, 0.75, 0.9, 0.95,
                                       1.0,  1.05, 1.1, 1.25, 1.5, 2.0,
                                       3.0,  5.0,  10.0};
-  /// Multipliers forming candidate execution values; values below 1 are
-  /// rejected (an agent cannot execute faster than its true capacity).
+  /// Multipliers forming candidate execution values; each must be finite
+  /// and >= 1 (an agent cannot execute faster than its true capacity).
+  /// Every audit entry point rejects a malformed grid before any work, with
+  /// a PreconditionError naming the entry (e.g. "bid_multipliers[3]").
   std::vector<double> exec_multipliers{1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0};
-  bool parallel = true;    ///< evaluate the grid on the global thread pool
+  bool parallel = true;    ///< fan the work out on a thread pool
   bool keep_grid = false;  ///< retain every Deviation in the report
   /// Use the mechanism's per-audit utility context when it provides one
   /// (O(1) per grid point: only the audited agent's bid changes across a
@@ -81,10 +88,18 @@ class TruthfulnessAuditor {
                                         const model::BidProfile& base,
                                         const AuditOptions& options) const;
 
-  /// Audit every agent (others truthful).
+  /// Audit every agent (others truthful).  The opponents are the same for
+  /// every agent, so one profile context is built and every agent's sweep
+  /// reads it; reports equal a per-agent audit_agent loop bit for bit.
+  /// Parallel audits run on the global pool.
   [[nodiscard]] std::vector<AuditReport> audit_all(
       const model::SystemConfig& config,
       const AuditOptions& options = {}) const;
+
+  /// Same audit, with options.parallel fanning agents out on \p pool.
+  [[nodiscard]] std::vector<AuditReport> audit_all(
+      const model::SystemConfig& config, const AuditOptions& options,
+      util::ThreadPool& pool) const;
 
  private:
   const Mechanism* mechanism_;

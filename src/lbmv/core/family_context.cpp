@@ -67,9 +67,8 @@ void Mm1PrProfileContext::rebuild() {
   // Committed solve — raises the allocator's typed PreconditionErrors on
   // infeasible / near-saturated profiles, exactly when Mechanism::run would.
   rates_.resize(n);
-  alloc::Mm1Planes planes;
   const alloc::Mm1Solve solve =
-      alloc::mm1_solve_into(mus_, arrival_rate_, rates_, planes);
+      alloc::mm1_solve_into(mus_, arrival_rate_, rates_, planes_);
   reported_ = solve.optimal_latency;
   actual_ = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -84,8 +83,14 @@ void Mm1PrProfileContext::rebuild() {
   // utility() stays mutation-free and safe to call concurrently.
   if (rule_ != LinearPrRule::kNoPayment) {
     loo_.resize(n);
-    alloc::mm1_leave_one_out_into(mus_, arrival_rate_, solve, planes, loo_);
+    alloc::mm1_leave_one_out_into(mus_, arrival_rate_, solve, planes_, loo_);
   }
+
+  // Deviation queries that idle a computer edit the sorted prefix, which
+  // the all-active solve skipped.
+  if (planes_.order.empty()) alloc::mm1_sort_into(mus_, planes_);
+  slot_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) slot_[planes_.order[k]] = k;
 }
 
 Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
@@ -112,46 +117,77 @@ double Mm1PrProfileContext::utility(std::size_t agent, double bid,
   const double sum_mu = st.rest_mu + mu_dev;
   const double sum_a = st.rest_a + a_dev;
   const double slack = sum_mu - arrival_rate_;
-  // Fast path: every computer active before and after the deviation, away
-  // from saturation, rest profile consistent.  The grid kernels
-  // (grid_kernels.h) replicate this branch lane-wise in the same operand
-  // order; any lane failing its gates defers to this scalar oracle, which
-  // re-solves below and raises the canonical diagnostics.
+  // Both closed-form paths need a consistent rest and a deviated profile
+  // away from saturation; anything else re-solves below and raises the
+  // canonical diagnostics.
   if (st.rest_consistent && std::isfinite(sum_mu) &&
       slack > alloc::kMm1MinRelativeSlack * sum_mu) {
     const double c = slack / sum_a;
     if (a_dev > c && st.rest_min_a > c) {
+      // Every computer active before and after the deviation: O(1).  The
+      // grid kernels (grid_kernels.h) replicate this branch lane-wise in
+      // the same operand order; any lane failing its gates defers here.
       const double x = mu_dev - c * a_dev;
       if (x > 0.0) {
-        const double mu_e = 1.0 / execution;
-        const double de = mu_e - x;
-        if (!(de > 0.0)) alloc::throw_mm1_domain_error(agent, x, mu_e);
-        const double cost_e = x / de;
-        const double nm1 = static_cast<double>(profile_.size() - 1);
-        const double actual = (st.rest_a / c - nm1) + cost_e;
-        switch (rule_) {
-          case LinearPrRule::kCompBonusExecution:
-            // C = cost at execution basis cancels the valuation.
-            return st.loo - actual;
-          case LinearPrRule::kCompBonusBid: {
-            const double comp = a_dev / c - 1.0;
-            return comp + (st.loo - actual) - cost_e;
-          }
-          case LinearPrRule::kVcg: {
-            const double comp = a_dev / c - 1.0;
-            const double reported =
-                sum_a / c - static_cast<double>(profile_.size());
-            return (st.loo - (reported - comp)) - cost_e;
-          }
-          case LinearPrRule::kNoPayment:
-            return -cost_e;
-          case LinearPrRule::kArcherTardos:
-            break;  // rejected at construction
-        }
+        const double n = static_cast<double>(profile_.size());
+        return payoff(agent, st.loo, c, st.rest_a, n - 1.0, sum_a, n, a_dev,
+                      x, execution);
+      }
+    } else {
+      // Some computer idle after the deviation: the agent leaves its slot
+      // of the sorted prefix and re-enters at its new rate's rank, and the
+      // active-set search over that edited order is O(log n).
+      const alloc::Mm1Deviation deviation = alloc::mm1_deviation_solve(
+          planes_, agent, slot_[agent], mus_[agent], mu_dev, arrival_rate_);
+      const alloc::Mm1Solve& dev = deviation.solve;
+      const bool active = deviation.deviator_active;
+      const double x = active ? mu_dev - dev.c * a_dev : 0.0;
+      if (dev.c > 0.0 && (!active || x > 0.0)) {
+        const double rest_a =
+            active ? dev.sum_sqrt_active - a_dev : dev.sum_sqrt_active;
+        const double nd = static_cast<double>(dev.active);
+        return payoff(agent, st.loo, dev.c, rest_a, active ? nd - 1.0 : nd,
+                      dev.sum_sqrt_active, nd, a_dev, x, execution);
       }
     }
   }
   return slow_utility(agent, bid, execution);
+}
+
+double Mm1PrProfileContext::payoff(std::size_t agent, double loo, double c,
+                                   double rest_a, double rest_active,
+                                   double sum_a, double active, double a_dev,
+                                   double x, double execution) const {
+  // Every active opponent executes as bid, so its queue length is a_j/c - 1
+  // and the verified latency is (rest_a/c - rest_active) + the deviator's
+  // own cost; an idle deviator carries neither cost nor compensation.
+  double cost_e = 0.0;
+  double comp = 0.0;
+  if (x > 0.0) {
+    const double mu_e = 1.0 / execution;
+    const double de = mu_e - x;
+    if (!(de > 0.0)) alloc::throw_mm1_domain_error(agent, x, mu_e);
+    cost_e = x / de;
+    comp = a_dev / c - 1.0;
+  }
+  const double actual = (rest_a / c - rest_active) + cost_e;
+  switch (rule_) {
+    case LinearPrRule::kCompBonusExecution:
+      // C = cost at execution basis cancels the valuation.
+      return loo - actual;
+    case LinearPrRule::kCompBonusBid:
+      return comp + (loo - actual) - cost_e;
+    case LinearPrRule::kVcg: {
+      const double reported = sum_a / c - active;
+      return (loo - (reported - comp)) - cost_e;
+    }
+    case LinearPrRule::kNoPayment:
+      return -cost_e;
+    case LinearPrRule::kArcherTardos:
+      break;  // rejected at construction
+  }
+  LBMV_ASSERT(false, "unreachable payment rule");
+  return 0.0;
 }
 
 double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,

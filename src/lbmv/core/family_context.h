@@ -7,17 +7,19 @@
 ///
 /// These extend the audit/strategy fast path of profile_context.h beyond
 /// the linear family (DESIGN.md §14).  The M/M/1 context is O(1) per
-/// deviation on the common configuration — all computers active before and
-/// after the deviation, rest profile consistent (e_j = b_j for j != i) —
-/// because with a = sqrt(mu) the deviation only moves one term of the two
-/// sums sum mu_j and sum a_j, and every active queue length is a_j/c - 1.
-/// Anything else (active-set churn, inconsistent opponents, saturation)
-/// falls back to a full scalar re-solve inside utility(), preserving the
-/// allocator's typed PreconditionErrors.  The workload family has no
-/// closed-form allocation at all, so its context re-runs the damped-Newton
-/// KKT solve per query against a per-call scratch (queries stay safe to
-/// issue concurrently); the leave-one-out optima — deviation-independent —
-/// are precomputed once per commit with warm-started solves.
+/// deviation when every computer is active before and after it and the
+/// rest profile is consistent (e_j = b_j for j != i), because with
+/// a = sqrt(mu) the deviation only moves one term of the two sums sum mu_j
+/// and sum a_j, and every active queue length is a_j/c - 1.  With idle
+/// computers the deviation is an edit of the committed sorted prefix
+/// (alloc::mm1_deviation_solve) and costs O(log n).  Inconsistent
+/// opponents, saturation and any failed gate fall back to a full scalar
+/// re-solve inside utility(), preserving the allocator's typed
+/// PreconditionErrors.  The workload family has no closed-form allocation
+/// at all, so its context re-runs the damped-Newton KKT solve per query
+/// against a per-call scratch (queries stay safe to issue concurrently);
+/// the leave-one-out optima — deviation-independent — are precomputed once
+/// per commit with warm-started solves.
 ///
 /// Mm1PrProfileContext is exported (not hidden behind the factory) so the
 /// lane-parallel deviation-grid kernels (grid_kernels.h) can read the
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "lbmv/alloc/allocator.h"
+#include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/profile_context.h"
 #include "lbmv/model/bids.h"
@@ -79,10 +82,18 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   [[nodiscard]] SweepState sweep_state(std::size_t agent) const;
 
  private:
-  /// Full scalar re-solve for deviations off the all-active consistent
-  /// fast path.  Allocates locally (concurrent queries stay safe).
+  /// Full scalar re-solve for deviations neither closed-form path covers.
+  /// Allocates locally (concurrent queries stay safe).
   [[nodiscard]] double slow_utility(std::size_t agent, double bid,
                                     double execution) const;
+  /// The deviator's utility from the closed form both fast paths share:
+  /// c over the deviated active set, the opponents' active sqrt-rate sum
+  /// and count, the whole active set's, and the deviator's load x (0 when
+  /// idle).
+  [[nodiscard]] double payoff(std::size_t agent, double loo, double c,
+                              double rest_a, double rest_active, double sum_a,
+                              double active, double a_dev, double x,
+                              double execution) const;
   void rebuild();
 
   LinearPrRule rule_;
@@ -94,6 +105,8 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   std::vector<double> rates_; ///< committed allocation
   std::vector<double> loo_;   ///< L_{-j} (empty under kNoPayment)
   std::vector<char> inconsistent_;  ///< e_j != b_j
+  alloc::Mm1Planes planes_;   ///< committed sorted prefix (always built)
+  std::vector<std::size_t> slot_;  ///< slot_[j]: j's place in planes_.order
   double sum_mu_ = 0.0;
   double sum_a_ = 0.0;
   double min_a_ = 0.0;

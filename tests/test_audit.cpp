@@ -6,15 +6,27 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "lbmv/alloc/mm1_allocator.h"
+#include "lbmv/alloc/pr_allocator.h"
+#include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/analysis/paper_config.h"
+#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/audit.h"
 #include "lbmv/core/comp_bonus.h"
+#include "lbmv/core/family_context.h"
 #include "lbmv/core/no_payment.h"
 #include "lbmv/core/vcg.h"
+#include "lbmv/model/latency.h"
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
+#include "lbmv/util/thread_pool.h"
 
 namespace {
 
@@ -184,6 +196,227 @@ TEST(CoalitionAudit, ParallelAndSequentialAgree) {
   const auto b = auditor.audit_pair(config, 0, 1, par);
   EXPECT_DOUBLE_EQ(a.max_joint_gain, b.max_joint_gain);
   EXPECT_DOUBLE_EQ(a.best.joint_utility, b.best.joint_utility);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed grids: rejected before any work, with one message naming the
+// entry on every entry point and either incremental setting.
+
+/// what() of the PreconditionError \p fn throws ("" and a failure if none).
+template <class Fn>
+std::string precondition_what(Fn fn) {
+  try {
+    fn();
+  } catch (const lbmv::util::PreconditionError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no PreconditionError";
+  return "";
+}
+
+TEST(AuditGrid, MalformedMultipliersRejectedUpFrontOnEveryPath) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const SystemConfig config({1.0, 2.0, 5.0, 10.0}, 20.0);
+  CompBonusMechanism mechanism;
+  TruthfulnessAuditor auditor(mechanism);
+  lbmv::core::CoalitionAuditor coalition(mechanism);
+  struct Bad {
+    bool bid_grid;
+    double value;
+  };
+  const std::vector<Bad> cases{{true, 0.0},   {true, -1.0}, {true, kNaN},
+                               {true, kInf},  {false, kInf}, {false, kNaN},
+                               {false, 0.5}};
+  for (const Bad& bad : cases) {
+    for (bool incremental : {true, false}) {
+      AuditOptions options;
+      options.incremental = incremental;
+      options.parallel = false;
+      // The bad entry sits at index 1 of its grid.
+      if (bad.bid_grid) {
+        options.bid_multipliers = {1.0, bad.value, 2.0};
+      } else {
+        options.exec_multipliers = {1.0, bad.value};
+      }
+      const std::string entry =
+          bad.bid_grid ? "bid_multipliers[1]" : "exec_multipliers[1]";
+      const std::string agent = precondition_what(
+          [&] { (void)auditor.audit_agent(config, 2, options); });
+      const std::string all =
+          precondition_what([&] { (void)auditor.audit_all(config, options); });
+      const std::string pair = precondition_what(
+          [&] { (void)coalition.audit_pair(config, 0, 3, options); });
+      EXPECT_NE(agent.find(entry), std::string::npos) << agent;
+      EXPECT_EQ(all, agent);
+      EXPECT_EQ(pair, agent);
+      options.parallel = true;
+      EXPECT_EQ(precondition_what(
+                    [&] { (void)auditor.audit_all(config, options); }),
+                agent);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// audit_all shares one profile context across agents: the reports must be
+// those of a per-agent audit_agent loop, grid point for grid point.
+
+void expect_same_reports(const std::vector<lbmv::core::AuditReport>& got,
+                         const std::vector<lbmv::core::AuditReport>& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& g = got[i];
+    const auto& w = want[i];
+    EXPECT_EQ(g.agent, w.agent) << label;
+    EXPECT_EQ(g.truthful_utility, w.truthful_utility)
+        << label << " agent " << i;
+    EXPECT_EQ(g.best.bid_mult, w.best.bid_mult) << label << " agent " << i;
+    EXPECT_EQ(g.best.exec_mult, w.best.exec_mult) << label << " agent " << i;
+    EXPECT_EQ(g.best.utility, w.best.utility) << label << " agent " << i;
+    EXPECT_EQ(g.max_gain, w.max_gain) << label << " agent " << i;
+    ASSERT_EQ(g.grid.size(), w.grid.size()) << label;
+    for (std::size_t k = 0; k < w.grid.size(); ++k) {
+      EXPECT_EQ(g.grid[k].bid_mult, w.grid[k].bid_mult) << label;
+      EXPECT_EQ(g.grid[k].exec_mult, w.grid[k].exec_mult) << label;
+      EXPECT_EQ(g.grid[k].utility, w.grid[k].utility)
+          << label << " agent " << i << " grid point " << k;
+    }
+  }
+}
+
+struct SharedContextCase {
+  std::string label;
+  std::shared_ptr<const lbmv::core::Mechanism> mechanism;
+  SystemConfig config;
+  AuditOptions options;
+};
+
+std::vector<SharedContextCase> shared_context_cases() {
+  std::vector<SharedContextCase> cases;
+  const SystemConfig linear({0.7, 1.0, 2.0, 3.5, 5.0, 8.0, 13.0}, 9.0);
+  AuditOptions linear_grid;
+  linear_grid.keep_grid = true;
+  const auto pr = std::make_shared<const lbmv::alloc::PRAllocator>();
+  cases.push_back({"comp-bonus/execution",
+                   std::make_shared<CompBonusMechanism>(), linear,
+                   linear_grid});
+  cases.push_back(
+      {"comp-bonus/bid",
+       std::make_shared<CompBonusMechanism>(
+           pr, lbmv::core::CompensationBasis::kBid),
+       linear, linear_grid});
+  cases.push_back({"vcg", std::make_shared<VcgMechanism>(), linear,
+                   linear_grid});
+  cases.push_back({"no-payment", std::make_shared<NoPaymentMechanism>(),
+                   linear, linear_grid});
+  cases.push_back({"archer-tardos",
+                   std::make_shared<lbmv::core::ArcherTardosMechanism>(),
+                   linear, linear_grid});
+
+  AuditOptions nonlinear_grid;
+  nonlinear_grid.bid_multipliers = {0.85, 0.9, 1.0, 1.2, 1.5, 2.0, 3.0};
+  nonlinear_grid.exec_multipliers = {1.0, 1.1, 1.2};
+  nonlinear_grid.keep_grid = true;
+  // M/M/1 at 10 % load: about half the servers idle, so the grid exercises
+  // both the all-active and the sorted-prefix queries.
+  const std::vector<double> service{0.1, 0.12, 0.2, 0.3, 0.45,
+                                    0.6, 0.8, 0.9, 1.0};
+  double capacity = 0.0;
+  for (double t : service) capacity += 1.0 / t;
+  cases.push_back(
+      {"mm1 comp-bonus",
+       std::make_shared<CompBonusMechanism>(
+           std::make_shared<const lbmv::alloc::MM1Allocator>()),
+       SystemConfig(service, 0.1 * capacity,
+                    std::make_shared<const lbmv::model::MM1Family>()),
+       nonlinear_grid});
+  cases.push_back(
+      {"workload comp-bonus",
+       std::make_shared<CompBonusMechanism>(
+           std::make_shared<const lbmv::alloc::WorkloadAllocator>()),
+       SystemConfig({1.0, 1.5, 2.5, 4.0, 7.0}, 10.0,
+                    std::make_shared<const lbmv::model::WorkloadFamily>(0.5)),
+       nonlinear_grid});
+  return cases;
+}
+
+TEST(AuditSharedContext, AuditAllEqualsPerAgentLoopAtAnyThreadCount) {
+  for (const SharedContextCase& c : shared_context_cases()) {
+    const TruthfulnessAuditor auditor(*c.mechanism);
+    AuditOptions serial = c.options;
+    serial.parallel = false;
+    std::vector<lbmv::core::AuditReport> per_agent;
+    for (std::size_t i = 0; i < c.config.size(); ++i) {
+      per_agent.push_back(auditor.audit_agent(c.config, i, serial));
+    }
+    expect_same_reports(auditor.audit_all(c.config, serial), per_agent,
+                        c.label + " serial");
+    AuditOptions parallel = c.options;
+    parallel.parallel = true;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      lbmv::util::ThreadPool pool(threads);
+      expect_same_reports(auditor.audit_all(c.config, parallel, pool),
+                          per_agent,
+                          c.label + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(AuditSharedContext, EvaluationCounterCountsEveryAgentsGrid) {
+  if (!lbmv::obs::kCompiledIn) {
+    GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)";
+  }
+  const auto evaluations = [] {
+    const auto snap = lbmv::obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("lbmv_mech_audit_evaluations_total");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  lbmv::obs::set_enabled(true);
+  for (const SharedContextCase& c : shared_context_cases()) {
+    const TruthfulnessAuditor auditor(*c.mechanism);
+    const std::uint64_t per_agent =
+        c.options.bid_multipliers.size() * c.options.exec_multipliers.size() +
+        1;
+    for (bool parallel : {false, true}) {
+      AuditOptions options = c.options;
+      options.parallel = parallel;
+      const std::uint64_t before = evaluations();
+      (void)auditor.audit_all(c.config, options);
+      EXPECT_EQ(evaluations() - before, c.config.size() * per_agent)
+          << c.label << " parallel=" << parallel;
+    }
+  }
+  lbmv::obs::set_enabled(false);
+}
+
+TEST(AuditSharedContext, ContextConstructorErrorSurfacesUnchanged) {
+  // Without computer 0 (mu = 10) the rest capacity 2 cannot absorb R = 5,
+  // so the M/M/1 context's leave-one-out plane throws at construction.  The
+  // shared context must raise exactly what a per-agent audit (one context
+  // per agent) and the constructor itself raise.
+  const SystemConfig config({0.1, 1.0, 1.0}, 5.0,
+                            std::make_shared<const lbmv::model::MM1Family>());
+  const CompBonusMechanism mechanism(
+      std::make_shared<const lbmv::alloc::MM1Allocator>());
+  const TruthfulnessAuditor auditor(mechanism);
+  const std::string direct = precondition_what([&] {
+    (void)lbmv::core::Mm1PrProfileContext(
+        lbmv::core::LinearPrRule::kCompBonusExecution, 5.0,
+        BidProfile::truthful(config));
+  });
+  EXPECT_NE(direct.find("without computer 0"), std::string::npos) << direct;
+  for (bool parallel : {false, true}) {
+    AuditOptions options;
+    options.parallel = parallel;
+    EXPECT_EQ(precondition_what(
+                  [&] { (void)auditor.audit_agent(config, 1, options); }),
+              direct);
+    EXPECT_EQ(
+        precondition_what([&] { (void)auditor.audit_all(config, options); }),
+        direct);
+  }
 }
 
 // ---------------------------------------------------------------------------

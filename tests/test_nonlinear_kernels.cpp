@@ -12,6 +12,11 @@
 //   * Fused rounds agree with the generic virtual-dispatch path to 1e-9
 //     relative across both families, every payment rule, and lane-tail
 //     sizes.
+//   * The M/M/1 context's deviation query agrees with a from-scratch
+//     re-solve (1e-12) and with Mechanism::run (1e-9) from all-active
+//     profiles to 90 % idle servers, including deviations that move the
+//     deviator or its sorted neighbours across the active-set threshold;
+//     the gates it leaves to the re-solve keep their exact messages.
 //   * The M/M/1 deviation-grid kernels (GridEvaluator) are bit-identical to
 //     the scalar DeviationEvaluator oracle at any thread count, and
 //     audit_all grids are bit-identical parallel vs serial; both families
@@ -21,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -244,7 +250,7 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
       2);
   // Deviations by computer 1 against a uniform profile: a moderate
   // speed-up keeps everyone active (utility()'s closed-form branch), a
-  // large one drops the rest out (the full re-solve branch).
+  // large one drops the rest out (the sorted-prefix branch).
   const Mm1PrProfileContext context(
       LinearPrRule::kCompBonusExecution, 2.0,
       BidProfile{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}});
@@ -260,6 +266,274 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
         mechanism, family, 2.0,
         BidProfile{{0.5, 0.5, fast_bid}, {0.5, 0.5, 1.0}});
     expect_domain_error_names([&] { (void)engine.outcome(); }, 2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The M/M/1 context's idle-aware deviation query.
+
+using lbmv::core::LinearPrRule;
+using lbmv::core::Mm1PrProfileContext;
+
+/// The deviated round re-solved from scratch: \p agent's utility when it
+/// bids \p bid and executes at \p execution against \p base, with
+/// L_{-agent} from the rest set's own solve.  Raises the allocator's and
+/// the domain check's typed errors like the context's full re-solve.
+double mm1_resolve_utility(LinearPrRule rule, double rate,
+                           const BidProfile& base, std::size_t agent,
+                           double bid, double execution) {
+  const std::size_t n = base.size();
+  std::vector<double> mus(n);
+  std::vector<double> rest;
+  for (std::size_t j = 0; j < n; ++j) {
+    mus[j] = 1.0 / (j == agent ? bid : base.bids[j]);
+    if (j != agent) rest.push_back(1.0 / base.bids[j]);
+  }
+  std::vector<double> x(n);
+  const lbmv::alloc::Mm1Solve solve =
+      lbmv::alloc::mm1_solve_into(mus, rate, x);
+  double actual = 0.0;
+  double cost_e = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (x[j] == 0.0) continue;
+    const double mu_e = 1.0 / (j == agent ? execution : base.executions[j]);
+    const double de = mu_e - x[j];
+    if (!(de > 0.0)) lbmv::alloc::throw_mm1_domain_error(j, x[j], mu_e);
+    actual += x[j] / de;
+    if (j == agent) cost_e = x[j] / de;
+  }
+  const double loo = rule == LinearPrRule::kNoPayment
+                         ? 0.0
+                         : lbmv::alloc::mm1_optimal_latency(rest, rate);
+  const double comp = x[agent] / (mus[agent] - x[agent]);
+  switch (rule) {
+    case LinearPrRule::kCompBonusExecution:
+      return loo - actual;
+    case LinearPrRule::kCompBonusBid:
+      return comp + (loo - actual) - cost_e;
+    case LinearPrRule::kVcg:
+      return (loo - (solve.optimal_latency - comp)) - cost_e;
+    case LinearPrRule::kNoPayment:
+    case LinearPrRule::kArcherTardos:
+      break;
+  }
+  return -cost_e;
+}
+
+/// Active count of the optimum over \p mus at \p rate.
+std::size_t mm1_active(std::span<const double> mus, double rate) {
+  std::vector<double> x(mus.size());
+  return lbmv::alloc::mm1_solve_into(mus, rate, x).active;
+}
+
+/// An arrival rate whose optimum keeps exactly the m fastest of \p thetas
+/// active: c(m) sits halfway between the m-th and (m+1)-th sqrt rate, or at
+/// 0.9 of the slowest one when m = n (light enough that every rest set can
+/// absorb it).
+double rate_for_active(std::vector<double> thetas, std::size_t m) {
+  std::sort(thetas.begin(), thetas.end());  // fastest first
+  double sum_mu = 0.0;
+  double sum_a = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    sum_mu += 1.0 / thetas[k];
+    sum_a += std::sqrt(1.0 / thetas[k]);
+  }
+  const double a_last = std::sqrt(1.0 / thetas[m - 1]);
+  const double a_next =
+      m < thetas.size() ? std::sqrt(1.0 / thetas[m]) : 0.8 * a_last;
+  return sum_mu - 0.5 * (a_last + a_next) * sum_a;
+}
+
+/// what() of the PreconditionError \p fn throws ("" if none).
+template <class Fn>
+std::string precondition_what(Fn fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+struct IdleProfile {
+  std::string label;
+  std::vector<double> thetas;
+  double rate;
+};
+
+std::vector<IdleProfile> idle_profiles() {
+  std::vector<IdleProfile> profiles;
+  // Distinct mean service times in [0.1, 1]: mu spans a decade.
+  const std::size_t n = 24;
+  std::vector<double> spread(n);
+  lbmv::util::Rng rng(41);
+  for (double& t : spread) t = std::exp(rng.uniform(std::log(0.1), 0.0));
+  for (double idle : {0.0, 0.3, 0.6, 0.9}) {
+    const auto active = static_cast<std::size_t>(
+        std::lround((1.0 - idle) * static_cast<double>(n)));
+    profiles.push_back({"idle " + std::to_string(idle), spread,
+                        rate_for_active(spread, active)});
+  }
+  // Ties: three groups of equal rates, the threshold between the first two
+  // groups, and every rate active.
+  const std::vector<double> tied{0.2, 0.2, 0.2, 0.4, 0.4, 0.4, 0.4, 0.8, 0.8};
+  profiles.push_back({"tied", tied, rate_for_active(tied, 3)});
+  profiles.push_back({"tied all active", tied, rate_for_active(tied, 9)});
+  // n = 2: one idle, and both barely active.
+  profiles.push_back({"n=2 idle", {1.0, 4.0}, 0.2});
+  profiles.push_back({"n=2 active", {1.0, 1.5}, 0.2});
+  return profiles;
+}
+
+TEST(Mm1IdleQuery, MatchesResolveAndMechanismRunAcrossIdleShares) {
+  const MM1Family family;
+  const auto allocator = std::make_shared<const lbmv::alloc::MM1Allocator>();
+  const LinearPrRule rules[] = {
+      LinearPrRule::kCompBonusExecution, LinearPrRule::kCompBonusBid,
+      LinearPrRule::kVcg, LinearPrRule::kNoPayment};
+  const auto mechanisms = family_mechanisms(allocator);
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  std::size_t deviator_flips = 0;
+  std::size_t neighbour_flips = 0;
+  std::size_t idle_queries = 0;
+  std::size_t full_rounds = 0;
+  std::size_t queries = 0;
+  for (const IdleProfile& p : idle_profiles()) {
+    const std::size_t n = p.thetas.size();
+    const BidProfile base{p.thetas, p.thetas};
+    std::vector<double> mus(n);
+    for (std::size_t j = 0; j < n; ++j) mus[j] = 1.0 / p.thetas[j];
+    std::vector<double> x_base(n);
+    const std::size_t base_active =
+        lbmv::alloc::mm1_solve_into(mus, p.rate, x_base).active;
+    for (std::size_t r = 0; r < 4; ++r) {
+      const Mm1PrProfileContext ctx(rules[r], p.rate, base);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> bids;
+        for (double m : {0.2, 0.5, 0.8, 0.95, 1.0, 1.05, 1.3, 2.0, 4.0, 10.0,
+                         100.0}) {
+          bids.push_back(m * p.thetas[i]);
+        }
+        // Every opponent's rate: ties broken by index at insertion.
+        for (double t : p.thetas) bids.push_back(t);
+        for (double bid : bids) {
+          for (double slack : {1.0, 1.1}) {
+            const double execution = slack * bid;
+            const std::string where = p.label + " rule " + std::to_string(r) +
+                                      " agent " + std::to_string(i) +
+                                      " bid " + std::to_string(bid) +
+                                      " exec " + std::to_string(execution);
+            double oracle = 0.0;
+            const std::string oracle_what = precondition_what([&] {
+              oracle = mm1_resolve_utility(rules[r], p.rate, base, i, bid,
+                                           execution);
+            });
+            double got = 0.0;
+            const std::string got_what = precondition_what(
+                [&] { got = ctx.utility(i, bid, execution); });
+            EXPECT_EQ(got_what, oracle_what) << where;
+            ++queries;
+            if (!oracle_what.empty()) continue;
+            EXPECT_LE(rel_err(got, oracle), 1e-12)
+                << where << ": " << got << " vs " << oracle;
+
+            // A full round also needs every other agent's leave-one-out at
+            // the deviated profile, which a very slow deviator can make
+            // infeasible; the deviator's own utility is still defined.
+            std::vector<double> bids_dev = base.bids;
+            std::vector<double> execs_dev = base.executions;
+            bids_dev[i] = bid;
+            execs_dev[i] = execution;
+            if (precondition_what([&] {
+                  mechanisms[r]->run_into(family, p.rate, bids_dev, execs_dev,
+                                          out, ws);
+                }).empty()) {
+              ++full_rounds;
+              EXPECT_LE(rel_err(got, out.agents[i].utility), 1e-9) << where;
+            }
+
+            std::vector<double> mus_dev = mus;
+            mus_dev[i] = 1.0 / bid;
+            std::vector<double> x(n);
+            const std::size_t active =
+                lbmv::alloc::mm1_solve_into(mus_dev, p.rate, x).active;
+            if (active < n) ++idle_queries;
+            if ((x_base[i] > 0.0) != (x[i] > 0.0)) ++deviator_flips;
+            if (active != base_active && (x_base[i] > 0.0) == (x[i] > 0.0)) {
+              ++neighbour_flips;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep reached every corner the sorted-prefix query serves.
+  EXPECT_GT(idle_queries, queries / 2);
+  EXPECT_GT(deviator_flips, 0u);
+  EXPECT_GT(neighbour_flips, 0u);
+  EXPECT_GT(full_rounds, queries * 3 / 4);
+}
+
+TEST(Mm1IdleQuery, ResolveGatesKeepTheirExactMessages) {
+  // Inconsistent rest: computer 3 executes slower than it bid, so every
+  // other agent's query re-solves; results and errors match the oracle.
+  const std::vector<double> thetas{0.1, 0.15, 0.3, 0.5, 0.9, 1.0};
+  BidProfile inconsistent{thetas, thetas};
+  inconsistent.executions[3] = 0.55;
+  const double rate = rate_for_active(thetas, 3);
+  for (LinearPrRule rule :
+       {LinearPrRule::kCompBonusExecution, LinearPrRule::kVcg}) {
+    const Mm1PrProfileContext ctx(rule, rate, inconsistent);
+    for (std::size_t i : {0u, 1u, 4u}) {
+      for (double m : {0.3, 1.0, 3.0}) {
+        for (double e : {1.0, 10.0}) {  // 10x: an execution overload
+          const double bid = m * thetas[i];
+          double oracle = 0.0;
+          const std::string oracle_what = precondition_what([&] {
+            oracle = mm1_resolve_utility(rule, rate, inconsistent, i, bid,
+                                         e * bid);
+          });
+          double got = 0.0;
+          EXPECT_EQ(
+              precondition_what([&] { got = ctx.utility(i, bid, e * bid); }),
+              oracle_what);
+          if (oracle_what.empty()) {
+            EXPECT_LE(rel_err(got, oracle), 1e-12);
+          }
+        }
+      }
+    }
+  }
+
+  // Execution overload on the sorted-prefix path (consistent rest, idle
+  // servers): the deviator names itself, with the re-solve's message.
+  const Mm1PrProfileContext idle(LinearPrRule::kCompBonusExecution, rate,
+                                 BidProfile{thetas, thetas});
+  const std::string overload = precondition_what(
+      [&] { (void)idle.utility(2, 0.05, 1.0); });
+  EXPECT_NE(overload.find("computer 2 "), std::string::npos) << overload;
+  EXPECT_EQ(overload, precondition_what([&] {
+              (void)mm1_resolve_utility(LinearPrRule::kCompBonusExecution,
+                                        rate, BidProfile{thetas, thetas}, 2,
+                                        0.05, 1.0);
+            }));
+
+  // Saturation and near-saturation (no leave-one-out guard under
+  // no-payment, so the rest set alone may be short of R): the deviated
+  // profile's own solve owns the message.
+  const std::vector<double> strong{0.1, 1.0, 1.0};  // mu = 10, 1, 1
+  const Mm1PrProfileContext no_pay(LinearPrRule::kNoPayment, 5.0,
+                                   BidProfile{strong, strong});
+  for (double mu_dev : {2.0, 3.0 * (1.0 + 1e-12)}) {
+    std::vector<double> mus{mu_dev, 1.0, 1.0};
+    std::vector<double> x(3);
+    const std::string solve_what = precondition_what(
+        [&] { (void)lbmv::alloc::mm1_solve_into(mus, 5.0, x); });
+    ASSERT_FALSE(solve_what.empty()) << mu_dev;
+    EXPECT_EQ(precondition_what(
+                  [&] { (void)no_pay.utility(0, 1.0 / mu_dev, 1.0 / mu_dev); }),
+              solve_what);
   }
 }
 
@@ -356,51 +630,65 @@ TEST(FusedDifferential, WorkloadFusedRoundsMatchGenericPath) {
 
 TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
   const std::size_t n = 9;
-  const double rate = 0.4 * sum_mu(narrow_types(n, 3));
-  const SystemConfig config(narrow_types(n, 3), rate,
-                            std::make_shared<const MM1Family>());
-  const CompBonusMechanism mechanism(
-      std::make_shared<const lbmv::alloc::MM1Allocator>());
-  const DeviationEvaluator evaluator(mechanism, config);
-  ASSERT_TRUE(evaluator.incremental());
-  ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
-                evaluator.profile_context()),
-            nullptr);
+  // All active at 40 % load; at 10 % load over a decade of rates about half
+  // the servers idle, so off-fast-path lanes take the sorted-prefix query.
+  std::vector<double> spread(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    spread[j] = std::pow(10.0, -static_cast<double>(j) / (n - 1.0));
+  }
+  const std::vector<SystemConfig> configs{
+      SystemConfig(narrow_types(n, 3), 0.4 * sum_mu(narrow_types(n, 3)),
+                   std::make_shared<const MM1Family>()),
+      SystemConfig(spread, 0.1 * sum_mu(spread),
+                   std::make_shared<const MM1Family>())};
+  for (const SystemConfig& config : configs) {
+    std::vector<double> mus(n);
+    for (std::size_t j = 0; j < n; ++j) mus[j] = 1.0 / config.true_value(j);
+    SCOPED_TRACE("active " +
+                 std::to_string(mm1_active(mus, config.arrival_rate())));
+    const CompBonusMechanism mechanism(
+        std::make_shared<const lbmv::alloc::MM1Allocator>());
+    const DeviationEvaluator evaluator(mechanism, config);
+    ASSERT_TRUE(evaluator.incremental());
+    ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
+                  evaluator.profile_context()),
+              nullptr);
 
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    const GridEvaluator grid_eval(evaluator, &pool);
-    EXPECT_TRUE(grid_eval.vectorized());
-    for (std::size_t agent = 0; agent < n; ++agent) {
-      const double truth = config.true_value(agent);
-      // Wide grid: interior candidates ride the all-active fast path while
-      // very slow bids (8x truth) drop the deviator out of the active set
-      // and defer whole lane blocks to the scalar oracle — both must match
-      // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
-      // assignment beyond the agent's true capacity, where the domain
-      // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
-      // multiple cover tail padding.
-      for (std::size_t points : {2u, 6u, 103u}) {
-        const std::vector<double> bids = lbmv::strategy::make_bid_grid(
-            0.9 * truth, 8.0 * truth, points,
-            lbmv::strategy::GridSpacing::kLinear);
-        std::vector<double> fast(points);
-        grid_eval.utilities_into(agent, bids, truth, fast);
-        double best_u = evaluator.utility(agent, bids[0], truth);
-        std::size_t best_k = 0;
-        for (std::size_t k = 0; k < points; ++k) {
-          const double oracle = evaluator.utility(agent, bids[k], truth);
-          EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
-              << "agent " << agent << " candidate " << k;
-          if (oracle > best_u) {
-            best_u = oracle;
-            best_k = k;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      lbmv::util::ThreadPool pool(threads);
+      const GridEvaluator grid_eval(evaluator, &pool);
+      EXPECT_TRUE(grid_eval.vectorized());
+      for (std::size_t agent = 0; agent < n; ++agent) {
+        const double truth = config.true_value(agent);
+        // Wide grid: interior candidates ride the all-active fast path while
+        // very slow bids (8x truth) drop the deviator out of the active set
+        // and defer whole lane blocks to the scalar oracle — both must match
+        // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
+        // assignment beyond the agent's true capacity, where the domain
+        // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
+        // multiple cover tail padding.
+        for (std::size_t points : {2u, 6u, 103u}) {
+          const std::vector<double> bids = lbmv::strategy::make_bid_grid(
+              0.9 * truth, 8.0 * truth, points,
+              lbmv::strategy::GridSpacing::kLinear);
+          std::vector<double> fast(points);
+          grid_eval.utilities_into(agent, bids, truth, fast);
+          double best_u = evaluator.utility(agent, bids[0], truth);
+          std::size_t best_k = 0;
+          for (std::size_t k = 0; k < points; ++k) {
+            const double oracle = evaluator.utility(agent, bids[k], truth);
+            EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
+                << "agent " << agent << " candidate " << k;
+            if (oracle > best_u) {
+              best_u = oracle;
+              best_k = k;
+            }
           }
+          const GridEvaluator::Best best =
+              grid_eval.best_response(agent, bids, truth);
+          EXPECT_EQ(best.index, best_k);
+          EXPECT_EQ(best.utility, best_u);
         }
-        const GridEvaluator::Best best =
-            grid_eval.best_response(agent, bids, truth);
-        EXPECT_EQ(best.index, best_k);
-        EXPECT_EQ(best.utility, best_u);
       }
     }
   }
