@@ -20,7 +20,6 @@
 #include "lbmv/core/audit.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/dist/protocols.h"
 #include "lbmv/game/wardrop.h"
 #include "lbmv/model/bids.h"
@@ -144,25 +143,23 @@ void BM_RunInto(benchmark::State& state) {
 }
 BENCHMARK(BM_RunInto)->RangeMultiplier(4)->Range(4, 4096)->Complexity();
 
-void BM_SingleRoundScalar(benchmark::State& state) {
-  // The historical scalar kernels, pinned explicitly: the same-run baseline
-  // the vectorized engine benchmarks below are measured against.
+void BM_SingleRoundReference(benchmark::State& state) {
+  // The reference path (Mechanism::run_reference_into, the generic
+  // oracle): the same-run baseline the vectorized engine benchmarks below
+  // are measured against.
   const auto n = static_cast<std::size_t>(state.range(0));
   const lbmv::model::LinearFamily family;
   const auto bids = random_types(n, 7);
   const lbmv::core::CompBonusMechanism mechanism;
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome out;
-  const auto entry = lbmv::core::kernel_backend();
-  lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
   for (auto _ : state) {
-    mechanism.run_into(family, 20.0, bids, bids, out, ws);
+    mechanism.run_reference_into(family, 20.0, bids, bids, out, ws);
     benchmark::DoNotOptimize(out.actual_latency);
   }
-  lbmv::core::set_kernel_backend(entry);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SingleRoundScalar)
+BENCHMARK(BM_SingleRoundReference)
     ->RangeMultiplier(4)
     ->Range(1024, 1 << 20)
     ->Complexity();
@@ -176,14 +173,11 @@ void BM_SingleRoundSimd(benchmark::State& state) {
   const lbmv::core::CompBonusMechanism mechanism;
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome out;
-  const auto entry = lbmv::core::kernel_backend();
-  lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
   const lbmv::core::RoundOptions serial{1, nullptr};
   for (auto _ : state) {
     mechanism.run_into(family, 20.0, bids, bids, out, ws, serial);
     benchmark::DoNotOptimize(out.actual_latency);
   }
-  lbmv::core::set_kernel_backend(entry);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SingleRoundSimd)
@@ -200,14 +194,11 @@ void BM_SingleRoundSimdSharded(benchmark::State& state) {
   const lbmv::core::CompBonusMechanism mechanism;
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome out;
-  const auto entry = lbmv::core::kernel_backend();
-  lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
   const lbmv::core::RoundOptions sharded{0, nullptr};
   for (auto _ : state) {
     mechanism.run_into(family, 20.0, bids, bids, out, ws, sharded);
     benchmark::DoNotOptimize(out.actual_latency);
   }
-  lbmv::core::set_kernel_backend(entry);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SingleRoundSimdSharded)

@@ -1,5 +1,7 @@
 #include "lbmv/alloc/pr_simd.h"
 
+#include <limits>
+
 #include "lbmv/util/simd.h"
 
 namespace lbmv::alloc::simd {
@@ -20,24 +22,26 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   const std::size_t n = bids.size();
   const DVec zero = v::zero();
   const DVec one = v::set1(1.0);
+  const DVec inf = v::set1(std::numeric_limits<double>::infinity());
+  // A lane is valid when 0 < value < inf (NaN fails both compares).
+  const auto valid = [&](DVec a) {
+    return v::mask_and(v::mask_greater(a, zero), v::mask_greater(inf, a));
+  };
   DVec acc0 = v::zero();
   DVec acc1 = v::zero();
   DVec wacc0 = v::zero();
   DVec wacc1 = v::zero();
   // Validity is AND-accumulated as lane masks and tested once per block:
-  // one uop per check per step instead of a movemask + branch chain.
-  DVec bmask = v::mask_all();
-  DVec emask = v::mask_all();
+  // two compares per plane per step instead of a movemask + branch chain.
+  DVec mask = v::mask_all();
   std::size_t i = 0;
   for (; i + 2 * v::kLanes <= n; i += 2 * v::kLanes) {
     const DVec b0 = v::load(&bids[i]);
     const DVec b1 = v::load(&bids[i + v::kLanes]);
-    bmask = v::mask_and(bmask, v::mask_and(v::mask_greater(b0, zero),
-                                           v::mask_greater(b1, zero)));
     const DVec e0 = v::load(&executions[i]);
     const DVec e1 = v::load(&executions[i + v::kLanes]);
-    emask = v::mask_and(emask, v::mask_and(v::mask_greater(e0, zero),
-                                           v::mask_greater(e1, zero)));
+    mask = v::mask_and(mask, v::mask_and(v::mask_and(valid(b0), valid(b1)),
+                                         v::mask_and(valid(e0), valid(e1))));
     const DVec r0 = v::div(one, b0);
     const DVec r1 = v::div(one, b1);
     v::store(&inv_out[i], r0);
@@ -49,28 +53,27 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   }
   if (i + v::kLanes <= n) {
     const DVec b0 = v::load(&bids[i]);
-    bmask = v::mask_and(bmask, v::mask_greater(b0, zero));
     const DVec e0 = v::load(&executions[i]);
-    emask = v::mask_and(emask, v::mask_greater(e0, zero));
+    mask = v::mask_and(mask, v::mask_and(valid(b0), valid(e0)));
     const DVec r0 = v::div(one, b0);
     v::store(&inv_out[i], r0);
     acc0 = v::add(acc0, r0);
     wacc0 = v::add(wacc0, v::mul(v::mul(e0, r0), r0));
     i += v::kLanes;
   }
-  bool bids_ok = v::mask_all_true(bmask);
-  bool execs_ok = v::mask_all_true(emask);
+  bool ok = v::mask_all_true(mask);
   double partial = v::hsum(v::add(acc0, acc1));
   double weight = v::hsum(v::add(wacc0, wacc1));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (; i < n; ++i) {
-    bids_ok = bids_ok && bids[i] > 0.0;
-    execs_ok = execs_ok && executions[i] > 0.0;
+    ok = ok && bids[i] > 0.0 && bids[i] < kInf && executions[i] > 0.0 &&
+         executions[i] < kInf;
     const double r = 1.0 / bids[i];
     inv_out[i] = r;
     partial += r;
     weight += (executions[i] * r) * r;
   }
-  return {partial, weight, bids_ok, execs_ok};
+  return {partial, weight, ok};
 }
 
 bool pr_leave_one_out_block(std::span<const double> inv, double inverse_sum,

@@ -13,11 +13,12 @@
 /// results for any fan-out by cutting agents into fixed-size blocks and
 /// reducing the returned partials in block order.
 ///
-/// Validation is by mask, not by throw: kernels report "every lane positive"
-/// / "every denominator safe" flags and the caller re-runs the scalar
-/// validation loop on failure so the diagnostic (message, offending agent)
-/// is byte-identical to the scalar path's.  NaNs fail the ordered compares
-/// and are flagged like non-positive values.
+/// Validation is by mask, not by throw: kernels report "every lane finite
+/// and positive" / "every denominator safe" flags and the caller decides
+/// on failure — the round engine re-runs the shared input check
+/// (model::require_valid_round) or the leave-one-out guard to name the
+/// offending agent, or hands a non-finite round to the reference path.
+/// NaNs fail the ordered compares and are flagged like non-positive values.
 
 #include <cstddef>
 #include <span>
@@ -25,12 +26,11 @@
 namespace lbmv::alloc::simd {
 
 /// Result of one reciprocal block: the block's partial sums under the fixed
-/// tree, plus the positivity masks of both input planes.
+/// tree, plus the validity mask of both input planes.
 struct ReciprocalPartial {
   double inverse_sum = 0.0;  ///< partial S      = sum 1/b_i
   double exec_weight = 0.0;  ///< partial W      = sum (e_i * inv_i) * inv_i
-  bool bids_positive = true;
-  bool executions_positive = true;
+  bool inputs_valid = true;  ///< every bid and execution finite and > 0
 };
 
 /// inv_out[i] = 1.0 / bids[i] for the whole block (the same IEEE division

@@ -1,7 +1,7 @@
 #include "lbmv/core/archer_tardos.h"
 
-#include "lbmv/core/batch.h"
-#include "lbmv/core/profile_context.h"
+#include <string>
+
 #include "lbmv/util/error.h"
 #include "lbmv/util/integrate.h"
 
@@ -38,22 +38,21 @@ void ArcherTardosMechanism::fill_payments(
     std::span<const double> bids, std::span<const double> /*executions*/,
     const model::Allocation& x, double /*actual_latency*/,
     double /*reported_latency*/, std::vector<AgentOutcome>& outcomes,
-    RoundWorkspace& ws) const {
+    RoundWorkspace& /*ws*/) const {
   LBMV_REQUIRE(dynamic_cast<const model::LinearFamily*>(&family) != nullptr,
                "the Archer–Tardos closed form is derived for the linear "
                "family under PR allocation");
-  // s_i = sum_{j != i} 1/b_j = S - 1/b_i: one pass for S (or none, when the
-  // PR allocation pass already published it) replaces the former O(n^2)
-  // per-agent re-sum.
-  double inverse_bid_sum = ws.inverse_sum;
-  if (!ws.pr_closed_form) {
-    inverse_bid_sum = 0.0;
-    for (double b : bids) inverse_bid_sum += 1.0 / b;
-  }
+  // s_i = sum_{j != i} 1/b_j = S - 1/b_i: one pass for S — the PR
+  // allocation's own index-order sum — replaces an O(n^2) per-agent re-sum.
+  double inverse_bid_sum = 0.0;
+  for (double b : bids) inverse_bid_sum += 1.0 / b;
   const std::span<const double> rates = x.rates();
   for (std::size_t i = 0; i < bids.size(); ++i) {
     auto& agent = outcomes[i];
     const double s = inverse_bid_sum - 1.0 / bids[i];
+    LBMV_REQUIRE(s > 0.0,
+                 "the other agents must contribute positive capacity (agent " +
+                     std::to_string(i) + ")");
     const double work = rates[i] * rates[i];
     // Bookkeeping split mirrors the formula: b_i * w_i (the reported cost,
     // analogous to a compensation) plus the tail integral (the incentive
@@ -62,14 +61,6 @@ void ArcherTardosMechanism::fill_payments(
     agent.bonus = archer_tardos_tail_integral(bids[i], s, arrival_rate);
     agent.payment = agent.compensation + agent.bonus;
   }
-}
-
-std::unique_ptr<ProfileUtilityContext>
-ArcherTardosMechanism::make_profile_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base) const {
-  return make_linear_pr_profile_context(LinearPrRule::kArcherTardos, family,
-                                        allocator(), arrival_rate, base);
 }
 
 }  // namespace lbmv::core

@@ -43,8 +43,8 @@ class ArcherTardosMechanism final : public Mechanism {
 
   [[nodiscard]] std::string name() const override { return "archer-tardos"; }
   [[nodiscard]] bool uses_verification() const override { return false; }
-  [[nodiscard]] VectorRule vector_rule() const override {
-    return VectorRule::kArcherTardos;
+  [[nodiscard]] PaymentRule payment_rule() const override {
+    return PaymentRule::kArcherTardos;
   }
 
   /// Numeric evaluation of the payment tail integral (adaptive Simpson over
@@ -53,16 +53,6 @@ class ArcherTardosMechanism final : public Mechanism {
   [[nodiscard]] static double tail_integral_numeric(
       double bid, double inverse_bid_sum_rest, double arrival_rate,
       double tol = 1e-10);
-
-  /// O(1)-per-deviation closed form (LinearPrRule::kArcherTardos): the
-  /// payment b x^2 + R^2/(s_rest (1 + b s_rest)) follows from the same
-  /// cached sums as the comp-bonus/VCG contexts, so deviation grids, audits
-  /// and best-response dynamics over this baseline ride the fast path (and
-  /// the lane-parallel grid kernels) too.  nullptr off the
-  /// linear-family/PR-allocator pairing, as for the other mechanisms.
-  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
-      const model::LatencyFamily& family, double arrival_rate,
-      const model::BidProfile& base) const override;
 
  protected:
   void fill_payments(const model::LatencyFamily& family, double arrival_rate,

@@ -15,10 +15,10 @@
 ///                      round streams cache lines instead of chasing
 ///                      pointers and a profile is a pair of spans;
 ///   * RoundWorkspace — every scratch plane one mechanism round needs
-///                      (allocation rates, leave-one-out optima, per-agent
-///                      costs, the generic-family latency arena), reused
-///                      across rounds so the steady state allocates
-///                      nothing on the fused linear fast path;
+///                      (the fused engines' planes, leave-one-out optima,
+///                      per-agent costs, the reference path's latency
+///                      arena), reused across rounds so the steady state
+///                      allocates nothing on the fused engines;
 ///   * BatchOutcomes  — per-profile MechanismOutcome slots, written
 ///                      independently by Mechanism::run_batch workers and
 ///                      therefore deterministic for any thread count.
@@ -39,10 +39,10 @@ class ThreadPool;
 namespace lbmv::core {
 
 /// The latency families the round engine knows fused kernels for.  The
-/// generic virtual-dispatch arena stays the semantic reference; a fused
-/// path may only engage when the family AND the allocator match (e.g. kMm1
-/// with an exact MM1Allocator), so classification alone never changes
-/// behaviour.
+/// reference path (Mechanism::run_reference_into) stays the semantic
+/// oracle; a fused engine may only engage when the family AND the
+/// allocator match (e.g. kMm1 with an exact MM1Allocator), so
+/// classification alone never changes behaviour.
 enum class FamilyKind {
   kLinear,    ///< l(x) = theta x        — PR closed form (DESIGN.md §11/§12)
   kMm1,       ///< l(x) = 1/(mu - x)     — square-root closed form (§14)
@@ -122,15 +122,10 @@ class ProfileBatch {
 
 /// Reusable scratch for mechanism rounds.  One workspace per thread (or per
 /// long-lived caller) amortises every allocation a round needs; after the
-/// first round at a given n, run_into on the fused linear fast path touches
-/// the heap zero times.
-///
-/// The flag/sum trio at the top is written by Mechanism::run_into before it
-/// calls fill_payments, letting payment rules pick the fused closed form
-/// without re-deriving what the round already knows.  run_into never touches
-/// scratch_profile/scratch_outcome, so callers that sweep deviations may
-/// hold their working profile and outcome in the same workspace they pass
-/// back in.
+/// first round at a given n, run_into on the fused engines touches the heap
+/// zero times.  run_into never touches scratch_profile/scratch_outcome, so
+/// callers that sweep deviations may hold their working profile and outcome
+/// in the same workspace they pass back in.
 class RoundWorkspace {
  public:
   RoundWorkspace() = default;
@@ -142,11 +137,6 @@ class RoundWorkspace {
   /// One workspace per thread, created on first use.  Mechanism::run_batch
   /// workers use this so repeated batches stay allocation-free per thread.
   static RoundWorkspace& thread_local_instance();
-
-  // ---- round state published by Mechanism::run_into ----------------------
-  bool linear_fast = false;    ///< family is linear: e_i*x_i^2 everywhere
-  bool pr_closed_form = false; ///< linear_fast && PR allocator: S is valid
-  double inverse_sum = 0.0;    ///< S = sum_j 1/b_j when pr_closed_form
 
   // ---- scratch planes (sized by the engine, reused across rounds) --------
   std::vector<double> leave_one_out;  ///< L_{-i} per agent
@@ -162,10 +152,10 @@ class RoundWorkspace {
   std::vector<double> inv_execs;       ///< 1/e_i (M/M/1 verified rates)
   std::vector<double> family_scratch;  ///< workload fallback rest sets
 
-  /// Arena for generic (non-linear) families: the function objects are
-  /// rebuilt per round via LatencyFamily::make, but the owning planes
-  /// persist so the per-round vector churn of the scalar path disappears.
-  /// The linear fast path never touches these.
+  /// Arena for the reference path: the function objects are rebuilt per
+  /// round via LatencyFamily::make, but the owning planes persist so the
+  /// per-round vector churn disappears.  The fused engines never touch
+  /// these.
   std::vector<std::unique_ptr<model::LatencyFunction>> exec_fns;
   std::vector<std::unique_ptr<model::LatencyFunction>> bid_fns;
 
@@ -207,6 +197,12 @@ struct BatchRunOptions {
 struct RoundOptions {
   std::size_t shards = 0;            ///< 0 auto, 1 serial, k explicit tasks
   util::ThreadPool* pool = nullptr;  ///< null: the process-global pool
+};
+
+/// What a fused engine did, for run_into's obs probes.
+struct FusedRoundStats {
+  std::size_t shards = 1;        ///< tasks the linear engine's blocks ran as
+  std::size_t newton_iters = 0;  ///< O(n) KKT sweeps (workload engine)
 };
 
 }  // namespace lbmv::core

@@ -1,9 +1,6 @@
 #include "lbmv/core/comp_bonus.h"
 
 #include "lbmv/core/batch.h"
-#include "lbmv/core/family_context.h"
-#include "lbmv/core/profile_context.h"
-#include "lbmv/util/error.h"
 
 namespace lbmv::core {
 
@@ -23,50 +20,26 @@ std::string CompBonusMechanism::name() const {
 
 void CompBonusMechanism::fill_payments(
     const model::LatencyFamily& family, double arrival_rate,
-    std::span<const double> bids, std::span<const double> executions,
+    std::span<const double> bids, std::span<const double> /*executions*/,
     const model::Allocation& x, double actual_latency,
     double /*reported_latency*/, std::vector<AgentOutcome>& outcomes,
     RoundWorkspace& ws) const {
-  // All n leave-one-out optima in one batch call; on the paper's
-  // linear-family / PR-allocator configuration this reuses the inverse sum
-  // the allocation pass already accumulated.
-  leave_one_out_into_ws(family, arrival_rate, bids, ws);
+  // All n leave-one-out optima in one batch call.
+  allocator().leave_one_out_into(family, bids, arrival_rate, ws.leave_one_out);
 
+  // Compensation: the agent's own cost term at the chosen basis value, off
+  // the latency functions the round already built.
+  const auto& basis_fns =
+      basis_ == CompensationBasis::kExecution ? ws.exec_fns : ws.bid_fns;
   const std::span<const double> rates = x.rates();
   for (std::size_t i = 0; i < bids.size(); ++i) {
     auto& agent = outcomes[i];
     const double xi = rates[i];
-    // Compensation: the agent's own cost term, at the chosen basis value.
-    const double basis_value = basis_ == CompensationBasis::kExecution
-                                   ? executions[i]
-                                   : bids[i];
-    if (xi == 0.0) {
-      agent.compensation = 0.0;
-    } else if (ws.linear_fast) {
-      agent.compensation = basis_value * xi * xi;
-    } else {
-      agent.compensation = family.make(basis_value)->cost(xi);
-    }
-
+    agent.compensation = xi == 0.0 ? 0.0 : basis_fns[i]->cost(xi);
     // Bonus: optimal latency without agent i minus the verified latency.
     agent.bonus = ws.leave_one_out[i] - actual_latency;
-
     agent.payment = agent.compensation + agent.bonus;
   }
-}
-
-std::unique_ptr<ProfileUtilityContext> CompBonusMechanism::make_profile_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base) const {
-  const LinearPrRule rule = basis_ == CompensationBasis::kExecution
-                                ? LinearPrRule::kCompBonusExecution
-                                : LinearPrRule::kCompBonusBid;
-  if (auto ctx = make_linear_pr_profile_context(rule, family, allocator(),
-                                                arrival_rate, base)) {
-    return ctx;
-  }
-  return make_family_profile_context(rule, family, allocator(), arrival_rate,
-                                     base);
 }
 
 }  // namespace lbmv::core

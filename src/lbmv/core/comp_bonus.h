@@ -60,18 +60,11 @@ class CompBonusMechanism final : public Mechanism {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool uses_verification() const override { return true; }
   [[nodiscard]] CompensationBasis basis() const { return basis_; }
-  [[nodiscard]] VectorRule vector_rule() const override {
+  [[nodiscard]] PaymentRule payment_rule() const override {
     return basis_ == CompensationBasis::kExecution
-               ? VectorRule::kCompBonusExecution
-               : VectorRule::kCompBonusBid;
+               ? PaymentRule::kCompBonusExecution
+               : PaymentRule::kCompBonusBid;
   }
-
-  /// O(1)-per-deviation profile context for the linear-family / PR-allocator
-  /// configuration (the paper's setting); nullptr for other pairings.  Also
-  /// powers make_utility_context via the Mechanism base class.
-  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
-      const model::LatencyFamily& family, double arrival_rate,
-      const model::BidProfile& base) const override;
 
  protected:
   void fill_payments(const model::LatencyFamily& family, double arrival_rate,

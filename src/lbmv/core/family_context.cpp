@@ -16,10 +16,10 @@ namespace lbmv::core {
 // ---------------------------------------------------------------------------
 // M/M/1
 
-Mm1PrProfileContext::Mm1PrProfileContext(LinearPrRule rule, double arrival_rate,
+Mm1PrProfileContext::Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                                          model::BidProfile base)
     : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
-  LBMV_REQUIRE(rule != LinearPrRule::kArcherTardos,
+  LBMV_REQUIRE(rule != PaymentRule::kArcherTardos,
                "the Archer-Tardos payment tail is linear-only");
   const std::size_t n = profile_.size();
   LBMV_REQUIRE(n >= 2, "mechanism rounds need at least two agents");
@@ -81,7 +81,7 @@ void Mm1PrProfileContext::rebuild() {
 
   // Leave-one-out plane: deviation-independent, so precomputed eagerly —
   // utility() stays mutation-free and safe to call concurrently.
-  if (rule_ != LinearPrRule::kNoPayment) {
+  if (rule_ != PaymentRule::kNoPayment) {
     loo_.resize(n);
     alloc::mm1_leave_one_out_into(mus_, arrival_rate_, solve, planes_, loo_);
   }
@@ -100,7 +100,7 @@ Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
   st.rest_mu = sum_mu_ - mus_[agent];
   st.rest_a = sum_a_ - a_[agent];
   st.rest_min_a = agent == argmin_a_ ? second_a_ : min_a_;
-  st.loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  st.loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   st.rest_consistent =
       inconsistent_count_ == 0 ||
       (inconsistent_count_ == 1 && inconsistent_[agent] != 0);
@@ -172,18 +172,18 @@ double Mm1PrProfileContext::payoff(std::size_t agent, double loo, double c,
   }
   const double actual = (rest_a / c - rest_active) + cost_e;
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       // C = cost at execution basis cancels the valuation.
       return loo - actual;
-    case LinearPrRule::kCompBonusBid:
+    case PaymentRule::kCompBonusBid:
       return comp + (loo - actual) - cost_e;
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const double reported = sum_a / c - active;
       return (loo - (reported - comp)) - cost_e;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -cost_e;
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;  // rejected at construction
   }
   LBMV_ASSERT(false, "unreachable payment rule");
@@ -211,22 +211,22 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
     if (j == agent) cost_e = cost;
     actual += cost;
   }
-  const double loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   const double x = rates[agent];
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return loo - actual;
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusBid: {
       const double comp = x / (mus[agent] - x);
       return comp + (loo - actual) - cost_e;
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const double comp = x / (mus[agent] - x);
       return (loo - (solve.optimal_latency - comp)) - cost_e;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -cost_e;
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;
   }
   LBMV_ASSERT(false, "unreachable payment rule");
@@ -273,23 +273,23 @@ void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
     const double cost_e = x / (mue_[j] - x);  // 0 for idle computers
     ag.valuation = -cost_e;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         ag.compensation = cost_e;
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         ag.compensation = x / (mus_[j] - x);
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         ag.compensation = x / (mus_[j] - x);
         ag.bonus = loo_[j] - reported_;
         ag.payment = loo_[j] - (reported_ - ag.compensation);
         break;
-      case LinearPrRule::kNoPayment:
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kNoPayment:
+      case PaymentRule::kArcherTardos:
         ag.compensation = 0.0;
         ag.bonus = 0.0;
         ag.payment = 0.0;
@@ -302,14 +302,14 @@ void Mm1PrProfileContext::outcome_into(MechanismOutcome& out) const {
 // ---------------------------------------------------------------------------
 // Workload-dependent rates
 
-WorkloadProfileContext::WorkloadProfileContext(LinearPrRule rule, double gamma,
+WorkloadProfileContext::WorkloadProfileContext(PaymentRule rule, double gamma,
                                                double arrival_rate,
                                                model::BidProfile base)
     : rule_(rule),
       gamma_(gamma),
       arrival_rate_(arrival_rate),
       profile_(std::move(base)) {
-  LBMV_REQUIRE(rule != LinearPrRule::kArcherTardos,
+  LBMV_REQUIRE(rule != PaymentRule::kArcherTardos,
                "the Archer-Tardos payment tail is linear-only");
   const std::size_t n = profile_.size();
   LBMV_REQUIRE(n >= 2, "mechanism rounds need at least two agents");
@@ -333,7 +333,7 @@ void WorkloadProfileContext::rebuild() {
     const double x = rates_[j];
     actual_ += x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
   }
-  if (rule_ != LinearPrRule::kNoPayment) {
+  if (rule_ != PaymentRule::kNoPayment) {
     loo_.resize(n);
     std::vector<double> scratch;
     alloc::workload_leave_one_out_into(profile_.bids, gamma_, arrival_rate_,
@@ -364,21 +364,21 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   }
   const double xa = x[agent];
   const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
-  const double loo = rule_ == LinearPrRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return loo - actual;
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusBid: {
       const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
       return comp + (loo - actual) - cost_e;
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
       return (loo - (solve.optimal_latency - comp)) - cost_e;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -cost_e;
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;
   }
   LBMV_ASSERT(false, "unreachable payment rule");
@@ -423,23 +423,23 @@ void WorkloadProfileContext::outcome_into(MechanismOutcome& out) const {
         x * ((profile_.executions[j] * x) * (1.0 + gamma_ * x));
     ag.valuation = -cost_e;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         ag.compensation = cost_e;
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
         ag.bonus = loo_[j] - actual_;
         ag.payment = ag.compensation + ag.bonus;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         ag.compensation = x * ((profile_.bids[j] * x) * (1.0 + gamma_ * x));
         ag.bonus = loo_[j] - reported_;
         ag.payment = loo_[j] - (reported_ - ag.compensation);
         break;
-      case LinearPrRule::kNoPayment:
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kNoPayment:
+      case PaymentRule::kArcherTardos:
         ag.compensation = 0.0;
         ag.bonus = 0.0;
         ag.payment = 0.0;
@@ -452,10 +452,10 @@ void WorkloadProfileContext::outcome_into(MechanismOutcome& out) const {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<ProfileUtilityContext> make_family_profile_context(
-    LinearPrRule rule, const model::LatencyFamily& family,
+    PaymentRule rule, const model::LatencyFamily& family,
     const alloc::Allocator& allocator, double arrival_rate,
     const model::BidProfile& base) {
-  if (rule == LinearPrRule::kArcherTardos) return nullptr;
+  if (rule == PaymentRule::kArcherTardos) return nullptr;
   if (dynamic_cast<const model::MM1Family*>(&family) != nullptr &&
       dynamic_cast<const alloc::MM1Allocator*>(&allocator) != nullptr) {
     return std::make_unique<Mm1PrProfileContext>(rule, arrival_rate, base);

@@ -45,7 +45,7 @@ namespace lbmv::core {
 /// mean service times theta = 1/mu, matching MM1Family / MM1Allocator.
 class Mm1PrProfileContext final : public ProfileUtilityContext {
  public:
-  Mm1PrProfileContext(LinearPrRule rule, double arrival_rate,
+  Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                       model::BidProfile base);
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
@@ -62,7 +62,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
     return profile_;
   }
 
-  [[nodiscard]] LinearPrRule rule() const { return rule_; }
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
   [[nodiscard]] std::size_t size() const { return profile_.size(); }
 
@@ -96,7 +96,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
                               double execution) const;
   void rebuild();
 
-  LinearPrRule rule_;
+  PaymentRule rule_;
   double arrival_rate_;
   model::BidProfile profile_;
   std::vector<double> mus_;   ///< mu_j = 1/b_j
@@ -122,7 +122,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
 /// Newton (alloc/workload_allocator.h).  O(n * newton_iters) per query.
 class WorkloadProfileContext final : public ProfileUtilityContext {
  public:
-  WorkloadProfileContext(LinearPrRule rule, double gamma, double arrival_rate,
+  WorkloadProfileContext(PaymentRule rule, double gamma, double arrival_rate,
                          model::BidProfile base);
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
@@ -138,14 +138,14 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
     return profile_;
   }
 
-  [[nodiscard]] LinearPrRule rule() const { return rule_; }
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double gamma() const { return gamma_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
 
  private:
   void rebuild();
 
-  LinearPrRule rule_;
+  PaymentRule rule_;
   double gamma_;
   double arrival_rate_;
   model::BidProfile profile_;
@@ -162,7 +162,7 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
 /// rule has a family-generic form (kArcherTardos is linear-only).  \p base
 /// is copied.  Mechanisms chain this after make_linear_pr_profile_context.
 [[nodiscard]] std::unique_ptr<ProfileUtilityContext>
-make_family_profile_context(LinearPrRule rule,
+make_family_profile_context(PaymentRule rule,
                             const model::LatencyFamily& family,
                             const alloc::Allocator& allocator,
                             double arrival_rate,

@@ -25,28 +25,32 @@
 /// prefix that solve leaves behind (alloc::mm1_leave_one_out_into,
 /// O(n log n), O(n) when every computer is active).  Idle-server rounds
 /// are served like any other.  The solve and the leave-one-out pass throw
-/// the generic path's own typed PreconditionErrors (capacity exceeded,
+/// the reference path's own typed PreconditionErrors (capacity exceeded,
 /// saturation guard, the rest set without the named computer).  The
-/// engine returns false only when the allocation breaks some computer's
-/// execution domain x_i < 1/e_i; the generic path then raises the
-/// canonical diagnostic.
+/// engine declines (returns false) when the allocation breaks some
+/// computer's execution domain x_i < 1/e_i; the reference path then
+/// raises the canonical diagnostic.
 ///
 /// **Workload-dependent rates** (run_workload_vectorized).  The family
 /// l(x) = theta x (1 + gamma x) is always interior, so the fused round
-/// always succeeds: one monotone Newton solve on the KKT conservation
+/// succeeds on every representable profile: one monotone Newton solve on the KKT conservation
 /// residual for the full set (alloc/workload_allocator.h), the
 /// leave-one-out plane from the K-term moment expansion around that
 /// multiplier (alloc::workload_leave_one_out_into, O(nK) plus an exact
 /// warm-started solve for any agent that does not certify), and one fused
-/// publish pass.  The returned Newton count covers only O(n) KKT sweeps,
+/// publish pass.  The reported Newton count covers only O(n) KKT sweeps,
 /// the full-set solve and any fallbacks, and feeds the
 /// lbmv_mech_newton_iters_total probe.
 ///
-/// Both engines run the agent axis serial: at the n these families target
-/// the 4-lane kernels are already memory-lean, and a serial fixed-order
-/// pass keeps results trivially independent of thread count.  Outcomes
-/// agree with the generic path to a bounded relative error (reassociated
-/// reductions), the contract the differential suites in
+/// Both engines validate with the shared model::require_valid_round check
+/// and decline any round whose published values or latency totals would be
+/// non-finite (e.g. overflowing rates), so a fused result is always finite
+/// and anything else is the reference path's.  Both run the agent axis
+/// serial: at the n these families target the 4-lane kernels are already
+/// memory-lean, and a serial fixed-order pass keeps results trivially
+/// independent of thread count.  Outcomes agree with the reference path
+/// (Mechanism::run_reference_into) to a bounded relative error
+/// (reassociated reductions), the contract the differential suites in
 /// tests/test_nonlinear_kernels.cpp and tests/test_nonlinear_loo.cpp
 /// enforce at 1e-9.
 
@@ -61,40 +65,32 @@ class WorkloadFamily;
 
 namespace lbmv::core {
 
-class RoundWorkspace;  // batch.h
-
-/// What a fused nonlinear round actually did, for the caller's obs probes.
-struct FamilyRoundStats {
-  /// O(n) KKT Newton sweeps (workload only): the full-set solve plus any
-  /// leave-one-out fallbacks, not the O(K) local steps.
-  std::size_t newton_iters = 0;
-};
+class RoundWorkspace;     // batch.h
+struct FusedRoundStats;  // batch.h
 
 /// Run one fused M/M/1 round end to end (validation, active-set
 /// allocation, latency totals, payments, utilities) and return true, or
 /// return false when the allocation overloads some computer's execution
-/// rate (\p out's agents untouched; the generic path owns that
-/// diagnostic).  Infeasible rounds and saturated rest sets throw the
-/// generic path's typed PreconditionErrors directly.
-/// \p rule must be a leave-one-out rule or kNoPayment — never kNone or
-/// kArcherTardos (whose tail integral is linear-family-specific).
-/// Bids and executions are mean service times (MM1Family's convention);
-/// invalid inputs throw the scalar path's diagnostics.
-[[nodiscard]] bool run_mm1_vectorized(VectorRule rule, double arrival_rate,
+/// rate or a published value would be non-finite (\p out's contents are
+/// then unspecified; the reference path owns the round).  Infeasible rounds
+/// and saturated rest sets throw the reference path's typed
+/// PreconditionErrors directly.  \p rule must not be kArcherTardos (whose
+/// tail integral is linear-family-specific).  Bids and executions are mean
+/// service times (MM1Family's convention).
+[[nodiscard]] bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
                                       std::span<const double> bids,
                                       std::span<const double> executions,
                                       MechanismOutcome& out,
                                       RoundWorkspace& ws);
 
-/// Run one fused workload-family round end to end.  Always succeeds on
-/// valid input (the KKT solution is interior at every R > 0); throws the
-/// scalar path's diagnostics otherwise.  Same rule domain as the M/M/1
-/// engine.
-FamilyRoundStats run_workload_vectorized(const model::WorkloadFamily& family,
-                                         VectorRule rule, double arrival_rate,
-                                         std::span<const double> bids,
-                                         std::span<const double> executions,
-                                         MechanismOutcome& out,
-                                         RoundWorkspace& ws);
+/// Run one fused workload-family round end to end and return true, or
+/// return false when a published value would be non-finite (the reference
+/// path owns the round).  Same rule domain as the M/M/1 engine; \p stats
+/// receives the Newton sweep count.
+[[nodiscard]] bool run_workload_vectorized(
+    const model::WorkloadFamily& family, PaymentRule rule,
+    double arrival_rate, std::span<const double> bids,
+    std::span<const double> executions, MechanismOutcome& out,
+    RoundWorkspace& ws, FusedRoundStats& stats);
 
 }  // namespace lbmv::core

@@ -18,7 +18,7 @@ namespace simd = lbmv::util::simd;
 /// LinearPrProfileContext::utility, so the lane arithmetic consuming them
 /// reproduces the oracle bit-exactly.
 struct SweepState {
-  LinearPrRule rule;
+  PaymentRule rule;
   double r;          ///< arrival rate
   double rr;         ///< r * r (the oracle recomputes it; products are exact-deterministic)
   double s_rest;     ///< S - 1/b_i
@@ -52,8 +52,8 @@ simd::DVec utilities4(const SweepState& st, simd::DVec b) {
       simd::div(simd::mul(simd::set1(st.r), inv), s);             // r*inv/s
   const simd::DVec x2 = simd::mul(x, x);
   switch (st.rule) {
-    case LinearPrRule::kCompBonusExecution:
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusBid: {
       // actual_after: w = (W - t~_i/b_i^2) + execution*inv*inv, then
       // (r/s)*(r/s)*w — the oracle's exact order.
       const simd::DVec w = simd::add(
@@ -62,12 +62,12 @@ simd::DVec utilities4(const SweepState& st, simd::DVec b) {
       const simd::DVec rs = simd::div(simd::set1(st.r), s);
       const simd::DVec actual = simd::mul(simd::mul(rs, rs), w);
       const simd::DVec gap = simd::sub(simd::set1(st.l_rest), actual);
-      if (st.rule == LinearPrRule::kCompBonusExecution) return gap;
+      if (st.rule == PaymentRule::kCompBonusExecution) return gap;
       // bid*x2 + (L_rest - actual) - execution*x2
       return simd::sub(simd::add(simd::mul(b, x2), gap),
                        simd::mul(simd::set1(st.execution), x2));
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       // (L_rest - r*r/s + bid*x2) - execution*x2
       const simd::DVec payment =
           simd::add(simd::sub(simd::set1(st.l_rest),
@@ -75,10 +75,10 @@ simd::DVec utilities4(const SweepState& st, simd::DVec b) {
                     simd::mul(b, x2));
       return simd::sub(payment, simd::mul(simd::set1(st.execution), x2));
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       // -execution * x2 (unary minus binds to execution in the oracle)
       return simd::mul(simd::set1(-st.execution), x2);
-    case LinearPrRule::kArcherTardos: {
+    case PaymentRule::kArcherTardos: {
       // (bid*x2 + rr/(s_rest*(1 + bid*s_rest))) - execution*x2
       const simd::DVec tail = simd::div(
           simd::set1(st.rr),
@@ -197,7 +197,7 @@ void sweep(const LinearPrProfileContext& ctx, std::size_t agent,
 /// context through the same sweep_state() accessor utility() itself calls,
 /// so every splatted scalar is bit-identical to the oracle's.
 struct Mm1Sweep {
-  LinearPrRule rule;
+  PaymentRule rule;
   double r;
   double rest_mu;
   double rest_a;
@@ -259,23 +259,23 @@ simd::DVec mm1_utilities4(const Mm1Sweep& sw, simd::DVec b,
                           simd::set1(sw.nm1)),
                 cost_e);
   switch (sw.rule) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return simd::sub(simd::set1(sw.loo), actual);
-    case LinearPrRule::kCompBonusBid: {
+    case PaymentRule::kCompBonusBid: {
       const simd::DVec comp = simd::sub(simd::div(a, c), one);
       return simd::sub(
           simd::add(comp, simd::sub(simd::set1(sw.loo), actual)), cost_e);
     }
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       const simd::DVec comp = simd::sub(simd::div(a, c), one);
       const simd::DVec reported =
           simd::sub(simd::div(sum_a, c), simd::set1(sw.nn));
       return simd::sub(
           simd::sub(simd::set1(sw.loo), simd::sub(reported, comp)), cost_e);
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return simd::sub(simd::zero(), cost_e);
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kArcherTardos:
       break;  // the context rejects the rule at construction
   }
   LBMV_ASSERT(false, "unreachable payment rule");

@@ -7,8 +7,10 @@
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/family_context.h"
 #include "lbmv/core/family_round.h"
 #include "lbmv/core/invariants.h"
+#include "lbmv/core/profile_context.h"
 #include "lbmv/core/simd_round.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
@@ -18,16 +20,83 @@ namespace lbmv::core {
 
 namespace {
 
-/// Per-agent payment and bonus histograms: one batched record per family
-/// (one shard lookup each), the same values in the same order as a
-/// record() per agent.
-void record_round_histograms(obs::MechProbes& probes,
-                             const MechanismOutcome& out) {
+/// The engine that served a round, for its obs probes.
+enum class RoundEngine { kLinearPr, kMm1, kWorkload, kReference };
+
+/// The family \p allocator solves exactly — the pairing a fused engine and
+/// the family-specific invariant monitors need — or kGeneric.
+FamilyKind exact_family(const model::LatencyFamily& family,
+                        const alloc::Allocator& allocator) {
+  switch (classify_family(family)) {
+    case FamilyKind::kLinear:
+      if (dynamic_cast<const alloc::PRAllocator*>(&allocator) != nullptr) {
+        return FamilyKind::kLinear;
+      }
+      break;
+    case FamilyKind::kMm1:
+      if (dynamic_cast<const alloc::MM1Allocator*>(&allocator) != nullptr) {
+        return FamilyKind::kMm1;
+      }
+      break;
+    case FamilyKind::kWorkload:
+      if (dynamic_cast<const alloc::WorkloadAllocator*>(&allocator) !=
+          nullptr) {
+        return FamilyKind::kWorkload;
+      }
+      break;
+    case FamilyKind::kGeneric:
+      break;
+  }
+  return FamilyKind::kGeneric;
+}
+
+/// The obs/monitor epilogue of every round, whichever engine served it.
+void observe_round(RoundEngine engine, FamilyKind exact,
+                   const FusedRoundStats& stats,
+                   const model::LatencyFamily& family, double arrival_rate,
+                   std::span<const double> bids,
+                   std::span<const double> executions,
+                   const MechanismOutcome& out,
+                   bool participation_guaranteed) {
+  obs::MechProbes& probes = obs::MechProbes::get();
+  const auto n = static_cast<std::uint64_t>(bids.size());
+  probes.rounds.inc();
+  if (engine != RoundEngine::kReference) {
+    // The reference path would have built 2n latency functions (its
+    // execution and bid arenas).
+    probes.allocs_avoided.inc(2 * n);
+  }
+  if (engine == RoundEngine::kLinearPr) {
+    probes.linear_pr_rounds.inc();
+    probes.simd_rounds.inc();
+    if (stats.shards > 1) {
+      probes.sharded_rounds.inc();
+      probes.shard_count.record(static_cast<double>(stats.shards));
+    }
+  } else if (engine != RoundEngine::kReference) {
+    probes.nonlinear_rounds.inc();
+    probes.newton_iters.inc(stats.newton_iters);
+  }
+  // Per-agent payment and bonus histograms: one batched record per family
+  // (one shard lookup each), the same values in the same order as a
+  // record() per agent.
   const auto& agents = out.agents;
   probes.round_payment.record_each(
       agents.size(), [&](std::size_t i) { return agents[i].payment; });
   probes.round_bonus.record_each(
       agents.size(), [&](std::size_t i) { return agents[i].bonus; });
+  // The family-specific monitors depend only on whether the allocation is
+  // the family's exact optimum, not on which engine computed it.
+  RoundInvariantOptions opts;
+  opts.participation_guaranteed = participation_guaranteed;
+  opts.linear_pr = exact == FamilyKind::kLinear;
+  opts.mm1_exact = exact == FamilyKind::kMm1;
+  if (exact == FamilyKind::kWorkload) {
+    opts.workload_exact = true;
+    opts.workload_gamma =
+        static_cast<const model::WorkloadFamily&>(family).gamma();
+  }
+  check_round_invariants(bids, executions, arrival_rate, out, opts);
 }
 
 }  // namespace
@@ -65,187 +134,96 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   LBMV_REQUIRE(n >= 2, "mechanisms require at least two agents");
   LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
 
-  // Classify the round once; payment rules read the flags off the workspace
-  // instead of repeating the dynamic_casts per agent.
-  ws.linear_fast =
-      dynamic_cast<const model::LinearFamily*>(&family) != nullptr;
-  ws.pr_closed_form = false;
-  ws.inverse_sum = 0.0;
-
-  // The vectorized engine fuses the entire round — validation, PR solve,
-  // cost planes, payments — when the round is the paper's configuration
-  // (linear family + PR allocator), the mechanism advertises a vectorized
-  // payment rule, and the runtime backend selector says vectorized (the
-  // default iff LBMV_SIMD was compiled in).  It raises the same diagnostics
-  // as the scalar path on invalid input; results agree with the scalar
-  // kernels to the DESIGN.md §12 error bound.
-  const VectorRule rule = vector_rule();
-  if (ws.linear_fast && rule != VectorRule::kNone &&
-      kernel_backend() == KernelBackend::kVectorized &&
-      dynamic_cast<const alloc::PRAllocator*>(allocator_.get()) != nullptr) {
-    const SimdRoundStats stats = run_linear_pr_vectorized(
-        rule, arrival_rate, bids, executions, out, ws, options);
-    if (obs::enabled()) {
-      obs::MechProbes& probes = obs::MechProbes::get();
-      probes.rounds.inc();
-      probes.linear_fast_rounds.inc();
-      probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-      probes.simd_rounds.inc();
-      if (stats.shards > 1) {
-        probes.sharded_rounds.inc();
-        probes.shard_count.record(static_cast<double>(stats.shards));
-      }
-      record_round_histograms(probes, out);
-      // The vectorized engine only engages on PR-on-linear rounds, so the
-      // full monitor set (feasibility, decomposition, participation, KKT)
-      // is armed.
-      check_round_invariants(
-          bids, executions, arrival_rate, out,
-          RoundInvariantOptions{
-              /*linear_pr=*/true,
-              /*participation_guaranteed=*/
-              guarantees_voluntary_participation()});
+  // One engine per exactly-solved family (DESIGN.md §12, §14).  The
+  // Archer–Tardos tail integral is linear-family-specific, so that rule
+  // only fuses on linear rounds.  An engine returns false when it cannot
+  // finish the round with finite results; the reference path then owns the
+  // round and its diagnostics.
+  const PaymentRule rule = payment_rule();
+  const FamilyKind exact = exact_family(family, *allocator_);
+  FusedRoundStats stats;
+  RoundEngine engine = RoundEngine::kReference;
+  if (exact == FamilyKind::kLinear) {
+    if (run_linear_pr_vectorized(rule, arrival_rate, bids, executions, out,
+                                 ws, options, stats)) {
+      engine = RoundEngine::kLinearPr;
     }
+  } else if (rule != PaymentRule::kArcherTardos &&
+             exact == FamilyKind::kMm1) {
+    if (run_mm1_vectorized(rule, arrival_rate, bids, executions, out, ws)) {
+      engine = RoundEngine::kMm1;
+    }
+  } else if (rule != PaymentRule::kArcherTardos &&
+             exact == FamilyKind::kWorkload) {
+    if (run_workload_vectorized(
+            static_cast<const model::WorkloadFamily&>(family), rule,
+            arrival_rate, bids, executions, out, ws, stats)) {
+      engine = RoundEngine::kWorkload;
+    }
+  }
+  if (engine == RoundEngine::kReference) {
+    run_reference_into(family, arrival_rate, bids, executions, out, ws);
     return;
   }
-
-  // Nonlinear fused dispatch (family_round.h, DESIGN.md §14): the M/M/1 and
-  // workload families get their own fused engines when paired with their
-  // exact allocators.  The Archer–Tardos tail integral is linear-family-
-  // specific, so that rule stays on the generic path.  The M/M/1 engine
-  // serves idle-server rounds too; it declines only a round whose
-  // allocation overloads some computer's execution rate, by returning
-  // false, and the generic path below then raises the canonical
-  // diagnostic.
-  if (!ws.linear_fast && rule != VectorRule::kNone &&
-      rule != VectorRule::kArcherTardos &&
-      kernel_backend() == KernelBackend::kVectorized) {
-    const FamilyKind kind = classify_family(family);
-    if (kind == FamilyKind::kMm1 &&
-        dynamic_cast<const alloc::MM1Allocator*>(allocator_.get()) !=
-            nullptr) {
-      if (run_mm1_vectorized(rule, arrival_rate, bids, executions, out, ws)) {
-        if (obs::enabled()) {
-          obs::MechProbes& probes = obs::MechProbes::get();
-          probes.rounds.inc();
-          probes.nonlinear_rounds.inc();
-          // The generic path would have built 2n latency functions for the
-          // totals plus n more in the payment rule's compensation terms.
-          probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-          record_round_histograms(probes, out);
-          RoundInvariantOptions opts;
-          opts.participation_guaranteed =
-              guarantees_voluntary_participation();
-          opts.mm1_exact = true;
-          check_round_invariants(bids, executions, arrival_rate, out, opts);
-        }
-        return;
-      }
-    } else if (kind == FamilyKind::kWorkload &&
-               dynamic_cast<const alloc::WorkloadAllocator*>(
-                   allocator_.get()) != nullptr) {
-      const auto& workload =
-          static_cast<const model::WorkloadFamily&>(family);
-      const FamilyRoundStats stats = run_workload_vectorized(
-          workload, rule, arrival_rate, bids, executions, out, ws);
-      if (obs::enabled()) {
-        obs::MechProbes& probes = obs::MechProbes::get();
-        probes.rounds.inc();
-        probes.nonlinear_rounds.inc();
-        probes.newton_iters.inc(stats.newton_iters);
-        probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-        record_round_histograms(probes, out);
-        RoundInvariantOptions opts;
-        opts.participation_guaranteed = guarantees_voluntary_participation();
-        opts.workload_exact = true;
-        opts.workload_gamma = workload.gamma();
-        check_round_invariants(bids, executions, arrival_rate, out, opts);
-      }
-      return;
-    }
+  if (obs::enabled()) {
+    observe_round(engine, exact, stats, family, arrival_rate, bids,
+                  executions, out, guarantees_voluntary_participation());
   }
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-    LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
-  }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
+void Mechanism::run_reference_into(const model::LatencyFamily& family,
+                                   double arrival_rate,
+                                   std::span<const double> bids,
+                                   std::span<const double> executions,
+                                   MechanismOutcome& out,
+                                   RoundWorkspace& ws) const {
+  const std::size_t n = bids.size();
+  LBMV_REQUIRE(n >= 2, "mechanisms require at least two agents");
+  LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
+  model::require_valid_round(arrival_rate, bids, executions);
 
   // Recycle the previous outcome's rate plane instead of allocating a fresh
   // vector: after the first round at this n, resize() is a no-op.
   std::vector<double> rates = std::move(out.allocation).release();
   rates.resize(n);
-  if (ws.linear_fast &&
-      dynamic_cast<const alloc::PRAllocator*>(allocator_.get()) != nullptr) {
-    // Fused PR solve: allocation, S, and L* from one pass over the bids.
-    const alloc::PrSolve solve =
-        alloc::pr_allocate_into(bids, arrival_rate, rates);
-    ws.pr_closed_form = true;
-    ws.inverse_sum = solve.inverse_sum;
-  } else {
-    allocator_->allocate_into(family, bids, arrival_rate, rates);
-  }
+  allocator_->allocate_into(family, bids, arrival_rate, rates);
   out.allocation = model::Allocation(std::move(rates));
   const std::span<const double> x = out.allocation.rates();
 
-  out.agents.resize(n);
-  if (ws.linear_fast) {
-    // Fused linear fast path: every latency quantity is a closed form in
-    // t * x_i^2, so the scalar path's 2n LatencyFamily::make heap
-    // allocations (plus their virtual cost() dispatches) disappear.  Each
-    // cost term is (t*x)*x — bit-identical to the generic path's
-    // x * latency(x) = x*(t*x) — and both totals accumulate in index order,
-    // so run_into agrees with the historical run() to the last bit.
-    double actual = 0.0;
-    double reported = 0.0;
+  // The function objects themselves must come from family.make, but the
+  // owning planes live in the workspace so the per-round vector churn is
+  // gone.  The arena keeps its high-water size — shrinking to exactly n
+  // would destroy the tail's slots only to default-construct them again on
+  // the next larger round — and the round uses the first n entries.
+  if (ws.exec_fns.size() < n) {
+    ws.exec_fns.resize(n);
+    ws.bid_fns.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ws.exec_fns[i] = family.make(executions[i]);
+    ws.bid_fns[i] = family.make(bids[i]);
+  }
+  // An M/M/1 load past a computer's execution rate would fail inside
+  // total_latency without naming it; raise the typed error naming the
+  // first such computer instead (same check, same index order).
+  if (classify_family(family) == FamilyKind::kMm1) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x[i];
-      const double cost = executions[i] * xi * xi;
-      actual += cost;
-      reported += bids[i] * xi * xi;
-      auto& agent = out.agents[i];
-      agent.allocation = xi;
-      agent.valuation = -cost;
-    }
-    out.actual_latency = actual;
-    out.reported_latency = reported;
-  } else {
-    // Generic families: the function objects themselves must come from
-    // family.make (unavoidable heap traffic), but the owning planes live in
-    // the workspace so the per-round vector churn is gone.  The arena keeps
-    // its high-water size — shrinking to exactly n would destroy the tail's
-    // slots only to default-construct them again on the next larger round —
-    // and the round uses the first n entries.
-    if (ws.exec_fns.size() < n) {
-      ws.exec_fns.resize(n);
-      ws.bid_fns.resize(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ws.exec_fns[i] = family.make(executions[i]);
-      ws.bid_fns[i] = family.make(bids[i]);
-    }
-    // An M/M/1 load past a computer's execution rate would fail inside
-    // total_latency without naming it; raise the typed error naming the
-    // first such computer instead (same check, same index order).
-    if (classify_family(family) == FamilyKind::kMm1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double mue = 1.0 / executions[i];
-        if (x[i] != 0.0 && !(x[i] >= 0.0 && x[i] < mue)) {
-          alloc::throw_mm1_domain_error(i, x[i], mue);
-        }
+      const double mue = 1.0 / executions[i];
+      if (x[i] != 0.0 && !(x[i] >= 0.0 && x[i] < mue)) {
+        alloc::throw_mm1_domain_error(i, x[i], mue);
       }
     }
-    out.actual_latency = model::total_latency(
-        out.allocation, std::span(ws.exec_fns).first(n));
-    out.reported_latency = model::total_latency(
-        out.allocation, std::span(ws.bid_fns).first(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& agent = out.agents[i];
-      agent.allocation = x[i];
-      const double cost =
-          (x[i] == 0.0) ? 0.0 : ws.exec_fns[i]->cost(x[i]);
-      agent.valuation = -cost;
-    }
+  }
+  out.actual_latency =
+      model::total_latency(out.allocation, std::span(ws.exec_fns).first(n));
+  out.reported_latency =
+      model::total_latency(out.allocation, std::span(ws.bid_fns).first(n));
+  out.agents.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& agent = out.agents[i];
+    agent.allocation = x[i];
+    const double cost = (x[i] == 0.0) ? 0.0 : ws.exec_fns[i]->cost(x[i]);
+    agent.valuation = -cost;
   }
 
   fill_payments(family, arrival_rate, bids, executions, out.allocation,
@@ -255,36 +233,9 @@ void Mechanism::run_into(const model::LatencyFamily& family,
     agent.utility = agent.payment + agent.valuation;
   }
   if (obs::enabled()) {
-    obs::MechProbes& probes = obs::MechProbes::get();
-    probes.rounds.inc();
-    if (ws.linear_fast) {
-      probes.linear_fast_rounds.inc();
-      // The scalar path would have built 2n latency functions here plus n
-      // more in the payment rule's compensation terms.
-      probes.allocs_avoided.inc(3 * static_cast<std::uint64_t>(n));
-    }
-    record_round_histograms(probes, out);
-    RoundInvariantOptions opts;
-    opts.linear_pr = ws.linear_fast && ws.pr_closed_form;
-    opts.participation_guaranteed = guarantees_voluntary_participation();
-    // Scalar-backend (or fused-declined) rounds on the exact nonlinear
-    // allocators still arm the family-specific monitors: the allocation is
-    // exactly optimal there too, only the engine differs.
-    if (!ws.linear_fast && rule != VectorRule::kNone &&
-        rule != VectorRule::kArcherTardos) {
-      const FamilyKind kind = classify_family(family);
-      opts.mm1_exact = kind == FamilyKind::kMm1 &&
-                       dynamic_cast<const alloc::MM1Allocator*>(
-                           allocator_.get()) != nullptr;
-      if (kind == FamilyKind::kWorkload &&
-          dynamic_cast<const alloc::WorkloadAllocator*>(allocator_.get()) !=
-              nullptr) {
-        opts.workload_exact = true;
-        opts.workload_gamma =
-            static_cast<const model::WorkloadFamily&>(family).gamma();
-      }
-    }
-    check_round_invariants(bids, executions, arrival_rate, out, opts);
+    observe_round(RoundEngine::kReference, exact_family(family, *allocator_),
+                  FusedRoundStats{}, family, arrival_rate, bids, executions,
+                  out, guarantees_voluntary_participation());
   }
 }
 
@@ -292,7 +243,6 @@ void Mechanism::run_into(const model::LatencyFamily& family,
                          double arrival_rate,
                          const model::BidProfile& profile,
                          MechanismOutcome& out, RoundWorkspace& ws) const {
-  profile.validate(profile.size());
   run_into(family, arrival_rate, profile.bids, profile.executions, out, ws);
 }
 
@@ -365,25 +315,6 @@ void Mechanism::run_batch(const model::SystemConfig& config,
             BatchRunOptions{});
 }
 
-void Mechanism::leave_one_out_into_ws(const model::LatencyFamily& family,
-                                      double arrival_rate,
-                                      std::span<const double> bids,
-                                      RoundWorkspace& ws) const {
-  if (ws.pr_closed_form) {
-    ws.leave_one_out.resize(bids.size());
-    if (obs::enabled()) {
-      obs::MechProbes& probes = obs::MechProbes::get();
-      probes.loo_batches.inc();
-      probes.loo_batch_size.record(static_cast<double>(bids.size()));
-    }
-    alloc::pr_leave_one_out_from_sum(ws.inverse_sum, bids, arrival_rate,
-                                     ws.leave_one_out);
-    return;
-  }
-  allocator_->leave_one_out_into(family, bids, arrival_rate,
-                                 ws.leave_one_out);
-}
-
 namespace {
 
 /// Pins one agent of a ProfileUtilityContext, turning the profile-wide
@@ -409,9 +340,6 @@ class ProfileAgentContext final : public AgentUtilityContext {
 std::unique_ptr<AgentUtilityContext> Mechanism::make_utility_context(
     const model::LatencyFamily& family, double arrival_rate,
     const model::BidProfile& base, std::size_t agent) const {
-  // Any mechanism with a profile-wide fast path gets the per-agent audit
-  // fast path for free; without one, audits fall back to run() per
-  // deviation.
   auto context = make_profile_context(family, arrival_rate, base);
   if (context == nullptr) return nullptr;
   LBMV_REQUIRE(agent < base.size(), "agent index out of range");
@@ -419,8 +347,14 @@ std::unique_ptr<AgentUtilityContext> Mechanism::make_utility_context(
 }
 
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
-    const model::LatencyFamily&, double, const model::BidProfile&) const {
-  return nullptr;  // no closed form; callers fall back to run() per deviation
+    const model::LatencyFamily& family, double arrival_rate,
+    const model::BidProfile& base) const {
+  if (auto ctx = make_linear_pr_profile_context(
+          payment_rule(), family, *allocator_, arrival_rate, base)) {
+    return ctx;
+  }
+  return make_family_profile_context(payment_rule(), family, *allocator_,
+                                     arrival_rate, base);
 }
 
 std::shared_ptr<const alloc::Allocator> default_allocator() {

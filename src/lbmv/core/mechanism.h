@@ -14,7 +14,15 @@
 /// -x_i * l_i^{t~}(x_i)), and its utility is U_i = P_i + V_i.  Mechanisms
 /// never read the agents' true types; everything they see is the bid profile
 /// and the verified execution values.
+///
+/// A mechanism names its payment rule (PaymentRule) and implements it once
+/// generically (fill_payments).  Mechanism::run_into serves each round with
+/// one of four engines — the fused linear-PR, M/M/1 and workload engines
+/// for the families whose allocator solves them exactly, or the generic
+/// reference path, run_reference_into, which is also the single oracle the
+/// fused engines are tested against.
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,18 +42,15 @@ struct BatchOutcomes;    // batch.h
 struct BatchRunOptions;  // batch.h
 struct RoundOptions;     // batch.h
 
-/// Payment rules the vectorized round engine (simd_round.h) implements.
-/// A mechanism advertises its rule via Mechanism::vector_rule(); kNone means
-/// "no vectorized form — always run the scalar kernels".  The engine only
-/// engages on rounds it can fuse end to end: linear family, PR allocator,
-/// and a rule from this list.
-enum class VectorRule {
-  kNone,
+/// The payment rules the shipped mechanisms implement.  A mechanism
+/// advertises its rule via Mechanism::payment_rule(); every round engine,
+/// profile context and grid kernel dispatches on it.
+enum class PaymentRule {
   kCompBonusExecution,  ///< C_i = t~_i x_i^2, B_i = L_{-i} - L(x, t~)
   kCompBonusBid,        ///< C_i = b_i  x_i^2, B_i = L_{-i} - L(x, t~)
   kVcg,                 ///< Clarke pivot on the reported types
-  kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail
   kNoPayment,           ///< P_i = 0
+  kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail
 };
 
 /// Economic outcome for a single agent in one mechanism round.
@@ -57,6 +62,17 @@ struct AgentOutcome {
   double valuation = 0.0;     ///< V_i = -(agent's verified latency cost)
   double utility = 0.0;       ///< U_i = P_i + V_i
 };
+
+// The fused engines publish four AgentOutcome rows per transposed vector
+// store (util::simd::store_records6), so the struct must stay exactly its
+// six doubles in field order.
+static_assert(sizeof(AgentOutcome) == 6 * sizeof(double) &&
+                  offsetof(AgentOutcome, compensation) == 8 &&
+                  offsetof(AgentOutcome, bonus) == 16 &&
+                  offsetof(AgentOutcome, payment) == 24 &&
+                  offsetof(AgentOutcome, valuation) == 32 &&
+                  offsetof(AgentOutcome, utility) == 40,
+              "AgentOutcome layout is part of the vector publish contract");
 
 /// Full outcome of one mechanism round.
 struct MechanismOutcome {
@@ -167,12 +183,16 @@ class Mechanism {
   [[nodiscard]] MechanismOutcome run(const model::SystemConfig& config,
                                      const model::BidProfile& profile) const;
 
-  /// Allocation-free round kernel: identical results to run() (bit-exact on
-  /// the linear family), writing into \p out and drawing every scratch plane
-  /// from \p ws.  A warm (out, ws) pair — one that has already seen this
-  /// agent count — performs zero heap allocations on the fused
-  /// linear-family fast path, and only the unavoidable LatencyFamily::make
-  /// calls elsewhere.  \p ws may be RoundWorkspace::thread_local_instance();
+  /// Allocation-free round kernel behind run(), writing into \p out and
+  /// drawing every scratch plane from \p ws.  It dispatches to exactly one
+  /// of four engines: the fused linear-PR engine (simd_round.h), the fused
+  /// M/M/1 and workload engines (family_round.h) when the allocator solves
+  /// that family exactly, and otherwise run_reference_into.  A fused engine
+  /// that meets a round it cannot finish with finite results hands it to
+  /// run_reference_into too, so every outcome is either finite or the
+  /// reference path's own.  A warm (out, ws) pair — one that has already
+  /// seen this agent count — performs zero heap allocations on the fused
+  /// engines.  \p ws may be RoundWorkspace::thread_local_instance();
   /// ws.scratch_profile / ws.scratch_outcome are never touched, so callers
   /// may pass ws.scratch_outcome as \p out.
   void run_into(const model::LatencyFamily& family, double arrival_rate,
@@ -189,7 +209,7 @@ class Mechanism {
                 std::span<const double> executions, MechanismOutcome& out,
                 RoundWorkspace& ws, const RoundOptions& options) const;
 
-  /// run_into over a BidProfile (validates it like run()).
+  /// run_into over a BidProfile.
   void run_into(const model::LatencyFamily& family, double arrival_rate,
                 const model::BidProfile& profile, MechanismOutcome& out,
                 RoundWorkspace& ws) const;
@@ -198,6 +218,15 @@ class Mechanism {
   void run_into(const model::SystemConfig& config,
                 const model::BidProfile& profile, MechanismOutcome& out,
                 RoundWorkspace& ws) const;
+
+  /// The generic engine and the single oracle the fused engines are held
+  /// to: allocate through the allocator, build each agent's latency
+  /// functions from the family, and apply fill_payments.  Same contract
+  /// and obs probes as run_into, for any family, allocator and rule.
+  void run_reference_into(const model::LatencyFamily& family,
+                          double arrival_rate, std::span<const double> bids,
+                          std::span<const double> executions,
+                          MechanismOutcome& out, RoundWorkspace& ws) const;
 
   /// Run every profile of \p batch, writing outcome b into out[b].  Profiles
   /// are fanned over a thread pool (per BatchRunOptions) with one reusable
@@ -236,32 +265,30 @@ class Mechanism {
     return true;
   }
 
-  /// The payment rule the vectorized round engine should apply on eligible
-  /// rounds, or kNone (the default) to always run the scalar kernels.  A
-  /// mechanism that overrides this promises its fill_payments is exactly the
-  /// advertised closed form on linear-family/PR-allocator rounds; the
-  /// differential suite (tests/test_simd_kernels.cpp) holds it to that.
-  [[nodiscard]] virtual VectorRule vector_rule() const {
-    return VectorRule::kNone;
-  }
+  /// The payment rule this mechanism implements.  The fused engines and
+  /// the profile contexts evaluate its closed form; fill_payments must
+  /// compute the same rule on the reference path, and the differential
+  /// suites (tests/test_simd_kernels.cpp, tests/test_nonlinear_kernels.cpp)
+  /// hold the two to each other.
+  [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
 
   /// Build an O(1)-per-deviation utility evaluator for audits of \p agent
   /// against \p base, or nullptr when no closed form applies (callers then
   /// fall back to run() per deviation).  The base profile's own entries for
   /// \p agent are irrelevant: every query overrides them.
-  [[nodiscard]] virtual std::unique_ptr<AgentUtilityContext>
-  make_utility_context(const model::LatencyFamily& family, double arrival_rate,
-                       const model::BidProfile& base, std::size_t agent) const;
+  [[nodiscard]] std::unique_ptr<AgentUtilityContext> make_utility_context(
+      const model::LatencyFamily& family, double arrival_rate,
+      const model::BidProfile& base, std::size_t agent) const;
 
   /// Build an O(1)-per-deviation evaluator over the whole profile (any agent,
-  /// with commit support), or nullptr when no closed form applies — callers
-  /// then fall back to run() per deviation.  \p base is copied; the context
-  /// does not alias it afterwards.  The default make_utility_context wraps
-  /// this, so a mechanism that implements make_profile_context gets the audit
-  /// fast path for free.
-  [[nodiscard]] virtual std::unique_ptr<ProfileUtilityContext>
-  make_profile_context(const model::LatencyFamily& family, double arrival_rate,
-                       const model::BidProfile& base) const;
+  /// with commit support) for payment_rule(): the linear-PR context
+  /// (profile_context.h) or a nonlinear family's (family_context.h), or
+  /// nullptr when no closed form applies — callers then fall back to run()
+  /// per deviation.  \p base is copied; the context does not alias it
+  /// afterwards.  make_utility_context wraps this for single-agent audits.
+  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
+      const model::LatencyFamily& family, double arrival_rate,
+      const model::BidProfile& base) const;
 
   [[nodiscard]] const alloc::Allocator& allocator() const {
     return *allocator_;
@@ -272,10 +299,9 @@ class Mechanism {
   /// arrives with allocation and valuation already set, and the round's
   /// latencies are precomputed: \p actual_latency is L(x, t~) and
   /// \p reported_latency is L(x, b), so payment rules never re-derive them.
-  /// \p ws carries the round classification (ws.linear_fast,
-  /// ws.pr_closed_form + ws.inverse_sum) and, on the generic path, the
-  /// latency-function arenas ws.exec_fns / ws.bid_fns already built for this
-  /// round; rules may use ws.leave_one_out / ws.own_cost as scratch.
+  /// Only run_reference_into calls it, so \p ws holds this round's
+  /// latency-function arenas ws.exec_fns / ws.bid_fns (the first n slots);
+  /// rules may use ws.leave_one_out / ws.own_cost as scratch.
   virtual void fill_payments(const model::LatencyFamily& family,
                              double arrival_rate,
                              std::span<const double> bids,
@@ -284,15 +310,6 @@ class Mechanism {
                              double actual_latency, double reported_latency,
                              std::vector<AgentOutcome>& outcomes,
                              RoundWorkspace& ws) const = 0;
-
-  /// Resolve all n leave-one-out optima into ws.leave_one_out.  Uses the
-  /// single-pass PR inverse sum published by run_into when valid (satellite
-  /// fix: S is accumulated once per round, not once per consumer), else the
-  /// allocator's batched solver.
-  void leave_one_out_into_ws(const model::LatencyFamily& family,
-                             double arrival_rate,
-                             std::span<const double> bids,
-                             RoundWorkspace& ws) const;
 
  private:
   std::shared_ptr<const alloc::Allocator> allocator_;

@@ -1,8 +1,5 @@
 #include "lbmv/core/no_payment.h"
 
-#include "lbmv/core/family_context.h"
-#include "lbmv/core/profile_context.h"
-
 namespace lbmv::core {
 
 NoPaymentMechanism::NoPaymentMechanism()
@@ -21,17 +18,6 @@ void NoPaymentMechanism::fill_payments(
     agent.bonus = 0.0;
     agent.payment = 0.0;
   }
-}
-
-std::unique_ptr<ProfileUtilityContext> NoPaymentMechanism::make_profile_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base) const {
-  if (auto ctx = make_linear_pr_profile_context(
-          LinearPrRule::kNoPayment, family, allocator(), arrival_rate, base)) {
-    return ctx;
-  }
-  return make_family_profile_context(LinearPrRule::kNoPayment, family,
-                                     allocator(), arrival_rate, base);
 }
 
 }  // namespace lbmv::core

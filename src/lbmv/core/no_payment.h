@@ -31,15 +31,9 @@ class NoPaymentMechanism final : public Mechanism {
   [[nodiscard]] bool guarantees_voluntary_participation() const override {
     return false;
   }
-  [[nodiscard]] VectorRule vector_rule() const override {
-    return VectorRule::kNoPayment;
+  [[nodiscard]] PaymentRule payment_rule() const override {
+    return PaymentRule::kNoPayment;
   }
-
-  /// O(1)-per-deviation profile context for the linear-family / PR-allocator
-  /// configuration; nullptr for other pairings.
-  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
-      const model::LatencyFamily& family, double arrival_rate,
-      const model::BidProfile& base) const override;
 
  protected:
   void fill_payments(const model::LatencyFamily& family, double arrival_rate,

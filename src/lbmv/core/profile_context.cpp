@@ -11,7 +11,7 @@
 
 namespace lbmv::core {
 
-LinearPrProfileContext::LinearPrProfileContext(LinearPrRule rule,
+LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
                                                double arrival_rate,
                                                model::BidProfile base)
     : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
@@ -36,23 +36,23 @@ double LinearPrProfileContext::utility(std::size_t agent, double bid,
   const double x = r * inv / s;
   const double x2 = x * x;
   switch (rule_) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
       return r * r / s_rest - actual_after(agent, s, inv, execution);
-    case LinearPrRule::kCompBonusBid:
+    case PaymentRule::kCompBonusBid:
       return bid * x2 + (r * r / s_rest -
                          actual_after(agent, s, inv, execution)) -
              execution * x2;
-    case LinearPrRule::kVcg: {
+    case PaymentRule::kVcg: {
       // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
       // (R/S')^2 S_rest, so the Clarke payment is
       // L_{-i} - (R^2/S' - b x^2).
       const double payment = r * r / s_rest - r * r / s + bid * x2;
       return payment - execution * x2;
     }
-    case LinearPrRule::kNoPayment:
+    case PaymentRule::kNoPayment:
       return -execution * x2;
-    case LinearPrRule::kArcherTardos: {
+    case PaymentRule::kArcherTardos: {
       // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
       // on s_rest, so truth-telling in bids is dominant but slow execution
       // (e > t) goes unpunished — the verification-free baseline.
@@ -104,30 +104,30 @@ void LinearPrProfileContext::outcome_into(MechanismOutcome& out) const {
     agent.allocation = x;
     agent.valuation = -e * x2;
     switch (rule_) {
-      case LinearPrRule::kCompBonusExecution:
+      case PaymentRule::kCompBonusExecution:
         agent.compensation = e * x2;
         agent.bonus = l_minus - actual;
         break;
-      case LinearPrRule::kCompBonusBid:
+      case PaymentRule::kCompBonusBid:
         agent.compensation = b * x2;
         agent.bonus = l_minus - actual;
         break;
-      case LinearPrRule::kVcg:
+      case PaymentRule::kVcg:
         agent.compensation = b * x2;  // own reported cost
         agent.bonus = l_minus - reported;
         break;
-      case LinearPrRule::kNoPayment:
+      case PaymentRule::kNoPayment:
         agent.compensation = 0.0;
         agent.bonus = 0.0;
         break;
-      case LinearPrRule::kArcherTardos:
+      case PaymentRule::kArcherTardos:
         agent.compensation = b * x2;
         agent.bonus =
             archer_tardos_tail_integral(b, s_ - 1.0 / b, r);
         break;
     }
     agent.payment = agent.compensation + agent.bonus;
-    if (rule_ == LinearPrRule::kNoPayment) agent.payment = 0.0;
+    if (rule_ == PaymentRule::kNoPayment) agent.payment = 0.0;
     agent.utility = agent.payment + agent.valuation;
   }
 }
@@ -176,7 +176,7 @@ void LinearPrProfileContext::rebuild() {
 }
 
 std::unique_ptr<ProfileUtilityContext> make_linear_pr_profile_context(
-    LinearPrRule rule, const model::LatencyFamily& family,
+    PaymentRule rule, const model::LatencyFamily& family,
     const alloc::Allocator& allocator, double arrival_rate,
     const model::BidProfile& base) {
   // The closed forms are exactly the PR allocation on linear latencies; any

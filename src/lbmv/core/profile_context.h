@@ -18,9 +18,9 @@
 /// from which every payment rule built on leave-one-out optima follows in
 /// O(1) as well, because L_{-i} = R^2/(S - 1/b_i) (DESIGN.md §10).
 ///
-/// The factory below serves the five mechanisms shipped with the repo
-/// (comp-bonus at either compensation basis, VCG, no-payment, and the
-/// Archer–Tardos baseline via its closed-form payment tail).  Anything
+/// The factory below serves all five PaymentRules (comp-bonus at either
+/// compensation basis, VCG, no-payment, and the Archer–Tardos baseline via
+/// its closed-form payment tail).  Anything
 /// else — non-linear families, non-PR allocators — returns nullptr and the
 /// caller falls back to Mechanism::run per deviation.
 ///
@@ -39,15 +39,6 @@
 
 namespace lbmv::core {
 
-/// Payment rule evaluated by the closed-form context.
-enum class LinearPrRule {
-  kCompBonusExecution,  ///< C_i = t~_i x_i^2, B_i = L_{-i} - L(x, t~)
-  kCompBonusBid,        ///< C_i = b_i  x_i^2, B_i = L_{-i} - L(x, t~)
-  kVcg,                 ///< Clarke pivot on the *reported* types
-  kNoPayment,           ///< P_i = 0
-  kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail integral
-};
-
 /// The closed-form context (file comment above).  Maintains the committed
 /// profile plus the two running sums S and W; every query is a constant
 /// number of flops and every commit is an O(1) delta.  Committed deltas are
@@ -60,7 +51,7 @@ enum class LinearPrRule {
 /// itself stays the scalar oracle the differential suite holds them to.
 class LinearPrProfileContext final : public ProfileUtilityContext {
  public:
-  LinearPrProfileContext(LinearPrRule rule, double arrival_rate,
+  LinearPrProfileContext(PaymentRule rule, double arrival_rate,
                          model::BidProfile base);
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
@@ -72,7 +63,7 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
     return profile_;
   }
 
-  [[nodiscard]] LinearPrRule rule() const { return rule_; }
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
   /// Cached S = sum_j 1/b_j at the committed profile.
   [[nodiscard]] double s() const { return s_; }
@@ -86,7 +77,7 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
                                     double inv_bid, double execution) const;
   void rebuild();
 
-  LinearPrRule rule_;
+  PaymentRule rule_;
   double arrival_rate_;
   model::BidProfile profile_;
   double s_ = 0.0;
@@ -99,7 +90,7 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
 /// LinearFamily and \p allocator is a PRAllocator (checked dynamically,
 /// mirroring the audit fast-path gate).  \p base is copied.
 [[nodiscard]] std::unique_ptr<ProfileUtilityContext>
-make_linear_pr_profile_context(LinearPrRule rule,
+make_linear_pr_profile_context(PaymentRule rule,
                                const model::LatencyFamily& family,
                                const alloc::Allocator& allocator,
                                double arrival_rate,

@@ -1,18 +1,16 @@
 #include "lbmv/core/simd_round.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/pr_simd.h"
-#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/model/bids.h"
 #include "lbmv/obs/probes.h"
-#include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
 #include "lbmv/util/thread_pool.h"
 
@@ -21,28 +19,6 @@ namespace {
 
 namespace v = lbmv::util::simd;
 using v::DVec;
-
-// The fused publish below writes four AgentOutcome rows per transposed
-// vector store, so the struct must be exactly its six doubles in field
-// order (store_records6's record layout).
-static_assert(sizeof(AgentOutcome) == 6 * sizeof(double),
-              "AgentOutcome must stay six packed doubles");
-static_assert(std::is_standard_layout_v<AgentOutcome>,
-              "AgentOutcome must stay standard-layout");
-static_assert(offsetof(AgentOutcome, allocation) == 0 &&
-                  offsetof(AgentOutcome, compensation) == 8 &&
-                  offsetof(AgentOutcome, bonus) == 16 &&
-                  offsetof(AgentOutcome, payment) == 24 &&
-                  offsetof(AgentOutcome, valuation) == 32 &&
-                  offsetof(AgentOutcome, utility) == 40,
-              "AgentOutcome field order is part of the publish contract");
-
-std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{util::simd::kAvx2
-                                              ? KernelBackend::kVectorized
-                                              : KernelBackend::kScalar};
-  return state;
-}
 
 /// Tasks to fan the block grid into.  Never affects results (fixed grid,
 /// block-order reduction) — only wall-clock.
@@ -113,7 +89,7 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
   pool.parallel_for(0, nblocks, body, grain);
 }
 
-// ---- fused allocate + rule + publish kernels -----------------------------
+// ---- fused allocate + rule + publish kernel ------------------------------
 //
 // One pass per block turns the reciprocal plane into everything the round
 // outputs: the rate x_i = inv_i / S * R (stored — it is the outcome's
@@ -123,257 +99,160 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // 16–24 bytes of planes and writes its 8-byte rate plus one 48-byte record.
 //
 // The rate uses one precomputed reciprocal share, x = inv * (R/S), which
-// replaces the scalar kernels' per-agent division (inv/S)*R — the round's
+// replaces the reference path's per-agent division (inv/S)*R — the round's
 // hottest divider work — at a cost of <= 2 ulp on x.  Every other value
-// applies exactly the scalar fill_payments' operand order on that x —
+// applies exactly the reference fill_payments' operand order on that x —
 // ca = (e*x)*x, cr = (b*x)*x, loo = R^2/(S - inv) — so the leave-one-out /
-// tail terms still match the scalar kernels bit-for-bit at equal S, while
+// tail terms still match the reference path bit-for-bit at equal S, while
 // x-derived values and the closed-form latency totals (see
 // run_linear_pr_vectorized) sit within the DESIGN.md §12 ulp bound.  The
-// <4-agent tail mirrors the vector body in scalar, in index order.
+// final partial vector of a block runs the same body on lanes padded with
+// inv = 0, b = e = 1, which pass every guard and stay finite, and stores
+// only its real lanes.
 //
-// Validation is by mask: bit 0 of the returned status is the rule guard
-// (leave-one-out cancellation gap / Archer–Tardos tail positivity), bit 1
-// is "every rate finite" (1/b can overflow to inf for subnormal bids, and
-// the scalar path's Allocation constructor rejects that).  On a clear bit
-// the published lanes are garbage; the caller re-runs the scalar check and
-// throws its canonical diagnostic, discarding them.
-//
-// Rates are positive by construction (positive inv, S, R), so "finite" is
-// the single ordered compare x < inf, which NaN also fails.
+// Validation is by mask: bit 0 of the returned status is the leave-one-out
+// cancellation guard, bit 1 is "every utility finite"
+// (util::simd::accumulate_finite).  A finite utility U = P + V implies a
+// finite payment, valuation, rate and rule terms (an infinite term would
+// make the sum infinite or NaN), so that one check covers the whole record
+// — e.g. a leave-one-out optimum past DBL_MAX.  The Archer–Tardos tail needs
+// no guard bit: its rest sum s = S - inv is never negative (a rounded sum
+// of positives is at least each term), and s = 0 or NaN makes the tail
+// non-finite.  A clear finite bit sends the round to the reference path; a
+// clear guard bit on a finite round re-raises the scalar guard's diagnostic.
 
 inline constexpr unsigned char kGuardOk = 1u;
-inline constexpr unsigned char kRatesFinite = 2u;
+inline constexpr unsigned char kFinite = 2u;
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Comp-bonus (both bases): comp = basis_i = (basis * x) * x with basis the
-/// execution value (verified cost) or the bid (reported cost), bonus =
-/// L_{-i} - L(x, e).  All pointers are offset to the block start.
-template <bool kExecBasis>
-[[nodiscard]] unsigned char publish_comp_bonus_block(
-    std::size_t n, const double* inv, const double* bids, const double* execs,
-    double inverse_sum, double share, double arrival_rate, double min_gap,
-    double actual_total, double* x_out, AgentOutcome* agents) {
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vgap = v::set1(min_gap);
-  const DVec vr2 = v::set1(r2);
-  const DVec vtotal = v::set1(actual_total);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  // Validity is AND-accumulated as lane masks and tested once per block:
-  // one uop per check per step instead of a movemask + branch chain.
-  DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
-    const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec ca = v::mul(v::mul(v::load(&execs[i]), x), x);
-    const DVec comp =
-        kExecBasis ? ca : v::mul(v::mul(v::load(&bids[i]), x), x);
-    const DVec denom = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
-    const DVec loo = v::div(vr2, denom);
-    const DVec bonus = v::sub(loo, vtotal);
-    const DVec pay = v::add(comp, bonus);
-    const DVec val = v::neg(ca);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double ca = (execs[i] * xi) * xi;
-    const double denom = inverse_sum - r;
-    gok = gok && denom > min_gap;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = kExecBasis ? ca : (bids[i] * xi) * xi;
-    a.bonus = r2 / denom - actual_total;
-    a.payment = a.compensation + a.bonus;
-    a.valuation = -ca;
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
-}
+/// The round scalars every block publishes against.
+struct RoundScalars {
+  double inverse_sum;     ///< S
+  double share;           ///< R / S
+  double r2;              ///< R^2
+  double min_gap;         ///< leave-one-out cancellation guard on S - inv
+  double actual_total;    ///< L(x, e)
+  double reported_total;  ///< L(x, b)
+};
 
-/// VCG: comp = (b*x)*x, bonus = L_{-i} - L(x, b),
-/// payment = L_{-i} - (L(x, b) - comp).
-[[nodiscard]] unsigned char publish_vcg_block(
-    std::size_t n, const double* inv, const double* bids, const double* execs,
-    double inverse_sum, double share, double arrival_rate, double min_gap,
-    double reported_total, double* x_out, AgentOutcome* agents) {
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vgap = v::set1(min_gap);
-  const DVec vr2 = v::set1(r2);
-  const DVec vtotal = v::set1(reported_total);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
-    const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec ca = v::mul(v::mul(v::load(&execs[i]), x), x);
-    const DVec comp = v::mul(v::mul(v::load(&bids[i]), x), x);
-    const DVec denom = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
-    const DVec loo = v::div(vr2, denom);
-    const DVec bonus = v::sub(loo, vtotal);
-    const DVec pay = v::sub(loo, v::sub(vtotal, comp));
-    const DVec val = v::neg(ca);
-    const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double ca = (execs[i] * xi) * xi;
-    const double denom = inverse_sum - r;
-    gok = gok && denom > min_gap;
-    const double loo = r2 / denom;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = (bids[i] * xi) * xi;
-    a.bonus = loo - reported_total;
-    a.payment = loo - (reported_total - a.compensation);
-    a.valuation = -ca;
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
-}
-
-/// Archer–Tardos: comp = b * (x*x), bonus = R^2 / (s * (1 + b*s)) with
-/// s = S - inv (the closed form of archer_tardos_tail_integral).
-[[nodiscard]] unsigned char publish_archer_tardos_block(
-    std::size_t n, const double* inv, const double* bids, const double* execs,
-    double inverse_sum, double share, double arrival_rate, double* x_out,
-    AgentOutcome* agents) {
-  const double r2 = arrival_rate * arrival_rate;
-  const DVec vs = v::set1(inverse_sum);
-  const DVec vshare = v::set1(share);
-  const DVec vzero = v::zero();
+/// One block of the fused publish under \p kRule:
+///   comp-bonus  comp = (e*x)*x or (b*x)*x, bonus = L_{-i} - L(x, e)
+///   VCG         comp = (b*x)*x, bonus = L_{-i} - L(x, b),
+///               payment = L_{-i} - (L(x, b) - comp)
+///   A–T         comp = b*(x*x), bonus = R^2 / (s (1 + b s)), s = S - inv
+///   no-payment  every transfer 0
+/// All pointers are offset to the block start.
+template <PaymentRule kRule>
+[[nodiscard]] unsigned char publish_block(std::size_t n, const double* inv,
+                                          const double* bids,
+                                          const double* execs,
+                                          const RoundScalars& k,
+                                          double* x_out,
+                                          AgentOutcome* agents) {
+  const DVec vs = v::set1(k.inverse_sum);
+  const DVec vshare = v::set1(k.share);
+  const DVec vgap = v::set1(k.min_gap);
+  const DVec vr2 = v::set1(k.r2);
+  const DVec vact = v::set1(k.actual_total);
+  const DVec vrep = v::set1(k.reported_total);
   const DVec vone = v::set1(1.0);
-  const DVec vr2 = v::set1(r2);
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
+  // Validity is accumulated per lane and tested once per block: one or two
+  // uops per check per step instead of a movemask + branch chain.
   DVec gmask = v::mask_all();
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec r = v::load(&inv[i]);
+  DVec fsum = v::zero();
+  v::for_each_block(n, [&](std::size_t i, std::size_t count, auto lanes) {
+    const DVec r = lanes(inv, 0.0);
+    const DVec b = lanes(bids, 1.0);
     const DVec x = v::mul(r, vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec b = v::load(&bids[i]);
-    const DVec s = v::sub(vs, r);
-    gmask = v::mask_and(gmask, v::mask_greater(s, vzero));
-    const DVec bonus = v::div(vr2, v::mul(s, v::add(vone, v::mul(b, s))));
-    const DVec comp = v::mul(b, v::mul(x, x));
-    const DVec pay = v::add(comp, bonus);
-    const DVec val = v::neg(v::mul(v::mul(v::load(&execs[i]), x), x));
+    const DVec ca = v::mul(v::mul(lanes(execs, 1.0), x), x);
+    DVec comp = v::zero();
+    DVec bonus = v::zero();
+    DVec pay = v::zero();
+    if constexpr (kRule == PaymentRule::kArcherTardos) {
+      const DVec s = v::sub(vs, r);
+      bonus = v::div(vr2, v::mul(s, v::add(vone, v::mul(b, s))));
+      comp = v::mul(b, v::mul(x, x));
+      pay = v::add(comp, bonus);
+    } else if constexpr (kRule != PaymentRule::kNoPayment) {
+      const DVec denom = v::sub(vs, r);
+      gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
+      const DVec loo = v::div(vr2, denom);
+      if constexpr (kRule == PaymentRule::kVcg) {
+        comp = v::mul(v::mul(b, x), x);
+        bonus = v::sub(loo, vrep);
+        pay = v::sub(loo, v::sub(vrep, comp));
+      } else {
+        comp = kRule == PaymentRule::kCompBonusExecution
+                   ? ca
+                   : v::mul(v::mul(b, x), x);
+        bonus = v::sub(loo, vact);
+        pay = v::add(comp, bonus);
+      }
+    }
+    const DVec val = v::neg(ca);
     const DVec util = v::add(pay, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, comp, bonus,
-                      pay, val, util);
-  }
-  bool gok = v::mask_all_true(gmask);
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double r = inv[i];
-    const double xi = r * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    const double s = inverse_sum - r;
-    gok = gok && s > 0.0;
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    const double work = xi * xi;
-    a.compensation = bids[i] * work;
-    a.bonus = r2 / (s * (1.0 + bids[i] * s));
-    a.payment = a.compensation + a.bonus;
-    a.valuation = -((execs[i] * xi) * xi);
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>((gok ? kGuardOk : 0u) |
-                                    (xok ? kRatesFinite : 0u));
+    fsum = v::accumulate_finite(fsum, util);
+    if (count == v::kLanes) {
+      v::store(x_out + i, x);
+      v::store_records6(reinterpret_cast<double*>(agents + i), x, comp,
+                        bonus, pay, val, util);
+    } else {
+      double xs[v::kLanes];
+      AgentOutcome rows[v::kLanes];
+      v::store(xs, x);
+      v::store_records6(reinterpret_cast<double*>(rows), x, comp, bonus, pay,
+                        val, util);
+      std::copy(xs, xs + count, x_out + i);
+      std::copy(rows, rows + count, agents + i);
+    }
+  });
+  return static_cast<unsigned char>(
+      (v::mask_all_true(gmask) ? kGuardOk : 0u) |
+      (v::hsum(fsum) == 0.0 ? kFinite : 0u));
 }
 
-/// No-payment baseline: all transfers zero, utility is the raw cost.
-[[nodiscard]] unsigned char publish_no_payment_block(
-    std::size_t n, const double* inv, const double* execs, double share,
-    double* x_out, AgentOutcome* agents) {
-  const DVec vshare = v::set1(share);
-  const DVec vzero = v::zero();
-  const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
-  DVec xmask = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec x = v::mul(v::load(&inv[i]), vshare);
-    v::store(&x_out[i], x);
-    xmask = v::mask_and(xmask, v::mask_greater(vinf, x));
-    const DVec val = v::neg(v::mul(v::mul(v::load(&execs[i]), x), x));
-    const DVec util = v::add(vzero, val);
-    v::store_records6(reinterpret_cast<double*>(agents + i), x, vzero, vzero,
-                      vzero, val, util);
+/// publish_block for a runtime rule.
+[[nodiscard]] unsigned char publish(PaymentRule rule, std::size_t n,
+                                    const double* inv, const double* bids,
+                                    const double* execs,
+                                    const RoundScalars& k, double* x_out,
+                                    AgentOutcome* agents) {
+  switch (rule) {
+    case PaymentRule::kCompBonusExecution:
+      return publish_block<PaymentRule::kCompBonusExecution>(
+          n, inv, bids, execs, k, x_out, agents);
+    case PaymentRule::kCompBonusBid:
+      return publish_block<PaymentRule::kCompBonusBid>(n, inv, bids, execs,
+                                                       k, x_out, agents);
+    case PaymentRule::kVcg:
+      return publish_block<PaymentRule::kVcg>(n, inv, bids, execs, k, x_out,
+                                              agents);
+    case PaymentRule::kArcherTardos:
+      return publish_block<PaymentRule::kArcherTardos>(n, inv, bids, execs,
+                                                       k, x_out, agents);
+    case PaymentRule::kNoPayment:
+      break;
   }
-  bool xok = v::mask_all_true(xmask);
-  for (; i < n; ++i) {
-    const double xi = inv[i] * share;
-    x_out[i] = xi;
-    xok = xok && xi < std::numeric_limits<double>::infinity();
-    AgentOutcome& a = agents[i];
-    a.allocation = xi;
-    a.compensation = 0.0;
-    a.bonus = 0.0;
-    a.payment = 0.0;
-    a.valuation = -((execs[i] * xi) * xi);
-    a.utility = a.payment + a.valuation;
-  }
-  return static_cast<unsigned char>(kGuardOk | (xok ? kRatesFinite : 0u));
+  return publish_block<PaymentRule::kNoPayment>(n, inv, bids, execs, k,
+                                                x_out, agents);
 }
 
 }  // namespace
 
-KernelBackend kernel_backend() {
-  return backend_state().load(std::memory_order_relaxed);
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  backend_state().store(backend, std::memory_order_relaxed);
-}
-
 const char* vector_backend_name() { return util::simd::backend_name(); }
 
-SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
-                                        std::span<const double> bids,
-                                        std::span<const double> executions,
-                                        MechanismOutcome& out,
-                                        RoundWorkspace& ws,
-                                        const RoundOptions& options) {
-  LBMV_REQUIRE(rule != VectorRule::kNone,
-               "vectorized round requires a payment rule");
+bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
+                              std::span<const double> bids,
+                              std::span<const double> executions,
+                              MechanismOutcome& out, RoundWorkspace& ws,
+                              const RoundOptions& options,
+                              FusedRoundStats& stats) {
   const std::size_t n = bids.size();
   const std::size_t nblocks = (n + kShardBlock - 1) / kShardBlock;
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::ThreadPool::global();
   const std::size_t shards = resolve_shards(n, nblocks, options, pool);
+  stats.shards = shards;
 
   ws.inv_bids.resize(n + kPlanePadDoubles);
   ws.block_partials.resize(2 * nblocks);
@@ -396,52 +275,37 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
         inv.subspan(lo, len));
     ws.block_partials[2 * b] = part.inverse_sum;
     ws.block_partials[2 * b + 1] = part.exec_weight;
-    ws.block_ok[b] =
-        static_cast<unsigned char>((part.bids_positive ? 1u : 0u) |
-                                   (part.executions_positive ? 2u : 0u));
+    ws.block_ok[b] = part.inputs_valid ? 1u : 0u;
   });
-  bool inputs_ok = true;
+  bool inputs_ok = arrival_rate > 0.0 && arrival_rate < kInf;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    inputs_ok = inputs_ok && ws.block_ok[b] == 3u;
+    inputs_ok = inputs_ok && ws.block_ok[b] == 1u;
   }
-  if (!inputs_ok) {
-    // Re-run the scalar validation loop so the diagnostic names the first
-    // offender in the same order the scalar path would.
-    for (std::size_t i = 0; i < n; ++i) {
-      LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-      LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
-    }
-  }
-  LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
+  // The shared check names the first offender.
+  if (!inputs_ok) model::require_valid_round(arrival_rate, bids, executions);
   double inverse_sum = 0.0;
   double exec_weight = 0.0;
   for (std::size_t b = 0; b < nblocks; ++b) {
     inverse_sum += ws.block_partials[2 * b];
     exec_weight += ws.block_partials[2 * b + 1];
   }
-  ws.pr_closed_form = true;
-  ws.inverse_sum = inverse_sum;
 
   // Latency totals in closed form: with x_i = inv_i/S * R the sums factor,
   //   L(x, b) = sum (b_i x_i) x_i = R^2 / S              (the PR optimum L*)
   //   L(x, e) = sum (e_i x_i) x_i = (R/S)^2 * W,   W = sum (e_i inv_i) inv_i
   // so no second reduction pass over the planes is needed.  Versus the
-  // scalar left folds both totals are within the DESIGN.md §12 error bound.
+  // reference left folds both totals are within the DESIGN.md §12 error
+  // bound — unless a factor overflows where the per-agent sum does not
+  // (e.g. (R/S)^2 at huge bids), which sends the round to the reference
+  // path.
   const double share = arrival_rate / inverse_sum;
   const double actual_total = (share * share) * exec_weight;
   const double reported_total = share * arrival_rate;
+  if (!std::isfinite(actual_total) || !std::isfinite(reported_total)) {
+    return false;
+  }
 
   // ---- P2: fused allocation + rule terms + transposed AoS publish --------
-  const bool needs_loo = rule == VectorRule::kCompBonusExecution ||
-                         rule == VectorRule::kCompBonusBid ||
-                         rule == VectorRule::kVcg;
-  const bool needs_tail = rule == VectorRule::kArcherTardos;
-  if (needs_loo && obs::enabled()) {
-    obs::MechProbes& probes = obs::MechProbes::get();
-    probes.loo_batches.inc();
-    probes.loo_batch_size.record(static_cast<double>(n));
-  }
-  const double min_gap = inverse_sum * alloc::kLeaveOneOutMinRelativeGap;
   // Recycle the previous outcome's rate plane: after the first round at
   // this n, resize() is a no-op and the pass allocates nothing.
   std::vector<double> rates = std::move(out.allocation).release();
@@ -449,74 +313,48 @@ SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
   double* const x = rates.data();
   out.agents.resize(n);
   AgentOutcome* const agents = out.agents.data();
+  const RoundScalars scalars{inverse_sum,
+                             share,
+                             arrival_rate * arrival_rate,
+                             inverse_sum * alloc::kLeaveOneOutMinRelativeGap,
+                             actual_total,
+                             reported_total};
   for_blocks(nblocks, shards, pool, [&](std::size_t b) {
     const std::size_t lo = b * kShardBlock;
-    const std::size_t len = std::min(n - lo, kShardBlock);
-    unsigned char status = kGuardOk | kRatesFinite;
-    switch (rule) {
-      case VectorRule::kCompBonusExecution:
-        status = publish_comp_bonus_block<true>(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
-            agents + lo);
-        break;
-      case VectorRule::kCompBonusBid:
-        status = publish_comp_bonus_block<false>(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, min_gap, actual_total, x + lo,
-            agents + lo);
-        break;
-      case VectorRule::kVcg:
-        status = publish_vcg_block(len, inv.data() + lo, bids.data() + lo,
-                                   executions.data() + lo, inverse_sum, share,
-                                   arrival_rate, min_gap, reported_total,
-                                   x + lo, agents + lo);
-        break;
-      case VectorRule::kArcherTardos:
-        status = publish_archer_tardos_block(
-            len, inv.data() + lo, bids.data() + lo, executions.data() + lo,
-            inverse_sum, share, arrival_rate, x + lo, agents + lo);
-        break;
-      case VectorRule::kNoPayment:
-        status = publish_no_payment_block(len, inv.data() + lo,
-                                          executions.data() + lo, share,
-                                          x + lo, agents + lo);
-        break;
-      case VectorRule::kNone:
-        break;  // dispatch never sends kNone here
-    }
-    ws.block_ok[b] = status;
+    ws.block_ok[b] = publish(rule, std::min(n - lo, kShardBlock),
+                             inv.data() + lo, bids.data() + lo,
+                             executions.data() + lo, scalars, x + lo,
+                             agents + lo);
   });
-  bool rates_finite = true;
+  bool finite = true;
   bool guards_ok = true;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    rates_finite = rates_finite && (ws.block_ok[b] & kRatesFinite) != 0u;
+    finite = finite && (ws.block_ok[b] & kFinite) != 0u;
     guards_ok = guards_ok && (ws.block_ok[b] & kGuardOk) != 0u;
   }
-  if (!rates_finite) {
-    // The checked constructor raises the scalar path's diagnostic (it
-    // validates before any payment guard fires there too).
-    out.allocation = model::Allocation(std::move(rates));
-  } else {
-    out.allocation = model::Allocation::from_validated(std::move(rates));
-  }
+  // Hand the plane back either way, so a declined round's reference run
+  // recycles it too.
+  out.allocation = model::Allocation::from_validated(std::move(rates));
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;
-  if ((needs_loo || needs_tail) && !guards_ok) {
-    // Re-run the scalar guard on the same operands to raise the canonical
-    // diagnostic naming the first offending agent.
-    if (needs_loo) {
-      ws.leave_one_out.resize(n);
-      alloc::pr_leave_one_out_from_sum(inverse_sum, bids, arrival_rate,
-                                       ws.leave_one_out);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)archer_tardos_tail_integral(bids[i], inverse_sum - inv[i],
-                                          arrival_rate);
-      }
-    }
+  if (!finite) return false;
+  const bool needs_loo = rule == PaymentRule::kCompBonusExecution ||
+                         rule == PaymentRule::kCompBonusBid ||
+                         rule == PaymentRule::kVcg;
+  if (!guards_ok) {
+    // Re-run the scalar guard on the same operands (this round's S) to
+    // raise the canonical diagnostic naming the first offending agent.
+    ws.leave_one_out.resize(n);
+    alloc::pr_leave_one_out_from_sum(inverse_sum, bids, arrival_rate,
+                                     ws.leave_one_out);
+    return false;  // unreachable: the scalar guard applies the same test
   }
-  return SimdRoundStats{shards};
+  if (needs_loo && obs::enabled()) {
+    obs::MechProbes& probes = obs::MechProbes::get();
+    probes.loo_batches.inc();
+    probes.loo_batch_size.record(static_cast<double>(n));
+  }
+  return true;
 }
 
 }  // namespace lbmv::core

@@ -7,7 +7,7 @@
 /// allocator — is two data-parallel passes over contiguous agent planes:
 ///
 ///   P1  inv[i] = 1/b_i, S = sum inv, W = sum (e_i inv_i) inv_i
-///       (+ positivity validation by mask)
+///       (+ finite-and-positive input validation by mask)
 ///   P2  everything else, fused: x_i = inv[i]/S * R (the only plane
 ///       written), the rule's cost and extra terms (leave-one-out optimum /
 ///       Archer–Tardos tail) in-register, and the transposed vector publish
@@ -24,16 +24,18 @@
 /// order after each pass.  Because the block grid and every in-block
 /// reduction tree are independent of the fan-out, the outcome is
 /// bit-identical for ANY shard count and ANY thread count — the serial path
-/// is simply the same block loop run inline.
+/// is simply the same block loop run inline.  It is the only linear-PR
+/// engine in every build: LBMV_SIMD=OFF runs the same kernels on the
+/// emulated 4-lane backend, which produces the same bits as AVX2.
 ///
-/// Versus the scalar kernels, S is reassociated (tree instead of left
-/// fold), the latency totals use the factored closed forms instead of the
-/// per-agent left folds, and the rate uses one precomputed share,
-/// x = inv * (R/S), instead of the scalar (inv/S)*R — so outcomes agree to
-/// a bounded relative error of O(n·eps), the documented contract tested by
-/// tests/test_simd_kernels.cpp.  Only the per-agent leave-one-out and
-/// Archer–Tardos tail terms, which apply the scalar operand order exactly,
-/// still match the scalar kernels bit-for-bit at equal S.
+/// Versus the reference path (Mechanism::run_reference_into), S is
+/// reassociated (tree instead of left fold), the latency totals use the
+/// factored closed forms instead of the per-agent left folds, and the rate
+/// uses one precomputed share, x = inv * (R/S), instead of (inv/S)*R — so
+/// outcomes agree to a bounded relative error of O(n·eps), the documented
+/// contract tested by tests/test_simd_kernels.cpp.  The per-agent
+/// leave-one-out and Archer–Tardos tail terms apply the reference operand
+/// order exactly, so they match it bit-for-bit at equal S.
 
 #include <cstddef>
 #include <span>
@@ -42,27 +44,21 @@
 
 namespace lbmv::core {
 
-class RoundWorkspace;   // batch.h
-struct RoundOptions;    // batch.h
+class RoundWorkspace;    // batch.h
+struct RoundOptions;     // batch.h
+struct FusedRoundStats;  // batch.h
 
-/// Which round engine Mechanism::run_into dispatches to on eligible rounds
-/// (linear family, PR allocator, a vector_rule() the engine implements).
+/// Build stamp for benchmark environment records.  Only the vectorized
+/// engines remain, so this is a constant.
 enum class KernelBackend {
-  kScalar,      ///< the historical per-agent loops
-  kVectorized,  ///< the blocked SIMD engine of this header
+  kVectorized,  ///< the blocked 4-lane engines (this header, family_round.h)
 };
-
-/// Process-wide engine selector (relaxed atomic).  Defaults to kVectorized
-/// when the AVX2 backend was compiled in (LBMV_SIMD=ON) and kScalar
-/// otherwise, so an LBMV_SIMD=OFF build reproduces the historical kernels
-/// bit-for-bit by default; tests and benches flip it to compare the two
-/// engines — under OFF builds the vectorized engine runs on the emulated
-/// 4-lane backend, which produces the same bits as AVX2.
-[[nodiscard]] KernelBackend kernel_backend();
-void set_kernel_backend(KernelBackend backend);
+[[nodiscard]] constexpr KernelBackend kernel_backend() {
+  return KernelBackend::kVectorized;
+}
 
 /// Tag of the vector backend compiled into this binary ("avx2" or
-/// "scalar-4lane"), independent of the runtime selector.
+/// "scalar-4lane").
 [[nodiscard]] const char* vector_backend_name();
 
 /// Agents per shard block.  A multiple of 8 (the kernels' unrolled step, so
@@ -76,23 +72,19 @@ inline constexpr std::size_t kShardBlock = 4096;
 /// latency would exceed the O(n) math it parallelizes.
 inline constexpr std::size_t kAutoShardMinAgents = 1u << 16;
 
-/// What the engine actually did, for the caller's obs probes.
-struct SimdRoundStats {
-  std::size_t shards = 1;  ///< pool tasks the block grid was fanned into
-};
-
-/// Run one vectorized round end to end: validation, PR allocation
-/// (publishing ws.inverse_sum / ws.pr_closed_form), latency totals,
-/// payments, utilities — the full contract of Mechanism::run_into on the
-/// fused linear fast path.  \p rule must not be kNone; \p options controls
-/// the fan-out (see RoundOptions).  Throws exactly the scalar path's
-/// diagnostics on invalid input (validation is re-run scalar on mask
-/// failure).
-SimdRoundStats run_linear_pr_vectorized(VectorRule rule, double arrival_rate,
-                                        std::span<const double> bids,
-                                        std::span<const double> executions,
-                                        MechanismOutcome& out,
-                                        RoundWorkspace& ws,
-                                        const RoundOptions& options);
+/// Run one vectorized round end to end: validation, PR allocation, latency
+/// totals, payments, utilities — the full contract of Mechanism::run_into
+/// on linear-family / PR-allocator rounds — and return true.  Invalid
+/// inputs throw model::require_valid_round's diagnostic, and a failed
+/// leave-one-out cancellation guard throws pr_leave_one_out_from_sum's,
+/// naming the agent.  Returns false, leaving \p out's contents unspecified,
+/// only when a latency total or a published value would be non-finite;
+/// run_into then hands the round to the reference path, which returns its
+/// own result or raises its canonical diagnostic.  \p options controls the
+/// fan-out (see RoundOptions); \p stats receives the shard count.
+[[nodiscard]] bool run_linear_pr_vectorized(
+    PaymentRule rule, double arrival_rate, std::span<const double> bids,
+    std::span<const double> executions, MechanismOutcome& out,
+    RoundWorkspace& ws, const RoundOptions& options, FusedRoundStats& stats);
 
 }  // namespace lbmv::core

@@ -1,8 +1,6 @@
 #include "lbmv/core/vcg.h"
 
 #include "lbmv/core/batch.h"
-#include "lbmv/core/family_context.h"
-#include "lbmv/core/profile_context.h"
 
 namespace lbmv::core {
 
@@ -30,15 +28,9 @@ void VcgMechanism::fill_payments(const model::LatencyFamily& family,
   ws.own_cost.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double xj = rates[j];
-    if (xj == 0.0) {
-      ws.own_cost[j] = 0.0;
-    } else if (ws.linear_fast) {
-      ws.own_cost[j] = bids[j] * xj * xj;
-    } else {
-      ws.own_cost[j] = ws.bid_fns[j]->cost(xj);
-    }
+    ws.own_cost[j] = xj == 0.0 ? 0.0 : ws.bid_fns[j]->cost(xj);
   }
-  leave_one_out_into_ws(family, arrival_rate, bids, ws);
+  allocator().leave_one_out_into(family, bids, arrival_rate, ws.leave_one_out);
 
   for (std::size_t i = 0; i < n; ++i) {
     auto& agent = outcomes[i];
@@ -51,18 +43,6 @@ void VcgMechanism::fill_payments(const model::LatencyFamily& family,
     agent.bonus = ws.leave_one_out[i] - reported_latency;
     agent.payment = ws.leave_one_out[i] - others_cost;
   }
-}
-
-std::unique_ptr<ProfileUtilityContext> VcgMechanism::make_profile_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base) const {
-  if (auto ctx = make_linear_pr_profile_context(LinearPrRule::kVcg, family,
-                                                allocator(), arrival_rate,
-                                                base)) {
-    return ctx;
-  }
-  return make_family_profile_context(LinearPrRule::kVcg, family, allocator(),
-                                     arrival_rate, base);
 }
 
 }  // namespace lbmv::core

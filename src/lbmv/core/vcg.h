@@ -29,15 +29,9 @@ class VcgMechanism final : public Mechanism {
 
   [[nodiscard]] std::string name() const override { return "vcg"; }
   [[nodiscard]] bool uses_verification() const override { return false; }
-  [[nodiscard]] VectorRule vector_rule() const override {
-    return VectorRule::kVcg;
+  [[nodiscard]] PaymentRule payment_rule() const override {
+    return PaymentRule::kVcg;
   }
-
-  /// O(1)-per-deviation profile context for the linear-family / PR-allocator
-  /// configuration; nullptr for other pairings.
-  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
-      const model::LatencyFamily& family, double arrival_rate,
-      const model::BidProfile& base) const override;
 
  protected:
   void fill_payments(const model::LatencyFamily& family, double arrival_rate,

@@ -1,8 +1,49 @@
 #include "lbmv/model/bids.h"
 
+#include <limits>
+#include <string>
+
 #include "lbmv/util/error.h"
 
 namespace lbmv::model {
+
+namespace {
+
+[[noreturn]] void throw_invalid_value(const char* what, std::size_t agent) {
+  throw util::PreconditionError(std::string(what) +
+                                " must be positive and finite (agent " +
+                                std::to_string(agent) + ")");
+}
+
+}  // namespace
+
+void require_valid_values(std::span<const double> bids,
+                          std::span<const double> executions) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // One branch-free pass (it vectorizes) decides; only a failing profile
+  // pays for the second pass that names the culprit.  NaN fails every
+  // ordered compare.
+  bool ok = true;
+  for (std::size_t i = 0; i < bids.size(); ++i) {
+    ok &= (bids[i] > 0.0) & (bids[i] < kInf) & (executions[i] > 0.0) &
+          (executions[i] < kInf);
+  }
+  if (ok) return;
+  for (std::size_t i = 0; i < bids.size(); ++i) {
+    if (!(bids[i] > 0.0 && bids[i] < kInf)) throw_invalid_value("bids", i);
+    if (!(executions[i] > 0.0 && executions[i] < kInf)) {
+      throw_invalid_value("execution values", i);
+    }
+  }
+}
+
+void require_valid_round(double arrival_rate, std::span<const double> bids,
+                         std::span<const double> executions) {
+  require_valid_values(bids, executions);
+  LBMV_REQUIRE(arrival_rate > 0.0 &&
+                   arrival_rate < std::numeric_limits<double>::infinity(),
+               "arrival rate must be positive and finite");
+}
 
 BidProfile BidProfile::truthful(const SystemConfig& config) {
   BidProfile profile;
@@ -45,10 +86,7 @@ void BidProfile::copy_without_into(std::size_t i, BidProfile& scratch) const {
 void BidProfile::validate(std::size_t n) const {
   LBMV_REQUIRE(bids.size() == n, "bid vector size mismatch");
   LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(bids[i] > 0.0, "bids must be positive");
-    LBMV_REQUIRE(executions[i] > 0.0, "execution values must be positive");
-  }
+  require_valid_values(bids, executions);
 }
 
 bool BidProfile::executions_respect_capacity(const SystemConfig& config,

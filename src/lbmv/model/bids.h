@@ -43,7 +43,7 @@ struct BidProfile {
   /// carried across a leave-one-out loop allocates at most once.
   void copy_without_into(std::size_t i, BidProfile& scratch) const;
 
-  /// Throw unless sizes match \p n and all values are positive.
+  /// Throw unless sizes match \p n and require_valid_values holds.
   void validate(std::size_t n) const;
 
   /// Whether every agent executes at least as fast as it could pretend:
@@ -52,5 +52,17 @@ struct BidProfile {
   [[nodiscard]] bool executions_respect_capacity(
       const SystemConfig& config, double tol = 1e-12) const;
 };
+
+/// The one value check every mechanism round and profile context applies:
+/// each bid and execution value must be finite and > 0.  Throws a
+/// PreconditionError naming the first offending agent (bid before
+/// execution per agent, agents in index order).  \p executions must be at
+/// least as long as \p bids.
+void require_valid_values(std::span<const double> bids,
+                          std::span<const double> executions);
+
+/// require_valid_values, then the arrival rate: finite and > 0.
+void require_valid_round(double arrival_rate, std::span<const double> bids,
+                         std::span<const double> executions);
 
 }  // namespace lbmv::model

@@ -30,7 +30,7 @@ MechProbes& MechProbes::get() {
     MechProbes p;
     p.rounds = r.counter("lbmv_mech_rounds_total");
     p.batch_runs = r.counter("lbmv_mech_batch_runs_total");
-    p.linear_fast_rounds = r.counter("lbmv_mech_linear_fast_rounds_total");
+    p.linear_pr_rounds = r.counter("lbmv_mech_linear_fast_rounds_total");
     p.allocs_avoided = r.counter("lbmv_mech_allocs_avoided_total");
     p.simd_rounds = r.counter("lbmv_mech_simd_rounds_total");
     p.sharded_rounds = r.counter("lbmv_mech_sharded_rounds_total");

@@ -95,7 +95,7 @@ struct SimProbes {
 struct MechProbes {
   Counter rounds;
   Counter batch_runs;
-  Counter linear_fast_rounds;
+  Counter linear_pr_rounds;
   Counter allocs_avoided;
   Counter simd_rounds;
   Counter sharded_rounds;

@@ -306,4 +306,33 @@ inline void store_records6(double* dst, DVec f0, DVec f1, DVec f2, DVec f3,
   return (lane(a, 0) + lane(a, 1)) + (lane(a, 2) + lane(a, 3));
 }
 
+/// Finiteness accumulator: acc + (a - a).  a - a is +0 for finite a and
+/// NaN for an infinite or NaN lane, so an accumulator started at zero()
+/// stays exactly zero — test hsum(acc) == 0.0 — iff every lane it saw was
+/// finite.  Two uops per vector, half a two-sided compare-and-mask.
+[[nodiscard]] inline DVec accumulate_finite(DVec acc, DVec a) {
+  return add(acc, sub(a, a));
+}
+
+/// Run block(i, count, lanes) over [0, n) in kLanes steps, where
+/// lanes(plane, pad) loads plane[i .. i + kLanes).  The last partial step
+/// (count < kLanes real lanes) loads copies padded with \p pad instead, so
+/// one vector body serves every lane tail; callers choose pads that keep
+/// the padded lanes' arithmetic finite and store only the first count.
+template <class Block>
+void for_each_block(std::size_t n, Block block) {
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    block(i, kLanes,
+          [i](const double* plane, double) { return load(plane + i); });
+  }
+  if (i == n) return;
+  const std::size_t count = n - i;
+  block(i, count, [i, count](const double* plane, double pad) {
+    double lanes[kLanes] = {pad, pad, pad, pad};
+    for (std::size_t k = 0; k < count; ++k) lanes[k] = plane[i + k];
+    return load(lanes);
+  });
+}
+
 }  // namespace lbmv::util::simd

@@ -403,7 +403,7 @@ TEST(AuditSharedContext, ContextConstructorErrorSurfacesUnchanged) {
   const TruthfulnessAuditor auditor(mechanism);
   const std::string direct = precondition_what([&] {
     (void)lbmv::core::Mm1PrProfileContext(
-        lbmv::core::LinearPrRule::kCompBonusExecution, 5.0,
+        lbmv::core::PaymentRule::kCompBonusExecution, 5.0,
         BidProfile::truthful(config));
   });
   EXPECT_NE(direct.find("without computer 0"), std::string::npos) << direct;

@@ -20,7 +20,6 @@
 #include "lbmv/alloc/convex_allocator.h"
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/batch.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/no_payment.h"
 #include "lbmv/core/vcg.h"
@@ -293,13 +292,11 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
   // resizing to exactly n every round: after a round at n = 64, rounds at
   // n = 32 must leave the 64-slot planes intact, and returning to n = 64
   // must cost exactly a steady-state round — no arena churn on either
-  // transition.  Forced onto the generic path (kScalar backend) so the
-  // arena is actually exercised.
+  // transition.  Run through the reference path so the arena is actually
+  // exercised.
   auto family = std::make_shared<lbmv::model::MM1Family>();
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
-  const auto backend = lbmv::core::kernel_backend();
-  lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
 
   const std::size_t big = 64;
   const std::size_t small = 32;
@@ -319,8 +316,8 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
   const auto count_round = [&](std::size_t n) {
     g_alloc_count.store(0);
     g_counting.store(true);
-    mechanism.run_into(*family, rate, std::span(bids).first(n),
-                       std::span(execs).first(n), out, ws);
+    mechanism.run_reference_into(*family, rate, std::span(bids).first(n),
+                                 std::span(execs).first(n), out, ws);
     g_counting.store(false);
     return g_alloc_count.load();
   };
@@ -340,7 +337,6 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
 
   EXPECT_EQ(count_round(big), steady_big)
       << "growing back to the high-water size re-ran the arena setup";
-  lbmv::core::set_kernel_backend(backend);
 }
 
 TEST(ZeroAllocation, WarmSerialRunBatchNeverTouchesTheHeap) {

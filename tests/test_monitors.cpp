@@ -224,7 +224,7 @@ TEST(ContextDrift, PeriodicRebuildFeedsDriftMonitor) {
 
   const lbmv::model::SystemConfig config({1.0, 2.0, 5.0}, 10.0);
   lbmv::core::LinearPrProfileContext context(
-      lbmv::core::LinearPrRule::kCompBonusExecution, config.arrival_rate(),
+      lbmv::core::PaymentRule::kCompBonusExecution, config.arrival_rate(),
       lbmv::model::BidProfile::truthful(config));
   // Drive past the rebuild period (max(64, n) commits) a few times over.
   for (int i = 0; i < 300; ++i) {

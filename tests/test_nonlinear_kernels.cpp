@@ -6,10 +6,13 @@
 //     R >= sum mu, the near-saturation cancellation guard, leave-one-out
 //     subsystems that cannot absorb the load (naming the offending agent),
 //     and execution-side overload x_i >= mu~_i — identically on the fused
-//     (kVectorized) and generic (kScalar) paths.
+//     engines (run_into) and the reference path (run_reference_into).
+//   * Invalid inputs (non-positive, NaN or infinite bids, executions or
+//     arrival rate) throw the shared input check's error naming the agent;
+//     finite inputs never publish a non-finite outcome.
 //   * The workload-family Newton solve agrees with a long-double bisection
 //     oracle on the KKT multiplier to 1e-9 relative.
-//   * Fused rounds agree with the generic virtual-dispatch path to 1e-9
+//   * Fused rounds agree with the reference virtual-dispatch path to 1e-9
 //     relative across both families, every payment rule, and lane-tail
 //     sizes.
 //   * The M/M/1 context's deviation query agrees with a from-scratch
@@ -29,6 +32,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -41,9 +45,9 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/delta_engine.h"
 #include "lbmv/core/family_context.h"
+#include "lbmv/core/family_round.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
@@ -60,7 +64,6 @@ namespace {
 
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
-using lbmv::core::KernelBackend;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
@@ -74,15 +77,21 @@ using lbmv::strategy::DeviationEvaluator;
 using lbmv::strategy::GridEvaluator;
 using lbmv::util::PreconditionError;
 
-/// Backend save/restore so every test leaves the process default intact.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(lbmv::core::kernel_backend()) {}
-  ~BackendGuard() { lbmv::core::set_kernel_backend(saved_); }
+/// Both round entry points every boundary must hold on.
+enum class Path { kReference, kDispatched };
 
- private:
-  KernelBackend saved_;
-};
+/// One round through \p path: the reference path, or run_into (the fused
+/// engine on exact-allocator rounds).
+void run_path(Path path, const Mechanism& mechanism,
+              const lbmv::model::LatencyFamily& family, double rate,
+              std::span<const double> bids, std::span<const double> execs,
+              MechanismOutcome& out, RoundWorkspace& ws) {
+  if (path == Path::kReference) {
+    mechanism.run_reference_into(family, rate, bids, execs, out, ws);
+  } else {
+    mechanism.run_into(family, rate, bids, execs, out, ws);
+  }
+}
 
 /// Mean service times with mu = 1/theta in [1, 2]: at arrival rates up to
 /// roughly half the total capacity every computer stays active in the full
@@ -141,22 +150,19 @@ double outcome_rel_err(const MechanismOutcome& a, const MechanismOutcome& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity boundaries: typed PreconditionErrors on both backends.
+// Capacity boundaries: typed PreconditionErrors on both paths.
 
-TEST(Mm1Boundary, InfeasibleArrivalRateThrowsTypedOnBothBackends) {
+TEST(Mm1Boundary, InfeasibleArrivalRateThrowsTypedOnBothPaths) {
   const MM1Family family;
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
   const std::vector<double> thetas{0.5, 0.5, 1.0};  // sum mu = 5
   RoundWorkspace ws;
   MechanismOutcome out;
-  BackendGuard guard;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
+  for (Path path : {Path::kReference, Path::kDispatched}) {
     for (double rate : {5.0, 7.5}) {  // R == sum mu and R > sum mu
       EXPECT_THROW(
-          mechanism.run_into(family, rate, thetas, thetas, out, ws),
+          run_path(path, mechanism, family, rate, thetas, thetas, out, ws),
           PreconditionError)
           << "rate " << rate;
     }
@@ -195,12 +201,12 @@ TEST(Mm1Boundary, LeaveOneOutOverloadNamesTheOffendingAgent) {
   }
 }
 
-TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothBackends) {
+TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothPaths) {
   // Underbid-and-slack: computer 0 bids fast (mu = 10) but executes slow
   // (mu~ = 1).  Its assignment x_0 approaches the bid capacity from below —
   // far beyond the *actual* capacity, x_0 >= mu~_0 — so the actual-latency
-  // pass must throw the typed domain error on both backends (the fused
-  // engine declines such rounds; the generic path owns the diagnostic).
+  // pass must throw the typed domain error on both paths (the fused
+  // engine declines such rounds; the reference path owns the diagnostic).
   const MM1Family family;
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
@@ -208,12 +214,9 @@ TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothBackends) {
   const std::vector<double> execs{1.0, 0.5, 0.5};
   RoundWorkspace ws;
   MechanismOutcome out;
-  BackendGuard guard;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
+  for (Path path : {Path::kReference, Path::kDispatched}) {
     try {
-      mechanism.run_into(family, 10.0, bids, execs, out, ws);
+      run_path(path, mechanism, family, 10.0, bids, execs, out, ws);
       FAIL() << "overloaded execution did not throw";
     } catch (const PreconditionError& e) {
       EXPECT_NE(std::string(e.what()).find("0 <= x < mu"), std::string::npos)
@@ -238,13 +241,13 @@ void expect_domain_error_names(Fn fn, std::size_t agent) {
 }
 
 TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
-  using lbmv::core::LinearPrRule;
+  using lbmv::core::PaymentRule;
   using lbmv::core::Mm1PrProfileContext;
   // Committed profile: computer 2 bids mu = 10 but executes at mu~ = 1 and
   // is assigned x_2 ~ 7.9 > 1 (the context's rebuild).
   expect_domain_error_names(
       [] {
-        Mm1PrProfileContext(LinearPrRule::kCompBonusExecution, 10.0,
+        Mm1PrProfileContext(PaymentRule::kCompBonusExecution, 10.0,
                             BidProfile{{0.5, 0.5, 0.1}, {0.5, 0.5, 1.0}});
       },
       2);
@@ -252,7 +255,7 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
   // speed-up keeps everyone active (utility()'s closed-form branch), a
   // large one drops the rest out (the sorted-prefix branch).
   const Mm1PrProfileContext context(
-      LinearPrRule::kCompBonusExecution, 2.0,
+      PaymentRule::kCompBonusExecution, 2.0,
       BidProfile{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}});
   expect_domain_error_names([&] { (void)context.utility(1, 0.3, 1.0); }, 1);
   expect_domain_error_names([&] { (void)context.utility(1, 0.1, 1.0); }, 1);
@@ -272,14 +275,14 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
 // ---------------------------------------------------------------------------
 // The M/M/1 context's idle-aware deviation query.
 
-using lbmv::core::LinearPrRule;
+using lbmv::core::PaymentRule;
 using lbmv::core::Mm1PrProfileContext;
 
 /// The deviated round re-solved from scratch: \p agent's utility when it
 /// bids \p bid and executes at \p execution against \p base, with
 /// L_{-agent} from the rest set's own solve.  Raises the allocator's and
 /// the domain check's typed errors like the context's full re-solve.
-double mm1_resolve_utility(LinearPrRule rule, double rate,
+double mm1_resolve_utility(PaymentRule rule, double rate,
                            const BidProfile& base, std::size_t agent,
                            double bid, double execution) {
   const std::size_t n = base.size();
@@ -302,19 +305,19 @@ double mm1_resolve_utility(LinearPrRule rule, double rate,
     actual += x[j] / de;
     if (j == agent) cost_e = x[j] / de;
   }
-  const double loo = rule == LinearPrRule::kNoPayment
+  const double loo = rule == PaymentRule::kNoPayment
                          ? 0.0
                          : lbmv::alloc::mm1_optimal_latency(rest, rate);
   const double comp = x[agent] / (mus[agent] - x[agent]);
   switch (rule) {
-    case LinearPrRule::kCompBonusExecution:
+    case PaymentRule::kCompBonusExecution:
       return loo - actual;
-    case LinearPrRule::kCompBonusBid:
+    case PaymentRule::kCompBonusBid:
       return comp + (loo - actual) - cost_e;
-    case LinearPrRule::kVcg:
+    case PaymentRule::kVcg:
       return (loo - (solve.optimal_latency - comp)) - cost_e;
-    case LinearPrRule::kNoPayment:
-    case LinearPrRule::kArcherTardos:
+    case PaymentRule::kNoPayment:
+    case PaymentRule::kArcherTardos:
       break;
   }
   return -cost_e;
@@ -388,9 +391,9 @@ std::vector<IdleProfile> idle_profiles() {
 TEST(Mm1IdleQuery, MatchesResolveAndMechanismRunAcrossIdleShares) {
   const MM1Family family;
   const auto allocator = std::make_shared<const lbmv::alloc::MM1Allocator>();
-  const LinearPrRule rules[] = {
-      LinearPrRule::kCompBonusExecution, LinearPrRule::kCompBonusBid,
-      LinearPrRule::kVcg, LinearPrRule::kNoPayment};
+  const PaymentRule rules[] = {
+      PaymentRule::kCompBonusExecution, PaymentRule::kCompBonusBid,
+      PaymentRule::kVcg, PaymentRule::kNoPayment};
   const auto mechanisms = family_mechanisms(allocator);
   RoundWorkspace ws;
   MechanismOutcome out;
@@ -482,8 +485,8 @@ TEST(Mm1IdleQuery, ResolveGatesKeepTheirExactMessages) {
   BidProfile inconsistent{thetas, thetas};
   inconsistent.executions[3] = 0.55;
   const double rate = rate_for_active(thetas, 3);
-  for (LinearPrRule rule :
-       {LinearPrRule::kCompBonusExecution, LinearPrRule::kVcg}) {
+  for (PaymentRule rule :
+       {PaymentRule::kCompBonusExecution, PaymentRule::kVcg}) {
     const Mm1PrProfileContext ctx(rule, rate, inconsistent);
     for (std::size_t i : {0u, 1u, 4u}) {
       for (double m : {0.3, 1.0, 3.0}) {
@@ -508,13 +511,13 @@ TEST(Mm1IdleQuery, ResolveGatesKeepTheirExactMessages) {
 
   // Execution overload on the sorted-prefix path (consistent rest, idle
   // servers): the deviator names itself, with the re-solve's message.
-  const Mm1PrProfileContext idle(LinearPrRule::kCompBonusExecution, rate,
+  const Mm1PrProfileContext idle(PaymentRule::kCompBonusExecution, rate,
                                  BidProfile{thetas, thetas});
   const std::string overload = precondition_what(
       [&] { (void)idle.utility(2, 0.05, 1.0); });
   EXPECT_NE(overload.find("computer 2 "), std::string::npos) << overload;
   EXPECT_EQ(overload, precondition_what([&] {
-              (void)mm1_resolve_utility(LinearPrRule::kCompBonusExecution,
+              (void)mm1_resolve_utility(PaymentRule::kCompBonusExecution,
                                         rate, BidProfile{thetas, thetas}, 2,
                                         0.05, 1.0);
             }));
@@ -523,7 +526,7 @@ TEST(Mm1IdleQuery, ResolveGatesKeepTheirExactMessages) {
   // no-payment, so the rest set alone may be short of R): the deviated
   // profile's own solve owns the message.
   const std::vector<double> strong{0.1, 1.0, 1.0};  // mu = 10, 1, 1
-  const Mm1PrProfileContext no_pay(LinearPrRule::kNoPayment, 5.0,
+  const Mm1PrProfileContext no_pay(PaymentRule::kNoPayment, 5.0,
                                    BidProfile{strong, strong});
   for (double mu_dev : {2.0, 3.0 * (1.0 + 1e-12)}) {
     std::vector<double> mus{mu_dev, 1.0, 1.0};
@@ -575,51 +578,127 @@ TEST(WorkloadNewton, MatchesLongDoubleBisectionOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused vs generic differential across rules, families, and lane tails.
+// Fused vs reference differential across rules, families, and lane tails.
 
-TEST(FusedDifferential, Mm1FusedRoundsMatchGenericPath) {
+TEST(FusedDifferential, Mm1FusedRoundsMatchReferencePath) {
   const MM1Family family;
   const auto allocator = std::make_shared<const lbmv::alloc::MM1Allocator>();
   RoundWorkspace ws;
   MechanismOutcome fused;
   MechanismOutcome generic;
-  BackendGuard guard;
   for (std::size_t n : {2u, 5u, 64u, 257u}) {  // covers every lane tail
     const auto thetas = narrow_types(n, 17 * n + 1);
     auto execs = thetas;
     for (double& e : execs) e *= 1.05;
     const double rate = feasible_rate(thetas);
     for (const auto& mechanism : family_mechanisms(allocator)) {
-      lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-      mechanism->run_into(family, rate, thetas, execs, generic, ws);
-      lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-      mechanism->run_into(family, rate, thetas, execs, fused, ws);
+      mechanism->run_reference_into(family, rate, thetas, execs, generic,
+                                    ws);
+      // The engine itself, which must serve the round: through run_into a
+      // decline would compare the reference path against itself.
+      EXPECT_TRUE(lbmv::core::run_mm1_vectorized(
+          mechanism->payment_rule(), rate, thetas, execs, fused, ws))
+          << mechanism->name() << " n=" << n << " declined";
       EXPECT_LE(outcome_rel_err(fused, generic), 1e-9)
           << mechanism->name() << " n=" << n;
     }
   }
 }
 
-TEST(FusedDifferential, WorkloadFusedRoundsMatchGenericPath) {
+TEST(FusedDifferential, WorkloadFusedRoundsMatchReferencePath) {
   const WorkloadFamily family(0.5);
   const auto allocator =
       std::make_shared<const lbmv::alloc::WorkloadAllocator>();
   RoundWorkspace ws;
   MechanismOutcome fused;
   MechanismOutcome generic;
-  BackendGuard guard;
   for (std::size_t n : {2u, 5u, 64u, 257u}) {
     const auto thetas = narrow_types(n, 23 * n + 5);
     auto execs = thetas;
     for (double& e : execs) e *= 1.4;
     const double rate = static_cast<double>(n);
     for (const auto& mechanism : family_mechanisms(allocator)) {
-      lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-      mechanism->run_into(family, rate, thetas, execs, generic, ws);
-      lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-      mechanism->run_into(family, rate, thetas, execs, fused, ws);
+      mechanism->run_reference_into(family, rate, thetas, execs, generic,
+                                    ws);
+      lbmv::core::FusedRoundStats stats;
+      EXPECT_TRUE(lbmv::core::run_workload_vectorized(
+          family, mechanism->payment_rule(), rate, thetas, execs, fused, ws,
+          stats))
+          << mechanism->name() << " n=" << n << " declined";
       EXPECT_LE(outcome_rel_err(fused, generic), 1e-9)
           << mechanism->name() << " n=" << n;
+    }
+  }
+}
+
+TEST(FusedDifferential, InvalidInputsThrowScalarDiagnostics) {
+  // The nonlinear rows of SimdKernels.InvalidInputsThrowScalarDiagnostics:
+  // one shared input check names the agent on both paths, and finite
+  // inputs never publish a non-finite outcome.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const MM1Family mm1;
+  const WorkloadFamily workload(0.5);
+  const struct {
+    const lbmv::model::LatencyFamily* family;
+    std::shared_ptr<const lbmv::alloc::Allocator> allocator;
+    double rate;
+  } cases[] = {
+      {&mm1, std::make_shared<const lbmv::alloc::MM1Allocator>(), 0.0},
+      {&workload, std::make_shared<const lbmv::alloc::WorkloadAllocator>(),
+       9.0},
+  };
+  const auto thetas = narrow_types(9, 41);
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  for (const auto& c : cases) {
+    const double rate = c.rate > 0.0 ? c.rate : feasible_rate(thetas);
+    for (const auto& mechanism : family_mechanisms(c.allocator)) {
+      const auto expect_throw = [&](double r, std::vector<double> bids,
+                                    std::vector<double> execs,
+                                    const std::string& needle) {
+        for (Path path : {Path::kReference, Path::kDispatched}) {
+          try {
+            run_path(path, *mechanism, *c.family, r, bids, execs, out, ws);
+            ADD_FAILURE() << mechanism->name() << ": expected " << needle;
+          } catch (const PreconditionError& e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                << mechanism->name() << ": " << e.what();
+          }
+        }
+      };
+      auto bad = thetas;
+      bad[4] = -1.0;
+      expect_throw(rate, bad, thetas,
+                   "bids must be positive and finite (agent 4)");
+      expect_throw(rate, thetas, bad,
+                   "execution values must be positive and finite (agent 4)");
+      bad[4] = kInf;
+      expect_throw(rate, bad, thetas, "(agent 4)");
+      bad = thetas;
+      bad[8] = kInf;  // the lane past the last full vector
+      expect_throw(rate, thetas, bad, "(agent 8)");
+      bad[8] = std::numeric_limits<double>::quiet_NaN();
+      expect_throw(rate, thetas, bad, "(agent 8)");
+      expect_throw(kInf, thetas, thetas,
+                   "arrival rate must be positive and finite");
+    }
+  }
+  // A finite but astronomically large arrival rate overflows the workload
+  // rates: the reference path rejects the allocation, and the fused engine
+  // must decline to it rather than publish non-finite payments.
+  const auto allocator =
+      std::make_shared<const lbmv::alloc::WorkloadAllocator>();
+  for (const auto& mechanism : family_mechanisms(allocator)) {
+    lbmv::core::FusedRoundStats stats;
+    EXPECT_FALSE(lbmv::core::run_workload_vectorized(
+        workload, mechanism->payment_rule(), 1e300, thetas, thetas, out, ws,
+        stats))
+        << mechanism->name();
+    for (Path path : {Path::kReference, Path::kDispatched}) {
+      EXPECT_THROW(
+          run_path(path, *mechanism, workload, 1e300, thetas, thetas, out, ws),
+          PreconditionError)
+          << mechanism->name();
     }
   }
 }

@@ -12,7 +12,7 @@
 //     on types in [1, 10] every agent certifies, and small n exercises the
 //     exact fallback.
 //   * Fused M/M/1 rounds on idle-server profiles engage and agree with the
-//     generic path to 1e-9 under every vector rule.
+//     reference path to 1e-9 under every payment rule.
 //
 // The whole file runs under the ASan/UBSan and LBMV_SIMD=OFF CI legs.
 
@@ -33,7 +33,6 @@
 #include "lbmv/core/family_round.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
@@ -187,23 +186,25 @@ TEST(Mm1LeaveOneOut, SaturatedRestSetNamesTheFirstOffendingComputer) {
   } catch (const PreconditionError& e) {
     expect_names_1(e);
   }
-  // The same message through a whole round on both backends.
+  // The same message through a whole round on the fused engine and the
+  // reference path.
   const lbmv::core::CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome outcome;
-  const auto saved = lbmv::core::kernel_backend();
-  for (auto backend : {lbmv::core::KernelBackend::kScalar,
-                       lbmv::core::KernelBackend::kVectorized}) {
-    lbmv::core::set_kernel_backend(backend);
+  for (bool reference : {true, false}) {
     try {
-      mechanism.run_into(family, rate, thetas, thetas, outcome, ws);
+      if (reference) {
+        mechanism.run_reference_into(family, rate, thetas, thetas, outcome,
+                                     ws);
+      } else {
+        mechanism.run_into(family, rate, thetas, thetas, outcome, ws);
+      }
       FAIL() << "saturated rest set did not throw";
     } catch (const PreconditionError& e) {
       expect_names_1(e);
     }
   }
-  lbmv::core::set_kernel_backend(saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,7 +317,6 @@ TEST(FusedIdleServers, Mm1FusedRoundsEngageAndMatchGenericPath) {
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome fused;
   lbmv::core::MechanismOutcome generic;
-  const auto saved = lbmv::core::kernel_backend();
   for (std::size_t n : {2u, 5u, 64u, 257u}) {  // every lane tail
     for (double load : {0.05, 0.3}) {
       // Mean service times over a decade: at these loads the slow end of
@@ -336,9 +336,9 @@ TEST(FusedIdleServers, Mm1FusedRoundsEngageAndMatchGenericPath) {
       }
 
       for (const auto& mechanism : mechanisms) {
-        const lbmv::core::VectorRule rule = mechanism->vector_rule();
-        lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
-        mechanism->run_into(family, rate, thetas, execs, generic, ws);
+        const lbmv::core::PaymentRule rule = mechanism->payment_rule();
+        mechanism->run_reference_into(family, rate, thetas, execs, generic,
+                                      ws);
         EXPECT_TRUE(lbmv::core::run_mm1_vectorized(rule, rate, thetas, execs,
                                                    fused, ws))
             << mechanism->name() << " n=" << n << " declined";
@@ -362,7 +362,6 @@ TEST(FusedIdleServers, Mm1FusedRoundsEngageAndMatchGenericPath) {
       }
     }
   }
-  lbmv::core::set_kernel_backend(saved);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Differential tests for the vectorized round engine and its block kernels.
 //
 // The contract under test (DESIGN.md §12): on the linear-family /
-// PR-allocator configuration the vectorized engine agrees with the scalar
-// kernels to a bounded relative error of 1e-9 on every published value —
-// the engine reassociates S, computes both latency totals in closed form
-// and multiplies rates by one precomputed share, each an O(n·eps)
-// perturbation — while the per-agent leave-one-out and Archer–Tardos tail
-// kernels, which apply the scalar operand order exactly, match the scalar
-// loops bit-for-bit at equal S.  The block grid and every reduction tree
-// are fixed, so outcomes are bit-identical across shard and thread counts,
-// and invalid inputs throw the scalar path's diagnostics.
+// PR-allocator configuration the vectorized engine (Mechanism::run_into)
+// agrees with the reference path (Mechanism::run_reference_into) to a
+// bounded relative error of 1e-9 on every published value — the engine
+// reassociates S, computes both latency totals in closed form and
+// multiplies rates by one precomputed share, each an O(n·eps) perturbation
+// — while the per-agent leave-one-out and Archer–Tardos tail kernels, which
+// apply the reference operand order exactly, match it bit-for-bit at equal
+// S.  The block grid and every reduction tree are fixed, so outcomes are
+// bit-identical across shard and thread counts; invalid inputs throw the
+// shared input check's diagnostics, and finite inputs never publish a
+// non-finite outcome.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "lbmv/alloc/pr_allocator.h"
@@ -40,29 +43,16 @@ namespace {
 using lbmv::core::ArcherTardosMechanism;
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
-using lbmv::core::KernelBackend;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
 using lbmv::core::RoundOptions;
 using lbmv::core::RoundWorkspace;
 using lbmv::core::VcgMechanism;
-using lbmv::core::VectorRule;
 
 /// The engine's documented cross-engine bound (DESIGN.md §12).  The
 /// measured deviation is ~1e-13 at n = 10^6; 1e-9 is the contract.
 constexpr double kUlpBound = 1e-9;
-
-/// Restore the process-wide backend selector on scope exit so test order
-/// never leaks a selector change.
-class BackendGuard {
- public:
-  BackendGuard() : entry_(lbmv::core::kernel_backend()) {}
-  ~BackendGuard() { lbmv::core::set_kernel_backend(entry_); }
-
- private:
-  KernelBackend entry_;
-};
 
 struct Profile {
   std::vector<double> bids;
@@ -84,12 +74,23 @@ Profile random_profile(std::size_t n, std::uint64_t seed, double lo = 0.2,
   return p;
 }
 
-void run_with(const Mechanism& m, KernelBackend backend, double rate,
-              const Profile& p, MechanismOutcome& out, RoundWorkspace& ws,
-              const RoundOptions& options = {}) {
+/// One round through the vectorized engine itself, which must serve it: a
+/// decline would hand run_into's round to the reference path and compare
+/// the oracle against itself.
+void run_fused(const Mechanism& m, double rate, const Profile& p,
+               MechanismOutcome& out, RoundWorkspace& ws,
+               const RoundOptions& options = {}) {
+  lbmv::core::FusedRoundStats stats;
+  EXPECT_TRUE(lbmv::core::run_linear_pr_vectorized(
+      m.payment_rule(), rate, p.bids, p.executions, out, ws, options, stats))
+      << m.name() << " n=" << p.bids.size() << ": the engine declined";
+}
+
+/// The same round through the reference path, the oracle.
+void run_reference(const Mechanism& m, double rate, const Profile& p,
+                   MechanismOutcome& out, RoundWorkspace& ws) {
   const lbmv::model::LinearFamily family;
-  lbmv::core::set_kernel_backend(backend);
-  m.run_into(family, rate, p.bids, p.executions, out, ws, options);
+  m.run_reference_into(family, rate, p.bids, p.executions, out, ws);
 }
 
 double rel_err(double a, double b, double floor = 1e-300) {
@@ -142,46 +143,44 @@ std::vector<std::unique_ptr<Mechanism>> all_vector_mechanisms() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: vectorized vs scalar engine, every mechanism, both bases.
+// Differential: vectorized engine vs reference path, every mechanism, both
+// bases.
 
-TEST(SimdKernels, MatchesScalarAcrossMechanismsAndSizes) {
-  BackendGuard guard;
+TEST(SimdKernels, MatchesReferenceAcrossMechanismsAndSizes) {
   // Sizes cover: below one vector, exact vector multiples, every tail
   // residue mod 4 (the lane count), and spans into multiple 8-agent steps.
   const std::size_t sizes[] = {2, 3, 4, 5, 7, 8, 9, 64, 100, 257, 1023,
                                1024, 1025};
   const auto mechanisms = all_vector_mechanisms();
   for (const auto& m : mechanisms) {
-    ASSERT_NE(m->vector_rule(), VectorRule::kNone) << m->name();
     for (const std::size_t n : sizes) {
       const Profile p = random_profile(n, 1000 + n);
-      MechanismOutcome scalar_out, simd_out;
-      RoundWorkspace scalar_ws, simd_ws;
-      run_with(*m, KernelBackend::kScalar, 9.0, p, scalar_out, scalar_ws);
-      run_with(*m, KernelBackend::kVectorized, 9.0, p, simd_out, simd_ws);
-      EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out), kUlpBound)
+      MechanismOutcome reference_out, simd_out;
+      RoundWorkspace reference_ws, simd_ws;
+      run_reference(*m, 9.0, p, reference_out, reference_ws);
+      run_fused(*m, 9.0, p, simd_out, simd_ws);
+      EXPECT_LE(max_outcome_rel_err(reference_out, simd_out), kUlpBound)
           << m->name() << " n=" << n;
     }
   }
 }
 
-TEST(SimdKernels, MatchesScalarOnBoundaryBids) {
-  BackendGuard guard;
+TEST(SimdKernels, MatchesReferenceOnBoundaryBids) {
   // Extreme dynamic range: 1e-8 .. 1e8 bids stress S against individual
   // 1/b_i and push the leave-one-out denominators toward the guard.
   const auto mechanisms = all_vector_mechanisms();
   for (const auto& m : mechanisms) {
     const Profile p = random_profile(301, 77, 1e-8, 1e8);
-    MechanismOutcome scalar_out, simd_out;
-    RoundWorkspace scalar_ws, simd_ws;
-    run_with(*m, KernelBackend::kScalar, 3.5, p, scalar_out, scalar_ws);
-    run_with(*m, KernelBackend::kVectorized, 3.5, p, simd_out, simd_ws);
+    MechanismOutcome reference_out, simd_out;
+    RoundWorkspace reference_ws, simd_ws;
+    run_reference(*m, 3.5, p, reference_out, reference_ws);
+    run_fused(*m, 3.5, p, simd_out, simd_ws);
     // Measured against the round's latency scale: a 10^16 dynamic range in
     // bids makes some payments (an externality of a negligible agent)
     // cancel below their constituents, where per-field relative agreement
     // is not a property either engine has.
-    const double floor = std::abs(scalar_out.reported_latency);
-    EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out, floor), kUlpBound)
+    const double floor = std::abs(reference_out.reported_latency);
+    EXPECT_LE(max_outcome_rel_err(reference_out, simd_out, floor), kUlpBound)
         << m->name();
   }
 }
@@ -231,16 +230,25 @@ TEST(SimdKernels, ArcherTardosTailBlockBitIdenticalAtEqualSum) {
 }
 
 TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
-  Profile p = random_profile(37, 8);
+  const Profile clean = random_profile(37, 8);
   std::vector<double> inv(37);
-  auto part = lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv);
-  EXPECT_TRUE(part.bids_positive);
-  EXPECT_TRUE(part.executions_positive);
+  const auto valid = [&](const Profile& p) {
+    return lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv)
+        .inputs_valid;
+  };
+  EXPECT_TRUE(valid(clean));
+  Profile p = clean;
   p.bids[17] = 0.0;
+  EXPECT_FALSE(valid(p));
+  p = clean;
   p.executions[36] = std::numeric_limits<double>::quiet_NaN();  // tail lane
-  part = lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv);
-  EXPECT_FALSE(part.bids_positive);
-  EXPECT_FALSE(part.executions_positive);
+  EXPECT_FALSE(valid(p));
+  p = clean;
+  p.bids[9] = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(valid(p));
+  p = clean;
+  p.executions[33] = std::numeric_limits<double>::infinity();  // 4-wide step
+  EXPECT_FALSE(valid(p));
 }
 
 // ---------------------------------------------------------------------------
@@ -248,7 +256,6 @@ TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
 // outcome bit-identical for ANY shard count on ANY pool.
 
 TEST(SimdKernels, ShardCountNeverChangesBits) {
-  BackendGuard guard;
   // Spans four blocks (kShardBlock = 4096) with a ragged final block.
   const std::size_t n = 3 * lbmv::core::kShardBlock + 1234;
   const Profile p = random_profile(n, 11);
@@ -257,8 +264,7 @@ TEST(SimdKernels, ShardCountNeverChangesBits) {
   for (const auto& m : mechanisms) {
     MechanismOutcome serial_out;
     RoundWorkspace serial_ws;
-    run_with(*m, KernelBackend::kVectorized, 7.0, p, serial_out, serial_ws,
-             RoundOptions{1, nullptr});
+    run_fused(*m, 7.0, p, serial_out, serial_ws, RoundOptions{1, nullptr});
     const struct {
       std::size_t shards;
       lbmv::util::ThreadPool* pool;
@@ -266,8 +272,7 @@ TEST(SimdKernels, ShardCountNeverChangesBits) {
     for (const auto& f : fanouts) {
       MechanismOutcome out;
       RoundWorkspace ws;
-      run_with(*m, KernelBackend::kVectorized, 7.0, p, out, ws,
-               RoundOptions{f.shards, f.pool});
+      run_fused(*m, 7.0, p, out, ws, RoundOptions{f.shards, f.pool});
       ASSERT_EQ(out.agents.size(), serial_out.agents.size());
       EXPECT_EQ(0, std::memcmp(out.agents.data(), serial_out.agents.data(),
                                n * sizeof(lbmv::core::AgentOutcome)))
@@ -288,7 +293,6 @@ TEST(SimdKernels, ShardCountNeverChangesBits) {
 // (the plane-recycling and 4K-dodge offsets must never leak stale state).
 
 TEST(SimdKernels, WorkspaceReuseAcrossSizesAndRules) {
-  BackendGuard guard;
   const auto mechanisms = all_vector_mechanisms();
   MechanismOutcome simd_out;
   RoundWorkspace simd_ws;  // shared across every run below
@@ -296,50 +300,138 @@ TEST(SimdKernels, WorkspaceReuseAcrossSizesAndRules) {
   for (const std::size_t n : sizes) {
     for (const auto& m : mechanisms) {
       const Profile p = random_profile(n, 2000 + n);
-      MechanismOutcome scalar_out;
-      RoundWorkspace scalar_ws;
-      run_with(*m, KernelBackend::kScalar, 5.0, p, scalar_out, scalar_ws);
-      run_with(*m, KernelBackend::kVectorized, 5.0, p, simd_out, simd_ws);
-      EXPECT_LE(max_outcome_rel_err(scalar_out, simd_out), kUlpBound)
+      MechanismOutcome reference_out;
+      RoundWorkspace reference_ws;
+      run_reference(*m, 5.0, p, reference_out, reference_ws);
+      run_fused(*m, 5.0, p, simd_out, simd_ws);
+      EXPECT_LE(max_outcome_rel_err(reference_out, simd_out), kUlpBound)
           << m->name() << " n=" << n;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Diagnostics: the vectorized engine re-runs scalar validation on mask
-// failure, so messages match the scalar path's byte for byte.
+// Diagnostics: every engine applies the one shared input check, so a bad
+// input throws the same PreconditionError naming the agent; finite inputs
+// the closed forms cannot carry fall back to the reference path instead
+// of publishing a non-finite outcome.
 
-TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
-  BackendGuard guard;
-  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
+/// Runs \p m through run_into and expects a PreconditionError whose text
+/// contains \p needle.
+void expect_precondition(const Mechanism& m, double rate, const Profile& p,
+                         const std::string& needle) {
   const lbmv::model::LinearFamily family;
-  CompBonusMechanism m;
   MechanismOutcome out;
   RoundWorkspace ws;
-  {
-    Profile p = random_profile(100, 21);
-    p.bids[63] = -1.0;
-    EXPECT_THROW(m.run_into(family, 2.0, p.bids, p.executions, out, ws),
-                 lbmv::util::PreconditionError);
+  try {
+    m.run_into(family, rate, p.bids, p.executions, out, ws);
+    ADD_FAILURE() << m.name() << ": expected a throw naming " << needle;
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << m.name() << ": " << e.what();
   }
-  {
-    Profile p = random_profile(100, 22);
-    p.executions[99] = 0.0;  // scalar-tail lane
-    EXPECT_THROW(m.run_into(family, 2.0, p.bids, p.executions, out, ws),
-                 lbmv::util::PreconditionError);
-  }
-  {
-    // A subnormal bid overflows 1/b to infinity: the scalar path dies in
-    // the Allocation constructor, and the vectorized engine must route its
-    // masked failure through the same checked constructor.
-    Profile p = random_profile(8, 23);
-    p.bids[3] = 5e-324;
-    try {
-      m.run_into(family, 2.0, p.bids, p.executions, out, ws);
-      FAIL() << "expected non-finite rates to throw";
-    } catch (const lbmv::util::PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos);
+}
+
+TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto mechanisms = all_vector_mechanisms();
+  for (const auto& m : mechanisms) {
+    {
+      Profile p = random_profile(100, 21);
+      p.bids[63] = -1.0;
+      expect_precondition(*m, 2.0, p, "bids must be positive and finite "
+                                      "(agent 63)");
+    }
+    {
+      Profile p = random_profile(100, 22);
+      p.executions[99] = 0.0;  // scalar-tail lane
+      expect_precondition(*m, 2.0, p, "execution values must be positive "
+                                      "and finite (agent 99)");
+    }
+    {
+      // Infinite and NaN inputs fail the shared check like non-positive ones.
+      Profile p = random_profile(100, 24);
+      p.executions[5] = kInf;
+      expect_precondition(*m, 2.0, p, "(agent 5)");
+      p = random_profile(100, 25);
+      p.bids[98] = kInf;
+      expect_precondition(*m, 2.0, p, "(agent 98)");
+      p = random_profile(100, 26);
+      p.bids[40] = std::numeric_limits<double>::quiet_NaN();
+      expect_precondition(*m, 2.0, p, "(agent 40)");
+      expect_precondition(*m, kInf, random_profile(8, 27),
+                          "arrival rate must be positive and finite");
+    }
+    {
+      // A subnormal bid overflows 1/b to infinity: the engine's finiteness
+      // mask hands the round to the reference path, which dies in the
+      // checked Allocation constructor.
+      Profile p = random_profile(8, 23);
+      p.bids[3] = 5e-324;
+      expect_precondition(*m, 2.0, p, "finite");
+    }
+    {
+      // Leave-one-out and Archer–Tardos guards through run_into: agent 0 is
+      // so much faster than the rest that S - 1/b_0 cancels.  At {1e-12, 1}
+      // every value stays finite, so the vectorized engine raises the
+      // guard itself (a failed guard is not a decline); at {1e-20, 1e20}
+      // S - 1/b_0 is exactly 0, the fused result is non-finite, and the
+      // reference path raises it.
+      const Profile cancelling{{1e-12, 1.0}, {1e-12, 1.0}};
+      const Profile vanishing{{1e-20, 1e20}, {1e-20, 1e20}};
+      switch (m->payment_rule()) {
+        case lbmv::core::PaymentRule::kCompBonusExecution:
+        case lbmv::core::PaymentRule::kCompBonusBid:
+        case lbmv::core::PaymentRule::kVcg: {
+          for (const Profile* p : {&cancelling, &vanishing}) {
+            expect_precondition(*m, 2.0, *p,
+                                "leave-one-out optimum is numerically "
+                                "unresolvable");
+            expect_precondition(*m, 2.0, *p, "(agent 0 of 2)");
+          }
+          MechanismOutcome out;
+          RoundWorkspace ws;
+          lbmv::core::FusedRoundStats stats;
+          EXPECT_THROW((void)lbmv::core::run_linear_pr_vectorized(
+                           m->payment_rule(), 2.0, cancelling.bids,
+                           cancelling.executions, out, ws, RoundOptions{},
+                           stats),
+                       lbmv::util::PreconditionError)
+              << m->name();
+          break;
+        }
+        case lbmv::core::PaymentRule::kArcherTardos:
+          expect_precondition(*m, 2.0, vanishing,
+                              "the other agents must contribute positive "
+                              "capacity (agent 0)");
+          break;
+        case lbmv::core::PaymentRule::kNoPayment:
+          break;
+      }
+    }
+    {
+      // Finite inputs whose factored totals overflow: (R/S)^2 is inf at
+      // bids of 1e300 while every per-agent term is finite.  The engine
+      // declines, and run_into must return the reference path's finite
+      // outcome, not inf / -inf.
+      const Profile p{{1e300, 1e300}, {1e300, 1e300}};
+      const lbmv::model::LinearFamily family;
+      MechanismOutcome fused_out, reference_out;
+      RoundWorkspace fused_ws, reference_ws;
+      lbmv::core::FusedRoundStats stats;
+      EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
+          m->payment_rule(), 2.0, p.bids, p.executions, fused_out, fused_ws,
+          RoundOptions{}, stats))
+          << m->name();
+      m->run_into(family, 2.0, p.bids, p.executions, fused_out, fused_ws);
+      run_reference(*m, 2.0, p, reference_out, reference_ws);
+      EXPECT_TRUE(std::isfinite(fused_out.actual_latency)) << m->name();
+      for (const auto& a : fused_out.agents) {
+        EXPECT_TRUE(std::isfinite(a.payment) && std::isfinite(a.utility))
+            << m->name();
+      }
+      EXPECT_LE(max_outcome_rel_err(reference_out, fused_out), kUlpBound)
+          << m->name();
     }
   }
 }
@@ -348,19 +440,15 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
 // Backend plumbing.
 
 TEST(SimdKernels, BackendSelectorAndNameAreCoherent) {
-  BackendGuard guard;
   const char* name = lbmv::core::vector_backend_name();
   ASSERT_NE(name, nullptr);
   if (lbmv::util::simd::kAvx2) {
     EXPECT_STREQ(name, "avx2");
-    EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kVectorized);
+    EXPECT_EQ(lbmv::core::kernel_backend(),
+              lbmv::core::KernelBackend::kVectorized);
   } else {
     EXPECT_STREQ(name, "scalar-4lane");
   }
-  lbmv::core::set_kernel_backend(KernelBackend::kScalar);
-  EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kScalar);
-  lbmv::core::set_kernel_backend(KernelBackend::kVectorized);
-  EXPECT_EQ(lbmv::core::kernel_backend(), KernelBackend::kVectorized);
 }
 
 TEST(SimdKernels, MaskPrimitivesMatchOrderedCompareSemantics) {

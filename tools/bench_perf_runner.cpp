@@ -56,8 +56,8 @@
 // plus a `nonlinear_round` section for the fused nonlinear-family round
 // kernels (DESIGN.md §14): one M/M/1 round and one workload-family round
 // at n = 256 / 1024 / 10000 through the generic virtual-dispatch arena
-// (kScalar backend, the scalar oracle) and the fused engines (kVectorized)
-// on the same mechanisms in this same run, with a fused-vs-generic outcome
+// (Mechanism::run_reference_into, the oracle) and the fused engines
+// (run_into) on the same mechanisms in this same run, with a fused-vs-generic outcome
 // differential and a Newton-vs-long-double-bisection check on the workload
 // KKT multiplier, both gating the exit code at 1e-9.
 //
@@ -853,15 +853,14 @@ int main(int argc, char** argv) {
                 << "x)\n";
     }
     // Single-round series (DESIGN.md §12): ONE round at large n through the
-    // scalar kernels, the vectorized engine serial, and the vectorized
-    // engine with the agent axis auto-sharded over the global pool — all in
-    // this same process, with a differential cross-check between the two
-    // engines that shares the exit-code gate.
+    // reference path (Mechanism::run_reference_into, the generic oracle),
+    // the vectorized engine serial, and the vectorized engine with the
+    // agent axis auto-sharded over the global pool — all in this same
+    // process, with a differential cross-check between the two engines
+    // that shares the exit-code gate.
     JsonValue::Array single_series;
     double single_max_err = 0.0;
     double simd_speedup_n1024 = 0.0;
-    const lbmv::core::KernelBackend entry_backend =
-        lbmv::core::kernel_backend();
     const std::vector<std::size_t> single_sizes =
         smoke ? std::vector<std::size_t>{1024, 10'000}
               : std::vector<std::size_t>{1024, 10'000, 100'000, 1'000'000};
@@ -870,20 +869,18 @@ int main(int argc, char** argv) {
       auto execs = bids;
       for (double& e : execs) e *= 1.25;
       lbmv::core::RoundWorkspace ws;
-      lbmv::core::MechanismOutcome scalar_outcome;
+      lbmv::core::MechanismOutcome reference_outcome;
       lbmv::core::MechanismOutcome simd_outcome;
       constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
                                                       /*pool=*/nullptr};
       constexpr lbmv::core::RoundOptions auto_round{};
 
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
-      const double scalar_secs = seconds_per_call(
+      const double reference_secs = seconds_per_call(
           [&] {
-            mechanism.run_into(family, arrival_rate, bids, execs,
-                               scalar_outcome, ws, serial_round);
+            mechanism.run_reference_into(family, arrival_rate, bids, execs,
+                                         reference_outcome, ws);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double simd_secs = seconds_per_call(
           [&] {
             mechanism.run_into(family, arrival_rate, bids, execs,
@@ -891,7 +888,8 @@ int main(int argc, char** argv) {
           },
           tmin, treps);
       single_max_err = std::max(
-          single_max_err, outcome_max_rel_err(simd_outcome, scalar_outcome));
+          single_max_err,
+          outcome_max_rel_err(simd_outcome, reference_outcome));
       const double sharded_secs = seconds_per_call(
           [&] {
             mechanism.run_into(family, arrival_rate, bids, execs,
@@ -901,20 +899,19 @@ int main(int argc, char** argv) {
 
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
-      entry["scalar_serial_rounds_per_sec"] = 1.0 / scalar_secs;
+      entry["reference_serial_rounds_per_sec"] = 1.0 / reference_secs;
       entry["simd_serial_rounds_per_sec"] = 1.0 / simd_secs;
       entry["simd_sharded_rounds_per_sec"] = 1.0 / sharded_secs;
-      entry["simd_serial_speedup_vs_scalar"] = scalar_secs / simd_secs;
-      entry["sharded_speedup_vs_scalar"] = scalar_secs / sharded_secs;
+      entry["simd_serial_speedup_vs_reference"] = reference_secs / simd_secs;
+      entry["sharded_speedup_vs_reference"] = reference_secs / sharded_secs;
       single_series.emplace_back(std::move(entry));
-      if (n == 1024) simd_speedup_n1024 = scalar_secs / simd_secs;
-      std::cout << "single_round n=" << n << ": scalar "
-                << 1.0 / scalar_secs << " rounds/s, simd serial "
-                << 1.0 / simd_secs << " (" << scalar_secs / simd_secs
+      if (n == 1024) simd_speedup_n1024 = reference_secs / simd_secs;
+      std::cout << "single_round n=" << n << ": reference "
+                << 1.0 / reference_secs << " rounds/s, simd serial "
+                << 1.0 / simd_secs << " (" << reference_secs / simd_secs
                 << "x), simd sharded " << 1.0 / sharded_secs << " ("
-                << scalar_secs / sharded_secs << "x)\n";
+                << reference_secs / sharded_secs << "x)\n";
     }
-    lbmv::core::set_kernel_backend(entry_backend);
 
     if (max_err >= 1e-9) batch_check_pass = false;
     if (single_max_err >= 1e-9) batch_check_pass = false;
@@ -941,7 +938,7 @@ int main(int argc, char** argv) {
         "(fresh allocation, per-agent heap-allocated latency functions, "
         "fresh leave-one-out vector) in this same process; run() now rides "
         "the fused kernel with a thread-local workspace, so its rate "
-        "tracks batch_serial; single_round compares the scalar kernels "
+        "tracks batch_serial; single_round compares the reference path "
         "against the vectorized engine (vector_backend) serial and "
         "auto-sharded on the global pool; parallel scaling is bounded by "
         "threads_used (the global pool) and hardware_concurrency";
@@ -1174,9 +1171,9 @@ int main(int argc, char** argv) {
 
   // Fused nonlinear-family rounds (DESIGN.md §14): one full mechanism round
   // on the M/M/1 and workload-dependent-rate families through the generic
-  // virtual-dispatch arena (kScalar backend — the scalar oracle, fresh
+  // virtual-dispatch arena (run_reference_into — the oracle, fresh
   // active-set machinery and per-agent virtual latency calls) and the fused
-  // engines (kVectorized — closed form / damped-free Newton on workspace
+  // engines (run_into — closed form / damped-free Newton on workspace
   // planes), same mechanisms, same profiles, same process.  Differential
   // gates on the exit code: fused vs generic outcomes at 1e-9 for both
   // families, and the workload Newton rates against a long-double bisection
@@ -1199,8 +1196,6 @@ int main(int argc, char** argv) {
         std::make_shared<const lbmv::alloc::MM1Allocator>());
     const lbmv::core::CompBonusMechanism workload_mechanism(
         std::make_shared<const lbmv::alloc::WorkloadAllocator>());
-    const lbmv::core::KernelBackend entry_backend =
-        lbmv::core::kernel_backend();
     constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
                                                     /*pool=*/nullptr};
     JsonValue::Array nl_series;
@@ -1222,14 +1217,12 @@ int main(int argc, char** argv) {
       lbmv::core::MechanismOutcome generic_outcome;
       lbmv::core::MechanismOutcome fused_outcome;
 
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
       const double mm1_generic_secs = seconds_per_call(
           [&] {
-            mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
-                                   generic_outcome, ws, serial_round);
+            mm1_mechanism.run_reference_into(mm1_family, mm1_rate, thetas,
+                                             execs, generic_outcome, ws);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double mm1_fused_secs = seconds_per_call(
           [&] {
             mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
@@ -1240,15 +1233,13 @@ int main(int argc, char** argv) {
           mm1_max_err, outcome_max_rel_err(fused_outcome, generic_outcome));
 
       const double workload_rate = static_cast<double>(n);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kScalar);
       const double workload_generic_secs = seconds_per_call(
           [&] {
-            workload_mechanism.run_into(workload_family, workload_rate,
-                                        thetas, execs, generic_outcome, ws,
-                                        serial_round);
+            workload_mechanism.run_reference_into(workload_family,
+                                                  workload_rate, thetas,
+                                                  execs, generic_outcome, ws);
           },
           tmin, treps);
-      lbmv::core::set_kernel_backend(lbmv::core::KernelBackend::kVectorized);
       const double workload_fused_secs = seconds_per_call(
           [&] {
             workload_mechanism.run_into(workload_family, workload_rate,
@@ -1319,7 +1310,6 @@ int main(int argc, char** argv) {
                 << workload_speedup << "x, " << solve.iterations
                 << " Newton iters)\n";
     }
-    lbmv::core::set_kernel_backend(entry_backend);
 
     if (mm1_max_err >= 1e-9) nonlinear_check_pass = false;
     if (workload_max_err >= 1e-9) nonlinear_check_pass = false;
