@@ -34,7 +34,6 @@
 #include "lbmv/sim/server.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
 
@@ -327,7 +326,7 @@ BENCHMARK(BM_AuditAllLegacy)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DeviationGridScalar(benchmark::State& state) {
-  // Scalar baseline for the lane-parallel grid kernels (DESIGN.md §13):
+  // Scalar baseline for the contexts' lane sweeps (DESIGN.md §13):
   // 1000 candidate bids per agent scanned one DeviationEvaluator::utility
   // call at a time.  items/sec = candidate evaluations.
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -365,14 +364,14 @@ BENCHMARK(BM_DeviationGridScalar)
     ->Complexity();
 
 void BM_DeviationGridVector(benchmark::State& state) {
-  // The same sweep through GridEvaluator's 4-lane kernels, serial.
-  // Bit-identical argmax to the scalar scan by construction.
+  // The same sweep through the context's 4-lane sweep
+  // (DeviationEvaluator::best_response), serial.  Bit-identical argmax to
+  // the scalar scan by construction.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t grid_points = 1000;
   const lbmv::model::SystemConfig config(random_types(n, 13), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
   const lbmv::strategy::DeviationEvaluator evaluator(mechanism, config);
-  const lbmv::strategy::GridEvaluator grid_eval(evaluator);
   std::vector<std::vector<double>> grids(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double t = config.true_value(i);
@@ -384,7 +383,7 @@ void BM_DeviationGridVector(benchmark::State& state) {
     double sink = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sink +=
-          grid_eval.best_response(i, grids[i], config.true_value(i)).utility;
+          evaluator.best_response(i, grids[i], config.true_value(i)).utility;
     }
     benchmark::DoNotOptimize(sink);
   }

@@ -1,24 +1,25 @@
 #pragma once
 
 /// \file pr_simd.h
-/// Vectorized block kernels for the PR closed forms (DESIGN.md §12).
+/// Vectorized reciprocal block kernel for the PR closed forms (DESIGN.md
+/// §12).
 ///
-/// Each function processes one contiguous block of agents with the 4-lane
-/// vectors of util/simd.h and a *fixed* in-block reduction tree: two vector
-/// accumulators over 8-agent steps, one leftover full vector into the first
-/// accumulator, the fixed horizontal sum (l0+l1)+(l2+l3) of their lane-wise
-/// total, then any <4-agent tail appended scalar in index order.  Because
-/// the tree depends only on the block's length — never on thread or shard
-/// count — the sharded round engine (core/simd_round.h) gets bit-identical
-/// results for any fan-out by cutting agents into fixed-size blocks and
-/// reducing the returned partials in block order.
+/// pr_reciprocal_block processes one contiguous block of agents with the
+/// 4-lane vectors of util/simd.h and a *fixed* in-block reduction tree: two
+/// vector accumulators over 8-agent steps, one leftover full vector into the
+/// first accumulator, the fixed horizontal sum (l0+l1)+(l2+l3) of their
+/// lane-wise total, then any <4-agent tail appended scalar in index order.
+/// Because the tree depends only on the block's length — never on thread or
+/// shard count — the sharded round engine (core/simd_round.h) gets
+/// bit-identical results for any fan-out by cutting agents into fixed-size
+/// blocks and reducing the returned partials in block order.  The engine's
+/// fused publish pass derives the leave-one-out and Archer–Tardos terms from
+/// the reciprocal plane in-register.
 ///
-/// Validation is by mask, not by throw: kernels report "every lane finite
-/// and positive" / "every denominator safe" flags and the caller decides
-/// on failure — the round engine re-runs the shared input check
-/// (model::require_valid_round) or the leave-one-out guard to name the
-/// offending agent, or hands a non-finite round to the reference path.
-/// NaNs fail the ordered compares and are flagged like non-positive values.
+/// Validation is by mask, not by throw: the kernel reports "every lane
+/// finite and positive" and the round engine re-runs the shared input check
+/// (model::require_valid_round) to name the offending agent.  NaNs fail the
+/// ordered compares and are flagged like non-positive values.
 
 #include <cstddef>
 #include <span>
@@ -44,31 +45,5 @@ struct ReciprocalPartial {
 [[nodiscard]] ReciprocalPartial pr_reciprocal_block(
     std::span<const double> bids, std::span<const double> executions,
     std::span<double> inv_out);
-
-/// loo_out[i] = R^2 / (S - inv[i]) for the block.  Returns false when any
-/// denominator fails the cancellation guard (denom > min_gap, the scalar
-/// kernel's test); the caller then re-runs pr_leave_one_out_from_sum to
-/// throw the canonical diagnostic.  Elementwise this is the scalar formula
-/// on the same operands, so the plane matches the scalar kernel bit-for-bit
-/// at equal S.
-[[nodiscard]] bool pr_leave_one_out_block(std::span<const double> inv,
-                                          double inverse_sum,
-                                          double arrival_rate, double min_gap,
-                                          std::span<double> loo_out);
-
-/// Archer–Tardos payment tail for the block:
-///
-///   s_i        = S - inv[i]
-///   bonus_i    = R^2 / (s_i * (1 + b_i * s_i))
-///
-/// (the closed-form integral of archer_tardos_tail_integral, same operand
-/// order).  Returns false when any s_i fails the strict positivity the
-/// scalar kernel requires; the caller re-runs the scalar loop to throw its
-/// diagnostic.
-[[nodiscard]] bool archer_tardos_tail_block(std::span<const double> bids,
-                                            std::span<const double> inv,
-                                            double inverse_sum,
-                                            double arrival_rate,
-                                            std::span<double> bonus_out);
 
 }  // namespace lbmv::alloc::simd

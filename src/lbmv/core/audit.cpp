@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "lbmv/core/batch.h"
-#include "lbmv/core/grid_kernels.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/thread_pool.h"
@@ -19,21 +17,6 @@ bool AuditReport::truthful_dominant(double tol) const {
 }
 
 namespace {
-
-/// Agents per parallel audit_all task when the lane kernels sweep a shared
-/// context.  One agent's sweep is then well under a microsecond (linear,
-/// default grid), below a task's own overhead; 16 agents per task measured
-/// best on BM_AuditAll at n = 256 and 1024 on 4 cores (grain 1: ~2x slower).
-constexpr std::size_t kAgentsPerTask = 16;
-
-/// \p context as one of the two types the lane-parallel grid kernels
-/// sweep, or nullptr.
-const LinearPrProfileContext* as_linear(const ProfileUtilityContext* context) {
-  return dynamic_cast<const LinearPrProfileContext*>(context);
-}
-const Mm1PrProfileContext* as_mm1(const ProfileUtilityContext* context) {
-  return dynamic_cast<const Mm1PrProfileContext*>(context);
-}
 
 /// Reject malformed grids before any work, naming the offending entry, so
 /// every entry point (audit_agent, audit_all, audit_pair, either
@@ -77,11 +60,6 @@ AuditReport sweep_agent(const Mechanism& mechanism,
                         std::size_t agent, const AuditOptions& options,
                         util::ThreadPool& pool) {
   const double truth = config.true_value(agent);
-  // The audit holds the profile context directly (rather than a per-agent
-  // AgentUtilityContext) so the grid sweep below can ride the lane-parallel
-  // kernels when the closed form is the linear/PR or M/M/1 one.
-  const LinearPrProfileContext* linear = as_linear(context);
-  const Mm1PrProfileContext* mm1 = as_mm1(context);
   auto evaluate = [&](double bid_mult, double exec_mult) {
     const double bid = truth * bid_mult;
     const double execution = truth * exec_mult;
@@ -108,27 +86,20 @@ AuditReport sweep_agent(const Mechanism& mechanism,
   obs::MechProbes::get().audit_evaluations.inc(
       static_cast<std::uint64_t>(nb * ne) + 1);
   std::vector<Deviation> grid(nb * ne);
-  if (linear != nullptr || mm1 != nullptr) {
-    // Lane-parallel path: one candidate-bid sweep per execution multiplier
-    // (bids vary along the row, four lanes per instruction), scattered back
-    // into the k = bm_idx * ne + em_idx layout so the best-scan below
-    // visits grid points in the legacy order — same utilities bit for bit,
-    // same tie-breaking.  The M/M/1 rows ride the §14 kernels; lanes off
-    // the all-active fast path defer to the context's own scalar oracle.
+  if (context != nullptr) {
+    // One candidate-bid sweep per execution multiplier (bids vary along the
+    // row), scattered back into the k = bm_idx * ne + em_idx layout so the
+    // best-scan below visits grid points in the legacy order — the same
+    // utilities bit for bit, the same tie-breaking.
     std::vector<double> bid_row(nb);
     for (std::size_t j = 0; j < nb; ++j) {
       bid_row[j] = truth * options.bid_multipliers[j];
     }
     std::vector<double> utilities(nb * ne);
     auto row = [&](std::size_t e) {
-      const std::span<double> slot =
-          std::span<double>(utilities).subspan(e * nb, nb);
-      const double execution = truth * options.exec_multipliers[e];
-      if (linear != nullptr) {
-        linear_pr_grid_utilities(*linear, agent, bid_row, execution, slot);
-      } else {
-        mm1_grid_utilities(*mm1, agent, bid_row, execution, slot);
-      }
+      context->utilities_into(agent, bid_row,
+                              truth * options.exec_multipliers[e],
+                              std::span<double>(utilities).subspan(e * nb, nb));
     };
     if (options.parallel && ne > 1) {
       pool.parallel_for(0, ne, row, /*grain=*/1);
@@ -149,10 +120,9 @@ AuditReport sweep_agent(const Mechanism& mechanism,
       grid[k] = Deviation{bm, em, evaluate(bm, em)};
     };
     if (options.parallel) {
-      // Grain-size control: incremental grid points are O(1), so chunk them
-      // coarsely to amortise task overhead; the legacy full-mechanism path
-      // is heavy enough that fine chunks load-balance better.
-      pool.parallel_for(0, grid.size(), body, context != nullptr ? 64 : 1);
+      // The full-mechanism path is heavy enough that one point per task
+      // load-balances best.
+      pool.parallel_for(0, grid.size(), body, 1);
     } else {
       for (std::size_t k = 0; k < grid.size(); ++k) body(k);
     }
@@ -216,20 +186,13 @@ std::vector<AuditReport> TruthfulnessAuditor::audit_all(
   if (options.parallel && config.size() > 1) {
     // One level of parallelism: across agents, with each per-agent grid
     // evaluated serially (nesting parallel_for on one fixed-size pool can
-    // starve the inner waits of workers).  Lane-kernel sweeps go in chunks
-    // of agents; scalar-context and full-mechanism sweeps are heavy enough
-    // to load-balance one agent per task.
+    // starve the inner waits of workers), in the pool's automatic chunks.
     AuditOptions per_agent = options;
     per_agent.parallel = false;
-    const bool lanes =
-        as_linear(context.get()) != nullptr || as_mm1(context.get()) != nullptr;
-    pool.parallel_for(
-        0, config.size(),
-        [&](std::size_t i) {
-          reports[i] = sweep_agent(*mechanism_, config, base, context.get(), i,
-                                   per_agent, pool);
-        },
-        lanes ? kAgentsPerTask : 1);
+    pool.parallel_for(0, config.size(), [&](std::size_t i) {
+      reports[i] = sweep_agent(*mechanism_, config, base, context.get(), i,
+                               per_agent, pool);
+    });
   } else {
     for (std::size_t i = 0; i < config.size(); ++i) {
       reports[i] = sweep_agent(*mechanism_, config, base, context.get(), i,

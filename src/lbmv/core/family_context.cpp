@@ -9,9 +9,27 @@
 
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
+#include "lbmv/core/grid_kernels.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
+namespace {
+
+/// Write a batch of commits into \p profile, checking every entry before
+/// writing any, so a rejected batch leaves the profile untouched.
+void write_deltas(std::span<const BidDelta> deltas,
+                  model::BidProfile& profile) {
+  for (const BidDelta& d : deltas) {
+    model::require_valid_deviation(d.agent, profile.size(), d.bid,
+                                   d.execution);
+  }
+  for (const BidDelta& d : deltas) {
+    profile.bids[d.agent] = d.bid;
+    profile.executions[d.agent] = d.execution;
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // M/M/1
@@ -93,61 +111,97 @@ void Mm1PrProfileContext::rebuild() {
   for (std::size_t k = 0; k < n; ++k) slot_[planes_.order[k]] = k;
 }
 
-Mm1PrProfileContext::SweepState Mm1PrProfileContext::sweep_state(
+namespace {
+
+/// The sums a candidate bid moves when every computer stays active: mu and
+/// a = sqrt(mu) of the deviator, the deviated totals, the water level c and
+/// the deviator's load x = mu - c a.  T is double (utility()) or
+/// util::simd::DVec (the sweep): one expression text, the same IEEE
+/// operation per lane.
+template <class T>
+struct Mm1Candidate {
+  T mu, a, sum_mu, sum_a, slack, c, x;
+
+  Mm1Candidate(const Mm1PrProfileContext::Rest& rest, double rate, T bid) {
+    using std::sqrt;
+    mu = 1.0 / bid;
+    a = sqrt(mu);
+    sum_mu = rest.mu + mu;
+    sum_a = rest.a + a;
+    slack = sum_mu - rate;
+    c = slack / sum_a;
+    x = mu - c * a;
+  }
+};
+
+/// The deviator's utility under rule R.  Every active opponent executes as
+/// bid, so its queue length is a_j/c - 1 and the verified latency is
+/// (rest_a/c - rest_active) plus the deviator's own cost; comp is the
+/// deviator's cost at its bid.  kArcherTardos never gets here (the context
+/// rejects it at construction).
+template <PaymentRule R, class T>
+T mm1_payoff(std::integral_constant<PaymentRule, R>, double loo, T c,
+             double rest_a, double rest_active, T sum_a, double active,
+             T comp, T cost_e) {
+  const T actual = (rest_a / c - rest_active) + cost_e;
+  if constexpr (R == PaymentRule::kCompBonusExecution) {
+    // C = cost at execution basis cancels the valuation.
+    return loo - actual;
+  } else if constexpr (R == PaymentRule::kCompBonusBid) {
+    return comp + (loo - actual) - cost_e;
+  } else if constexpr (R == PaymentRule::kVcg) {
+    const T reported = sum_a / c - active;
+    return (loo - (reported - comp)) - cost_e;
+  } else {
+    return -cost_e;
+  }
+}
+
+}  // namespace
+
+Mm1PrProfileContext::Rest Mm1PrProfileContext::rest_of(
     std::size_t agent) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  SweepState st;
-  st.rest_mu = sum_mu_ - mus_[agent];
-  st.rest_a = sum_a_ - a_[agent];
-  st.rest_min_a = agent == argmin_a_ ? second_a_ : min_a_;
-  st.loo = rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
-  st.rest_consistent =
-      inconsistent_count_ == 0 ||
-      (inconsistent_count_ == 1 && inconsistent_[agent] != 0);
-  return st;
+  return Rest{sum_mu_ - mus_[agent], sum_a_ - a_[agent],
+              agent == argmin_a_ ? second_a_ : min_a_,
+              rule_ == PaymentRule::kNoPayment ? 0.0 : loo_[agent],
+              inconsistent_count_ == 0 ||
+                  (inconsistent_count_ == 1 && inconsistent_[agent] != 0)};
 }
 
 double Mm1PrProfileContext::utility(std::size_t agent, double bid,
                                     double execution) const {
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
-  const SweepState st = sweep_state(agent);
-  const double mu_dev = 1.0 / bid;
-  const double a_dev = std::sqrt(mu_dev);
-  const double sum_mu = st.rest_mu + mu_dev;
-  const double sum_a = st.rest_a + a_dev;
-  const double slack = sum_mu - arrival_rate_;
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
+  const Rest rest = rest_of(agent);
+  const Mm1Candidate<double> d(rest, arrival_rate_, bid);
   // Both closed-form paths need a consistent rest and a deviated profile
   // away from saturation; anything else re-solves below and raises the
   // canonical diagnostics.
-  if (st.rest_consistent && std::isfinite(sum_mu) &&
-      slack > alloc::kMm1MinRelativeSlack * sum_mu) {
-    const double c = slack / sum_a;
-    if (a_dev > c && st.rest_min_a > c) {
+  if (rest.consistent && std::isfinite(d.sum_mu) &&
+      d.slack > alloc::kMm1MinRelativeSlack * d.sum_mu) {
+    if (d.a > d.c && rest.min_a > d.c) {
       // Every computer active before and after the deviation: O(1).  The
-      // grid kernels (grid_kernels.h) replicate this branch lane-wise in
-      // the same operand order; any lane failing its gates defers here.
-      const double x = mu_dev - c * a_dev;
-      if (x > 0.0) {
+      // sweep evaluates this branch lane-wise; lanes failing its gates
+      // defer here.
+      if (d.x > 0.0) {
         const double n = static_cast<double>(profile_.size());
-        return payoff(agent, st.loo, c, st.rest_a, n - 1.0, sum_a, n, a_dev,
-                      x, execution);
+        return payoff(agent, rest.loo, d.c, rest.a, n - 1.0, d.sum_a, n, d.a,
+                      d.x, execution);
       }
     } else {
       // Some computer idle after the deviation: the agent leaves its slot
       // of the sorted prefix and re-enters at its new rate's rank, and the
       // active-set search over that edited order is O(log n).
       const alloc::Mm1Deviation deviation = alloc::mm1_deviation_solve(
-          planes_, agent, slot_[agent], mus_[agent], mu_dev, arrival_rate_);
+          planes_, agent, slot_[agent], mus_[agent], d.mu, arrival_rate_);
       const alloc::Mm1Solve& dev = deviation.solve;
       const bool active = deviation.deviator_active;
-      const double x = active ? mu_dev - dev.c * a_dev : 0.0;
+      const double x = active ? d.mu - dev.c * d.a : 0.0;
       if (dev.c > 0.0 && (!active || x > 0.0)) {
         const double rest_a =
-            active ? dev.sum_sqrt_active - a_dev : dev.sum_sqrt_active;
+            active ? dev.sum_sqrt_active - d.a : dev.sum_sqrt_active;
         const double nd = static_cast<double>(dev.active);
-        return payoff(agent, st.loo, dev.c, rest_a, active ? nd - 1.0 : nd,
-                      dev.sum_sqrt_active, nd, a_dev, x, execution);
+        return payoff(agent, rest.loo, dev.c, rest_a, active ? nd - 1.0 : nd,
+                      dev.sum_sqrt_active, nd, d.a, x, execution);
       }
     }
   }
@@ -158,9 +212,7 @@ double Mm1PrProfileContext::payoff(std::size_t agent, double loo, double c,
                                    double rest_a, double rest_active,
                                    double sum_a, double active, double a_dev,
                                    double x, double execution) const {
-  // Every active opponent executes as bid, so its queue length is a_j/c - 1
-  // and the verified latency is (rest_a/c - rest_active) + the deviator's
-  // own cost; an idle deviator carries neither cost nor compensation.
+  // An idle deviator carries neither cost nor compensation.
   double cost_e = 0.0;
   double comp = 0.0;
   if (x > 0.0) {
@@ -170,24 +222,45 @@ double Mm1PrProfileContext::payoff(std::size_t agent, double loo, double c,
     cost_e = x / de;
     comp = a_dev / c - 1.0;
   }
-  const double actual = (rest_a / c - rest_active) + cost_e;
-  switch (rule_) {
-    case PaymentRule::kCompBonusExecution:
-      // C = cost at execution basis cancels the valuation.
-      return loo - actual;
-    case PaymentRule::kCompBonusBid:
-      return comp + (loo - actual) - cost_e;
-    case PaymentRule::kVcg: {
-      const double reported = sum_a / c - active;
-      return (loo - (reported - comp)) - cost_e;
-    }
-    case PaymentRule::kNoPayment:
-      return -cost_e;
-    case PaymentRule::kArcherTardos:
-      break;  // rejected at construction
-  }
-  LBMV_ASSERT(false, "unreachable payment rule");
-  return 0.0;
+  return with_payment_rule(rule_, [&](auto rule) {
+    return mm1_payoff(rule, loo, c, rest_a, rest_active, sum_a, active, comp,
+                      cost_e);
+  });
+}
+
+void Mm1PrProfileContext::sweep(std::size_t agent,
+                                std::span<const double> bids,
+                                double execution, double* out,
+                                GridBest* best) const {
+  using util::simd::DVec;
+  namespace simd = util::simd;
+  const Rest rest = rest_of(agent);
+  const double mu_e = 1.0 / execution;
+  const double n = static_cast<double>(profile_.size());
+  const DVec inf = simd::set1(std::numeric_limits<double>::infinity());
+  with_payment_rule(rule_, [&](auto rule) {
+    lane_sweep(*this, agent, bids, execution, out, best,
+               [&](DVec b, DVec& ok) {
+      // utility()'s all-active gates, as lane masks; a block with any lane
+      // off them (or an inconsistent rest) is served by utility() itself.
+      if (!rest.consistent) {
+        ok = simd::zero();
+        return ok;
+      }
+      const Mm1Candidate<DVec> d(rest, arrival_rate_, b);
+      const DVec de = mu_e - d.x;
+      ok = simd::mask_and(ok, simd::mask_greater(inf, d.sum_mu));
+      ok = simd::mask_and(
+          ok, simd::mask_greater(d.slack,
+                                 alloc::kMm1MinRelativeSlack * d.sum_mu));
+      ok = simd::mask_and(ok, simd::mask_greater(d.a, d.c));
+      ok = simd::mask_and(ok, simd::mask_greater(simd::set1(rest.min_a), d.c));
+      ok = simd::mask_and(ok, simd::mask_greater(d.x, simd::zero()));
+      ok = simd::mask_and(ok, simd::mask_greater(de, simd::zero()));
+      return mm1_payoff(rule, rest.loo, d.c, rest.a, n - 1.0, d.sum_a, n,
+                        d.a / d.c - 1.0, d.x / de);
+    });
+  });
 }
 
 double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
@@ -235,9 +308,7 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
 
 void Mm1PrProfileContext::commit(std::size_t agent, double bid,
                                  double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
   // O(n) rebuild: the min/arg-min pair and the leave-one-out plane cannot
@@ -248,13 +319,7 @@ void Mm1PrProfileContext::commit(std::size_t agent, double bid,
 
 void Mm1PrProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
-  for (const BidDelta& d : deltas) {
-    LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0, "bids must be positive");
-    LBMV_REQUIRE(d.execution > 0.0, "execution values must be positive");
-    profile_.bids[d.agent] = d.bid;
-    profile_.executions[d.agent] = d.execution;
-  }
+  write_deltas(deltas, profile_);
   rebuild();
 }
 
@@ -343,9 +408,7 @@ void WorkloadProfileContext::rebuild() {
 
 double WorkloadProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
   const std::size_t n = profile_.size();
   // The conservation constraint couples every rate through the multiplier,
   // so a deviation re-runs the Newton solve against local planes (queries
@@ -387,9 +450,7 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
 
 void WorkloadProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0, "bids must be positive");
-  LBMV_REQUIRE(execution > 0.0, "execution values must be positive");
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
   profile_.bids[agent] = bid;
   profile_.executions[agent] = execution;
   rebuild();
@@ -397,13 +458,7 @@ void WorkloadProfileContext::commit(std::size_t agent, double bid,
 
 void WorkloadProfileContext::commit_batch(std::span<const BidDelta> deltas) {
   if (deltas.empty()) return;
-  for (const BidDelta& d : deltas) {
-    LBMV_ASSERT(d.agent < profile_.size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0, "bids must be positive");
-    LBMV_REQUIRE(d.execution > 0.0, "execution values must be positive");
-    profile_.bids[d.agent] = d.bid;
-    profile_.executions[d.agent] = d.execution;
-  }
+  write_deltas(deltas, profile_);
   rebuild();
 }
 

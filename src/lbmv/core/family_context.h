@@ -21,12 +21,13 @@
 /// the leave-one-out optima — deviation-independent — are precomputed once
 /// per commit with warm-started solves.
 ///
-/// Mm1PrProfileContext is exported (not hidden behind the factory) so the
-/// lane-parallel deviation-grid kernels (grid_kernels.h) can read the
-/// cached rest-of-profile sums via sweep_state() and evaluate four
-/// candidate bids per instruction in utility()'s exact IEEE operand order;
-/// utility() itself stays the scalar oracle the differential suite holds
-/// them to.
+/// The M/M/1 all-active closed form and its payoff rule switch are written
+/// once, as templates over the value type: utility() evaluates them on one
+/// double, and the sweep override on four candidate bids per instruction
+/// through the lane driver (grid_kernels.h), deferring any lane off the
+/// all-active path to utility() itself — the same bits either way.  The
+/// workload context keeps the default per-candidate sweep: its Newton
+/// re-solve has no lane form.
 
 #include <cstddef>
 #include <memory>
@@ -61,35 +62,33 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
+  [[nodiscard]] bool lane_sweeps() const override { return true; }
 
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
-  [[nodiscard]] std::size_t size() const { return profile_.size(); }
-
-  /// Everything a candidate-bid sweep against one agent needs, O(1) from
-  /// the caches.  The grid kernels splat these into lanes; utility()'s
-  /// fast path reads the identical values, so lane results match the
-  /// scalar oracle bit for bit.
-  struct SweepState {
-    double rest_mu = 0.0;     ///< sum_{j != agent} mu_j
-    double rest_a = 0.0;      ///< sum_{j != agent} sqrt(mu_j)
-    double rest_min_a = 0.0;  ///< min_{j != agent} sqrt(mu_j)
-    double loo = 0.0;         ///< L_{-agent} (0 under kNoPayment)
+  /// Everything a deviation by one agent reads from the caches, O(1).
+  struct Rest {
+    double mu;     ///< sum_{j != agent} mu_j
+    double a;      ///< sum_{j != agent} sqrt(mu_j)
+    double min_a;  ///< min_{j != agent} sqrt(mu_j)
+    double loo;    ///< L_{-agent} (0 under kNoPayment)
     /// Every opponent executes exactly as bid — required for the O(1)
     /// actual-latency form sum_{j != i} (a_j/c' - 1).
-    bool rest_consistent = false;
+    bool consistent;
   };
-  [[nodiscard]] SweepState sweep_state(std::size_t agent) const;
+
+ protected:
+  void sweep(std::size_t agent, std::span<const double> bids,
+             double execution, double* out, GridBest* best) const override;
 
  private:
+  [[nodiscard]] Rest rest_of(std::size_t agent) const;
   /// Full scalar re-solve for deviations neither closed-form path covers.
   /// Allocates locally (concurrent queries stay safe).
   [[nodiscard]] double slow_utility(std::size_t agent, double bid,
                                     double execution) const;
-  /// The deviator's utility from the closed form both fast paths share:
-  /// c over the deviated active set, the opponents' active sqrt-rate sum
-  /// and count, the whole active set's, and the deviator's load x (0 when
-  /// idle).
+  /// The deviator's utility from the payoff both fast paths share: c over
+  /// the deviated active set, the opponents' active sqrt-rate sum and
+  /// count, the whole active set's, and the deviator's load x (0 when
+  /// idle).  Raises the domain error when x overloads the execution.
   [[nodiscard]] double payoff(std::size_t agent, double loo, double c,
                               double rest_a, double rest_active, double sum_a,
                               double active, double a_dev, double x,
@@ -137,10 +136,6 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
-
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double gamma() const { return gamma_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
 
  private:
   void rebuild();

@@ -56,7 +56,8 @@ double sum_cost(const Cost& cost, std::size_t n, const double* x,
 /// store of the six outcome fields.  Returns whether every published value
 /// is finite.
 template <PaymentRule kRule, class Cost>
-[[nodiscard]] bool publish_rule(const Cost& cost, std::size_t n,
+[[nodiscard]] bool publish_rule(std::integral_constant<PaymentRule, kRule>,
+                                const Cost& cost, std::size_t n,
                                 const double* bid_plane,
                                 const double* exec_plane, const double* x,
                                 const double* loo, double actual_total,
@@ -72,22 +73,21 @@ template <PaymentRule kRule, class Cost>
     DVec comp = v::zero();
     DVec bonus = v::zero();
     DVec pay = v::zero();
-    if constexpr (kRule != PaymentRule::kNoPayment) {
+    // kNoPayment (and kArcherTardos, which the engines never serve) leave
+    // every transfer 0.
+    if constexpr (kRule == PaymentRule::kCompBonusExecution) {
+      comp = costa;
+      bonus = v::sub(lanes(loo, 0.0), vact);
+      pay = v::add(comp, bonus);
+    } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
+      comp = cost(vx, lanes(bid_plane, 1.0));
+      bonus = v::sub(lanes(loo, 0.0), vact);
+      pay = v::add(comp, bonus);
+    } else if constexpr (kRule == PaymentRule::kVcg) {
       const DVec vloo = lanes(loo, 0.0);
-      if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-        comp = costa;
-        bonus = v::sub(vloo, vact);
-        pay = v::add(comp, bonus);
-      } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-        comp = cost(vx, lanes(bid_plane, 1.0));
-        bonus = v::sub(vloo, vact);
-        pay = v::add(comp, bonus);
-      } else {
-        static_assert(kRule == PaymentRule::kVcg, "unsupported family rule");
-        comp = cost(vx, lanes(bid_plane, 1.0));
-        bonus = v::sub(vloo, vrep);
-        pay = v::sub(vloo, v::sub(vrep, comp));
-      }
+      comp = cost(vx, lanes(bid_plane, 1.0));
+      bonus = v::sub(vloo, vrep);
+      pay = v::sub(vloo, v::sub(vrep, comp));
     }
     const DVec val = v::neg(costa);
     const DVec util = v::add(pay, val);
@@ -105,30 +105,17 @@ template <PaymentRule kRule, class Cost>
   return v::hsum(finite) == 0.0;
 }
 
+/// publish_rule for a runtime rule.
 template <class Cost>
 [[nodiscard]] bool publish(PaymentRule rule, const Cost& cost, std::size_t n,
                            const double* bid_plane, const double* exec_plane,
                            const double* x, const double* loo,
                            double actual_total, double reported_total,
                            AgentOutcome* agents) {
-  switch (rule) {
-    case PaymentRule::kCompBonusExecution:
-      return publish_rule<PaymentRule::kCompBonusExecution>(
-          cost, n, bid_plane, exec_plane, x, loo, actual_total,
-          reported_total, agents);
-    case PaymentRule::kCompBonusBid:
-      return publish_rule<PaymentRule::kCompBonusBid>(
-          cost, n, bid_plane, exec_plane, x, loo, actual_total,
-          reported_total, agents);
-    case PaymentRule::kVcg:
-      return publish_rule<PaymentRule::kVcg>(cost, n, bid_plane, exec_plane,
-                                             x, loo, actual_total,
-                                             reported_total, agents);
-    default:
-      return publish_rule<PaymentRule::kNoPayment>(
-          cost, n, bid_plane, exec_plane, x, loo, actual_total,
-          reported_total, agents);
-  }
+  return with_payment_rule(rule, [&](auto rule_tag) {
+    return publish_rule(rule_tag, cost, n, bid_plane, exec_plane, x, loo,
+                        actual_total, reported_total, agents);
+  });
 }
 
 }  // namespace
@@ -147,29 +134,22 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
   double* const mue = ws.inv_execs.data();
 
   // ---- P1: mu = 1/b and mu~ = 1/e planes under AND-accumulated masks -----
-  const DVec vone = v::set1(1.0);
+  // Padded tail lanes (b = e = 1) pass the mask and are never stored.
   const DVec vzero = v::zero();
   const DVec vinf = v::set1(std::numeric_limits<double>::infinity());
   DVec valid = v::mask_all();
-  std::size_t i = 0;
-  for (; i + v::kLanes <= n; i += v::kLanes) {
-    const DVec b = v::load(&bids[i]);
-    const DVec e = v::load(&executions[i]);
+  v::for_each_block(n, [&](std::size_t i, std::size_t count, auto lanes) {
+    const DVec b = lanes(bids.data(), 1.0);
+    const DVec e = lanes(executions.data(), 1.0);
     valid = v::mask_and(valid, v::mask_and(v::mask_greater(b, vzero),
                                            v::mask_greater(vinf, b)));
     valid = v::mask_and(valid, v::mask_and(v::mask_greater(e, vzero),
                                            v::mask_greater(vinf, e)));
-    v::store(&mu[i], v::div(vone, b));
-    v::store(&mue[i], v::div(vone, e));
-  }
-  bool inputs_ok = v::mask_all_true(valid) && arrival_rate > 0.0 &&
-                   std::isfinite(arrival_rate);
-  for (; i < n; ++i) {
-    inputs_ok = inputs_ok && bids[i] > 0.0 && std::isfinite(bids[i]) &&
-                executions[i] > 0.0 && std::isfinite(executions[i]);
-    mu[i] = 1.0 / bids[i];
-    mue[i] = 1.0 / executions[i];
-  }
+    v::store_first(&mu[i], 1.0 / b, count);
+    v::store_first(&mue[i], 1.0 / e, count);
+  });
+  const bool inputs_ok = v::mask_all_true(valid) && arrival_rate > 0.0 &&
+                         std::isfinite(arrival_rate);
   // The shared check names the first offender.
   if (!inputs_ok) model::require_valid_round(arrival_rate, bids, executions);
 

@@ -1,85 +1,129 @@
 #pragma once
 
 /// \file grid_kernels.h
-/// Lane-parallel deviation-grid kernels (DESIGN.md §13).
+/// The lane driver behind the closed-form contexts' deviation sweeps
+/// (DESIGN.md §13).
 ///
 /// Every strategic sweep in the repo — best-response scans, audit grids,
 /// learning counterfactuals, tournament regret probes — evaluates ONE
-/// agent's utility at MANY candidate bids against the same frozen
-/// LinearPrProfileContext.  Per candidate b the closed forms need only
+/// agent's utility at MANY candidate bids against the same frozen profile
+/// context.  The linear-PR and M/M/1 contexts write their deviation closed
+/// form once, as a template over the value type: utility() is its double
+/// instantiation, and their ProfileUtilityContext::sweep override runs its
+/// util::simd::DVec instantiation through lane_sweep below, four candidates
+/// per instruction (AVX2 or the bit-identical 4-lane emulation).  Each lane
+/// operation is the scalar IEEE operation, so the sweep equals a loop of
+/// utility() calls bit for bit.
 ///
-///   S' = S - 1/b_i + 1/b,   x = R/(b S'),   L' = R^2/S',
-///
-/// plus a per-rule payment expression, all of it elementwise arithmetic in
-/// the *candidate* dimension.  The kernels here evaluate four candidates per
-/// instruction over util/simd.h (AVX2 or the bit-identical 4-lane scalar
-/// emulation), replicating the exact IEEE operand order of
-/// LinearPrProfileContext::utility per lane — so the vectorized utilities
-/// equal the scalar oracle bit for bit, not merely to tolerance, and the
-/// scalar DeviationEvaluator stays the differential reference.
-///
-/// Validity is tracked with AND-accumulated lane masks (positive finite
-/// bids), checked once per sweep; on failure a scalar re-validation raises
-/// the canonical PreconditionError for the first offending candidate.  The
-/// best-response reduction keeps a running 4-lane (max, argmax) pair with
-/// blend-by-mask updates and resolves ties toward the smallest index, which
-/// reproduces a strictly-greater first-wins scalar scan exactly — the
-/// tie-break contract minimize_scan and the audits rely on.
+/// lane_sweep owns what the two families share: tail padding (the spare
+/// lanes of the last block repeat the last candidate), the validity mask
+/// (positive finite bids, AND-ed with the family's own fast-path gates),
+/// and the running 4-lane (max, argmax) pair resolved toward the smallest
+/// index, which reproduces a strictly-greater first-wins scalar scan.  A
+/// block whose mask fails is re-evaluated through the context's scalar
+/// utility(), which raises the canonical PreconditionError for the first
+/// offending candidate or serves the family's slow paths.
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 
-#include "lbmv/core/family_context.h"
-#include "lbmv/core/profile_context.h"
+#include "lbmv/core/mechanism.h"
+#include "lbmv/util/simd.h"
 
 namespace lbmv::core {
 
-/// Winning candidate of a grid sweep.
-struct GridBest {
-  std::size_t index = 0;    ///< first index attaining the maximum utility
-  double utility = 0.0;     ///< the maximum utility
-};
+/// Number of padded lanes a lane sweep of \p grid_size candidates
+/// evaluates.
+[[nodiscard]] constexpr std::size_t grid_lanes_padded(std::size_t grid_size) {
+  return (util::simd::kLanes - grid_size % util::simd::kLanes) %
+         util::simd::kLanes;
+}
 
-/// Number of padded lanes a sweep of \p grid_size candidates evaluates (the
-/// final partial 4-lane block is padded with a duplicate of the last
-/// candidate; padded lanes can never win the argmax because the genuine
-/// copy has the smaller index).
-[[nodiscard]] std::size_t grid_lanes_padded(std::size_t grid_size);
+/// Sweep \p bids (non-empty, candidate 0 already checked) for \p agent at
+/// \p execution, writing utilities to \p out and/or the first-index argmax
+/// to \p best (either may be null).  lanes(b, ok) returns the four
+/// candidates' utilities; \p ok arrives as the bid-validity mask and lanes
+/// may AND its own gates in.
+template <class Lanes>
+void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
+                std::span<const double> bids, double execution, double* out,
+                GridBest* best, const Lanes& lanes) {
+  namespace simd = util::simd;
+  using simd::DVec;
+  constexpr std::size_t kL = simd::kLanes;
+  const std::size_t size = bids.size();
+  const DVec inf = simd::set1(std::numeric_limits<double>::infinity());
+  const double lane_offsets[kL] = {0.0, 1.0, 2.0, 3.0};
+  const DVec base_idx = simd::load(lane_offsets);
+  DVec best_v = -inf;
+  DVec best_i = simd::zero();
+  // b's four utilities into u; false when any lane is off the lane form.
+  const auto evaluate = [&](DVec b, DVec& u) {
+    DVec ok = simd::mask_and(simd::mask_greater(b, simd::zero()),
+                             simd::mask_greater(inf, b));
+    u = lanes(b, ok);
+    return simd::mask_all_true(ok);
+  };
+  // The scalar oracle owns a block with any lane off the lane form: slow
+  // paths and typed errors alike, in index order.
+  const auto scalar = [&](DVec b) {
+    double u[kL];
+    for (std::size_t l = 0; l < kL; ++l) {
+      u[l] = ctx.utility(agent, simd::lane(b, l), execution);
+    }
+    return simd::load(u);
+  };
+  const auto emit = [&](std::size_t k, std::size_t count, DVec u) {
+    if (out != nullptr) simd::store_first(out + k, u, count);
+    if (best != nullptr) {
+      // Padded lanes carry indices >= size, larger than the genuine copy's,
+      // so the lowest-index tie-break below never picks one.
+      const DVec m = simd::mask_greater(u, best_v);
+      best_v = simd::select(m, u, best_v);
+      best_i = simd::select(m, base_idx + static_cast<double>(k), best_i);
+    }
+  };
 
-/// out[k] = ctx.utility(agent, bids[k], execution) for every k, four lanes
-/// per instruction, bit-identical to the scalar calls.  \p out must be at
-/// least bids.size() long; bids and out must not alias.  Throws
-/// PreconditionError on a non-positive/non-finite execution or candidate
-/// bid (after the sweep's masks flag it).
-void linear_pr_grid_utilities(const LinearPrProfileContext& ctx,
-                              std::size_t agent, std::span<const double> bids,
-                              double execution, std::span<double> out);
-
-/// Max/argmax over the same sweep without materialising the utilities:
-/// returns the utility-maximising candidate, ties resolved to the smallest
-/// index (identical to a strictly-greater scalar scan in index order).
-/// Requires a non-empty grid.
-[[nodiscard]] GridBest linear_pr_grid_best(const LinearPrProfileContext& ctx,
-                                           std::size_t agent,
-                                           std::span<const double> bids,
-                                           double execution);
-
-/// M/M/1 sweep (DESIGN.md §14): same contract as linear_pr_grid_utilities
-/// against an Mm1PrProfileContext.  Lanes replicate the context's all-active
-/// consistent fast path in its exact IEEE operand order; any lane whose
-/// fast-path gates fail (active-set churn, saturation, inconsistent rest,
-/// domain violation, bad candidate) is re-evaluated through the scalar
-/// oracle ctx.utility itself, so the plane is bit-identical to a scalar
-/// loop of utility() calls — including which deviations throw.
-void mm1_grid_utilities(const Mm1PrProfileContext& ctx, std::size_t agent,
-                        std::span<const double> bids, double execution,
-                        std::span<double> out);
-
-/// Max/argmax form of the M/M/1 sweep (same tie-break contract as
-/// linear_pr_grid_best).  Requires a non-empty grid.
-[[nodiscard]] GridBest mm1_grid_best(const Mm1PrProfileContext& ctx,
-                                     std::size_t agent,
-                                     std::span<const double> bids,
-                                     double execution);
+  const std::size_t nfull = size - size % kL;
+  std::size_t k = 0;
+  while (k < nfull) {
+    // Call-free inner loop (its splatted constants stay in registers)
+    // until a block leaves the lane form.
+    for (; k < nfull; k += kL) {
+      DVec u;
+      if (!evaluate(simd::load(bids.data() + k), u)) break;
+      emit(k, kL, u);
+    }
+    if (k < nfull) {
+      emit(k, kL, scalar(simd::load(bids.data() + k)));
+      k += kL;
+    }
+  }
+  if (k < size) {
+    // Tail block: the spare lanes repeat the last candidate.
+    double padded[kL];
+    for (std::size_t l = 0; l < kL; ++l) {
+      padded[l] = bids[std::min(k + l, size - 1)];
+    }
+    const DVec b = simd::load(padded);
+    DVec u;
+    if (!evaluate(b, u)) u = scalar(b);
+    emit(k, size - k, u);
+  }
+  if (best == nullptr) return;
+  double bv = simd::lane(best_v, 0);
+  double bi = simd::lane(best_i, 0);
+  for (std::size_t l = 1; l < kL; ++l) {
+    const double v = simd::lane(best_v, l);
+    const double i = simd::lane(best_i, l);
+    if (v > bv || (v == bv && i < bi)) {
+      bv = v;
+      bi = i;
+    }
+  }
+  *best = {static_cast<std::size_t>(bi), bv};
+}
 
 }  // namespace lbmv::core

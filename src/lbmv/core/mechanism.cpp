@@ -315,35 +315,38 @@ void Mechanism::run_batch(const model::SystemConfig& config,
             BatchRunOptions{});
 }
 
-namespace {
+void ProfileUtilityContext::utilities_into(std::size_t agent,
+                                           std::span<const double> bids,
+                                           double execution,
+                                           std::span<double> out) const {
+  LBMV_REQUIRE(out.size() >= bids.size(),
+               "output span must cover the candidate grid");
+  if (bids.empty()) return;
+  // Candidate 0's check is the first one a loop of utility() calls makes;
+  // sweep overrides may then read the agent's committed entries.
+  model::require_valid_deviation(agent, profile().size(), bids[0], execution);
+  sweep(agent, bids, execution, out.data(), nullptr);
+}
 
-/// Pins one agent of a ProfileUtilityContext, turning the profile-wide
-/// deviation engine into the single-agent audit interface.  The wrapped
-/// context is never committed to, so concurrent queries remain safe.
-class ProfileAgentContext final : public AgentUtilityContext {
- public:
-  ProfileAgentContext(std::unique_ptr<ProfileUtilityContext> context,
-                      std::size_t agent)
-      : context_(std::move(context)), agent_(agent) {}
+GridBest ProfileUtilityContext::best_response(std::size_t agent,
+                                              std::span<const double> bids,
+                                              double execution) const {
+  LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
+  model::require_valid_deviation(agent, profile().size(), bids[0], execution);
+  GridBest best;
+  sweep(agent, bids, execution, nullptr, &best);
+  return best;
+}
 
-  [[nodiscard]] double utility(double bid, double execution) const override {
-    return context_->utility(agent_, bid, execution);
+void ProfileUtilityContext::sweep(std::size_t agent,
+                                  std::span<const double> bids,
+                                  double execution, double* out,
+                                  GridBest* best) const {
+  for (std::size_t k = 0; k < bids.size(); ++k) {
+    const double u = utility(agent, bids[k], execution);
+    if (out != nullptr) out[k] = u;
+    if (best != nullptr && (k == 0 || u > best->utility)) *best = {k, u};
   }
-
- private:
-  std::unique_ptr<ProfileUtilityContext> context_;
-  std::size_t agent_;
-};
-
-}  // namespace
-
-std::unique_ptr<AgentUtilityContext> Mechanism::make_utility_context(
-    const model::LatencyFamily& family, double arrival_rate,
-    const model::BidProfile& base, std::size_t agent) const {
-  auto context = make_profile_context(family, arrival_rate, base);
-  if (context == nullptr) return nullptr;
-  LBMV_REQUIRE(agent < base.size(), "agent index out of range");
-  return std::make_unique<ProfileAgentContext>(std::move(context), agent);
 }
 
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(

@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "lbmv/alloc/allocator.h"
@@ -43,8 +44,8 @@ struct BatchRunOptions;  // batch.h
 struct RoundOptions;     // batch.h
 
 /// The payment rules the shipped mechanisms implement.  A mechanism
-/// advertises its rule via Mechanism::payment_rule(); every round engine,
-/// profile context and grid kernel dispatches on it.
+/// advertises its rule via Mechanism::payment_rule(); every round engine
+/// and profile context dispatches on it through with_payment_rule.
 enum class PaymentRule {
   kCompBonusExecution,  ///< C_i = t~_i x_i^2, B_i = L_{-i} - L(x, t~)
   kCompBonusBid,        ///< C_i = b_i  x_i^2, B_i = L_{-i} - L(x, t~)
@@ -52,6 +53,28 @@ enum class PaymentRule {
   kNoPayment,           ///< P_i = 0
   kArcherTardos,        ///< b_i x_i^2 + closed-form payment tail
 };
+
+/// The one runtime-rule-to-template dispatch: calls
+/// f(std::integral_constant<PaymentRule, rule>{}), so a kernel written as a
+/// template over its rule is selected once per call instead of switching
+/// per element.
+template <class F>
+decltype(auto) with_payment_rule(PaymentRule rule, F&& f) {
+  using R = PaymentRule;
+  switch (rule) {
+    case R::kCompBonusExecution:
+      return f(std::integral_constant<R, R::kCompBonusExecution>{});
+    case R::kCompBonusBid:
+      return f(std::integral_constant<R, R::kCompBonusBid>{});
+    case R::kVcg:
+      return f(std::integral_constant<R, R::kVcg>{});
+    case R::kArcherTardos:
+      return f(std::integral_constant<R, R::kArcherTardos>{});
+    case R::kNoPayment:
+      break;
+  }
+  return f(std::integral_constant<R, R::kNoPayment>{});
+}
 
 /// Economic outcome for a single agent in one mechanism round.
 struct AgentOutcome {
@@ -89,22 +112,6 @@ struct MechanismOutcome {
   [[nodiscard]] double total_valuation_magnitude() const;
 };
 
-/// Audit fast path: one agent's utility as a function of its own deviation,
-/// with everything that does not depend on that agent's bid or execution
-/// value precomputed at construction.  Built by
-/// Mechanism::make_utility_context for one (base profile, agent) pair; the
-/// truthfulness auditor then queries O(grid) points against the same frozen
-/// opponents at O(1) each instead of re-running the full mechanism.
-/// Implementations must be safe to query concurrently.
-class AgentUtilityContext {
- public:
-  virtual ~AgentUtilityContext() = default;
-
-  /// Utility of the audited agent when it bids \p bid and executes at
-  /// \p execution (both positive), everything else as in the base profile.
-  [[nodiscard]] virtual double utility(double bid, double execution) const = 0;
-};
-
 /// One agent's pending (bid, execution) change, addressed by index.  The
 /// unit of work for batched commits (ProfileUtilityContext::commit_batch,
 /// DeviationEvaluator::commit_batch in learning rounds).
@@ -114,18 +121,30 @@ struct BidDelta {
   double execution = 0.0;
 };
 
-/// Strategy fast path: the utility of *any* agent under a unilateral
-/// deviation from a committed base profile, plus an O(1) way to make a
-/// deviation permanent.  Built by Mechanism::make_profile_context once per
-/// profile; the strategy layers (best response, learning, tournaments,
-/// leader-commitment games) then evaluate O(n * grid) deviations at O(1)
-/// each instead of re-running the full mechanism per grid point.
+/// Winning candidate of a deviation sweep.
+struct GridBest {
+  std::size_t index = 0;  ///< first index attaining the maximum utility
+  double utility = 0.0;   ///< the maximum utility
+};
+
+/// Strategy and audit fast path: the utility of *any* agent under a
+/// unilateral deviation from a committed base profile, sweeps of one agent
+/// over many candidate bids, plus an O(1) way to make a deviation
+/// permanent.  Built by Mechanism::make_profile_context once per profile;
+/// the audits and the strategy layers (best response, learning,
+/// tournaments, leader-commitment games) then evaluate O(n * grid)
+/// deviations at O(1) each instead of re-running the full mechanism per
+/// grid point.
 ///
 /// Contract:
-///   * utility() must be safe to call concurrently (pure reads);
+///   * utility(), utilities_into() and best_response() are pure reads and
+///     safe to call concurrently;
+///   * every query and commit checks model::require_valid_deviation (agent
+///     in range, bid and execution finite and > 0) and throws its
+///     PreconditionError;
 ///   * commit() permanently moves one agent to (bid, execution) — O(1)
 ///     amortised for closed-form implementations — and is NOT safe to call
-///     concurrently with utility();
+///     concurrently with any query;
 ///   * outcome_into() reconstructs the full MechanismOutcome at the
 ///     committed profile, agreeing with Mechanism::run to roundoff.
 class ProfileUtilityContext {
@@ -133,9 +152,27 @@ class ProfileUtilityContext {
   virtual ~ProfileUtilityContext() = default;
 
   /// Utility of \p agent when it deviates to (\p bid, \p execution), with
-  /// every other agent as committed.  Both values must be positive.
+  /// every other agent as committed.
   [[nodiscard]] virtual double utility(std::size_t agent, double bid,
                                        double execution) const = 0;
+
+  /// out[k] = utility(agent, bids[k], execution) for every k — the same
+  /// bits and the same first error as that loop.  \p out must be at least
+  /// bids.size() long and must not alias \p bids.
+  void utilities_into(std::size_t agent, std::span<const double> bids,
+                      double execution, std::span<double> out) const;
+
+  /// The utility-maximising candidate of the same sweep, ties to the
+  /// smallest index: identical to a strictly-greater first-wins scan of
+  /// utility() in index order.  Requires a non-empty grid.
+  [[nodiscard]] GridBest best_response(std::size_t agent,
+                                       std::span<const double> bids,
+                                       double execution) const;
+
+  /// Whether sweeps evaluate four candidates per instruction (the closed
+  /// forms' lane sweep, grid_kernels.h) rather than one utility() call per
+  /// candidate.  Only telemetry reads it (padded-lane accounting).
+  [[nodiscard]] virtual bool lane_sweeps() const { return false; }
 
   /// Make a deviation permanent: agent now bids \p bid and executes at
   /// \p execution for all subsequent queries.
@@ -147,8 +184,13 @@ class ProfileUtilityContext {
   /// write all k entries first and re-derive once — the re-derivation is
   /// from scratch at the final profile, so the override is state-identical
   /// to the sequential loop with k times less work.  Later entries for the
-  /// same agent win (sequential semantics).
+  /// same agent win (sequential semantics).  Every entry is checked before
+  /// any is written, so a rejected batch changes nothing.
   virtual void commit_batch(std::span<const BidDelta> deltas) {
+    for (const BidDelta& d : deltas) {
+      model::require_valid_deviation(d.agent, profile().size(), d.bid,
+                                     d.execution);
+    }
     for (const BidDelta& d : deltas) commit(d.agent, d.bid, d.execution);
   }
 
@@ -161,6 +203,15 @@ class ProfileUtilityContext {
 
   /// The committed profile.
   [[nodiscard]] virtual const model::BidProfile& profile() const = 0;
+
+ protected:
+  /// The sweep behind utilities_into (\p out non-null) and best_response
+  /// (\p best non-null), over a non-empty grid.  The default calls utility()
+  /// per candidate and keeps the first strictly-greater maximum, just as
+  /// commit_batch defaults to a loop of commit(); closed-form contexts
+  /// override it with the lane sweep.
+  virtual void sweep(std::size_t agent, std::span<const double> bids,
+                     double execution, double* out, GridBest* best) const;
 };
 
 /// Base class for load balancing mechanisms (Definition 3.2).
@@ -272,20 +323,12 @@ class Mechanism {
   /// hold the two to each other.
   [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
 
-  /// Build an O(1)-per-deviation utility evaluator for audits of \p agent
-  /// against \p base, or nullptr when no closed form applies (callers then
-  /// fall back to run() per deviation).  The base profile's own entries for
-  /// \p agent are irrelevant: every query overrides them.
-  [[nodiscard]] std::unique_ptr<AgentUtilityContext> make_utility_context(
-      const model::LatencyFamily& family, double arrival_rate,
-      const model::BidProfile& base, std::size_t agent) const;
-
   /// Build an O(1)-per-deviation evaluator over the whole profile (any agent,
   /// with commit support) for payment_rule(): the linear-PR context
   /// (profile_context.h) or a nonlinear family's (family_context.h), or
   /// nullptr when no closed form applies — callers then fall back to run()
   /// per deviation.  \p base is copied; the context does not alias it
-  /// afterwards.  make_utility_context wraps this for single-agent audits.
+  /// afterwards.
   [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
       const model::LatencyFamily& family, double arrival_rate,
       const model::BidProfile& base) const;

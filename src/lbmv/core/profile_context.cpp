@@ -6,6 +6,7 @@
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/core/archer_tardos.h"
+#include "lbmv/core/grid_kernels.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
 
@@ -23,53 +24,82 @@ LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
   rebuild();
 }
 
-double LinearPrProfileContext::utility(std::size_t agent, double bid,
-                                       double execution) const {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_ASSERT(bid > 0.0 && execution > 0.0,
-              "deviations must have positive bid and execution");
+namespace {
+
+/// Utility of a deviation to (bid, execution) under rule R, from the
+/// agent's Rest.  T is double (utility()) or util::simd::DVec (the sweep):
+/// one expression text, the same IEEE operation per lane.
+///   S' = S_rest + 1/b,  x = R (1/b) / S',  L' = (R/S')^2 W',
+///   W' = W_rest + e/b^2,  L_{-i} = R^2 / S_rest.
+template <PaymentRule R, class T>
+T deviation_utility(std::integral_constant<PaymentRule, R>,
+                    const LinearPrProfileContext::Rest& rest, T bid,
+                    double execution) {
+  const T inv = 1.0 / bid;
+  const T s = rest.s_rest + inv;
+  const T x = rest.r * inv / s;
+  const T x2 = x * x;
+  if constexpr (R == PaymentRule::kCompBonusExecution ||
+                R == PaymentRule::kCompBonusBid) {
+    const T rs = rest.r / s;
+    const T gap = rest.l_rest - rs * rs * (rest.w_rest + execution * inv * inv);
+    if constexpr (R == PaymentRule::kCompBonusExecution) {
+      // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
+      return gap;
+    } else {
+      return bid * x2 + gap - execution * x2;
+    }
+  } else if constexpr (R == PaymentRule::kVcg) {
+    // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
+    // (R/S')^2 S_rest, so the Clarke payment is L_{-i} - (R^2/S' - b x^2).
+    return rest.l_rest - rest.rr / s + bid * x2 - execution * x2;
+  } else if constexpr (R == PaymentRule::kArcherTardos) {
+    // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
+    // on S_rest, so truth-telling in bids is dominant but slow execution
+    // (e > t) goes unpunished — the verification-free baseline.
+    return bid * x2 + rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)) -
+           execution * x2;
+  } else {
+    return -execution * x2;
+  }
+}
+
+}  // namespace
+
+LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
+    std::size_t agent) const {
   const double r = arrival_rate_;
   const double old_inv = 1.0 / profile_.bids[agent];
   const double s_rest = s_ - old_inv;
-  const double inv = 1.0 / bid;
-  const double s = s_rest + inv;
-  const double x = r * inv / s;
-  const double x2 = x * x;
-  switch (rule_) {
-    case PaymentRule::kCompBonusExecution:
-      // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
-      return r * r / s_rest - actual_after(agent, s, inv, execution);
-    case PaymentRule::kCompBonusBid:
-      return bid * x2 + (r * r / s_rest -
-                         actual_after(agent, s, inv, execution)) -
-             execution * x2;
-    case PaymentRule::kVcg: {
-      // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
-      // (R/S')^2 S_rest, so the Clarke payment is
-      // L_{-i} - (R^2/S' - b x^2).
-      const double payment = r * r / s_rest - r * r / s + bid * x2;
-      return payment - execution * x2;
-    }
-    case PaymentRule::kNoPayment:
-      return -execution * x2;
-    case PaymentRule::kArcherTardos: {
-      // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
-      // on s_rest, so truth-telling in bids is dominant but slow execution
-      // (e > t) goes unpunished — the verification-free baseline.
-      const double payment =
-          bid * x2 + r * r / (s_rest * (1.0 + bid * s_rest));
-      return payment - execution * x2;
-    }
-  }
-  LBMV_ASSERT(false, "unreachable payment rule");
-  return 0.0;  // unreachable
+  return Rest{r, r * r, s_rest, r * r / s_rest,
+              w_ - profile_.executions[agent] * old_inv * old_inv};
+}
+
+double LinearPrProfileContext::utility(std::size_t agent, double bid,
+                                       double execution) const {
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
+  const Rest rest = rest_of(agent);
+  return with_payment_rule(rule_, [&](auto rule) {
+    return deviation_utility(rule, rest, bid, execution);
+  });
+}
+
+void LinearPrProfileContext::sweep(std::size_t agent,
+                                   std::span<const double> bids,
+                                   double execution, double* out,
+                                   GridBest* best) const {
+  const Rest rest = rest_of(agent);
+  with_payment_rule(rule_, [&](auto rule) {
+    lane_sweep(*this, agent, bids, execution, out, best,
+               [&](util::simd::DVec b, util::simd::DVec&) {
+                 return deviation_utility(rule, rest, b, execution);
+               });
+  });
 }
 
 void LinearPrProfileContext::commit(std::size_t agent, double bid,
                                     double execution) {
-  LBMV_ASSERT(agent < profile_.size(), "agent index out of range");
-  LBMV_ASSERT(bid > 0.0 && execution > 0.0,
-              "deviations must have positive bid and execution");
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
   const double old_bid = profile_.bids[agent];
   const double old_exec = profile_.executions[agent];
   s_ += 1.0 / bid - 1.0 / old_bid;
@@ -135,16 +165,6 @@ void LinearPrProfileContext::outcome_into(MechanismOutcome& out) const {
 double LinearPrProfileContext::actual_latency() const {
   const double rs = arrival_rate_ / s_;
   return rs * rs * w_;
-}
-
-double LinearPrProfileContext::actual_after(std::size_t agent, double s,
-                                            double inv_bid,
-                                            double execution) const {
-  const double old_inv = 1.0 / profile_.bids[agent];
-  const double w = w_ - profile_.executions[agent] * old_inv * old_inv +
-                   execution * inv_bid * inv_bid;
-  const double rs = arrival_rate_ / s;
-  return rs * rs * w;
 }
 
 void LinearPrProfileContext::rebuild() {

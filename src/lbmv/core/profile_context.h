@@ -24,10 +24,10 @@
 /// else — non-linear families, non-PR allocators — returns nullptr and the
 /// caller falls back to Mechanism::run per deviation.
 ///
-/// The concrete LinearPrProfileContext is exported (not hidden behind the
-/// factory) so the lane-parallel deviation-grid kernels (grid_kernels.h,
-/// DESIGN.md §13) can read the cached sums and evaluate four candidate bids
-/// per instruction against the same frozen profile.
+/// The deviation closed form is written once, as a template over the value
+/// type: utility() evaluates it on one double, and the sweep override on
+/// four candidate bids per instruction through the lane driver
+/// (grid_kernels.h, DESIGN.md §13) — the same bits either way.
 
 #include <memory>
 #include <vector>
@@ -46,9 +46,8 @@ namespace lbmv::core {
 /// stays far below the 1e-9 differential-test tolerance while the amortised
 /// commit cost stays O(1).
 ///
-/// The accessors (rule/arrival_rate/s/w) exist for the grid kernels, which
-/// replicate utility()'s exact IEEE operand order lane-wise; utility()
-/// itself stays the scalar oracle the differential suite holds them to.
+/// utilities_into and best_response run the closed form four candidates per
+/// instruction (lane_sweeps() is true).
 class LinearPrProfileContext final : public ProfileUtilityContext {
  public:
   LinearPrProfileContext(PaymentRule rule, double arrival_rate,
@@ -62,19 +61,23 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
   [[nodiscard]] const model::BidProfile& profile() const override {
     return profile_;
   }
+  [[nodiscard]] bool lane_sweeps() const override { return true; }
 
-  [[nodiscard]] PaymentRule rule() const { return rule_; }
-  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
-  /// Cached S = sum_j 1/b_j at the committed profile.
-  [[nodiscard]] double s() const { return s_; }
-  /// Cached W = sum_j t~_j / b_j^2 at the committed profile.
-  [[nodiscard]] double w() const { return w_; }
+  /// Everything a deviation by one agent reads from the committed sums.
+  struct Rest {
+    double r;       ///< arrival rate R
+    double rr;      ///< R^2
+    double s_rest;  ///< S - 1/b_i
+    double l_rest;  ///< L_{-i} = R^2 / (S - 1/b_i)
+    double w_rest;  ///< W - t~_i / b_i^2
+  };
+
+ protected:
+  void sweep(std::size_t agent, std::span<const double> bids,
+             double execution, double* out, GridBest* best) const override;
 
  private:
-  /// Verified total latency after agent i deviates: (R/S')^2 W' with
-  /// W' = W - t~_i/b_i^2 + e/b^2.
-  [[nodiscard]] double actual_after(std::size_t agent, double s,
-                                    double inv_bid, double execution) const;
+  [[nodiscard]] Rest rest_of(std::size_t agent) const;
   void rebuild();
 
   PaymentRule rule_;

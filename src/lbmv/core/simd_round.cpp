@@ -143,12 +143,10 @@ struct RoundScalars {
 ///   no-payment  every transfer 0
 /// All pointers are offset to the block start.
 template <PaymentRule kRule>
-[[nodiscard]] unsigned char publish_block(std::size_t n, const double* inv,
-                                          const double* bids,
-                                          const double* execs,
-                                          const RoundScalars& k,
-                                          double* x_out,
-                                          AgentOutcome* agents) {
+[[nodiscard]] unsigned char publish_block(
+    std::integral_constant<PaymentRule, kRule>, std::size_t n,
+    const double* inv, const double* bids, const double* execs,
+    const RoundScalars& k, double* x_out, AgentOutcome* agents) {
   const DVec vs = v::set1(k.inverse_sum);
   const DVec vshare = v::set1(k.share);
   const DVec vgap = v::set1(k.min_gap);
@@ -209,32 +207,6 @@ template <PaymentRule kRule>
   return static_cast<unsigned char>(
       (v::mask_all_true(gmask) ? kGuardOk : 0u) |
       (v::hsum(fsum) == 0.0 ? kFinite : 0u));
-}
-
-/// publish_block for a runtime rule.
-[[nodiscard]] unsigned char publish(PaymentRule rule, std::size_t n,
-                                    const double* inv, const double* bids,
-                                    const double* execs,
-                                    const RoundScalars& k, double* x_out,
-                                    AgentOutcome* agents) {
-  switch (rule) {
-    case PaymentRule::kCompBonusExecution:
-      return publish_block<PaymentRule::kCompBonusExecution>(
-          n, inv, bids, execs, k, x_out, agents);
-    case PaymentRule::kCompBonusBid:
-      return publish_block<PaymentRule::kCompBonusBid>(n, inv, bids, execs,
-                                                       k, x_out, agents);
-    case PaymentRule::kVcg:
-      return publish_block<PaymentRule::kVcg>(n, inv, bids, execs, k, x_out,
-                                              agents);
-    case PaymentRule::kArcherTardos:
-      return publish_block<PaymentRule::kArcherTardos>(n, inv, bids, execs,
-                                                       k, x_out, agents);
-    case PaymentRule::kNoPayment:
-      break;
-  }
-  return publish_block<PaymentRule::kNoPayment>(n, inv, bids, execs, k,
-                                                x_out, agents);
 }
 
 }  // namespace
@@ -319,12 +291,14 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
                              inverse_sum * alloc::kLeaveOneOutMinRelativeGap,
                              actual_total,
                              reported_total};
-  for_blocks(nblocks, shards, pool, [&](std::size_t b) {
-    const std::size_t lo = b * kShardBlock;
-    ws.block_ok[b] = publish(rule, std::min(n - lo, kShardBlock),
-                             inv.data() + lo, bids.data() + lo,
-                             executions.data() + lo, scalars, x + lo,
-                             agents + lo);
+  with_payment_rule(rule, [&](auto rule_tag) {
+    for_blocks(nblocks, shards, pool, [&](std::size_t b) {
+      const std::size_t lo = b * kShardBlock;
+      ws.block_ok[b] = publish_block(
+          rule_tag, std::min(n - lo, kShardBlock), inv.data() + lo,
+          bids.data() + lo, executions.data() + lo, scalars, x + lo,
+          agents + lo);
+    });
   });
   bool finite = true;
   bool guards_ok = true;

@@ -37,6 +37,16 @@ void require_valid_values(std::span<const double> bids,
   }
 }
 
+void throw_invalid_deviation(std::size_t agent, std::size_t n, double bid,
+                             double execution) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LBMV_REQUIRE(agent < n, "agent index out of range");
+  if (!(bid > 0.0 && bid < kInf)) throw_invalid_value("bids", agent);
+  LBMV_ASSERT(!(execution > 0.0 && execution < kInf),
+              "throw_invalid_deviation called on a valid deviation");
+  throw_invalid_value("execution values", agent);
+}
+
 void require_valid_round(double arrival_rate, std::span<const double> bids,
                          std::span<const double> executions) {
   require_valid_values(bids, executions);

@@ -11,6 +11,7 @@
 /// the "verification".
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -60,6 +61,25 @@ struct BidProfile {
 /// least as long as \p bids.
 void require_valid_values(std::span<const double> bids,
                           std::span<const double> executions);
+
+/// Throws the PreconditionError require_valid_deviation describes (cold
+/// path; requires that some part of the check fails).
+[[noreturn]] void throw_invalid_deviation(std::size_t agent, std::size_t n,
+                                          double bid, double execution);
+
+/// The same check for one unilateral deviation query (a profile context's
+/// utility, commit or sweep): \p agent must index one of \p n agents, and
+/// \p bid and \p execution must be finite and > 0.  Throws a
+/// PreconditionError with require_valid_values' message for that agent.
+/// Inline: it guards every O(1) query.
+inline void require_valid_deviation(std::size_t agent, std::size_t n,
+                                    double bid, double execution) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(agent < n && bid > 0.0 && bid < kInf && execution > 0.0 &&
+        execution < kInf)) {
+    throw_invalid_deviation(agent, n, bid, execution);
+  }
+}
 
 /// require_valid_values, then the arrival rate: finite and > 0.
 void require_valid_round(double arrival_rate, std::span<const double> bids,

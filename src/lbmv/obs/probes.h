@@ -51,9 +51,9 @@
 ///                                             skipped a full Mechanism::run
 ///     lbmv_strategy_commits_total             committed deviations
 ///     lbmv_strategy_grid_evals_total          candidate bids swept by
-///                                             strategy::GridEvaluator
+///                                             DeviationEvaluator sweeps
 ///     lbmv_strategy_grid_lanes_wasted_total   padded tail lanes the 4-lane
-///                                             grid kernels evaluated
+///                                             context sweeps evaluated
 ///
 ///   gauges (additive)
 ///     lbmv_sim_queue_depth        pending events in the calendar queue
@@ -138,8 +138,8 @@ struct ProtocolProbes {
   static ProtocolProbes& get();
 };
 
-/// Strategy layer: DeviationEvaluator, GridEvaluator and best-response
-/// dynamics.
+/// Strategy layer: DeviationEvaluator (queries and sweeps) and
+/// best-response dynamics.
 struct StrategyProbes {
   Counter deviation_evals;
   Counter mechanism_runs_avoided;

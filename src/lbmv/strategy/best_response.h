@@ -44,8 +44,9 @@ struct BestResponseOptions {
   /// (baseline measurements, differential tests).
   bool use_incremental = true;
   /// Optional pool for fanning large candidate grids over threads (see
-  /// strategy::GridEvaluator).  The dynamics — grid argmax included — are
-  /// bit-identical with and without a pool, at any thread count.
+  /// DeviationEvaluator::best_response).  The dynamics — grid argmax
+  /// included — are bit-identical with and without a pool, at any thread
+  /// count.
   util::ThreadPool* pool = nullptr;
 };
 

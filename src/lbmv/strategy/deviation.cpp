@@ -1,13 +1,59 @@
 #include "lbmv/strategy/deviation.h"
 
-#include <cmath>
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "lbmv/core/grid_kernels.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
+#include "lbmv/util/thread_pool.h"
 
 namespace lbmv::strategy {
+namespace {
+
+/// Fixed fan-out block: a multiple of the lane count, so blocked sweeps pad
+/// only the final partial block — exactly the lanes one serial sweep would
+/// pad — and lane positions (candidate k in lane k mod 4) match the serial
+/// sweep's, keeping blocked and serial results bit-identical.
+constexpr std::size_t kBlock = 1024;
+
+using Clock = std::chrono::steady_clock;
+
+/// Run sweep(lo, len) over [0, size): whole, or — with a pool and more than
+/// one block — one fixed block per task.  parallel_for rethrows the first
+/// failing chunk's first error, and each chunk stops at its first failing
+/// block, so a pooled sweep throws exactly what the serial one throws.
+template <class Sweep>
+void fan_out(std::size_t size, util::ThreadPool* pool, const Sweep& sweep) {
+  const std::size_t nblocks = (size + kBlock - 1) / kBlock;
+  if (pool == nullptr || nblocks < 2) {
+    sweep(0, size);
+    return;
+  }
+  util::parallel_for(*pool, 0, nblocks, [&](std::size_t blk) {
+    const std::size_t lo = blk * kBlock;
+    sweep(lo, std::min(kBlock, size - lo));
+  });
+}
+
+/// Sweep telemetry (class comment in deviation.h) for a sweep through
+/// \p context (nullptr on the naive path).
+void note_sweep(const core::ProfileUtilityContext* context,
+                std::size_t grid_size, Clock::time_point start) {
+  if (!obs::enabled()) return;
+  obs::StrategyProbes& probes = obs::StrategyProbes::get();
+  probes.grid_evals.inc(grid_size);
+  if (context != nullptr && context->lane_sweeps()) {
+    probes.grid_lanes_wasted.inc(core::grid_lanes_padded(grid_size));
+  }
+  const std::chrono::duration<double> elapsed = Clock::now() - start;
+  probes.grid_round_seconds.record(elapsed.count());
+}
+
+}  // namespace
 
 DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
                                        const model::SystemConfig& config,
@@ -35,10 +81,7 @@ DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
 
 double DeviationEvaluator::utility(std::size_t agent, double bid,
                                    double execution) const {
-  LBMV_REQUIRE(agent < profile().size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0 && std::isfinite(bid) && execution > 0.0 &&
-                   std::isfinite(execution),
-               "deviations must have positive finite bid and execution");
+  model::require_valid_deviation(agent, profile().size(), bid, execution);
   if (obs::enabled()) {
     obs::StrategyProbes& probes = obs::StrategyProbes::get();
     probes.deviation_evals.inc();
@@ -59,12 +102,68 @@ double DeviationEvaluator::utility(std::size_t agent, double bid,
   return utility;
 }
 
+void DeviationEvaluator::utilities_into(std::size_t agent,
+                                        std::span<const double> bids,
+                                        double execution,
+                                        std::span<double> out,
+                                        util::ThreadPool* pool) const {
+  LBMV_REQUIRE(out.size() >= bids.size(),
+               "output span must cover the candidate grid");
+  const Clock::time_point start =
+      obs::enabled() ? Clock::now() : Clock::time_point{};
+  if (context_ == nullptr) {
+    for (std::size_t k = 0; k < bids.size(); ++k) {
+      out[k] = utility(agent, bids[k], execution);
+    }
+  } else {
+    fan_out(bids.size(), pool, [&](std::size_t lo, std::size_t len) {
+      context_->utilities_into(agent, bids.subspan(lo, len), execution,
+                               out.subspan(lo, len));
+    });
+  }
+  note_sweep(context_.get(), bids.size(), start);
+}
+
+core::GridBest DeviationEvaluator::best_response(std::size_t agent,
+                                                 std::span<const double> bids,
+                                                 double execution,
+                                                 util::ThreadPool* pool) const {
+  LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
+  const Clock::time_point start =
+      obs::enabled() ? Clock::now() : Clock::time_point{};
+  core::GridBest best{0, 0.0};
+  if (context_ == nullptr) {
+    // Strictly-greater first-wins scan, the rule the lane argmax reproduces.
+    best.utility = utility(agent, bids[0], execution);
+    for (std::size_t k = 1; k < bids.size(); ++k) {
+      const double u = utility(agent, bids[k], execution);
+      if (u > best.utility) best = {k, u};
+    }
+  } else if (pool == nullptr || bids.size() <= kBlock) {
+    best = context_->best_response(agent, bids, execution);
+  } else {
+    std::vector<core::GridBest> blocks((bids.size() + kBlock - 1) / kBlock);
+    fan_out(bids.size(), pool, [&](std::size_t lo, std::size_t len) {
+      core::GridBest b =
+          context_->best_response(agent, bids.subspan(lo, len), execution);
+      b.index += lo;
+      blocks[lo / kBlock] = b;
+    });
+    // Merge in block (= index) order with the strictly-greater rule: the
+    // first block attaining the global max wins, so the result is the same
+    // first-index argmax as one serial sweep, at any thread count.
+    best = blocks[0];
+    for (const core::GridBest& b : blocks) {
+      if (b.utility > best.utility) best = b;
+    }
+  }
+  note_sweep(context_.get(), bids.size(), start);
+  return best;
+}
+
 void DeviationEvaluator::commit(std::size_t agent, double bid,
                                 double execution) {
-  LBMV_REQUIRE(agent < profile().size(), "agent index out of range");
-  LBMV_REQUIRE(bid > 0.0 && std::isfinite(bid) && execution > 0.0 &&
-                   std::isfinite(execution),
-               "deviations must have positive finite bid and execution");
+  model::require_valid_deviation(agent, profile().size(), bid, execution);
   if (obs::enabled()) obs::StrategyProbes::get().commits.inc();
   if (context_ != nullptr) {
     context_->commit(agent, bid, execution);
@@ -79,10 +178,8 @@ void DeviationEvaluator::commit(std::size_t agent, double bid,
 void DeviationEvaluator::commit_batch(
     std::span<const core::BidDelta> deltas) {
   for (const core::BidDelta& d : deltas) {
-    LBMV_REQUIRE(d.agent < profile().size(), "agent index out of range");
-    LBMV_REQUIRE(d.bid > 0.0 && std::isfinite(d.bid) && d.execution > 0.0 &&
-                     std::isfinite(d.execution),
-                 "deviations must have positive finite bid and execution");
+    model::require_valid_deviation(d.agent, profile().size(), d.bid,
+                                   d.execution);
   }
   if (deltas.empty()) return;
   if (obs::enabled()) {

@@ -13,26 +13,43 @@
 /// else.  commit() makes a deviation permanent with an O(1) delta to the
 /// cached sums instead of re-running the mechanism.
 ///
+/// Candidate sweeps (utilities_into, best_response) run the context's own
+/// sweep — four candidates per instruction on the linear-PR and M/M/1
+/// closed forms (DESIGN.md §13), one utility() per candidate otherwise —
+/// and optionally fan out over a util::ThreadPool in FIXED 1024-candidate
+/// blocks merged in block order, so results (and the first error thrown)
+/// are bit-identical at any thread count, pooled or serial.
+///
 /// Best-response dynamics, bandit learning, tournaments and the leader-
 /// commitment game are all built on this one class; see DESIGN.md §10 for
 /// the complexity accounting.
 
 #include <memory>
+#include <span>
 
 #include "lbmv/core/batch.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
 
+namespace lbmv::util {
+class ThreadPool;
+}
+
 namespace lbmv::strategy {
 
 /// Per-profile deviation engine.  The mechanism must outlive the evaluator
 /// (the config's latency family is retained).
 ///
-/// Thread safety: utility() on the incremental path is pure reads and safe
-/// to call concurrently; the naive fallback mutates the shared scratch
-/// buffer and is not.  commit() is never safe to call concurrently with
-/// anything.
+/// Thread safety: utility() and the sweeps on the incremental path are pure
+/// reads and safe to call concurrently; the naive fallback mutates the
+/// shared scratch buffer and is not.  commit() is never safe to call
+/// concurrently with anything.
+///
+/// Obs: sweeps bump lbmv_strategy_grid_evals_total (every candidate) and
+/// lbmv_strategy_grid_lanes_wasted_total (padded tail lanes of lane sweeps)
+/// and record lbmv_strategy_grid_round_seconds when recording is on;
+/// utility() bumps the deviation-evaluation counters.
 class DeviationEvaluator {
  public:
   enum class Mode {
@@ -55,6 +72,21 @@ class DeviationEvaluator {
   /// fallback.
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const;
+
+  /// out[k] = utility(agent, bids[k], execution) for every k, bit for bit
+  /// (same first error too); \p out must be at least bids.size() long.
+  /// \p pool, when non-null, fans sweeps longer than one 1024-candidate
+  /// block over the pool on the incremental path.
+  void utilities_into(std::size_t agent, std::span<const double> bids,
+                      double execution, std::span<double> out,
+                      util::ThreadPool* pool = nullptr) const;
+
+  /// Utility-maximising candidate, ties to the smallest index — identical
+  /// to a strictly-greater scalar scan in index order.  Requires a
+  /// non-empty grid; \p pool as for utilities_into.
+  [[nodiscard]] core::GridBest best_response(
+      std::size_t agent, std::span<const double> bids, double execution,
+      util::ThreadPool* pool = nullptr) const;
 
   /// Make a deviation permanent for all subsequent queries.  O(1) amortised
   /// on the incremental path.
@@ -83,8 +115,7 @@ class DeviationEvaluator {
   [[nodiscard]] bool incremental() const { return context_ != nullptr; }
 
   /// The closed-form context backing the incremental path (nullptr on the
-  /// naive fallback).  strategy::GridEvaluator keys its lane-parallel sweep
-  /// path off the concrete type behind this pointer.
+  /// naive fallback).
   [[nodiscard]] const core::ProfileUtilityContext* profile_context() const {
     return context_.get();
   }

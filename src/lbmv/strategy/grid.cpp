@@ -16,7 +16,7 @@ void make_bid_grid_into(double lo, double hi, std::size_t points,
   out.resize(points);
   if (spacing == GridSpacing::kLinear) {
     // Same expression as util::minimize_scan's coarse scan, so grids handed
-    // to the lane kernels land on the points the scalar scan would visit.
+    // to the lane sweeps land on the points the scalar scan would visit.
     const double step = (hi - lo) / static_cast<double>(points - 1);
     for (std::size_t k = 0; k < points; ++k) {
       out[k] = lo + step * static_cast<double>(k);

@@ -39,10 +39,10 @@ struct LearningOptions {
   /// Full-feedback (counterfactual) updates: instead of crediting only the
   /// pulled arm with its realised utility, every arm's Q is updated each
   /// round with the agent's counterfactual deviation utility at that arm —
-  /// one lane-parallel candidate-bid sweep per execution arm through
-  /// strategy::GridEvaluator, so the whole arm grid costs a handful of
-  /// 4-lane kernel calls rather than |arms| mechanism runs.  Convergence to
-  /// the dominant arm no longer depends on exploration luck.
+  /// one candidate-bid sweep per execution arm through
+  /// DeviationEvaluator::utilities_into, so the whole arm grid costs a
+  /// handful of 4-lane sweeps rather than |arms| mechanism runs.
+  /// Convergence to the dominant arm no longer depends on exploration luck.
   bool full_feedback = false;
 };
 

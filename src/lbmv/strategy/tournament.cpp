@@ -4,7 +4,6 @@
 
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/stats.h"
 
@@ -58,7 +57,6 @@ std::vector<StrategyScore> run_tournament(
     util::Rng action_rng = instance_rng.split(1);
     model::BidProfile profile = apply_strategies(config, assigned, action_rng);
     const DeviationEvaluator evaluator(mechanism, config, std::move(profile));
-    const GridEvaluator grid_eval(evaluator);
     std::vector<double> bid_grid;  // reused per agent
 
     auto& row = samples[instance];
@@ -77,7 +75,7 @@ std::vector<StrategyScore> run_tournament(
       make_bid_grid_into(0.05 * t, 20.0 * t,
                          static_cast<std::size_t>(options.best_response_grid),
                          GridSpacing::kLinear, bid_grid);
-      const auto best = grid_eval.best_response(
+      const auto best = evaluator.best_response(
           i, bid_grid, evaluator.profile().executions[i]);
       row[i].br_gain = best.utility - achieved;
     }

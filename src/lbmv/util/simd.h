@@ -24,6 +24,11 @@
 /// Differential tests exploit this: the ulp contract of the vectorized round
 /// engine is stated against the scalar *kernels* (a different association),
 /// not against the fallback backend.
+///
+/// The arithmetic operators let one expression serve both widths: a closed
+/// form written as a template over its value type is the scalar query at
+/// T = double and the four-candidate sweep at T = DVec, with the same IEEE
+/// operation per lane, so the two agree bit for bit (DESIGN.md §13).
 
 #include <bit>
 #include <cmath>
@@ -86,12 +91,6 @@ inline void store(double* p, DVec a) { _mm256_storeu_pd(p, a.v); }
 /// Lane-wise square root.  VSQRTPD and std::sqrt are both IEEE-754 correctly
 /// rounded, so the backends stay bit-identical.
 [[nodiscard]] inline DVec sqrt(DVec a) { return {_mm256_sqrt_pd(a.v)}; }
-
-/// True when every lane satisfies a > b (ordered: NaN lanes fail).
-[[nodiscard]] inline bool all_greater(DVec a, DVec b) {
-  const __m256d m = _mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ);
-  return _mm256_movemask_pd(m) == 0xF;
-}
 
 /// Lane mask: all-ones where a > b holds (ordered — NaN lanes come back
 /// clear), zero elsewhere.  Hot loops AND-accumulate these and test once
@@ -215,12 +214,6 @@ inline void store(double* p, DVec a) {
   return r;
 }
 
-[[nodiscard]] inline bool all_greater(DVec a, DVec b) {
-  bool ok = true;
-  for (std::size_t i = 0; i < kLanes; ++i) ok = ok && (a.v[i] > b.v[i]);
-  return ok;
-}
-
 /// Lane mask: all-ones where a > b holds (ordered — NaN lanes come back
 /// clear), zero elsewhere.  Bit patterns, not values: lanes are reinterpreted
 /// as uint64 so the emulation matches AVX2's compare-mask bits exactly.
@@ -300,6 +293,25 @@ inline void store_records6(double* dst, DVec f0, DVec f1, DVec f2, DVec f3,
 
 #endif
 
+/// Arithmetic operators, so one expression text compiles for double and for
+/// DVec (the profile contexts' deviation closed forms are written once as
+/// templates over the value type).  Each is exactly the named lane-wise
+/// operation above, a double operand being splatted with set1 — no
+/// contraction, no reassociation.
+[[nodiscard]] inline DVec operator+(DVec a, DVec b) { return add(a, b); }
+[[nodiscard]] inline DVec operator-(DVec a, DVec b) { return sub(a, b); }
+[[nodiscard]] inline DVec operator*(DVec a, DVec b) { return mul(a, b); }
+[[nodiscard]] inline DVec operator/(DVec a, DVec b) { return div(a, b); }
+[[nodiscard]] inline DVec operator-(DVec a) { return neg(a); }
+[[nodiscard]] inline DVec operator+(double a, DVec b) { return add(set1(a), b); }
+[[nodiscard]] inline DVec operator-(double a, DVec b) { return sub(set1(a), b); }
+[[nodiscard]] inline DVec operator*(double a, DVec b) { return mul(set1(a), b); }
+[[nodiscard]] inline DVec operator/(double a, DVec b) { return div(set1(a), b); }
+[[nodiscard]] inline DVec operator+(DVec a, double b) { return add(a, set1(b)); }
+[[nodiscard]] inline DVec operator-(DVec a, double b) { return sub(a, set1(b)); }
+[[nodiscard]] inline DVec operator*(DVec a, double b) { return mul(a, set1(b)); }
+[[nodiscard]] inline DVec operator/(DVec a, double b) { return div(a, set1(b)); }
+
 /// Horizontal sum with one fixed association, (l0 + l1) + (l2 + l3), so the
 /// reduction tree is part of the kernel contract rather than backend whim.
 [[nodiscard]] inline double hsum(DVec a) {
@@ -312,6 +324,18 @@ inline void store_records6(double* dst, DVec f0, DVec f1, DVec f2, DVec f3,
 /// finite.  Two uops per vector, half a two-sided compare-and-mask.
 [[nodiscard]] inline DVec accumulate_finite(DVec acc, DVec a) {
   return add(acc, sub(a, a));
+}
+
+/// Store the first \p count (<= kLanes) lanes of \p a at \p p — the tail
+/// store of a for_each_block body.
+inline void store_first(double* p, DVec a, std::size_t count) {
+  if (count == kLanes) {
+    store(p, a);
+    return;
+  }
+  double lanes[kLanes];
+  store(lanes, a);
+  for (std::size_t k = 0; k < count; ++k) p[k] = lanes[k];
 }
 
 /// Run block(i, count, lanes) over [0, n) in kLanes steps, where

@@ -225,11 +225,11 @@ TEST(ProfileContext, VcgAndNoPaymentGainAuditFastPaths) {
   const BidProfile profile = BidProfile::truthful(config);
   const VcgMechanism vcg;
   const NoPaymentMechanism none;
-  EXPECT_NE(vcg.make_utility_context(config.family(), config.arrival_rate(),
-                                     profile, 0),
+  EXPECT_NE(vcg.make_profile_context(config.family(), config.arrival_rate(),
+                                     profile),
             nullptr);
-  EXPECT_NE(none.make_utility_context(config.family(), config.arrival_rate(),
-                                      profile, 2),
+  EXPECT_NE(none.make_profile_context(config.family(), config.arrival_rate(),
+                                      profile),
             nullptr);
 }
 
@@ -239,10 +239,10 @@ TEST(ProfileContext, AgentContextAgreesWithFullRuns) {
   const BidProfile base = random_profile(config, rng);
   for (int kind = 0; kind < 4; ++kind) {
     const auto mechanism = make_mechanism(kind);
+    const auto context = mechanism->make_profile_context(
+        config.family(), config.arrival_rate(), base);
+    ASSERT_NE(context, nullptr) << mechanism->name();
     for (std::size_t agent = 0; agent < config.size(); ++agent) {
-      const auto context = mechanism->make_utility_context(
-          config.family(), config.arrival_rate(), base, agent);
-      ASSERT_NE(context, nullptr) << mechanism->name();
       for (double bid_mult : {0.3, 1.0, 4.0}) {
         for (double exec_mult : {1.0, 1.7}) {
           BidProfile candidate = base;
@@ -250,7 +250,7 @@ TEST(ProfileContext, AgentContextAgreesWithFullRuns) {
           candidate.executions[agent] = exec_mult * config.true_value(agent);
           const double reference =
               mechanism->run(config, candidate).agents[agent].utility;
-          expect_rel_near(context->utility(candidate.bids[agent],
+          expect_rel_near(context->utility(agent, candidate.bids[agent],
                                            candidate.executions[agent]),
                           reference, 1e-9, mechanism->name().c_str());
         }

@@ -1,35 +1,42 @@
-// Differential suite for the lane-parallel deviation-grid kernels
-// (core/grid_kernels.h, strategy::GridEvaluator, DESIGN.md §13).  The
-// vectorized sweeps must agree with the scalar DeviationEvaluator oracle to
-// 1e-9 (relative) — and, being a lane-exact replication of the same IEEE
-// expressions, bit for bit — across all five closed-form payment rules,
-// boundary bids at both edges of the search interval, every partial-block
-// remainder (grid sizes 1..9), AND-accumulated validity-mask semantics, and
-// first-index argmax tie-breaking.  Pool fan-out and best-response
-// trajectories must be bit-identical at 1, 2 and 8 threads.  The whole file
+// Differential suite for the profile contexts' deviation sweeps
+// (ProfileUtilityContext::utilities_into / best_response, the lane driver in
+// core/grid_kernels.h, DeviationEvaluator's pooled fan-out, DESIGN.md §13).
+// The lane sweeps must agree with the scalar DeviationEvaluator oracle to
+// 1e-9 (relative) — and, being the same templated IEEE expressions, bit for
+// bit — across all five closed-form payment rules, boundary bids at both
+// edges of the search interval, every partial-block remainder (grid sizes
+// 1..9), and first-index argmax tie-breaking.  Every context, query and
+// commit shares one input contract (model::require_valid_deviation).
+// Pooled sweeps on every family and best-response trajectories must be
+// bit-identical at 1, 2 and 8 threads, errors included.  The whole file
 // runs under both LBMV_SIMD=ON and =OFF CI legs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "lbmv/alloc/mm1_allocator.h"
+#include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
+#include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/strategy/best_response.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
 #include "lbmv/strategy/tournament.h"
@@ -43,14 +50,13 @@ using lbmv::core::ArcherTardosMechanism;
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
 using lbmv::core::GridBest;
-using lbmv::core::LinearPrProfileContext;
 using lbmv::core::Mechanism;
 using lbmv::core::NoPaymentMechanism;
+using lbmv::core::ProfileUtilityContext;
 using lbmv::core::VcgMechanism;
 using lbmv::model::BidProfile;
 using lbmv::model::SystemConfig;
 using lbmv::strategy::DeviationEvaluator;
-using lbmv::strategy::GridEvaluator;
 using lbmv::strategy::GridSpacing;
 using lbmv::strategy::make_bid_grid;
 using lbmv::strategy::make_bid_grid_into;
@@ -93,10 +99,11 @@ BidProfile random_profile(const SystemConfig& config, lbmv::util::Rng& rng) {
   return profile;
 }
 
-const LinearPrProfileContext* linear_context(
-    const DeviationEvaluator& evaluator) {
-  return dynamic_cast<const LinearPrProfileContext*>(
-      evaluator.profile_context());
+/// The evaluator's closed-form context, which must sweep in lanes.
+const ProfileUtilityContext* lane_context(const DeviationEvaluator& evaluator) {
+  const ProfileUtilityContext* ctx = evaluator.profile_context();
+  EXPECT_TRUE(ctx != nullptr && ctx->lane_sweeps());
+  return ctx;
 }
 
 void expect_rel_near(double actual, double expected, double rel_tol,
@@ -121,7 +128,7 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
     const DeviationEvaluator fast(*mechanism, config, profile);
     const DeviationEvaluator naive(*mechanism, config, profile,
                                    DeviationEvaluator::Mode::kNaive);
-    const auto* ctx = linear_context(fast);
+    const auto* ctx = lane_context(fast);
     ASSERT_NE(ctx, nullptr) << mechanism->name();
 
     for (std::size_t size = 1; size <= 9; ++size) {
@@ -134,7 +141,7 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
         b = t * std::exp(rng.uniform(std::log(0.05), std::log(20.0)));
       }
       std::vector<double> out(size);
-      lbmv::core::linear_pr_grid_utilities(*ctx, i, bids, exec, out);
+      ctx->utilities_into(i, bids, exec, out);
       for (std::size_t k = 0; k < size; ++k) {
         // Bit-exact against the scalar closed form...
         EXPECT_EQ(out[k], fast.utility(i, bids[k], exec))
@@ -153,7 +160,7 @@ TEST_P(GridKernelDifferential, BoundaryBidsMatchScalar) {
   const auto mechanism = make_mechanism(GetParam());
   const SystemConfig config(log_uniform_types(6, 11), 25.0);
   const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = linear_context(evaluator);
+  const auto* ctx = lane_context(evaluator);
   ASSERT_NE(ctx, nullptr);
 
   for (std::size_t i = 0; i < config.size(); ++i) {
@@ -161,7 +168,7 @@ TEST_P(GridKernelDifferential, BoundaryBidsMatchScalar) {
     const std::vector<double> bids = {1e-9 * t, 1e-4 * t, 0.05 * t, t,
                                       20.0 * t, 1e4 * t,  1e9 * t};
     std::vector<double> out(bids.size());
-    lbmv::core::linear_pr_grid_utilities(*ctx, i, bids, t, out);
+    ctx->utilities_into(i, bids, t, out);
     for (std::size_t k = 0; k < bids.size(); ++k) {
       EXPECT_EQ(out[k], evaluator.utility(i, bids[k], t))
           << mechanism->name() << " agent=" << i << " k=" << k;
@@ -177,7 +184,7 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
   lbmv::util::Rng rng(4242);
   const SystemConfig config(log_uniform_types(5, 3), 30.0);
   const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = linear_context(evaluator);
+  const auto* ctx = lane_context(evaluator);
   ASSERT_NE(ctx, nullptr);
 
   for (int trial = 0; trial < 16; ++trial) {
@@ -195,7 +202,7 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
       bids[k] = bids[rng.uniform_int(0, 1) != 0 ? 0 : k - 1];
     }
 
-    const GridBest best = lbmv::core::linear_pr_grid_best(*ctx, i, bids, exec);
+    const GridBest best = ctx->best_response(i, bids, exec);
     std::size_t want_idx = 0;
     double want_u = evaluator.utility(i, bids[0], exec);
     for (std::size_t k = 1; k < size; ++k) {
@@ -213,41 +220,114 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
 INSTANTIATE_TEST_SUITE_P(AllMechanisms, GridKernelDifferential,
                          ::testing::Range(0, kMechanismKinds));
 
-// Non-positive / non-finite candidates trip the AND-accumulated validity
-// mask and surface as the canonical typed PreconditionError; valid grids of
-// the same shape sail through.
-TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
-  const CompBonusMechanism mechanism;
-  const SystemConfig config(log_uniform_types(4, 7), 20.0);
-  const DeviationEvaluator evaluator(mechanism, config);
-  const auto* ctx = linear_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
+/// One profile context per family with a closed form: linear-PR, M/M/1
+/// (narrow service times, every computer active) and workload.
+struct FamilyCase {
+  std::string label;
+  std::unique_ptr<Mechanism> mechanism;
+  SystemConfig config;
+};
 
+std::vector<FamilyCase> family_cases(std::size_t n = 4) {
+  std::vector<double> thetas(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    thetas[j] = 0.5 + 0.5 * static_cast<double>(j) / static_cast<double>(n);
+  }
+  double sum_mu = 0.0;
+  for (double t : thetas) sum_mu += 1.0 / t;
+  std::vector<FamilyCase> cases;
+  cases.push_back({"linear", std::make_unique<CompBonusMechanism>(),
+                   SystemConfig(log_uniform_types(n, 7), 20.0)});
+  cases.push_back(
+      {"mm1",
+       std::make_unique<CompBonusMechanism>(
+           std::make_shared<const lbmv::alloc::MM1Allocator>()),
+       SystemConfig(thetas, 0.4 * sum_mu,
+                    std::make_shared<const lbmv::model::MM1Family>())});
+  cases.push_back(
+      {"workload",
+       std::make_unique<CompBonusMechanism>(
+           std::make_shared<const lbmv::alloc::WorkloadAllocator>()),
+       SystemConfig(thetas, 0.4 * sum_mu,
+                    std::make_shared<const lbmv::model::WorkloadFamily>(0.5))});
+  return cases;
+}
+
+/// what() of the PreconditionError \p fn throws ("" if none; any other
+/// exception fails the test).
+template <class Fn>
+std::string precondition_what(Fn fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a PreconditionError: " << e.what();
+  }
+  return "";
+}
+
+// One input contract for every deviation query: on every context, utility,
+// commit and both sweeps reject a zero, negative, infinite or NaN bid or
+// execution, and an agent index out of range, with the shared check's
+// PreconditionError; a rejected commit writes nothing.
+TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::vector<double>> bad = {
-      {1.0, 2.0, 0.0, 3.0},        // zero inside a full block
-      {1.0, 2.0, 3.0, 4.0, -1.0},  // negative in the padded tail
-      {inf, 1.0},                  // +inf
-      {1.0, nan, 2.0},             // NaN fails both ordered compares
-  };
-  std::vector<double> out(8);
-  for (const auto& bids : bad) {
-    EXPECT_THROW(lbmv::core::linear_pr_grid_utilities(*ctx, 0, bids, 1.0,
-                                                      out),
-                 PreconditionError);
-    EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 0, bids, 1.0),
-                 PreconditionError);
-  }
-  const std::vector<double> two = {1.0, 2.0};
-  EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 0, two, 0.0),
-               PreconditionError);
-  EXPECT_THROW((void)lbmv::core::linear_pr_grid_best(*ctx, 9, two, 1.0),
-               PreconditionError);
+  for (const FamilyCase& fc : family_cases()) {
+    SCOPED_TRACE(fc.label);
+    const BidProfile base = BidProfile::truthful(fc.config);
+    const std::size_t n = fc.config.size();
+    const auto ctx = fc.mechanism->make_profile_context(
+        fc.config.family(), fc.config.arrival_rate(), base);
+    ASSERT_NE(ctx, nullptr);
+    const double t = fc.config.true_value(1);
+    const auto expect_rejected = [&](std::size_t agent, double bid,
+                                     double exec, const std::string& what) {
+      SCOPED_TRACE("agent " + std::to_string(agent) + " bid " +
+                   std::to_string(bid) + " exec " + std::to_string(exec));
+      // The bad bid sits mid-grid, in a full lane block and in the padded
+      // tail block.
+      const std::vector<double> full{t, 2.0 * t, bid, 3.0 * t, 4.0 * t};
+      const std::vector<double> tail{t, 2.0 * t, 3.0 * t, 4.0 * t, bid};
+      std::vector<double> out(full.size());
+      for (const auto* grid : {&full, &tail}) {
+        EXPECT_NE(precondition_what(
+                      [&] { ctx->utilities_into(agent, *grid, exec, out); })
+                      .find(what),
+                  std::string::npos);
+        EXPECT_NE(precondition_what(
+                      [&] { (void)ctx->best_response(agent, *grid, exec); })
+                      .find(what),
+                  std::string::npos);
+      }
+      EXPECT_NE(
+          precondition_what([&] { (void)ctx->utility(agent, bid, exec); })
+              .find(what),
+          std::string::npos);
+      EXPECT_NE(precondition_what([&] { ctx->commit(agent, bid, exec); })
+                    .find(what),
+                std::string::npos);
+      const lbmv::core::BidDelta batch[] = {{0, t, t}, {agent, bid, exec}};
+      EXPECT_NE(precondition_what([&] { ctx->commit_batch(batch); })
+                    .find(what),
+                std::string::npos);
+    };
+    for (double bad : {0.0, -1.0, inf, nan}) {
+      expect_rejected(1, bad, t, "bids must be positive and finite (agent 1)");
+      expect_rejected(1, t, bad,
+                      "execution values must be positive and finite "
+                      "(agent 1)");
+    }
+    expect_rejected(n, t, t, "agent index out of range");
+    EXPECT_EQ(ctx->profile().bids, base.bids);
+    EXPECT_EQ(ctx->profile().executions, base.executions);
 
-  const std::vector<double> good = {0.5, 1.0, 2.0, 4.0, 8.0};
-  EXPECT_NO_THROW(
-      lbmv::core::linear_pr_grid_utilities(*ctx, 0, good, 1.0, out));
+    const std::vector<double> good = {0.9 * t, t, 1.1 * t, 1.2 * t, 1.3 * t};
+    std::vector<double> out(good.size());
+    EXPECT_NO_THROW(ctx->utilities_into(1, good, t, out));
+    EXPECT_NO_THROW((void)ctx->best_response(1, good, t));
+  }
 }
 
 TEST(GridKernels, LanesPaddedCountsTailLanes) {
@@ -300,58 +380,140 @@ TEST(MakeBidGrid, RejectsDegenerateIntervals) {
   EXPECT_THROW((void)make_bid_grid(1.0, 2.0, 1), PreconditionError);
 }
 
-// GridEvaluator: vectorized flag, scalar-fallback equivalence, and pooled
-// fan-out bit-identity at 1/2/8 threads.
-TEST(GridEvaluatorTest, ScalarFallbackAgreesWithVectorizedWithinTolerance) {
+// DeviationEvaluator sweeps: lane-path proof, scalar-fallback equivalence,
+// and pooled fan-out bit-identity at 1/2/8 threads on every family.
+
+/// lbmv_strategy_grid_lanes_wasted_total right now.
+std::uint64_t lanes_wasted() {
+  const auto snap = lbmv::obs::Registry::global().snapshot();
+  const auto it = snap.counters.find("lbmv_strategy_grid_lanes_wasted_total");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// The lane sweep serves the linear and M/M/1 contexts (a 37-candidate sweep
+// pads 3 tail lanes) and the workload context keeps its per-candidate loop
+// (no lanes to pad).
+TEST(DeviationSweeps, LaneSweepsServeLinearAndMm1Contexts) {
+  if (!lbmv::obs::kCompiledIn) {
+    GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)";
+  }
+  const bool was_enabled = lbmv::obs::enabled();
+  lbmv::obs::set_enabled(true);
+  for (const FamilyCase& fc : family_cases()) {
+    const DeviationEvaluator evaluator(*fc.mechanism, fc.config);
+    const double t = fc.config.true_value(2);
+    const std::vector<double> bids = make_bid_grid(0.9 * t, 4.0 * t, 37);
+    std::vector<double> out(bids.size());
+    const std::uint64_t before = lanes_wasted();
+    evaluator.utilities_into(2, bids, t, out);
+    EXPECT_EQ(lanes_wasted() - before, fc.label == "workload" ? 0u : 3u)
+        << fc.label;
+    for (std::size_t k = 0; k < bids.size(); ++k) {
+      EXPECT_EQ(out[k], evaluator.utility(2, bids[k], t)) << fc.label;
+    }
+  }
+  lbmv::obs::set_enabled(was_enabled);
+}
+
+TEST(DeviationSweeps, ScalarFallbackAgreesWithLaneSweepWithinTolerance) {
   const CompBonusMechanism mechanism;
   const SystemConfig config(log_uniform_types(6, 19), 22.0);
   const DeviationEvaluator fast(mechanism, config);
   const DeviationEvaluator naive(mechanism, config,
                                  DeviationEvaluator::Mode::kNaive);
-  const GridEvaluator vec(fast);
-  const GridEvaluator scal(naive);
-  EXPECT_TRUE(vec.vectorized());
-  EXPECT_FALSE(scal.vectorized());
+  (void)lane_context(fast);
+  EXPECT_EQ(naive.profile_context(), nullptr);
 
   const double t = config.true_value(2);
   const std::vector<double> bids = make_bid_grid(0.05 * t, 20.0 * t, 37);
   std::vector<double> u_vec(bids.size());
   std::vector<double> u_scal(bids.size());
-  vec.utilities_into(2, bids, t, u_vec);
-  scal.utilities_into(2, bids, t, u_scal);
+  fast.utilities_into(2, bids, t, u_vec);
+  naive.utilities_into(2, bids, t, u_scal);
   for (std::size_t k = 0; k < bids.size(); ++k) {
-    expect_rel_near(u_vec[k], u_scal[k], 1e-9, "grid-evaluator fallback");
+    expect_rel_near(u_vec[k], u_scal[k], 1e-9, "sweep fallback");
   }
 
-  const GridEvaluator::Best bv = vec.best_response(2, bids, t);
-  const GridEvaluator::Best bs = scal.best_response(2, bids, t);
+  const GridBest bv = fast.best_response(2, bids, t);
+  const GridBest bs = naive.best_response(2, bids, t);
   EXPECT_EQ(bv.index, bs.index);
-  expect_rel_near(bv.utility, bs.utility, 1e-9, "grid-evaluator best");
+  expect_rel_near(bv.utility, bs.utility, 1e-9, "sweep best");
 }
 
-TEST(GridEvaluatorTest, PooledSweepsBitIdenticalAtAnyThreadCount) {
-  const VcgMechanism mechanism;
-  lbmv::util::Rng rng(99);
-  const SystemConfig config(log_uniform_types(8, 23), 35.0);
-  const BidProfile profile = random_profile(config, rng);
-  const DeviationEvaluator evaluator(mechanism, config, profile);
+TEST(DeviationSweeps, PooledSweepsBitIdenticalAtAnyThreadCount) {
+  std::vector<FamilyCase> cases;
+  cases.push_back({"linear vcg", std::make_unique<VcgMechanism>(),
+                   SystemConfig(log_uniform_types(8, 23), 35.0)});
+  for (FamilyCase& fc : family_cases(8)) {
+    if (fc.label != "linear") cases.push_back(std::move(fc));
+  }
+  for (const FamilyCase& fc : cases) {
+    SCOPED_TRACE(fc.label);
+    lbmv::util::Rng rng(99);
+    const BidProfile profile = fc.label == "linear vcg"
+                                   ? random_profile(fc.config, rng)
+                                   : BidProfile::truthful(fc.config);
+    const DeviationEvaluator evaluator(*fc.mechanism, fc.config, profile);
+    ASSERT_NE(evaluator.profile_context(), nullptr);
 
-  const double t = config.true_value(3);
-  // > 4 fan-out blocks of 1024, with a partial tail block.
-  const std::vector<double> bids = make_bid_grid(0.05 * t, 20.0 * t, 4500);
+    const double t = fc.config.true_value(3);
+    // M/M/1 candidates stay slower than 0.9x truth: faster ones overload
+    // the agent's true capacity (the throwing grid below).
+    const bool mm1 = fc.label == "mm1";
+    const double exec = mm1 ? t : 1.5 * t;
+    // > 4 fan-out blocks of 1024, with a partial tail block.
+    const std::vector<double> bids =
+        make_bid_grid(mm1 ? 0.9 * t : 0.05 * t, mm1 ? 8.0 * t : 20.0 * t, 4500);
 
-  const GridEvaluator serial(evaluator);
-  const GridEvaluator::Best want = serial.best_response(3, bids, 1.5 * t);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    const GridEvaluator pooled(evaluator, &pool);
-    const GridEvaluator::Best got = pooled.best_response(3, bids, 1.5 * t);
-    EXPECT_EQ(got.index, want.index) << "threads=" << threads;
-    EXPECT_EQ(got.utility, want.utility) << "threads=" << threads;
+    const GridBest want = evaluator.best_response(3, bids, exec);
+    std::vector<double> want_u(bids.size());
+    evaluator.utilities_into(3, bids, exec, want_u);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      lbmv::util::ThreadPool pool(threads);
+      const GridBest got = evaluator.best_response(3, bids, exec, &pool);
+      EXPECT_EQ(got.index, want.index) << "threads=" << threads;
+      EXPECT_EQ(got.utility, want.utility) << "threads=" << threads;
+      std::vector<double> got_u(bids.size());
+      evaluator.utilities_into(3, bids, exec, got_u, &pool);
+      EXPECT_EQ(0, std::memcmp(got_u.data(), want_u.data(),
+                               bids.size() * sizeof(double)))
+          << "threads=" << threads;
+    }
+
+    if (!mm1) continue;
+    // A throwing grid: an execution overload in the third fan-out block and
+    // a NaN in the fourth.  Every sweep throws what the first failing
+    // candidate's scalar query throws.
+    std::vector<double> bad = bids;
+    bad[2500] = 0.05 * t;
+    bad[4000] = std::numeric_limits<double>::quiet_NaN();
+    const std::string first =
+        precondition_what([&] { (void)evaluator.utility(3, bad[2500], exec); });
+    ASSERT_NE(first.find("0 <= x < mu"), std::string::npos) << first;
+    std::vector<double> out(bad.size());
+    EXPECT_EQ(precondition_what(
+                  [&] { (void)evaluator.best_response(3, bad, exec); }),
+              first);
+    EXPECT_EQ(precondition_what(
+                  [&] { evaluator.utilities_into(3, bad, exec, out); }),
+              first);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      lbmv::util::ThreadPool pool(threads);
+      EXPECT_EQ(precondition_what([&] {
+                  (void)evaluator.best_response(3, bad, exec, &pool);
+                }),
+                first)
+          << "threads=" << threads;
+      EXPECT_EQ(precondition_what([&] {
+                  evaluator.utilities_into(3, bad, exec, out, &pool);
+                }),
+                first)
+          << "threads=" << threads;
+    }
   }
 }
 
-TEST(GridEvaluatorTest, BestResponseDynamicsTrajectoriesBitIdentical) {
+TEST(DeviationSweeps, BestResponseDynamicsTrajectoriesBitIdentical) {
   const CompBonusMechanism mechanism;
   const SystemConfig config(log_uniform_types(6, 31), 28.0);
 

@@ -302,14 +302,14 @@ TEST(IncrementalAudit, BidBasisVariantAlsoHasAFastPath) {
 }
 
 TEST(IncrementalAudit, NonLinearFamilyFallsBackToFullRuns) {
-  // M/M/1 + ConvexAllocator has no closed-form context; make_utility_context
+  // M/M/1 + ConvexAllocator has no closed-form context; make_profile_context
   // must decline and the audit must still work through run().
   auto family = std::make_shared<lbmv::model::MM1Family>();
   const SystemConfig config({0.2, 0.25, 1.0 / 3.0}, 4.0, family);
   const CompBonusMechanism mechanism(std::make_shared<ConvexAllocator>());
-  EXPECT_EQ(mechanism.make_utility_context(config.family(),
+  EXPECT_EQ(mechanism.make_profile_context(config.family(),
                                            config.arrival_rate(),
-                                           BidProfile::truthful(config), 0),
+                                           BidProfile::truthful(config)),
             nullptr);
   const lbmv::core::TruthfulnessAuditor auditor(mechanism);
   lbmv::core::AuditOptions options;

@@ -20,8 +20,9 @@
 //     profiles to 90 % idle servers, including deviations that move the
 //     deviator or its sorted neighbours across the active-set threshold;
 //     the gates it leaves to the re-solve keep their exact messages.
-//   * The M/M/1 deviation-grid kernels (GridEvaluator) are bit-identical to
-//     the scalar DeviationEvaluator oracle at any thread count, and
+//   * The M/M/1 context's lane sweep (DeviationEvaluator::utilities_into /
+//     best_response) is bit-identical to the scalar DeviationEvaluator
+//     oracle at any thread count, and
 //     audit_all grids are bit-identical parallel vs serial; both families
 //     stay truthful-dominant under audit_all.
 //
@@ -54,7 +55,6 @@
 #include "lbmv/model/system_config.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
@@ -74,7 +74,6 @@ using lbmv::model::MM1Family;
 using lbmv::model::SystemConfig;
 using lbmv::model::WorkloadFamily;
 using lbmv::strategy::DeviationEvaluator;
-using lbmv::strategy::GridEvaluator;
 using lbmv::util::PreconditionError;
 
 /// Both round entry points every boundary must hold on.
@@ -704,10 +703,10 @@ TEST(FusedDifferential, InvalidInputsThrowScalarDiagnostics) {
 }
 
 // ---------------------------------------------------------------------------
-// M/M/1 grid kernels: bit-identical to the scalar oracle at any thread
+// M/M/1 lane sweeps: bit-identical to the scalar oracle at any thread
 // count.
 
-TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
+TEST(Mm1Grid, LaneSweepBitIdenticalToScalarOracle) {
   const std::size_t n = 9;
   // All active at 40 % load; at 10 % load over a decade of rates about half
   // the servers idle, so off-fast-path lanes take the sorted-prefix query.
@@ -732,11 +731,10 @@ TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
     ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
                   evaluator.profile_context()),
               nullptr);
+    ASSERT_TRUE(evaluator.profile_context()->lane_sweeps());
 
     for (std::size_t threads : {1u, 2u, 8u}) {
       lbmv::util::ThreadPool pool(threads);
-      const GridEvaluator grid_eval(evaluator, &pool);
-      EXPECT_TRUE(grid_eval.vectorized());
       for (std::size_t agent = 0; agent < n; ++agent) {
         const double truth = config.true_value(agent);
         // Wide grid: interior candidates ride the all-active fast path while
@@ -751,7 +749,7 @@ TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
               0.9 * truth, 8.0 * truth, points,
               lbmv::strategy::GridSpacing::kLinear);
           std::vector<double> fast(points);
-          grid_eval.utilities_into(agent, bids, truth, fast);
+          evaluator.utilities_into(agent, bids, truth, fast, &pool);
           double best_u = evaluator.utility(agent, bids[0], truth);
           std::size_t best_k = 0;
           for (std::size_t k = 0; k < points; ++k) {
@@ -763,8 +761,8 @@ TEST(Mm1Grid, GridEvaluatorBitIdenticalToScalarOracle) {
               best_k = k;
             }
           }
-          const GridEvaluator::Best best =
-              grid_eval.best_response(agent, bids, truth);
+          const lbmv::core::GridBest best =
+              evaluator.best_response(agent, bids, truth, &pool);
           EXPECT_EQ(best.index, best_k);
           EXPECT_EQ(best.utility, best_u);
         }

@@ -6,9 +6,9 @@
 // bounded relative error of 1e-9 on every published value — the engine
 // reassociates S, computes both latency totals in closed form and
 // multiplies rates by one precomputed share, each an O(n·eps) perturbation
-// — while the per-agent leave-one-out and Archer–Tardos tail kernels, which
-// apply the reference operand order exactly, match it bit-for-bit at equal
-// S.  The block grid and every reduction tree are fixed, so outcomes are
+// — while the per-agent leave-one-out and Archer–Tardos tail terms of the
+// fused publish, which apply the reference operand order exactly, match it
+// bit-for-bit at equal S.  The block grid and every reduction tree are fixed, so outcomes are
 // bit-identical across shard and thread counts; invalid inputs throw the
 // shared input check's diagnostics, and finite inputs never publish a
 // non-finite outcome.
@@ -186,47 +186,49 @@ TEST(SimdKernels, MatchesReferenceOnBoundaryBids) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identical pieces: the per-agent leave-one-out and tail kernels apply
-// the scalar operand order exactly, so at equal S they are not merely close
-// but equal.
+// Bit-identical pieces: the fused publish applies the scalar operand order
+// to the per-agent leave-one-out and Archer–Tardos tail terms, so at equal S
+// they are not merely close but equal.  n = 1027 fits in one engine block
+// (and forces a lane tail), so the engine's S is exactly the reciprocal
+// block's partial sum.
 
-TEST(SimdKernels, LeaveOneOutBlockBitIdenticalAtEqualSum) {
-  const std::size_t n = 1027;  // forces a scalar tail
-  const Profile p = random_profile(n, 5);
-  std::vector<double> inv(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    inv[i] = 1.0 / p.bids[i];
-    sum += inv[i];
-  }
-  const double rate = 4.0;
-  const double min_gap = sum * lbmv::alloc::kLeaveOneOutMinRelativeGap;
-  std::vector<double> block(n), scalar(n);
-  ASSERT_TRUE(lbmv::alloc::simd::pr_leave_one_out_block(inv, sum, rate,
-                                                        min_gap, block));
-  const double r2 = rate * rate;
-  for (std::size_t i = 0; i < n; ++i) scalar[i] = r2 / (sum - inv[i]);
-  EXPECT_EQ(0, std::memcmp(block.data(), scalar.data(), n * sizeof(double)));
+/// S of a one-block round, as the engine reduces it.
+double one_block_inverse_sum(const Profile& p) {
+  std::vector<double> inv(p.bids.size());
+  return lbmv::alloc::simd::pr_reciprocal_block(p.bids, p.executions, inv)
+      .inverse_sum;
 }
 
-TEST(SimdKernels, ArcherTardosTailBlockBitIdenticalAtEqualSum) {
+TEST(SimdKernels, FusedLeaveOneOutBonusBitIdenticalAtEqualSum) {
+  const std::size_t n = 1027;
+  const Profile p = random_profile(n, 5);
+  const double rate = 4.0;
+  const double sum = one_block_inverse_sum(p);
+  MechanismOutcome out;
+  RoundWorkspace ws;
+  run_fused(CompBonusMechanism(), rate, p, out, ws);
+  const double r2 = rate * rate;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(out.agents[i].bonus,
+              r2 / (sum - 1.0 / p.bids[i]) - out.actual_latency)
+        << "agent " << i;
+  }
+}
+
+TEST(SimdKernels, FusedArcherTardosTailBitIdenticalAtEqualSum) {
   const std::size_t n = 1027;
   const Profile p = random_profile(n, 6);
-  std::vector<double> inv(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    inv[i] = 1.0 / p.bids[i];
-    sum += inv[i];
-  }
   const double rate = 4.0;
-  std::vector<double> block(n), scalar(n);
-  ASSERT_TRUE(lbmv::alloc::simd::archer_tardos_tail_block(p.bids, inv, sum,
-                                                          rate, block));
+  const double sum = one_block_inverse_sum(p);
+  MechanismOutcome out;
+  RoundWorkspace ws;
+  run_fused(ArcherTardosMechanism(), rate, p, out, ws);
   for (std::size_t i = 0; i < n; ++i) {
-    scalar[i] = lbmv::core::archer_tardos_tail_integral(p.bids[i],
-                                                        sum - inv[i], rate);
+    EXPECT_EQ(out.agents[i].bonus,
+              lbmv::core::archer_tardos_tail_integral(
+                  p.bids[i], sum - 1.0 / p.bids[i], rate))
+        << "agent " << i;
   }
-  EXPECT_EQ(0, std::memcmp(block.data(), scalar.data(), n * sizeof(double)));
 }
 
 TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
@@ -463,8 +465,7 @@ TEST(SimdKernels, MaskPrimitivesMatchOrderedCompareSemantics) {
   EXPECT_FALSE(v::mask_all_true(v::mask_and(v::mask_all(), m)));
   const v::DVec big = v::set1(100.0);
   EXPECT_TRUE(v::mask_all_true(v::mask_greater(big, a)));
-  EXPECT_TRUE(v::all_greater(big, a));
-  EXPECT_FALSE(v::all_greater(big, v::set1(nan)));
+  EXPECT_FALSE(v::mask_all_true(v::mask_greater(big, v::set1(nan))));
 }
 
 }  // namespace

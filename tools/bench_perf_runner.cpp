@@ -40,12 +40,12 @@
 // loop, and ProfileBatch::run_batch serial/parallel, with a differential
 // cross-check against the seed formulation that also gates the exit code.
 //
-// plus a `deviation_grid` section for the lane-parallel deviation-grid
-// kernels (DESIGN.md §13): full candidate-bid sweeps (grid = 1000 bids per
-// agent over [0.05 t, 20 t]) through the scalar per-point
-// DeviationEvaluator loop, the 4-lane GridEvaluator serial, and the
-// GridEvaluator fanned over an 8-thread pool — all in this same run — with
-// a 1e-9 vectorized-vs-scalar differential gate on the exit code.
+// plus a `deviation_grid` section for the profile contexts' lane sweeps
+// (DESIGN.md §13): full candidate-bid sweeps (grid = 1000 bids per agent
+// over [0.05 t, 20 t]) through the scalar per-point DeviationEvaluator
+// loop, the 4-lane DeviationEvaluator::best_response serial, and the same
+// with an 8-thread pool — all in this same run — with a 1e-9
+// vectorized-vs-scalar differential gate on the exit code.
 //
 // plus an `obs_timeseries` section for the live-telemetry pipeline
 // (DESIGN.md §9): the single-round hot path timed with recording disabled
@@ -119,7 +119,6 @@
 #include "lbmv/strategy/best_response.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
-#include "lbmv/strategy/grid_eval.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
 #include "lbmv/strategy/tournament.h"
@@ -947,12 +946,12 @@ int main(int argc, char** argv) {
               << (batch_check_pass ? "pass" : "FAIL") << "\n";
   }
 
-  // Deviation-grid kernels (DESIGN.md §13): sweep grid = 1000 candidate
+  // Deviation-grid sweeps (DESIGN.md §13): sweep grid = 1000 candidate
   // bids per agent (linear over [0.05 t_i, 20 t_i]) for every agent, through
   // three paths in this same process: the scalar per-point
   // DeviationEvaluator::utility scan (the pre-kernel formulation, kept
-  // verbatim as the oracle), the 4-lane GridEvaluator serial, and the
-  // GridEvaluator with its candidate axis fanned over an 8-thread pool.
+  // verbatim as the oracle), the context's 4-lane sweep serial, and the
+  // same sweep given an 8-thread pool for its candidate axis.
   // All three produce bit-identical argmaxes by construction; the
   // differential check below compares the vectorized utilities against the
   // scalar oracle point by point and gates the exit code at 1e-9.
@@ -960,7 +959,6 @@ int main(int argc, char** argv) {
   bool grid_check_pass = true;
   {
     using lbmv::strategy::DeviationEvaluator;
-    using lbmv::strategy::GridEvaluator;
     const std::size_t grid_points = 1000;
     const double tmin = smoke ? 0.05 : 0.3;
     const int treps = smoke ? 2 : 3;
@@ -979,8 +977,6 @@ int main(int argc, char** argv) {
       const lbmv::model::SystemConfig config(random_types(n, 13),
                                              arrival_rate);
       const DeviationEvaluator evaluator(mechanism, config);
-      const GridEvaluator serial_eval(evaluator);
-      const GridEvaluator pooled_eval(evaluator, &pool);
       // Per-agent candidate grids, built once outside the timed regions so
       // all three paths sweep the identical candidates.
       std::vector<std::vector<double>> grids(n);
@@ -1007,7 +1003,7 @@ int main(int argc, char** argv) {
       const double serial_secs = seconds_per_call(
           [&] {
             for (std::size_t i = 0; i < n; ++i) {
-              sink += serial_eval
+              sink += evaluator
                           .best_response(i, grids[i], config.true_value(i))
                           .utility;
             }
@@ -1016,8 +1012,9 @@ int main(int argc, char** argv) {
       const double pooled_secs = seconds_per_call(
           [&] {
             for (std::size_t i = 0; i < n; ++i) {
-              sink += pooled_eval
-                          .best_response(i, grids[i], config.true_value(i))
+              sink += evaluator
+                          .best_response(i, grids[i], config.true_value(i),
+                                         &pool)
                           .utility;
             }
           },
@@ -1028,7 +1025,7 @@ int main(int argc, char** argv) {
       std::vector<double> utilities(grid_points);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = config.true_value(i);
-        serial_eval.utilities_into(i, grids[i], t, utilities);
+        evaluator.utilities_into(i, grids[i], t, utilities);
         for (std::size_t j = 0; j < grid_points; ++j) {
           const double reference = evaluator.utility(i, grids[i][j], t);
           const double err = std::fabs(utilities[j] - reference) /
