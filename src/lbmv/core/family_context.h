@@ -21,24 +21,26 @@
 /// the leave-one-out optima — deviation-independent — are precomputed once
 /// per commit with warm-started solves.
 ///
-/// The M/M/1 all-active closed form and its payoff rule switch are written
-/// once, as templates over the value type: utility() evaluates them on one
-/// double, and the sweep override on four candidate bids per instruction
-/// through the lane driver (grid_kernels.h), deferring any lane off the
-/// all-active path to utility() itself — the same bits either way.  The
-/// workload context keeps the default per-candidate sweep: its Newton
-/// re-solve has no lane form.
+/// Every path of both contexts ends in one payoff per payment rule (the
+/// leave-one-out optimum, the deviated actual and reported latencies, the
+/// deviator's compensation and cost), reached through with_payment_rule.
+/// The M/M/1 all-active closed form is written once, as a template over
+/// the value type: utility() evaluates it on one double, and the sweep
+/// override on four candidate bids per instruction through the lane driver
+/// (grid_kernels.h), deferring any lane off the all-active path to
+/// utility() itself — the same bits either way.  The workload context keeps
+/// the default per-candidate sweep: its Newton re-solve has no lane form.
+///
+/// A commit writes every entry and re-derives once (rebuild(), the base
+/// class's default commit hook).  The contexts hold only deviation closed
+/// forms: the committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "lbmv/alloc/allocator.h"
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/core/mechanism.h"
-#include "lbmv/core/profile_context.h"
 #include "lbmv/model/bids.h"
-#include "lbmv/model/latency.h"
 
 namespace lbmv::core {
 
@@ -51,17 +53,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const override;
-  void commit(std::size_t agent, double bid, double execution) override;
-  /// k simultaneous commits, one O(n) re-derivation instead of k: the
-  /// rebuild is a pure function of the committed planes, so writing every
-  /// entry first and re-scanning once is state-identical to the sequential
-  /// loop (whose intermediate rebuilds are discarded by the final one).
-  void commit_batch(std::span<const BidDelta> deltas) override;
-  void outcome_into(MechanismOutcome& out) const override;
-  [[nodiscard]] double actual_latency() const override { return actual_; }
-  [[nodiscard]] const model::BidProfile& profile() const override {
-    return profile_;
-  }
   [[nodiscard]] bool lane_sweeps() const override { return true; }
 
   /// Everything a deviation by one agent reads from the caches, O(1).
@@ -78,6 +69,10 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
  protected:
   void sweep(std::size_t agent, std::span<const double> bids,
              double execution, double* out, GridBest* best) const override;
+  /// O(n): the min/arg-min pair and the leave-one-out plane cannot be
+  /// delta-updated without a re-scan anyway, and commits are rare next to
+  /// queries in every strategy loop.
+  void rebuild() override;
 
  private:
   [[nodiscard]] Rest rest_of(std::size_t agent) const;
@@ -93,15 +88,11 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
                               double rest_a, double rest_active, double sum_a,
                               double active, double a_dev, double x,
                               double execution) const;
-  void rebuild();
 
-  PaymentRule rule_;
-  double arrival_rate_;
-  model::BidProfile profile_;
   std::vector<double> mus_;   ///< mu_j = 1/b_j
   std::vector<double> a_;     ///< sqrt(mu_j)
   std::vector<double> mue_;   ///< 1/e_j (verified service rates)
-  std::vector<double> rates_; ///< committed allocation
+  std::vector<double> rates_; ///< committed allocation (rebuild scratch)
   std::vector<double> loo_;   ///< L_{-j} (empty under kNoPayment)
   std::vector<char> inconsistent_;  ///< e_j != b_j
   alloc::Mm1Planes planes_;   ///< committed sorted prefix (always built)
@@ -112,8 +103,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   double second_a_ = 0.0;
   std::size_t argmin_a_ = 0;
   std::size_t inconsistent_count_ = 0;
-  double actual_ = 0.0;
-  double reported_ = 0.0;
 };
 
 /// Workload-family deviation context: latency theta * x * (1 + gamma x),
@@ -126,41 +115,15 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const override;
-  void commit(std::size_t agent, double bid, double execution) override;
-  /// k simultaneous commits, one cold-start Newton re-derivation instead of
-  /// k (see Mm1PrProfileContext::commit_batch for the state-identity
-  /// argument — rebuild() reads nothing but the committed planes).
-  void commit_batch(std::span<const BidDelta> deltas) override;
-  void outcome_into(MechanismOutcome& out) const override;
-  [[nodiscard]] double actual_latency() const override { return actual_; }
-  [[nodiscard]] const model::BidProfile& profile() const override {
-    return profile_;
-  }
+
+ protected:
+  /// One cold-start Newton solve plus the leave-one-out plane.
+  void rebuild() override;
 
  private:
-  void rebuild();
-
-  PaymentRule rule_;
   double gamma_;
-  double arrival_rate_;
-  model::BidProfile profile_;
-  double lambda_ = 0.0;        ///< committed KKT multiplier
   std::vector<double> rates_;  ///< committed allocation
   std::vector<double> loo_;    ///< L_{-j} (empty under kNoPayment)
-  double actual_ = 0.0;
-  double reported_ = 0.0;
 };
-
-/// Build the family-specific closed-form context, or nullptr unless
-/// (family, allocator) is one of the exact nonlinear pairs — MM1Family
-/// with MM1Allocator, or WorkloadFamily with WorkloadAllocator — and the
-/// rule has a family-generic form (kArcherTardos is linear-only).  \p base
-/// is copied.  Mechanisms chain this after make_linear_pr_profile_context.
-[[nodiscard]] std::unique_ptr<ProfileUtilityContext>
-make_family_profile_context(PaymentRule rule,
-                            const model::LatencyFamily& family,
-                            const alloc::Allocator& allocator,
-                            double arrival_rate,
-                            const model::BidProfile& base);
 
 }  // namespace lbmv::core

@@ -349,15 +349,57 @@ void ProfileUtilityContext::sweep(std::size_t agent,
   }
 }
 
+ProfileUtilityContext::ProfileUtilityContext(PaymentRule rule,
+                                             double arrival_rate,
+                                             model::BidProfile base)
+    : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
+  LBMV_REQUIRE(profile_.size() >= 2, "mechanisms require at least two agents");
+  profile_.validate(profile_.size());
+  LBMV_REQUIRE(arrival_rate_ > 0.0 && std::isfinite(arrival_rate_),
+               "arrival rate must be positive and finite");
+}
+
+void ProfileUtilityContext::commit(std::size_t agent, double bid,
+                                   double execution) {
+  const BidDelta delta{agent, bid, execution};
+  commit_batch(std::span(&delta, 1));
+}
+
+void ProfileUtilityContext::commit_batch(std::span<const BidDelta> deltas) {
+  for (const BidDelta& d : deltas) {
+    model::require_valid_deviation(d.agent, profile_.size(), d.bid,
+                                   d.execution);
+  }
+  if (!deltas.empty()) update_entries(deltas);
+}
+
+void ProfileUtilityContext::update_entries(std::span<const BidDelta> deltas) {
+  for (const BidDelta& d : deltas) write_entry(d);
+  rebuild();
+}
+
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
     const model::LatencyFamily& family, double arrival_rate,
     const model::BidProfile& base) const {
-  if (auto ctx = make_linear_pr_profile_context(
-          payment_rule(), family, *allocator_, arrival_rate, base)) {
-    return ctx;
+  // A closed form exists exactly where a fused engine does; the
+  // Archer–Tardos payment tail is linear-only.
+  const PaymentRule rule = payment_rule();
+  switch (exact_family(family, *allocator_)) {
+    case FamilyKind::kLinear:
+      return std::make_unique<LinearPrProfileContext>(rule, arrival_rate,
+                                                      base);
+    case FamilyKind::kMm1:
+      if (rule == PaymentRule::kArcherTardos) break;
+      return std::make_unique<Mm1PrProfileContext>(rule, arrival_rate, base);
+    case FamilyKind::kWorkload:
+      if (rule == PaymentRule::kArcherTardos) break;
+      return std::make_unique<WorkloadProfileContext>(
+          rule, static_cast<const model::WorkloadFamily&>(family).gamma(),
+          arrival_rate, base);
+    case FamilyKind::kGeneric:
+      break;
   }
-  return make_family_profile_context(payment_rule(), family, *allocator_,
-                                     arrival_rate, base);
+  return nullptr;
 }
 
 std::shared_ptr<const alloc::Allocator> default_allocator() {

@@ -134,7 +134,8 @@ struct GridBest {
 /// the audits and the strategy layers (best response, learning,
 /// tournaments, leader-commitment games) then evaluate O(n * grid)
 /// deviations at O(1) each instead of re-running the full mechanism per
-/// grid point.
+/// grid point.  A context is only its family's deviation closed form: the
+/// round outcome at the committed profile is Mechanism::run_into's.
 ///
 /// Contract:
 ///   * utility(), utilities_into() and best_response() are pure reads and
@@ -144,9 +145,7 @@ struct GridBest {
 ///     PreconditionError;
 ///   * commit() permanently moves one agent to (bid, execution) — O(1)
 ///     amortised for closed-form implementations — and is NOT safe to call
-///     concurrently with any query;
-///   * outcome_into() reconstructs the full MechanismOutcome at the
-///     committed profile, agreeing with Mechanism::run to roundoff.
+///     concurrently with any query.
 class ProfileUtilityContext {
  public:
   virtual ~ProfileUtilityContext() = default;
@@ -176,42 +175,54 @@ class ProfileUtilityContext {
 
   /// Make a deviation permanent: agent now bids \p bid and executes at
   /// \p execution for all subsequent queries.
-  virtual void commit(std::size_t agent, double bid, double execution) = 0;
+  void commit(std::size_t agent, double bid, double execution);
 
-  /// Make k deviations permanent in one call.  The default loops commit()
-  /// in order, so the final state is exactly the sequential one; contexts
-  /// whose per-commit cost is a full O(n) re-derivation override this to
-  /// write all k entries first and re-derive once — the re-derivation is
-  /// from scratch at the final profile, so the override is state-identical
-  /// to the sequential loop with k times less work.  Later entries for the
-  /// same agent win (sequential semantics).  Every entry is checked before
-  /// any is written, so a rejected batch changes nothing.
-  virtual void commit_batch(std::span<const BidDelta> deltas) {
-    for (const BidDelta& d : deltas) {
-      model::require_valid_deviation(d.agent, profile().size(), d.bid,
-                                     d.execution);
-    }
-    for (const BidDelta& d : deltas) commit(d.agent, d.bid, d.execution);
-  }
-
-  /// Full mechanism outcome at the committed profile, filled into \p out
-  /// (reusing its capacity where possible).
-  virtual void outcome_into(MechanismOutcome& out) const = 0;
-
-  /// L(x(b), t~) at the committed profile.
-  [[nodiscard]] virtual double actual_latency() const = 0;
+  /// Make k deviations permanent in one call, state-identical to k
+  /// sequential commit()s (later entries for the same agent win).  Every
+  /// entry is checked before any is written, so a rejected batch changes
+  /// nothing.
+  void commit_batch(std::span<const BidDelta> deltas);
 
   /// The committed profile.
-  [[nodiscard]] virtual const model::BidProfile& profile() const = 0;
+  [[nodiscard]] const model::BidProfile& profile() const { return profile_; }
 
  protected:
+  /// Checks what every context needs (n >= 2, a valid profile, a positive
+  /// finite arrival rate) and takes \p base as the committed profile.
+  ProfileUtilityContext(PaymentRule rule, double arrival_rate,
+                        model::BidProfile base);
+
+  [[nodiscard]] PaymentRule rule() const { return rule_; }
+  [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
+
   /// The sweep behind utilities_into (\p out non-null) and best_response
   /// (\p best non-null), over a non-empty grid.  The default calls utility()
-  /// per candidate and keeps the first strictly-greater maximum, just as
-  /// commit_batch defaults to a loop of commit(); closed-form contexts
-  /// override it with the lane sweep.
+  /// per candidate and keeps the first strictly-greater maximum; closed-form
+  /// contexts override it with the lane sweep.
   virtual void sweep(std::size_t agent, std::span<const double> bids,
                      double execution, double* out, GridBest* best) const;
+
+  /// The commit hook behind commit() and commit_batch(), called once per
+  /// call with a non-empty, already-checked batch.  The default writes
+  /// every entry and re-derives once (rebuild()): a rebuild is a pure
+  /// function of the committed profile, so that is state-identical to the
+  /// sequential loop with k times less work.  A context with O(1) per-entry
+  /// deltas overrides it to go entry by entry (write_entry()).
+  virtual void update_entries(std::span<const BidDelta> deltas);
+
+  /// Re-derive the context's state from the committed profile.
+  virtual void rebuild() = 0;
+
+  /// Write one checked entry into the committed profile.
+  void write_entry(const BidDelta& d) {
+    profile_.bids[d.agent] = d.bid;
+    profile_.executions[d.agent] = d.execution;
+  }
+
+ private:
+  PaymentRule rule_;
+  double arrival_rate_;
+  model::BidProfile profile_;
 };
 
 /// Base class for load balancing mechanisms (Definition 3.2).
@@ -324,11 +335,11 @@ class Mechanism {
   [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
 
   /// Build an O(1)-per-deviation evaluator over the whole profile (any agent,
-  /// with commit support) for payment_rule(): the linear-PR context
-  /// (profile_context.h) or a nonlinear family's (family_context.h), or
-  /// nullptr when no closed form applies — callers then fall back to run()
-  /// per deviation.  \p base is copied; the context does not alias it
-  /// afterwards.
+  /// with commit support) for payment_rule(), for exactly the families a
+  /// fused engine serves: the linear-PR context (profile_context.h) or the
+  /// M/M/1 or workload context (family_context.h; not for kArcherTardos).
+  /// Otherwise nullptr — callers then fall back to run() per deviation.
+  /// \p base is copied; the context does not alias it afterwards.
   [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
       const model::LatencyFamily& family, double arrival_rate,
       const model::BidProfile& base) const;

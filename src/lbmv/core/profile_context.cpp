@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <utility>
 
-#include "lbmv/alloc/pr_allocator.h"
-#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
@@ -15,12 +13,8 @@ namespace lbmv::core {
 LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
                                                double arrival_rate,
                                                model::BidProfile base)
-    : rule_(rule), arrival_rate_(arrival_rate), profile_(std::move(base)) {
-  LBMV_REQUIRE(profile_.size() >= 2, "mechanisms require at least two agents");
-  profile_.validate(profile_.size());
-  LBMV_REQUIRE(arrival_rate_ > 0.0 && std::isfinite(arrival_rate_),
-               "arrival rate must be positive and finite");
-  rebuild_period_ = std::max<std::size_t>(64, profile_.size());
+    : ProfileUtilityContext(rule, arrival_rate, std::move(base)) {
+  rebuild_period_ = std::max<std::size_t>(64, profile().size());
   rebuild();
 }
 
@@ -68,19 +62,19 @@ T deviation_utility(std::integral_constant<PaymentRule, R>,
 
 LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
     std::size_t agent) const {
-  const double r = arrival_rate_;
-  const double old_inv = 1.0 / profile_.bids[agent];
+  const double r = arrival_rate();
+  const double old_inv = 1.0 / profile().bids[agent];
   const double s_rest = s_ - old_inv;
   return Rest{r, r * r, s_rest, r * r / s_rest,
-              w_ - profile_.executions[agent] * old_inv * old_inv};
+              w_ - profile().executions[agent] * old_inv * old_inv};
 }
 
 double LinearPrProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
-  model::require_valid_deviation(agent, profile_.size(), bid, execution);
+  model::require_valid_deviation(agent, profile().size(), bid, execution);
   const Rest rest = rest_of(agent);
-  return with_payment_rule(rule_, [&](auto rule) {
-    return deviation_utility(rule, rest, bid, execution);
+  return with_payment_rule(rule(), [&](auto r) {
+    return deviation_utility(r, rest, bid, execution);
   });
 }
 
@@ -89,82 +83,23 @@ void LinearPrProfileContext::sweep(std::size_t agent,
                                    double execution, double* out,
                                    GridBest* best) const {
   const Rest rest = rest_of(agent);
-  with_payment_rule(rule_, [&](auto rule) {
+  with_payment_rule(rule(), [&](auto r) {
     lane_sweep(*this, agent, bids, execution, out, best,
                [&](util::simd::DVec b, util::simd::DVec&) {
-                 return deviation_utility(rule, rest, b, execution);
+                 return deviation_utility(r, rest, b, execution);
                });
   });
 }
 
-void LinearPrProfileContext::commit(std::size_t agent, double bid,
-                                    double execution) {
-  model::require_valid_deviation(agent, profile_.size(), bid, execution);
-  const double old_bid = profile_.bids[agent];
-  const double old_exec = profile_.executions[agent];
-  s_ += 1.0 / bid - 1.0 / old_bid;
-  w_ += execution / (bid * bid) - old_exec / (old_bid * old_bid);
-  profile_.bids[agent] = bid;
-  profile_.executions[agent] = execution;
-  if (++commits_since_rebuild_ >= rebuild_period_) rebuild();
-}
-
-void LinearPrProfileContext::outcome_into(MechanismOutcome& out) const {
-  const std::size_t n = profile_.size();
-  const double r = arrival_rate_;
-  const double rs = r / s_;
-  const double actual = rs * rs * w_;
-  const double reported = r * r / s_;
-
-  std::vector<double> rates(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    rates[j] = rs / profile_.bids[j];
+void LinearPrProfileContext::update_entries(std::span<const BidDelta> deltas) {
+  for (const BidDelta& d : deltas) {
+    const double old_bid = profile().bids[d.agent];
+    const double old_exec = profile().executions[d.agent];
+    s_ += 1.0 / d.bid - 1.0 / old_bid;
+    w_ += d.execution / (d.bid * d.bid) - old_exec / (old_bid * old_bid);
+    write_entry(d);
+    if (++commits_since_rebuild_ >= rebuild_period_) rebuild();
   }
-  out.allocation = model::Allocation(std::move(rates));
-  out.actual_latency = actual;
-  out.reported_latency = reported;
-  out.agents.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    auto& agent = out.agents[j];
-    const double b = profile_.bids[j];
-    const double e = profile_.executions[j];
-    const double x = rs / b;
-    const double x2 = x * x;
-    const double l_minus = r * r / (s_ - 1.0 / b);
-    agent.allocation = x;
-    agent.valuation = -e * x2;
-    switch (rule_) {
-      case PaymentRule::kCompBonusExecution:
-        agent.compensation = e * x2;
-        agent.bonus = l_minus - actual;
-        break;
-      case PaymentRule::kCompBonusBid:
-        agent.compensation = b * x2;
-        agent.bonus = l_minus - actual;
-        break;
-      case PaymentRule::kVcg:
-        agent.compensation = b * x2;  // own reported cost
-        agent.bonus = l_minus - reported;
-        break;
-      case PaymentRule::kNoPayment:
-        agent.compensation = 0.0;
-        agent.bonus = 0.0;
-        break;
-      case PaymentRule::kArcherTardos:
-        agent.compensation = b * x2;
-        agent.bonus =
-            archer_tardos_tail_integral(b, s_ - 1.0 / b, r);
-        break;
-    }
-    agent.payment = agent.compensation + agent.bonus;
-    if (rule_ == PaymentRule::kNoPayment) agent.payment = 0.0;
-    agent.utility = agent.payment + agent.valuation;
-  }
-}
-
-double LinearPrProfileContext::actual_latency() const {
-  const double rs = arrival_rate_ / s_;
-  return rs * rs * w_;
 }
 
 void LinearPrProfileContext::rebuild() {
@@ -173,10 +108,11 @@ void LinearPrProfileContext::rebuild() {
   const bool periodic = commits_since_rebuild_ > 0;
   s_ = 0.0;
   w_ = 0.0;
-  for (std::size_t j = 0; j < profile_.size(); ++j) {
-    const double inv = 1.0 / profile_.bids[j];
+  const model::BidProfile& p = profile();
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double inv = 1.0 / p.bids[j];
     s_ += inv;
-    w_ += profile_.executions[j] * inv * inv;
+    w_ += p.executions[j] * inv * inv;
   }
   if (periodic && obs::enabled()) {
     // How far the O(1) commit deltas drifted from the exact sums over one
@@ -188,24 +124,11 @@ void LinearPrProfileContext::rebuild() {
         std::fabs(incremental_w - w_) / std::max(std::fabs(w_), 1e-300);
     obs::Monitors::get().context_drift.check(
         std::max(drift_s, drift_w),
-        {{"n", static_cast<double>(profile_.size())},
+        {{"n", static_cast<double>(p.size())},
          {"drift_s", drift_s},
          {"drift_w", drift_w}});
   }
   commits_since_rebuild_ = 0;
-}
-
-std::unique_ptr<ProfileUtilityContext> make_linear_pr_profile_context(
-    PaymentRule rule, const model::LatencyFamily& family,
-    const alloc::Allocator& allocator, double arrival_rate,
-    const model::BidProfile& base) {
-  // The closed forms are exactly the PR allocation on linear latencies; any
-  // other allocator/family pairing must take the slow path.
-  if (dynamic_cast<const model::LinearFamily*>(&family) == nullptr ||
-      dynamic_cast<const alloc::PRAllocator*>(&allocator) == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<LinearPrProfileContext>(rule, arrival_rate, base);
 }
 
 }  // namespace lbmv::core

@@ -18,29 +18,28 @@
 /// from which every payment rule built on leave-one-out optima follows in
 /// O(1) as well, because L_{-i} = R^2/(S - 1/b_i) (DESIGN.md §10).
 ///
-/// The factory below serves all five PaymentRules (comp-bonus at either
-/// compensation basis, VCG, no-payment, and the Archer–Tardos baseline via
-/// its closed-form payment tail).  Anything
-/// else — non-linear families, non-PR allocators — returns nullptr and the
-/// caller falls back to Mechanism::run per deviation.
+/// Mechanism::make_profile_context builds this context for all five
+/// PaymentRules (comp-bonus at either compensation basis, VCG, no-payment,
+/// and the Archer–Tardos baseline via its closed-form payment tail) when the
+/// family is linear and the allocator is PR.  The context holds only the
+/// deviation closed form; the committed round's outcome is
+/// Mechanism::run_into's.
 ///
 /// The deviation closed form is written once, as a template over the value
 /// type: utility() evaluates it on one double, and the sweep override on
 /// four candidate bids per instruction through the lane driver
 /// (grid_kernels.h, DESIGN.md §13) — the same bits either way.
 
-#include <memory>
-#include <vector>
+#include <cstddef>
+#include <span>
 
-#include "lbmv/alloc/allocator.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/model/bids.h"
-#include "lbmv/model/latency.h"
 
 namespace lbmv::core {
 
-/// The closed-form context (file comment above).  Maintains the committed
-/// profile plus the two running sums S and W; every query is a constant
+/// The closed-form context (file comment above).  Maintains the two running
+/// sums S and W over the committed profile; every query is a constant
 /// number of flops and every commit is an O(1) delta.  Committed deltas are
 /// re-summed from scratch every max(64, n) commits so floating point drift
 /// stays far below the 1e-9 differential-test tolerance while the amortised
@@ -55,12 +54,6 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
 
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const override;
-  void commit(std::size_t agent, double bid, double execution) override;
-  void outcome_into(MechanismOutcome& out) const override;
-  [[nodiscard]] double actual_latency() const override;
-  [[nodiscard]] const model::BidProfile& profile() const override {
-    return profile_;
-  }
   [[nodiscard]] bool lane_sweeps() const override { return true; }
 
   /// Everything a deviation by one agent reads from the committed sums.
@@ -75,28 +68,17 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
  protected:
   void sweep(std::size_t agent, std::span<const double> bids,
              double execution, double* out, GridBest* best) const override;
+  /// One O(1) S/W delta per entry, in order.
+  void update_entries(std::span<const BidDelta> deltas) override;
+  void rebuild() override;
 
  private:
   [[nodiscard]] Rest rest_of(std::size_t agent) const;
-  void rebuild();
 
-  PaymentRule rule_;
-  double arrival_rate_;
-  model::BidProfile profile_;
   double s_ = 0.0;
   double w_ = 0.0;
   std::size_t rebuild_period_ = 64;
   std::size_t commits_since_rebuild_ = 0;
 };
-
-/// Build the closed-form context, or nullptr unless \p family is a
-/// LinearFamily and \p allocator is a PRAllocator (checked dynamically,
-/// mirroring the audit fast-path gate).  \p base is copied.
-[[nodiscard]] std::unique_ptr<ProfileUtilityContext>
-make_linear_pr_profile_context(PaymentRule rule,
-                               const model::LatencyFamily& family,
-                               const alloc::Allocator& allocator,
-                               double arrival_rate,
-                               const model::BidProfile& base);
 
 }  // namespace lbmv::core

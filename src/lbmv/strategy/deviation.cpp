@@ -60,17 +60,18 @@ DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
                                        model::BidProfile profile, Mode mode)
     : mechanism_(&mechanism),
       family_(config.family_ptr()),
-      arrival_rate_(config.arrival_rate()),
-      profile_(std::move(profile)) {
-  LBMV_REQUIRE(profile_.size() == config.size(),
+      arrival_rate_(config.arrival_rate()) {
+  LBMV_REQUIRE(profile.size() == config.size(),
                "profile size must match config size");
-  LBMV_REQUIRE(profile_.size() >= 2, "mechanisms require at least two agents");
-  profile_.validate(profile_.size());
+  LBMV_REQUIRE(profile.size() >= 2, "mechanisms require at least two agents");
+  profile.validate(profile.size());
   if (mode == Mode::kAuto) {
-    context_ =
-        mechanism.make_profile_context(*family_, arrival_rate_, profile_);
+    context_ = mechanism.make_profile_context(*family_, arrival_rate_, profile);
   }
-  if (context_ == nullptr) scratch_ = profile_;
+  if (context_ == nullptr) {
+    scratch_ = profile;
+    profile_ = std::move(profile);
+  }
 }
 
 DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
@@ -90,16 +91,23 @@ double DeviationEvaluator::utility(std::size_t agent, double bid,
   if (context_ != nullptr) return context_->utility(agent, bid, execution);
 
   // Fallback: one full mechanism run against the scratch buffer, with the
-  // deviated entries restored afterwards — no per-call profile copy, and the
-  // round itself draws every plane from the evaluator's workspace.
+  // deviated entries restored on every exit — no per-call profile copy, and
+  // the round itself draws every plane from the evaluator's workspace.
+  const auto restore = [&] {
+    scratch_.bids[agent] = profile_.bids[agent];
+    scratch_.executions[agent] = profile_.executions[agent];
+  };
   scratch_.bids[agent] = bid;
   scratch_.executions[agent] = execution;
-  mechanism_->run_into(*family_, arrival_rate_, scratch_, ws_.scratch_outcome,
-                       ws_);
-  const double utility = ws_.scratch_outcome.agents[agent].utility;
-  scratch_.bids[agent] = profile_.bids[agent];
-  scratch_.executions[agent] = profile_.executions[agent];
-  return utility;
+  try {
+    mechanism_->run_into(*family_, arrival_rate_, scratch_,
+                         ws_.scratch_outcome, ws_);
+  } catch (...) {
+    restore();
+    throw;
+  }
+  restore();
+  return ws_.scratch_outcome.agents[agent].utility;
 }
 
 void DeviationEvaluator::utilities_into(std::size_t agent,
@@ -163,53 +171,39 @@ core::GridBest DeviationEvaluator::best_response(std::size_t agent,
 
 void DeviationEvaluator::commit(std::size_t agent, double bid,
                                 double execution) {
-  model::require_valid_deviation(agent, profile().size(), bid, execution);
-  if (obs::enabled()) obs::StrategyProbes::get().commits.inc();
-  if (context_ != nullptr) {
-    context_->commit(agent, bid, execution);
-    return;
-  }
-  profile_.bids[agent] = bid;
-  profile_.executions[agent] = execution;
-  scratch_.bids[agent] = bid;
-  scratch_.executions[agent] = execution;
+  const core::BidDelta delta{agent, bid, execution};
+  commit_batch(std::span(&delta, 1));
 }
 
 void DeviationEvaluator::commit_batch(
     std::span<const core::BidDelta> deltas) {
-  for (const core::BidDelta& d : deltas) {
-    model::require_valid_deviation(d.agent, profile().size(), d.bid,
-                                   d.execution);
+  if (context_ != nullptr) {
+    // The context checks every entry before it writes any.
+    context_->commit_batch(deltas);
+  } else {
+    for (const core::BidDelta& d : deltas) {
+      model::require_valid_deviation(d.agent, profile_.size(), d.bid,
+                                     d.execution);
+    }
+    for (const core::BidDelta& d : deltas) {
+      profile_.bids[d.agent] = d.bid;
+      profile_.executions[d.agent] = d.execution;
+      scratch_.bids[d.agent] = d.bid;
+      scratch_.executions[d.agent] = d.execution;
+    }
   }
-  if (deltas.empty()) return;
-  if (obs::enabled()) {
+  if (obs::enabled() && !deltas.empty()) {
     obs::StrategyProbes::get().commits.inc(
         static_cast<std::uint64_t>(deltas.size()));
-  }
-  if (context_ != nullptr) {
-    context_->commit_batch(deltas);
-    return;
-  }
-  for (const core::BidDelta& d : deltas) {
-    profile_.bids[d.agent] = d.bid;
-    profile_.executions[d.agent] = d.execution;
-    scratch_.bids[d.agent] = d.bid;
-    scratch_.executions[d.agent] = d.execution;
   }
 }
 
 void DeviationEvaluator::outcome_into(core::MechanismOutcome& out) const {
-  if (context_ != nullptr) {
-    context_->outcome_into(out);
-    return;
-  }
-  mechanism_->run_into(*family_, arrival_rate_, profile_, out, ws_);
+  mechanism_->run_into(*family_, arrival_rate_, profile(), out, ws_);
 }
 
 double DeviationEvaluator::actual_latency() const {
-  if (context_ != nullptr) return context_->actual_latency();
-  mechanism_->run_into(*family_, arrival_rate_, profile_, ws_.scratch_outcome,
-                       ws_);
+  outcome_into(ws_.scratch_outcome);
   return ws_.scratch_outcome.actual_latency;
 }
 

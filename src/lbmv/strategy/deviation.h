@@ -6,12 +6,16 @@
 /// Every strategic-behaviour experiment in the paper reduces to the same
 /// primitive: one agent's utility under a unilateral (bid, execution)
 /// deviation from an otherwise fixed profile.  DeviationEvaluator answers
-/// that query in O(1) for the mechanisms with a closed form (comp-bonus at
-/// either compensation basis, VCG, no-payment — all on the PR allocator over
-/// linear latencies, via Mechanism::make_profile_context) and in O(n) —
-/// with a reused scratch profile, no per-call profile copy — for everything
-/// else.  commit() makes a deviation permanent with an O(1) delta to the
-/// cached sums instead of re-running the mechanism.
+/// that query from the mechanism's profile context
+/// (Mechanism::make_profile_context) wherever a family has one — O(1) on
+/// the linear-PR family for all five payment rules, O(1) or O(log n) on
+/// M/M/1, one Newton re-solve on the workload family — and in one
+/// Mechanism::run_into otherwise, on a reused scratch profile with no
+/// per-call copy.  commit() makes a deviation permanent through the
+/// context's commit path (an O(1) delta to the cached sums on the linear
+/// family) instead of re-running the mechanism.  The committed round's
+/// outcome (outcome_into, actual_latency) is always one Mechanism::run_into
+/// on profile(), so it equals mechanism.run(config, profile()) exactly.
 ///
 /// Candidate sweeps (utilities_into, best_response) run the context's own
 /// sweep — four candidates per instruction on the linear-PR and M/M/1
@@ -43,8 +47,9 @@ namespace lbmv::strategy {
 ///
 /// Thread safety: utility() and the sweeps on the incremental path are pure
 /// reads and safe to call concurrently; the naive fallback mutates the
-/// shared scratch buffer and is not.  commit() is never safe to call
-/// concurrently with anything.
+/// shared scratch buffer and is not.  outcome_into() and actual_latency()
+/// run the mechanism on the evaluator's workspace and are never safe to
+/// call concurrently with anything, nor is commit().
 ///
 /// Obs: sweeps bump lbmv_strategy_grid_evals_total (every candidate) and
 /// lbmv_strategy_grid_lanes_wasted_total (padded tail lanes of lane sweeps)
@@ -99,12 +104,13 @@ class DeviationEvaluator {
   /// simultaneous-move round (learning dynamics) pays one rebuild.
   void commit_batch(std::span<const core::BidDelta> deltas);
 
-  /// Full mechanism outcome at the committed profile (equal to
-  /// mechanism.run(config, profile()) up to roundoff), reusing \p out's
-  /// storage.
+  /// Full mechanism outcome at the committed profile — one
+  /// Mechanism::run_into, so exactly mechanism.run(config, profile()) —
+  /// reusing \p out's storage.  Not safe to call concurrently.
   void outcome_into(core::MechanismOutcome& out) const;
 
-  /// L(x(b), t~) at the committed profile.
+  /// L(x(b), t~) at the committed profile, from one Mechanism::run_into.
+  /// Not safe to call concurrently.
   [[nodiscard]] double actual_latency() const;
 
   /// The committed profile.
@@ -124,12 +130,14 @@ class DeviationEvaluator {
   const core::Mechanism* mechanism_;
   std::shared_ptr<const model::LatencyFamily> family_;  ///< keeps family alive
   double arrival_rate_;
-  std::unique_ptr<core::ProfileUtilityContext> context_;  ///< fast path
-  model::BidProfile profile_;           ///< committed profile (fallback path)
-  mutable model::BidProfile scratch_;   ///< fallback deviation buffer
-  /// Fallback round workspace: every full mechanism run on the naive path
-  /// reuses these planes (and ws_.scratch_outcome), so even the baseline is
-  /// allocation-free per query after warm-up.
+  /// Fast path; it owns the committed profile when present.
+  std::unique_ptr<core::ProfileUtilityContext> context_;
+  model::BidProfile profile_;          ///< committed profile (fallback only)
+  mutable model::BidProfile scratch_;  ///< fallback deviation buffer
+  /// Round workspace: every full mechanism run (naive-path queries,
+  /// outcome_into, actual_latency) reuses these planes (and
+  /// ws_.scratch_outcome), so even the baseline is allocation-free per query
+  /// after warm-up.
   mutable core::RoundWorkspace ws_;
 };
 

@@ -93,8 +93,14 @@ LearningResult run_learning(const core::Mechanism& mechanism,
 
   // Non-learners stay at the initial truthful entries forever; learners are
   // committed to their chosen arm each round, so one evaluator serves the
-  // whole run with no per-round profile construction.
-  DeviationEvaluator evaluator(mechanism, config);
+  // whole run with no per-round profile construction.  Only full feedback
+  // asks deviation queries; without them a profile context would be state
+  // that no query reads, re-derived on every commit (a full re-solve on
+  // the nonlinear families), so the evaluator runs without one.
+  DeviationEvaluator evaluator(mechanism, config,
+                               options.full_feedback
+                                   ? DeviationEvaluator::Mode::kAuto
+                                   : DeviationEvaluator::Mode::kNaive);
   core::MechanismOutcome outcome;  // reused across rounds
 
   LearningResult result;
@@ -151,6 +157,7 @@ LearningResult run_learning(const core::Mechanism& mechanism,
   result.final_bid_mult.resize(n, 1.0);
   result.final_exec_mult.resize(n, 1.0);
   std::size_t truthful = 0;
+  moves.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (!learns(i)) {
       ++truthful;  // non-learners are truthful by construction
@@ -160,11 +167,12 @@ LearningResult run_learning(const core::Mechanism& mechanism,
     result.final_bid_mult[i] = arm_bid(greedy);
     result.final_exec_mult[i] = arm_exec(greedy);
     const double t = config.true_value(i);
-    evaluator.commit(i, result.final_bid_mult[i] * t,
-                     result.final_exec_mult[i] * t);
+    moves.push_back(core::BidDelta{i, result.final_bid_mult[i] * t,
+                                   result.final_exec_mult[i] * t});
     truthful += result.final_bid_mult[i] == 1.0 &&
                 result.final_exec_mult[i] == 1.0;
   }
+  evaluator.commit_batch(moves);
   result.truthful_fraction =
       static_cast<double>(truthful) / static_cast<double>(n);
   result.final_greedy_latency = evaluator.actual_latency();

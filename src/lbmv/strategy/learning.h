@@ -55,10 +55,13 @@ struct LearningResult {
   double truthful_fraction = 0.0;       ///< share of agents at (1, 1)
 };
 
-/// Run epsilon-greedy bandits over mechanism rounds.  Each round is one
-/// DeviationEvaluator outcome — O(n) per round on the closed-form
-/// mechanisms instead of a full mechanism run with its per-round profile
-/// and latency-curve allocations.
+/// Run epsilon-greedy bandits over mechanism rounds.  Each round commits
+/// the learners' moves as one batch and reads its outcome from one
+/// DeviationEvaluator::outcome_into — a Mechanism::run_into on the
+/// evaluator's reused workspace (the fused engine wherever the family has
+/// one), with no per-round profile or latency-curve allocations.  Only
+/// full feedback builds a profile context; partial feedback reads nothing
+/// but the round itself.
 [[nodiscard]] LearningResult run_learning(const core::Mechanism& mechanism,
                                           const model::SystemConfig& config,
                                           const LearningOptions& options = {});

@@ -343,6 +343,29 @@ TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {
         EXPECT_EQ(a.agents[i].payment, b.agents[i].payment) << c.name;
         EXPECT_EQ(a.agents[i].utility, b.agents[i].utility) << c.name;
       }
+      // The outcome is a fresh round on profile(); the contexts' own state
+      // (S/W, the leave-one-out and rate planes) shows only in what they
+      // answer.  One utility row per agent — its committed entries plus
+      // deviations on either side — must match bit for bit.
+      for (std::size_t i = 0; i < n; ++i) {
+        const double bid = sequential.profile().bids[i];
+        const double exec = sequential.profile().executions[i];
+        const std::vector<double> grid{bid, 0.9 * bid, 1.1 * bid,
+                                       types[i]};
+        std::vector<double> seq_row(grid.size());
+        std::vector<double> batch_row(grid.size());
+        sequential.utilities_into(i, grid, exec, seq_row);
+        batched.utilities_into(i, grid, exec, batch_row);
+        for (std::size_t k = 0; k < grid.size(); ++k) {
+          EXPECT_EQ(seq_row[k], batch_row[k])
+              << c.name << " agent " << i << " candidate " << k;
+          EXPECT_EQ(seq_row[k], batched.utility(i, grid[k], exec))
+              << c.name << " agent " << i << " candidate " << k;
+        }
+        EXPECT_EQ(sequential.utility(i, types[i], types[i]),
+                  batched.utility(i, types[i], types[i]))
+            << c.name << " agent " << i << " truthful";
+      }
     }
   }
 }

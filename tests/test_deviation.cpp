@@ -3,8 +3,11 @@
 // path to 1e-9 (relative) for every shipped payment rule, across random
 // profiles, boundary bids at the search-interval edges, execution
 // multipliers > 1, and long committed-deviation sequences (which exercise
-// the periodic S/W rebuild).  The generic fallback (no closed form) must
-// keep working through Mechanism::run on the shared scratch buffer.
+// the periodic S/W rebuild).  The committed round's outcome is one
+// Mechanism::run_into on every path, so it must equal Mechanism::run bit for
+// bit on all three closed-form families.  The generic fallback (no closed
+// form) must keep working through Mechanism::run on the shared scratch
+// buffer, and leave it intact when a query throws.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +15,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lbmv/alloc/convex_allocator.h"
+#include "lbmv/alloc/mm1_allocator.h"
+#include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/mechanism.h"
 #include "lbmv/core/no_payment.h"
@@ -57,18 +63,20 @@ BidProfile random_profile(const SystemConfig& config, lbmv::util::Rng& rng) {
 }
 
 /// All four closed-form mechanisms, index-addressable for parameterised
-/// sweeps.
-std::unique_ptr<Mechanism> make_mechanism(int kind) {
+/// sweeps, on \p allocator (the PR allocator by default).
+std::unique_ptr<Mechanism> make_mechanism(
+    int kind, std::shared_ptr<const lbmv::alloc::Allocator> allocator =
+                  lbmv::core::default_allocator()) {
   switch (kind) {
     case 0:
-      return std::make_unique<CompBonusMechanism>();
+      return std::make_unique<CompBonusMechanism>(std::move(allocator));
     case 1:
-      return std::make_unique<CompBonusMechanism>(
-          lbmv::core::default_allocator(), CompensationBasis::kBid);
+      return std::make_unique<CompBonusMechanism>(std::move(allocator),
+                                                  CompensationBasis::kBid);
     case 2:
-      return std::make_unique<VcgMechanism>();
+      return std::make_unique<VcgMechanism>(std::move(allocator));
     default:
-      return std::make_unique<NoPaymentMechanism>();
+      return std::make_unique<NoPaymentMechanism>(std::move(allocator));
   }
 }
 
@@ -150,12 +158,23 @@ TEST_P(DeviationDifferential, CommitSequenceStaysInAgreement) {
     fast.commit(i, bid, exec);
     naive.commit(i, bid, exec);
     if (step % 20 == 0) {
-      expect_rel_near(fast.actual_latency(), naive.actual_latency(), 1e-9,
-                      "actual latency after commits");
-      const auto probe = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(config.size()) - 1));
-      expect_rel_near(fast.utility(probe, t, t), naive.utility(probe, t, t),
-                      1e-9, "utility after commits");
+      // Both outcomes are one run_into on the committed profile; the
+      // context's S/W state shows only in its utilities, so every agent's
+      // is checked at its committed entries (against the round itself)
+      // and at the truth.
+      EXPECT_EQ(fast.actual_latency(), naive.actual_latency())
+          << "actual latency after commits";
+      MechanismOutcome committed;
+      fast.outcome_into(committed);
+      for (std::size_t j = 0; j < config.size(); ++j) {
+        const double tj = config.true_value(j);
+        const double bj = fast.profile().bids[j];
+        const double ej = fast.profile().executions[j];
+        expect_rel_near(fast.utility(j, bj, ej), committed.agents[j].utility,
+                        1e-9, "utility at the committed entries");
+        expect_rel_near(fast.utility(j, tj, tj), naive.utility(j, tj, tj),
+                        1e-9, "utility after commits");
+      }
     }
   }
   ASSERT_EQ(fast.profile().bids, naive.profile().bids);
@@ -163,35 +182,78 @@ TEST_P(DeviationDifferential, CommitSequenceStaysInAgreement) {
 }
 
 TEST_P(DeviationDifferential, OutcomeIntoMatchesMechanismRun) {
-  const auto mechanism = make_mechanism(GetParam());
-  lbmv::util::Rng rng(77);
-  const SystemConfig config(log_uniform_types(9, 31), 25.0);
-  const BidProfile profile = random_profile(config, rng);
-  const DeviationEvaluator evaluator(*mechanism, config, profile);
-  ASSERT_TRUE(evaluator.incremental());
+  // One profile per closed-form family: linear PR, M/M/1 with every server
+  // active and with idle servers, and the workload family.  Linear and
+  // workload perturb every bid and execution (random_profile); M/M/1 keeps
+  // truthful bids, so the idle count below stays fixed, and slows
+  // executions by at most 20 % so no server overloads.
+  struct Case {
+    std::string name;
+    std::shared_ptr<const lbmv::alloc::Allocator> allocator;
+    SystemConfig config;
+    bool truthful_bids;
+    int idle;  ///< servers left idle (M/M/1), checked below
+  };
+  const auto mm1 = std::make_shared<const lbmv::model::MM1Family>();
+  const auto mm1_alloc = std::make_shared<const lbmv::alloc::MM1Allocator>();
+  const std::vector<double> mm1_types{0.1, 0.12, 0.15, 0.2, 0.3,
+                                      0.45, 0.6, 0.8, 1.0};
+  std::vector<Case> cases;
+  cases.push_back({"linear", lbmv::core::default_allocator(),
+                   SystemConfig(log_uniform_types(9, 31), 25.0), false, 0});
+  cases.push_back({"mm1 all active", mm1_alloc,
+                   SystemConfig({0.2, 0.22, 0.25, 0.28, 0.3, 0.33, 0.36, 0.4,
+                                 0.45},
+                                15.0, mm1),
+                   true, 0});
+  cases.push_back(
+      {"mm1 idle servers", mm1_alloc, SystemConfig(mm1_types, 4.0, mm1), true,
+       6});
+  cases.push_back(
+      {"workload", std::make_shared<const lbmv::alloc::WorkloadAllocator>(),
+       SystemConfig(log_uniform_types(9, 31), 25.0,
+                    std::make_shared<const lbmv::model::WorkloadFamily>(0.5)),
+       false, 0});
 
-  MechanismOutcome closed;
-  evaluator.outcome_into(closed);
-  const MechanismOutcome reference = mechanism->run(config, profile);
+  for (const Case& c : cases) {
+    const auto mechanism = make_mechanism(GetParam(), c.allocator);
+    lbmv::util::Rng rng(77);
+    BidProfile profile = BidProfile::truthful(c.config);
+    if (c.truthful_bids) {
+      for (std::size_t i = 0; i < c.config.size(); ++i) {
+        profile.executions[i] *= rng.uniform(1.0, 1.2);
+      }
+    } else {
+      profile = random_profile(c.config, rng);
+    }
+    const DeviationEvaluator evaluator(*mechanism, c.config, profile);
+    ASSERT_TRUE(evaluator.incremental()) << c.name;
 
-  expect_rel_near(closed.actual_latency, reference.actual_latency, 1e-9,
-                  "actual latency");
-  expect_rel_near(closed.reported_latency, reference.reported_latency, 1e-9,
-                  "reported latency");
-  ASSERT_EQ(closed.agents.size(), reference.agents.size());
-  for (std::size_t i = 0; i < closed.agents.size(); ++i) {
-    expect_rel_near(closed.allocation[i], reference.allocation[i], 1e-12,
-                    "allocation");
-    expect_rel_near(closed.agents[i].compensation,
-                    reference.agents[i].compensation, 1e-9, "compensation");
-    expect_rel_near(closed.agents[i].bonus, reference.agents[i].bonus, 1e-9,
-                    "bonus");
-    expect_rel_near(closed.agents[i].payment, reference.agents[i].payment,
-                    1e-9, "payment");
-    expect_rel_near(closed.agents[i].valuation, reference.agents[i].valuation,
-                    1e-9, "valuation");
-    expect_rel_near(closed.agents[i].utility, reference.agents[i].utility,
-                    1e-9, "utility");
+    MechanismOutcome committed;
+    evaluator.outcome_into(committed);
+    const MechanismOutcome reference = mechanism->run(c.config, profile);
+
+    int idle = 0;
+    for (std::size_t i = 0; i < reference.agents.size(); ++i) {
+      idle += reference.allocation[i] == 0.0;
+    }
+    EXPECT_EQ(idle, c.idle) << c.name;
+    EXPECT_EQ(evaluator.actual_latency(), reference.actual_latency) << c.name;
+    EXPECT_EQ(committed.actual_latency, reference.actual_latency) << c.name;
+    EXPECT_EQ(committed.reported_latency, reference.reported_latency)
+        << c.name;
+    ASSERT_EQ(committed.agents.size(), reference.agents.size()) << c.name;
+    for (std::size_t i = 0; i < committed.agents.size(); ++i) {
+      const auto& got = committed.agents[i];
+      const auto& want = reference.agents[i];
+      EXPECT_EQ(committed.allocation[i], reference.allocation[i]) << c.name;
+      EXPECT_EQ(got.allocation, want.allocation) << c.name;
+      EXPECT_EQ(got.compensation, want.compensation) << c.name;
+      EXPECT_EQ(got.bonus, want.bonus) << c.name;
+      EXPECT_EQ(got.payment, want.payment) << c.name;
+      EXPECT_EQ(got.valuation, want.valuation) << c.name;
+      EXPECT_EQ(got.utility, want.utility) << c.name;
+    }
   }
 }
 
@@ -287,6 +349,31 @@ TEST(DeviationFallback, NonLinearFamilyUsesScratchRuns) {
       mechanism.run(config, profile).agents[0].utility;
   EXPECT_DOUBLE_EQ(
       evaluator.utility(0, profile.bids[0], profile.executions[0]), untouched);
+}
+
+TEST(DeviationFallback, ThrowingQueryLeavesProfileIntact) {
+  // Agent 1 executing at mu = 0.01 cannot absorb its share of R = 4, so the
+  // round throws the M/M/1 domain error naming it.  The deviated entries
+  // must not outlive the throw: the next query sees the committed profile.
+  auto family = std::make_shared<lbmv::model::MM1Family>();
+  const SystemConfig config({0.2, 0.25, 1.0 / 3.0}, 4.0, family);
+  const CompBonusMechanism mechanism(
+      std::make_shared<lbmv::alloc::ConvexAllocator>());
+  const BidProfile profile = BidProfile::truthful(config);
+  const DeviationEvaluator evaluator(mechanism, config, profile);
+  ASSERT_FALSE(evaluator.incremental());
+
+  try {
+    (void)evaluator.utility(1, 0.25, 100.0);
+    ADD_FAILURE() << "overloaded execution did not throw";
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("computer 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(evaluator.profile().bids, profile.bids);
+  EXPECT_EQ(evaluator.profile().executions, profile.executions);
+  EXPECT_EQ(evaluator.utility(0, 0.2, 0.2),
+            mechanism.run(config, profile).agents[0].utility);
 }
 
 TEST(DeviationFallback, CommitsApplyToSubsequentQueries) {
