@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "lbmv/core/batch.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/thread_pool.h"
@@ -49,82 +48,64 @@ void validate_grids(const AuditOptions& options) {
   }
 }
 
-/// One agent's sweep against the opponents frozen in \p base: through
-/// \p context when the mechanism has one (shared by every agent of an
-/// audit_all, so it is only read), else one full mechanism run per grid
-/// point.  \p pool runs the grid when options.parallel is set.
-AuditReport sweep_agent(const Mechanism& mechanism,
-                        const model::SystemConfig& config,
-                        const model::BidProfile& base,
-                        const ProfileUtilityContext* context,
+/// The oracle every sweep reads: the mechanism's closed form when
+/// \p incremental is set and the family has one, else the reference
+/// context (one full mechanism run per grid point).
+std::unique_ptr<ProfileUtilityContext> audit_context(
+    const Mechanism& mechanism, const model::SystemConfig& config,
+    const model::BidProfile& base, bool incremental) {
+  std::unique_ptr<ProfileUtilityContext> context =
+      incremental ? mechanism.make_profile_context(
+                        config.family(), config.arrival_rate(), base)
+                  : nullptr;
+  if (context == nullptr) {
+    context = mechanism.make_reference_context(config.family(),
+                                               config.arrival_rate(), base);
+  }
+  return context;
+}
+
+/// One agent's sweep against the opponents frozen in \p context (shared by
+/// every agent of an audit_all, so it is only read).  \p pool runs the
+/// grid when options.parallel is set.
+AuditReport sweep_agent(const model::SystemConfig& config,
+                        const ProfileUtilityContext& context,
                         std::size_t agent, const AuditOptions& options,
                         util::ThreadPool& pool) {
   const double truth = config.true_value(agent);
-  auto evaluate = [&](double bid_mult, double exec_mult) {
-    const double bid = truth * bid_mult;
-    const double execution = truth * exec_mult;
-    if (context != nullptr) return context->utility(agent, bid, execution);
-    // Legacy full-mechanism path: one reusable workspace per worker thread,
-    // so sweeping the grid allocates only on each thread's first point.
-    RoundWorkspace& ws = RoundWorkspace::thread_local_instance();
-    model::BidProfile& profile = ws.scratch_profile;
-    profile.bids.assign(base.bids.begin(), base.bids.end());
-    profile.executions.assign(base.executions.begin(), base.executions.end());
-    profile.bids[agent] = bid;
-    profile.executions[agent] = execution;
-    mechanism.run_into(config, profile, ws.scratch_outcome, ws);
-    return ws.scratch_outcome.agents[agent].utility;
-  };
-
   AuditReport report;
   report.agent = agent;
-  report.truthful_utility = evaluate(1.0, 1.0);
+  report.truthful_utility = context.utility(agent, truth, truth);
 
   const std::size_t nb = options.bid_multipliers.size();
   const std::size_t ne = options.exec_multipliers.size();
   // The truthful point plus the full deviation grid, counted up front.
   obs::MechProbes::get().audit_evaluations.inc(
       static_cast<std::uint64_t>(nb * ne) + 1);
-  std::vector<Deviation> grid(nb * ne);
-  if (context != nullptr) {
-    // One candidate-bid sweep per execution multiplier (bids vary along the
-    // row), scattered back into the k = bm_idx * ne + em_idx layout so the
-    // best-scan below visits grid points in the legacy order — the same
-    // utilities bit for bit, the same tie-breaking.
-    std::vector<double> bid_row(nb);
-    for (std::size_t j = 0; j < nb; ++j) {
-      bid_row[j] = truth * options.bid_multipliers[j];
-    }
-    std::vector<double> utilities(nb * ne);
-    auto row = [&](std::size_t e) {
-      context->utilities_into(agent, bid_row,
-                              truth * options.exec_multipliers[e],
-                              std::span<double>(utilities).subspan(e * nb, nb));
-    };
-    if (options.parallel && ne > 1) {
-      pool.parallel_for(0, ne, row, /*grain=*/1);
-    } else {
-      for (std::size_t e = 0; e < ne; ++e) row(e);
-    }
-    for (std::size_t j = 0; j < nb; ++j) {
-      for (std::size_t e = 0; e < ne; ++e) {
-        grid[j * ne + e] =
-            Deviation{options.bid_multipliers[j], options.exec_multipliers[e],
-                      utilities[e * nb + j]};
-      }
-    }
+  // One candidate-bid sweep per execution multiplier (bids vary along the
+  // row), scattered back into the k = bm_idx * ne + em_idx layout so the
+  // best-scan below visits grid points in bid-major order — the tie-break
+  // every audit has used.
+  std::vector<double> bid_row(nb);
+  for (std::size_t j = 0; j < nb; ++j) {
+    bid_row[j] = truth * options.bid_multipliers[j];
+  }
+  std::vector<double> utilities(nb * ne);
+  auto row = [&](std::size_t e) {
+    context.utilities_into(agent, bid_row, truth * options.exec_multipliers[e],
+                           std::span<double>(utilities).subspan(e * nb, nb));
+  };
+  if (options.parallel && ne > 1) {
+    pool.parallel_for(0, ne, row, /*grain=*/1);
   } else {
-    auto body = [&](std::size_t k) {
-      const double bm = options.bid_multipliers[k / ne];
-      const double em = options.exec_multipliers[k % ne];
-      grid[k] = Deviation{bm, em, evaluate(bm, em)};
-    };
-    if (options.parallel) {
-      // The full-mechanism path is heavy enough that one point per task
-      // load-balances best.
-      pool.parallel_for(0, grid.size(), body, 1);
-    } else {
-      for (std::size_t k = 0; k < grid.size(); ++k) body(k);
+    for (std::size_t e = 0; e < ne; ++e) row(e);
+  }
+  std::vector<Deviation> grid(nb * ne);
+  for (std::size_t j = 0; j < nb; ++j) {
+    for (std::size_t e = 0; e < ne; ++e) {
+      grid[j * ne + e] =
+          Deviation{options.bid_multipliers[j], options.exec_multipliers[e],
+                    utilities[e * nb + j]};
     }
   }
 
@@ -153,14 +134,11 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
   LBMV_REQUIRE(agent < config.size(), "agent index out of range");
   base.validate(config.size());
   validate_grids(options);
-  // Incremental fast path: across the sweep only this agent's bid and
-  // execution change, so the mechanism can freeze everything else once.
+  // Across the sweep only this agent's bid and execution change, so the
+  // context freezes everything else once.
   const std::unique_ptr<ProfileUtilityContext> context =
-      options.incremental
-          ? mechanism_->make_profile_context(config.family(),
-                                             config.arrival_rate(), base)
-          : nullptr;
-  return sweep_agent(*mechanism_, config, base, context.get(), agent, options,
+      audit_context(*mechanism_, config, base, options.incremental);
+  return sweep_agent(config, *context, agent, options,
                      util::ThreadPool::global());
 }
 
@@ -176,28 +154,19 @@ std::vector<AuditReport> TruthfulnessAuditor::audit_all(
   // Every agent is audited against the same truthful opponents, so one
   // profile context serves them all: its queries are const and safe to
   // issue concurrently.
-  const model::BidProfile base = model::BidProfile::truthful(config);
-  const std::unique_ptr<ProfileUtilityContext> context =
-      options.incremental
-          ? mechanism_->make_profile_context(config.family(),
-                                             config.arrival_rate(), base)
-          : nullptr;
+  const std::unique_ptr<ProfileUtilityContext> context = audit_context(
+      *mechanism_, config, model::BidProfile::truthful(config),
+      options.incremental);
   std::vector<AuditReport> reports(config.size());
+  const auto body = [&](std::size_t i) {
+    reports[i] = sweep_agent(config, *context, i, options, pool);
+  };
   if (options.parallel && config.size() > 1) {
-    // One level of parallelism: across agents, with each per-agent grid
-    // evaluated serially (nesting parallel_for on one fixed-size pool can
-    // starve the inner waits of workers), in the pool's automatic chunks.
-    AuditOptions per_agent = options;
-    per_agent.parallel = false;
-    pool.parallel_for(0, config.size(), [&](std::size_t i) {
-      reports[i] = sweep_agent(*mechanism_, config, base, context.get(), i,
-                               per_agent, pool);
-    });
+    // Across agents, in the pool's automatic chunks; each agent's own grid
+    // fan-out then runs inline on its worker (ThreadPool::parallel_for).
+    pool.parallel_for(0, config.size(), body);
   } else {
-    for (std::size_t i = 0; i < config.size(); ++i) {
-      reports[i] = sweep_agent(*mechanism_, config, base, context.get(), i,
-                               options, pool);
-    }
+    for (std::size_t i = 0; i < config.size(); ++i) body(i);
   }
   return reports;
 }
@@ -217,18 +186,14 @@ CoalitionReport CoalitionAuditor::audit_pair(const model::SystemConfig& config,
   validate_grids(options);
 
   const model::BidProfile base = model::BidProfile::truthful(config);
+  const double ta = config.true_value(agent_a);
+  const double tb = config.true_value(agent_b);
   auto evaluate = [&](const CoalitionDeviation& d) {
-    RoundWorkspace& ws = RoundWorkspace::thread_local_instance();
-    model::BidProfile& profile = ws.scratch_profile;
-    profile.bids.assign(base.bids.begin(), base.bids.end());
-    profile.executions.assign(base.executions.begin(), base.executions.end());
-    profile.bids[agent_a] = config.true_value(agent_a) * d.bid_mult_a;
-    profile.executions[agent_a] = config.true_value(agent_a) * d.exec_mult_a;
-    profile.bids[agent_b] = config.true_value(agent_b) * d.bid_mult_b;
-    profile.executions[agent_b] = config.true_value(agent_b) * d.exec_mult_b;
-    mechanism_->run_into(config, profile, ws.scratch_outcome, ws);
-    return ws.scratch_outcome.agents[agent_a].utility +
-           ws.scratch_outcome.agents[agent_b].utility;
+    const BidDelta pair[] = {{agent_a, ta * d.bid_mult_a, ta * d.exec_mult_a},
+                             {agent_b, tb * d.bid_mult_b, tb * d.exec_mult_b}};
+    const MechanismOutcome& out = mechanism_->run_deviated(
+        config.family(), config.arrival_rate(), base, pair);
+    return out.agents[agent_a].utility + out.agents[agent_b].utility;
   };
 
   CoalitionReport report;

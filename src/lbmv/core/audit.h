@@ -46,12 +46,13 @@ struct AuditOptions {
   std::vector<double> exec_multipliers{1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0};
   bool parallel = true;    ///< fan the work out on a thread pool
   bool keep_grid = false;  ///< retain every Deviation in the report
-  /// Use the mechanism's per-audit utility context when it provides one
-  /// (O(1) per grid point: only the audited agent's bid changes across a
-  /// sweep, so everything else is precomputed).  When false — or when the
-  /// mechanism has no fast path — every grid point re-runs the full
-  /// mechanism.  The two paths agree to floating-point roundoff; the flag
-  /// exists so benches and property tests can compare them.
+  /// Sweep the mechanism's closed-form profile context when the family has
+  /// one (O(1) per grid point: only the audited agent's entries change
+  /// across a sweep, so everything else is precomputed).  When false — or
+  /// when there is no closed form — the sweep reads the reference context
+  /// (Mechanism::make_reference_context), one full mechanism run per grid
+  /// point.  The two agree to floating-point roundoff; the flag exists so
+  /// benches and property tests can compare them.
   bool incremental = true;
 };
 
@@ -89,9 +90,9 @@ class TruthfulnessAuditor {
                                         const AuditOptions& options) const;
 
   /// Audit every agent (others truthful).  The opponents are the same for
-  /// every agent, so one profile context is built and every agent's sweep
-  /// reads it; reports equal a per-agent audit_agent loop bit for bit.
-  /// Parallel audits run on the global pool.
+  /// every agent, so one profile context (closed-form or reference) is
+  /// built and every agent's sweep reads it; reports equal a per-agent
+  /// audit_agent loop bit for bit.  Parallel audits run on the global pool.
   [[nodiscard]] std::vector<AuditReport> audit_all(
       const model::SystemConfig& config,
       const AuditOptions& options = {}) const;
@@ -132,7 +133,9 @@ struct CoalitionReport {
 /// compensation-and-bonus mechanism is NOT coalition-proof: a pair with
 /// transferable utility can coordinate (one inflates the other's
 /// leave-one-out counterfactual) and split a strictly positive gain.  The
-/// auditor makes that gap measurable (see bench_coalition).
+/// auditor makes that gap measurable (see bench_coalition).  Each joint
+/// deviation is one Mechanism::run_deviated with both agents' entries
+/// replaced — the oracle the reference context reads too.
 class CoalitionAuditor {
  public:
   explicit CoalitionAuditor(const Mechanism& mechanism)

@@ -278,15 +278,9 @@ void Mechanism::run_batch(const model::LatencyFamily& family,
     probes.batch_size.record(static_cast<double>(count));
   }
   if (count == 0) return;
-  // Workers force serial rounds: a round sharding its agent axis over the
-  // same pool its profile fan-out runs on would deadlock (parallel_for
-  // callers block without draining the queue), and the fixed block grid
-  // makes serial rounds bit-identical to sharded ones anyway.
-  constexpr RoundOptions kSerialRound{/*shards=*/1, /*pool=*/nullptr};
   const auto body = [&](std::size_t b) {
     run_into(family, arrival_rate, batch.bids(b), batch.executions(b),
-             out.outcomes[b], RoundWorkspace::thread_local_instance(),
-             kSerialRound);
+             out.outcomes[b], RoundWorkspace::thread_local_instance());
   };
   if (!options.parallel || count < 2) {
     for (std::size_t b = 0; b < count; ++b) body(b);
@@ -400,6 +394,63 @@ std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
       break;
   }
   return nullptr;
+}
+
+namespace {
+
+/// The reference context (Mechanism::make_reference_context): no state but
+/// the committed profile, one run_deviated per query.
+class ReferenceProfileContext final : public ProfileUtilityContext {
+ public:
+  ReferenceProfileContext(const Mechanism& mechanism,
+                          const model::LatencyFamily& family,
+                          double arrival_rate, model::BidProfile base)
+      : ProfileUtilityContext(mechanism.payment_rule(), arrival_rate,
+                              std::move(base)),
+        mechanism_(&mechanism),
+        family_(&family) {}
+
+  [[nodiscard]] double utility(std::size_t agent, double bid,
+                               double execution) const override {
+    model::require_valid_deviation(agent, profile().size(), bid, execution);
+    const BidDelta delta{agent, bid, execution};
+    return mechanism_
+        ->run_deviated(*family_, arrival_rate(), profile(),
+                       std::span(&delta, 1))
+        .agents[agent]
+        .utility;
+  }
+
+ protected:
+  void rebuild() override {}
+
+ private:
+  const Mechanism* mechanism_;
+  const model::LatencyFamily* family_;
+};
+
+}  // namespace
+
+std::unique_ptr<ProfileUtilityContext> Mechanism::make_reference_context(
+    const model::LatencyFamily& family, double arrival_rate,
+    const model::BidProfile& base) const {
+  return std::make_unique<ReferenceProfileContext>(*this, family, arrival_rate,
+                                                   base);
+}
+
+const MechanismOutcome& Mechanism::run_deviated(
+    const model::LatencyFamily& family, double arrival_rate,
+    const model::BidProfile& base, std::span<const BidDelta> deltas) const {
+  RoundWorkspace& ws = RoundWorkspace::thread_local_instance();
+  model::BidProfile& profile = ws.scratch_profile;
+  profile.bids.assign(base.bids.begin(), base.bids.end());
+  profile.executions.assign(base.executions.begin(), base.executions.end());
+  for (const BidDelta& d : deltas) {
+    profile.bids[d.agent] = d.bid;
+    profile.executions[d.agent] = d.execution;
+  }
+  run_into(family, arrival_rate, profile, ws.scratch_outcome, ws);
+  return ws.scratch_outcome;
 }
 
 std::shared_ptr<const alloc::Allocator> default_allocator() {

@@ -127,15 +127,17 @@ struct GridBest {
   double utility = 0.0;   ///< the maximum utility
 };
 
-/// Strategy and audit fast path: the utility of *any* agent under a
-/// unilateral deviation from a committed base profile, sweeps of one agent
-/// over many candidate bids, plus an O(1) way to make a deviation
-/// permanent.  Built by Mechanism::make_profile_context once per profile;
+/// The deviation oracle of the audits and the strategy layers: the utility
+/// of *any* agent under a unilateral deviation from a committed base
+/// profile, sweeps of one agent over many candidate bids, plus a way to
+/// make a deviation permanent.  Built once per profile, either by
+/// Mechanism::make_profile_context — a family's deviation closed form, so
 /// the audits and the strategy layers (best response, learning,
-/// tournaments, leader-commitment games) then evaluate O(n * grid)
-/// deviations at O(1) each instead of re-running the full mechanism per
-/// grid point.  A context is only its family's deviation closed form: the
-/// round outcome at the committed profile is Mechanism::run_into's.
+/// tournaments, leader-commitment games) evaluate O(n * grid) deviations at
+/// O(1) each — or by Mechanism::make_reference_context, which re-runs the
+/// mechanism per deviation and serves every other family and the baseline
+/// measurements.  The round outcome at the committed profile is
+/// Mechanism::run_into's.
 ///
 /// Contract:
 ///   * utility(), utilities_into() and best_response() are pure reads and
@@ -338,11 +340,31 @@ class Mechanism {
   /// with commit support) for payment_rule(), for exactly the families a
   /// fused engine serves: the linear-PR context (profile_context.h) or the
   /// M/M/1 or workload context (family_context.h; not for kArcherTardos).
-  /// Otherwise nullptr — callers then fall back to run() per deviation.
+  /// Otherwise nullptr — callers then use make_reference_context.
   /// \p base is copied; the context does not alias it afterwards.
   [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
       const model::LatencyFamily& family, double arrival_rate,
       const model::BidProfile& base) const;
+
+  /// The reference context, for any family, allocator and rule: utility()
+  /// is one run_deviated, so it equals run() on the deviated profile bit
+  /// for bit; commits only write the profile, and sweeps are the base
+  /// class's utility() loop.  Queries are safe to call concurrently.  This
+  /// mechanism and \p family must outlive the context; \p base is copied.
+  [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_reference_context(
+      const model::LatencyFamily& family, double arrival_rate,
+      const model::BidProfile& base) const;
+
+  /// One round at \p base with the entries of \p deltas replaced (later
+  /// entries win) — the run-per-deviation oracle behind the reference
+  /// context and the coalition audit.  It patches a copy in the calling
+  /// thread's RoundWorkspace::thread_local_instance().scratch_profile and
+  /// returns that workspace's scratch_outcome, valid until the thread's
+  /// next call.  Safe to call concurrently from different threads.
+  const MechanismOutcome& run_deviated(const model::LatencyFamily& family,
+                                       double arrival_rate,
+                                       const model::BidProfile& base,
+                                       std::span<const BidDelta> deltas) const;
 
   [[nodiscard]] const alloc::Allocator& allocator() const {
     return *allocator_;

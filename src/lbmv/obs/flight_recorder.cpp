@@ -34,20 +34,8 @@ const char* severity_name(Severity severity) {
   return "info";
 }
 
-/// Fixed-capacity ring: the first `buf.size()` records append, later ones
-/// overwrite round-robin at `next` (same shape as TraceRecorder::Ring).
-struct FlightRecorder::Ring {
-  std::uint32_t tid = 0;
-  std::size_t capacity = 0;
-  std::vector<FlightRecord> buf;
-  std::size_t next = 0;
-  std::uint64_t recorded = 0;
-};
-
 FlightRecorder::FlightRecorder(std::size_t capacity_per_thread)
-    : capacity_(capacity_per_thread == 0 ? 1 : capacity_per_thread) {}
-
-FlightRecorder::~FlightRecorder() = default;
+    : rings_(capacity_per_thread, /*reserve=*/256) {}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder recorder;
@@ -74,62 +62,7 @@ void FlightRecorder::record(Severity severity, const char* subsystem,
     if (rec.kv_count >= FlightRecord::kMaxKeyValues) break;
     rec.kv[rec.kv_count++] = payload[k];
   }
-  // Anomaly-grained (violations, fallbacks, lifecycle), never per-event:
-  // one mutex keeps every reader/writer pair simple and sanitizer-clean,
-  // exactly like the trace recorder.
-  std::lock_guard lock(mutex_);
-  std::shared_ptr<Ring>& ring = rings_[std::this_thread::get_id()];
-  if (ring == nullptr) {
-    ring = std::make_shared<Ring>();
-    ring->tid = next_tid_++;
-    ring->capacity = capacity_;
-    ring->buf.reserve(std::min<std::size_t>(capacity_, 256));
-  }
-  rec.tid = ring->tid;
-  if (ring->buf.size() < ring->capacity) {
-    ring->buf.push_back(rec);
-  } else {
-    ring->buf[ring->next] = rec;
-    ring->next = (ring->next + 1) % ring->capacity;
-  }
-  ++ring->recorded;
-}
-
-std::vector<FlightRecord> FlightRecorder::records() const {
-  std::vector<FlightRecord> out;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& [thread_id, ring] : rings_) {
-      (void)thread_id;
-      out.insert(out.end(), ring->buf.begin(), ring->buf.end());
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-              return a.tid < b.tid;
-            });
-  return out;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  std::lock_guard lock(mutex_);
-  std::uint64_t dropped = 0;
-  for (const auto& [thread_id, ring] : rings_) {
-    (void)thread_id;
-    dropped += ring->recorded - ring->buf.size();
-  }
-  return dropped;
-}
-
-void FlightRecorder::clear() {
-  std::lock_guard lock(mutex_);
-  rings_.clear();
-}
-
-void FlightRecorder::set_capacity(std::size_t capacity_per_thread) {
-  std::lock_guard lock(mutex_);
-  capacity_ = capacity_per_thread == 0 ? 1 : capacity_per_thread;
+  rings_.push(rec);
 }
 
 namespace {
@@ -186,22 +119,16 @@ bool FlightRecorder::dump_jsonl(const std::string& path) const {
 
 void FlightRecorder::crash_dump(int fd) const {
 #if LBMV_FLIGHT_POSIX
-  // Crash path: the process is dying, so a blocked lock is worse than a
-  // torn read.  try_lock and proceed either way; record payloads are plain
-  // PODs with static strings, so the worst case is a garbled line.
-  const bool locked = mutex_.try_lock();
+  // Record payloads are plain PODs with static strings, so a torn read
+  // (visit_for_crash only tries the lock) garbles a line at worst.
   char line[512];
-  for (const auto& [thread_id, ring] : rings_) {
-    (void)thread_id;
-    for (const FlightRecord& rec : ring->buf) {
-      const int n = format_record(line, sizeof line, rec);
-      if (n <= 0) continue;
-      line[n] = '\n';
-      const auto written = ::write(fd, line, static_cast<std::size_t>(n) + 1);
-      (void)written;
-    }
-  }
-  if (locked) mutex_.unlock();
+  rings_.visit_for_crash([&](const FlightRecord& rec) {
+    const int n = format_record(line, sizeof line, rec);
+    if (n <= 0) return;
+    line[n] = '\n';
+    const auto written = ::write(fd, line, static_cast<std::size_t>(n) + 1);
+    (void)written;
+  });
 #else
   (void)fd;
 #endif

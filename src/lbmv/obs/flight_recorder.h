@@ -31,14 +31,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lbmv/obs/obs.h"
+#include "lbmv/obs/thread_rings.h"
 
 namespace lbmv::obs {
 
@@ -72,7 +69,6 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultCapacity = 1 << 10;
 
   explicit FlightRecorder(std::size_t capacity_per_thread = kDefaultCapacity);
-  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -86,7 +82,9 @@ class FlightRecorder {
               const FlightRecord::KeyValue* payload, std::size_t count);
 
   /// All retained records across threads, sorted by timestamp.
-  [[nodiscard]] std::vector<FlightRecord> records() const;
+  [[nodiscard]] std::vector<FlightRecord> records() const {
+    return rings_.collect();
+  }
 
   /// JSON-lines export: one object per record, sorted by timestamp.
   /// {"t_ns":..,"tid":..,"severity":"..","subsystem":"..",
@@ -97,14 +95,16 @@ class FlightRecorder {
   bool dump_jsonl(const std::string& path) const;
 
   /// Records overwritten because a ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Forget every retained record (capacity and thread ids kept).
-  void clear();
+  void clear() { rings_.clear(); }
 
   /// Ring capacity for threads that have not recorded yet (existing rings
   /// keep their size).
-  void set_capacity(std::size_t capacity_per_thread);
+  void set_capacity(std::size_t capacity_per_thread) {
+    rings_.set_capacity(capacity_per_thread);
+  }
 
   /// The process-wide recorder the built-in monitors write to.
   static FlightRecorder& global();
@@ -115,12 +115,7 @@ class FlightRecorder {
   void crash_dump(int fd) const;
 
  private:
-  struct Ring;
-
-  mutable std::mutex mutex_;
-  std::map<std::thread::id, std::shared_ptr<Ring>> rings_;
-  std::size_t capacity_;
-  std::uint32_t next_tid_ = 1;
+  detail::ThreadRings<FlightRecord, &FlightRecord::t_ns> rings_;
 };
 
 /// Shorthand: record into FlightRecorder::global().

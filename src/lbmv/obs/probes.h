@@ -46,12 +46,14 @@
 ///     lbmv_protocol_rounds_total              VerifiedProtocol rounds
 ///     lbmv_protocol_replications_total        completed replications
 ///     lbmv_protocol_estimate_fallbacks_total  rate-estimate fallbacks
-///     lbmv_strategy_deviation_evals_total     DeviationEvaluator queries
-///     lbmv_strategy_mechanism_runs_avoided_total  fast-path queries that
-///                                             skipped a full Mechanism::run
+///     lbmv_strategy_deviation_evals_total     DeviationEvaluator::utility
+///                                             queries (sweeps not included)
+///     lbmv_strategy_mechanism_runs_avoided_total  of those, queries a closed
+///                                             form answered without a run
 ///     lbmv_strategy_commits_total             committed deviations
 ///     lbmv_strategy_grid_evals_total          candidate bids swept by
-///                                             DeviationEvaluator sweeps
+///                                             DeviationEvaluator sweeps,
+///                                             closed-form or reference
 ///     lbmv_strategy_grid_lanes_wasted_total   padded tail lanes the 4-lane
 ///                                             context sweeps evaluated
 ///

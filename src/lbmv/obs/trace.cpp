@@ -1,6 +1,5 @@
 #include "lbmv/obs/trace.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -14,20 +13,8 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Fixed-capacity ring: the first `buf.size()` records append, later ones
-/// overwrite round-robin at `next`.
-struct TraceRecorder::Ring {
-  std::uint32_t tid = 0;
-  std::size_t capacity = 0;
-  std::vector<TraceEvent> buf;
-  std::size_t next = 0;
-  std::uint64_t recorded = 0;
-};
-
 TraceRecorder::TraceRecorder(std::size_t capacity_per_thread)
-    : capacity_(capacity_per_thread == 0 ? 1 : capacity_per_thread) {}
-
-TraceRecorder::~TraceRecorder() = default;
+    : rings_(capacity_per_thread, /*reserve=*/1024) {}
 
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder recorder;
@@ -38,63 +25,7 @@ void TraceRecorder::record(const char* name, const char* category,
                            std::uint64_t start_ns,
                            std::uint64_t duration_ns) {
   if (!enabled()) return;
-  // One lock for list lookup and ring write: spans are scope-grained
-  // (rounds, replications, epochs), so the recorder is never on a
-  // per-event hot path and a mutex keeps every reader/writer pair simple
-  // and sanitizer-clean.
-  std::lock_guard lock(mutex_);
-  std::shared_ptr<Ring>& ring = rings_[std::this_thread::get_id()];
-  if (ring == nullptr) {
-    ring = std::make_shared<Ring>();
-    ring->tid = next_tid_++;
-    ring->capacity = capacity_;
-    ring->buf.reserve(std::min<std::size_t>(capacity_, 1024));
-  }
-  const TraceEvent event{name, category, start_ns, duration_ns, ring->tid};
-  if (ring->buf.size() < ring->capacity) {
-    ring->buf.push_back(event);
-  } else {
-    ring->buf[ring->next] = event;
-    ring->next = (ring->next + 1) % ring->capacity;
-  }
-  ++ring->recorded;
-}
-
-std::vector<TraceEvent> TraceRecorder::events() const {
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& [thread_id, ring] : rings_) {
-      (void)thread_id;
-      out.insert(out.end(), ring->buf.begin(), ring->buf.end());
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-              return a.tid < b.tid;
-            });
-  return out;
-}
-
-std::uint64_t TraceRecorder::dropped() const {
-  std::lock_guard lock(mutex_);
-  std::uint64_t dropped = 0;
-  for (const auto& [thread_id, ring] : rings_) {
-    (void)thread_id;
-    dropped += ring->recorded - ring->buf.size();
-  }
-  return dropped;
-}
-
-void TraceRecorder::clear() {
-  std::lock_guard lock(mutex_);
-  rings_.clear();
-}
-
-void TraceRecorder::set_capacity(std::size_t capacity_per_thread) {
-  std::lock_guard lock(mutex_);
-  capacity_ = capacity_per_thread == 0 ? 1 : capacity_per_thread;
+  rings_.push(TraceEvent{name, category, start_ns, duration_ns, 0});
 }
 
 std::string TraceRecorder::to_chrome_json() const {

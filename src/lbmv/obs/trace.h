@@ -24,14 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lbmv/obs/obs.h"
+#include "lbmv/obs/thread_rings.h"
 
 namespace lbmv::obs {
 
@@ -54,7 +51,6 @@ class TraceRecorder {
   static constexpr std::size_t kDefaultCapacity = 1 << 14;
 
   explicit TraceRecorder(std::size_t capacity_per_thread = kDefaultCapacity);
-  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -64,32 +60,31 @@ class TraceRecorder {
               std::uint64_t duration_ns);
 
   /// All retained events across threads, sorted by start time.
-  [[nodiscard]] std::vector<TraceEvent> events() const;
+  [[nodiscard]] std::vector<TraceEvent> events() const {
+    return rings_.collect();
+  }
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}); timestamps are
   /// microseconds relative to the earliest retained span.
   [[nodiscard]] std::string to_chrome_json() const;
 
   /// Spans overwritten because a ring was full.
-  [[nodiscard]] std::uint64_t dropped() const;
+  [[nodiscard]] std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// Forget every retained span (ring capacity and thread ids kept).
-  void clear();
+  void clear() { rings_.clear(); }
 
   /// Ring capacity for threads that have not recorded yet (existing rings
   /// keep their size).
-  void set_capacity(std::size_t capacity_per_thread);
+  void set_capacity(std::size_t capacity_per_thread) {
+    rings_.set_capacity(capacity_per_thread);
+  }
 
   /// The process-wide recorder `Span` writes to.
   static TraceRecorder& global();
 
  private:
-  struct Ring;
-
-  mutable std::mutex mutex_;
-  std::map<std::thread::id, std::shared_ptr<Ring>> rings_;
-  std::size_t capacity_;
-  std::uint32_t next_tid_ = 1;
+  detail::ThreadRings<TraceEvent, &TraceEvent::start_ns> rings_;
 };
 
 /// RAII scope probe recording into TraceRecorder::global().

@@ -39,14 +39,13 @@ void fan_out(std::size_t size, util::ThreadPool* pool, const Sweep& sweep) {
   });
 }
 
-/// Sweep telemetry (class comment in deviation.h) for a sweep through
-/// \p context (nullptr on the naive path).
-void note_sweep(const core::ProfileUtilityContext* context,
+/// Sweep telemetry (class comment in deviation.h).
+void note_sweep(const core::ProfileUtilityContext& context,
                 std::size_t grid_size, Clock::time_point start) {
   if (!obs::enabled()) return;
   obs::StrategyProbes& probes = obs::StrategyProbes::get();
   probes.grid_evals.inc(grid_size);
-  if (context != nullptr && context->lane_sweeps()) {
+  if (context.lane_sweeps()) {
     probes.grid_lanes_wasted.inc(core::grid_lanes_padded(grid_size));
   }
   const std::chrono::duration<double> elapsed = Clock::now() - start;
@@ -63,14 +62,14 @@ DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
       arrival_rate_(config.arrival_rate()) {
   LBMV_REQUIRE(profile.size() == config.size(),
                "profile size must match config size");
-  LBMV_REQUIRE(profile.size() >= 2, "mechanisms require at least two agents");
-  profile.validate(profile.size());
+  // Either context checks n >= 2 and the profile itself.
   if (mode == Mode::kAuto) {
     context_ = mechanism.make_profile_context(*family_, arrival_rate_, profile);
   }
-  if (context_ == nullptr) {
-    scratch_ = profile;
-    profile_ = std::move(profile);
+  closed_form_ = context_ != nullptr;
+  if (!closed_form_) {
+    context_ = mechanism.make_reference_context(*family_, arrival_rate_,
+                                                std::move(profile));
   }
 }
 
@@ -82,32 +81,14 @@ DeviationEvaluator::DeviationEvaluator(const core::Mechanism& mechanism,
 
 double DeviationEvaluator::utility(std::size_t agent, double bid,
                                    double execution) const {
+  // Checked before counting, so a rejected query counts nothing.
   model::require_valid_deviation(agent, profile().size(), bid, execution);
   if (obs::enabled()) {
     obs::StrategyProbes& probes = obs::StrategyProbes::get();
     probes.deviation_evals.inc();
-    if (context_ != nullptr) probes.mechanism_runs_avoided.inc();
+    if (closed_form_) probes.mechanism_runs_avoided.inc();
   }
-  if (context_ != nullptr) return context_->utility(agent, bid, execution);
-
-  // Fallback: one full mechanism run against the scratch buffer, with the
-  // deviated entries restored on every exit — no per-call profile copy, and
-  // the round itself draws every plane from the evaluator's workspace.
-  const auto restore = [&] {
-    scratch_.bids[agent] = profile_.bids[agent];
-    scratch_.executions[agent] = profile_.executions[agent];
-  };
-  scratch_.bids[agent] = bid;
-  scratch_.executions[agent] = execution;
-  try {
-    mechanism_->run_into(*family_, arrival_rate_, scratch_,
-                         ws_.scratch_outcome, ws_);
-  } catch (...) {
-    restore();
-    throw;
-  }
-  restore();
-  return ws_.scratch_outcome.agents[agent].utility;
+  return context_->utility(agent, bid, execution);
 }
 
 void DeviationEvaluator::utilities_into(std::size_t agent,
@@ -119,17 +100,11 @@ void DeviationEvaluator::utilities_into(std::size_t agent,
                "output span must cover the candidate grid");
   const Clock::time_point start =
       obs::enabled() ? Clock::now() : Clock::time_point{};
-  if (context_ == nullptr) {
-    for (std::size_t k = 0; k < bids.size(); ++k) {
-      out[k] = utility(agent, bids[k], execution);
-    }
-  } else {
-    fan_out(bids.size(), pool, [&](std::size_t lo, std::size_t len) {
-      context_->utilities_into(agent, bids.subspan(lo, len), execution,
-                               out.subspan(lo, len));
-    });
-  }
-  note_sweep(context_.get(), bids.size(), start);
+  fan_out(bids.size(), pool, [&](std::size_t lo, std::size_t len) {
+    context_->utilities_into(agent, bids.subspan(lo, len), execution,
+                             out.subspan(lo, len));
+  });
+  note_sweep(*context_, bids.size(), start);
 }
 
 core::GridBest DeviationEvaluator::best_response(std::size_t agent,
@@ -140,14 +115,7 @@ core::GridBest DeviationEvaluator::best_response(std::size_t agent,
   const Clock::time_point start =
       obs::enabled() ? Clock::now() : Clock::time_point{};
   core::GridBest best{0, 0.0};
-  if (context_ == nullptr) {
-    // Strictly-greater first-wins scan, the rule the lane argmax reproduces.
-    best.utility = utility(agent, bids[0], execution);
-    for (std::size_t k = 1; k < bids.size(); ++k) {
-      const double u = utility(agent, bids[k], execution);
-      if (u > best.utility) best = {k, u};
-    }
-  } else if (pool == nullptr || bids.size() <= kBlock) {
+  if (pool == nullptr || bids.size() <= kBlock) {
     best = context_->best_response(agent, bids, execution);
   } else {
     std::vector<core::GridBest> blocks((bids.size() + kBlock - 1) / kBlock);
@@ -165,7 +133,7 @@ core::GridBest DeviationEvaluator::best_response(std::size_t agent,
       if (b.utility > best.utility) best = b;
     }
   }
-  note_sweep(context_.get(), bids.size(), start);
+  note_sweep(*context_, bids.size(), start);
   return best;
 }
 
@@ -177,21 +145,8 @@ void DeviationEvaluator::commit(std::size_t agent, double bid,
 
 void DeviationEvaluator::commit_batch(
     std::span<const core::BidDelta> deltas) {
-  if (context_ != nullptr) {
-    // The context checks every entry before it writes any.
-    context_->commit_batch(deltas);
-  } else {
-    for (const core::BidDelta& d : deltas) {
-      model::require_valid_deviation(d.agent, profile_.size(), d.bid,
-                                     d.execution);
-    }
-    for (const core::BidDelta& d : deltas) {
-      profile_.bids[d.agent] = d.bid;
-      profile_.executions[d.agent] = d.execution;
-      scratch_.bids[d.agent] = d.bid;
-      scratch_.executions[d.agent] = d.execution;
-    }
-  }
+  // The context checks every entry before it writes any.
+  context_->commit_batch(deltas);
   if (obs::enabled() && !deltas.empty()) {
     obs::StrategyProbes::get().commits.inc(
         static_cast<std::uint64_t>(deltas.size()));
@@ -205,10 +160,6 @@ void DeviationEvaluator::outcome_into(core::MechanismOutcome& out) const {
 double DeviationEvaluator::actual_latency() const {
   outcome_into(ws_.scratch_outcome);
   return ws_.scratch_outcome.actual_latency;
-}
-
-const model::BidProfile& DeviationEvaluator::profile() const {
-  return context_ != nullptr ? context_->profile() : profile_;
 }
 
 }  // namespace lbmv::strategy

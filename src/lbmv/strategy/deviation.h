@@ -6,16 +6,17 @@
 /// Every strategic-behaviour experiment in the paper reduces to the same
 /// primitive: one agent's utility under a unilateral (bid, execution)
 /// deviation from an otherwise fixed profile.  DeviationEvaluator answers
-/// that query from the mechanism's profile context
-/// (Mechanism::make_profile_context) wherever a family has one — O(1) on
-/// the linear-PR family for all five payment rules, O(1) or O(log n) on
-/// M/M/1, one Newton re-solve on the workload family — and in one
-/// Mechanism::run_into otherwise, on a reused scratch profile with no
-/// per-call copy.  commit() makes a deviation permanent through the
-/// context's commit path (an O(1) delta to the cached sums on the linear
-/// family) instead of re-running the mechanism.  The committed round's
-/// outcome (outcome_into, actual_latency) is always one Mechanism::run_into
-/// on profile(), so it equals mechanism.run(config, profile()) exactly.
+/// every query through one core::ProfileUtilityContext.  Under kAuto that
+/// is the mechanism's closed form wherever a family has one
+/// (Mechanism::make_profile_context) — O(1) on the linear-PR family for all
+/// five payment rules, O(1) or O(log n) on M/M/1, one Newton re-solve on
+/// the workload family.  Otherwise, and always under kNaive, it is the
+/// reference context (Mechanism::make_reference_context): one
+/// Mechanism::run_into per query on the deviated profile.  commit() makes a
+/// deviation permanent through the context's commit path (an O(1) delta to
+/// the cached sums on the linear family).  The committed round's outcome
+/// (outcome_into, actual_latency) is always one Mechanism::run_into on
+/// profile(), so it equals mechanism.run(config, profile()) exactly.
 ///
 /// Candidate sweeps (utilities_into, best_response) run the context's own
 /// sweep — four candidates per instruction on the linear-PR and M/M/1
@@ -45,16 +46,17 @@ namespace lbmv::strategy {
 /// Per-profile deviation engine.  The mechanism must outlive the evaluator
 /// (the config's latency family is retained).
 ///
-/// Thread safety: utility() and the sweeps on the incremental path are pure
-/// reads and safe to call concurrently; the naive fallback mutates the
-/// shared scratch buffer and is not.  outcome_into() and actual_latency()
+/// Thread safety: utility() and the sweeps are pure reads and safe to call
+/// concurrently on either context.  outcome_into() and actual_latency()
 /// run the mechanism on the evaluator's workspace and are never safe to
 /// call concurrently with anything, nor is commit().
 ///
-/// Obs: sweeps bump lbmv_strategy_grid_evals_total (every candidate) and
+/// Obs: utility() bumps lbmv_strategy_deviation_evals_total (and
+/// lbmv_strategy_mechanism_runs_avoided_total on a closed form); sweeps
+/// bump lbmv_strategy_grid_evals_total (every candidate) and
 /// lbmv_strategy_grid_lanes_wasted_total (padded tail lanes of lane sweeps)
-/// and record lbmv_strategy_grid_round_seconds when recording is on;
-/// utility() bumps the deviation-evaluation counters.
+/// and record lbmv_strategy_grid_round_seconds when recording is on — the
+/// same counts in both modes apart from the avoided runs and wasted lanes.
 class DeviationEvaluator {
  public:
   enum class Mode {
@@ -73,15 +75,15 @@ class DeviationEvaluator {
                      const model::SystemConfig& config, Mode mode = Mode::kAuto);
 
   /// Utility of \p agent deviating to (\p bid, \p execution), everyone else
-  /// as committed.  O(1) on the incremental path, one Mechanism::run on the
-  /// fallback.
+  /// as committed.  O(1) on the incremental path, one Mechanism::run_into
+  /// on the reference context.
   [[nodiscard]] double utility(std::size_t agent, double bid,
                                double execution) const;
 
   /// out[k] = utility(agent, bids[k], execution) for every k, bit for bit
   /// (same first error too); \p out must be at least bids.size() long.
   /// \p pool, when non-null, fans sweeps longer than one 1024-candidate
-  /// block over the pool on the incremental path.
+  /// block over the pool.
   void utilities_into(std::size_t agent, std::span<const double> bids,
                       double execution, std::span<double> out,
                       util::ThreadPool* pool = nullptr) const;
@@ -114,30 +116,29 @@ class DeviationEvaluator {
   [[nodiscard]] double actual_latency() const;
 
   /// The committed profile.
-  [[nodiscard]] const model::BidProfile& profile() const;
+  [[nodiscard]] const model::BidProfile& profile() const {
+    return context_->profile();
+  }
 
-  /// Whether the O(1) closed-form path is active (false: every query is a
-  /// full mechanism run on the scratch buffer).
-  [[nodiscard]] bool incremental() const { return context_ != nullptr; }
+  /// Whether a closed form answers the queries (false: every query is a
+  /// full mechanism run on the reference context).
+  [[nodiscard]] bool incremental() const { return closed_form_; }
 
-  /// The closed-form context backing the incremental path (nullptr on the
-  /// naive fallback).
+  /// The closed-form context backing the incremental path (nullptr when
+  /// the reference context answers).
   [[nodiscard]] const core::ProfileUtilityContext* profile_context() const {
-    return context_.get();
+    return closed_form_ ? context_.get() : nullptr;
   }
 
  private:
   const core::Mechanism* mechanism_;
   std::shared_ptr<const model::LatencyFamily> family_;  ///< keeps family alive
   double arrival_rate_;
-  /// Fast path; it owns the committed profile when present.
+  /// Answers every query and owns the committed profile.
   std::unique_ptr<core::ProfileUtilityContext> context_;
-  model::BidProfile profile_;          ///< committed profile (fallback only)
-  mutable model::BidProfile scratch_;  ///< fallback deviation buffer
-  /// Round workspace: every full mechanism run (naive-path queries,
-  /// outcome_into, actual_latency) reuses these planes (and
-  /// ws_.scratch_outcome), so even the baseline is allocation-free per query
-  /// after warm-up.
+  bool closed_form_ = false;  ///< context_ came from make_profile_context
+  /// outcome_into / actual_latency reuse these planes (and
+  /// ws_.scratch_outcome), allocation-free after warm-up.
   mutable core::RoundWorkspace ws_;
 };
 

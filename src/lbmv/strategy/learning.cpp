@@ -94,9 +94,10 @@ LearningResult run_learning(const core::Mechanism& mechanism,
   // Non-learners stay at the initial truthful entries forever; learners are
   // committed to their chosen arm each round, so one evaluator serves the
   // whole run with no per-round profile construction.  Only full feedback
-  // asks deviation queries; without them a profile context would be state
-  // that no query reads, re-derived on every commit (a full re-solve on
-  // the nonlinear families), so the evaluator runs without one.
+  // asks deviation queries; without them a closed-form context would be
+  // state that no query reads, re-derived on every commit (a full re-solve
+  // on the nonlinear families), so the evaluator runs on the reference
+  // context, whose commits only write the profile.
   DeviationEvaluator evaluator(mechanism, config,
                                options.full_feedback
                                    ? DeviationEvaluator::Mode::kAuto

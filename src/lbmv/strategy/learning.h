@@ -60,8 +60,8 @@ struct LearningResult {
 /// DeviationEvaluator::outcome_into — a Mechanism::run_into on the
 /// evaluator's reused workspace (the fused engine wherever the family has
 /// one), with no per-round profile or latency-curve allocations.  Only
-/// full feedback builds a profile context; partial feedback reads nothing
-/// but the round itself.
+/// full feedback builds a closed-form profile context; partial feedback
+/// reads nothing but the round itself.
 [[nodiscard]] LearningResult run_learning(const core::Mechanism& mechanism,
                                           const model::SystemConfig& config,
                                           const LearningOptions& options = {});

@@ -6,6 +6,12 @@
 #include "lbmv/util/error.h"
 
 namespace lbmv::util {
+namespace {
+
+/// The pool whose worker loop runs on this thread (nullptr off the pools).
+thread_local const ThreadPool* tl_owner = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -44,6 +50,7 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::worker_loop() {
+  tl_owner = this;
   for (;;) {
     std::packaged_task<void()> task;
     {
@@ -69,29 +76,32 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     const std::size_t max_chunks = std::max<std::size_t>(1, thread_count() * 4);
     grain = (n + max_chunks - 1) / max_chunks;
   }
-  if (grain >= n) {  // single chunk: run inline, no pool round-trip
-    if (obs::enabled()) {
-      obs::PoolProbes::get().chunk_size.record(static_cast<double>(n));
-    }
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  const std::size_t chunks = (n + grain - 1) / grain;
+  // One chunk runs inline (no pool round-trip), and so does a call from
+  // one of this pool's own workers: queuing its chunks and blocking on them
+  // could leave every worker waiting on work no free worker is left to run.
+  const bool run_inline = grain >= n || tl_owner == this;
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * grain;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + grain);
+  if (!run_inline) futures.reserve((n + grain - 1) / grain);
+  std::exception_ptr first_error;
+  for (std::size_t lo = begin; lo < end;) {
+    const std::size_t hi = lo + std::min(grain, end - lo);
     if (obs::enabled()) {
       obs::PoolProbes::get().chunk_size.record(static_cast<double>(hi - lo));
     }
-    futures.push_back(submit([lo, hi, &body] {
+    auto chunk = [lo, hi, &body] {
       for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
+    };
+    if (!run_inline) {
+      futures.push_back(submit(chunk));
+    } else {
+      try {
+        chunk();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    lo = hi;
   }
-  std::exception_ptr first_error;
   for (auto& f : futures) {
     try {
       f.get();

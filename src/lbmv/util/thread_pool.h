@@ -49,6 +49,12 @@ class ThreadPool {
   /// The first exception thrown by any iteration is rethrown on the calling
   /// thread (remaining chunks still run to completion).  body must be safe
   /// to call concurrently for distinct i.
+  ///
+  /// Called from one of this pool's own workers (a parallel_for nested in
+  /// another, or in a submitted task), it runs every chunk inline on that
+  /// worker, in order and with the same error rule, instead of queuing
+  /// chunks the worker would then block on — so nesting cannot deadlock.
+  /// Blocking on a submit() future from a worker still can.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 0);

@@ -20,6 +20,7 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/obs/metrics.h"
@@ -417,6 +418,63 @@ TEST(AuditSharedContext, ContextConstructorErrorSurfacesUnchanged) {
         precondition_what([&] { (void)auditor.audit_all(config, options); }),
         direct);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Full-mechanism audits above the shard threshold.  From 2^16 agents every
+// fused linear round shards its agent axis over the global pool, and the
+// audits fan their grids out on that same pool, so each round's shard loop
+// runs from inside a pool worker.  It must run inline there, not queue
+// work that no free worker is left to run.
+
+SystemConfig sharded_config() {
+  const std::size_t n = lbmv::core::kAutoShardMinAgents;
+  lbmv::util::Rng rng(91);
+  std::vector<double> t(n);
+  for (double& ti : t) ti = std::exp(rng.uniform(std::log(0.5), std::log(5.0)));
+  return SystemConfig(std::move(t), 0.25 * static_cast<double>(n));
+}
+
+AuditOptions two_by_two_grid() {
+  AuditOptions options;
+  options.bid_multipliers = {0.5, 2.0};
+  options.exec_multipliers = {1.0, 1.5};
+  return options;
+}
+
+TEST(AuditShardedRounds, FullMechanismAgentAuditFinishesAndMatchesSerial) {
+  const SystemConfig config = sharded_config();
+  const CompBonusMechanism mechanism;
+  const TruthfulnessAuditor auditor(mechanism);
+  AuditOptions parallel = two_by_two_grid();
+  parallel.incremental = false;
+  parallel.keep_grid = true;
+  AuditOptions serial = parallel;
+  serial.parallel = false;
+  const auto got = auditor.audit_agent(config, 7, parallel);
+  const auto want = auditor.audit_agent(config, 7, serial);
+  EXPECT_EQ(got.truthful_utility, want.truthful_utility);
+  EXPECT_EQ(got.max_gain, want.max_gain);
+  ASSERT_EQ(got.grid.size(), 4u);
+  for (std::size_t k = 0; k < got.grid.size(); ++k) {
+    EXPECT_EQ(got.grid[k].utility, want.grid[k].utility) << "point " << k;
+  }
+  EXPECT_TRUE(got.truthful_dominant(1e-7)) << got.max_gain;
+}
+
+TEST(AuditShardedRounds, CoalitionAuditFinishesAndMatchesSerial) {
+  const SystemConfig config = sharded_config();
+  const CompBonusMechanism mechanism;
+  const lbmv::core::CoalitionAuditor auditor(mechanism);
+  const AuditOptions parallel = two_by_two_grid();
+  AuditOptions serial = parallel;
+  serial.parallel = false;
+  const auto got = auditor.audit_pair(config, 3, 9, parallel);
+  const auto want = auditor.audit_pair(config, 3, 9, serial);
+  EXPECT_EQ(got.truthful_joint_utility, want.truthful_joint_utility);
+  EXPECT_EQ(got.max_joint_gain, want.max_joint_gain);
+  EXPECT_EQ(got.best.bid_mult_a, want.best.bid_mult_a);
+  EXPECT_EQ(got.best.bid_mult_b, want.best.bid_mult_b);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 // the periodic S/W rebuild).  The committed round's outcome is one
 // Mechanism::run_into on every path, so it must equal Mechanism::run bit for
 // bit on all three closed-form families.  The generic fallback (no closed
-// form) must keep working through Mechanism::run on the shared scratch
-// buffer, and leave it intact when a query throws.
+// form) answers through the reference context, one Mechanism::run_into on
+// the deviated profile, and a throwing query leaves the committed profile
+// intact.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,8 @@
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
+#include "lbmv/obs/metrics.h"
+#include "lbmv/obs/obs.h"
 #include "lbmv/strategy/deviation.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
@@ -322,7 +325,7 @@ TEST(ProfileContext, AgentContextAgreesWithFullRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Generic fallback path.
+// Generic fallback path: no closed form, so the reference context answers.
 
 TEST(DeviationFallback, NonLinearFamilyUsesScratchRuns) {
   auto family = std::make_shared<lbmv::model::MM1Family>();
@@ -333,7 +336,7 @@ TEST(DeviationFallback, NonLinearFamilyUsesScratchRuns) {
   const DeviationEvaluator evaluator(mechanism, config, profile);
   EXPECT_FALSE(evaluator.incremental());
 
-  // Reference: the old per-call profile copy.
+  // Reference: Mechanism::run on a copy of the deviated profile.
   BidProfile candidate = profile;
   candidate.bids[1] = 0.3;
   candidate.executions[1] = 0.3;
@@ -341,8 +344,8 @@ TEST(DeviationFallback, NonLinearFamilyUsesScratchRuns) {
       mechanism.run(config, candidate).agents[1].utility;
   EXPECT_DOUBLE_EQ(evaluator.utility(1, 0.3, 0.3), reference);
 
-  // The scratch buffer must be restored after the query: evaluating a
-  // different agent right away sees the original entries for agent 1.
+  // A query never changes the committed profile: evaluating a different
+  // agent right away sees the original entries for agent 1.
   EXPECT_EQ(evaluator.profile().bids, profile.bids);
   EXPECT_EQ(evaluator.profile().executions, profile.executions);
   const double untouched =
@@ -395,6 +398,67 @@ TEST(DeviationFallback, CommitsApplyToSubsequentQueries) {
   evaluator.outcome_into(outcome);
   EXPECT_DOUBLE_EQ(outcome.actual_latency,
                    mechanism.run(config, expected).actual_latency);
+}
+
+// ---------------------------------------------------------------------------
+// Strategy counters: both modes answer through a context, so they count
+// the same work — sweeps as grid evaluations, utility() calls as deviation
+// evaluations — and differ only in the runs a closed form avoided.
+
+/// Every strategy counter except mechanism_runs_avoided, plus the number of
+/// timed sweeps, right now.
+std::vector<std::uint64_t> strategy_counts() {
+  const auto snap = lbmv::obs::Registry::global().snapshot();
+  std::vector<std::uint64_t> counts;
+  for (const char* name :
+       {"lbmv_strategy_deviation_evals_total", "lbmv_strategy_commits_total",
+        "lbmv_strategy_grid_evals_total",
+        "lbmv_strategy_grid_lanes_wasted_total"}) {
+    const auto it = snap.counters.find(name);
+    counts.push_back(it == snap.counters.end() ? 0 : it->second);
+  }
+  const auto it = snap.histograms.find("lbmv_strategy_grid_round_seconds");
+  counts.push_back(it == snap.histograms.end() ? 0 : it->second.count);
+  return counts;
+}
+
+TEST(DeviationCounters, AutoAndNaiveCountTheSameSweepTheSameWay) {
+  if (!lbmv::obs::kCompiledIn) {
+    GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)";
+  }
+  const bool was_enabled = lbmv::obs::enabled();
+  lbmv::obs::set_enabled(true);
+  const CompBonusMechanism mechanism;
+  const SystemConfig config(log_uniform_types(6, 29), 18.0);
+  const double t = config.true_value(2);
+  // Whole 4-lane blocks: a closed-form lane sweep pads no tail lane, so
+  // grid_lanes_wasted must agree too.
+  std::vector<double> bids;
+  for (int k = 0; k < 8; ++k) bids.push_back(t * (0.6 + 0.1 * k));
+  std::vector<double> out(bids.size());
+  std::vector<std::vector<std::uint64_t>> deltas;
+  for (const auto mode :
+       {DeviationEvaluator::Mode::kAuto, DeviationEvaluator::Mode::kNaive}) {
+    DeviationEvaluator evaluator(mechanism, config, mode);
+    const std::vector<std::uint64_t> before = strategy_counts();
+    (void)evaluator.utility(1, 1.2 * config.true_value(1),
+                            config.true_value(1));
+    evaluator.utilities_into(2, bids, t, out);
+    (void)evaluator.best_response(2, bids, 1.1 * t);
+    evaluator.commit(0, config.true_value(0), config.true_value(0));
+    const std::vector<std::uint64_t> after = strategy_counts();
+    std::vector<std::uint64_t> delta(after.size());
+    for (std::size_t k = 0; k < after.size(); ++k) {
+      delta[k] = after[k] - before[k];
+    }
+    deltas.push_back(delta);
+  }
+  lbmv::obs::set_enabled(was_enabled);
+  EXPECT_EQ(deltas[0], deltas[1]);
+  // One utility() query, two sweeps of 8 candidates, one commit, two timed
+  // sweeps.
+  const std::vector<std::uint64_t> expected{1, 1, 16, 0, 2};
+  EXPECT_EQ(deltas[1], expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -153,6 +154,63 @@ TEST(ParallelFor, ParallelSumMatchesSequential) {
   for (double v : out) total += v;
   EXPECT_DOUBLE_EQ(total, 0.5 * static_cast<double>(n - 1) *
                               static_cast<double>(n) / 2.0);
+}
+
+TEST(ParallelFor, NestedCallFromOwnWorkersRunsInline) {
+  // Both workers of a two-thread pool are pinned by the outer tasks before
+  // either starts its inner parallel_for, so no free worker is left: inner
+  // chunks queued on the pool would never run.  They must run inline on
+  // the calling worker instead.
+  ThreadPool pool(2);
+  std::latch start(2);
+  std::vector<std::vector<int>> hits(2, std::vector<int>(64, 0));
+  std::vector<std::thread::id> outer_thread(2);
+  std::vector<int> foreign_inner(2, 0);
+  pool.parallel_for(
+      0, 2,
+      [&](std::size_t o) {
+        outer_thread[o] = std::this_thread::get_id();
+        start.arrive_and_wait();
+        pool.parallel_for(
+            0, 64,
+            [&](std::size_t i) {
+              ++hits[o][i];
+              if (std::this_thread::get_id() != outer_thread[o]) {
+                ++foreign_inner[o];
+              }
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  for (std::size_t o = 0; o < 2; ++o) {
+    EXPECT_EQ(foreign_inner[o], 0) << "outer task " << o;
+    for (std::size_t i = 0; i < 64; ++i) {
+      ASSERT_EQ(hits[o][i], 1) << "outer " << o << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelFor, NestedInlineCallKeepsTheFirstErrorRule) {
+  // Inline chunks still all run, and the first failing chunk's error wins.
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  auto future = pool.submit([&] {
+    pool.parallel_for(
+        0, 8,
+        [&](std::size_t i) {
+          ++ran;
+          if (i == 2) throw std::runtime_error("chunk 2");
+          if (i == 5) throw std::logic_error("chunk 5");
+        },
+        /*grain=*/1);
+  });
+  try {
+    future.get();
+    ADD_FAILURE() << "nested parallel_for did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 2");
+  }
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace
