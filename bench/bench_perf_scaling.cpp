@@ -306,8 +306,8 @@ BENCHMARK(BM_AuditAll)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
 
-void BM_AuditAllLegacy(benchmark::State& state) {
-  // The pre-context path: every grid point re-runs the full mechanism.
+void BM_AuditAllReference(benchmark::State& state) {
+  // The reference context: every grid point re-runs the full mechanism.
   const auto n = static_cast<std::size_t>(state.range(0));
   const lbmv::model::SystemConfig config(random_types(n, 3), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
@@ -319,7 +319,7 @@ void BM_AuditAllLegacy(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_AuditAllLegacy)
+BENCHMARK(BM_AuditAllReference)
     ->RangeMultiplier(4)
     ->Range(4, 256)
     ->Complexity()

@@ -98,18 +98,6 @@ class ProfileBatch {
   [[nodiscard]] std::span<const double> executions(std::size_t b) const {
     return {executions_.data() + b * agents_, agents_};
   }
-  [[nodiscard]] std::span<double> mutable_bids(std::size_t b) {
-    return {bids_.data() + b * agents_, agents_};
-  }
-  [[nodiscard]] std::span<double> mutable_executions(std::size_t b) {
-    return {executions_.data() + b * agents_, agents_};
-  }
-
-  /// The whole bid plane (B*n values, profile-major).
-  [[nodiscard]] std::span<const double> bids_plane() const { return bids_; }
-  [[nodiscard]] std::span<const double> executions_plane() const {
-    return executions_;
-  }
 
   /// Copy profile \p b into \p out, reusing its capacity.
   void extract_into(std::size_t b, model::BidProfile& out) const;

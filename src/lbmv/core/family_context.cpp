@@ -9,29 +9,53 @@
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/grid_kernels.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
 namespace {
 
-/// The deviator's utility under rule R, from its leave-one-out optimum,
-/// the deviated round's actual and reported latencies, its compensation
-/// (cost at its bid) and its cost at its execution.  T is double or
-/// util::simd::DVec (the M/M/1 sweep).  kArcherTardos never gets here (the
-/// contexts reject it at construction).
-template <PaymentRule R, class T>
-T rule_payoff(std::integral_constant<PaymentRule, R>, double loo, T actual,
-              T reported, T comp, T cost_e) {
-  if constexpr (R == PaymentRule::kCompBonusExecution) {
-    // C = cost at execution basis cancels the valuation.
-    return loo - actual;
-  } else if constexpr (R == PaymentRule::kCompBonusBid) {
-    return comp + (loo - actual) - cost_e;
-  } else if constexpr (R == PaymentRule::kVcg) {
-    return (loo - (reported - comp)) - cost_e;
-  } else {
-    return -cost_e;
-  }
+/// A re-solved deviated round's terms (rule_terms.h): the workload context
+/// and the M/M/1 re-solve have them all at hand.
+struct SolvedTerms {
+  double l_rest, actual_total, reported_total, comp, cost;
+
+  double loo() const { return l_rest; }
+  double actual() const { return actual_total; }
+  double reported() const { return reported_total; }
+  double bid_cost() const { return comp; }
+  double exec_cost() const { return cost; }
+};
+
+/// A deviated M/M/1 round's terms (rule_terms.h) when every active
+/// opponent executes as bid, so its queue length is a_j/c - 1: the water
+/// level c of the deviated active set, the opponents' active sqrt-rate sum
+/// and count, the whole set's, and the deviator's compensation a/c - 1 and
+/// verified cost (both 0 when it is idle).  T is double or
+/// util::simd::DVec (the sweep).
+template <class T>
+struct Mm1Terms {
+  double l_rest;
+  T c;
+  double rest_a, rest_active;
+  T sum_a;
+  double active;
+  T comp, cost;
+
+  double loo() const { return l_rest; }
+  T actual() const { return (rest_a / c - rest_active) + cost; }
+  T reported() const { return sum_a / c - active; }
+  T bid_cost() const { return comp; }
+  T exec_cost() const { return cost; }
+};
+
+/// The verified cost x / (1/e - x) of a load x > 0, raising the domain
+/// error when x overloads the execution rate 1/e.
+double mm1_verified_cost(std::size_t agent, double x, double execution) {
+  const double mu_e = 1.0 / execution;
+  const double de = mu_e - x;
+  if (!(de > 0.0)) alloc::throw_mm1_domain_error(agent, x, mu_e);
+  return x / de;
 }
 
 }  // namespace
@@ -131,6 +155,12 @@ struct Mm1Candidate {
     c = slack / sum_a;
     x = mu - c * a;
   }
+
+  /// The terms when all n computers stay active, at the verified cost.
+  Mm1Terms<T> all_active(const Mm1PrProfileContext::Rest& rest, double n,
+                         T cost) const {
+    return {rest.loo, c, rest.a, n - 1.0, sum_a, n, a / c - 1.0, cost};
+  }
 };
 
 }  // namespace
@@ -160,8 +190,8 @@ double Mm1PrProfileContext::utility(std::size_t agent, double bid,
       // defer here.
       if (d.x > 0.0) {
         const double n = static_cast<double>(profile().size());
-        return payoff(agent, rest.loo, d.c, rest.a, n - 1.0, d.sum_a, n, d.a,
-                      d.x, execution);
+        const double cost = mm1_verified_cost(agent, d.x, execution);
+        return rule_utility(rule(), d.all_active(rest, n, cost));
       }
     } else {
       // Some computer idle after the deviation: the agent leaves its slot
@@ -173,38 +203,20 @@ double Mm1PrProfileContext::utility(std::size_t agent, double bid,
       const bool active = deviation.deviator_active;
       const double x = active ? d.mu - dev.c * d.a : 0.0;
       if (dev.c > 0.0 && (!active || x > 0.0)) {
-        const double rest_a =
-            active ? dev.sum_sqrt_active - d.a : dev.sum_sqrt_active;
+        // An idle deviator carries neither cost nor compensation.
         const double nd = static_cast<double>(dev.active);
-        return payoff(agent, rest.loo, dev.c, rest_a, active ? nd - 1.0 : nd,
-                      dev.sum_sqrt_active, nd, d.a, x, execution);
+        const double sum_a = dev.sum_sqrt_active;
+        return rule_utility(
+            rule(),
+            Mm1Terms<double>{
+                rest.loo, dev.c, active ? sum_a - d.a : sum_a,
+                active ? nd - 1.0 : nd, sum_a, nd,
+                active ? d.a / dev.c - 1.0 : 0.0,
+                active ? mm1_verified_cost(agent, x, execution) : 0.0});
       }
     }
   }
   return slow_utility(agent, bid, execution);
-}
-
-double Mm1PrProfileContext::payoff(std::size_t agent, double loo, double c,
-                                   double rest_a, double rest_active,
-                                   double sum_a, double active, double a_dev,
-                                   double x, double execution) const {
-  // An idle deviator carries neither cost nor compensation.
-  double cost_e = 0.0;
-  double comp = 0.0;
-  if (x > 0.0) {
-    const double mu_e = 1.0 / execution;
-    const double de = mu_e - x;
-    if (!(de > 0.0)) alloc::throw_mm1_domain_error(agent, x, mu_e);
-    cost_e = x / de;
-    comp = a_dev / c - 1.0;
-  }
-  // Every active opponent executes as bid, so its queue length is
-  // a_j/c - 1.
-  const double actual = (rest_a / c - rest_active) + cost_e;
-  const double reported = sum_a / c - active;
-  return with_payment_rule(rule(), [&](auto r) {
-    return rule_payoff(r, loo, actual, reported, comp, cost_e);
-  });
 }
 
 void Mm1PrProfileContext::sweep(std::size_t agent,
@@ -228,17 +240,16 @@ void Mm1PrProfileContext::sweep(std::size_t agent,
       }
       const Mm1Candidate<DVec> d(rest, arrival_rate(), b);
       const DVec de = mu_e - d.x;
-      ok = simd::mask_and(ok, simd::mask_greater(inf, d.sum_mu));
-      ok = simd::mask_and(
-          ok, simd::mask_greater(d.slack,
-                                 alloc::kMm1MinRelativeSlack * d.sum_mu));
-      ok = simd::mask_and(ok, simd::mask_greater(d.a, d.c));
-      ok = simd::mask_and(ok, simd::mask_greater(simd::set1(rest.min_a), d.c));
-      ok = simd::mask_and(ok, simd::mask_greater(d.x, simd::zero()));
-      ok = simd::mask_and(ok, simd::mask_greater(de, simd::zero()));
-      const DVec cost_e = d.x / de;
-      return rule_payoff(r, rest.loo, (rest.a / d.c - (n - 1.0)) + cost_e,
-                         d.sum_a / d.c - n, d.a / d.c - 1.0, cost_e);
+      const auto gate = [&](DVec hi, DVec lo) {
+        ok = simd::mask_and(ok, simd::mask_greater(hi, lo));
+      };
+      gate(inf, d.sum_mu);
+      gate(d.slack, alloc::kMm1MinRelativeSlack * d.sum_mu);
+      gate(d.a, d.c);
+      gate(simd::set1(rest.min_a), d.c);
+      gate(d.x, simd::zero());
+      gate(de, simd::zero());
+      return rule_terms(r, d.all_active(rest, n, d.x / de)).utility;
     });
   });
 }
@@ -267,9 +278,8 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
   const double loo = rule() == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
   const double x = rates[agent];
   const double comp = x / (mus[agent] - x);
-  return with_payment_rule(rule(), [&](auto r) {
-    return rule_payoff(r, loo, actual, solve.optimal_latency, comp, cost_e);
-  });
+  return rule_utility(
+      rule(), SolvedTerms{loo, actual, solve.optimal_latency, comp, cost_e});
 }
 
 // ---------------------------------------------------------------------------
@@ -324,9 +334,8 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
   const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
   const double loo = rule() == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
-  return with_payment_rule(rule(), [&](auto r) {
-    return rule_payoff(r, loo, actual, solve.optimal_latency, comp, cost_e);
-  });
+  return rule_utility(
+      rule(), SolvedTerms{loo, actual, solve.optimal_latency, comp, cost_e});
 }
 
 }  // namespace lbmv::core

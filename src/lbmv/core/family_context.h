@@ -3,37 +3,28 @@
 /// \file family_context.h
 /// Closed-form ProfileUtilityContext for the nonlinear latency families
 /// with exact allocators: M/M/1 (alloc/mm1_allocator.h) and the
-/// workload-dependent-rate family (alloc/workload_allocator.h).
+/// workload-dependent-rate family (alloc/workload_allocator.h), DESIGN.md
+/// §14.
 ///
-/// These extend the audit/strategy fast path of profile_context.h beyond
-/// the linear family (DESIGN.md §14).  The M/M/1 context is O(1) per
-/// deviation when every computer is active before and after it and the
-/// rest profile is consistent (e_j = b_j for j != i), because with
-/// a = sqrt(mu) the deviation only moves one term of the two sums sum mu_j
-/// and sum a_j, and every active queue length is a_j/c - 1.  With idle
-/// computers the deviation is an edit of the committed sorted prefix
-/// (alloc::mm1_deviation_solve) and costs O(log n).  Inconsistent
-/// opponents, saturation and any failed gate fall back to a full scalar
-/// re-solve inside utility(), preserving the allocator's typed
-/// PreconditionErrors.  The workload family has no closed-form allocation
-/// at all, so its context re-runs the damped-Newton KKT solve per query
-/// against a per-call scratch (queries stay safe to issue concurrently);
-/// the leave-one-out optima — deviation-independent — are precomputed once
-/// per commit with warm-started solves.
+/// The M/M/1 context is O(1) per deviation when every computer is active
+/// before and after it and the rest executes as bid (with a = sqrt(mu) the
+/// deviation moves one term of sum mu_j and sum a_j, and every active queue
+/// length is a_j/c - 1), and O(log n) when some computer is idle (an edit
+/// of the committed sorted prefix, alloc::mm1_deviation_solve).
+/// Inconsistent opponents, saturation and any failed gate re-solve inside
+/// utility(), keeping the allocator's typed PreconditionErrors.  The
+/// workload context re-runs the Newton KKT solve per query on local planes
+/// (queries stay safe to issue concurrently) against leave-one-out optima
+/// precomputed per commit.
 ///
-/// Every path of both contexts ends in one payoff per payment rule (the
-/// leave-one-out optimum, the deviated actual and reported latencies, the
-/// deviator's compensation and cost), reached through with_payment_rule.
-/// The M/M/1 all-active closed form is written once, as a template over
-/// the value type: utility() evaluates it on one double, and the sweep
-/// override on four candidate bids per instruction through the lane driver
-/// (grid_kernels.h), deferring any lane off the all-active path to
-/// utility() itself — the same bits either way.  The workload context keeps
-/// the default per-candidate sweep: its Newton re-solve has no lane form.
-///
-/// A commit writes every entry and re-derives once (rebuild(), the base
-/// class's default commit hook).  The contexts hold only deviation closed
-/// forms: the committed round's outcome is Mechanism::run_into's.
+/// Every path ends in rule_terms.h's rule_terms, the one definition of the
+/// payment rules that the fused rounds publish through too.  The M/M/1
+/// all-active closed form is a template over the value type: utility() on
+/// one double, the sweep on four candidates per instruction through the
+/// lane driver (grid_kernels.h), which defers any lane off that path to
+/// utility() — the same bits either way.  The workload context keeps the
+/// default per-candidate sweep.  A commit re-derives once (rebuild()); the
+/// committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
 #include <vector>
@@ -80,14 +71,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   /// Allocates locally (concurrent queries stay safe).
   [[nodiscard]] double slow_utility(std::size_t agent, double bid,
                                     double execution) const;
-  /// The deviator's utility from the payoff both fast paths share: c over
-  /// the deviated active set, the opponents' active sqrt-rate sum and
-  /// count, the whole active set's, and the deviator's load x (0 when
-  /// idle).  Raises the domain error when x overloads the execution.
-  [[nodiscard]] double payoff(std::size_t agent, double loo, double c,
-                              double rest_a, double rest_active, double sum_a,
-                              double active, double a_dev, double x,
-                              double execution) const;
 
   std::vector<double> mus_;   ///< mu_j = 1/b_j
   std::vector<double> a_;     ///< sqrt(mu_j)

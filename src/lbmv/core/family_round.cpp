@@ -9,6 +9,7 @@
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
@@ -23,9 +24,7 @@ using v::DVec;
 /// M/M/1 cost term x * (1/(mu - x)) against a service-rate plane (mu = 1/t),
 /// in the reference path's operand order (cost = x * latency).
 struct Mm1Cost {
-  DVec operator()(DVec x, DVec mu) const {
-    return v::mul(x, v::div(v::set1(1.0), v::sub(mu, x)));
-  }
+  DVec operator()(DVec x, DVec mu) const { return x * (1.0 / (mu - x)); }
 };
 
 /// Workload cost term x * ((theta x)(1 + gamma x)) against a type plane, in
@@ -33,8 +32,7 @@ struct Mm1Cost {
 struct WorkloadCost {
   double gamma;
   DVec operator()(DVec x, DVec theta) const {
-    return v::mul(x, v::mul(v::mul(theta, x),
-                            v::add(v::set1(1.0), v::mul(v::set1(gamma), x))));
+    return x * ((theta * x) * (1.0 + gamma * x));
   }
 };
 
@@ -50,72 +48,57 @@ double sum_cost(const Cost& cost, std::size_t n, const double* x,
   return v::hsum(acc);
 }
 
-/// Publish pass shared by both families: per agent the verified cost on the
-/// execution plane, the compensation on the rule's basis, the bonus off the
-/// leave-one-out plane (null for kNoPayment only), and the transposed AoS
-/// store of the six outcome fields.  Returns whether every published value
-/// is finite.
-template <PaymentRule kRule, class Cost>
-[[nodiscard]] bool publish_rule(std::integral_constant<PaymentRule, kRule>,
-                                const Cost& cost, std::size_t n,
-                                const double* bid_plane,
-                                const double* exec_plane, const double* x,
-                                const double* loo, double actual_total,
-                                double reported_total, AgentOutcome* agents) {
-  const DVec vact = v::set1(actual_total);
-  const DVec vrep = v::set1(reported_total);
-  // A finite utility implies every other field of the record is finite
-  // (simd_round.cpp's argument), so one check covers it.
-  DVec finite = v::zero();
-  v::for_each_block(n, [&](std::size_t i, std::size_t count, auto lanes) {
-    const DVec vx = lanes(x, 0.0);
-    const DVec costa = cost(vx, lanes(exec_plane, 1.0));
-    DVec comp = v::zero();
-    DVec bonus = v::zero();
-    DVec pay = v::zero();
-    // kNoPayment (and kArcherTardos, which the engines never serve) leave
-    // every transfer 0.
-    if constexpr (kRule == PaymentRule::kCompBonusExecution) {
-      comp = costa;
-      bonus = v::sub(lanes(loo, 0.0), vact);
-      pay = v::add(comp, bonus);
-    } else if constexpr (kRule == PaymentRule::kCompBonusBid) {
-      comp = cost(vx, lanes(bid_plane, 1.0));
-      bonus = v::sub(lanes(loo, 0.0), vact);
-      pay = v::add(comp, bonus);
-    } else if constexpr (kRule == PaymentRule::kVcg) {
-      const DVec vloo = lanes(loo, 0.0);
-      comp = cost(vx, lanes(bid_plane, 1.0));
-      bonus = v::sub(vloo, vrep);
-      pay = v::sub(vloo, v::sub(vrep, comp));
-    }
-    const DVec val = v::neg(costa);
-    const DVec util = v::add(pay, val);
-    finite = v::accumulate_finite(finite, util);
-    if (count == v::kLanes) {
-      v::store_records6(reinterpret_cast<double*>(agents + i), vx, comp,
-                        bonus, pay, val, util);
-    } else {
-      AgentOutcome block[v::kLanes];
-      v::store_records6(reinterpret_cast<double*>(block), vx, comp, bonus,
-                        pay, val, util);
-      std::copy(block, block + count, agents + i);
-    }
-  });
-  return v::hsum(finite) == 0.0;
-}
+/// One step of a nonlinear round's planes as rule terms (rule_terms.h):
+/// the rate x, cost(x, type) on the bid and execution planes, the
+/// leave-one-out plane (null under no-payment, which never reads it) and
+/// the round's latency totals.
+template <class Cost, class Lanes>
+struct PlaneTerms {
+  const Cost& cost;
+  Lanes lanes;
+  const double* bid_plane;
+  const double* exec_plane;
+  const double* loo_plane;
+  DVec x, actual_total, reported_total;
 
-/// publish_rule for a runtime rule.
+  DVec exec_cost() const { return cost(x, lanes(exec_plane, 1.0)); }
+  DVec bid_cost() const { return cost(x, lanes(bid_plane, 1.0)); }
+  DVec loo() const { return lanes(loo_plane, 0.0); }
+  DVec actual() const { return actual_total; }
+  DVec reported() const { return reported_total; }
+};
+
+/// The epilogue both families share: publish a round still \p served
+/// through publish_block, hand the rate plane and totals to \p out either
+/// way, and return whether the round is served (every value finite).
 template <class Cost>
-[[nodiscard]] bool publish(PaymentRule rule, const Cost& cost, std::size_t n,
-                           const double* bid_plane, const double* exec_plane,
-                           const double* x, const double* loo,
-                           double actual_total, double reported_total,
-                           AgentOutcome* agents) {
-  return with_payment_rule(rule, [&](auto rule_tag) {
-    return publish_rule(rule_tag, cost, n, bid_plane, exec_plane, x, loo,
-                        actual_total, reported_total, agents);
-  });
+[[nodiscard]] bool publish_round(PaymentRule rule, const Cost cost,
+                                 bool served, const double* bid_plane,
+                                 const double* exec_plane,
+                                 std::vector<double>&& rates,
+                                 const double* loo, double actual_total,
+                                 double reported_total,
+                                 MechanismOutcome& out) {
+  if (served) {
+    out.agents.resize(rates.size());
+    const double* const x = rates.data();
+    const DVec vact = v::set1(actual_total);
+    const DVec vrep = v::set1(reported_total);
+    served = with_payment_rule(rule, [&](auto rule_tag) {
+      return publish_block(
+          rule_tag, rates.size(),
+          [&](auto lanes) {
+            return PlaneTerms<Cost, decltype(lanes)>{
+                cost, lanes, bid_plane, exec_plane, loo, lanes(x, 0.0), vact,
+                vrep};
+          },
+          out.agents.data(), nullptr);
+    });
+  }
+  out.allocation = model::Allocation::from_validated(std::move(rates));
+  out.actual_latency = actual_total;
+  out.reported_latency = reported_total;
+  return served;
 }
 
 }  // namespace
@@ -173,22 +156,15 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
   served = served && std::isfinite(reported_total) &&
            std::isfinite(actual_total);
 
-  if (served) {
-    const double* loo = nullptr;
-    if (rule != PaymentRule::kNoPayment) {
-      ws.leave_one_out.resize(n);
-      alloc::mm1_leave_one_out_into({mu, n}, arrival_rate, full,
-                                    ws.mm1_planes, ws.leave_one_out);
-      loo = ws.leave_one_out.data();
-    }
-    out.agents.resize(n);
-    served = publish(rule, Mm1Cost{}, n, mu, mue, x, loo, actual_total,
-                     reported_total, out.agents.data());
+  const double* loo = nullptr;
+  if (served && rule != PaymentRule::kNoPayment) {
+    ws.leave_one_out.resize(n);
+    alloc::mm1_leave_one_out_into({mu, n}, arrival_rate, full, ws.mm1_planes,
+                                  ws.leave_one_out);
+    loo = ws.leave_one_out.data();
   }
-  out.allocation = model::Allocation::from_validated(std::move(rates));
-  out.actual_latency = actual_total;
-  out.reported_latency = reported_total;
-  return served;
+  return publish_round(rule, Mm1Cost{}, served, mu, mue, std::move(rates),
+                       loo, actual_total, reported_total, out);
 }
 
 bool run_workload_vectorized(const model::WorkloadFamily& family,
@@ -219,26 +195,19 @@ bool run_workload_vectorized(const model::WorkloadFamily& family,
   // non-finite totals; the reference path's Allocation rejects them.
   bool served = std::isfinite(reported_total) && std::isfinite(actual_total);
 
-  if (served) {
-    const double* loo = nullptr;
-    if (rule != PaymentRule::kNoPayment) {
-      ws.leave_one_out.resize(n);
-      stats.newton_iters +=
-          alloc::workload_leave_one_out_into(bids, gamma, arrival_rate, full,
-                                             rates, ws.leave_one_out,
-                                             ws.family_scratch)
-              .newton_iters;
-      loo = ws.leave_one_out.data();
-    }
-    out.agents.resize(n);
-    served = publish(rule, cost, n, bids.data(), executions.data(),
-                     rates.data(), loo, actual_total, reported_total,
-                     out.agents.data());
+  const double* loo = nullptr;
+  if (served && rule != PaymentRule::kNoPayment) {
+    ws.leave_one_out.resize(n);
+    stats.newton_iters +=
+        alloc::workload_leave_one_out_into(bids, gamma, arrival_rate, full,
+                                           rates, ws.leave_one_out,
+                                           ws.family_scratch)
+            .newton_iters;
+    loo = ws.leave_one_out.data();
   }
-  out.allocation = model::Allocation::from_validated(std::move(rates));
-  out.actual_latency = actual_total;
-  out.reported_latency = reported_total;
-  return served;
+  return publish_round(rule, cost, served, bids.data(), executions.data(),
+                       std::move(rates), loo, actual_total, reported_total,
+                       out);
 }
 
 }  // namespace lbmv::core

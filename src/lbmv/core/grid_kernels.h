@@ -22,7 +22,8 @@
 /// index, which reproduces a strictly-greater first-wins scalar scan.  A
 /// block whose mask fails is re-evaluated through the context's scalar
 /// utility(), which raises the canonical PreconditionError for the first
-/// offending candidate or serves the family's slow paths.
+/// offending candidate or serves the family's slow paths; a sweep in which
+/// any lane's utility is not finite re-checks every candidate through it.
 
 #include <algorithm>
 #include <cstddef>
@@ -59,12 +60,16 @@ void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
   const DVec base_idx = simd::load(lane_offsets);
   DVec best_v = -inf;
   DVec best_i = simd::zero();
+  // Stays exactly zero while every lane-served utility is finite.
+  DVec finite = simd::zero();
   // b's four utilities into u; false when any lane is off the lane form.
   const auto evaluate = [&](DVec b, DVec& u) {
     DVec ok = simd::mask_and(simd::mask_greater(b, simd::zero()),
                              simd::mask_greater(inf, b));
     u = lanes(b, ok);
-    return simd::mask_all_true(ok);
+    if (!simd::mask_all_true(ok)) return false;
+    finite = simd::accumulate_finite(finite, u);
+    return true;
   };
   // The scalar oracle owns a block with any lane off the lane form: slow
   // paths and typed errors alike, in index order.
@@ -111,6 +116,11 @@ void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
     DVec u;
     if (!evaluate(b, u)) u = scalar(b);
     emit(k, size - k, u);
+  }
+  if (simd::hsum(finite) != 0.0) {
+    // A lane left the double range: utility() raises its typed error at the
+    // first such candidate (where it does not, it returns the lanes' bits).
+    for (const double b : bids) (void)ctx.utility(agent, b, execution);
   }
   if (best == nullptr) return;
   double bv = simd::lane(best_v, 0);

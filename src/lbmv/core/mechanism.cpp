@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/pr_allocator.h"
@@ -223,6 +224,10 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
     auto& agent = out.agents[i];
     agent.allocation = x[i];
     const double cost = (x[i] == 0.0) ? 0.0 : ws.exec_fns[i]->cost(x[i]);
+    // An overflowing cost (e.g. an execution value near DBL_MAX) would
+    // publish an infinite valuation and a NaN payment and utility.
+    LBMV_REQUIRE(std::isfinite(cost),
+                 "verified cost is not finite: computer " + std::to_string(i));
     agent.valuation = -cost;
   }
 

@@ -286,7 +286,9 @@ class Mechanism {
   /// The generic engine and the single oracle the fused engines are held
   /// to: allocate through the allocator, build each agent's latency
   /// functions from the family, and apply fill_payments.  Same contract
-  /// and obs probes as run_into, for any family, allocator and rule.
+  /// and obs probes as run_into, for any family, allocator and rule.  A
+  /// verified cost that is not finite throws a PreconditionError naming
+  /// the first such computer instead of publishing a NaN payment.
   void run_reference_into(const model::LatencyFamily& family,
                           double arrival_rate, std::span<const double> bids,
                           std::span<const double> executions,

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "lbmv/core/grid_kernels.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
 
@@ -20,42 +22,40 @@ LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
 
 namespace {
 
-/// Utility of a deviation to (bid, execution) under rule R, from the
-/// agent's Rest.  T is double (utility()) or util::simd::DVec (the sweep):
-/// one expression text, the same IEEE operation per lane.
-///   S' = S_rest + 1/b,  x = R (1/b) / S',  L' = (R/S')^2 W',
-///   W' = W_rest + e/b^2,  L_{-i} = R^2 / S_rest.
-template <PaymentRule R, class T>
-T deviation_utility(std::integral_constant<PaymentRule, R>,
-                    const LinearPrProfileContext::Rest& rest, T bid,
-                    double execution) {
-  const T inv = 1.0 / bid;
-  const T s = rest.s_rest + inv;
-  const T x = rest.r * inv / s;
-  const T x2 = x * x;
-  if constexpr (R == PaymentRule::kCompBonusExecution ||
-                R == PaymentRule::kCompBonusBid) {
+/// The linear family's terms (rule_terms.h) for a deviation to (bid,
+/// execution), from the agent's Rest; T is double (utility()) or
+/// util::simd::DVec (the sweep).  S' = S_rest + 1/b, x = R (1/b) / S',
+/// L(x, b) = R^2/S', L(x, t~) = (R/S')^2 W', W' = W_rest + e/b^2.
+template <class T>
+struct LinearDeviation {
+  const LinearPrProfileContext::Rest& rest;
+  T bid;
+  double execution;
+  T inv = 1.0 / bid;
+  T s = rest.s_rest + inv;
+  T x = rest.r * inv / s;
+
+  T exec_cost() const { return execution * (x * x); }
+  T bid_cost() const { return bid * (x * x); }
+  double loo() const { return rest.l_rest; }
+  T actual() const {
     const T rs = rest.r / s;
-    const T gap = rest.l_rest - rs * rs * (rest.w_rest + execution * inv * inv);
-    if constexpr (R == PaymentRule::kCompBonusExecution) {
-      // C_i = e x^2 cancels the valuation -e x^2, so U = L_{-i} - L'.
-      return gap;
-    } else {
-      return bid * x2 + gap - execution * x2;
-    }
-  } else if constexpr (R == PaymentRule::kVcg) {
-    // Others' reported cost at the new bids: sum_{j!=i} b_j x_j'^2 =
-    // (R/S')^2 S_rest, so the Clarke payment is L_{-i} - (R^2/S' - b x^2).
-    return rest.l_rest - rest.rr / s + bid * x2 - execution * x2;
-  } else if constexpr (R == PaymentRule::kArcherTardos) {
-    // P_i = b x^2 + Integral_{b}^{inf} x_i(u)^2 du; the tail depends only
-    // on S_rest, so truth-telling in bids is dominant but slow execution
-    // (e > t) goes unpunished — the verification-free baseline.
-    return bid * x2 + rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)) -
-           execution * x2;
-  } else {
-    return -execution * x2;
+    return rs * rs * (rest.w_rest + execution * inv * inv);
   }
+  T reported() const { return rest.rr / s; }
+  // The tail depends only on S_rest: slow execution goes unpunished.
+  T tail_comp() const { return bid * (x * x); }
+  T tail() const { return rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)); }
+};
+
+/// A non-finite closed-form utility (1/b or (R/S')^2 W' past the double
+/// range, e.g. at a subnormal bid) is no answer: name the query instead.
+[[noreturn]] void throw_non_finite(std::size_t agent, double bid,
+                                   double execution) {
+  std::ostringstream os;
+  os << "linear-PR deviation utility is not finite: agent " << agent
+     << " at bid " << bid << ", execution " << execution;
+  throw util::PreconditionError(os.str());
 }
 
 }  // namespace
@@ -72,10 +72,10 @@ LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
 double LinearPrProfileContext::utility(std::size_t agent, double bid,
                                        double execution) const {
   model::require_valid_deviation(agent, profile().size(), bid, execution);
-  const Rest rest = rest_of(agent);
-  return with_payment_rule(rule(), [&](auto r) {
-    return deviation_utility(r, rest, bid, execution);
-  });
+  const double u = rule_utility(
+      rule(), LinearDeviation<double>{rest_of(agent), bid, execution});
+  if (!std::isfinite(u)) throw_non_finite(agent, bid, execution);
+  return u;
 }
 
 void LinearPrProfileContext::sweep(std::size_t agent,
@@ -86,7 +86,8 @@ void LinearPrProfileContext::sweep(std::size_t agent,
   with_payment_rule(rule(), [&](auto r) {
     lane_sweep(*this, agent, bids, execution, out, best,
                [&](util::simd::DVec b, util::simd::DVec&) {
-                 return deviation_utility(r, rest, b, execution);
+                 const LinearDeviation<util::simd::DVec> d{rest, b, execution};
+                 return rule_terms(r, d).utility;
                });
   });
 }

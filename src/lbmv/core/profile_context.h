@@ -2,33 +2,25 @@
 
 /// \file profile_context.h
 /// Closed-form ProfileUtilityContext for the paper's setting: linear
-/// latencies allocated by the PR algorithm.
+/// latencies allocated by the PR algorithm, for all five PaymentRules.
 ///
-/// With l_j(x) = b_j * x the PR allocation and the total latency depend on
-/// the profile only through two running sums,
+/// The PR allocation and both latency totals depend on the profile only
+/// through S = sum_j 1/b_j and W = sum_j t~_j / b_j^2: x_j = R/(b_j S),
+/// L(x, b) = R^2/S and L(x, t~) = (R/S)^2 W.  A unilateral deviation of
+/// agent i to (b, e) is the O(1) update S' = S - 1/b_i + 1/b,
+/// W' = W - t~_i/b_i^2 + e/b^2, and L_{-i} = R^2/(S - 1/b_i), so every term
+/// a payment rule reads is O(1) too (DESIGN.md §10).
 ///
-///   S = sum_j 1/b_j,            W = sum_j t~_j / b_j^2,
-///
-/// giving x_j = R/(b_j S), reported latency L(x, b) = R^2/S and verified
-/// latency L(x, t~) = (R/S)^2 W.  A unilateral deviation of agent i to
-/// (b, e) is the O(1) update
-///
-///   S' = S - 1/b_i + 1/b,       W' = W - t~_i/b_i^2 + e/b^2,
-///
-/// from which every payment rule built on leave-one-out optima follows in
-/// O(1) as well, because L_{-i} = R^2/(S - 1/b_i) (DESIGN.md §10).
-///
-/// Mechanism::make_profile_context builds this context for all five
-/// PaymentRules (comp-bonus at either compensation basis, VCG, no-payment,
-/// and the Archer–Tardos baseline via its closed-form payment tail) when the
-/// family is linear and the allocator is PR.  The context holds only the
-/// deviation closed form; the committed round's outcome is
-/// Mechanism::run_into's.
-///
-/// The deviation closed form is written once, as a template over the value
-/// type: utility() evaluates it on one double, and the sweep override on
+/// That closed form is written once, as a template over the value type,
+/// and supplies the terms to rule_terms.h's rule_terms — the one
+/// definition of the payment rules, which the fused round publishes
+/// through too.  utility() evaluates it on one double and the sweep on
 /// four candidate bids per instruction through the lane driver
-/// (grid_kernels.h, DESIGN.md §13) — the same bits either way.
+/// (grid_kernels.h, DESIGN.md §13), with the same bits.  Where it leaves
+/// the double range (tiny or subnormal bids overflow 1/b or (R/S')^2 W'),
+/// utility() throws a PreconditionError naming the agent and the bid, and
+/// a sweep with such a lane is served by it.  The committed round's
+/// outcome is Mechanism::run_into's.
 
 #include <cstddef>
 #include <span>

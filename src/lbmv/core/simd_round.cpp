@@ -9,6 +9,7 @@
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/pr_simd.h"
 #include "lbmv/core/batch.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/simd.h"
@@ -92,122 +93,59 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // ---- fused allocate + rule + publish kernel ------------------------------
 //
 // One pass per block turns the reciprocal plane into everything the round
-// outputs: the rate x_i = inv_i / S * R (stored — it is the outcome's
-// allocation plane), the rule's cost and extra terms in-register, and the
-// six AgentOutcome fields through the transposed store.  No cost or
-// leave-one-out plane is ever materialized; per agent the pass reads
-// 16–24 bytes of planes and writes its 8-byte rate plus one 48-byte record.
+// outputs: the rate x_i = inv_i * (R/S) (stored — it is the outcome's
+// allocation plane), the linear family's terms in-register, and the six
+// AgentOutcome fields through rule_terms.h's publish_block.  No cost or
+// leave-one-out plane is ever materialized.  The one precomputed share
+// replaces the reference path's per-agent division (inv/S)*R at a cost of
+// <= 2 ulp on x; every other term applies the reference fill_payments'
+// operand order on that x, so the leave-one-out R^2/(S - inv) and the
+// Archer–Tardos tail match the reference path bit-for-bit at equal S.
+// Padded tail lanes carry inv = 0, b = e = 1, which pass every guard.
 //
-// The rate uses one precomputed reciprocal share, x = inv * (R/S), which
-// replaces the reference path's per-agent division (inv/S)*R — the round's
-// hottest divider work — at a cost of <= 2 ulp on x.  Every other value
-// applies exactly the reference fill_payments' operand order on that x —
-// ca = (e*x)*x, cr = (b*x)*x, loo = R^2/(S - inv) — so the leave-one-out /
-// tail terms still match the reference path bit-for-bit at equal S, while
-// x-derived values and the closed-form latency totals (see
-// run_linear_pr_vectorized) sit within the DESIGN.md §12 ulp bound.  The
-// final partial vector of a block runs the same body on lanes padded with
-// inv = 0, b = e = 1, which pass every guard and stay finite, and stores
-// only its real lanes.
-//
-// Validation is by mask: bit 0 of the returned status is the leave-one-out
-// cancellation guard, bit 1 is "every utility finite"
-// (util::simd::accumulate_finite).  A finite utility U = P + V implies a
-// finite payment, valuation, rate and rule terms (an infinite term would
-// make the sum infinite or NaN), so that one check covers the whole record
-// — e.g. a leave-one-out optimum past DBL_MAX.  The Archer–Tardos tail needs
-// no guard bit: its rest sum s = S - inv is never negative (a rounded sum
-// of positives is at least each term), and s = 0 or NaN makes the tail
-// non-finite.  A clear finite bit sends the round to the reference path; a
-// clear guard bit on a finite round re-raises the scalar guard's diagnostic.
+// A block's status: bit 0 is the leave-one-out cancellation guard, which
+// loo() accumulates, bit 1 publish_block's finite witness.  The tail needs
+// no guard: S - inv is never negative (a rounded sum of positives is at
+// least each term), and 0 or NaN makes the tail non-finite.  A clear finite
+// bit declines the round; a clear guard bit on a finite round re-raises the
+// scalar guard's diagnostic.
 
 inline constexpr unsigned char kGuardOk = 1u;
 inline constexpr unsigned char kFinite = 2u;
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The round scalars every block publishes against.
+/// The round scalars every block publishes against, splatted.
 struct RoundScalars {
-  double inverse_sum;     ///< S
-  double share;           ///< R / S
-  double r2;              ///< R^2
-  double min_gap;         ///< leave-one-out cancellation guard on S - inv
-  double actual_total;    ///< L(x, e)
-  double reported_total;  ///< L(x, b)
+  DVec inverse_sum;     ///< S
+  DVec share;           ///< R / S
+  DVec r2;              ///< R^2
+  DVec min_gap;         ///< leave-one-out cancellation guard on S - inv
+  DVec actual_total;    ///< L(x, e)
+  DVec reported_total;  ///< L(x, b)
 };
 
-/// One block of the fused publish under \p kRule:
-///   comp-bonus  comp = (e*x)*x or (b*x)*x, bonus = L_{-i} - L(x, e)
-///   VCG         comp = (b*x)*x, bonus = L_{-i} - L(x, b),
-///               payment = L_{-i} - (L(x, b) - comp)
-///   A–T         comp = b*(x*x), bonus = R^2 / (s (1 + b s)), s = S - inv
-///   no-payment  every transfer 0
-/// All pointers are offset to the block start.
-template <PaymentRule kRule>
-[[nodiscard]] unsigned char publish_block(
-    std::integral_constant<PaymentRule, kRule>, std::size_t n,
-    const double* inv, const double* bids, const double* execs,
-    const RoundScalars& k, double* x_out, AgentOutcome* agents) {
-  const DVec vs = v::set1(k.inverse_sum);
-  const DVec vshare = v::set1(k.share);
-  const DVec vgap = v::set1(k.min_gap);
-  const DVec vr2 = v::set1(k.r2);
-  const DVec vact = v::set1(k.actual_total);
-  const DVec vrep = v::set1(k.reported_total);
-  const DVec vone = v::set1(1.0);
-  // Validity is accumulated per lane and tested once per block: one or two
-  // uops per check per step instead of a movemask + branch chain.
-  DVec gmask = v::mask_all();
-  DVec fsum = v::zero();
-  v::for_each_block(n, [&](std::size_t i, std::size_t count, auto lanes) {
-    const DVec r = lanes(inv, 0.0);
-    const DVec b = lanes(bids, 1.0);
-    const DVec x = v::mul(r, vshare);
-    const DVec ca = v::mul(v::mul(lanes(execs, 1.0), x), x);
-    DVec comp = v::zero();
-    DVec bonus = v::zero();
-    DVec pay = v::zero();
-    if constexpr (kRule == PaymentRule::kArcherTardos) {
-      const DVec s = v::sub(vs, r);
-      bonus = v::div(vr2, v::mul(s, v::add(vone, v::mul(b, s))));
-      comp = v::mul(b, v::mul(x, x));
-      pay = v::add(comp, bonus);
-    } else if constexpr (kRule != PaymentRule::kNoPayment) {
-      const DVec denom = v::sub(vs, r);
-      gmask = v::mask_and(gmask, v::mask_greater(denom, vgap));
-      const DVec loo = v::div(vr2, denom);
-      if constexpr (kRule == PaymentRule::kVcg) {
-        comp = v::mul(v::mul(b, x), x);
-        bonus = v::sub(loo, vrep);
-        pay = v::sub(loo, v::sub(vrep, comp));
-      } else {
-        comp = kRule == PaymentRule::kCompBonusExecution
-                   ? ca
-                   : v::mul(v::mul(b, x), x);
-        bonus = v::sub(loo, vact);
-        pay = v::add(comp, bonus);
-      }
-    }
-    const DVec val = v::neg(ca);
-    const DVec util = v::add(pay, val);
-    fsum = v::accumulate_finite(fsum, util);
-    if (count == v::kLanes) {
-      v::store(x_out + i, x);
-      v::store_records6(reinterpret_cast<double*>(agents + i), x, comp,
-                        bonus, pay, val, util);
-    } else {
-      double xs[v::kLanes];
-      AgentOutcome rows[v::kLanes];
-      v::store(xs, x);
-      v::store_records6(reinterpret_cast<double*>(rows), x, comp, bonus, pay,
-                        val, util);
-      std::copy(xs, xs + count, x_out + i);
-      std::copy(rows, rows + count, agents + i);
-    }
-  });
-  return static_cast<unsigned char>(
-      (v::mask_all_true(gmask) ? kGuardOk : 0u) |
-      (v::hsum(fsum) == 0.0 ? kFinite : 0u));
-}
+/// One step's linear-PR terms (rule_terms.h): rate x = inv * (R/S), bid b,
+/// execution e.
+struct LinearTerms {
+  const RoundScalars& k;
+  DVec& guard;  ///< the block's leave-one-out guard mask
+  DVec inv, b, e, x;
+
+  DVec exec_cost() const { return (e * x) * x; }
+  DVec bid_cost() const { return (b * x) * x; }
+  DVec loo() const {
+    const DVec denom = k.inverse_sum - inv;
+    guard = v::mask_and(guard, v::mask_greater(denom, k.min_gap));
+    return k.r2 / denom;
+  }
+  DVec actual() const { return k.actual_total; }
+  DVec reported() const { return k.reported_total; }
+  DVec tail_comp() const { return b * (x * x); }
+  DVec tail() const {
+    const DVec s = k.inverse_sum - inv;
+    return k.r2 / (s * (1.0 + b * s));
+  }
+};
 
 }  // namespace
 
@@ -285,19 +223,31 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   double* const x = rates.data();
   out.agents.resize(n);
   AgentOutcome* const agents = out.agents.data();
-  const RoundScalars scalars{inverse_sum,
-                             share,
-                             arrival_rate * arrival_rate,
-                             inverse_sum * alloc::kLeaveOneOutMinRelativeGap,
-                             actual_total,
-                             reported_total};
+  const RoundScalars scalars{
+      v::set1(inverse_sum), v::set1(share),
+      v::set1(arrival_rate * arrival_rate),
+      v::set1(inverse_sum * alloc::kLeaveOneOutMinRelativeGap),
+      v::set1(actual_total), v::set1(reported_total)};
   with_payment_rule(rule, [&](auto rule_tag) {
     for_blocks(nblocks, shards, pool, [&](std::size_t b) {
+      // Block-local copies stay in registers across the record stores.
       const std::size_t lo = b * kShardBlock;
-      ws.block_ok[b] = publish_block(
-          rule_tag, std::min(n - lo, kShardBlock), inv.data() + lo,
-          bids.data() + lo, executions.data() + lo, scalars, x + lo,
-          agents + lo);
+      const double* const r = inv.data() + lo;
+      const double* const bb = bids.data() + lo;
+      const double* const e = executions.data() + lo;
+      const RoundScalars k = scalars;
+      // Validity is accumulated per lane and tested once per block.
+      DVec guard = v::mask_all();
+      const bool finite = publish_block(
+          rule_tag, std::min(n - lo, kShardBlock),
+          [&](auto lanes) {
+            const DVec vr = lanes(r, 0.0);
+            return LinearTerms{k, guard, vr, lanes(bb, 1.0), lanes(e, 1.0),
+                               vr * k.share};
+          },
+          agents + lo, x + lo);
+      ws.block_ok[b] = static_cast<unsigned char>(
+          (v::mask_all_true(guard) ? kGuardOk : 0u) | (finite ? kFinite : 0u));
     });
   });
   bool finite = true;

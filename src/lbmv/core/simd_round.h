@@ -3,39 +3,26 @@
 /// \file simd_round.h
 /// The vectorized, agent-sharded round engine (DESIGN.md §12).
 ///
-/// One mechanism round on the paper's configuration — linear family, PR
-/// allocator — is two data-parallel passes over contiguous agent planes:
+/// One round on the paper's configuration — linear family, PR allocator —
+/// is two data-parallel passes over contiguous agent planes:
 ///
 ///   P1  inv[i] = 1/b_i, S = sum inv, W = sum (e_i inv_i) inv_i
 ///       (+ finite-and-positive input validation by mask)
-///   P2  everything else, fused: x_i = inv[i]/S * R (the only plane
-///       written), the rule's cost and extra terms (leave-one-out optimum /
-///       Archer–Tardos tail) in-register, and the transposed vector publish
-///       into MechanismOutcome::agents (util::simd::store_records6)
+///   P2  x_i = inv[i] * (R/S) (the only plane written) and the linear
+///       family's terms in-register, priced by rule_terms.h's rule_terms
+///       and stored by its publish_block, the block loop the nonlinear
+///       engines share
 ///
-/// Two passes suffice because the PR closed form factors both latency
-/// totals out of the per-agent sums — L(x,b) = R^2/S and L(x,e) = (R/S)^2 W
-/// — so P2 already knows every total it publishes against.
-///
-/// run_linear_pr_vectorized executes them with the 4-lane kernels of
-/// alloc/pr_simd.h, cutting the agent axis into fixed kShardBlock-agent
-/// blocks.  Blocks write disjoint plane slices and per-block partial sums
-/// into an indexed array; the calling thread reduces the partials in block
-/// order after each pass.  Because the block grid and every in-block
-/// reduction tree are independent of the fan-out, the outcome is
-/// bit-identical for ANY shard count and ANY thread count — the serial path
-/// is simply the same block loop run inline.  It is the only linear-PR
-/// engine in every build: LBMV_SIMD=OFF runs the same kernels on the
-/// emulated 4-lane backend, which produces the same bits as AVX2.
-///
-/// Versus the reference path (Mechanism::run_reference_into), S is
-/// reassociated (tree instead of left fold), the latency totals use the
-/// factored closed forms instead of the per-agent left folds, and the rate
-/// uses one precomputed share, x = inv * (R/S), instead of (inv/S)*R — so
-/// outcomes agree to a bounded relative error of O(n·eps), the documented
-/// contract tested by tests/test_simd_kernels.cpp.  The per-agent
-/// leave-one-out and Archer–Tardos tail terms apply the reference operand
-/// order exactly, so they match it bit-for-bit at equal S.
+/// Two passes suffice because the totals factor out of the per-agent sums:
+/// L(x, b) = R^2/S and L(x, e) = (R/S)^2 W.  The agent axis is cut into
+/// fixed kShardBlock-agent blocks whose partial sums the calling thread
+/// reduces in block order, so the outcome is bit-identical for any shard
+/// and thread count, and LBMV_SIMD=OFF's emulated backend gives the same
+/// bits as AVX2.  Versus Mechanism::run_reference_into the reassociated S,
+/// the closed-form totals and the one precomputed share keep outcomes
+/// within O(n·eps) relative (tests/test_simd_kernels.cpp); the
+/// leave-one-out and Archer–Tardos tail terms match it bit-for-bit at
+/// equal S.
 
 #include <cstddef>
 #include <span>

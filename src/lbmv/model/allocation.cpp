@@ -64,8 +64,4 @@ double total_latency(
   return total;
 }
 
-double computer_cost_linear(double x_i, double t_i) {
-  return t_i * x_i * x_i;
-}
-
 }  // namespace lbmv::model

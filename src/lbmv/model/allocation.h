@@ -69,7 +69,4 @@ class Allocation {
     const Allocation& x,
     std::span<const std::unique_ptr<LatencyFunction>> latencies);
 
-/// Cost of a single computer, c_i = x_i * l_i(x_i), for the linear model.
-[[nodiscard]] double computer_cost_linear(double x_i, double t_i);
-
 }  // namespace lbmv::model

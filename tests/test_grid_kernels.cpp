@@ -18,6 +18,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -327,6 +328,55 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
     std::vector<double> out(good.size());
     EXPECT_NO_THROW(ctx->utilities_into(1, good, t, out));
     EXPECT_NO_THROW((void)ctx->best_response(1, good, t));
+  }
+}
+
+// Tiny and subnormal bids overflow the linear closed form (1/b, or 0 * inf
+// in (R/S')^2 W'): a non-finite lane defers to utility(), which names the
+// agent and the bid instead of answering NaN, on every rule and entry point.
+TEST(GridKernels, LinearClosedFormThrowsInsteadOfNaN) {
+  const lbmv::model::LinearFamily family;
+  BidProfile base;
+  for (int i = 0; i < 16; ++i) {
+    base.bids.push_back(0.5 + 0.37 * ((7 * i) % 13));
+  }
+  base.executions = base.bids;
+  for (int kind = 0; kind < kMechanismKinds; ++kind) {
+    const auto mechanism = make_mechanism(kind);
+    SCOPED_TRACE(mechanism->name());
+    const auto ctx = mechanism->make_profile_context(family, 20.0, base);
+    ASSERT_NE(ctx, nullptr);
+    int thrown = 0;
+    for (const double bid : {1e-200, 1e-300, 1e-310, 4.9e-324}) {
+      SCOPED_TRACE("bid " + std::to_string(bid));
+      std::ostringstream needle;
+      needle << "agent 0 at bid " << bid;
+      const std::string scalar = precondition_what([&] {
+        EXPECT_TRUE(std::isfinite(ctx->utility(0, bid, 1.0)));
+      });
+      if (!scalar.empty()) {
+        ++thrown;
+        EXPECT_NE(scalar.find(needle.str()), std::string::npos) << scalar;
+      }
+      // The bid in a full lane block and in the padded tail block.
+      const std::vector<double> full{1.0, 2.0, bid, 3.0, 4.0};
+      const std::vector<double> tail{1.0, 2.0, 3.0, 4.0, bid};
+      for (const auto* grid : {&full, &tail}) {
+        std::vector<double> out(grid->size());
+        const std::string swept = precondition_what(
+            [&] { ctx->utilities_into(0, *grid, 1.0, out); });
+        const std::string best = precondition_what(
+            [&] { (void)ctx->best_response(0, *grid, 1.0); });
+        EXPECT_EQ(swept, scalar);
+        EXPECT_EQ(best, scalar);
+        if (!scalar.empty()) continue;
+        for (std::size_t k = 0; k < grid->size(); ++k) {
+          EXPECT_EQ(out[k], ctx->utility(0, (*grid)[k], 1.0));
+        }
+      }
+    }
+    // Every rule overflows at least at the subnormal bids.
+    EXPECT_GE(thrown, 2);
   }
 }
 

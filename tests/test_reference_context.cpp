@@ -6,7 +6,8 @@
 // every closed-form context to 1e-9.  Where no closed form exists (M/M/1
 // under the generic convex allocator, Archer–Tardos off the linear family)
 // it is the only context, and it raises the mechanism's own errors.
-// Concurrent queries must match a serial loop bit for bit.
+// Concurrent queries must match a serial loop bit for bit.  Every round's
+// published utility is the closed-form context's at the committed entries.
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,53 @@ TEST(ReferenceContext, AgreesWithEveryClosedFormThroughTheSameApi) {
                             c.name + " round " + std::to_string(round));
     }
   }
+}
+
+// One payoff per rule: the utility a round publishes is the closed-form
+// context's utility() at the committed entries.  Where the family's round
+// and context terms share operand order the two are equal; elsewhere the
+// terms differ by reassociated sums (the fused totals, the contexts' O(1)
+// running sums), measured at <= 2.2e-14 relative to max(1, |U|); the bound
+// is 1e-12.
+TEST(ReferenceContext, RoundUtilityIsTheContextsAtTheCommittedEntries) {
+  constexpr double kBound = 1e-12;
+  double worst = 0.0;
+  const std::size_t sizes[] = {2, 5, 12, 33};
+  for (const std::size_t n : sizes) {
+    for (const Case& c : all_cases(n, 90 + n)) {
+      // Both read the same solve's rates, leave-one-out plane and reported
+      // optimum, and neither reads the verified total.
+      const bool exact =
+          c.name == "vcg/workload" || c.name == "no_payment/workload";
+      const auto types = band_types(n, 90 + n);
+      lbmv::util::Rng rng(n);
+      BidProfile deviated{types, types};
+      for (std::size_t i = 0; i < n; ++i) {
+        deviated.bids[i] *= rng.uniform(0.8, 1.2);
+        deviated.executions[i] *= rng.uniform(1.0, 1.05);
+      }
+      for (const BidProfile& profile : {BidProfile{types, types}, deviated}) {
+        const auto out = c.mechanism->run(*c.family, c.arrival_rate, profile);
+        const auto ctx = c.mechanism->make_profile_context(
+            *c.family, c.arrival_rate, profile);
+        ASSERT_NE(ctx, nullptr) << c.name;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double round = out.agents[i].utility;
+          const double query =
+              ctx->utility(i, profile.bids[i], profile.executions[i]);
+          if (exact) {
+            EXPECT_EQ(round, query) << c.name << " n=" << n << " agent " << i;
+          } else {
+            const double err =
+                std::fabs(round - query) / std::max(1.0, std::fabs(round));
+            worst = std::max(worst, err);
+            EXPECT_LE(err, kBound) << c.name << " n=" << n << " agent " << i;
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("max_rel_err", std::to_string(worst));
 }
 
 /// M/M/1 under the generic convex allocator: no fused engine, so no closed

@@ -25,6 +25,7 @@
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/pr_simd.h"
+#include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
@@ -440,6 +441,52 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
 
 // ---------------------------------------------------------------------------
 // Backend plumbing.
+
+TEST(SimdKernels, NonFiniteVerifiedCostThrowsNamingTheComputer) {
+  // Finite inputs whose verified cost overflows: e_0 x_0^2 is inf at
+  // e_0 = 1e307.  The fused engine declines, and the reference path must
+  // name computer 0 instead of publishing C = inf, B = -inf, P = U = NaN.
+  const Profile p{{1.0, 2.0, 3.0, 4.0}, {1e307, 2.0, 3.0, 4.0}};
+  const auto mechanisms = all_vector_mechanisms();
+  for (const auto& m : mechanisms) {
+    MechanismOutcome out;
+    RoundWorkspace ws;
+    lbmv::core::FusedRoundStats stats;
+    EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
+        m->payment_rule(), 20.0, p.bids, p.executions, out, ws,
+        RoundOptions{}, stats))
+        << m->name();
+    expect_precondition(*m, 20.0, p,
+                        "verified cost is not finite: computer 0");
+    EXPECT_THROW(run_reference(*m, 20.0, p, out, ws),
+                 lbmv::util::PreconditionError)
+        << m->name();
+  }
+
+  // The workload family, through its own fused engine's decline.
+  const lbmv::model::WorkloadFamily workload(0.5);
+  const auto solver = std::make_shared<const lbmv::alloc::WorkloadAllocator>();
+  const Profile q{{1.0, 2.0, 3.0, 4.0}, {1.0, 2.0, 1e308, 4.0}};
+  const std::vector<std::shared_ptr<const Mechanism>> workload_mechanisms = {
+      std::make_shared<const CompBonusMechanism>(solver),
+      std::make_shared<const CompBonusMechanism>(solver,
+                                                 CompensationBasis::kBid),
+      std::make_shared<const VcgMechanism>(solver),
+      std::make_shared<const NoPaymentMechanism>(solver)};
+  for (const auto& m : workload_mechanisms) {
+    MechanismOutcome out;
+    RoundWorkspace ws;
+    try {
+      m->run_into(workload, 20.0, q.bids, q.executions, out, ws);
+      ADD_FAILURE() << m->name() << ": expected a throw naming computer 2";
+    } catch (const lbmv::util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "verified cost is not finite: computer 2"),
+                std::string::npos)
+          << m->name() << ": " << e.what();
+    }
+  }
+}
 
 TEST(SimdKernels, BackendSelectorAndNameAreCoherent) {
   const char* name = lbmv::core::vector_backend_name();

@@ -11,8 +11,8 @@
 //   * leave_one_out_per_agent  seed formulation: re-solve per agent O(n^2)
 //   * comp_bonus_round         full mechanism round                 O(n)
 //   * audit_all                incremental audit, parallel agents
-//   * audit_all_legacy         full mechanism re-run per grid point
-//                              (n <= 256: the quadratic path is the point)
+//   * audit_all_reference      the reference context: one full mechanism
+//                              run per grid point (n = 64 only)
 //
 // plus a `sim_throughput` section comparing the typed calendar-queue event
 // loop (engine.h) with the preserved seed std::function loop
@@ -445,8 +445,8 @@ int main(int argc, char** argv) {
   const lbmv::model::LinearFamily family;
   const lbmv::alloc::PRAllocator allocator;
   std::vector<Result> results;
-  double audit_incremental_256 = 0.0;
-  double audit_legacy_256 = 0.0;
+  double audit_incremental_64 = 0.0;
+  double audit_reference_64 = 0.0;
 
   for (std::size_t n : sizes) {
     const auto types = random_types(n, 42);
@@ -484,15 +484,14 @@ int main(int argc, char** argv) {
     const double audit_seconds = seconds_per_call(
         [&] { (void)auditor.audit_all(config, incremental); }, 0.5, 3);
     results.push_back({"audit_all", n, audit_seconds});
-    if (n == 256) audit_incremental_256 = audit_seconds;
 
-    if (n <= 256) {
-      lbmv::core::AuditOptions legacy;
-      legacy.incremental = false;
-      const double legacy_seconds = seconds_per_call(
-          [&] { (void)auditor.audit_all(config, legacy); }, 0.5, 3);
-      results.push_back({"audit_all_legacy", n, legacy_seconds});
-      if (n == 256) audit_legacy_256 = legacy_seconds;
+    if (n == 64) {
+      audit_incremental_64 = audit_seconds;
+      lbmv::core::AuditOptions reference;
+      reference.incremental = false;
+      audit_reference_64 = seconds_per_call(
+          [&] { (void)auditor.audit_all(config, reference); }, 0.5, 3);
+      results.push_back({"audit_all_reference", n, audit_reference_64});
     }
   }
 
@@ -508,11 +507,11 @@ int main(int argc, char** argv) {
   }
 
   JsonValue::Object derived;
-  if (audit_incremental_256 > 0.0 && audit_legacy_256 > 0.0) {
-    derived["audit_all_speedup_n256"] =
-        audit_legacy_256 / audit_incremental_256;
-    std::cout << "audit_all speedup at n=256: "
-              << audit_legacy_256 / audit_incremental_256 << "x\n";
+  if (audit_incremental_64 > 0.0 && audit_reference_64 > 0.0) {
+    derived["audit_all_speedup_n64"] =
+        audit_reference_64 / audit_incremental_64;
+    std::cout << "audit_all speedup at n=64: "
+              << audit_reference_64 / audit_incremental_64 << "x\n";
   }
 
   // Simulation throughput: typed calendar-queue loop vs the seed
