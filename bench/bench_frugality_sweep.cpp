@@ -13,7 +13,6 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/frugality.h"
 #include "lbmv/model/bids.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/util/table.h"
 
 int main() {
@@ -39,11 +38,10 @@ int main() {
       spread_table.to_markdown().c_str());
 
   Table size_table({"n (homogeneous)", "Ratio", "1 + n/(n-1)"});
-  core::MechanismOutcome outcome;  // reused across sizes
   for (std::size_t n : {2, 4, 8, 16, 32, 64, 128}) {
     const model::SystemConfig config(std::vector<double>(n, 1.0), 20.0);
-    strategy::DeviationEvaluator(mechanism, config).outcome_into(outcome);
-    const auto report = core::frugality_of(outcome);
+    const auto report = core::frugality_of(
+        mechanism.run(config, model::BidProfile::truthful(config)));
     size_table.add_row(
         {std::to_string(n), Table::num(report.ratio(), 4),
          Table::num(1.0 + static_cast<double>(n) /

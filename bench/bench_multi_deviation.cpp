@@ -14,7 +14,6 @@
 #include "lbmv/analysis/paper_config.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/model/bids.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/util/ascii_chart.h"
 #include "lbmv/util/table.h"
 
@@ -25,7 +24,8 @@ int main() {
   const auto config = analysis::paper_table1_config();
   const core::CompBonusMechanism mechanism;
   const double optimal =
-      strategy::DeviationEvaluator(mechanism, config).actual_latency();
+      mechanism.run(config, model::BidProfile::truthful(config))
+          .actual_latency;
 
   struct DeviationKind {
     const char* name;
@@ -45,16 +45,16 @@ int main() {
   for (const auto& kind : kinds) {
     Table table({"Deviators k", "Total latency", "Increase vs optimal"});
     std::vector<lbmv::util::Bar> bars;
-    // One evaluator per deviation kind: k = j extends k = j - 1 by a single
-    // agent, so each sweep step is one O(1) commit instead of a fresh
-    // profile and mechanism run.
-    strategy::DeviationEvaluator evaluator(mechanism, config);
+    // One profile per deviation kind: k = j extends k = j - 1 by a single
+    // agent, so each sweep step moves one entry and runs one round.
+    model::BidProfile profile = model::BidProfile::truthful(config);
     for (std::size_t k = 0; k <= config.size(); ++k) {
       if (k > 0) {
         const double t = config.true_value(k - 1);
-        evaluator.commit(k - 1, t * kind.bid_mult, t * kind.exec_mult);
+        profile.bids[k - 1] = t * kind.bid_mult;
+        profile.executions[k - 1] = t * kind.exec_mult;
       }
-      const double latency = evaluator.actual_latency();
+      const double latency = mechanism.run(config, profile).actual_latency;
       table.add_row({std::to_string(k), Table::num(latency),
                      Table::pct(latency / optimal - 1.0)});
       if (k % 2 == 0) {

@@ -32,7 +32,6 @@
 #include "lbmv/sim/protocol.h"
 #include "lbmv/sim/replication.h"
 #include "lbmv/sim/server.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
@@ -327,13 +326,15 @@ BENCHMARK(BM_AuditAllReference)
 
 void BM_DeviationGridScalar(benchmark::State& state) {
   // Scalar baseline for the contexts' lane sweeps (DESIGN.md §13):
-  // 1000 candidate bids per agent scanned one DeviationEvaluator::utility
+  // 1000 candidate bids per agent scanned one ProfileUtilityContext::utility
   // call at a time.  items/sec = candidate evaluations.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t grid_points = 1000;
   const lbmv::model::SystemConfig config(random_types(n, 13), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
-  const lbmv::strategy::DeviationEvaluator evaluator(mechanism, config);
+  const auto context = mechanism.make_profile_context(
+      config.family(), config.arrival_rate(),
+      lbmv::model::BidProfile::truthful(config));
   std::vector<std::vector<double>> grids(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double t = config.true_value(i);
@@ -347,7 +348,7 @@ void BM_DeviationGridScalar(benchmark::State& state) {
       const double t = config.true_value(i);
       double best = -1e300;
       for (double bid : grids[i]) {
-        const double u = evaluator.utility(i, bid, t);
+        const double u = context->utility(i, bid, t);
         if (u > best) best = u;
       }
       sink += best;
@@ -365,13 +366,15 @@ BENCHMARK(BM_DeviationGridScalar)
 
 void BM_DeviationGridVector(benchmark::State& state) {
   // The same sweep through the context's 4-lane sweep
-  // (DeviationEvaluator::best_response), serial.  Bit-identical argmax to
+  // (ProfileUtilityContext::best_response).  Bit-identical argmax to
   // the scalar scan by construction.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t grid_points = 1000;
   const lbmv::model::SystemConfig config(random_types(n, 13), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
-  const lbmv::strategy::DeviationEvaluator evaluator(mechanism, config);
+  const auto context = mechanism.make_profile_context(
+      config.family(), config.arrival_rate(),
+      lbmv::model::BidProfile::truthful(config));
   std::vector<std::vector<double>> grids(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double t = config.true_value(i);
@@ -383,7 +386,7 @@ void BM_DeviationGridVector(benchmark::State& state) {
     double sink = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sink +=
-          evaluator.best_response(i, grids[i], config.true_value(i)).utility;
+          context->best_response(i, grids[i], config.true_value(i)).utility;
     }
     benchmark::DoNotOptimize(sink);
   }

@@ -1,7 +1,5 @@
 #include "lbmv/alloc/pr_allocator.h"
 
-#include <string>
-
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 
@@ -57,12 +55,7 @@ void pr_leave_one_out_from_sum(double inverse_bid_sum,
   const double min_gap = inverse_bid_sum * kLeaveOneOutMinRelativeGap;
   for (std::size_t i = 0; i < types.size(); ++i) {
     const double denom = inverse_bid_sum - 1.0 / types[i];
-    LBMV_REQUIRE(
-        denom > min_gap,
-        "leave-one-out optimum is numerically unresolvable: one agent is so "
-        "much faster than the rest combined that S - 1/t_i cancels "
-        "catastrophically (agent " +
-            std::to_string(i) + " of " + std::to_string(types.size()) + ")");
+    require_leave_one_out_gap(denom, min_gap, i, types.size());
     out[i] = r2 / denom;
   }
 }

@@ -12,11 +12,13 @@
 ///
 ///     L* = R^2 / sum_j (1/t_j).                 (paper eq. (4))
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "lbmv/alloc/allocator.h"
+#include "lbmv/util/error.h"
 
 namespace lbmv::alloc {
 
@@ -27,6 +29,20 @@ namespace lbmv::alloc {
 /// 1/t_i absorbs S entirely, infinity.  Shared between the scalar kernel and
 /// the vectorized guard mask (pr_simd.h) so both reject the same profiles.
 inline constexpr double kLeaveOneOutMinRelativeGap = 1e-9;
+
+/// The leave-one-out cancellation guard for agent \p agent of \p n:
+/// S - 1/t_i (\p rest) must exceed kLeaveOneOutMinRelativeGap * S
+/// (\p min_gap).  One check site, so every round and the linear deviation
+/// context raise the same diagnostic.
+inline void require_leave_one_out_gap(double rest, double min_gap,
+                                      std::size_t agent, std::size_t n) {
+  LBMV_REQUIRE(
+      rest > min_gap,
+      "leave-one-out optimum is numerically unresolvable: one agent is so "
+      "much faster than the rest combined that S - 1/t_i cancels "
+      "catastrophically (agent " +
+          std::to_string(agent) + " of " + std::to_string(n) + ")");
+}
 
 /// Everything the PR closed form derives from one pass over the types.
 /// Returned by pr_allocate_into so callers that need the allocation, the

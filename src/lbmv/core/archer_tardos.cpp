@@ -1,7 +1,5 @@
 #include "lbmv/core/archer_tardos.h"
 
-#include <string>
-
 #include "lbmv/util/error.h"
 #include "lbmv/util/integrate.h"
 
@@ -50,9 +48,7 @@ void ArcherTardosMechanism::fill_payments(
   for (std::size_t i = 0; i < bids.size(); ++i) {
     auto& agent = outcomes[i];
     const double s = inverse_bid_sum - 1.0 / bids[i];
-    LBMV_REQUIRE(s > 0.0,
-                 "the other agents must contribute positive capacity (agent " +
-                     std::to_string(i) + ")");
+    require_rest_capacity(s, i);
     const double work = rates[i] * rates[i];
     // Bookkeeping split mirrors the formula: b_i * w_i (the reported cost,
     // analogous to a compensation) plus the tail integral (the incentive

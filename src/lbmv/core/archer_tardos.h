@@ -23,10 +23,12 @@
 /// verification-free baseline against the paper's compensation-and-bonus
 /// mechanism: truthful in bids, blind to slow execution.
 
+#include <cstddef>
 #include <span>
 #include <string>
 
 #include "lbmv/core/mechanism.h"
+#include "lbmv/util/error.h"
 
 namespace lbmv::core {
 
@@ -35,6 +37,16 @@ namespace lbmv::core {
 [[nodiscard]] double archer_tardos_tail_integral(double bid,
                                                  double inverse_bid_sum_rest,
                                                  double arrival_rate);
+
+/// The tail's domain for agent \p agent: the others' capacity
+/// s_i = sum_{j != i} 1/b_j must be positive.  One check site, so the round
+/// and the linear deviation context raise the same diagnostic.
+inline void require_rest_capacity(double inverse_bid_sum_rest,
+                                  std::size_t agent) {
+  LBMV_REQUIRE(inverse_bid_sum_rest > 0.0,
+               "the other agents must contribute positive capacity (agent " +
+                   std::to_string(agent) + ")");
+}
 
 /// The Archer–Tardos mechanism for the PR allocation on linear latencies.
 class ArcherTardosMechanism final : public Mechanism {

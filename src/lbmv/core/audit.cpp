@@ -48,23 +48,6 @@ void validate_grids(const AuditOptions& options) {
   }
 }
 
-/// The oracle every sweep reads: the mechanism's closed form when
-/// \p incremental is set and the family has one, else the reference
-/// context (one full mechanism run per grid point).
-std::unique_ptr<ProfileUtilityContext> audit_context(
-    const Mechanism& mechanism, const model::SystemConfig& config,
-    const model::BidProfile& base, bool incremental) {
-  std::unique_ptr<ProfileUtilityContext> context =
-      incremental ? mechanism.make_profile_context(
-                        config.family(), config.arrival_rate(), base)
-                  : nullptr;
-  if (context == nullptr) {
-    context = mechanism.make_reference_context(config.family(),
-                                               config.arrival_rate(), base);
-  }
-  return context;
-}
-
 /// One agent's sweep against the opponents frozen in \p context (shared by
 /// every agent of an audit_all, so it is only read).  \p pool runs the
 /// grid when options.parallel is set.
@@ -137,7 +120,11 @@ AuditReport TruthfulnessAuditor::audit_agent(const model::SystemConfig& config,
   // Across the sweep only this agent's bid and execution change, so the
   // context freezes everything else once.
   const std::unique_ptr<ProfileUtilityContext> context =
-      audit_context(*mechanism_, config, base, options.incremental);
+      options.incremental
+          ? mechanism_->make_profile_context(config.family(),
+                                             config.arrival_rate(), base)
+          : mechanism_->make_reference_context(config.family(),
+                                               config.arrival_rate(), base);
   return sweep_agent(config, *context, agent, options,
                      util::ThreadPool::global());
 }
@@ -154,9 +141,13 @@ std::vector<AuditReport> TruthfulnessAuditor::audit_all(
   // Every agent is audited against the same truthful opponents, so one
   // profile context serves them all: its queries are const and safe to
   // issue concurrently.
-  const std::unique_ptr<ProfileUtilityContext> context = audit_context(
-      *mechanism_, config, model::BidProfile::truthful(config),
-      options.incremental);
+  const model::BidProfile truthful = model::BidProfile::truthful(config);
+  const std::unique_ptr<ProfileUtilityContext> context =
+      options.incremental
+          ? mechanism_->make_profile_context(config.family(),
+                                             config.arrival_rate(), truthful)
+          : mechanism_->make_reference_context(
+                config.family(), config.arrival_rate(), truthful);
   std::vector<AuditReport> reports(config.size());
   const auto body = [&](std::size_t i) {
     reports[i] = sweep_agent(config, *context, i, options, pool);

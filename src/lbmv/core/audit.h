@@ -46,13 +46,13 @@ struct AuditOptions {
   std::vector<double> exec_multipliers{1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 4.0};
   bool parallel = true;    ///< fan the work out on a thread pool
   bool keep_grid = false;  ///< retain every Deviation in the report
-  /// Sweep the mechanism's closed-form profile context when the family has
-  /// one (O(1) per grid point: only the audited agent's entries change
-  /// across a sweep, so everything else is precomputed).  When false — or
-  /// when there is no closed form — the sweep reads the reference context
-  /// (Mechanism::make_reference_context), one full mechanism run per grid
-  /// point.  The two agree to floating-point roundoff; the flag exists so
-  /// benches and property tests can compare them.
+  /// Sweep the mechanism's profile context (Mechanism::make_profile_context:
+  /// the family's closed form where one exists, O(1) per grid point, since
+  /// only the audited agent's entries change across a sweep).  When false
+  /// the sweep reads the reference context (Mechanism::make_reference_context),
+  /// one full mechanism run per grid point.  The two agree to
+  /// floating-point roundoff; the flag exists so benches and property tests
+  /// can compare them.
   bool incremental = true;
 };
 

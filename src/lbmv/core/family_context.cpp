@@ -122,7 +122,7 @@ void Mm1PrProfileContext::rebuild() {
 
   // Leave-one-out plane: deviation-independent, so precomputed eagerly —
   // utility() stays mutation-free and safe to call concurrently.
-  if (rule() != PaymentRule::kNoPayment) {
+  if (reads_leave_one_out(rule())) {
     loo_.resize(n);
     alloc::mm1_leave_one_out_into(mus_, arrival_rate(), solve, planes_, loo_);
   }
@@ -138,7 +138,7 @@ namespace {
 
 /// The sums a candidate bid moves when every computer stays active: mu and
 /// a = sqrt(mu) of the deviator, the deviated totals, the water level c and
-/// the deviator's load x = mu - c a.  T is double (utility()) or
+/// the deviator's load x = mu - c a.  T is double (the scalar query) or
 /// util::simd::DVec (the sweep): one expression text, the same IEEE
 /// operation per lane.
 template <class T>
@@ -169,14 +169,13 @@ Mm1PrProfileContext::Rest Mm1PrProfileContext::rest_of(
     std::size_t agent) const {
   return Rest{sum_mu_ - mus_[agent], sum_a_ - a_[agent],
               agent == argmin_a_ ? second_a_ : min_a_,
-              rule() == PaymentRule::kNoPayment ? 0.0 : loo_[agent],
+              reads_leave_one_out(rule()) ? loo_[agent] : 0.0,
               inconsistent_count_ == 0 ||
                   (inconsistent_count_ == 1 && inconsistent_[agent] != 0)};
 }
 
-double Mm1PrProfileContext::utility(std::size_t agent, double bid,
-                                    double execution) const {
-  model::require_valid_deviation(agent, profile().size(), bid, execution);
+double Mm1PrProfileContext::deviation_utility(std::size_t agent, double bid,
+                                              double execution) const {
   const Rest rest = rest_of(agent);
   const Mm1Candidate<double> d(rest, arrival_rate(), bid);
   // Both closed-form paths need a consistent rest and a deviated profile
@@ -230,10 +229,11 @@ void Mm1PrProfileContext::sweep(std::size_t agent,
   const double n = static_cast<double>(profile().size());
   const DVec inf = simd::set1(std::numeric_limits<double>::infinity());
   with_payment_rule(rule(), [&](auto r) {
-    lane_sweep(*this, agent, bids, execution, out, best,
+    lane_sweep(bids, out, best,
+               [&](double b) { return checked_utility(agent, b, execution); },
                [&](DVec b, DVec& ok) {
-      // utility()'s all-active gates, as lane masks; a block with any lane
-      // off them (or an inconsistent rest) is served by utility() itself.
+      // The scalar query's all-active gates, as lane masks; a block with any
+      // lane off them (or an inconsistent rest) is served by that query.
       if (!rest.consistent) {
         ok = simd::zero();
         return ok;
@@ -257,7 +257,7 @@ void Mm1PrProfileContext::sweep(std::size_t agent,
 double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
                                          double execution) const {
   const std::size_t n = profile().size();
-  // Local planes: utility() must stay safe under concurrent queries, so the
+  // Local planes: queries must stay safe to issue concurrently, so the
   // off-fast-path re-solve never touches shared scratch.
   std::vector<double> mus(mus_);
   mus[agent] = 1.0 / bid;
@@ -275,7 +275,7 @@ double Mm1PrProfileContext::slow_utility(std::size_t agent, double bid,
     if (j == agent) cost_e = cost;
     actual += cost;
   }
-  const double loo = rule() == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = reads_leave_one_out(rule()) ? loo_[agent] : 0.0;
   const double x = rates[agent];
   const double comp = x / (mus[agent] - x);
   return rule_utility(
@@ -302,7 +302,7 @@ void WorkloadProfileContext::rebuild() {
   rates_.resize(p.size());
   const alloc::WorkloadSolve solve =
       alloc::workload_solve_into(p.bids, gamma_, arrival_rate(), rates_);
-  if (rule() != PaymentRule::kNoPayment) {
+  if (reads_leave_one_out(rule())) {
     loo_.resize(p.size());
     std::vector<double> scratch;
     alloc::workload_leave_one_out_into(p.bids, gamma_, arrival_rate(), solve,
@@ -310,11 +310,11 @@ void WorkloadProfileContext::rebuild() {
   }
 }
 
-double WorkloadProfileContext::utility(std::size_t agent, double bid,
-                                       double execution) const {
+double WorkloadProfileContext::deviation_utility(std::size_t agent,
+                                                 double bid,
+                                                 double execution) const {
   const model::BidProfile& p = profile();
   const std::size_t n = p.size();
-  model::require_valid_deviation(agent, n, bid, execution);
   // The conservation constraint couples every rate through the multiplier,
   // so a deviation re-runs the Newton solve against local planes (queries
   // may be concurrent).  The cold start is the solver's own 2R/S estimate:
@@ -333,7 +333,7 @@ double WorkloadProfileContext::utility(std::size_t agent, double bid,
   const double xa = x[agent];
   const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
   const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
-  const double loo = rule() == PaymentRule::kNoPayment ? 0.0 : loo_[agent];
+  const double loo = reads_leave_one_out(rule()) ? loo_[agent] : 0.0;
   return rule_utility(
       rule(), SolvedTerms{loo, actual, solve.optimal_latency, comp, cost_e});
 }

@@ -19,12 +19,12 @@
 ///
 /// Every path ends in rule_terms.h's rule_terms, the one definition of the
 /// payment rules that the fused rounds publish through too.  The M/M/1
-/// all-active closed form is a template over the value type: utility() on
-/// one double, the sweep on four candidates per instruction through the
-/// lane driver (grid_kernels.h), which defers any lane off that path to
-/// utility() — the same bits either way.  The workload context keeps the
-/// default per-candidate sweep.  A commit re-derives once (rebuild()); the
-/// committed round's outcome is Mechanism::run_into's.
+/// all-active closed form is a template over the value type: the scalar
+/// query on one double, the sweep on four candidates per instruction
+/// through the lane driver (grid_kernels.h), which defers any lane off that
+/// path to the scalar query — the same bits either way.  The workload
+/// context keeps the default per-candidate sweep.  A commit re-derives once
+/// (rebuild()); the committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
 #include <vector>
@@ -42,8 +42,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                       model::BidProfile base);
 
-  [[nodiscard]] double utility(std::size_t agent, double bid,
-                               double execution) const override;
   [[nodiscard]] bool lane_sweeps() const override { return true; }
 
   /// Everything a deviation by one agent reads from the caches, O(1).
@@ -51,13 +49,15 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
     double mu;     ///< sum_{j != agent} mu_j
     double a;      ///< sum_{j != agent} sqrt(mu_j)
     double min_a;  ///< min_{j != agent} sqrt(mu_j)
-    double loo;    ///< L_{-agent} (0 under kNoPayment)
+    double loo;    ///< L_{-agent} (0 for a rule that does not read it)
     /// Every opponent executes exactly as bid — required for the O(1)
     /// actual-latency form sum_{j != i} (a_j/c' - 1).
     bool consistent;
   };
 
  protected:
+  [[nodiscard]] double deviation_utility(std::size_t agent, double bid,
+                                         double execution) const override;
   void sweep(std::size_t agent, std::span<const double> bids,
              double execution, double* out, GridBest* best) const override;
   /// O(n): the min/arg-min pair and the leave-one-out plane cannot be
@@ -76,7 +76,7 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   std::vector<double> a_;     ///< sqrt(mu_j)
   std::vector<double> mue_;   ///< 1/e_j (verified service rates)
   std::vector<double> rates_; ///< committed allocation (rebuild scratch)
-  std::vector<double> loo_;   ///< L_{-j} (empty under kNoPayment)
+  std::vector<double> loo_;   ///< L_{-j} (empty unless the rule reads it)
   std::vector<char> inconsistent_;  ///< e_j != b_j
   alloc::Mm1Planes planes_;   ///< committed sorted prefix (always built)
   std::vector<std::size_t> slot_;  ///< slot_[j]: j's place in planes_.order
@@ -96,17 +96,16 @@ class WorkloadProfileContext final : public ProfileUtilityContext {
   WorkloadProfileContext(PaymentRule rule, double gamma, double arrival_rate,
                          model::BidProfile base);
 
-  [[nodiscard]] double utility(std::size_t agent, double bid,
-                               double execution) const override;
-
  protected:
+  [[nodiscard]] double deviation_utility(std::size_t agent, double bid,
+                                         double execution) const override;
   /// One cold-start Newton solve plus the leave-one-out plane.
   void rebuild() override;
 
  private:
   double gamma_;
   std::vector<double> rates_;  ///< committed allocation
-  std::vector<double> loo_;    ///< L_{-j} (empty under kNoPayment)
+  std::vector<double> loo_;    ///< L_{-j} (empty unless the rule reads it)
 };
 
 }  // namespace lbmv::core

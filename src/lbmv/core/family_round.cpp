@@ -157,7 +157,7 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
            std::isfinite(actual_total);
 
   const double* loo = nullptr;
-  if (served && rule != PaymentRule::kNoPayment) {
+  if (served && reads_leave_one_out(rule)) {
     ws.leave_one_out.resize(n);
     alloc::mm1_leave_one_out_into({mu, n}, arrival_rate, full, ws.mm1_planes,
                                   ws.leave_one_out);
@@ -196,7 +196,7 @@ bool run_workload_vectorized(const model::WorkloadFamily& family,
   bool served = std::isfinite(reported_total) && std::isfinite(actual_total);
 
   const double* loo = nullptr;
-  if (served && rule != PaymentRule::kNoPayment) {
+  if (served && reads_leave_one_out(rule)) {
     ws.leave_one_out.resize(n);
     stats.newton_iters +=
         alloc::workload_leave_one_out_into(bids, gamma, arrival_rate, full,

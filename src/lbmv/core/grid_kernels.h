@@ -21,9 +21,10 @@
 /// and the running 4-lane (max, argmax) pair resolved toward the smallest
 /// index, which reproduces a strictly-greater first-wins scalar scan.  A
 /// block whose mask fails is re-evaluated through the context's scalar
-/// utility(), which raises the canonical PreconditionError for the first
-/// offending candidate or serves the family's slow paths; a sweep in which
-/// any lane's utility is not finite re-checks every candidate through it.
+/// query (ProfileUtilityContext::checked_utility, the uncounted utility()),
+/// which raises the canonical PreconditionError for the first offending
+/// candidate or serves the family's slow paths; a sweep in which any lane's
+/// utility is not finite re-checks every candidate through it.
 
 #include <algorithm>
 #include <cstddef>
@@ -42,15 +43,15 @@ namespace lbmv::core {
          util::simd::kLanes;
 }
 
-/// Sweep \p bids (non-empty, candidate 0 already checked) for \p agent at
-/// \p execution, writing utilities to \p out and/or the first-index argmax
-/// to \p best (either may be null).  lanes(b, ok) returns the four
+/// Sweep \p bids (non-empty, candidate 0 already checked) for one agent at
+/// one execution value, writing utilities to \p out and/or the first-index
+/// argmax to \p best (either may be null).  lanes(b, ok) returns the four
 /// candidates' utilities; \p ok arrives as the bid-validity mask and lanes
-/// may AND its own gates in.
-template <class Lanes>
-void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
-                std::span<const double> bids, double execution, double* out,
-                GridBest* best, const Lanes& lanes) {
+/// may AND its own gates in.  scalar(bid) is the context's checked scalar
+/// query at the same agent and execution.
+template <class Scalar, class Lanes>
+void lane_sweep(std::span<const double> bids, double* out, GridBest* best,
+                const Scalar& scalar, const Lanes& lanes) {
   namespace simd = util::simd;
   using simd::DVec;
   constexpr std::size_t kL = simd::kLanes;
@@ -73,11 +74,9 @@ void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
   };
   // The scalar oracle owns a block with any lane off the lane form: slow
   // paths and typed errors alike, in index order.
-  const auto scalar = [&](DVec b) {
+  const auto scalar_block = [&](DVec b) {
     double u[kL];
-    for (std::size_t l = 0; l < kL; ++l) {
-      u[l] = ctx.utility(agent, simd::lane(b, l), execution);
-    }
+    for (std::size_t l = 0; l < kL; ++l) u[l] = scalar(simd::lane(b, l));
     return simd::load(u);
   };
   const auto emit = [&](std::size_t k, std::size_t count, DVec u) {
@@ -102,7 +101,7 @@ void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
       emit(k, kL, u);
     }
     if (k < nfull) {
-      emit(k, kL, scalar(simd::load(bids.data() + k)));
+      emit(k, kL, scalar_block(simd::load(bids.data() + k)));
       k += kL;
     }
   }
@@ -114,13 +113,14 @@ void lane_sweep(const ProfileUtilityContext& ctx, std::size_t agent,
     }
     const DVec b = simd::load(padded);
     DVec u;
-    if (!evaluate(b, u)) u = scalar(b);
+    if (!evaluate(b, u)) u = scalar_block(b);
     emit(k, size - k, u);
   }
   if (simd::hsum(finite) != 0.0) {
-    // A lane left the double range: utility() raises its typed error at the
-    // first such candidate (where it does not, it returns the lanes' bits).
-    for (const double b : bids) (void)ctx.utility(agent, b, execution);
+    // A lane left the double range: the scalar query raises its typed error
+    // at the first such candidate (where it does not, it returns the lanes'
+    // bits).
+    for (const double b : bids) (void)scalar(b);
   }
   if (best == nullptr) return;
   double bv = simd::lane(best_v, 0);

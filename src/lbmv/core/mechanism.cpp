@@ -1,5 +1,6 @@
 #include "lbmv/core/mechanism.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -10,6 +11,7 @@
 #include "lbmv/core/batch.h"
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/family_round.h"
+#include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/invariants.h"
 #include "lbmv/core/profile_context.h"
 #include "lbmv/core/simd_round.h"
@@ -314,26 +316,67 @@ void Mechanism::run_batch(const model::SystemConfig& config,
             BatchRunOptions{});
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point sweep_start() {
+  return obs::enabled() ? Clock::now() : Clock::time_point{};
+}
+
+/// A sweep's counters (ProfileUtilityContext's class comment).
+void note_sweep(const ProfileUtilityContext& context, std::size_t grid_size,
+                Clock::time_point start) {
+  if (!obs::enabled()) return;
+  obs::StrategyProbes& probes = obs::StrategyProbes::get();
+  probes.grid_evals.inc(grid_size);
+  if (context.lane_sweeps()) {
+    probes.grid_lanes_wasted.inc(grid_lanes_padded(grid_size));
+  }
+  const std::chrono::duration<double> elapsed = Clock::now() - start;
+  probes.grid_round_seconds.record(elapsed.count());
+}
+
+}  // namespace
+
+double ProfileUtilityContext::utility(std::size_t agent, double bid,
+                                      double execution) const {
+  // Checked before counting, so a rejected query counts nothing.
+  model::require_valid_deviation(agent, profile_.size(), bid, execution);
+  if (obs::enabled()) {
+    obs::StrategyProbes& probes = obs::StrategyProbes::get();
+    probes.deviation_evals.inc();
+    if (closed_form()) probes.mechanism_runs_avoided.inc();
+  }
+  return deviation_utility(agent, bid, execution);
+}
+
 void ProfileUtilityContext::utilities_into(std::size_t agent,
                                            std::span<const double> bids,
                                            double execution,
                                            std::span<double> out) const {
   LBMV_REQUIRE(out.size() >= bids.size(),
                "output span must cover the candidate grid");
-  if (bids.empty()) return;
-  // Candidate 0's check is the first one a loop of utility() calls makes;
-  // sweep overrides may then read the agent's committed entries.
-  model::require_valid_deviation(agent, profile().size(), bids[0], execution);
-  sweep(agent, bids, execution, out.data(), nullptr);
+  const Clock::time_point start = sweep_start();
+  if (!bids.empty()) {
+    // Candidate 0's check is the first one a loop of utility() calls
+    // makes; sweep overrides may then read the agent's committed entries.
+    model::require_valid_deviation(agent, profile_.size(), bids[0],
+                                   execution);
+    sweep(agent, bids, execution, out.data(), nullptr);
+  }
+  note_sweep(*this, bids.size(), start);
 }
 
 GridBest ProfileUtilityContext::best_response(std::size_t agent,
                                               std::span<const double> bids,
                                               double execution) const {
   LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
-  model::require_valid_deviation(agent, profile().size(), bids[0], execution);
+  const Clock::time_point start = sweep_start();
+  model::require_valid_deviation(agent, profile_.size(), bids[0], execution);
   GridBest best;
   sweep(agent, bids, execution, nullptr, &best);
+  note_sweep(*this, bids.size(), start);
   return best;
 }
 
@@ -342,7 +385,7 @@ void ProfileUtilityContext::sweep(std::size_t agent,
                                   double execution, double* out,
                                   GridBest* best) const {
   for (std::size_t k = 0; k < bids.size(); ++k) {
-    const double u = utility(agent, bids[k], execution);
+    const double u = checked_utility(agent, bids[k], execution);
     if (out != nullptr) out[k] = u;
     if (best != nullptr && (k == 0 || u > best->utility)) *best = {k, u};
   }
@@ -369,7 +412,12 @@ void ProfileUtilityContext::commit_batch(std::span<const BidDelta> deltas) {
     model::require_valid_deviation(d.agent, profile_.size(), d.bid,
                                    d.execution);
   }
-  if (!deltas.empty()) update_entries(deltas);
+  if (deltas.empty()) return;
+  update_entries(deltas);
+  if (obs::enabled()) {
+    obs::StrategyProbes::get().commits.inc(
+        static_cast<std::uint64_t>(deltas.size()));
+  }
 }
 
 void ProfileUtilityContext::update_entries(std::span<const BidDelta> deltas) {
@@ -380,8 +428,9 @@ void ProfileUtilityContext::update_entries(std::span<const BidDelta> deltas) {
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
     const model::LatencyFamily& family, double arrival_rate,
     const model::BidProfile& base) const {
-  // A closed form exists exactly where a fused engine does; the
-  // Archer–Tardos payment tail is linear-only.
+  // A closed form exists exactly where a fused engine does (the
+  // Archer–Tardos payment tail is linear-only); the reference context
+  // answers everywhere else.
   const PaymentRule rule = payment_rule();
   switch (exact_family(family, *allocator_)) {
     case FamilyKind::kLinear:
@@ -398,7 +447,7 @@ std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(
     case FamilyKind::kGeneric:
       break;
   }
-  return nullptr;
+  return make_reference_context(family, arrival_rate, base);
 }
 
 namespace {
@@ -415,9 +464,11 @@ class ReferenceProfileContext final : public ProfileUtilityContext {
         mechanism_(&mechanism),
         family_(&family) {}
 
-  [[nodiscard]] double utility(std::size_t agent, double bid,
-                               double execution) const override {
-    model::require_valid_deviation(agent, profile().size(), bid, execution);
+  [[nodiscard]] bool closed_form() const override { return false; }
+
+ protected:
+  [[nodiscard]] double deviation_utility(std::size_t agent, double bid,
+                                         double execution) const override {
     const BidDelta delta{agent, bid, execution};
     return mechanism_
         ->run_deviated(*family_, arrival_rate(), profile(),
@@ -426,7 +477,6 @@ class ReferenceProfileContext final : public ProfileUtilityContext {
         .utility;
   }
 
- protected:
   void rebuild() override {}
 
  private:

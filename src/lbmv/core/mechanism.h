@@ -114,7 +114,7 @@ struct MechanismOutcome {
 
 /// One agent's pending (bid, execution) change, addressed by index.  The
 /// unit of work for batched commits (ProfileUtilityContext::commit_batch,
-/// DeviationEvaluator::commit_batch in learning rounds).
+/// one per simultaneous-move learning round).
 struct BidDelta {
   std::size_t agent = 0;
   double bid = 0.0;
@@ -127,35 +127,43 @@ struct GridBest {
   double utility = 0.0;   ///< the maximum utility
 };
 
-/// The deviation oracle of the audits and the strategy layers: the utility
+/// The one deviation oracle of the audits and the strategy layers (best
+/// response, learning, tournaments, leader-commitment games): the utility
 /// of *any* agent under a unilateral deviation from a committed base
 /// profile, sweeps of one agent over many candidate bids, plus a way to
-/// make a deviation permanent.  Built once per profile, either by
-/// Mechanism::make_profile_context — a family's deviation closed form, so
-/// the audits and the strategy layers (best response, learning,
-/// tournaments, leader-commitment games) evaluate O(n * grid) deviations at
-/// O(1) each — or by Mechanism::make_reference_context, which re-runs the
-/// mechanism per deviation and serves every other family and the baseline
-/// measurements.  The round outcome at the committed profile is
-/// Mechanism::run_into's.
+/// make a deviation permanent.  Built once per profile by
+/// Mechanism::make_profile_context — the family's deviation closed form
+/// where one exists, so O(n * grid) deviations cost O(1) each, else the
+/// reference context — or by Mechanism::make_reference_context, which
+/// always re-runs the mechanism per deviation (the oracle and the baseline
+/// measurements).  The round outcome at the committed profile is
+/// Mechanism::run_into's on profile().
 ///
 /// Contract:
 ///   * utility(), utilities_into() and best_response() are pure reads and
 ///     safe to call concurrently;
 ///   * every query and commit checks model::require_valid_deviation (agent
-///     in range, bid and execution finite and > 0) and throws its
-///     PreconditionError;
+///     in range, bid and execution finite and > 0) once, here in the base
+///     class, and throws its PreconditionError;
 ///   * commit() permanently moves one agent to (bid, execution) — O(1)
 ///     amortised for closed-form implementations — and is NOT safe to call
-///     concurrently with any query.
+///     concurrently with any query;
+///   * counters (obs/probes.h, when recording is on): utility() bumps
+///     lbmv_strategy_deviation_evals_total, and
+///     lbmv_strategy_mechanism_runs_avoided_total when closed_form(); each
+///     sweep bumps lbmv_strategy_grid_evals_total by its candidates,
+///     lbmv_strategy_grid_lanes_wasted_total by its padded tail lanes when
+///     lane_sweeps(), and records lbmv_strategy_grid_round_seconds; each
+///     commit bumps lbmv_strategy_commits_total per entry.  A sweep's
+///     per-candidate work is not a deviation query and counts nothing more.
 class ProfileUtilityContext {
  public:
   virtual ~ProfileUtilityContext() = default;
 
   /// Utility of \p agent when it deviates to (\p bid, \p execution), with
   /// every other agent as committed.
-  [[nodiscard]] virtual double utility(std::size_t agent, double bid,
-                                       double execution) const = 0;
+  [[nodiscard]] double utility(std::size_t agent, double bid,
+                               double execution) const;
 
   /// out[k] = utility(agent, bids[k], execution) for every k — the same
   /// bits and the same first error as that loop.  \p out must be at least
@@ -169,6 +177,10 @@ class ProfileUtilityContext {
   [[nodiscard]] GridBest best_response(std::size_t agent,
                                        std::span<const double> bids,
                                        double execution) const;
+
+  /// Whether a family's closed form answers the queries; false only on the
+  /// reference context, where every query is one mechanism run.
+  [[nodiscard]] virtual bool closed_form() const { return true; }
 
   /// Whether sweeps evaluate four candidates per instruction (the closed
   /// forms' lane sweep, grid_kernels.h) rather than one utility() call per
@@ -197,10 +209,22 @@ class ProfileUtilityContext {
   [[nodiscard]] PaymentRule rule() const { return rule_; }
   [[nodiscard]] double arrival_rate() const { return arrival_rate_; }
 
+  /// The deviation's utility at a query the base class has checked.
+  [[nodiscard]] virtual double deviation_utility(std::size_t agent,
+                                                 double bid,
+                                                 double execution) const = 0;
+
+  /// utility() without its counters: the per-candidate query of a sweep.
+  [[nodiscard]] double checked_utility(std::size_t agent, double bid,
+                                       double execution) const {
+    model::require_valid_deviation(agent, profile_.size(), bid, execution);
+    return deviation_utility(agent, bid, execution);
+  }
+
   /// The sweep behind utilities_into (\p out non-null) and best_response
-  /// (\p best non-null), over a non-empty grid.  The default calls utility()
-  /// per candidate and keeps the first strictly-greater maximum; closed-form
-  /// contexts override it with the lane sweep.
+  /// (\p best non-null), over a non-empty grid.  The default calls
+  /// checked_utility() per candidate and keeps the first strictly-greater
+  /// maximum; closed-form contexts override it with the lane sweep.
   virtual void sweep(std::size_t agent, std::span<const double> bids,
                      double execution, double* out, GridBest* best) const;
 
@@ -338,12 +362,14 @@ class Mechanism {
   /// hold the two to each other.
   [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
 
-  /// Build an O(1)-per-deviation evaluator over the whole profile (any agent,
-  /// with commit support) for payment_rule(), for exactly the families a
-  /// fused engine serves: the linear-PR context (profile_context.h) or the
-  /// M/M/1 or workload context (family_context.h; not for kArcherTardos).
-  /// Otherwise nullptr — callers then use make_reference_context.
-  /// \p base is copied; the context does not alias it afterwards.
+  /// The deviation context for payment_rule() over the whole profile (any
+  /// agent, with commit support): the family's closed form for exactly the
+  /// families a fused engine serves — the linear-PR context
+  /// (profile_context.h) or the M/M/1 or workload context
+  /// (family_context.h; not for kArcherTardos) — and otherwise
+  /// make_reference_context's.  Never null; closed_form() tells which.
+  /// This mechanism and \p family must outlive the context; \p base is
+  /// copied.
   [[nodiscard]] std::unique_ptr<ProfileUtilityContext> make_profile_context(
       const model::LatencyFamily& family, double arrival_rate,
       const model::BidProfile& base) const;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "lbmv/alloc/pr_allocator.h"
+#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/rule_terms.h"
 #include "lbmv/obs/monitor.h"
@@ -23,7 +25,7 @@ LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
 namespace {
 
 /// The linear family's terms (rule_terms.h) for a deviation to (bid,
-/// execution), from the agent's Rest; T is double (utility()) or
+/// execution), from the agent's Rest; T is double (the scalar query) or
 /// util::simd::DVec (the sweep).  S' = S_rest + 1/b, x = R (1/b) / S',
 /// L(x, b) = R^2/S', L(x, t~) = (R/S')^2 W', W' = W_rest + e/b^2.
 template <class T>
@@ -48,6 +50,18 @@ struct LinearDeviation {
   T tail() const { return rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)); }
 };
 
+/// The share of S' that the deviated rest S' - 1/b must exceed for the
+/// round to price rule R: the leave-one-out cancellation guard's under a
+/// rule that reads L_{-i} (alloc::require_leave_one_out_gap), none — a
+/// positive rest — under Archer–Tardos (require_rest_capacity).
+/// No-payment reads neither.
+template <PaymentRule R>
+constexpr double kRestGap =
+    reads_leave_one_out(R) ? alloc::kLeaveOneOutMinRelativeGap : 0.0;
+template <PaymentRule R>
+constexpr bool kRestGuarded =
+    reads_leave_one_out(R) || R == PaymentRule::kArcherTardos;
+
 /// A non-finite closed-form utility (1/b or (R/S')^2 W' past the double
 /// range, e.g. at a subnormal bid) is no answer: name the query instead.
 [[noreturn]] void throw_non_finite(std::size_t agent, double bid,
@@ -69,13 +83,23 @@ LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
               w_ - profile().executions[agent] * old_inv * old_inv};
 }
 
-double LinearPrProfileContext::utility(std::size_t agent, double bid,
-                                       double execution) const {
-  model::require_valid_deviation(agent, profile().size(), bid, execution);
-  const double u = rule_utility(
-      rule(), LinearDeviation<double>{rest_of(agent), bid, execution});
-  if (!std::isfinite(u)) throw_non_finite(agent, bid, execution);
-  return u;
+double LinearPrProfileContext::deviation_utility(std::size_t agent,
+                                                 double bid,
+                                                 double execution) const {
+  const LinearDeviation<double> d{rest_of(agent), bid, execution};
+  return with_payment_rule(rule(), [&](auto r) {
+    // The round's own guard first, so a deviation it rejects raises the
+    // round's diagnostic.
+    if constexpr (reads_leave_one_out(r)) {
+      alloc::require_leave_one_out_gap(d.s - d.inv, d.s * kRestGap<r>, agent,
+                                       profile().size());
+    } else if constexpr (r == PaymentRule::kArcherTardos) {
+      require_rest_capacity(d.s - d.inv, agent);
+    }
+    const double u = rule_terms(r, d).utility;
+    if (!std::isfinite(u)) throw_non_finite(agent, bid, execution);
+    return u;
+  });
 }
 
 void LinearPrProfileContext::sweep(std::size_t agent,
@@ -84,9 +108,17 @@ void LinearPrProfileContext::sweep(std::size_t agent,
                                    GridBest* best) const {
   const Rest rest = rest_of(agent);
   with_payment_rule(rule(), [&](auto r) {
-    lane_sweep(*this, agent, bids, execution, out, best,
-               [&](util::simd::DVec b, util::simd::DVec&) {
-                 const LinearDeviation<util::simd::DVec> d{rest, b, execution};
+    lane_sweep(bids, out, best,
+               [&](double b) { return checked_utility(agent, b, execution); },
+               [&](util::simd::DVec b, util::simd::DVec& ok) {
+                 namespace simd = util::simd;
+                 const LinearDeviation<simd::DVec> d{rest, b, execution};
+                 if constexpr (kRestGuarded<r>) {
+                   // A lane the round's guard rejects is the scalar form's
+                   // to raise.
+                   ok = simd::mask_and(
+                       ok, simd::mask_greater(d.s - d.inv, d.s * kRestGap<r>));
+                 }
                  return rule_terms(r, d).utility;
                });
   });

@@ -16,11 +16,15 @@
 /// definition of the payment rules, which the fused round publishes
 /// through too.  utility() evaluates it on one double and the sweep on
 /// four candidate bids per instruction through the lane driver
-/// (grid_kernels.h, DESIGN.md §13), with the same bits.  Where it leaves
-/// the double range (tiny or subnormal bids overflow 1/b or (R/S')^2 W'),
-/// utility() throws a PreconditionError naming the agent and the bid, and
-/// a sweep with such a lane is served by it.  The committed round's
-/// outcome is Mechanism::run_into's.
+/// (grid_kernels.h, DESIGN.md §13), with the same bits.  A deviation the
+/// round at the deviated profile rejects is rejected here too, with the
+/// round's diagnostic: the deviated rest S' - 1/b must keep the
+/// leave-one-out cancellation guard's share of S' under the rules that
+/// read L_{-i}, and be positive under Archer–Tardos.  Where the closed form
+/// leaves the double range (tiny or subnormal bids overflow 1/b or
+/// (R/S')^2 W'), utility() throws a PreconditionError naming the agent and
+/// the bid.  A sweep with a lane of either kind is served by utility()'s
+/// scalar form.  The committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
 #include <span>
@@ -44,8 +48,6 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
   LinearPrProfileContext(PaymentRule rule, double arrival_rate,
                          model::BidProfile base);
 
-  [[nodiscard]] double utility(std::size_t agent, double bid,
-                               double execution) const override;
   [[nodiscard]] bool lane_sweeps() const override { return true; }
 
   /// Everything a deviation by one agent reads from the committed sums.
@@ -58,6 +60,8 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
   };
 
  protected:
+  [[nodiscard]] double deviation_utility(std::size_t agent, double bid,
+                                         double execution) const override;
   void sweep(std::size_t agent, std::span<const double> bids,
              double execution, double* out, GridBest* best) const override;
   /// One O(1) S/W delta per entry, in order.

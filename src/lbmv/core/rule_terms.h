@@ -32,6 +32,14 @@
 
 namespace lbmv::core {
 
+/// Whether \p rule reads the leave-one-out optimum L_{-i} (the comp-bonus
+/// rules and VCG): which planes a round or context builds, and which
+/// rules the leave-one-out cancellation guard applies to.
+[[nodiscard]] constexpr bool reads_leave_one_out(PaymentRule rule) {
+  return rule == PaymentRule::kCompBonusExecution ||
+         rule == PaymentRule::kCompBonusBid || rule == PaymentRule::kVcg;
+}
+
 /// One agent's transfers and payoff under a rule.
 template <class T>
 struct RuleRecord {

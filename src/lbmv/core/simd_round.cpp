@@ -262,9 +262,6 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;
   if (!finite) return false;
-  const bool needs_loo = rule == PaymentRule::kCompBonusExecution ||
-                         rule == PaymentRule::kCompBonusBid ||
-                         rule == PaymentRule::kVcg;
   if (!guards_ok) {
     // Re-run the scalar guard on the same operands (this round's S) to
     // raise the canonical diagnostic naming the first offending agent.
@@ -273,7 +270,7 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
                                      ws.leave_one_out);
     return false;  // unreachable: the scalar guard applies the same test
   }
-  if (needs_loo && obs::enabled()) {
+  if (reads_leave_one_out(rule) && obs::enabled()) {
     obs::MechProbes& probes = obs::MechProbes::get();
     probes.loo_batches.inc();
     probes.loo_batch_size.record(static_cast<double>(n));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "lbmv/alloc/convex_allocator.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/error.h"
 
@@ -158,10 +157,9 @@ BidLeaderReport stackelberg_bidding(const core::Mechanism& mechanism,
 
   BidLeaderReport report;
   report.leader_candidates = static_cast<int>(candidates.size());
-  {
-    const strategy::DeviationEvaluator truthful(mechanism, config);
-    report.optimal_latency = truthful.actual_latency();
-  }
+  report.optimal_latency =
+      mechanism.run(config, model::BidProfile::truthful(config))
+          .actual_latency;
 
   bool have_best = false;
   for (double commitment : candidates) {
@@ -173,10 +171,11 @@ BidLeaderReport stackelberg_bidding(const core::Mechanism& mechanism,
     model::BidProfile final_profile;
     final_profile.bids = equilibrium.final_bids;
     final_profile.executions = equilibrium.final_executions;
-    const strategy::DeviationEvaluator evaluator(mechanism, config,
-                                                 std::move(final_profile));
     const double utility =
-        evaluator.utility(leader, commitment, t_leader);
+        mechanism
+            .make_profile_context(config.family(), config.arrival_rate(),
+                                  final_profile)
+            ->utility(leader, commitment, t_leader);
 
     if (commitment == t_leader) {
       report.truthful_commitment_utility = utility;

@@ -92,9 +92,11 @@ struct BidLeaderReport {
 /// bid first (executing at capacity), then the remaining agents run
 /// best-response dynamics with the leader frozen; the leader picks the
 /// commitment with the best equilibrium utility over a log-spaced grid that
-/// always includes its true value.  Built on strategy::DeviationEvaluator,
-/// so each (commitment, follower-round) pair costs O(n * grid) closed-form
-/// evaluations rather than mechanism runs.
+/// always includes its true value.  The followers' dynamics and the
+/// leader's utility read the mechanism's profile context
+/// (Mechanism::make_profile_context), so each (commitment, follower-round)
+/// pair costs O(n * grid) closed-form evaluations rather than mechanism
+/// runs.
 [[nodiscard]] BidLeaderReport stackelberg_bidding(
     const core::Mechanism& mechanism, const model::SystemConfig& config,
     const BidLeaderOptions& options = {});

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file flight_recorder.h
-/// Crash-safe flight recorder: per-thread rings of structured records.
+/// Flight recorder: per-thread rings of structured records.
 ///
 /// A `FlightRecord` is one structured event — severity, subsystem, a
 /// static message and up to four numeric key/value pairs — stamped with
@@ -10,23 +10,19 @@
 /// `TraceRecorder`), so a long run always retains the most recent
 /// anomalies and counts what it dropped instead of growing without bound.
 ///
-/// Three ways out of the rings:
+/// Two ways out of the rings:
 ///
 ///   * `records()` / `to_jsonl()` — drained on scrape (the `lbmv obs`
 ///     dashboard and the time-series sampler surface recent records);
 ///   * `dump_jsonl(path)` — on-demand post-mortem artifact, one JSON
-///     object per line;
-///   * `install_crash_handler(path)` — a `std::terminate` handler plus
-///     SIGABRT/SIGSEGV hooks that best-effort dump the rings before the
-///     process dies, so a crashing or gate-failing bench leaves a
-///     flight-recorder artifact behind.
+///     object per line (`lbmv obs --flight`, and `lbmv_bench_perf` when
+///     its invariant-monitor gate fails).
 ///
 /// Cost: with recording off, `record()` is one relaxed load; compiled out
 /// (`LBMV_OBS=0`) the recorder still links but retains nothing.  Like
 /// trace spans, subsystem/message/key strings must be string literals (or
 /// otherwise outlive the recorder) — they are stored as pointers, never
-/// copied, which is also what makes the crash-path dump safe to format
-/// from a signal handler.
+/// copied.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,11 +105,6 @@ class FlightRecorder {
   /// The process-wide recorder the built-in monitors write to.
   static FlightRecorder& global();
 
-  /// Best-effort dump for the crash path: tries the lock, formats with
-  /// snprintf into a fixed buffer and writes straight to \p fd.  Called
-  /// from terminate/signal handlers — no allocation, no iostreams.
-  void crash_dump(int fd) const;
-
  private:
   detail::ThreadRings<FlightRecord, &FlightRecord::t_ns> rings_;
 };
@@ -131,11 +122,5 @@ inline void flight(Severity severity, const char* subsystem,
   (void)payload;
 #endif
 }
-
-/// Install a std::terminate handler and SIGABRT/SIGSEGV hooks that dump
-/// FlightRecorder::global() as JSON-lines to \p path before the process
-/// dies.  \p path must be a string literal or otherwise live forever.
-/// Idempotent; the previous terminate handler is chained.
-void install_crash_handler(const char* path);
 
 }  // namespace lbmv::obs

@@ -46,14 +46,17 @@
 ///     lbmv_protocol_rounds_total              VerifiedProtocol rounds
 ///     lbmv_protocol_replications_total        completed replications
 ///     lbmv_protocol_estimate_fallbacks_total  rate-estimate fallbacks
-///     lbmv_strategy_deviation_evals_total     DeviationEvaluator::utility
+///     lbmv_strategy_deviation_evals_total     ProfileUtilityContext::utility
 ///                                             queries (sweeps not included)
+///                                             from the audits and the
+///                                             strategy layer alike
 ///     lbmv_strategy_mechanism_runs_avoided_total  of those, queries a closed
 ///                                             form answered without a run
 ///     lbmv_strategy_commits_total             committed deviations
-///     lbmv_strategy_grid_evals_total          candidate bids swept by
-///                                             DeviationEvaluator sweeps,
-///                                             closed-form or reference
+///     lbmv_strategy_grid_evals_total          candidate bids swept by the
+///                                             contexts' sweeps (audit rows
+///                                             included), closed-form or
+///                                             reference
 ///     lbmv_strategy_grid_lanes_wasted_total   padded tail lanes the 4-lane
 ///                                             context sweeps evaluated
 ///
@@ -140,8 +143,9 @@ struct ProtocolProbes {
   static ProtocolProbes& get();
 };
 
-/// Strategy layer: DeviationEvaluator (queries and sweeps) and
-/// best-response dynamics.
+/// Deviation queries, sweeps and commits on every profile context
+/// (core::ProfileUtilityContext, whether an audit or the strategy layer
+/// asks), and best-response dynamics rounds.
 struct StrategyProbes {
   Counter deviation_evals;
   Counter mechanism_runs_avoided;

@@ -89,18 +89,6 @@ class ThreadRings {
     capacity_ = capacity == 0 ? 1 : capacity;
   }
 
-  /// Crash path: f(record) for every retained record, ring by ring in
-  /// storage order, without sorting or allocating.  The process is dying,
-  /// so a blocked lock is worse than a torn read: the lock is only tried.
-  template <class F>
-  void visit_for_crash(F&& f) const {
-    const bool locked = mutex_.try_lock();
-    for (const auto& entry : rings_) {
-      for (const Record& rec : entry.second.buf) f(rec);
-    }
-    if (locked) mutex_.unlock();
-  }
-
  private:
   struct Ring {
     std::uint32_t tid = 0;  ///< 0 until the ring's first record

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 
 #include "lbmv/obs/probes.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/roots.h"
@@ -44,11 +44,15 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
                                           const model::BidProfile& initial,
                                           const BestResponseOptions& options) {
   validate_options(config, options);
+  initial.validate(config.size());
 
-  DeviationEvaluator evaluator(mechanism, config, initial,
-                               options.use_incremental
-                                   ? DeviationEvaluator::Mode::kAuto
-                                   : DeviationEvaluator::Mode::kNaive);
+  const std::unique_ptr<core::ProfileUtilityContext> context =
+      options.use_incremental
+          ? mechanism.make_profile_context(config.family(),
+                                           config.arrival_rate(), initial)
+          : mechanism.make_reference_context(config.family(),
+                                             config.arrival_rate(), initial);
+  const model::BidProfile& profile = context->profile();
   std::vector<double> bid_grid;
   std::vector<char> frozen(config.size(), 0);
   for (std::size_t i : options.frozen_agents) frozen[i] = 1;
@@ -63,9 +67,9 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
       const double lo = options.bid_lo_mult * t;
       const double hi = options.bid_hi_mult * t;
 
-      double best_bid = evaluator.profile().bids[i];
-      double best_exec = evaluator.profile().executions[i];
-      double best_utility = evaluator.utility(i, best_bid, best_exec);
+      double best_bid = profile.bids[i];
+      double best_exec = profile.executions[i];
+      double best_utility = context->utility(i, best_bid, best_exec);
 
       // Same candidate points as util::minimize_scan's coarse pass, swept
       // four lanes per instruction; the scan's strictly-greater first-wins
@@ -82,11 +86,10 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
                                      : std::vector<double>{1.0};
       for (double em : exec_candidates) {
         const double exec = em * t;
-        const auto coarse =
-            evaluator.best_response(i, bid_grid, exec, options.pool);
+        const auto coarse = context->best_response(i, bid_grid, exec);
         const double coarse_bid = bid_grid[coarse.index];
         const auto refined = util::golden_section_min(
-            [&](double bid) { return -evaluator.utility(i, bid, exec); },
+            [&](double bid) { return -context->utility(i, bid, exec); },
             std::max(lo, coarse_bid - step), std::min(hi, coarse_bid + step),
             1e-9 * t);
         double utility = coarse.utility;
@@ -101,11 +104,10 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
           best_exec = exec;
         }
       }
-      max_move = std::max(
-          max_move, std::fabs(best_bid - evaluator.profile().bids[i]) / t);
-      evaluator.commit(i, best_bid, best_exec);
+      max_move = std::max(max_move, std::fabs(best_bid - profile.bids[i]) / t);
+      context->commit(i, best_bid, best_exec);
     }
-    result.bid_trajectory.push_back(evaluator.profile().bids);
+    result.bid_trajectory.push_back(profile.bids);
     result.rounds = round + 1;
     if (obs::enabled()) {
       const std::chrono::duration<double> elapsed =
@@ -118,14 +120,14 @@ BestResponseResult best_response_dynamics(const core::Mechanism& mechanism,
     }
   }
 
-  result.final_bids = evaluator.profile().bids;
-  result.final_executions = evaluator.profile().executions;
-  result.final_actual_latency = evaluator.actual_latency();
+  result.final_bids = profile.bids;
+  result.final_executions = profile.executions;
+  result.final_actual_latency = mechanism.run(config, profile).actual_latency;
   for (std::size_t i = 0; i < config.size(); ++i) {
     const double t = config.true_value(i);
     result.max_relative_untruthfulness =
         std::max(result.max_relative_untruthfulness,
-                 std::fabs(evaluator.profile().bids[i] - t) / t);
+                 std::fabs(profile.bids[i] - t) / t);
   }
   return result;
 }

@@ -20,10 +20,6 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/system_config.h"
 
-namespace lbmv::util {
-class ThreadPool;
-}
-
 namespace lbmv::strategy {
 
 /// Tunables for the dynamics.
@@ -39,15 +35,11 @@ struct BestResponseOptions {
   /// Agents that never revise their action (e.g. a committed leader in the
   /// Stackelberg bidding game).  Indices must be < config.size().
   std::vector<std::size_t> frozen_agents{};
-  /// Evaluate deviations through the O(1) DeviationEvaluator fast path when
-  /// the mechanism offers one; set false to force the naive re-run path
-  /// (baseline measurements, differential tests).
+  /// Evaluate deviations through the mechanism's profile context (its O(1)
+  /// closed form where the family has one); set false to force the
+  /// reference context, one mechanism run per deviation (baseline
+  /// measurements, differential tests).
   bool use_incremental = true;
-  /// Optional pool for fanning large candidate grids over threads (see
-  /// DeviationEvaluator::best_response).  The dynamics — grid argmax
-  /// included — are bit-identical with and without a pool, at any thread
-  /// count.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Trace of one dynamics run.
@@ -65,9 +57,9 @@ struct BestResponseResult {
 /// Run sequential (round-robin) best-response dynamics from the truthful
 /// profile.  Each agent maximises its own mechanism utility by a coarse
 /// scan + golden-section refinement over bids, for each candidate
-/// execution multiplier.  Deviations are evaluated through
-/// strategy::DeviationEvaluator: O(1) per grid point for the closed-form
-/// mechanisms, one mechanism run otherwise.
+/// execution multiplier.  Deviations are evaluated through one
+/// core::ProfileUtilityContext (Mechanism::make_profile_context): O(1) per
+/// grid point for the closed-form mechanisms, one mechanism run otherwise.
 [[nodiscard]] BestResponseResult best_response_dynamics(
     const core::Mechanism& mechanism, const model::SystemConfig& config,
     const BestResponseOptions& options = {});

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "lbmv/strategy/deviation.h"
+#include "lbmv/core/batch.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 
@@ -92,17 +93,22 @@ LearningResult run_learning(const core::Mechanism& mechanism,
   }
 
   // Non-learners stay at the initial truthful entries forever; learners are
-  // committed to their chosen arm each round, so one evaluator serves the
-  // whole run with no per-round profile construction.  Only full feedback
-  // asks deviation queries; without them a closed-form context would be
-  // state that no query reads, re-derived on every commit (a full re-solve
-  // on the nonlinear families), so the evaluator runs on the reference
-  // context, whose commits only write the profile.
-  DeviationEvaluator evaluator(mechanism, config,
-                               options.full_feedback
-                                   ? DeviationEvaluator::Mode::kAuto
-                                   : DeviationEvaluator::Mode::kNaive);
-  core::MechanismOutcome outcome;  // reused across rounds
+  // committed to their chosen arm each round, so one context holds the
+  // profile for the whole run with no per-round profile construction.  Only
+  // full feedback asks deviation queries; without them a closed-form
+  // context would be state that no query reads, re-derived on every commit
+  // (a full re-solve on the nonlinear families), so partial feedback holds
+  // the reference context, whose commits only write the profile.
+  const model::BidProfile start = model::BidProfile::truthful(config);
+  const std::unique_ptr<core::ProfileUtilityContext> context =
+      options.full_feedback
+          ? mechanism.make_profile_context(config.family(),
+                                           config.arrival_rate(), start)
+          : mechanism.make_reference_context(config.family(),
+                                             config.arrival_rate(), start);
+  // Each round's outcome reuses these, allocation-free after warm-up.
+  core::RoundWorkspace ws;
+  core::MechanismOutcome outcome;
 
   LearningResult result;
   result.latency_trace.reserve(static_cast<std::size_t>(options.rounds));
@@ -128,8 +134,8 @@ LearningResult run_learning(const core::Mechanism& mechanism,
       moves.push_back(core::BidDelta{i, arm_bid(chosen[i]) * t,
                                      arm_exec(chosen[i]) * t});
     }
-    evaluator.commit_batch(moves);
-    evaluator.outcome_into(outcome);
+    context->commit_batch(moves);
+    mechanism.run_into(config, context->profile(), outcome, ws);
     result.latency_trace.push_back(outcome.actual_latency);
     for (std::size_t i = 0; i < n; ++i) {
       if (!learns(i)) continue;
@@ -142,8 +148,8 @@ LearningResult run_learning(const core::Mechanism& mechanism,
           bid_row[b] = options.bid_arms[b] * t;
         }
         for (std::size_t e = 0; e < ne; ++e) {
-          evaluator.utilities_into(i, bid_row, options.exec_arms[e] * t,
-                                   util_row);
+          context->utilities_into(i, bid_row, options.exec_arms[e] * t,
+                                  util_row);
           for (std::size_t b = 0; b < nb; ++b) {
             learners[i].update(b * ne + e, util_row[b]);
           }
@@ -173,10 +179,11 @@ LearningResult run_learning(const core::Mechanism& mechanism,
     truthful += result.final_bid_mult[i] == 1.0 &&
                 result.final_exec_mult[i] == 1.0;
   }
-  evaluator.commit_batch(moves);
+  context->commit_batch(moves);
   result.truthful_fraction =
       static_cast<double>(truthful) / static_cast<double>(n);
-  result.final_greedy_latency = evaluator.actual_latency();
+  mechanism.run_into(config, context->profile(), outcome, ws);
+  result.final_greedy_latency = outcome.actual_latency;
   return result;
 }
 

@@ -39,9 +39,10 @@ struct LearningOptions {
   /// Full-feedback (counterfactual) updates: instead of crediting only the
   /// pulled arm with its realised utility, every arm's Q is updated each
   /// round with the agent's counterfactual deviation utility at that arm —
-  /// one candidate-bid sweep per execution arm through
-  /// DeviationEvaluator::utilities_into, so the whole arm grid costs a
-  /// handful of 4-lane sweeps rather than |arms| mechanism runs.
+  /// one candidate-bid sweep per execution arm through the mechanism's
+  /// profile context (ProfileUtilityContext::utilities_into), so the whole
+  /// arm grid costs a handful of 4-lane sweeps rather than |arms|
+  /// mechanism runs.
   /// Convergence to the dominant arm no longer depends on exploration luck.
   bool full_feedback = false;
 };
@@ -55,13 +56,15 @@ struct LearningResult {
   double truthful_fraction = 0.0;       ///< share of agents at (1, 1)
 };
 
-/// Run epsilon-greedy bandits over mechanism rounds.  Each round commits
-/// the learners' moves as one batch and reads its outcome from one
-/// DeviationEvaluator::outcome_into — a Mechanism::run_into on the
-/// evaluator's reused workspace (the fused engine wherever the family has
-/// one), with no per-round profile or latency-curve allocations.  Only
-/// full feedback builds a closed-form profile context; partial feedback
-/// reads nothing but the round itself.
+/// Run epsilon-greedy bandits over mechanism rounds.  One profile context
+/// holds the committed profile: each round commits the learners' moves to
+/// it as one batch and reads its outcome from one Mechanism::run_into on
+/// the context's profile and a reused workspace (the fused engine wherever
+/// the family has one), with no per-round profile or latency-curve
+/// allocations.  Only full feedback builds the closed-form context
+/// (Mechanism::make_profile_context); partial feedback reads nothing but
+/// the round itself, so it holds the reference context, whose commits only
+/// write the profile.
 [[nodiscard]] LearningResult run_learning(const core::Mechanism& mechanism,
                                           const model::SystemConfig& config,
                                           const LearningOptions& options = {});

@@ -1,8 +1,8 @@
 #include "lbmv/strategy/tournament.h"
 
 #include <cmath>
+#include <memory>
 
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/stats.h"
@@ -55,28 +55,30 @@ std::vector<StrategyScore> run_tournament(
       assigned[i] = strategies[i % strategies.size()];
     }
     util::Rng action_rng = instance_rng.split(1);
-    model::BidProfile profile = apply_strategies(config, assigned, action_rng);
-    const DeviationEvaluator evaluator(mechanism, config, std::move(profile));
+    const std::unique_ptr<core::ProfileUtilityContext> context =
+        mechanism.make_profile_context(
+            config.family(), config.arrival_rate(),
+            apply_strategies(config, assigned, action_rng));
+    const model::BidProfile& profile = context->profile();
     std::vector<double> bid_grid;  // reused per agent
 
     auto& row = samples[instance];
     row.resize(options.agents);
     for (std::size_t i = 0; i < options.agents; ++i) {
       // Achieved utility and truthful counterfactual through the same
-      // evaluator, so the truthful strategy's regret is exactly zero.
+      // context, so the truthful strategy's regret is exactly zero.
       const double achieved =
-          evaluator.utility(i, evaluator.profile().bids[i],
-                            evaluator.profile().executions[i]);
+          context->utility(i, profile.bids[i], profile.executions[i]);
       const double t = config.true_value(i);
       row[i].achieved = achieved;
-      row[i].regret = evaluator.utility(i, t, t) - achieved;
+      row[i].regret = context->utility(i, t, t) - achieved;
       // Exploitability probe: best candidate bid at the committed
       // execution, one lane-parallel sweep per agent.
       make_bid_grid_into(0.05 * t, 20.0 * t,
                          static_cast<std::size_t>(options.best_response_grid),
                          GridSpacing::kLinear, bid_grid);
-      const auto best = evaluator.best_response(
-          i, bid_grid, evaluator.profile().executions[i]);
+      const auto best =
+          context->best_response(i, bid_grid, profile.executions[i]);
       row[i].br_gain = best.utility - achieved;
     }
   };

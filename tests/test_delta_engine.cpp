@@ -29,7 +29,6 @@
 #include "lbmv/obs/obs.h"
 #include "lbmv/sim/epochs.h"
 #include "lbmv/sim/protocol.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
@@ -235,8 +234,13 @@ TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {
   for (const Case& c : all_cases(n, 61)) {
     const auto types = band_types(n, 61);
     const lbmv::model::SystemConfig config(types, c.arrival_rate, c.family);
-    lbmv::strategy::DeviationEvaluator sequential(*c.mechanism, config);
-    lbmv::strategy::DeviationEvaluator batched(*c.mechanism, config);
+    const BidProfile truthful = BidProfile::truthful(config);
+    const auto seq_context = c.mechanism->make_profile_context(
+        *c.family, c.arrival_rate, truthful);
+    const auto batch_context = c.mechanism->make_profile_context(
+        *c.family, c.arrival_rate, truthful);
+    lbmv::core::ProfileUtilityContext& sequential = *seq_context;
+    lbmv::core::ProfileUtilityContext& batched = *batch_context;
 
     lbmv::util::Rng rng(67);
     for (int round = 0; round < 5; ++round) {
@@ -250,10 +254,8 @@ TEST(CommitBatch, MatchesSequentialCommitsBitForBit) {
       }
       batched.commit_batch(deltas);
 
-      MechanismOutcome a;
-      MechanismOutcome b;
-      sequential.outcome_into(a);
-      batched.outcome_into(b);
+      const MechanismOutcome a = c.mechanism->run(config, sequential.profile());
+      const MechanismOutcome b = c.mechanism->run(config, batched.profile());
       ASSERT_EQ(a.agents.size(), b.agents.size()) << c.name;
       EXPECT_EQ(a.actual_latency, b.actual_latency) << c.name;
       for (std::size_t i = 0; i < n; ++i) {

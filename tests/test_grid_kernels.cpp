@@ -1,21 +1,19 @@
 // Differential suite for the profile contexts' deviation sweeps
-// (ProfileUtilityContext::utilities_into / best_response, the lane driver in
-// core/grid_kernels.h, DeviationEvaluator's pooled fan-out, DESIGN.md §13).
-// The lane sweeps must agree with the scalar DeviationEvaluator oracle to
-// 1e-9 (relative) — and, being the same templated IEEE expressions, bit for
-// bit — across all five closed-form payment rules, boundary bids at both
-// edges of the search interval, every partial-block remainder (grid sizes
-// 1..9), and first-index argmax tie-breaking.  Every context, query and
-// commit shares one input contract (model::require_valid_deviation).
-// Pooled sweeps on every family and best-response trajectories must be
-// bit-identical at 1, 2 and 8 threads, errors included.  The whole file
-// runs under both LBMV_SIMD=ON and =OFF CI legs.
+// (ProfileUtilityContext::utilities_into / best_response and the lane
+// driver in core/grid_kernels.h, DESIGN.md §13).  The lane sweeps must
+// agree with the context's scalar utility() bit for bit (the same templated
+// IEEE expressions) and with the reference context to 1e-9 (relative),
+// across all five closed-form payment rules, boundary bids at both edges of
+// the search interval, every partial-block remainder (grid sizes 1..9), and
+// first-index argmax tie-breaking; a throwing grid throws what its first
+// failing candidate's scalar query throws.  Every context, query and
+// commit shares one input contract (model::require_valid_deviation).  The
+// whole file runs under both LBMV_SIMD=ON and =OFF CI legs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -35,15 +33,12 @@
 #include "lbmv/model/system_config.h"
 #include "lbmv/obs/metrics.h"
 #include "lbmv/obs/obs.h"
-#include "lbmv/strategy/best_response.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
 #include "lbmv/strategy/tournament.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
-#include "lbmv/util/thread_pool.h"
 
 namespace {
 
@@ -57,7 +52,6 @@ using lbmv::core::ProfileUtilityContext;
 using lbmv::core::VcgMechanism;
 using lbmv::model::BidProfile;
 using lbmv::model::SystemConfig;
-using lbmv::strategy::DeviationEvaluator;
 using lbmv::strategy::GridSpacing;
 using lbmv::strategy::make_bid_grid;
 using lbmv::strategy::make_bid_grid_into;
@@ -100,11 +94,15 @@ BidProfile random_profile(const SystemConfig& config, lbmv::util::Rng& rng) {
   return profile;
 }
 
-/// The evaluator's closed-form context, which must sweep in lanes.
-const ProfileUtilityContext* lane_context(const DeviationEvaluator& evaluator) {
-  const ProfileUtilityContext* ctx = evaluator.profile_context();
-  EXPECT_TRUE(ctx != nullptr && ctx->lane_sweeps());
-  return ctx;
+/// The mechanism's profile context at \p profile (the closed form where
+/// one exists), or with \p reference the reference context.
+std::unique_ptr<ProfileUtilityContext> context_at(
+    const Mechanism& mechanism, const SystemConfig& config,
+    const BidProfile& profile, bool reference = false) {
+  return reference ? mechanism.make_reference_context(
+                         config.family(), config.arrival_rate(), profile)
+                   : mechanism.make_profile_context(
+                         config.family(), config.arrival_rate(), profile);
 }
 
 void expect_rel_near(double actual, double expected, double rel_tol,
@@ -115,9 +113,9 @@ void expect_rel_near(double actual, double expected, double rel_tol,
 
 class GridKernelDifferential : public ::testing::TestWithParam<int> {};
 
-// Vectorized utilities == scalar DeviationEvaluator, bitwise, on random
-// profiles/grids of every remainder size 1..9 — and within 1e-9 of the
-// naive full-mechanism oracle.
+// Vectorized utilities == the context's scalar utility(), bitwise, on
+// random profiles/grids of every remainder size 1..9 — and within 1e-9 of
+// the reference context's full-mechanism runs.
 TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
   const auto mechanism = make_mechanism(GetParam());
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -126,11 +124,9 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
     const SystemConfig config(log_uniform_types(n, seed),
                               rng.uniform(2.0, 50.0));
     const BidProfile profile = random_profile(config, rng);
-    const DeviationEvaluator fast(*mechanism, config, profile);
-    const DeviationEvaluator naive(*mechanism, config, profile,
-                                   DeviationEvaluator::Mode::kNaive);
-    const auto* ctx = lane_context(fast);
-    ASSERT_NE(ctx, nullptr) << mechanism->name();
+    const auto ctx = context_at(*mechanism, config, profile);
+    const auto naive = context_at(*mechanism, config, profile, true);
+    ASSERT_TRUE(ctx->lane_sweeps()) << mechanism->name();
 
     for (std::size_t size = 1; size <= 9; ++size) {
       const auto i = static_cast<std::size_t>(
@@ -145,10 +141,10 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
       ctx->utilities_into(i, bids, exec, out);
       for (std::size_t k = 0; k < size; ++k) {
         // Bit-exact against the scalar closed form...
-        EXPECT_EQ(out[k], fast.utility(i, bids[k], exec))
+        EXPECT_EQ(out[k], ctx->utility(i, bids[k], exec))
             << mechanism->name() << " size=" << size << " k=" << k;
-        // ...and 1e-9-close to the naive full-mechanism run.
-        expect_rel_near(out[k], naive.utility(i, bids[k], exec), 1e-9,
+        // ...and 1e-9-close to the full-mechanism run.
+        expect_rel_near(out[k], naive->utility(i, bids[k], exec), 1e-9,
                         mechanism->name().c_str());
       }
     }
@@ -160,9 +156,8 @@ TEST_P(GridKernelDifferential, MatchesScalarOracleAcrossGridSizes) {
 TEST_P(GridKernelDifferential, BoundaryBidsMatchScalar) {
   const auto mechanism = make_mechanism(GetParam());
   const SystemConfig config(log_uniform_types(6, 11), 25.0);
-  const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = lane_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
+  const auto ctx = context_at(*mechanism, config, BidProfile::truthful(config));
+  ASSERT_TRUE(ctx->lane_sweeps());
 
   for (std::size_t i = 0; i < config.size(); ++i) {
     const double t = config.true_value(i);
@@ -171,7 +166,7 @@ TEST_P(GridKernelDifferential, BoundaryBidsMatchScalar) {
     std::vector<double> out(bids.size());
     ctx->utilities_into(i, bids, t, out);
     for (std::size_t k = 0; k < bids.size(); ++k) {
-      EXPECT_EQ(out[k], evaluator.utility(i, bids[k], t))
+      EXPECT_EQ(out[k], ctx->utility(i, bids[k], t))
           << mechanism->name() << " agent=" << i << " k=" << k;
     }
   }
@@ -184,9 +179,8 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
   const auto mechanism = make_mechanism(GetParam());
   lbmv::util::Rng rng(4242);
   const SystemConfig config(log_uniform_types(5, 3), 30.0);
-  const DeviationEvaluator evaluator(*mechanism, config);
-  const auto* ctx = lane_context(evaluator);
-  ASSERT_NE(ctx, nullptr);
+  const auto ctx = context_at(*mechanism, config, BidProfile::truthful(config));
+  ASSERT_TRUE(ctx->lane_sweeps());
 
   for (int trial = 0; trial < 16; ++trial) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(0, 4));
@@ -205,9 +199,9 @@ TEST_P(GridKernelDifferential, ArgmaxMatchesFirstWinsScan) {
 
     const GridBest best = ctx->best_response(i, bids, exec);
     std::size_t want_idx = 0;
-    double want_u = evaluator.utility(i, bids[0], exec);
+    double want_u = ctx->utility(i, bids[0], exec);
     for (std::size_t k = 1; k < size; ++k) {
-      const double u = evaluator.utility(i, bids[k], exec);
+      const double u = ctx->utility(i, bids[k], exec);
       if (u > want_u) {
         want_u = u;
         want_idx = k;
@@ -279,9 +273,8 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
     SCOPED_TRACE(fc.label);
     const BidProfile base = BidProfile::truthful(fc.config);
     const std::size_t n = fc.config.size();
-    const auto ctx = fc.mechanism->make_profile_context(
-        fc.config.family(), fc.config.arrival_rate(), base);
-    ASSERT_NE(ctx, nullptr);
+    const auto ctx = context_at(*fc.mechanism, fc.config, base);
+    ASSERT_TRUE(ctx->closed_form());
     const double t = fc.config.true_value(1);
     const auto expect_rejected = [&](std::size_t agent, double bid,
                                      double exec, const std::string& what) {
@@ -333,7 +326,10 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
 
 // Tiny and subnormal bids overflow the linear closed form (1/b, or 0 * inf
 // in (R/S')^2 W'): a non-finite lane defers to utility(), which names the
-// agent and the bid instead of answering NaN, on every rule and entry point.
+// agent instead of answering NaN, on every rule and entry point — by the
+// bid, or by the round's own guard on the deviated rest S' - 1/b where the
+// rule has one (ReferenceContext.LinearClosedFormRejectsWhatTheRoundRejects
+// holds those messages to the round's).
 TEST(GridKernels, LinearClosedFormThrowsInsteadOfNaN) {
   const lbmv::model::LinearFamily family;
   BidProfile base;
@@ -345,7 +341,7 @@ TEST(GridKernels, LinearClosedFormThrowsInsteadOfNaN) {
     const auto mechanism = make_mechanism(kind);
     SCOPED_TRACE(mechanism->name());
     const auto ctx = mechanism->make_profile_context(family, 20.0, base);
-    ASSERT_NE(ctx, nullptr);
+    ASSERT_TRUE(ctx->closed_form());
     int thrown = 0;
     for (const double bid : {1e-200, 1e-300, 1e-310, 4.9e-324}) {
       SCOPED_TRACE("bid " + std::to_string(bid));
@@ -356,7 +352,11 @@ TEST(GridKernels, LinearClosedFormThrowsInsteadOfNaN) {
       });
       if (!scalar.empty()) {
         ++thrown;
-        EXPECT_NE(scalar.find(needle.str()), std::string::npos) << scalar;
+        EXPECT_TRUE(scalar.find(needle.str()) != std::string::npos ||
+                    scalar.find("(agent 0 of 16)") != std::string::npos ||
+                    scalar.find("positive capacity (agent 0)") !=
+                        std::string::npos)
+            << scalar;
       }
       // The bid in a full lane block and in the padded tail block.
       const std::vector<double> full{1.0, 2.0, bid, 3.0, 4.0};
@@ -430,8 +430,8 @@ TEST(MakeBidGrid, RejectsDegenerateIntervals) {
   EXPECT_THROW((void)make_bid_grid(1.0, 2.0, 1), PreconditionError);
 }
 
-// DeviationEvaluator sweeps: lane-path proof, scalar-fallback equivalence,
-// and pooled fan-out bit-identity at 1/2/8 threads on every family.
+// Context sweeps: lane-path proof, reference-context equivalence, and the
+// first error of a throwing grid.
 
 /// lbmv_strategy_grid_lanes_wasted_total right now.
 std::uint64_t lanes_wasted() {
@@ -450,16 +450,17 @@ TEST(DeviationSweeps, LaneSweepsServeLinearAndMm1Contexts) {
   const bool was_enabled = lbmv::obs::enabled();
   lbmv::obs::set_enabled(true);
   for (const FamilyCase& fc : family_cases()) {
-    const DeviationEvaluator evaluator(*fc.mechanism, fc.config);
+    const auto ctx =
+        context_at(*fc.mechanism, fc.config, BidProfile::truthful(fc.config));
     const double t = fc.config.true_value(2);
     const std::vector<double> bids = make_bid_grid(0.9 * t, 4.0 * t, 37);
     std::vector<double> out(bids.size());
     const std::uint64_t before = lanes_wasted();
-    evaluator.utilities_into(2, bids, t, out);
+    ctx->utilities_into(2, bids, t, out);
     EXPECT_EQ(lanes_wasted() - before, fc.label == "workload" ? 0u : 3u)
         << fc.label;
     for (std::size_t k = 0; k < bids.size(); ++k) {
-      EXPECT_EQ(out[k], evaluator.utility(2, bids[k], t)) << fc.label;
+      EXPECT_EQ(out[k], ctx->utility(2, bids[k], t)) << fc.label;
     }
   }
   lbmv::obs::set_enabled(was_enabled);
@@ -468,126 +469,51 @@ TEST(DeviationSweeps, LaneSweepsServeLinearAndMm1Contexts) {
 TEST(DeviationSweeps, ScalarFallbackAgreesWithLaneSweepWithinTolerance) {
   const CompBonusMechanism mechanism;
   const SystemConfig config(log_uniform_types(6, 19), 22.0);
-  const DeviationEvaluator fast(mechanism, config);
-  const DeviationEvaluator naive(mechanism, config,
-                                 DeviationEvaluator::Mode::kNaive);
-  (void)lane_context(fast);
-  EXPECT_EQ(naive.profile_context(), nullptr);
+  const BidProfile truthful = BidProfile::truthful(config);
+  const auto fast = context_at(mechanism, config, truthful);
+  const auto naive = context_at(mechanism, config, truthful, true);
+  EXPECT_TRUE(fast->lane_sweeps());
+  EXPECT_FALSE(naive->closed_form());
+  EXPECT_FALSE(naive->lane_sweeps());
 
   const double t = config.true_value(2);
   const std::vector<double> bids = make_bid_grid(0.05 * t, 20.0 * t, 37);
   std::vector<double> u_vec(bids.size());
   std::vector<double> u_scal(bids.size());
-  fast.utilities_into(2, bids, t, u_vec);
-  naive.utilities_into(2, bids, t, u_scal);
+  fast->utilities_into(2, bids, t, u_vec);
+  naive->utilities_into(2, bids, t, u_scal);
   for (std::size_t k = 0; k < bids.size(); ++k) {
     expect_rel_near(u_vec[k], u_scal[k], 1e-9, "sweep fallback");
   }
 
-  const GridBest bv = fast.best_response(2, bids, t);
-  const GridBest bs = naive.best_response(2, bids, t);
+  const GridBest bv = fast->best_response(2, bids, t);
+  const GridBest bs = naive->best_response(2, bids, t);
   EXPECT_EQ(bv.index, bs.index);
   expect_rel_near(bv.utility, bs.utility, 1e-9, "sweep best");
 }
 
-TEST(DeviationSweeps, PooledSweepsBitIdenticalAtAnyThreadCount) {
-  std::vector<FamilyCase> cases;
-  cases.push_back({"linear vcg", std::make_unique<VcgMechanism>(),
-                   SystemConfig(log_uniform_types(8, 23), 35.0)});
-  for (FamilyCase& fc : family_cases(8)) {
-    if (fc.label != "linear") cases.push_back(std::move(fc));
-  }
-  for (const FamilyCase& fc : cases) {
-    SCOPED_TRACE(fc.label);
-    lbmv::util::Rng rng(99);
-    const BidProfile profile = fc.label == "linear vcg"
-                                   ? random_profile(fc.config, rng)
-                                   : BidProfile::truthful(fc.config);
-    const DeviationEvaluator evaluator(*fc.mechanism, fc.config, profile);
-    ASSERT_NE(evaluator.profile_context(), nullptr);
-
+// A throwing M/M/1 grid: an execution overload at candidate 2500 of 4500 and
+// a NaN at 4000.  Both sweeps throw what the first failing candidate's
+// scalar query throws.
+TEST(DeviationSweeps, ThrowingGridRaisesTheFirstFailingCandidatesError) {
+  for (const FamilyCase& fc : family_cases(8)) {
+    if (fc.label != "mm1") continue;
+    const auto ctx =
+        context_at(*fc.mechanism, fc.config, BidProfile::truthful(fc.config));
+    ASSERT_TRUE(ctx->lane_sweeps());
     const double t = fc.config.true_value(3);
-    // M/M/1 candidates stay slower than 0.9x truth: faster ones overload
-    // the agent's true capacity (the throwing grid below).
-    const bool mm1 = fc.label == "mm1";
-    const double exec = mm1 ? t : 1.5 * t;
-    // > 4 fan-out blocks of 1024, with a partial tail block.
-    const std::vector<double> bids =
-        make_bid_grid(mm1 ? 0.9 * t : 0.05 * t, mm1 ? 8.0 * t : 20.0 * t, 4500);
-
-    const GridBest want = evaluator.best_response(3, bids, exec);
-    std::vector<double> want_u(bids.size());
-    evaluator.utilities_into(3, bids, exec, want_u);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      lbmv::util::ThreadPool pool(threads);
-      const GridBest got = evaluator.best_response(3, bids, exec, &pool);
-      EXPECT_EQ(got.index, want.index) << "threads=" << threads;
-      EXPECT_EQ(got.utility, want.utility) << "threads=" << threads;
-      std::vector<double> got_u(bids.size());
-      evaluator.utilities_into(3, bids, exec, got_u, &pool);
-      EXPECT_EQ(0, std::memcmp(got_u.data(), want_u.data(),
-                               bids.size() * sizeof(double)))
-          << "threads=" << threads;
-    }
-
-    if (!mm1) continue;
-    // A throwing grid: an execution overload in the third fan-out block and
-    // a NaN in the fourth.  Every sweep throws what the first failing
-    // candidate's scalar query throws.
-    std::vector<double> bad = bids;
+    // Candidates from 0.9x truth up stay within the agent's true capacity.
+    std::vector<double> bad = make_bid_grid(0.9 * t, 8.0 * t, 4500);
     bad[2500] = 0.05 * t;
     bad[4000] = std::numeric_limits<double>::quiet_NaN();
     const std::string first =
-        precondition_what([&] { (void)evaluator.utility(3, bad[2500], exec); });
+        precondition_what([&] { (void)ctx->utility(3, bad[2500], t); });
     ASSERT_NE(first.find("0 <= x < mu"), std::string::npos) << first;
     std::vector<double> out(bad.size());
-    EXPECT_EQ(precondition_what(
-                  [&] { (void)evaluator.best_response(3, bad, exec); }),
+    EXPECT_EQ(precondition_what([&] { (void)ctx->best_response(3, bad, t); }),
               first);
-    EXPECT_EQ(precondition_what(
-                  [&] { evaluator.utilities_into(3, bad, exec, out); }),
+    EXPECT_EQ(precondition_what([&] { ctx->utilities_into(3, bad, t, out); }),
               first);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      lbmv::util::ThreadPool pool(threads);
-      EXPECT_EQ(precondition_what([&] {
-                  (void)evaluator.best_response(3, bad, exec, &pool);
-                }),
-                first)
-          << "threads=" << threads;
-      EXPECT_EQ(precondition_what([&] {
-                  evaluator.utilities_into(3, bad, exec, out, &pool);
-                }),
-                first)
-          << "threads=" << threads;
-    }
-  }
-}
-
-TEST(DeviationSweeps, BestResponseDynamicsTrajectoriesBitIdentical) {
-  const CompBonusMechanism mechanism;
-  const SystemConfig config(log_uniform_types(6, 31), 28.0);
-
-  lbmv::strategy::BestResponseOptions options;
-  options.max_rounds = 6;
-  options.bid_grid = 2500;  // multiple fan-out blocks per sweep
-  const auto want =
-      lbmv::strategy::best_response_dynamics(mechanism, config, options);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    lbmv::util::ThreadPool pool(threads);
-    lbmv::strategy::BestResponseOptions pooled = options;
-    pooled.pool = &pool;
-    const auto got =
-        lbmv::strategy::best_response_dynamics(mechanism, config, pooled);
-    ASSERT_EQ(got.bid_trajectory.size(), want.bid_trajectory.size())
-        << "threads=" << threads;
-    for (std::size_t r = 0; r < want.bid_trajectory.size(); ++r) {
-      for (std::size_t i = 0; i < config.size(); ++i) {
-        EXPECT_EQ(got.bid_trajectory[r][i], want.bid_trajectory[r][i])
-            << "threads=" << threads << " round=" << r << " agent=" << i;
-      }
-    }
-    EXPECT_EQ(got.final_actual_latency, want.final_actual_latency);
   }
 }
 

@@ -303,14 +303,16 @@ TEST(IncrementalAudit, BidBasisVariantAlsoHasAFastPath) {
 
 TEST(IncrementalAudit, NonLinearFamilyFallsBackToFullRuns) {
   // M/M/1 + ConvexAllocator has no closed-form context; make_profile_context
-  // must decline and the audit must still work through run().
+  // must return the reference context and the audit must still work
+  // through run().
   auto family = std::make_shared<lbmv::model::MM1Family>();
   const SystemConfig config({0.2, 0.25, 1.0 / 3.0}, 4.0, family);
   const CompBonusMechanism mechanism(std::make_shared<ConvexAllocator>());
-  EXPECT_EQ(mechanism.make_profile_context(config.family(),
-                                           config.arrival_rate(),
-                                           BidProfile::truthful(config)),
-            nullptr);
+  EXPECT_FALSE(mechanism
+                   .make_profile_context(config.family(),
+                                         config.arrival_rate(),
+                                         BidProfile::truthful(config))
+                   ->closed_form());
   const lbmv::core::TruthfulnessAuditor auditor(mechanism);
   lbmv::core::AuditOptions options;
   options.bid_multipliers = {0.9, 1.0, 1.1};

@@ -20,9 +20,8 @@
 //     profiles to 90 % idle servers, including deviations that move the
 //     deviator or its sorted neighbours across the active-set threshold;
 //     the gates it leaves to the re-solve keep their exact messages.
-//   * The M/M/1 context's lane sweep (DeviationEvaluator::utilities_into /
-//     best_response) is bit-identical to the scalar DeviationEvaluator
-//     oracle at any thread count, and
+//   * The M/M/1 context's lane sweep (ProfileUtilityContext::utilities_into
+//     / best_response) is bit-identical to its scalar utility(), and
 //     audit_all grids are bit-identical parallel vs serial; both families
 //     stay truthful-dominant under audit_all.
 //
@@ -53,11 +52,9 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
-#include "lbmv/util/thread_pool.h"
 #include "nonlinear_oracles.h"
 
 namespace {
@@ -73,7 +70,6 @@ using lbmv::model::BidProfile;
 using lbmv::model::MM1Family;
 using lbmv::model::SystemConfig;
 using lbmv::model::WorkloadFamily;
-using lbmv::strategy::DeviationEvaluator;
 using lbmv::util::PreconditionError;
 
 /// Both round entry points every boundary must hold on.
@@ -703,8 +699,7 @@ TEST(FusedDifferential, InvalidInputsThrowScalarDiagnostics) {
 }
 
 // ---------------------------------------------------------------------------
-// M/M/1 lane sweeps: bit-identical to the scalar oracle at any thread
-// count.
+// M/M/1 lane sweeps: bit-identical to the scalar oracle.
 
 TEST(Mm1Grid, LaneSweepBitIdenticalToScalarOracle) {
   const std::size_t n = 9;
@@ -726,46 +721,44 @@ TEST(Mm1Grid, LaneSweepBitIdenticalToScalarOracle) {
                  std::to_string(mm1_active(mus, config.arrival_rate())));
     const CompBonusMechanism mechanism(
         std::make_shared<const lbmv::alloc::MM1Allocator>());
-    const DeviationEvaluator evaluator(mechanism, config);
-    ASSERT_TRUE(evaluator.incremental());
-    ASSERT_NE(dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(
-                  evaluator.profile_context()),
-              nullptr);
-    ASSERT_TRUE(evaluator.profile_context()->lane_sweeps());
+    const auto context = mechanism.make_profile_context(
+        config.family(), config.arrival_rate(),
+        lbmv::model::BidProfile::truthful(config));
+    ASSERT_NE(
+        dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(context.get()),
+        nullptr);
+    ASSERT_TRUE(context->lane_sweeps());
 
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      lbmv::util::ThreadPool pool(threads);
-      for (std::size_t agent = 0; agent < n; ++agent) {
-        const double truth = config.true_value(agent);
-        // Wide grid: interior candidates ride the all-active fast path while
-        // very slow bids (8x truth) drop the deviator out of the active set
-        // and defer whole lane blocks to the scalar oracle — both must match
-        // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
-        // assignment beyond the agent's true capacity, where the domain
-        // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
-        // multiple cover tail padding.
-        for (std::size_t points : {2u, 6u, 103u}) {
-          const std::vector<double> bids = lbmv::strategy::make_bid_grid(
-              0.9 * truth, 8.0 * truth, points,
-              lbmv::strategy::GridSpacing::kLinear);
-          std::vector<double> fast(points);
-          evaluator.utilities_into(agent, bids, truth, fast, &pool);
-          double best_u = evaluator.utility(agent, bids[0], truth);
-          std::size_t best_k = 0;
-          for (std::size_t k = 0; k < points; ++k) {
-            const double oracle = evaluator.utility(agent, bids[k], truth);
-            EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
-                << "agent " << agent << " candidate " << k;
-            if (oracle > best_u) {
-              best_u = oracle;
-              best_k = k;
-            }
+    for (std::size_t agent = 0; agent < n; ++agent) {
+      const double truth = config.true_value(agent);
+      // Wide grid: interior candidates ride the all-active fast path while
+      // very slow bids (8x truth) drop the deviator out of the active set
+      // and defer whole lane blocks to the scalar oracle — both must match
+      // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
+      // assignment beyond the agent's true capacity, where the domain
+      // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
+      // multiple cover tail padding.
+      for (std::size_t points : {2u, 6u, 103u}) {
+        const std::vector<double> bids = lbmv::strategy::make_bid_grid(
+            0.9 * truth, 8.0 * truth, points,
+            lbmv::strategy::GridSpacing::kLinear);
+        std::vector<double> fast(points);
+        context->utilities_into(agent, bids, truth, fast);
+        double best_u = context->utility(agent, bids[0], truth);
+        std::size_t best_k = 0;
+        for (std::size_t k = 0; k < points; ++k) {
+          const double oracle = context->utility(agent, bids[k], truth);
+          EXPECT_EQ(fast[k], oracle)  // bit-identical, not just close
+              << "agent " << agent << " candidate " << k;
+          if (oracle > best_u) {
+            best_u = oracle;
+            best_k = k;
           }
-          const lbmv::core::GridBest best =
-              evaluator.best_response(agent, bids, truth, &pool);
-          EXPECT_EQ(best.index, best_k);
-          EXPECT_EQ(best.utility, best_u);
         }
+        const lbmv::core::GridBest best =
+            context->best_response(agent, bids, truth);
+        EXPECT_EQ(best.index, best_k);
+        EXPECT_EQ(best.utility, best_u);
       }
     }
   }

@@ -7,7 +7,9 @@
 // under the generic convex allocator, Archer–Tardos off the linear family)
 // it is the only context, and it raises the mechanism's own errors.
 // Concurrent queries must match a serial loop bit for bit.  Every round's
-// published utility is the closed-form context's at the committed entries.
+// published utility is the closed-form context's at the committed entries,
+// and the linear closed form rejects the deviations the round rejects,
+// with the round's message.
 
 #include <gtest/gtest.h>
 
@@ -108,9 +110,10 @@ TEST(ReferenceContext, AgreesWithEveryClosedFormThroughTheSameApi) {
     const BidProfile base{types, types};
     const auto closed =
         c.mechanism->make_profile_context(*c.family, c.arrival_rate, base);
-    ASSERT_NE(closed, nullptr) << c.name;
+    ASSERT_TRUE(closed->closed_form()) << c.name;
     const auto ref =
         c.mechanism->make_reference_context(*c.family, c.arrival_rate, base);
+    EXPECT_FALSE(ref->closed_form()) << c.name;
     EXPECT_FALSE(ref->lane_sweeps()) << c.name;
     expect_contexts_agree(c, *ref, *closed, c.name + " base");
 
@@ -159,7 +162,7 @@ TEST(ReferenceContext, RoundUtilityIsTheContextsAtTheCommittedEntries) {
         const auto out = c.mechanism->run(*c.family, c.arrival_rate, profile);
         const auto ctx = c.mechanism->make_profile_context(
             *c.family, c.arrival_rate, profile);
-        ASSERT_NE(ctx, nullptr) << c.name;
+        ASSERT_TRUE(ctx->closed_form()) << c.name;
         for (std::size_t i = 0; i < n; ++i) {
           const double round = out.agents[i].utility;
           const double query =
@@ -193,10 +196,8 @@ struct ConvexMm1 {
 TEST(ReferenceContext, IsTheOnlyContextForMm1UnderTheConvexAllocator) {
   const ConvexMm1 s;
   BidProfile profile{s.types, s.types};
-  EXPECT_EQ(s.mechanism.make_profile_context(*s.family, s.rate, profile),
-            nullptr);
-  const auto ref =
-      s.mechanism.make_reference_context(*s.family, s.rate, profile);
+  const auto ref = s.mechanism.make_profile_context(*s.family, s.rate, profile);
+  EXPECT_FALSE(ref->closed_form());
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < profile.size(); ++i) {
       const std::string at =
@@ -233,8 +234,8 @@ TEST(ReferenceContext, RaisesTheMechanismsOwnErrorForArcherTardosOnMm1) {
   const lbmv::core::ArcherTardosMechanism mechanism;
   const auto family = std::make_shared<const lbmv::model::MM1Family>();
   const BidProfile base{{0.2, 0.25, 0.5}, {0.2, 0.25, 0.5}};
-  EXPECT_EQ(mechanism.make_profile_context(*family, 2.0, base), nullptr);
-  const auto ref = mechanism.make_reference_context(*family, 2.0, base);
+  const auto ref = mechanism.make_profile_context(*family, 2.0, base);
+  EXPECT_FALSE(ref->closed_form());
   std::string want;
   try {
     (void)run_utility(mechanism, *family, 2.0, base, 1, 0.3, 0.3);
@@ -264,6 +265,85 @@ TEST(ReferenceContext, RejectsInvalidDeviationsLikeEveryContext) {
   EXPECT_THROW(ref->commit_batch(std::span(&bad, 1)),
                lbmv::util::PreconditionError);
   EXPECT_EQ(ref->profile().executions, s.types);
+}
+
+/// what() of the PreconditionError \p fn throws ("" if none).
+template <class Fn>
+std::string precondition_what(Fn fn) {
+  try {
+    fn();
+  } catch (const lbmv::util::PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReferenceContext, LinearClosedFormRejectsWhatTheRoundRejects) {
+  // Agent 0 deviating to a bid so fast that S' - 1/b cancels: the round at
+  // the deviated profile raises the leave-one-out cancellation guard under
+  // the rules that read L_{-i} and the Archer–Tardos positive-capacity
+  // check, so the closed form must raise the same message on every entry
+  // point.  No-payment reads neither and answers in both contexts.
+  const lbmv::model::LinearFamily family;
+  BidProfile base;
+  for (int i = 0; i < 16; ++i) {
+    base.bids.push_back(0.5 + 0.37 * ((7 * i) % 13));
+  }
+  base.executions = base.bids;
+  int rules = 0;
+  for (const Case& c : all_cases(4, 1)) {
+    if (c.name.find("/linear") == std::string::npos) continue;
+    ++rules;
+    SCOPED_TRACE(c.name);
+    const bool answers = c.name == "no_payment/linear";
+    const auto closed = c.mechanism->make_profile_context(family, 20.0, base);
+    const auto ref = c.mechanism->make_reference_context(family, 20.0, base);
+    ASSERT_TRUE(closed->closed_form());
+    for (const double bid : {1e-200, 1e-300}) {
+      SCOPED_TRACE("bid " + std::to_string(bid));
+      const std::string want =
+          precondition_what([&] { (void)ref->utility(0, bid, 1.0); });
+      EXPECT_EQ(want.empty(), answers) << want;
+      if (!answers) {
+        EXPECT_TRUE(want.find("(agent 0 of 16)") != std::string::npos ||
+                    want.find("positive capacity (agent 0)") !=
+                        std::string::npos)
+            << want;
+      }
+      EXPECT_EQ(precondition_what([&] { (void)closed->utility(0, bid, 1.0); }),
+                want);
+      // The bid in a full lane block and in the padded tail block.
+      for (const std::vector<double>& grid :
+           {std::vector<double>{1.0, 2.0, bid, 3.0, 4.0},
+            std::vector<double>{1.0, 2.0, 3.0, 4.0, bid}}) {
+        std::vector<double> closed_row(grid.size());
+        std::vector<double> ref_row(grid.size());
+        EXPECT_EQ(precondition_what([&] {
+                    closed->utilities_into(0, grid, 1.0, closed_row);
+                  }),
+                  want);
+        EXPECT_EQ(precondition_what(
+                      [&] { ref->utilities_into(0, grid, 1.0, ref_row); }),
+                  want);
+        GridBest closed_best;
+        GridBest ref_best;
+        EXPECT_EQ(precondition_what([&] {
+                    closed_best = closed->best_response(0, grid, 1.0);
+                  }),
+                  want);
+        EXPECT_EQ(precondition_what(
+                      [&] { ref_best = ref->best_response(0, grid, 1.0); }),
+                  want);
+        if (!answers) continue;
+        for (std::size_t k = 0; k < grid.size(); ++k) {
+          expect_close(closed_row[k], ref_row[k], "k=" + std::to_string(k));
+        }
+        EXPECT_EQ(closed_best.index, ref_best.index);
+        expect_close(closed_best.utility, ref_best.utility, "best");
+      }
+    }
+  }
+  EXPECT_EQ(rules, 5);
 }
 
 TEST(ReferenceContext, ConcurrentQueriesMatchASerialLoopBitForBit) {

@@ -27,8 +27,9 @@
 // numbers above,
 //
 // plus a `strategy_throughput` section for the single-deviation game
-// engine: one best-response round through the O(1) DeviationEvaluator vs
-// the naive re-run-the-mechanism baseline measured in this same run,
+// engine: one best-response round through the O(1) closed-form profile
+// context vs the reference context (re-run the mechanism per deviation)
+// measured in this same run,
 // tournament instance and learning replication rates at 1 and 8 pool
 // threads, and a differential cross-check (incremental vs naive utilities
 // across all four mechanisms including boundary bids) whose failure makes
@@ -42,10 +43,10 @@
 //
 // plus a `deviation_grid` section for the profile contexts' lane sweeps
 // (DESIGN.md §13): full candidate-bid sweeps (grid = 1000 bids per agent
-// over [0.05 t, 20 t]) through the scalar per-point DeviationEvaluator
-// loop, the 4-lane DeviationEvaluator::best_response serial, and the same
-// with an 8-thread pool — all in this same run — with a 1e-9
-// vectorized-vs-scalar differential gate on the exit code.
+// over [0.05 t, 20 t]) through the scalar per-point
+// ProfileUtilityContext::utility loop and the 4-lane
+// ProfileUtilityContext::best_response — both in this same run — with a
+// 1e-9 vectorized-vs-scalar differential gate on the exit code.
 //
 // plus an `obs_timeseries` section for the live-telemetry pipeline
 // (DESIGN.md §9): the single-round hot path timed with recording disabled
@@ -117,7 +118,6 @@
 #include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/strategy/best_response.h"
-#include "lbmv/strategy/deviation.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/strategy/strategy.h"
@@ -610,13 +610,12 @@ int main(int argc, char** argv) {
   }
 
   // Single-deviation game engine: one best-response round through the O(1)
-  // DeviationEvaluator against the naive re-run baseline in this same run,
+  // profile context against the naive re-run baseline in this same run,
   // thread scaling for tournaments/learning, and a differential cross-check
   // that gates the exit code.
   JsonValue::Object strategy_throughput;
   bool cross_check_pass = true;
   {
-    using lbmv::strategy::DeviationEvaluator;
     const double tmin = smoke ? 0.05 : 0.5;
     const int treps = smoke ? 2 : 3;
 
@@ -718,10 +717,13 @@ int main(int argc, char** argv) {
     mechanisms.push_back(std::make_unique<lbmv::core::VcgMechanism>());
     mechanisms.push_back(std::make_unique<lbmv::core::NoPaymentMechanism>());
     for (const auto& m : mechanisms) {
-      const DeviationEvaluator fast(*m, check_config);
-      const DeviationEvaluator naive(*m, check_config,
-                                     DeviationEvaluator::Mode::kNaive);
-      if (!fast.incremental()) {
+      const lbmv::model::BidProfile base =
+          lbmv::model::BidProfile::truthful(check_config);
+      const auto fast = m->make_profile_context(
+          check_config.family(), check_config.arrival_rate(), base);
+      const auto naive = m->make_reference_context(
+          check_config.family(), check_config.arrival_rate(), base);
+      if (!fast->closed_form()) {
         cross_check_pass = false;
         std::cerr << "cross-check: " << m->name()
                   << " has no incremental path\n";
@@ -731,8 +733,8 @@ int main(int argc, char** argv) {
         const double t = check_config.true_value(i);
         for (double bid_mult : {0.05, 0.7, 1.0, 3.0, 20.0}) {
           for (double exec_mult : {1.0, 2.0}) {
-            const double a = fast.utility(i, bid_mult * t, exec_mult * t);
-            const double b = naive.utility(i, bid_mult * t, exec_mult * t);
+            const double a = fast->utility(i, bid_mult * t, exec_mult * t);
+            const double b = naive->utility(i, bid_mult * t, exec_mult * t);
             const double err =
                 std::fabs(a - b) / std::max(1.0, std::fabs(b));
             max_err = std::max(max_err, err);
@@ -947,17 +949,15 @@ int main(int argc, char** argv) {
 
   // Deviation-grid sweeps (DESIGN.md §13): sweep grid = 1000 candidate
   // bids per agent (linear over [0.05 t_i, 20 t_i]) for every agent, through
-  // three paths in this same process: the scalar per-point
-  // DeviationEvaluator::utility scan (the pre-kernel formulation, kept
-  // verbatim as the oracle), the context's 4-lane sweep serial, and the
-  // same sweep given an 8-thread pool for its candidate axis.
-  // All three produce bit-identical argmaxes by construction; the
-  // differential check below compares the vectorized utilities against the
-  // scalar oracle point by point and gates the exit code at 1e-9.
+  // two paths in this same process: the scalar per-point
+  // ProfileUtilityContext::utility scan (the pre-kernel formulation, kept
+  // as the oracle) and the context's 4-lane sweep.  Both produce
+  // bit-identical argmaxes by construction; the differential check below
+  // compares the vectorized utilities against the scalar oracle point by
+  // point and gates the exit code at 1e-9.
   JsonValue::Object deviation_grid;
   bool grid_check_pass = true;
   {
-    using lbmv::strategy::DeviationEvaluator;
     const std::size_t grid_points = 1000;
     const double tmin = smoke ? 0.05 : 0.3;
     const int treps = smoke ? 2 : 3;
@@ -970,14 +970,15 @@ int main(int argc, char** argv) {
     JsonValue::Array grid_series;
     double max_err = 0.0;
     double serial_speedup_n256 = 0.0;
-    lbmv::util::ThreadPool pool(8);
     const lbmv::core::CompBonusMechanism mechanism;
     for (std::size_t n : grid_sizes) {
       const lbmv::model::SystemConfig config(random_types(n, 13),
                                              arrival_rate);
-      const DeviationEvaluator evaluator(mechanism, config);
+      const auto context = mechanism.make_profile_context(
+          config.family(), config.arrival_rate(),
+          lbmv::model::BidProfile::truthful(config));
       // Per-agent candidate grids, built once outside the timed regions so
-      // all three paths sweep the identical candidates.
+      // both paths sweep the identical candidates.
       std::vector<std::vector<double>> grids(n);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = config.true_value(i);
@@ -992,7 +993,7 @@ int main(int argc, char** argv) {
               const double t = config.true_value(i);
               double best = -std::numeric_limits<double>::infinity();
               for (double bid : grids[i]) {
-                const double u = evaluator.utility(i, bid, t);
+                const double u = context->utility(i, bid, t);
                 if (u > best) best = u;
               }
               sink += best;
@@ -1002,18 +1003,8 @@ int main(int argc, char** argv) {
       const double serial_secs = seconds_per_call(
           [&] {
             for (std::size_t i = 0; i < n; ++i) {
-              sink += evaluator
-                          .best_response(i, grids[i], config.true_value(i))
-                          .utility;
-            }
-          },
-          tmin, treps);
-      const double pooled_secs = seconds_per_call(
-          [&] {
-            for (std::size_t i = 0; i < n; ++i) {
-              sink += evaluator
-                          .best_response(i, grids[i], config.true_value(i),
-                                         &pool)
+              sink += context
+                          ->best_response(i, grids[i], config.true_value(i))
                           .utility;
             }
           },
@@ -1024,9 +1015,9 @@ int main(int argc, char** argv) {
       std::vector<double> utilities(grid_points);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = config.true_value(i);
-        evaluator.utilities_into(i, grids[i], t, utilities);
+        context->utilities_into(i, grids[i], t, utilities);
         for (std::size_t j = 0; j < grid_points; ++j) {
-          const double reference = evaluator.utility(i, grids[i][j], t);
+          const double reference = context->utility(i, grids[i][j], t);
           const double err = std::fabs(utilities[j] - reference) /
                              std::max(1.0, std::fabs(reference));
           max_err = std::max(max_err, err);
@@ -1035,23 +1026,18 @@ int main(int argc, char** argv) {
 
       const double evals = static_cast<double>(n * grid_points);
       const double serial_speedup = scalar_secs / serial_secs;
-      const double pooled_speedup = scalar_secs / pooled_secs;
       if (n == 256) serial_speedup_n256 = serial_speedup;
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
       entry["grid_points"] = static_cast<double>(grid_points);
       entry["scalar_evals_per_sec"] = evals / scalar_secs;
       entry["vector_serial_evals_per_sec"] = evals / serial_secs;
-      entry["vector_pooled_evals_per_sec"] = evals / pooled_secs;
       entry["serial_speedup_vs_scalar"] = serial_speedup;
-      entry["pooled_speedup_vs_scalar"] = pooled_speedup;
       grid_series.emplace_back(std::move(entry));
       std::cout << "deviation_grid n=" << n << " grid=" << grid_points
                 << ": scalar " << evals / scalar_secs / 1e6
                 << "M evals/s, vector serial " << evals / serial_secs / 1e6
-                << "M (" << serial_speedup << "x), vector pooled "
-                << evals / pooled_secs / 1e6 << "M (" << pooled_speedup
-                << "x)\n";
+                << "M (" << serial_speedup << "x)\n";
       if (sink == 0.0) std::cout << "";  // keep `sink` observable
     }
     if (max_err >= 1e-9) grid_check_pass = false;
@@ -1066,15 +1052,12 @@ int main(int argc, char** argv) {
         std::string(lbmv::util::simd::backend_name());
     deviation_grid["hardware_concurrency"] =
         static_cast<double>(std::thread::hardware_concurrency());
-    deviation_grid["threads_used"] = 8.0;  // the pooled sweep's fixed pool
     deviation_grid["note"] =
         "scalar_evals_per_sec scans the same per-agent candidate grids "
-        "through DeviationEvaluator::utility one point at a time in this "
-        "same process (the differential oracle); vector rows ride the "
-        "4-lane grid kernels (vector_backend), serial and with the "
-        "candidate axis fanned over an 8-thread pool in fixed 1024-wide "
-        "blocks; all three paths return bit-identical argmaxes, and pooled "
-        "scaling is bounded by hardware_concurrency";
+        "through ProfileUtilityContext::utility one point at a time in this "
+        "same process (the differential oracle); vector_serial rides the "
+        "4-lane grid kernels (vector_backend); both paths return "
+        "bit-identical argmaxes";
     std::cout << "deviation grid cross-check: max rel err " << max_err
               << " -> " << (grid_check_pass ? "pass" : "FAIL") << "\n";
   }
