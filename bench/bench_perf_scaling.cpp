@@ -205,22 +205,24 @@ BENCHMARK(BM_SingleRoundSimdSharded)
     ->Complexity();
 
 void BM_BatchRound(benchmark::State& state) {
-  // SoA batch fan-out: 64 profiles per call, fanned over the global pool
-  // with one reusable workspace per worker.  items/sec = mechanism rounds.
+  // 64 profiles per iteration, one run_into each on one held workspace.
+  // items/sec = mechanism rounds.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t profiles = 64;
   const lbmv::model::SystemConfig config(random_types(n, 7), 20.0);
   const lbmv::core::CompBonusMechanism mechanism;
-  lbmv::core::ProfileBatch batch(n);
-  batch.reserve(profiles);
+  std::vector<lbmv::model::BidProfile> rounds(profiles);
   for (std::size_t b = 0; b < profiles; ++b) {
-    const auto bids = random_types(n, 100 + b);
-    batch.push_back(bids, bids);
+    rounds[b].bids = random_types(n, 100 + b);
+    rounds[b].executions = rounds[b].bids;
   }
-  lbmv::core::BatchOutcomes outcomes;
+  lbmv::core::RoundWorkspace ws;
+  lbmv::core::MechanismOutcome out;
   for (auto _ : state) {
-    mechanism.run_batch(config, batch, outcomes);
-    benchmark::DoNotOptimize(outcomes[0].actual_latency);
+    for (const auto& profile : rounds) {
+      mechanism.run_into(config, profile, out, ws);
+      benchmark::DoNotOptimize(out.actual_latency);
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(profiles));

@@ -5,12 +5,12 @@
 
 namespace lbmv::alloc {
 
-void Allocator::allocate_into(const model::LatencyFamily& family,
-                              std::span<const double> types,
-                              double arrival_rate,
-                              std::vector<double>& rates) const {
-  const model::Allocation x = allocate(family, types, arrival_rate);
-  rates.assign(x.rates().begin(), x.rates().end());
+model::Allocation Allocator::allocate(const model::LatencyFamily& family,
+                                      std::span<const double> types,
+                                      double arrival_rate) const {
+  std::vector<double> rates;
+  allocate_into(family, types, arrival_rate, rates);
+  return model::Allocation(std::move(rates));
 }
 
 double Allocator::optimal_latency(const model::LatencyFamily& family,

@@ -22,20 +22,20 @@ class Allocator {
  public:
   virtual ~Allocator() = default;
 
-  /// Allocation minimising sum_i x_i * l_i(x_i) over x >= 0, sum x = R,
-  /// where l_i = family.make(types[i]).
-  [[nodiscard]] virtual model::Allocation allocate(
-      const model::LatencyFamily& family, std::span<const double> types,
-      double arrival_rate) const = 0;
-
-  /// Allocation-free variant of allocate for batched round kernels: fills
-  /// \p rates (resized to types.size()) reusing its capacity.  The default
-  /// wraps allocate; closed-form allocators override so a warm caller's
-  /// steady state performs no heap allocation at all.
+  /// The allocation minimising sum_i x_i * l_i(x_i) over x >= 0,
+  /// sum x = R, where l_i = family.make(types[i]), written into \p rates
+  /// (resized to types.size()) reusing its capacity: the one allocation
+  /// entry every allocator implements.  The closed-form allocators touch
+  /// no heap for a warm \p rates.
   virtual void allocate_into(const model::LatencyFamily& family,
                              std::span<const double> types,
                              double arrival_rate,
-                             std::vector<double>& rates) const;
+                             std::vector<double>& rates) const = 0;
+
+  /// allocate_into's rates as a fresh Allocation.
+  [[nodiscard]] model::Allocation allocate(const model::LatencyFamily& family,
+                                           std::span<const double> types,
+                                           double arrival_rate) const;
 
   /// Minimum total latency for the given types.  The default evaluates the
   /// allocation; closed-form allocators override with the direct formula.

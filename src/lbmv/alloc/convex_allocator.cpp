@@ -110,13 +110,14 @@ model::Allocation convex_allocate(
   return model::Allocation(std::move(x));
 }
 
-model::Allocation ConvexAllocator::allocate(const model::LatencyFamily& family,
-                                            std::span<const double> types,
-                                            double arrival_rate) const {
+void ConvexAllocator::allocate_into(const model::LatencyFamily& family,
+                                    std::span<const double> types,
+                                    double arrival_rate,
+                                    std::vector<double>& rates) const {
   std::vector<std::unique_ptr<model::LatencyFunction>> latencies;
   latencies.reserve(types.size());
   for (double t : types) latencies.push_back(family.make(t));
-  return convex_allocate(latencies, arrival_rate, tol_);
+  rates = convex_allocate(latencies, arrival_rate, tol_).release();
 }
 
 }  // namespace lbmv::alloc

@@ -38,9 +38,9 @@ class ConvexAllocator final : public Allocator {
   /// \p tol is the relative tolerance on the conservation constraint.
   explicit ConvexAllocator(double tol = 1e-12) : tol_(tol) {}
 
-  [[nodiscard]] model::Allocation allocate(
-      const model::LatencyFamily& family, std::span<const double> types,
-      double arrival_rate) const override;
+  void allocate_into(const model::LatencyFamily& family,
+                     std::span<const double> types, double arrival_rate,
+                     std::vector<double>& rates) const override;
   [[nodiscard]] std::string name() const override { return "convex"; }
 
  private:

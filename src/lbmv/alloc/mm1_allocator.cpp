@@ -324,14 +324,6 @@ void types_to_mus(const model::LatencyFamily& family,
 
 }  // namespace
 
-model::Allocation MM1Allocator::allocate(const model::LatencyFamily& family,
-                                         std::span<const double> types,
-                                         double arrival_rate) const {
-  std::vector<double> mus;
-  types_to_mus(family, types, mus);
-  return mm1_allocate(mus, arrival_rate);
-}
-
 void MM1Allocator::allocate_into(const model::LatencyFamily& family,
                                  std::span<const double> types,
                                  double arrival_rate,

@@ -140,9 +140,6 @@ void mm1_leave_one_out_into(std::span<const double> mus, double arrival_rate,
 /// instead of n O(n log n) re-solves.
 class MM1Allocator final : public Allocator {
  public:
-  [[nodiscard]] model::Allocation allocate(
-      const model::LatencyFamily& family, std::span<const double> types,
-      double arrival_rate) const override;
   void allocate_into(const model::LatencyFamily& family,
                      std::span<const double> types, double arrival_rate,
                      std::vector<double>& rates) const override;

@@ -79,12 +79,6 @@ std::vector<double> pr_leave_one_out_latencies(std::span<const double> types,
   return out;
 }
 
-model::Allocation PRAllocator::allocate(const model::LatencyFamily&,
-                                        std::span<const double> types,
-                                        double arrival_rate) const {
-  return pr_allocate(types, arrival_rate);
-}
-
 void PRAllocator::allocate_into(const model::LatencyFamily&,
                                 std::span<const double> types,
                                 double arrival_rate,

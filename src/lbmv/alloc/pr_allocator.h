@@ -104,9 +104,6 @@ void pr_leave_one_out_from_sum(double inverse_sum,
 /// generic ConvexAllocator should be preferred off the linear path.
 class PRAllocator final : public Allocator {
  public:
-  [[nodiscard]] model::Allocation allocate(
-      const model::LatencyFamily& family, std::span<const double> types,
-      double arrival_rate) const override;
   void allocate_into(const model::LatencyFamily& family,
                      std::span<const double> types, double arrival_rate,
                      std::vector<double>& rates) const override;

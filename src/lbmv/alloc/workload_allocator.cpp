@@ -245,14 +245,6 @@ double family_gamma(const model::LatencyFamily& family) {
 
 }  // namespace
 
-model::Allocation WorkloadAllocator::allocate(
-    const model::LatencyFamily& family, std::span<const double> types,
-    double arrival_rate) const {
-  std::vector<double> rates(types.size(), 0.0);
-  workload_solve_into(types, family_gamma(family), arrival_rate, rates);
-  return model::Allocation(std::move(rates));
-}
-
 void WorkloadAllocator::allocate_into(const model::LatencyFamily& family,
                                       std::span<const double> types,
                                       double arrival_rate,

@@ -110,9 +110,6 @@ WorkloadLooStats workload_leave_one_out_into(std::span<const double> thetas,
 /// workload_leave_one_out_into.
 class WorkloadAllocator final : public Allocator {
  public:
-  [[nodiscard]] model::Allocation allocate(
-      const model::LatencyFamily& family, std::span<const double> types,
-      double arrival_rate) const override;
   void allocate_into(const model::LatencyFamily& family,
                      std::span<const double> types, double arrival_rate,
                      std::vector<double>& rates) const override;

@@ -642,15 +642,7 @@ void render_obs_dashboard(const obs::MetricsSnapshot& snap, std::ostream& out,
     if (name == "lbmv_strategy_grid_lanes_wasted_total") lanes_wasted = value;
   }
   out << "grid kernels: " << grid_evals << " candidate bids swept ("
-      << lanes_wasted << " padded tail lanes)";
-  const auto grid_seconds =
-      snap.histograms.find("lbmv_strategy_grid_round_seconds");
-  if (grid_seconds != snap.histograms.end() &&
-      grid_seconds->second.count > 0) {
-    out << ", " << grid_seconds->second.count << " sweeps, mean "
-        << Table::num(grid_seconds->second.mean() * 1e6, 1) << " us";
-  }
-  out << '\n';
+      << lanes_wasted << " padded tail lanes)\n";
   const auto flight_records = obs::FlightRecorder::global().records();
   out << "flight recorder: " << flight_records.size()
       << " records retained, " << obs::FlightRecorder::global().dropped()
@@ -845,7 +837,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     seeded_violations = core::check_round_invariants(
         profile.bids, profile.executions, config.arrival_rate(), bad,
         core::RoundInvariantOptions{
-            /*linear_pr=*/true,
+            core::FamilyKind::kLinear,
             /*participation_guaranteed=*/
             mechanism.guarantees_voluntary_participation()});
     // Second seeded defect: an over-saturated M/M/1 round (DESIGN.md §14).
@@ -868,10 +860,9 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       seeded_violations += core::check_round_invariants(
           profile.bids, profile.executions, config.arrival_rate(), bad_mm1,
           core::RoundInvariantOptions{
-              /*linear_pr=*/false,
+              core::FamilyKind::kMm1,
               /*participation_guaranteed=*/
-              mm1_mechanism.guarantees_voluntary_participation(),
-              /*mm1_exact=*/true});
+              mm1_mechanism.guarantees_voluntary_participation()});
     }
     sampler.sample();
   }
@@ -904,7 +895,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t mech_rounds = 0;
   std::uint64_t fast_rounds = 0;
   std::uint64_t allocs_avoided = 0;
-  std::uint64_t simd_rounds = 0;
   std::uint64_t sharded_rounds = 0;
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
@@ -916,7 +906,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_rounds_total") mech_rounds = value;
     if (name == "lbmv_mech_linear_fast_rounds_total") fast_rounds = value;
     if (name == "lbmv_mech_allocs_avoided_total") allocs_avoided = value;
-    if (name == "lbmv_mech_simd_rounds_total") simd_rounds = value;
     if (name == "lbmv_mech_sharded_rounds_total") sharded_rounds = value;
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
@@ -935,7 +924,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << " mechanism rounds on the linear fast path, " << allocs_avoided
       << " heap allocations avoided\n"
       << "vector engine: backend " << core::vector_backend_name() << ", "
-      << simd_rounds << " vectorized rounds (" << sharded_rounds
+      << fast_rounds << " vectorized rounds (" << sharded_rounds
       << " sharded), " << nonlinear_rounds
       << " fused nonlinear-family rounds (" << newton_iters
       << " Newton iterations)\n"

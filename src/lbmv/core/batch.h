@@ -1,31 +1,20 @@
 #pragma once
 
 /// \file batch.h
-/// Structure-of-arrays profile batches and the reusable round workspace.
+/// The reusable round workspace and the round engines' family classes.
 ///
 /// Every experiment in the paper — Table 1/2 rounds, the Fig 3–5 deviation
 /// sweeps, the frugality grids — reduces to evaluating the mechanism over
-/// many bid profiles.  The scalar path pays per-round plumbing (fresh
-/// vectors, one heap-allocated LatencyFunction per agent per round) that
-/// dwarfs the O(n) closed-form math.  This header provides the batched,
-/// allocation-free counterpart (DESIGN.md §11):
-///
-///   * ProfileBatch   — B profiles of n agents stored as two contiguous
-///                      planes (all bids, then all executions), so a batch
-///                      round streams cache lines instead of chasing
-///                      pointers and a profile is a pair of spans;
-///   * RoundWorkspace — every scratch plane one mechanism round needs
-///                      (the fused engines' planes, leave-one-out optima,
-///                      per-agent costs, the reference path's latency
-///                      arena), reused across rounds so the steady state
-///                      allocates nothing on the fused engines;
-///   * BatchOutcomes  — per-profile MechanismOutcome slots, written
-///                      independently by Mechanism::run_batch workers and
-///                      therefore deterministic for any thread count.
+/// many bid profiles, one Mechanism::run_into per profile.  The scalar path
+/// pays per-round plumbing (fresh vectors, one heap-allocated
+/// LatencyFunction per agent per round) that dwarfs the O(n) closed-form
+/// math; a RoundWorkspace holds every scratch plane one round needs (the
+/// fused engines' planes, leave-one-out optima, per-agent costs, the
+/// reference path's latency arena), reused across rounds so the steady
+/// state allocates nothing on the fused engines (DESIGN.md §11).
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "lbmv/alloc/mm1_allocator.h"
@@ -53,61 +42,6 @@ enum class FamilyKind {
 /// Classify by dynamic type (mirroring the audit fast-path gates).
 [[nodiscard]] FamilyKind classify_family(const model::LatencyFamily& family);
 
-/// B bid/execution profiles over a fixed set of n agents, stored
-/// structure-of-arrays: profile b's bids occupy the contiguous slice
-/// [b*n, (b+1)*n) of one plane, its executions the same slice of another.
-class ProfileBatch {
- public:
-  ProfileBatch() = default;
-  /// Empty batch over \p agents agents (>= 2 once profiles are run).
-  explicit ProfileBatch(std::size_t agents) : agents_(agents) {}
-
-  /// Drop all profiles and fix the agent count, keeping plane capacity.
-  void reset(std::size_t agents) {
-    agents_ = agents;
-    clear();
-  }
-
-  /// Drop all profiles, keeping the agent count and plane capacity.
-  void clear() {
-    bids_.clear();
-    executions_.clear();
-  }
-
-  void reserve(std::size_t profiles) {
-    bids_.reserve(profiles * agents_);
-    executions_.reserve(profiles * agents_);
-  }
-
-  [[nodiscard]] std::size_t agents() const { return agents_; }
-  /// Number of profiles B.
-  [[nodiscard]] std::size_t size() const {
-    return agents_ == 0 ? 0 : bids_.size() / agents_;
-  }
-  [[nodiscard]] bool empty() const { return bids_.empty(); }
-
-  /// Append one profile; its size must match agents().
-  void push_back(const model::BidProfile& profile);
-  /// Append one profile from raw planes; sizes must match agents().
-  void push_back(std::span<const double> bids,
-                 std::span<const double> executions);
-
-  [[nodiscard]] std::span<const double> bids(std::size_t b) const {
-    return {bids_.data() + b * agents_, agents_};
-  }
-  [[nodiscard]] std::span<const double> executions(std::size_t b) const {
-    return {executions_.data() + b * agents_, agents_};
-  }
-
-  /// Copy profile \p b into \p out, reusing its capacity.
-  void extract_into(std::size_t b, model::BidProfile& out) const;
-
- private:
-  std::size_t agents_ = 0;
-  std::vector<double> bids_;        ///< B*n, profile-major
-  std::vector<double> executions_;  ///< B*n, profile-major
-};
-
 /// Reusable scratch for mechanism rounds.  One workspace per thread (or per
 /// long-lived caller) amortises every allocation a round needs; after the
 /// first round at a given n, run_into on the fused engines touches the heap
@@ -122,8 +56,9 @@ class RoundWorkspace {
   RoundWorkspace(RoundWorkspace&&) = default;
   RoundWorkspace& operator=(RoundWorkspace&&) = default;
 
-  /// One workspace per thread, created on first use.  Mechanism::run_batch
-  /// workers use this so repeated batches stay allocation-free per thread.
+  /// One workspace per thread, created on first use: what run() and
+  /// run_deviated round on, so repeated calls stay allocation-free per
+  /// thread.
   static RoundWorkspace& thread_local_instance();
 
   // ---- scratch planes (sized by the engine, reused across rounds) --------
@@ -152,36 +87,16 @@ class RoundWorkspace {
   MechanismOutcome scratch_outcome;
 };
 
-/// Outcome slots for one batch run, reused across calls.  Slot b holds the
-/// outcome of profile b; workers write disjoint slots, so the contents are
-/// identical for any thread count (deterministic in-order merge).
-struct BatchOutcomes {
-  std::vector<MechanismOutcome> outcomes;
-
-  [[nodiscard]] std::size_t size() const { return outcomes.size(); }
-  [[nodiscard]] const MechanismOutcome& operator[](std::size_t b) const {
-    return outcomes[b];
-  }
-  [[nodiscard]] MechanismOutcome& operator[](std::size_t b) {
-    return outcomes[b];
-  }
-};
-
-/// Fan-out controls for Mechanism::run_batch.
-struct BatchRunOptions {
-  bool parallel = true;          ///< fan profiles over a thread pool
-  util::ThreadPool* pool = nullptr;  ///< null: the process-global pool
-  std::size_t grain = 0;         ///< profiles per task; 0 = automatic
-};
-
 /// Fan-out controls for one round's agent axis (the vectorized engine,
 /// simd_round.h).  Results never depend on these — the fixed block grid
 /// makes every shard/thread count bit-identical — so they tune wall-clock
 /// only.  shards == 0 picks automatically: serial below
 /// kAutoShardMinAgents or on a single-thread pool, one task per pool
-/// thread-quantum above.  shards == 1 forces the serial block loop (what
-/// run_batch workers use: nested pool fan-out would deadlock the pool).
-/// shards > 1 requests that many tasks (capped at the block count).
+/// thread-quantum above.  shards == 1 forces the serial block loop and
+/// shards > 1 requests that many tasks (capped at the block count); tests
+/// and benches set them.  A round run from a worker of the pool it shards
+/// on runs its blocks inline (ThreadPool::parallel_for runs nested calls on
+/// the calling worker), so a round inside a parallel_for cannot deadlock.
 struct RoundOptions {
   std::size_t shards = 0;            ///< 0 auto, 1 serial, k explicit tasks
   util::ThreadPool* pool = nullptr;  ///< null: the process-global pool

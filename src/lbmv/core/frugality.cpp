@@ -47,29 +47,23 @@ std::vector<FrugalitySweepPoint> frugality_heterogeneity_sweep(
   LBMV_REQUIRE(n >= 2, "need at least two computers");
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   // Same family and arrival rate at every point, only the type vector
-  // varies: exactly the shape ProfileBatch was built for.  Each spread's
-  // truthful profile is one row of the batch.
-  ProfileBatch batch(n);
-  batch.reserve(spreads.size());
-  std::vector<double> types(n);
+  // varies; one held workspace keeps the per-spread rounds allocation-free
+  // after the first, as in frugality_arrival_sweep.
+  const model::LinearFamily family;  // SystemConfig's default family
+  RoundWorkspace ws;
+  model::BidProfile& profile = ws.scratch_profile;
+  profile.bids.resize(n);
+  std::vector<FrugalitySweepPoint> points;
+  points.reserve(spreads.size());
   for (double spread : spreads) {
     LBMV_REQUIRE(spread >= 1.0, "spread must be >= 1");
     for (std::size_t i = 0; i < n; ++i) {
-      const double frac =
-          (n == 1) ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(n - 1);
-      types[i] = std::pow(spread, frac);  // geometric spacing in [1, spread]
+      const double frac = static_cast<double>(i) / static_cast<double>(n - 1);
+      profile.bids[i] = std::pow(spread, frac);  // geometric in [1, spread]
     }
-    batch.push_back(types, types);  // truthful: bids == executions == types
-  }
-  const model::LinearFamily family;  // SystemConfig's default family
-  BatchOutcomes outcomes;
-  mechanism.run_batch(family, arrival_rate, batch, outcomes);
-
-  std::vector<FrugalitySweepPoint> points;
-  points.reserve(spreads.size());
-  for (std::size_t k = 0; k < spreads.size(); ++k) {
-    points.push_back({spreads[k], frugality_of(outcomes[k])});
+    profile.executions = profile.bids;  // truthful: executions == bids
+    mechanism.run_into(family, arrival_rate, profile, ws.scratch_outcome, ws);
+    points.push_back({spread, frugality_of(ws.scratch_outcome)});
   }
   return points;
 }

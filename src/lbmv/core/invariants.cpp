@@ -58,8 +58,7 @@ std::size_t check_round_invariants(std::span<const double> bids,
   // Voluntary participation at consistent rounds (file comment: only
   // sound where the allocation is exactly the optimum — PR-on-linear, or
   // a nonlinear family under its exact allocator).
-  const bool exact_optimum =
-      options.linear_pr || options.mm1_exact || options.workload_exact;
+  const bool exact_optimum = options.exact != FamilyKind::kGeneric;
   if (options.participation_guaranteed && exact_optimum) {
     bool consistent = bids.size() == n && executions.size() == n;
     for (std::size_t i = 0; consistent && i < n; ++i) {
@@ -91,19 +90,18 @@ std::size_t check_round_invariants(std::span<const double> bids,
   // M/M/1: mu_j / (mu_j - x_j)^2 over active agents only (idle computers
   // sit at a corner and get the inequality check below);
   // workload: 2 b_j x_j + 3 b_j gamma x_j^2, always interior.
-  if ((options.linear_pr || options.mm1_exact || options.workload_exact) &&
-      bids.size() == n && n > 0) {
+  if (exact_optimum && bids.size() == n && n > 0) {
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
     std::size_t counted = 0;
     for (std::size_t j = 0; j < n; ++j) {
       double marginal;
-      if (options.mm1_exact) {
+      if (options.exact == FamilyKind::kMm1) {
         if (x[j] == 0.0) continue;
         const double mu = 1.0 / bids[j];
         const double headroom = mu - x[j];
         marginal = mu / (headroom * headroom);
-      } else if (options.workload_exact) {
+      } else if (options.exact == FamilyKind::kWorkload) {
         marginal = 2.0 * bids[j] * x[j] +
                    3.0 * bids[j] * options.workload_gamma * x[j] * x[j];
       } else {
@@ -126,7 +124,7 @@ std::size_t check_round_invariants(std::span<const double> bids,
     // zero, 1/mu_j, is at least the active multiplier lambda = 1/c^2 (that
     // is, a_j <= c): a computer wrongly left idle fails mu_j * lambda <= 1.
     // Each offender is recorded with its index; clean rounds add no checks.
-    if (options.mm1_exact && counted > 0) {
+    if (options.exact == FamilyKind::kMm1 && counted > 0) {
       for (std::size_t j = 0; j < n; ++j) {
         if (x[j] != 0.0) continue;
         const double mu = 1.0 / bids[j];

@@ -32,30 +32,31 @@
 #include <cstddef>
 #include <span>
 
+#include "lbmv/core/batch.h"
 #include "lbmv/core/mechanism.h"
 
 namespace lbmv::core {
 
 struct RoundInvariantOptions {
-  /// The round ran the PR closed form on the linear family (arms the KKT
-  /// and participation monitors; the other checks are family-agnostic).
-  bool linear_pr = false;
+  /// The family the round's allocator solves exactly, or kGeneric when it
+  /// solves none (the feasibility and decomposition checks only).  An
+  /// exact family arms the participation monitor (the allocation is the
+  /// optimum) and its KKT residual:
+  ///   * kLinear — PR on linear latencies: the marginals 2 b_j x_j are
+  ///     equalised;
+  ///   * kMm1 — M/M/1 under the exact MM1Allocator: the active marginals
+  ///     mu_j / (mu_j - x_j)^2 with mu_j = 1/b_j are equalised, and every
+  ///     idle computer (x_j = 0) must have a marginal cost at zero 1/mu_j
+  ///     no lower than that multiplier; each idle offender is recorded
+  ///     with its agent index;
+  ///   * kWorkload — the workload family under the exact
+  ///     WorkloadAllocator: the marginals 2 b_j x_j + 3 b_j gamma x_j^2
+  ///     are equalised at the (always interior) optimum.
+  FamilyKind exact = FamilyKind::kGeneric;
   /// Whether the mechanism guarantees nonnegative utility at consistent
   /// rounds (Mechanism::guarantees_voluntary_participation()).
   bool participation_guaranteed = true;
-  /// The round is an M/M/1 round under the exact MM1Allocator: arms the
-  /// participation monitor (exact optimum) and the M/M/1 KKT residual —
-  /// at the optimum the active marginals mu_j / (mu_j - x_j)^2 with
-  /// mu_j = 1/b_j are equalised, and every idle computer (x_j = 0) must
-  /// have a marginal cost at zero 1/mu_j no lower than that multiplier; each
-  /// idle offender is recorded with its agent index.
-  bool mm1_exact = false;
-  /// The round is a workload-family round under the exact
-  /// WorkloadAllocator: arms participation and the workload KKT residual —
-  /// the marginals 2 b_j x_j + 3 b_j gamma x_j^2 are equalised at the
-  /// (always interior) optimum.
-  bool workload_exact = false;
-  /// Family-level congestion coefficient when workload_exact.
+  /// Family-level congestion coefficient when exact == kWorkload.
   double workload_gamma = 0.0;
 };
 

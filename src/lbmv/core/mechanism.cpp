@@ -1,6 +1,5 @@
 #include "lbmv/core/mechanism.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -17,7 +16,6 @@
 #include "lbmv/core/simd_round.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
-#include "lbmv/util/thread_pool.h"
 
 namespace lbmv::core {
 
@@ -71,7 +69,6 @@ void observe_round(RoundEngine engine, FamilyKind exact,
   }
   if (engine == RoundEngine::kLinearPr) {
     probes.linear_pr_rounds.inc();
-    probes.simd_rounds.inc();
     if (stats.shards > 1) {
       probes.sharded_rounds.inc();
       probes.shard_count.record(static_cast<double>(stats.shards));
@@ -91,11 +88,9 @@ void observe_round(RoundEngine engine, FamilyKind exact,
   // The family-specific monitors depend only on whether the allocation is
   // the family's exact optimum, not on which engine computed it.
   RoundInvariantOptions opts;
+  opts.exact = exact;
   opts.participation_guaranteed = participation_guaranteed;
-  opts.linear_pr = exact == FamilyKind::kLinear;
-  opts.mm1_exact = exact == FamilyKind::kMm1;
   if (exact == FamilyKind::kWorkload) {
-    opts.workload_exact = true;
     opts.workload_gamma =
         static_cast<const model::WorkloadFamily&>(family).gamma();
   }
@@ -273,68 +268,16 @@ MechanismOutcome Mechanism::run(const model::SystemConfig& config,
   return run(config.family(), config.arrival_rate(), profile);
 }
 
-void Mechanism::run_batch(const model::LatencyFamily& family,
-                          double arrival_rate, const ProfileBatch& batch,
-                          BatchOutcomes& out,
-                          const BatchRunOptions& options) const {
-  const std::size_t count = batch.size();
-  out.outcomes.resize(count);
-  if (obs::enabled()) {
-    obs::MechProbes& probes = obs::MechProbes::get();
-    probes.batch_runs.inc();
-    probes.batch_size.record(static_cast<double>(count));
-  }
-  if (count == 0) return;
-  const auto body = [&](std::size_t b) {
-    run_into(family, arrival_rate, batch.bids(b), batch.executions(b),
-             out.outcomes[b], RoundWorkspace::thread_local_instance());
-  };
-  if (!options.parallel || count < 2) {
-    for (std::size_t b = 0; b < count; ++b) body(b);
-    return;
-  }
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::global();
-  pool.parallel_for(0, count, body, options.grain);
-}
-
-void Mechanism::run_batch(const model::LatencyFamily& family,
-                          double arrival_rate, const ProfileBatch& batch,
-                          BatchOutcomes& out) const {
-  run_batch(family, arrival_rate, batch, out, BatchRunOptions{});
-}
-
-void Mechanism::run_batch(const model::SystemConfig& config,
-                          const ProfileBatch& batch, BatchOutcomes& out,
-                          const BatchRunOptions& options) const {
-  run_batch(config.family(), config.arrival_rate(), batch, out, options);
-}
-
-void Mechanism::run_batch(const model::SystemConfig& config,
-                          const ProfileBatch& batch, BatchOutcomes& out) const {
-  run_batch(config.family(), config.arrival_rate(), batch, out,
-            BatchRunOptions{});
-}
-
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-Clock::time_point sweep_start() {
-  return obs::enabled() ? Clock::now() : Clock::time_point{};
-}
-
 /// A sweep's counters (ProfileUtilityContext's class comment).
-void note_sweep(const ProfileUtilityContext& context, std::size_t grid_size,
-                Clock::time_point start) {
+void note_sweep(const ProfileUtilityContext& context, std::size_t grid_size) {
   if (!obs::enabled()) return;
   obs::StrategyProbes& probes = obs::StrategyProbes::get();
   probes.grid_evals.inc(grid_size);
   if (context.lane_sweeps()) {
     probes.grid_lanes_wasted.inc(grid_lanes_padded(grid_size));
   }
-  const std::chrono::duration<double> elapsed = Clock::now() - start;
-  probes.grid_round_seconds.record(elapsed.count());
 }
 
 }  // namespace
@@ -357,7 +300,6 @@ void ProfileUtilityContext::utilities_into(std::size_t agent,
                                            std::span<double> out) const {
   LBMV_REQUIRE(out.size() >= bids.size(),
                "output span must cover the candidate grid");
-  const Clock::time_point start = sweep_start();
   if (!bids.empty()) {
     // Candidate 0's check is the first one a loop of utility() calls
     // makes; sweep overrides may then read the agent's committed entries.
@@ -365,18 +307,17 @@ void ProfileUtilityContext::utilities_into(std::size_t agent,
                                    execution);
     sweep(agent, bids, execution, out.data(), nullptr);
   }
-  note_sweep(*this, bids.size(), start);
+  note_sweep(*this, bids.size());
 }
 
 GridBest ProfileUtilityContext::best_response(std::size_t agent,
                                               std::span<const double> bids,
                                               double execution) const {
   LBMV_REQUIRE(!bids.empty(), "deviation grid must be non-empty");
-  const Clock::time_point start = sweep_start();
   model::require_valid_deviation(agent, profile_.size(), bids[0], execution);
   GridBest best;
   sweep(agent, bids, execution, nullptr, &best);
-  note_sweep(*this, bids.size(), start);
+  note_sweep(*this, bids.size());
   return best;
 }
 

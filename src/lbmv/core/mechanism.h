@@ -37,11 +37,8 @@
 
 namespace lbmv::core {
 
-class RoundWorkspace;    // batch.h
-class ProfileBatch;      // batch.h
-struct BatchOutcomes;    // batch.h
-struct BatchRunOptions;  // batch.h
-struct RoundOptions;     // batch.h
+class RoundWorkspace;  // batch.h
+struct RoundOptions;   // batch.h
 
 /// The payment rules the shipped mechanisms implement.  A mechanism
 /// advertises its rule via Mechanism::payment_rule(); every round engine
@@ -153,8 +150,8 @@ struct GridBest {
 ///     lbmv_strategy_mechanism_runs_avoided_total when closed_form(); each
 ///     sweep bumps lbmv_strategy_grid_evals_total by its candidates,
 ///     lbmv_strategy_grid_lanes_wasted_total by its padded tail lanes when
-///     lane_sweeps(), and records lbmv_strategy_grid_round_seconds; each
-///     commit bumps lbmv_strategy_commits_total per entry.  A sweep's
+///     lane_sweeps(); each commit bumps lbmv_strategy_commits_total per
+///     entry.  A sweep's
 ///     per-candidate work is not a deviation query and counts nothing more.
 class ProfileUtilityContext {
  public:
@@ -317,25 +314,6 @@ class Mechanism {
                           double arrival_rate, std::span<const double> bids,
                           std::span<const double> executions,
                           MechanismOutcome& out, RoundWorkspace& ws) const;
-
-  /// Run every profile of \p batch, writing outcome b into out[b].  Profiles
-  /// are fanned over a thread pool (per BatchRunOptions) with one reusable
-  /// workspace per worker thread; each worker writes only its own outcome
-  /// slots, so results are identical for any thread count and bit-exact
-  /// against a scalar loop of run() calls.
-  void run_batch(const model::LatencyFamily& family, double arrival_rate,
-                 const ProfileBatch& batch, BatchOutcomes& out,
-                 const BatchRunOptions& options) const;
-
-  /// run_batch with default options (parallel on the global pool).
-  void run_batch(const model::LatencyFamily& family, double arrival_rate,
-                 const ProfileBatch& batch, BatchOutcomes& out) const;
-
-  /// run_batch reading family and arrival rate from a config.
-  void run_batch(const model::SystemConfig& config, const ProfileBatch& batch,
-                 BatchOutcomes& out, const BatchRunOptions& options) const;
-  void run_batch(const model::SystemConfig& config, const ProfileBatch& batch,
-                 BatchOutcomes& out) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 

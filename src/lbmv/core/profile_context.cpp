@@ -50,10 +50,10 @@ struct LinearDeviation {
   T tail() const { return rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)); }
 };
 
-/// The share of S' that the deviated rest S' - 1/b must exceed for the
-/// round to price rule R: the leave-one-out cancellation guard's under a
-/// rule that reads L_{-i} (alloc::require_leave_one_out_gap), none — a
-/// positive rest — under Archer–Tardos (require_rest_capacity).
+/// The share of S' that every agent's rest at the deviated profile must
+/// exceed for the round to price rule R: the leave-one-out cancellation
+/// guard's under a rule that reads L_{-i} (alloc::require_leave_one_out_gap),
+/// none — a positive rest — under Archer–Tardos (require_rest_capacity).
 /// No-payment reads neither.
 template <PaymentRule R>
 constexpr double kRestGap =
@@ -79,8 +79,14 @@ LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
   const double r = arrival_rate();
   const double old_inv = 1.0 / profile().bids[agent];
   const double s_rest = s_ - old_inv;
-  return Rest{r, r * r, s_rest, r * r / s_rest,
-              w_ - profile().executions[agent] * old_inv * old_inv};
+  const Fastest& opponent = fastest_[agent == fastest_[0].agent ? 1 : 0];
+  return Rest{r,
+              r * r,
+              s_rest,
+              r * r / s_rest,
+              w_ - profile().executions[agent] * old_inv * old_inv,
+              opponent.inv,
+              opponent.agent};
 }
 
 double LinearPrProfileContext::deviation_utility(std::size_t agent,
@@ -88,13 +94,17 @@ double LinearPrProfileContext::deviation_utility(std::size_t agent,
                                                  double execution) const {
   const LinearDeviation<double> d{rest_of(agent), bid, execution};
   return with_payment_rule(rule(), [&](auto r) {
-    // The round's own guard first, so a deviation it rejects raises the
-    // round's diagnostic.
+    // The round's own guards first, so a deviation it rejects raises the
+    // round's diagnostic: the deviator's rest, then the fastest opponent's.
     if constexpr (reads_leave_one_out(r)) {
-      alloc::require_leave_one_out_gap(d.s - d.inv, d.s * kRestGap<r>, agent,
-                                       profile().size());
+      const double min_gap = d.s * kRestGap<r>;
+      const std::size_t n = profile().size();
+      alloc::require_leave_one_out_gap(d.s - d.inv, min_gap, agent, n);
+      alloc::require_leave_one_out_gap(d.s - d.rest.inv_fastest, min_gap,
+                                       d.rest.fastest, n);
     } else if constexpr (r == PaymentRule::kArcherTardos) {
       require_rest_capacity(d.s - d.inv, agent);
+      require_rest_capacity(d.s - d.rest.inv_fastest, d.rest.fastest);
     }
     const double u = rule_terms(r, d).utility;
     if (!std::isfinite(u)) throw_non_finite(agent, bid, execution);
@@ -114,25 +124,61 @@ void LinearPrProfileContext::sweep(std::size_t agent,
                  namespace simd = util::simd;
                  const LinearDeviation<simd::DVec> d{rest, b, execution};
                  if constexpr (kRestGuarded<r>) {
-                   // A lane the round's guard rejects is the scalar form's
+                   // A lane the round's guards reject is the scalar form's
                    // to raise.
+                   const simd::DVec min_gap = d.s * kRestGap<r>;
                    ok = simd::mask_and(
-                       ok, simd::mask_greater(d.s - d.inv, d.s * kRestGap<r>));
+                       ok, simd::mask_and(
+                               simd::mask_greater(d.s - d.inv, min_gap),
+                               simd::mask_greater(d.s - rest.inv_fastest,
+                                                  min_gap)));
                  }
                  return rule_terms(r, d).utility;
                });
   });
 }
 
+bool LinearPrProfileContext::rank_fastest(std::size_t agent, double inv) {
+  if (agent == fastest_[0].agent || agent == fastest_[1].agent) {
+    // Now slower than the second, it may have fallen behind an agent
+    // fastest_ does not list.
+    if (inv < fastest_[1].inv) return false;
+    fastest_[agent == fastest_[0].agent ? 0 : 1].inv = inv;
+    if (fastest_[1].inv > fastest_[0].inv) std::swap(fastest_[0], fastest_[1]);
+  } else if (inv > fastest_[0].inv) {
+    fastest_[1] = fastest_[0];
+    fastest_[0] = {inv, agent};
+  } else if (inv > fastest_[1].inv) {
+    fastest_[1] = {inv, agent};
+  }
+  return true;
+}
+
+void LinearPrProfileContext::scan_fastest() {
+  const model::BidProfile& p = profile();
+  fastest_[0] = {1.0 / p.bids[0], 0};
+  fastest_[1] = {0.0, 1};  // agent 1's slot, ranked by the loop
+  for (std::size_t j = 1; j < p.size(); ++j) {
+    (void)rank_fastest(j, 1.0 / p.bids[j]);
+  }
+}
+
 void LinearPrProfileContext::update_entries(std::span<const BidDelta> deltas) {
+  bool ranked = true;
   for (const BidDelta& d : deltas) {
     const double old_bid = profile().bids[d.agent];
     const double old_exec = profile().executions[d.agent];
-    s_ += 1.0 / d.bid - 1.0 / old_bid;
+    const double inv = 1.0 / d.bid;
+    s_ += inv - 1.0 / old_bid;
     w_ += d.execution / (d.bid * d.bid) - old_exec / (old_bid * old_bid);
     write_entry(d);
-    if (++commits_since_rebuild_ >= rebuild_period_) rebuild();
+    ranked = ranked && rank_fastest(d.agent, inv);
+    if (++commits_since_rebuild_ >= rebuild_period_) {
+      rebuild();
+      ranked = true;
+    }
   }
+  if (!ranked) scan_fastest();
 }
 
 void LinearPrProfileContext::rebuild() {
@@ -162,6 +208,7 @@ void LinearPrProfileContext::rebuild() {
          {"drift_w", drift_w}});
   }
   commits_since_rebuild_ = 0;
+  scan_fastest();
 }
 
 }  // namespace lbmv::core

@@ -18,13 +18,16 @@
 /// four candidate bids per instruction through the lane driver
 /// (grid_kernels.h, DESIGN.md §13), with the same bits.  A deviation the
 /// round at the deviated profile rejects is rejected here too, with the
-/// round's diagnostic: the deviated rest S' - 1/b must keep the
-/// leave-one-out cancellation guard's share of S' under the rules that
-/// read L_{-i}, and be positive under Archer–Tardos.  Where the closed form
-/// leaves the double range (tiny or subnormal bids overflow 1/b or
-/// (R/S')^2 W'), utility() throws a PreconditionError naming the agent and
-/// the bid.  A sweep with a lane of either kind is served by utility()'s
-/// scalar form.  The committed round's outcome is Mechanism::run_into's.
+/// round's diagnostic: every agent's rest at S' must keep the leave-one-out
+/// cancellation guard's share of S' under the rules that read L_{-i}, and
+/// be positive under Archer–Tardos.  Only two agents can fail that: the
+/// deviator (rest S' - 1/b) and the opponent with the largest 1/b_j (rest
+/// S' - 1/b_j), so the context tracks the two largest committed inverse
+/// bids.  Where the closed form leaves the double range (tiny or subnormal
+/// bids overflow 1/b or (R/S')^2 W'), utility() throws a PreconditionError
+/// naming the agent and the bid.  A sweep with a lane of either kind is
+/// served by utility()'s scalar form.  The committed round's outcome is
+/// Mechanism::run_into's.
 
 #include <cstddef>
 #include <span>
@@ -35,11 +38,13 @@
 namespace lbmv::core {
 
 /// The closed-form context (file comment above).  Maintains the two running
-/// sums S and W over the committed profile; every query is a constant
-/// number of flops and every commit is an O(1) delta.  Committed deltas are
-/// re-summed from scratch every max(64, n) commits so floating point drift
-/// stays far below the 1e-9 differential-test tolerance while the amortised
-/// commit cost stays O(1).
+/// sums S and W and the two largest inverse bids over the committed
+/// profile; every query is a constant number of flops and every commit is
+/// an O(1) delta, except that a commit slowing down one of the two fastest
+/// agents rescans the profile for them once per commit batch.  Committed
+/// deltas are re-summed from scratch every max(64, n) commits so floating
+/// point drift stays far below the 1e-9 differential-test tolerance while
+/// the amortised commit cost stays O(1).
 ///
 /// utilities_into and best_response run the closed form four candidates per
 /// instruction (lane_sweeps() is true).
@@ -57,6 +62,8 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
     double s_rest;  ///< S - 1/b_i
     double l_rest;  ///< L_{-i} = R^2 / (S - 1/b_i)
     double w_rest;  ///< W - t~_i / b_i^2
+    double inv_fastest;   ///< the largest 1/b_j over the others j != i
+    std::size_t fastest;  ///< that opponent's index
   };
 
  protected:
@@ -71,8 +78,21 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
  private:
   [[nodiscard]] Rest rest_of(std::size_t agent) const;
 
+  /// One agent's inverse bid, as ranked among the fastest.
+  struct Fastest {
+    double inv = 0.0;
+    std::size_t agent = 0;
+  };
+  /// Rank \p agent's new inverse bid \p inv into fastest_.  False when
+  /// only a scan can tell the two fastest again: a listed agent fell below
+  /// the second, so an unlisted one may now outrank it.
+  bool rank_fastest(std::size_t agent, double inv);
+  /// fastest_ from a scan of the committed bids.
+  void scan_fastest();
+
   double s_ = 0.0;
   double w_ = 0.0;
+  Fastest fastest_[2];  ///< the two largest 1/b_j, largest first
   std::size_t rebuild_period_ = 64;
   std::size_t commits_since_rebuild_ = 0;
 };

@@ -29,10 +29,8 @@ MechProbes& MechProbes::get() {
     Registry& r = Registry::global();
     MechProbes p;
     p.rounds = r.counter("lbmv_mech_rounds_total");
-    p.batch_runs = r.counter("lbmv_mech_batch_runs_total");
     p.linear_pr_rounds = r.counter("lbmv_mech_linear_fast_rounds_total");
     p.allocs_avoided = r.counter("lbmv_mech_allocs_avoided_total");
-    p.simd_rounds = r.counter("lbmv_mech_simd_rounds_total");
     p.sharded_rounds = r.counter("lbmv_mech_sharded_rounds_total");
     p.nonlinear_rounds = r.counter("lbmv_mech_nonlinear_rounds_total");
     p.newton_iters = r.counter("lbmv_mech_newton_iters_total");
@@ -40,7 +38,6 @@ MechProbes& MechProbes::get() {
     p.loo_batches = r.counter("lbmv_mech_leave_one_out_batches_total");
     p.round_payment = r.histogram("lbmv_mech_round_payment");
     p.round_bonus = r.histogram("lbmv_mech_round_bonus");
-    p.batch_size = r.histogram("lbmv_mech_batch_size");
     p.loo_batch_size = r.histogram("lbmv_mech_leave_one_out_batch_size");
     p.shard_count = r.histogram("lbmv_mech_shard_count");
     return p;
@@ -94,7 +91,6 @@ StrategyProbes& StrategyProbes::get() {
     p.grid_evals = r.counter("lbmv_strategy_grid_evals_total");
     p.grid_lanes_wasted = r.counter("lbmv_strategy_grid_lanes_wasted_total");
     p.round_seconds = r.histogram("lbmv_strategy_best_response_round_seconds");
-    p.grid_round_seconds = r.histogram("lbmv_strategy_grid_round_seconds");
     return p;
   }();
   return probes;

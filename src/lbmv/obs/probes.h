@@ -22,12 +22,11 @@
 ///     lbmv_server_arrivals_total{server=...}  per-server submissions
 ///     lbmv_server_completions_total{server=...}
 ///     lbmv_mech_rounds_total                  mechanism rounds (run/run_into)
-///     lbmv_mech_batch_runs_total              Mechanism::run_batch calls
-///     lbmv_mech_linear_fast_rounds_total      rounds on the fused linear path
+///     lbmv_mech_linear_fast_rounds_total      rounds on the fused linear
+///                                             (vectorized) engine
+///                                             (DESIGN.md §12)
 ///     lbmv_mech_allocs_avoided_total          heap allocations the fused
 ///                                             path skipped vs the scalar one
-///     lbmv_mech_simd_rounds_total             rounds on the vectorized
-///                                             engine (DESIGN.md §12)
 ///     lbmv_mech_sharded_rounds_total          vectorized rounds whose agent
 ///                                             axis fanned over the pool
 ///     lbmv_mech_nonlinear_rounds_total        rounds on the fused nonlinear
@@ -70,12 +69,10 @@
 ///     lbmv_mech_round_payment       per-agent payment per round
 ///     lbmv_mech_round_bonus         per-agent bonus per round
 ///     lbmv_mech_shard_count         pool tasks per sharded round
-///     lbmv_mech_batch_size          profiles per run_batch call
 ///     lbmv_core_delta_dirty_agents  changed agents (k) per changing sync
 ///     lbmv_mech_leave_one_out_batch_size
 ///     lbmv_pool_chunk_size          parallel_for grain sizes
 ///     lbmv_strategy_best_response_round_seconds  wall time per dynamics round
-///     lbmv_strategy_grid_round_seconds  wall time per candidate-grid sweep
 
 #include <cstdint>
 
@@ -99,10 +96,8 @@ struct SimProbes {
 /// Mechanism, audit, and leave-one-out payment engine.
 struct MechProbes {
   Counter rounds;
-  Counter batch_runs;
   Counter linear_pr_rounds;
   Counter allocs_avoided;
-  Counter simd_rounds;
   Counter sharded_rounds;
   Counter nonlinear_rounds;
   Counter newton_iters;
@@ -110,7 +105,6 @@ struct MechProbes {
   Counter loo_batches;
   Histogram round_payment;
   Histogram round_bonus;
-  Histogram batch_size;
   Histogram loo_batch_size;
   Histogram shard_count;
 
@@ -153,7 +147,6 @@ struct StrategyProbes {
   Counter grid_evals;
   Counter grid_lanes_wasted;
   Histogram round_seconds;
-  Histogram grid_round_seconds;
 
   static StrategyProbes& get();
 };

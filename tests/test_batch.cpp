@@ -1,11 +1,10 @@
-// Differential and allocation tests for the batched round kernels.
+// Differential and allocation tests for rounds on a held workspace.
 //
-// The contract under test (DESIGN.md §11): Mechanism::run_into and
-// Mechanism::run_batch produce the same outcomes as scalar Mechanism::run —
-// to 1e-12 relative error across every mechanism, compensation basis, batch
-// width and boundary profile below (the linear fast path is in fact
-// bit-exact by construction) — and the fused linear path performs zero heap
-// allocations per round once the workspace is warm.
+// The contract under test (DESIGN.md §11): Mechanism::run_into on one
+// RoundWorkspace carried across rounds produces the same outcomes as fresh
+// Mechanism::run calls — across agent counts and the generic-family arena
+// path below — and the fused linear path performs zero heap allocations per
+// round once the workspace is warm.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
-#include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -51,14 +49,11 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-using lbmv::core::BatchOutcomes;
-using lbmv::core::BatchRunOptions;
 using lbmv::core::CompBonusMechanism;
 using lbmv::core::CompensationBasis;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
-using lbmv::core::ProfileBatch;
 using lbmv::core::RoundWorkspace;
 using lbmv::core::VcgMechanism;
 using lbmv::model::BidProfile;
@@ -76,48 +71,47 @@ std::vector<std::unique_ptr<Mechanism>> all_mechanisms() {
   return ms;
 }
 
-/// Deterministic batch of B profiles over n agents.  Profile 0 is the
-/// boundary case: six orders of magnitude between the fastest and slowest
-/// bid (the widest spread the leave-one-out guard resolves), with one agent
-/// executing slower than it bid.
-ProfileBatch make_batch(std::size_t profiles, std::size_t agents,
-                        std::uint64_t seed) {
-  ProfileBatch batch(agents);
-  batch.reserve(profiles);
+/// Deterministic profiles over n agents.  Profile 0 is the boundary case:
+/// six orders of magnitude between the fastest and slowest bid (the widest
+/// spread the leave-one-out guard resolves), with one agent executing
+/// slower than it bid.
+std::vector<BidProfile> make_profiles(std::size_t profiles, std::size_t agents,
+                                      std::uint64_t seed) {
+  std::vector<BidProfile> out(profiles);
   lbmv::util::Rng rng(seed);
-  std::vector<double> bids(agents);
-  std::vector<double> execs(agents);
   for (std::size_t b = 0; b < profiles; ++b) {
+    BidProfile& p = out[b];
+    p.bids.resize(agents);
+    p.executions.resize(agents);
     for (std::size_t i = 0; i < agents; ++i) {
       if (b == 0) {
         const double frac =
             agents == 1 ? 0.0
                         : static_cast<double>(i) /
                               static_cast<double>(agents - 1);
-        bids[i] = std::pow(10.0, -3.0 + 6.0 * frac);
-        execs[i] = (i == 0) ? bids[i] * 2.5 : bids[i];
+        p.bids[i] = std::pow(10.0, -3.0 + 6.0 * frac);
+        p.executions[i] = (i == 0) ? p.bids[i] * 2.5 : p.bids[i];
       } else {
-        bids[i] = std::exp(rng.uniform(std::log(0.2), std::log(20.0)));
-        execs[i] = bids[i] * rng.uniform(1.0, 2.0);
+        p.bids[i] = std::exp(rng.uniform(std::log(0.2), std::log(20.0)));
+        p.executions[i] = p.bids[i] * rng.uniform(1.0, 2.0);
       }
     }
-    batch.push_back(bids, execs);
   }
-  return batch;
+  return out;
 }
 
-void expect_outcomes_equal(const MechanismOutcome& batch,
+void expect_outcomes_equal(const MechanismOutcome& held,
                            const MechanismOutcome& scalar, std::size_t b) {
-  ASSERT_EQ(batch.allocation.size(), scalar.allocation.size());
-  ASSERT_EQ(batch.agents.size(), scalar.agents.size());
-  EXPECT_DOUBLE_EQ(batch.actual_latency, scalar.actual_latency)
+  ASSERT_EQ(held.allocation.size(), scalar.allocation.size());
+  ASSERT_EQ(held.agents.size(), scalar.agents.size());
+  EXPECT_DOUBLE_EQ(held.actual_latency, scalar.actual_latency)
       << "profile " << b;
-  EXPECT_DOUBLE_EQ(batch.reported_latency, scalar.reported_latency)
+  EXPECT_DOUBLE_EQ(held.reported_latency, scalar.reported_latency)
       << "profile " << b;
-  for (std::size_t i = 0; i < batch.agents.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch.allocation[i], scalar.allocation[i])
+  for (std::size_t i = 0; i < held.agents.size(); ++i) {
+    EXPECT_DOUBLE_EQ(held.allocation[i], scalar.allocation[i])
         << "profile " << b << " agent " << i;
-    const auto& ba = batch.agents[i];
+    const auto& ba = held.agents[i];
     const auto& sa = scalar.agents[i];
     EXPECT_DOUBLE_EQ(ba.compensation, sa.compensation)
         << "profile " << b << " agent " << i;
@@ -132,93 +126,7 @@ void expect_outcomes_equal(const MechanismOutcome& batch,
 }
 
 // ---------------------------------------------------------------------------
-// ProfileBatch container semantics.
-
-TEST(ProfileBatch, StoresAndExtractsProfiles) {
-  ProfileBatch batch(3);
-  EXPECT_TRUE(batch.empty());
-  BidProfile p;
-  p.bids = {1.0, 2.0, 3.0};
-  p.executions = {1.5, 2.0, 4.0};
-  batch.push_back(p);
-  batch.push_back(std::vector<double>{2.0, 2.0, 2.0},
-                  std::vector<double>{2.0, 3.0, 2.0});
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.agents(), 3u);
-  EXPECT_EQ(batch.bids(0)[1], 2.0);
-  EXPECT_EQ(batch.executions(0)[2], 4.0);
-  EXPECT_EQ(batch.bids(1)[0], 2.0);
-  EXPECT_EQ(batch.executions(1)[1], 3.0);
-  BidProfile out;
-  batch.extract_into(0, out);
-  EXPECT_EQ(out.bids, p.bids);
-  EXPECT_EQ(out.executions, p.executions);
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.agents(), 3u);
-}
-
-TEST(ProfileBatch, RejectsMismatchedProfiles) {
-  ProfileBatch batch(3);
-  const std::vector<double> two{1.0, 2.0};
-  const std::vector<double> three{1.0, 2.0, 3.0};
-  EXPECT_THROW(batch.push_back(two, three), lbmv::util::PreconditionError);
-  EXPECT_THROW(batch.push_back(three, two), lbmv::util::PreconditionError);
-  ProfileBatch unsized;
-  EXPECT_THROW(unsized.push_back(three, three),
-               lbmv::util::PreconditionError);
-  BidProfile out;
-  EXPECT_THROW(batch.extract_into(0, out), lbmv::util::PreconditionError);
-}
-
-// ---------------------------------------------------------------------------
-// Differential: batch and _into kernels vs scalar Mechanism::run.
-
-class BatchDifferential : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchDifferential, RunBatchMatchesScalarRunsForEveryMechanism) {
-  const std::size_t profiles = GetParam();
-  const LinearFamily family;
-  const double rate = 12.5;
-  const ProfileBatch batch = make_batch(profiles, 6, 41);
-  for (const auto& mechanism : all_mechanisms()) {
-    BatchOutcomes outcomes;
-    mechanism->run_batch(family, rate, batch, outcomes);
-    ASSERT_EQ(outcomes.size(), profiles) << mechanism->name();
-    BidProfile profile;
-    for (std::size_t b = 0; b < profiles; ++b) {
-      batch.extract_into(b, profile);
-      const MechanismOutcome scalar = mechanism->run(family, rate, profile);
-      expect_outcomes_equal(outcomes[b], scalar, b);
-    }
-  }
-}
-
-TEST_P(BatchDifferential, ParallelAndSerialBatchesAreBitIdentical) {
-  const std::size_t profiles = GetParam();
-  const LinearFamily family;
-  const ProfileBatch batch = make_batch(profiles, 9, 97);
-  const CompBonusMechanism mechanism;
-  BatchRunOptions serial;
-  serial.parallel = false;
-  BatchOutcomes a;
-  BatchOutcomes b;
-  mechanism.run_batch(family, 8.0, batch, a);
-  mechanism.run_batch(family, 8.0, batch, b, serial);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    ASSERT_EQ(a[k].agents.size(), b[k].agents.size());
-    EXPECT_EQ(a[k].actual_latency, b[k].actual_latency);
-    EXPECT_EQ(a[k].reported_latency, b[k].reported_latency);
-    for (std::size_t i = 0; i < a[k].agents.size(); ++i) {
-      EXPECT_EQ(a[k].agents[i].payment, b[k].agents[i].payment);
-      EXPECT_EQ(a[k].agents[i].utility, b[k].agents[i].utility);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BatchDifferential,
-                         ::testing::Values<std::size_t>(1, 7, 64));
+// Differential: run_into on a held workspace vs scalar Mechanism::run.
 
 TEST(BatchDifferential, RunIntoReusedAcrossSizesMatchesScalarRun) {
   // One workspace and outcome carried across rounds of *different* agent
@@ -228,9 +136,7 @@ TEST(BatchDifferential, RunIntoReusedAcrossSizesMatchesScalarRun) {
   RoundWorkspace ws;
   MechanismOutcome out;
   for (std::size_t n : {8u, 3u, 17u, 2u}) {
-    const ProfileBatch batch = make_batch(2, n, 7 * n);
-    BidProfile profile;
-    batch.extract_into(1, profile);
+    const BidProfile profile = make_profiles(2, n, 7 * n)[1];
     mechanism.run_into(family, 4.0, profile, out, ws);
     const MechanismOutcome scalar = mechanism.run(family, 4.0, profile);
     expect_outcomes_equal(out, scalar, n);
@@ -243,20 +149,17 @@ TEST(BatchDifferential, GenericFamilyArenaPathMatchesScalarRun) {
   auto mm1 = std::make_shared<lbmv::model::MM1Family>();
   const CompBonusMechanism mechanism(
       std::make_shared<lbmv::alloc::ConvexAllocator>());
-  ProfileBatch batch(4);
   lbmv::util::Rng rng(5);
-  std::vector<double> types(4);
-  for (std::size_t b = 0; b < 5; ++b) {
-    for (double& t : types) t = rng.uniform(0.15, 0.4);
-    batch.push_back(types, types);
-  }
-  BatchOutcomes outcomes;
-  mechanism.run_batch(*mm1, 4.0, batch, outcomes);
   BidProfile profile;
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    batch.extract_into(b, profile);
+  profile.bids.resize(4);
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  for (std::size_t b = 0; b < 5; ++b) {
+    for (double& t : profile.bids) t = rng.uniform(0.15, 0.4);
+    profile.executions = profile.bids;
+    mechanism.run_into(*mm1, 4.0, profile, out, ws);
     const MechanismOutcome scalar = mechanism.run(*mm1, 4.0, profile);
-    expect_outcomes_equal(outcomes[b], scalar, b);
+    expect_outcomes_equal(out, scalar, b);
   }
 }
 
@@ -266,20 +169,17 @@ TEST(BatchDifferential, GenericFamilyArenaPathMatchesScalarRun) {
 TEST(ZeroAllocation, WarmLinearRoundsNeverTouchTheHeap) {
   const LinearFamily family;
   const std::size_t n = 64;
-  const ProfileBatch batch = make_batch(2, n, 123);
+  const BidProfile profile = make_profiles(2, n, 123)[1];
   RoundWorkspace ws;
   MechanismOutcome out;
   for (const auto& mechanism : all_mechanisms()) {
     // Warm-up: size every plane in the workspace and outcome.
-    mechanism->run_into(family, 9.0, batch.bids(1), batch.executions(1), out,
-                        ws);
-    mechanism->run_into(family, 9.0, batch.bids(1), batch.executions(1), out,
-                        ws);
+    mechanism->run_into(family, 9.0, profile, out, ws);
+    mechanism->run_into(family, 9.0, profile, out, ws);
     g_alloc_count.store(0);
     g_counting.store(true);
     for (int round = 0; round < 100; ++round) {
-      mechanism->run_into(family, 9.0, batch.bids(1), batch.executions(1),
-                          out, ws);
+      mechanism->run_into(family, 9.0, profile, out, ws);
     }
     g_counting.store(false);
     EXPECT_EQ(g_alloc_count.load(), 0u)
@@ -337,24 +237,6 @@ TEST(ZeroAllocation, GenericArenaKeepsHighWaterAcrossShrinkAndGrow) {
 
   EXPECT_EQ(count_round(big), steady_big)
       << "growing back to the high-water size re-ran the arena setup";
-}
-
-TEST(ZeroAllocation, WarmSerialRunBatchNeverTouchesTheHeap) {
-  // The serial batch loop adds nothing on top of run_into: outcome slots and
-  // per-thread workspaces are warm after the first pass.  (The parallel path
-  // necessarily allocates in task submission, so it is not under this test.)
-  const LinearFamily family;
-  const ProfileBatch batch = make_batch(16, 32, 321);
-  const CompBonusMechanism mechanism;
-  BatchRunOptions serial;
-  serial.parallel = false;
-  BatchOutcomes outcomes;
-  mechanism.run_batch(family, 9.0, batch, outcomes, serial);
-  g_alloc_count.store(0);
-  g_counting.store(true);
-  mechanism.run_batch(family, 9.0, batch, outcomes, serial);
-  g_counting.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0u) << "warm serial run_batch allocated";
 }
 
 }  // namespace

@@ -417,8 +417,7 @@ TEST(DeviationFallback, CommitsApplyToSubsequentQueries) {
 // same work — sweeps as grid evaluations, utility() calls as deviation
 // evaluations — and differ only in the runs a closed form avoided.
 
-/// Every strategy counter except mechanism_runs_avoided, plus the number of
-/// timed sweeps, right now.
+/// Every strategy counter except mechanism_runs_avoided, right now.
 std::vector<std::uint64_t> strategy_counts() {
   const auto snap = lbmv::obs::Registry::global().snapshot();
   std::vector<std::uint64_t> counts;
@@ -429,8 +428,6 @@ std::vector<std::uint64_t> strategy_counts() {
     const auto it = snap.counters.find(name);
     counts.push_back(it == snap.counters.end() ? 0 : it->second);
   }
-  const auto it = snap.histograms.find("lbmv_strategy_grid_round_seconds");
-  counts.push_back(it == snap.histograms.end() ? 0 : it->second.count);
   return counts;
 }
 
@@ -467,9 +464,8 @@ TEST(DeviationCounters, AutoAndNaiveCountTheSameSweepTheSameWay) {
   }
   lbmv::obs::set_enabled(was_enabled);
   EXPECT_EQ(deltas[0], deltas[1]);
-  // One utility() query, two sweeps of 8 candidates, one commit, two timed
-  // sweeps.
-  const std::vector<std::uint64_t> expected{1, 1, 16, 0, 2};
+  // One utility() query, two sweeps of 8 candidates, one commit.
+  const std::vector<std::uint64_t> expected{1, 1, 16, 0};
   EXPECT_EQ(deltas[1], expected);
 }
 

@@ -9,7 +9,9 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/frugality.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
+#include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 
 namespace {
@@ -81,6 +83,39 @@ TEST(Frugality, HeterogeneitySweepIsMonotoneInstancewiseSane) {
   // and drives the ratio *up*.
   EXPECT_NEAR(sweep.front().report.ratio(), 1.0 + 8.0 / 7.0, 1e-9);
   EXPECT_LT(sweep.front().report.ratio(), sweep.back().report.ratio());
+}
+
+TEST(Frugality, HeterogeneitySweepEqualsPerSpreadRuns) {
+  // The sweep is one Mechanism::run per spread on that spread's truthful
+  // profile (geometric types in [1, s]), bit for bit.
+  const std::vector<double> spreads{1.0, 1.5, 2.0, 5.0, 10.0, 50.0, 100.0};
+  const std::size_t n = 16;
+  const lbmv::model::LinearFamily family;
+  const CompBonusMechanism comp_bonus;
+  const lbmv::core::VcgMechanism vcg;
+  const lbmv::core::NoPaymentMechanism no_payment;
+  for (const lbmv::core::Mechanism* mechanism :
+       {static_cast<const lbmv::core::Mechanism*>(&comp_bonus),
+        static_cast<const lbmv::core::Mechanism*>(&vcg),
+        static_cast<const lbmv::core::Mechanism*>(&no_payment)}) {
+    SCOPED_TRACE(mechanism->name());
+    const auto sweep =
+        frugality_heterogeneity_sweep(*mechanism, n, 20.0, spreads);
+    ASSERT_EQ(sweep.size(), spreads.size());
+    for (std::size_t k = 0; k < spreads.size(); ++k) {
+      BidProfile profile;
+      for (std::size_t i = 0; i < n; ++i) {
+        profile.bids.push_back(std::pow(
+            spreads[k], static_cast<double>(i) / static_cast<double>(n - 1)));
+      }
+      profile.executions = profile.bids;
+      const FrugalityReport want =
+          frugality_of(mechanism->run(family, 20.0, profile));
+      EXPECT_EQ(sweep[k].parameter, spreads[k]);
+      EXPECT_EQ(sweep[k].report.total_payment, want.total_payment);
+      EXPECT_EQ(sweep[k].report.total_valuation, want.total_valuation);
+    }
+  }
 }
 
 TEST(Frugality, ZeroPaymentMechanismHasRatioZero) {

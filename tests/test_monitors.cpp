@@ -66,7 +66,7 @@ TEST(RoundInvariants, CleanRoundHasNoViolations) {
 
   const std::size_t violations = lbmv::core::check_round_invariants(
       profile.bids, profile.executions, config.arrival_rate(), outcome,
-      lbmv::core::RoundInvariantOptions{/*linear_pr=*/true,
+      lbmv::core::RoundInvariantOptions{lbmv::core::FamilyKind::kLinear,
                                         /*participation_guaranteed=*/true});
   EXPECT_EQ(violations, 0u);
 
@@ -102,7 +102,7 @@ TEST(RoundInvariants, CorruptedRoundFlagsEveryMonitor) {
 
   const std::size_t violations = lbmv::core::check_round_invariants(
       profile.bids, profile.executions, config.arrival_rate(), outcome,
-      lbmv::core::RoundInvariantOptions{/*linear_pr=*/true,
+      lbmv::core::RoundInvariantOptions{lbmv::core::FamilyKind::kLinear,
                                         /*participation_guaranteed=*/true});
   EXPECT_EQ(violations, 4u);
 
@@ -154,7 +154,7 @@ TEST(RoundInvariants, Mm1ComputerWronglyLeftIdleIsFlaggedWithItsIndex) {
   outcome.allocation = lbmv::model::Allocation(std::move(rates));
   lbmv::core::RoundInvariantOptions options;
   options.participation_guaranteed = false;
-  options.mm1_exact = true;
+  options.exact = lbmv::core::FamilyKind::kMm1;
   EXPECT_EQ(lbmv::core::check_round_invariants(profile.bids,
                                                profile.executions,
                                                config.arrival_rate(),
@@ -191,7 +191,7 @@ TEST(RoundInvariants, ParticipationDisarmsOnInconsistentProfile) {
   const MetricsSnapshot before = Registry::global().snapshot();
   const std::size_t violations = lbmv::core::check_round_invariants(
       profile.bids, profile.executions, config.arrival_rate(), outcome,
-      lbmv::core::RoundInvariantOptions{/*linear_pr=*/true,
+      lbmv::core::RoundInvariantOptions{lbmv::core::FamilyKind::kLinear,
                                         /*participation_guaranteed=*/true});
   EXPECT_EQ(violations, 0u);
   const MetricsSnapshot after = Registry::global().snapshot();

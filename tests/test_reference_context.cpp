@@ -8,8 +8,8 @@
 // it is the only context, and it raises the mechanism's own errors.
 // Concurrent queries must match a serial loop bit for bit.  Every round's
 // published utility is the closed-form context's at the committed entries,
-// and the linear closed form rejects the deviations the round rejects,
-// with the round's message.
+// and the linear closed form rejects the deviations the round rejects —
+// the deviator's and the fastest opponent's — with the round's message.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lbmv/alloc/convex_allocator.h"
@@ -342,6 +343,89 @@ TEST(ReferenceContext, LinearClosedFormRejectsWhatTheRoundRejects) {
         expect_close(closed_best.utility, ref_best.utility, "best");
       }
     }
+  }
+  EXPECT_EQ(rules, 5);
+}
+
+TEST(ReferenceContext, LinearClosedFormGuardsTheFastestOpponent) {
+  // Agent 1 committed at bid 1e-200 carries all of S, so when agent 0
+  // deviates to (1, 1) the round at the deviated profile rejects agent 1's
+  // rest S' - 1/b_1, not agent 0's.  The closed form must raise that same
+  // message on every entry point, whether agent 1 came with the base
+  // profile or by a commit.
+  const lbmv::model::LinearFamily family;
+  BidProfile base;
+  for (int i = 0; i < 16; ++i) {
+    base.bids.push_back(0.5 + 0.37 * ((7 * i) % 13));
+  }
+  base.executions = base.bids;
+  BidProfile fast = base;
+  fast.bids[1] = 1e-200;
+  fast.executions[1] = 1e-200;
+  const std::vector<double> lane_grid{1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> tail_grid{1.0, 2.0, 3.0, 4.0, 5.0};
+  int rules = 0;
+  for (const Case& c : all_cases(4, 1)) {
+    if (c.name.find("/linear") == std::string::npos) continue;
+    ++rules;
+    SCOPED_TRACE(c.name);
+    const bool answers = c.name == "no_payment/linear";
+    const auto ref = c.mechanism->make_reference_context(family, 20.0, fast);
+    const auto built = c.mechanism->make_profile_context(family, 20.0, fast);
+    auto committed = c.mechanism->make_profile_context(family, 20.0, base);
+    committed->commit(1, 1e-200, 1e-200);
+    const std::string want =
+        precondition_what([&] { (void)ref->utility(0, 1.0, 1.0); });
+    EXPECT_EQ(want.empty(), answers) << want;
+    if (!answers) {
+      EXPECT_TRUE(want.find("(agent 1 of 16)") != std::string::npos ||
+                  want.find("positive capacity (agent 1)") !=
+                      std::string::npos)
+          << want;
+    }
+    for (const ProfileUtilityContext* closed : {built.get(), committed.get()}) {
+      ASSERT_TRUE(closed->closed_form());
+      EXPECT_EQ(closed->profile().bids, fast.bids);
+      EXPECT_EQ(precondition_what([&] { (void)closed->utility(0, 1.0, 1.0); }),
+                want);
+      for (const std::vector<double>& grid : {lane_grid, tail_grid}) {
+        std::vector<double> row(grid.size());
+        EXPECT_EQ(precondition_what(
+                      [&] { closed->utilities_into(0, grid, 1.0, row); }),
+                  want);
+        EXPECT_EQ(precondition_what(
+                      [&] { (void)closed->best_response(0, grid, 1.0); }),
+                  want);
+      }
+      if (answers) {
+        expect_close(closed->utility(0, 1.0, 1.0), ref->utility(0, 1.0, 1.0),
+                     "agent 0");
+      }
+    }
+    // Agents 1, 2 and 3 at inverse bids 1e14, 1e13 and 1e12: the context
+    // lists agents 1 and 2 as the two fastest.  Once agent 1 slows down,
+    // agent 3 is agent 2's fastest opponent, and when agent 2 deviates to
+    // (1, 1) the round rejects agent 3's rest.  The context must rescan to
+    // see it.
+    BidProfile tiered = base;
+    for (const auto& [agent, bid] :
+         {std::pair{1, 1e-14}, std::pair{2, 1e-13}, std::pair{3, 1e-12}}) {
+      tiered.bids[agent] = bid;
+      tiered.executions[agent] = bid;
+    }
+    auto moved = c.mechanism->make_profile_context(family, 20.0, tiered);
+    moved->commit(1, base.bids[1], base.executions[1]);
+    const auto ref_moved =
+        c.mechanism->make_reference_context(family, 20.0, moved->profile());
+    const std::string want_moved =
+        precondition_what([&] { (void)ref_moved->utility(2, 1.0, 1.0); });
+    if (c.name.find("comp_bonus") != std::string::npos ||
+        c.name == "vcg/linear") {
+      EXPECT_NE(want_moved.find("(agent 3 of 16)"), std::string::npos)
+          << want_moved;
+    }
+    EXPECT_EQ(precondition_what([&] { (void)moved->utility(2, 1.0, 1.0); }),
+              want_moved);
   }
   EXPECT_EQ(rules, 5);
 }

@@ -38,8 +38,10 @@
 // plus a `batch_round_throughput` section for the allocation-free batched
 // round kernels (DESIGN.md §11): rounds/sec through the preserved seed
 // formulation (fresh allocations every round), the current scalar run()
-// loop, and ProfileBatch::run_batch serial/parallel, with a differential
-// cross-check against the seed formulation that also gates the exit code.
+// loop, a run_into loop on one held workspace (serial) and a parallel_for
+// over run_into with thread-local workspaces (parallel), with a
+// differential cross-check against the seed formulation that also gates
+// the exit code.
 //
 // plus a `deviation_grid` section for the profile contexts' lane sweeps
 // (DESIGN.md §13): full candidate-bid sweeps (grid = 1000 bids per agent
@@ -763,10 +765,11 @@ int main(int argc, char** argv) {
   // Batched round kernels (DESIGN.md §11): rounds/sec through the seed
   // formulation (fresh allocation, per-agent heap-allocated latency
   // functions and a fresh leave-one-out vector each round — reproduced
-  // above as seed_comp_bonus_round), the current scalar run() loop, and
-  // run_batch serial/parallel over the same profiles, plus a differential
-  // cross-check of the fused kernels against the seed formulation that
-  // gates the exit code.
+  // above as seed_comp_bonus_round), the current scalar run() loop, a
+  // run_into loop on one held workspace and a parallel_for over run_into
+  // with thread-local workspaces over the same profiles, plus a
+  // differential cross-check of the fused kernels against the seed
+  // formulation that gates the exit code.
   JsonValue::Object batch_round_throughput;
   bool batch_check_pass = true;
   {
@@ -778,17 +781,11 @@ int main(int argc, char** argv) {
     double max_err = 0.0;
     double best_speedup_n256 = 0.0;
     for (std::size_t n : sizes) {
-      lbmv::core::ProfileBatch batch(n);
-      batch.reserve(profiles);
-      for (std::size_t b = 0; b < profiles; ++b) {
-        const auto bids = random_types(n, 1000 + b);
-        auto execs = bids;
-        for (double& e : execs) e *= 1.25;
-        batch.push_back(bids, execs);
-      }
       std::vector<lbmv::model::BidProfile> rounds(profiles);
       for (std::size_t b = 0; b < profiles; ++b) {
-        batch.extract_into(b, rounds[b]);
+        rounds[b].bids = random_types(n, 1000 + b);
+        rounds[b].executions = rounds[b].bids;
+        for (double& e : rounds[b].executions) e *= 1.25;
       }
 
       const double seed_secs = seconds_per_call(
@@ -805,23 +802,30 @@ int main(int argc, char** argv) {
             }
           },
           tmin, treps);
-      lbmv::core::BatchOutcomes outcomes;
-      lbmv::core::BatchRunOptions serial_options;
-      serial_options.parallel = false;
+      std::vector<lbmv::core::MechanismOutcome> outcomes(profiles);
+      lbmv::core::RoundWorkspace ws;
       const double serial_secs = seconds_per_call(
           [&] {
-            mechanism.run_batch(family, arrival_rate, batch, outcomes,
-                                serial_options);
+            for (std::size_t b = 0; b < profiles; ++b) {
+              mechanism.run_into(family, arrival_rate, rounds[b], outcomes[b],
+                                 ws);
+            }
           },
           tmin, treps);
-      const double parallel_secs = seconds_per_call(
-          [&] { mechanism.run_batch(family, arrival_rate, batch, outcomes); },
-          tmin, treps);
+      const auto run_parallel = [&] {
+        lbmv::util::ThreadPool::global().parallel_for(
+            0, profiles, [&](std::size_t b) {
+              mechanism.run_into(
+                  family, arrival_rate, rounds[b], outcomes[b],
+                  lbmv::core::RoundWorkspace::thread_local_instance());
+            });
+      };
+      const double parallel_secs = seconds_per_call(run_parallel, tmin, treps);
 
       // Differential cross-check: the fused kernels are bit-exact against
       // the seed formulation on the linear family by construction; the
       // gate leaves roundoff headroom for other platforms.
-      mechanism.run_batch(family, arrival_rate, batch, outcomes);
+      run_parallel();
       for (std::size_t b = 0; b < profiles; ++b) {
         const auto reference = seed_comp_bonus_round(family, allocator,
                                                      arrival_rate, rounds[b]);
