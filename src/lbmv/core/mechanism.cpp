@@ -354,16 +354,15 @@ void ProfileUtilityContext::commit_batch(std::span<const BidDelta> deltas) {
                                    d.execution);
   }
   if (deltas.empty()) return;
-  update_entries(deltas);
+  for (const BidDelta& d : deltas) {
+    profile_.bids[d.agent] = d.bid;
+    profile_.executions[d.agent] = d.execution;
+  }
+  rebuild();
   if (obs::enabled()) {
     obs::StrategyProbes::get().commits.inc(
         static_cast<std::uint64_t>(deltas.size()));
   }
-}
-
-void ProfileUtilityContext::update_entries(std::span<const BidDelta> deltas) {
-  for (const BidDelta& d : deltas) write_entry(d);
-  rebuild();
 }
 
 std::unique_ptr<ProfileUtilityContext> Mechanism::make_profile_context(

@@ -142,8 +142,9 @@ struct GridBest {
 ///   * every query and commit checks model::require_valid_deviation (agent
 ///     in range, bid and execution finite and > 0) once, here in the base
 ///     class, and throws its PreconditionError;
-///   * commit() permanently moves one agent to (bid, execution) — O(1)
-///     amortised for closed-form implementations — and is NOT safe to call
+///   * commit() permanently moves one agent to (bid, execution) — it writes
+///     the entry and re-derives the context from the committed profile, so
+///     a commit batch costs one O(n) rebuild — and is NOT safe to call
 ///     concurrently with any query;
 ///   * counters (obs/probes.h, when recording is on): utility() bumps
 ///     lbmv_strategy_deviation_evals_total, and
@@ -225,22 +226,10 @@ class ProfileUtilityContext {
   virtual void sweep(std::size_t agent, std::span<const double> bids,
                      double execution, double* out, GridBest* best) const;
 
-  /// The commit hook behind commit() and commit_batch(), called once per
-  /// call with a non-empty, already-checked batch.  The default writes
-  /// every entry and re-derives once (rebuild()): a rebuild is a pure
-  /// function of the committed profile, so that is state-identical to the
-  /// sequential loop with k times less work.  A context with O(1) per-entry
-  /// deltas overrides it to go entry by entry (write_entry()).
-  virtual void update_entries(std::span<const BidDelta> deltas);
-
-  /// Re-derive the context's state from the committed profile.
+  /// Re-derive the context's state from the committed profile.  The
+  /// context's state is a function of profile() alone: commit() and
+  /// commit_batch() write their entries and call this once.
   virtual void rebuild() = 0;
-
-  /// Write one checked entry into the committed profile.
-  void write_entry(const BidDelta& d) {
-    profile_.bids[d.agent] = d.bid;
-    profile_.executions[d.agent] = d.execution;
-  }
 
  private:
   PaymentRule rule_;

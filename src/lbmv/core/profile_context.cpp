@@ -1,15 +1,14 @@
 #include "lbmv/core/profile_context.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/rule_terms.h"
-#include "lbmv/obs/monitor.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
@@ -18,7 +17,6 @@ LinearPrProfileContext::LinearPrProfileContext(PaymentRule rule,
                                                double arrival_rate,
                                                model::BidProfile base)
     : ProfileUtilityContext(rule, arrival_rate, std::move(base)) {
-  rebuild_period_ = std::max<std::size_t>(64, profile().size());
   rebuild();
 }
 
@@ -72,26 +70,46 @@ constexpr bool kRestGuarded =
   throw util::PreconditionError(os.str());
 }
 
+/// S and W over every agent but \p agent, summed from the profile: the
+/// cold path of rest_of, kept out of line so the hot query stays small.
+[[gnu::cold, gnu::noinline]] std::pair<double, double> sum_rest(
+    const model::BidProfile& p, std::size_t agent) {
+  double s_rest = 0.0;
+  double w_rest = 0.0;
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    if (j == agent) continue;
+    const double inv = 1.0 / p.bids[j];
+    s_rest += inv;
+    w_rest += p.executions[j] * inv * inv;
+  }
+  return {s_rest, w_rest};
+}
+
 }  // namespace
 
 LinearPrProfileContext::Rest LinearPrProfileContext::rest_of(
     std::size_t agent) const {
   const double r = arrival_rate();
-  const double old_inv = 1.0 / profile().bids[agent];
-  const double s_rest = s_ - old_inv;
+  const model::BidProfile& p = profile();
+  const double old_inv = 1.0 / p.bids[agent];
+  double s_rest = s_ - old_inv;
+  double w_rest = w_ - p.executions[agent] * old_inv * old_inv;
+  if (!(s_rest > alloc::kLeaveOneOutMinRelativeGap * s_)) {
+    // The agent holds almost all of S, so the subtraction cancelled (only
+    // one agent can): sum its rest from the profile instead.
+    std::tie(s_rest, w_rest) = sum_rest(p, agent);
+  }
   const Fastest& opponent = fastest_[agent == fastest_[0].agent ? 1 : 0];
-  return Rest{r,
-              r * r,
-              s_rest,
-              r * r / s_rest,
-              w_ - profile().executions[agent] * old_inv * old_inv,
-              opponent.inv,
-              opponent.agent};
+  return Rest{r,      r * r,        s_rest,        r * r / s_rest,
+              w_rest, opponent.inv, opponent.agent};
 }
 
-double LinearPrProfileContext::deviation_utility(std::size_t agent,
-                                                 double bid,
-                                                 double execution) const {
+// Kept out of line: the sweep's scalar fallback then calls this one copy,
+// and the rule dispatch below inlines here once.  Inlined into the sweeps,
+// the dispatch stayed a call and each query took about a third longer
+// (GCC 12, -O3).
+[[gnu::noinline]] double LinearPrProfileContext::deviation_utility(
+    std::size_t agent, double bid, double execution) const {
   const LinearDeviation<double> d{rest_of(agent), bid, execution};
   return with_payment_rule(rule(), [&](auto r) {
     // The round's own guards first, so a deviation it rejects raises the
@@ -138,77 +156,23 @@ void LinearPrProfileContext::sweep(std::size_t agent,
   });
 }
 
-bool LinearPrProfileContext::rank_fastest(std::size_t agent, double inv) {
-  if (agent == fastest_[0].agent || agent == fastest_[1].agent) {
-    // Now slower than the second, it may have fallen behind an agent
-    // fastest_ does not list.
-    if (inv < fastest_[1].inv) return false;
-    fastest_[agent == fastest_[0].agent ? 0 : 1].inv = inv;
-    if (fastest_[1].inv > fastest_[0].inv) std::swap(fastest_[0], fastest_[1]);
-  } else if (inv > fastest_[0].inv) {
-    fastest_[1] = fastest_[0];
-    fastest_[0] = {inv, agent};
-  } else if (inv > fastest_[1].inv) {
-    fastest_[1] = {inv, agent};
-  }
-  return true;
-}
-
-void LinearPrProfileContext::scan_fastest() {
-  const model::BidProfile& p = profile();
-  fastest_[0] = {1.0 / p.bids[0], 0};
-  fastest_[1] = {0.0, 1};  // agent 1's slot, ranked by the loop
-  for (std::size_t j = 1; j < p.size(); ++j) {
-    (void)rank_fastest(j, 1.0 / p.bids[j]);
-  }
-}
-
-void LinearPrProfileContext::update_entries(std::span<const BidDelta> deltas) {
-  bool ranked = true;
-  for (const BidDelta& d : deltas) {
-    const double old_bid = profile().bids[d.agent];
-    const double old_exec = profile().executions[d.agent];
-    const double inv = 1.0 / d.bid;
-    s_ += inv - 1.0 / old_bid;
-    w_ += d.execution / (d.bid * d.bid) - old_exec / (old_bid * old_bid);
-    write_entry(d);
-    ranked = ranked && rank_fastest(d.agent, inv);
-    if (++commits_since_rebuild_ >= rebuild_period_) {
-      rebuild();
-      ranked = true;
-    }
-  }
-  if (!ranked) scan_fastest();
-}
-
 void LinearPrProfileContext::rebuild() {
-  const double incremental_s = s_;
-  const double incremental_w = w_;
-  const bool periodic = commits_since_rebuild_ > 0;
+  const model::BidProfile& p = profile();
   s_ = 0.0;
   w_ = 0.0;
-  const model::BidProfile& p = profile();
+  fastest_[0] = {};
+  fastest_[1] = {};
   for (std::size_t j = 0; j < p.size(); ++j) {
     const double inv = 1.0 / p.bids[j];
     s_ += inv;
     w_ += p.executions[j] * inv * inv;
+    if (inv > fastest_[0].inv) {
+      fastest_[1] = fastest_[0];
+      fastest_[0] = {inv, j};
+    } else if (inv > fastest_[1].inv) {
+      fastest_[1] = {inv, j};
+    }
   }
-  if (periodic && obs::enabled()) {
-    // How far the O(1) commit deltas drifted from the exact sums over one
-    // rebuild period — the PR-4 drift bound, observed live instead of
-    // assumed (the differential suite holds it below 1e-9; the monitor
-    // flags any round where accumulated cancellation breaks that).
-    const double drift_s = std::fabs(incremental_s - s_) / std::fabs(s_);
-    const double drift_w =
-        std::fabs(incremental_w - w_) / std::max(std::fabs(w_), 1e-300);
-    obs::Monitors::get().context_drift.check(
-        std::max(drift_s, drift_w),
-        {{"n", static_cast<double>(p.size())},
-         {"drift_s", drift_s},
-         {"drift_w", drift_w}});
-  }
-  commits_since_rebuild_ = 0;
-  scan_fastest();
 }
 
 }  // namespace lbmv::core

@@ -37,14 +37,12 @@
 
 namespace lbmv::core {
 
-/// The closed-form context (file comment above).  Maintains the two running
-/// sums S and W and the two largest inverse bids over the committed
-/// profile; every query is a constant number of flops and every commit is
-/// an O(1) delta, except that a commit slowing down one of the two fastest
-/// agents rescans the profile for them once per commit batch.  Committed
-/// deltas are re-summed from scratch every max(64, n) commits so floating
-/// point drift stays far below the 1e-9 differential-test tolerance while
-/// the amortised commit cost stays O(1).
+/// The closed-form context (file comment above).  Its state — the sums S
+/// and W and the two largest inverse bids — is a function of profile()
+/// alone: rebuild() derives all three in one O(n) pass, once per commit
+/// batch.  Every query is a constant number of flops, except for the one
+/// agent that holds almost all of S: S - 1/b_i cancels for it, so its rest
+/// is summed from the profile instead (O(n), on that agent's queries only).
 ///
 /// utilities_into and best_response run the closed form four candidates per
 /// instruction (lane_sweeps() is true).
@@ -71,8 +69,6 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
                                          double execution) const override;
   void sweep(std::size_t agent, std::span<const double> bids,
              double execution, double* out, GridBest* best) const override;
-  /// One O(1) S/W delta per entry, in order.
-  void update_entries(std::span<const BidDelta> deltas) override;
   void rebuild() override;
 
  private:
@@ -83,18 +79,10 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
     double inv = 0.0;
     std::size_t agent = 0;
   };
-  /// Rank \p agent's new inverse bid \p inv into fastest_.  False when
-  /// only a scan can tell the two fastest again: a listed agent fell below
-  /// the second, so an unlisted one may now outrank it.
-  bool rank_fastest(std::size_t agent, double inv);
-  /// fastest_ from a scan of the committed bids.
-  void scan_fastest();
 
   double s_ = 0.0;
   double w_ = 0.0;
   Fastest fastest_[2];  ///< the two largest 1/b_j, largest first
-  std::size_t rebuild_period_ = 64;
-  std::size_t commits_since_rebuild_ = 0;
 };
 
 }  // namespace lbmv::core

@@ -35,10 +35,6 @@ class ShiftedLatency final : public model::LatencyFunction {
     os << "shifted(" << base_->describe() << ", +" << preload_ << ")";
     return os.str();
   }
-  [[nodiscard]] std::unique_ptr<model::LatencyFunction> clone()
-      const override {
-    return std::make_unique<ShiftedLatency>(*base_, preload_);
-  }
 
  private:
   const model::LatencyFunction* base_;

@@ -17,10 +17,6 @@ std::string LinearLatency::describe() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyFunction> LinearLatency::clone() const {
-  return std::make_unique<LinearLatency>(*this);
-}
-
 AffineLatency::AffineLatency(double a, double b) : a_(a), b_(b) {
   LBMV_REQUIRE(a >= 0.0 && b >= 0.0, "affine latency needs a, b >= 0");
   LBMV_REQUIRE(a > 0.0 || b > 0.0, "affine latency cannot be identically 0");
@@ -30,10 +26,6 @@ std::string AffineLatency::describe() const {
   std::ostringstream os;
   os << "affine(a=" << a_ << ", b=" << b_ << ")";
   return os.str();
-}
-
-std::unique_ptr<LatencyFunction> AffineLatency::clone() const {
-  return std::make_unique<AffineLatency>(*this);
 }
 
 MG1LightLoadLatency::MG1LightLoadLatency(double mean_service,
@@ -58,10 +50,6 @@ std::string MG1LightLoadLatency::describe() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyFunction> MG1LightLoadLatency::clone() const {
-  return std::make_unique<MG1LightLoadLatency>(*this);
-}
-
 MM1Latency::MM1Latency(double mu) : mu_(mu) {
   LBMV_REQUIRE(mu > 0.0, "M/M/1 service rate mu must be positive");
 }
@@ -81,10 +69,6 @@ std::string MM1Latency::describe() const {
   std::ostringstream os;
   os << "mm1(mu=" << mu_ << ")";
   return os.str();
-}
-
-std::unique_ptr<LatencyFunction> MM1Latency::clone() const {
-  return std::make_unique<MM1Latency>(*this);
 }
 
 WorkloadLatency::WorkloadLatency(double theta, double gamma)
@@ -110,10 +94,6 @@ std::string WorkloadLatency::describe() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyFunction> WorkloadLatency::clone() const {
-  return std::make_unique<WorkloadLatency>(*this);
-}
-
 PowerLatency::PowerLatency(double t, double k) : t_(t), k_(k) {
   LBMV_REQUIRE(t > 0.0, "power latency coefficient must be positive");
   LBMV_REQUIRE(k >= 1.0, "power latency exponent must be >= 1 for convexity");
@@ -136,26 +116,14 @@ std::string PowerLatency::describe() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyFunction> PowerLatency::clone() const {
-  return std::make_unique<PowerLatency>(*this);
-}
-
 std::unique_ptr<LatencyFunction> LinearFamily::make(double theta) const {
   LBMV_REQUIRE(theta > 0.0, "linear family type must be positive");
   return std::make_unique<LinearLatency>(theta);
 }
 
-std::unique_ptr<LatencyFamily> LinearFamily::clone() const {
-  return std::make_unique<LinearFamily>(*this);
-}
-
 std::unique_ptr<LatencyFunction> MM1Family::make(double theta) const {
   LBMV_REQUIRE(theta > 0.0, "mm1 family type must be positive");
   return std::make_unique<MM1Latency>(1.0 / theta);
-}
-
-std::unique_ptr<LatencyFamily> MM1Family::clone() const {
-  return std::make_unique<MM1Family>(*this);
 }
 
 WorkloadFamily::WorkloadFamily(double gamma) : gamma_(gamma) {
@@ -174,10 +142,6 @@ std::string WorkloadFamily::name() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyFamily> WorkloadFamily::clone() const {
-  return std::make_unique<WorkloadFamily>(*this);
-}
-
 PowerFamily::PowerFamily(double k) : k_(k) {
   LBMV_REQUIRE(k >= 1.0, "power family exponent must be >= 1");
 }
@@ -191,10 +155,6 @@ std::string PowerFamily::name() const {
   std::ostringstream os;
   os << "power(k=" << k_ << ")";
   return os.str();
-}
-
-std::unique_ptr<LatencyFamily> PowerFamily::clone() const {
-  return std::make_unique<PowerFamily>(*this);
 }
 
 }  // namespace lbmv::model

@@ -50,8 +50,6 @@ class LatencyFunction {
   /// Human-readable description, e.g. "linear(t=2)".
   [[nodiscard]] virtual std::string describe() const = 0;
 
-  [[nodiscard]] virtual std::unique_ptr<LatencyFunction> clone() const = 0;
-
   /// Cost (aggregate latency contribution) c(x) = x * l(x).
   [[nodiscard]] double cost(double x) const { return x * latency(x); }
 
@@ -69,7 +67,6 @@ class LinearLatency final : public LatencyFunction {
   [[nodiscard]] double latency(double x) const override { return t_ * x; }
   [[nodiscard]] double latency_derivative(double) const override { return t_; }
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double t() const { return t_; }
 
  private:
@@ -83,7 +80,6 @@ class AffineLatency final : public LatencyFunction {
   [[nodiscard]] double latency(double x) const override { return a_ + b_ * x; }
   [[nodiscard]] double latency_derivative(double) const override { return b_; }
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double a() const { return a_; }
   [[nodiscard]] double b() const { return b_; }
 
@@ -102,7 +98,6 @@ class MG1LightLoadLatency final : public LatencyFunction {
   [[nodiscard]] double latency(double x) const override;
   [[nodiscard]] double latency_derivative(double) const override;
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double mean_service() const { return es_; }
   [[nodiscard]] double second_moment() const { return es2_; }
 
@@ -119,7 +114,6 @@ class MM1Latency final : public LatencyFunction {
   [[nodiscard]] double latency_derivative(double x) const override;
   [[nodiscard]] double max_rate() const override { return mu_; }
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double mu() const { return mu_; }
 
  private:
@@ -138,7 +132,6 @@ class WorkloadLatency final : public LatencyFunction {
   [[nodiscard]] double latency(double x) const override;
   [[nodiscard]] double latency_derivative(double x) const override;
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double theta() const { return theta_; }
   [[nodiscard]] double gamma() const { return gamma_; }
 
@@ -154,7 +147,6 @@ class PowerLatency final : public LatencyFunction {
   [[nodiscard]] double latency(double x) const override;
   [[nodiscard]] double latency_derivative(double x) const override;
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFunction> clone() const override;
   [[nodiscard]] double t() const { return t_; }
   [[nodiscard]] double k() const { return k_; }
 
@@ -172,7 +164,6 @@ class LatencyFamily {
       double theta) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<LatencyFamily> clone() const = 0;
 };
 
 /// theta -> LinearLatency(theta).  The paper's setting.
@@ -181,7 +172,6 @@ class LinearFamily final : public LatencyFamily {
   [[nodiscard]] std::unique_ptr<LatencyFunction> make(
       double theta) const override;
   [[nodiscard]] std::string name() const override { return "linear"; }
-  [[nodiscard]] std::unique_ptr<LatencyFamily> clone() const override;
 };
 
 /// theta -> MM1Latency(1/theta): theta is the mean service time, so larger
@@ -191,7 +181,6 @@ class MM1Family final : public LatencyFamily {
   [[nodiscard]] std::unique_ptr<LatencyFunction> make(
       double theta) const override;
   [[nodiscard]] std::string name() const override { return "mm1"; }
-  [[nodiscard]] std::unique_ptr<LatencyFamily> clone() const override;
 };
 
 /// theta -> WorkloadLatency(theta, gamma) with a fixed family-level
@@ -204,7 +193,6 @@ class WorkloadFamily final : public LatencyFamily {
   [[nodiscard]] std::unique_ptr<LatencyFunction> make(
       double theta) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFamily> clone() const override;
   [[nodiscard]] double gamma() const { return gamma_; }
 
  private:
@@ -218,7 +206,6 @@ class PowerFamily final : public LatencyFamily {
   [[nodiscard]] std::unique_ptr<LatencyFunction> make(
       double theta) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<LatencyFamily> clone() const override;
   [[nodiscard]] double k() const { return k_; }
 
  private:

@@ -85,9 +85,6 @@ struct Monitors {
   /// of the marginals b_j x_j (constant at the optimum) — the
   /// epsilon-optimality gauge for the allocator.
   InvariantMonitor kkt_stationarity{"kkt_stationarity", "alloc", 1e-9};
-  /// Relative drift of the incremental sums S, W against a from-scratch
-  /// re-sum at every periodic ProfileUtilityContext rebuild (PR 4).
-  InvariantMonitor context_drift{"context_drift", "strategy", 1e-9};
   /// Protocol mass balance: the step-2 assignment must ship exactly R.
   InvariantMonitor protocol_mass_balance{"protocol_mass_balance", "protocol",
                                          1e-9};

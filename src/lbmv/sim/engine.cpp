@@ -60,36 +60,6 @@ void Simulation::ObsDeltas::flush() {
   queue_depth = 0;
 }
 
-// ---- copies -----------------------------------------------------------------
-
-Simulation::Simulation(const Simulation& other)
-    : buckets_(other.buckets_),
-      overflow_(other.overflow_),
-      win_start_(other.win_start_),
-      win_end_(other.win_end_),
-      inv_width_(other.inv_width_),
-      cur_(other.cur_),
-      in_buckets_(other.in_buckets_),
-      closure_slots_(other.closure_slots_),
-      free_closure_slots_(other.free_closure_slots_),
-      now_(other.now_),
-      next_seq_(other.next_seq_),
-      last_key_(other.last_key_),
-      last_time_(other.last_time_),
-      processed_(other.processed_) {
-  if (obs::enabled()) {
-    // The copy's pending events and live closures are new occupancy.
-    obs_.queue_depth = static_cast<std::int64_t>(pending());
-    obs::SimProbes::get().slab_in_use.add(static_cast<double>(
-        closure_slots_.size() - free_closure_slots_.size()));
-  }
-}
-
-Simulation& Simulation::operator=(const Simulation& other) {
-  if (this != &other) *this = Simulation(other);
-  return *this;
-}
-
 void Simulation::push_event(SimTime time, EventKind kind,
                             std::uintptr_t payload) {
   LBMV_REQUIRE(time >= now_, "cannot schedule an event in the past");

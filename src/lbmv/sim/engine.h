@@ -111,14 +111,9 @@ class Simulation {
   static constexpr std::uint64_t kObsFlushEvents = 4096;
 
   Simulation() = default;
-  /// A copy continues from the original's pending events and clock.  It
-  /// inherits none of the original's unpublished probe deltas (the original
-  /// still publishes those), and it adds its own pending events to
-  /// lbmv_sim_queue_depth, so the gauge keeps summing pending() over the
-  /// live simulations.
-  Simulation(const Simulation& other);
-  Simulation& operator=(const Simulation& other);
-  /// A move hands the unpublished probe deltas to the target.
+  /// Move-only: a move hands the unpublished probe deltas to the target.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
   Simulation(Simulation&& other) noexcept = default;
   Simulation& operator=(Simulation&& other) noexcept = default;
   /// Publishes the probe deltas still pending (ObsDeltas' destructor).
@@ -212,8 +207,8 @@ class Simulation {
   void dispatch(const Event& event);
 
   /// Event-loop probe deltas, held in plain members and published to the
-  /// registry in one batch by flush().  Never copied (a Simulation copy
-  /// starts its own); a move hands the deltas over; destruction flushes.
+  /// registry in one batch by flush().  A move hands the deltas over;
+  /// destruction flushes.
   struct ObsDeltas {
     std::uint64_t events = 0;  ///< dispatches since the last flush
     std::uint64_t by_kind[kEventKindCount] = {};

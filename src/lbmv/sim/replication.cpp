@@ -10,7 +10,6 @@ ReplicationRunner::ReplicationRunner(ReplicationOptions options)
     : options_(options) {
   LBMV_REQUIRE(options_.replications > 0,
                "at least one replication required");
-  LBMV_REQUIRE(options_.grain > 0, "grain must be positive");
 }
 
 util::Rng ReplicationRunner::stream(std::size_t rep) const {
@@ -32,7 +31,7 @@ void ReplicationRunner::run(
         body(rep, rng);
         if (obs::enabled()) obs::ProtocolProbes::get().replications.inc();
       },
-      options_.grain);
+      /*grain=*/1);
 }
 
 }  // namespace lbmv::sim

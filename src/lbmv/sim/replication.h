@@ -14,7 +14,7 @@
 ///     never on which thread runs it, so results are bit-identical across
 ///     any thread count, including fully serial.
 ///   * **Fan-out** — replications are distributed over a util::ThreadPool
-///     via ThreadPool::parallel_for with grain-size control; each
+///     via ThreadPool::parallel_for, one replication per pool task; each
 ///     replication writes only its own output slot.
 ///   * **Barrier merge** — run() blocks until every replication finished;
 ///     callers then merge the per-replication slots in replication order,
@@ -34,7 +34,6 @@ struct ReplicationOptions {
   std::size_t replications = 8;
   std::uint64_t root_seed = 42;   ///< split per replication, never shared
   util::ThreadPool* pool = nullptr;  ///< nullptr => ThreadPool::global()
-  std::size_t grain = 1;          ///< replications per pool task
 };
 
 /// Deterministic parallel replication harness.

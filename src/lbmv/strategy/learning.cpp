@@ -205,14 +205,13 @@ LearningEnsemble run_learning_replicated(const core::Mechanism& mechanism,
                                          const model::SystemConfig& config,
                                          const LearningOptions& options,
                                          std::size_t replications,
-                                         util::ThreadPool* pool,
-                                         std::size_t grain) {
+                                         util::ThreadPool* pool) {
   validate_options(config, options);
   LBMV_REQUIRE(replications > 0, "replications must be positive");
 
   // Each replication gets its own seed stream derived from the base seed;
   // slot r of the output depends on nothing but r, so the ensemble is
-  // invariant to thread count and grain.
+  // invariant to thread count.
   const util::Rng root(options.seed);
   LearningEnsemble ensemble;
   ensemble.replications.resize(replications);
@@ -224,7 +223,7 @@ LearningEnsemble run_learning_replicated(const core::Mechanism& mechanism,
         rep_options.seed = root.split(r + 1).seed();
         ensemble.replications[r] = run_learning(mechanism, config, rep_options);
       },
-      grain);
+      /*grain=*/1);
   return ensemble;
 }
 

@@ -80,11 +80,11 @@ struct LearningEnsemble {
 /// Run \p replications independent learning runs in parallel on \p pool
 /// (nullptr: the global pool).  Replication r uses the seed stream
 /// Rng(options.seed).split(r + 1), and results are merged in replication
-/// order, so the ensemble is bit-identical for any thread count or grain —
-/// the same discipline as sim::ReplicationRunner.
+/// order, so the ensemble is bit-identical for any thread count — the same
+/// discipline as sim::ReplicationRunner.
 [[nodiscard]] LearningEnsemble run_learning_replicated(
     const core::Mechanism& mechanism, const model::SystemConfig& config,
     const LearningOptions& options, std::size_t replications,
-    util::ThreadPool* pool = nullptr, std::size_t grain = 1);
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace lbmv::strategy

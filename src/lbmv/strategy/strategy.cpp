@@ -17,10 +17,6 @@ double TruthfulStrategy::execution(double true_value, double,
   return true_value;
 }
 
-std::unique_ptr<Strategy> TruthfulStrategy::clone() const {
-  return std::make_unique<TruthfulStrategy>(*this);
-}
-
 ScalingStrategy::ScalingStrategy(double bid_mult, double exec_mult)
     : bid_mult_(bid_mult), exec_mult_(std::max(1.0, exec_mult)) {
   LBMV_REQUIRE(bid_mult > 0.0, "bid multiplier must be positive");
@@ -40,10 +36,6 @@ std::string ScalingStrategy::name() const {
   std::ostringstream os;
   os << "scaling(bid=" << bid_mult_ << "x, exec=" << exec_mult_ << "x)";
   return os.str();
-}
-
-std::unique_ptr<Strategy> ScalingStrategy::clone() const {
-  return std::make_unique<ScalingStrategy>(*this);
 }
 
 RandomBidStrategy::RandomBidStrategy(double lo_mult, double hi_mult)
@@ -68,10 +60,6 @@ std::string RandomBidStrategy::name() const {
   return os.str();
 }
 
-std::unique_ptr<Strategy> RandomBidStrategy::clone() const {
-  return std::make_unique<RandomBidStrategy>(*this);
-}
-
 SlackExecutionStrategy::SlackExecutionStrategy(double exec_mult)
     : exec_mult_(exec_mult) {
   LBMV_REQUIRE(exec_mult >= 1.0, "slack multiplier must be >= 1");
@@ -92,23 +80,12 @@ std::string SlackExecutionStrategy::name() const {
   return os.str();
 }
 
-std::unique_ptr<Strategy> SlackExecutionStrategy::clone() const {
-  return std::make_unique<SlackExecutionStrategy>(*this);
-}
-
 model::BidProfile apply_strategies(
     const model::SystemConfig& config,
     const std::vector<const Strategy*>& strategies, util::Rng& rng) {
-  model::BidProfile profile;
-  apply_strategies_into(config, strategies, rng, profile);
-  return profile;
-}
-
-void apply_strategies_into(const model::SystemConfig& config,
-                           const std::vector<const Strategy*>& strategies,
-                           util::Rng& rng, model::BidProfile& profile) {
   LBMV_REQUIRE(strategies.size() == config.size(),
                "one strategy per agent required");
+  model::BidProfile profile;
   profile.bids.resize(config.size());
   profile.executions.resize(config.size());
   for (std::size_t i = 0; i < config.size(); ++i) {
@@ -119,6 +96,7 @@ void apply_strategies_into(const model::SystemConfig& config,
     LBMV_ASSERT(profile.executions[i] >= t,
                 "strategy produced an execution value below capacity");
   }
+  return profile;
 }
 
 }  // namespace lbmv::strategy

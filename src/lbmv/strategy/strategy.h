@@ -9,7 +9,6 @@
 /// are ScalingStrategy instances; the tournament and dynamics modules pit
 /// richer behaviours against each other under different mechanisms.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,6 @@ class Strategy {
                                          util::Rng& rng) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<Strategy> clone() const = 0;
 };
 
 /// Bid the truth and execute at full capacity.
@@ -43,7 +41,6 @@ class TruthfulStrategy final : public Strategy {
   [[nodiscard]] double execution(double true_value, double,
                                  util::Rng&) const override;
   [[nodiscard]] std::string name() const override { return "truthful"; }
-  [[nodiscard]] std::unique_ptr<Strategy> clone() const override;
 };
 
 /// Fixed multiplicative deviation: bid = bid_mult * t, execution =
@@ -55,7 +52,6 @@ class ScalingStrategy final : public Strategy {
   [[nodiscard]] double execution(double true_value, double,
                                  util::Rng&) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Strategy> clone() const override;
   [[nodiscard]] double bid_mult() const { return bid_mult_; }
   [[nodiscard]] double exec_mult() const { return exec_mult_; }
 
@@ -73,7 +69,6 @@ class RandomBidStrategy final : public Strategy {
   [[nodiscard]] double execution(double true_value, double,
                                  util::Rng&) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Strategy> clone() const override;
 
  private:
   double lo_mult_;
@@ -89,7 +84,6 @@ class SlackExecutionStrategy final : public Strategy {
   [[nodiscard]] double execution(double true_value, double,
                                  util::Rng&) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Strategy> clone() const override;
 
  private:
   double exec_mult_;
@@ -100,12 +94,5 @@ class SlackExecutionStrategy final : public Strategy {
 [[nodiscard]] model::BidProfile apply_strategies(
     const model::SystemConfig& config,
     const std::vector<const Strategy*>& strategies, util::Rng& rng);
-
-/// In-place variant for hot loops: fills \p profile, reusing its capacity,
-/// so a profile carried across tournament instances or learning rounds
-/// allocates at most once.
-void apply_strategies_into(const model::SystemConfig& config,
-                           const std::vector<const Strategy*>& strategies,
-                           util::Rng& rng, model::BidProfile& profile);
 
 }  // namespace lbmv::strategy

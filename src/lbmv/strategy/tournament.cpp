@@ -9,6 +9,13 @@
 
 namespace lbmv::strategy {
 
+namespace {
+
+/// Candidates in each agent's best-response gain probe.
+constexpr std::size_t kBestResponseGrid = 48;
+
+}  // namespace
+
 std::vector<StrategyScore> run_tournament(
     const core::Mechanism& mechanism,
     const std::vector<const Strategy*>& strategies,
@@ -24,8 +31,6 @@ std::vector<StrategyScore> run_tournament(
   LBMV_REQUIRE(std::isfinite(options.arrival_rate) &&
                    options.arrival_rate > 0.0,
                "arrival rate must be positive and finite");
-  LBMV_REQUIRE(options.best_response_grid >= 2,
-               "best_response_grid must be at least 2");
 
   const std::size_t instances = static_cast<std::size_t>(options.instances);
   const util::Rng rng(options.seed);
@@ -74,8 +79,7 @@ std::vector<StrategyScore> run_tournament(
       row[i].regret = context->utility(i, t, t) - achieved;
       // Exploitability probe: best candidate bid at the committed
       // execution, one lane-parallel sweep per agent.
-      make_bid_grid_into(0.05 * t, 20.0 * t,
-                         static_cast<std::size_t>(options.best_response_grid),
+      make_bid_grid_into(0.05 * t, 20.0 * t, kBestResponseGrid,
                          GridSpacing::kLinear, bid_grid);
       const auto best =
           context->best_response(i, bid_grid, profile.executions[i]);
@@ -83,15 +87,9 @@ std::vector<StrategyScore> run_tournament(
     }
   };
 
-  if (options.parallel && instances > 1) {
-    util::ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : util::ThreadPool::global();
-    pool.parallel_for(0, instances, run_instance, /*grain=*/1);
-  } else {
-    for (std::size_t instance = 0; instance < instances; ++instance) {
-      run_instance(instance);
-    }
-  }
+  util::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : util::ThreadPool::global();
+  pool.parallel_for(0, instances, run_instance, /*grain=*/1);
 
   std::vector<util::RunningStats> utility(strategies.size());
   std::vector<util::RunningStats> regret(strategies.size());

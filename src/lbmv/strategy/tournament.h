@@ -30,15 +30,11 @@ struct TournamentOptions {
   double type_lo = 0.5;        ///< true values drawn log-uniformly in
   double type_hi = 10.0;       ///< [type_lo, type_hi]
   std::uint64_t seed = 7;
-  /// Run instances across a thread pool.  Instance k depends only on the
-  /// seed stream split(k) and per-instance results are merged in instance
-  /// order, so scores are bit-identical for any thread count.
-  bool parallel = true;
-  util::ThreadPool* pool = nullptr;  ///< nullptr: the global pool
-  /// Candidate-bid grid resolution (>= 2) for the per-agent best-response
-  /// gain probe: one lane-parallel sweep of strategy::make_bid_grid
-  /// candidates per agent per instance.
-  int best_response_grid = 48;
+  /// The pool the instances run on (nullptr: the global pool).  Instance k
+  /// depends only on the seed stream split(k) and per-instance results are
+  /// merged in instance order, so scores are bit-identical for any thread
+  /// count; a one-thread pool is the serial run.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Aggregate score of one strategy across the tournament.
@@ -50,7 +46,8 @@ struct StrategyScore {
   double mean_regret = 0.0;
   /// mean(best grid-candidate bid utility - achieved utility) at the
   /// agent's committed execution: how much a unilateral bid re-optimisation
-  /// (over the best_response_grid sweep) would have gained.  ~0 for a
+  /// (one lane-parallel sweep of 48 strategy::make_bid_grid candidates
+  /// between 0.05 t and 20 t) would have gained.  ~0 for a
   /// best-responding strategy; can be marginally negative when the grid
   /// misses the committed bid.
   double mean_best_response_gain = 0.0;

@@ -370,7 +370,7 @@ TEST(Learning, TrajectoriesAreThreadCountInvariant) {
   const auto run_with = [&](std::size_t threads) {
     lbmv::util::ThreadPool pool(threads);
     return lbmv::strategy::run_learning_replicated(mechanism, config, options,
-                                                   4, &pool, 1);
+                                                   4, &pool);
   };
   const auto one = run_with(1);
   const auto two = run_with(2);

@@ -155,9 +155,9 @@ TEST_P(DeviationDifferential, IncrementalMatchesNaiveAtBoundaryBids) {
 }
 
 TEST_P(DeviationDifferential, CommitSequenceStaysInAgreement) {
-  // Hundreds of committed deviations at small n: the O(1) S/W deltas plus
-  // the periodic rebuild must track the from-scratch state to 1e-9 at every
-  // step, not just at the end.
+  // Hundreds of committed deviations at small n: the state each commit
+  // re-derives from the profile must track the reference context to 1e-9 at
+  // every step, not just at the end.
   const auto mechanism = make_mechanism(GetParam());
   lbmv::util::Rng rng(4242);
   const SystemConfig config(log_uniform_types(5, 23), 18.0);

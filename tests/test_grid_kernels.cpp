@@ -541,7 +541,6 @@ TEST(GridSweepClients, TournamentReportsNearZeroGainForTruthful) {
   lbmv::strategy::TournamentOptions options;
   options.instances = 12;
   options.agents = 5;
-  options.parallel = false;
   const auto scores = lbmv::strategy::run_tournament(
       mechanism, {&truthful}, options);
   ASSERT_EQ(scores.size(), 1u);

@@ -86,22 +86,6 @@ TEST(PowerLatency, ExponentOneEqualsLinear) {
   }
 }
 
-TEST(LatencyClone, ProducesIndependentEqualCopies) {
-  const std::unique_ptr<LatencyFunction> fns[] = {
-      std::make_unique<LinearLatency>(1.5),
-      std::make_unique<AffineLatency>(0.5, 2.0),
-      std::make_unique<MG1LightLoadLatency>(0.2, 0.1),
-      std::make_unique<MM1Latency>(4.0),
-      std::make_unique<PowerLatency>(1.0, 2.0),
-  };
-  for (const auto& f : fns) {
-    const auto copy = f->clone();
-    EXPECT_EQ(copy->describe(), f->describe());
-    EXPECT_DOUBLE_EQ(copy->latency(0.5), f->latency(0.5));
-    EXPECT_NE(copy.get(), f.get());
-  }
-}
-
 TEST(LinearFamily, MakesLinearWithTheta) {
   LinearFamily family;
   const auto f = family.make(3.0);
@@ -131,8 +115,6 @@ TEST(PowerFamily, CarriesExponent) {
   const auto f = family.make(3.0);
   EXPECT_DOUBLE_EQ(f->latency(2.0), 12.0);
   EXPECT_NE(family.name().find("power"), std::string::npos);
-  const auto copy = family.clone();
-  EXPECT_EQ(copy->name(), family.name());
 }
 
 TEST(LatencyConvexity, MarginalCostIsIncreasingForAllFamilies) {

@@ -141,7 +141,7 @@ TEST(Learning, ValidatesNonFiniteOptions) {
 TEST(Learning, ReplicatedEnsembleIsThreadCountInvariant) {
   // Replication r derives its seed from Rng(options.seed).split(r + 1) and
   // results merge in replication order, so the ensemble is bit-identical
-  // across pool sizes and grains.
+  // across pool sizes.
   CompBonusMechanism mechanism;
   LearningOptions options;
   options.rounds = 80;
@@ -152,24 +152,21 @@ TEST(Learning, ReplicatedEnsembleIsThreadCountInvariant) {
   ASSERT_EQ(baseline.replications.size(), replications);
   for (std::size_t threads : {2ul, 8ul}) {
     lbmv::util::ThreadPool pool(threads);
-    for (std::size_t grain : {1ul, 3ul}) {
-      const auto ensemble = lbmv::strategy::run_learning_replicated(
-          mechanism, test_config(), options, replications, &pool, grain);
-      ASSERT_EQ(ensemble.replications.size(), replications);
-      for (std::size_t r = 0; r < replications; ++r) {
-        EXPECT_EQ(ensemble.replications[r].latency_trace,
-                  baseline.replications[r].latency_trace)
-            << "threads=" << threads << " grain=" << grain << " rep=" << r;
-        EXPECT_EQ(ensemble.replications[r].final_bid_mult,
-                  baseline.replications[r].final_bid_mult);
-        EXPECT_EQ(ensemble.replications[r].final_exec_mult,
-                  baseline.replications[r].final_exec_mult);
-      }
-      EXPECT_EQ(ensemble.mean_truthful_fraction(),
-                baseline.mean_truthful_fraction());
-      EXPECT_EQ(ensemble.mean_greedy_latency(),
-                baseline.mean_greedy_latency());
+    const auto ensemble = lbmv::strategy::run_learning_replicated(
+        mechanism, test_config(), options, replications, &pool);
+    ASSERT_EQ(ensemble.replications.size(), replications);
+    for (std::size_t r = 0; r < replications; ++r) {
+      EXPECT_EQ(ensemble.replications[r].latency_trace,
+                baseline.replications[r].latency_trace)
+          << "threads=" << threads << " rep=" << r;
+      EXPECT_EQ(ensemble.replications[r].final_bid_mult,
+                baseline.replications[r].final_bid_mult);
+      EXPECT_EQ(ensemble.replications[r].final_exec_mult,
+                baseline.replications[r].final_exec_mult);
     }
+    EXPECT_EQ(ensemble.mean_truthful_fraction(),
+              baseline.mean_truthful_fraction());
+    EXPECT_EQ(ensemble.mean_greedy_latency(), baseline.mean_greedy_latency());
   }
 }
 

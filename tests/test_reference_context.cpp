@@ -9,7 +9,9 @@
 // Concurrent queries must match a serial loop bit for bit.  Every round's
 // published utility is the closed-form context's at the committed entries,
 // and the linear closed form rejects the deviations the round rejects —
-// the deviator's and the fastest opponent's — with the round's message.
+// the deviator's and the fastest opponent's — with the round's message,
+// and answers what the round answers around an agent holding almost all
+// of S.
 
 #include <gtest/gtest.h>
 
@@ -426,6 +428,68 @@ TEST(ReferenceContext, LinearClosedFormGuardsTheFastestOpponent) {
     }
     EXPECT_EQ(precondition_what([&] { (void)moved->utility(2, 1.0, 1.0); }),
               want_moved);
+  }
+  EXPECT_EQ(rules, 5);
+}
+
+TEST(ReferenceContext, LinearClosedFormAnswersAroundADominantAgent) {
+  // Agent 1 at bid 1e-200 holds almost all of S, so S - 1/b_1 cancels.
+  // (a) After agent 1 commits there and back, agent 0's deviation to (1, 1)
+  // reads the restored profile's sums, not what the cancellation left.
+  // (b) Agent 1's own deviation to (1, 1) reads its rest, summed from the
+  // profile.  Every rule answers both in the reference context, and the
+  // closed form must agree on every entry point.
+  const lbmv::model::LinearFamily family;
+  BidProfile base;
+  for (int i = 0; i < 16; ++i) {
+    base.bids.push_back(0.5 + 0.37 * ((7 * i) % 13));
+  }
+  base.executions = base.bids;
+  BidProfile fast = base;
+  fast.bids[1] = 1e-200;
+  fast.executions[1] = 1e-200;
+  // A full lane block and a padded tail, with the query bid 1.0 in each.
+  const std::vector<double> grid{0.5, 0.75, 1.0, 1.25, 1.5, 1.0};
+  const auto expect_rel = [](double got, double want, const std::string& what) {
+    EXPECT_NEAR(got, want, 1e-12 * std::fabs(want)) << what;
+  };
+  const auto expect_agree = [&](const ProfileUtilityContext& closed,
+                                const ProfileUtilityContext& ref,
+                                std::size_t agent, const std::string& what) {
+    ASSERT_TRUE(closed.closed_form()) << what;
+    ASSERT_EQ(closed.profile().bids, ref.profile().bids) << what;
+    expect_rel(closed.utility(agent, 1.0, 1.0), ref.utility(agent, 1.0, 1.0),
+               what + " utility");
+    std::vector<double> closed_row(grid.size());
+    std::vector<double> ref_row(grid.size());
+    closed.utilities_into(agent, grid, 1.0, closed_row);
+    ref.utilities_into(agent, grid, 1.0, ref_row);
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      expect_rel(closed_row[k], ref_row[k], what + " k=" + std::to_string(k));
+    }
+    const GridBest closed_best = closed.best_response(agent, grid, 1.0);
+    const GridBest ref_best = ref.best_response(agent, grid, 1.0);
+    EXPECT_EQ(closed_best.index, ref_best.index) << what;
+    expect_rel(closed_best.utility, ref_best.utility, what + " best");
+  };
+  int rules = 0;
+  for (const Case& c : all_cases(4, 1)) {
+    if (c.name.find("/linear") == std::string::npos) continue;
+    ++rules;
+    SCOPED_TRACE(c.name);
+    auto round_trip = c.mechanism->make_profile_context(family, 20.0, base);
+    round_trip->commit(1, 1e-200, 1e-200);
+    round_trip->commit(1, base.bids[1], base.executions[1]);
+    const auto ref = c.mechanism->make_reference_context(family, 20.0, base);
+    expect_agree(*round_trip, *ref, 0, "(a) agent 0");
+
+    const auto ref_fast =
+        c.mechanism->make_reference_context(family, 20.0, fast);
+    const auto built = c.mechanism->make_profile_context(family, 20.0, fast);
+    auto committed = c.mechanism->make_profile_context(family, 20.0, base);
+    committed->commit(1, 1e-200, 1e-200);
+    expect_agree(*built, *ref_fast, 1, "(b) built, agent 1");
+    expect_agree(*committed, *ref_fast, 1, "(b) committed, agent 1");
   }
   EXPECT_EQ(rules, 5);
 }

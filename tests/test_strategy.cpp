@@ -63,23 +63,6 @@ TEST(SlackExecutionStrategy, BidsTruthSlacksExecution) {
   EXPECT_THROW(SlackExecutionStrategy(0.9), lbmv::util::PreconditionError);
 }
 
-TEST(Strategies, ClonesAreIndependentAndEquivalent) {
-  const std::vector<std::unique_ptr<Strategy>> strategies = [] {
-    std::vector<std::unique_ptr<Strategy>> v;
-    v.push_back(std::make_unique<TruthfulStrategy>());
-    v.push_back(std::make_unique<ScalingStrategy>(2.0, 1.5));
-    v.push_back(std::make_unique<SlackExecutionStrategy>(3.0));
-    return v;
-  }();
-  Rng rng(1);
-  for (const auto& s : strategies) {
-    const auto copy = s->clone();
-    EXPECT_EQ(copy->name(), s->name());
-    Rng r1(9), r2(9);
-    EXPECT_DOUBLE_EQ(copy->bid(2.0, r1), s->bid(2.0, r2));
-  }
-}
-
 TEST(ApplyStrategies, BuildsProfileAgentByAgent) {
   const SystemConfig config({1.0, 2.0, 4.0}, 10.0);
   TruthfulStrategy truthful;

@@ -140,18 +140,18 @@ TEST(Tournament, ValidatesOptions) {
 TEST(Tournament, ThreadCountInvariant) {
   // Instance k draws from seed stream split(k) and the merge walks
   // (instance, agent) in order, so scores are bit-identical whether the
-  // instances run serially or on any pool size.
+  // instances run serially (a one-thread pool) or on any pool size.
   CompBonusMechanism mechanism;
   const auto owned = standard_lineup();
+  lbmv::util::ThreadPool one(1);
   TournamentOptions serial;
   serial.instances = 24;
-  serial.parallel = false;
+  serial.pool = &one;
   const auto baseline = run_tournament(mechanism, pointers(owned), serial);
-  for (std::size_t threads : {1ul, 2ul, 8ul}) {
+  for (std::size_t threads : {2ul, 8ul}) {
     lbmv::util::ThreadPool pool(threads);
     TournamentOptions options;
     options.instances = 24;
-    options.parallel = true;
     options.pool = &pool;
     const auto scores = run_tournament(mechanism, pointers(owned), options);
     ASSERT_EQ(scores.size(), baseline.size());
