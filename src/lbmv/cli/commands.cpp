@@ -898,7 +898,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t sharded_rounds = 0;
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
-  std::uint64_t delta_rounds = 0;
   for (const auto& [name, value] : snap.counters) {
     if (name.rfind("lbmv_server_completions_total{", 0) == 0) {
       counted += value;
@@ -909,7 +908,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_sharded_rounds_total") sharded_rounds = value;
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
-    if (name == "lbmv_core_delta_rounds_total") delta_rounds = value;
   }
   std::size_t measured = 0;
   for (const auto& round : merged.rounds) {
@@ -928,8 +926,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << " sharded), " << nonlinear_rounds
       << " fused nonlinear-family rounds (" << newton_iters
       << " Newton iterations)\n"
-      << "delta engine: " << delta_rounds
-      << " rounds re-run after a changing sync\n"
       << "trace: " << spans << " spans retained, "
       << obs::TraceRecorder::global().dropped() << " dropped";
   if (!trace_path.empty()) out << " -> " << trace_path;

@@ -9,6 +9,11 @@
 /// arrival is routed to computer i with probability x_i / R, which makes
 /// every per-computer arrival process Poisson with rate x_i (thinning).
 ///
+/// Protocol rounds do not run this source: they walk the same stream
+/// directly (lindley.h).  JobSource, with Server and Simulation, is that
+/// walk's event-driven differential oracle, and drives the benches that
+/// measure the event loop.
+///
 /// Hot-path design: arrivals are typed events (the source is an EventSink),
 /// and routing uses a precomputed prefix-sum table with binary search —
 /// O(log n) per arrival instead of the seed's O(n) re-validated weight

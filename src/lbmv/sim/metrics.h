@@ -37,9 +37,16 @@ struct SystemMetrics {
   [[nodiscard]] std::size_t total_jobs() const;
 };
 
-/// Summarise a set of servers after running a simulation for \p duration
-/// simulated seconds.  Jobs completing within the first
+/// Summarise per-server completion planes after a run of \p duration
+/// simulated seconds: server i completed \p completions[i] and was busy
+/// \p busy_time[i] seconds.  Jobs arriving within the first
 /// \p warmup_fraction * duration are discarded as transient.
+[[nodiscard]] SystemMetrics collect_metrics(
+    std::span<const std::span<const Completion>> completions,
+    std::span<const double> busy_time, double duration,
+    double warmup_fraction = 0.1);
+
+/// The same summary read from a set of drained servers.
 [[nodiscard]] SystemMetrics collect_metrics(std::span<Server* const> servers,
                                             double duration,
                                             double warmup_fraction = 0.1);

@@ -1,14 +1,13 @@
 #include "lbmv/sim/protocol.h"
 
 #include <cmath>
-#include <memory>
+#include <span>
 
 #include "lbmv/core/batch.h"
-#include "lbmv/core/delta_engine.h"
 #include "lbmv/obs/monitor.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/obs/trace.h"
-#include "lbmv/sim/job_source.h"
+#include "lbmv/sim/lindley.h"
 #include "lbmv/sim/rate_estimator.h"
 #include "lbmv/util/error.h"
 
@@ -64,32 +63,14 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
          {"arrival_rate", config.arrival_rate()}});
   }
 
-  // Step 3: execute the jobs on simulated servers.
-  util::Rng rng(seed);
-  Simulation sim;
-  std::vector<std::unique_ptr<Server>> servers;
-  std::vector<Server*> server_ptrs;
-  servers.reserve(n);
-  // Arena pre-sizing: ~R * horizon jobs arrive system-wide; spreading that
-  // evenly is only a hint, but it keeps steady-state runs allocation-free.
-  const double expected_jobs =
-      config.arrival_rate() * options_.horizon / static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    servers.push_back(std::make_unique<Server>(
-        sim, "C" + std::to_string(i + 1), intents.executions[i],
-        options_.service_model, rng.split(i + 1)));
-    servers.back()->reserve(static_cast<std::size_t>(2.0 * expected_jobs) +
-                            16);
-    server_ptrs.push_back(servers.back().get());
-  }
-  std::vector<double> rates(report.allocation.rates().begin(),
-                            report.allocation.rates().end());
-  JobSource source(sim, server_ptrs, std::move(rates), options_.horizon,
-                   rng.split(0));
-  source.start();
-  sim.run();  // arrivals stop at the horizon; drain remaining service
-  report.metrics = collect_metrics(server_ptrs, options_.horizon,
-                                   options_.warmup_fraction);
+  // Step 3: execute the jobs on the simulated servers.
+  const ServerPlanes planes = simulate_servers(
+      report.allocation.rates(), intents.executions, options_.service_model,
+      options_.horizon, util::Rng(seed));
+  const std::vector<std::span<const Completion>> completions(
+      planes.completions.begin(), planes.completions.end());
+  report.metrics = collect_metrics(completions, planes.busy_time,
+                                   options_.horizon, options_.warmup_fraction);
 
   // Step 4: verification — estimate execution values from completions.
   report.estimated_execution.resize(n);
@@ -98,10 +79,10 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     const auto estimate =
         options_.trim_fraction > 0.0
-            ? estimate_execution_value_trimmed(servers[i]->completions(),
+            ? estimate_execution_value_trimmed(completions[i],
                                                options_.service_model,
                                                options_.trim_fraction)
-            : estimate_execution_value(servers[i]->completions(),
+            : estimate_execution_value(completions[i],
                                        options_.service_model);
     report.estimate_available[i] = estimate.has_value();
     // A computer that received no jobs cannot be verified; the mechanism
@@ -115,14 +96,10 @@ RoundReport VerifiedProtocol::run_round(const model::SystemConfig& config,
   }
 
   // Step 5: payments (n messages) — at the estimates, and at the paper's
-  // oracle values for comparison.  Both rounds share one cached round: the
-  // bids are identical and only the execution plane differs, so when every
-  // estimate matches its oracle value the second round re-runs nothing.
-  core::DeltaRoundEngine engine(*mechanism_, config.family_ptr(),
-                                config.arrival_rate(), verified);
-  report.outcome = engine.outcome();
-  engine.sync(intents.bids, intents.executions);
-  report.oracle_outcome = engine.outcome();
+  // oracle values for comparison: two rounds on one workspace.
+  core::RoundWorkspace workspace;
+  mechanism_->run_into(config, verified, report.outcome, workspace);
+  mechanism_->run_into(config, intents, report.oracle_outcome, workspace);
   report.messages += n;
   if (obs::enabled()) {
     // Record-only residual gauge: how much the estimation noise moved the

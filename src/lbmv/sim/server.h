@@ -13,6 +13,11 @@
 /// sqrt(t~ / t).  The verification step can therefore recover t~ from the
 /// observed service times alone (rate_estimator.h).
 ///
+/// Protocol rounds do not run this server: each of their servers is the
+/// Lindley recursion of lindley.h, which draws the same service times in
+/// the same order.  Server, with JobSource and Simulation, is that
+/// recursion's event-driven differential oracle (test_protocol).
+///
 /// Hot-path design: the server is an EventSink — service completions are
 /// typed events, and the in-service job's (id, arrival, start, duration)
 /// live in server members rather than a per-event closure capture, so a

@@ -355,7 +355,7 @@ TEST(Cli, ObsJsonSnapshotParsesWithDocumentedFamilies) {
   }
   EXPECT_TRUE(doc.at("gauges").contains("lbmv_sim_queue_depth"));
   EXPECT_TRUE(histograms.contains("lbmv_sim_window_fill_events"));
-  EXPECT_GT(counters.at("lbmv_sim_events_total").as_number(), 0.0);
+  EXPECT_GT(counters.at("lbmv_sim_source_jobs_total").as_number(), 0.0);
 }
 
 TEST(Cli, ObsPromSnapshotHasTypeLines) {

@@ -2,9 +2,8 @@
 // engine serves must be bit-identical to a direct Mechanism::run_into on the
 // same planes across every mechanism and latency family, a quiescent sync
 // must serve the cached outcome without re-running the mechanism, invalid
-// planes must raise run_into's own diagnostics, and the hot loops wired onto
-// the engine (epochs, protocol) must reproduce the full-round path
-// bit-for-bit.  Epochs and the batched learning commits must also be
+// planes must raise run_into's own diagnostics, and the hot loop wired onto
+// the engine (epochs) must reproduce the full-round path bit-for-bit.  Epochs and the batched learning commits must also be
 // thread-count invariant at 1, 2 and 8 threads.
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "lbmv/obs/metrics.h"
 #include "lbmv/obs/obs.h"
 #include "lbmv/sim/epochs.h"
-#include "lbmv/sim/protocol.h"
 #include "lbmv/strategy/learning.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
@@ -388,38 +386,6 @@ TEST(Learning, TrajectoriesAreThreadCountInvariant) {
     }
     EXPECT_EQ(one.replications[r].final_greedy_latency,
               eight.replications[r].final_greedy_latency);
-  }
-}
-
-TEST(Protocol, SharedEngineDoubleRoundMatchesTwoFullRounds) {
-  const lbmv::core::CompBonusMechanism mechanism;
-  const lbmv::model::SystemConfig config(band_types(5, 83), 8.0);
-  lbmv::sim::ProtocolOptions options;
-  options.horizon = 300.0;
-  options.warmup_fraction = 0.0;
-  const lbmv::sim::VerifiedProtocol protocol(mechanism, options);
-  const auto intents = lbmv::model::BidProfile::truthful(config);
-  const lbmv::sim::RoundReport report = protocol.run_round(config, intents);
-
-  // Reconstruct the verified profile the protocol built from its execution
-  // estimates and re-run both payment rounds through the full path.
-  auto verified = intents;
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    verified.executions[i] = report.estimated_execution[i];
-  }
-  lbmv::core::RoundWorkspace ws;
-  MechanismOutcome expected_verified;
-  MechanismOutcome expected_oracle;
-  mechanism.run_into(config, verified, expected_verified, ws);
-  mechanism.run_into(config, intents, expected_oracle, ws);
-  EXPECT_EQ(report.outcome.actual_latency, expected_verified.actual_latency);
-  EXPECT_EQ(report.oracle_outcome.actual_latency,
-            expected_oracle.actual_latency);
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    EXPECT_EQ(report.outcome.agents[i].payment,
-              expected_verified.agents[i].payment);
-    EXPECT_EQ(report.oracle_outcome.agents[i].payment,
-              expected_oracle.agents[i].payment);
   }
 }
 
