@@ -26,12 +26,8 @@
 #include "lbmv/model/latency.h"
 #include "lbmv/model/system_config.h"
 #include "lbmv/obs/obs.h"
-#include "lbmv/sim/engine.h"
-#include "lbmv/sim/job_source.h"
-#include "lbmv/sim/legacy_engine.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/sim/replication.h"
-#include "lbmv/sim/server.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/thread_pool.h"
@@ -402,191 +398,6 @@ BENCHMARK(BM_DeviationGridVector)
     ->Complexity();
 
 // ---- Simulation throughput -------------------------------------------------
-//
-// Pure event-loop dispatch cost, isolated from RNG draws: a ring of sinks
-// each re-scheduling itself with a fixed per-sink increment (log-spread over
-// two decades, mirroring the paper's heterogeneous service rates), so the
-// queue stays populated at the ring size and events interleave.  The typed
-// loop hashes POD events into calendar buckets and dispatches through one
-// virtual call; the seed loop heap-allocates a >SSO-sized std::function per
-// event (the seed server's completion lambda captured this + Job + service
-// time) and pays an O(log n) branchy sift per pop.  The range argument is
-// the pending-event population.
-
-double ring_increment(std::size_t i) {
-  return 0.1 * std::pow(100.0, static_cast<double>(i % 997) / 997.0);
-}
-
-void BM_EventLoopTyped(benchmark::State& state) {
-  struct Ticker final : lbmv::sim::EventSink {
-    double increment = 1.0;
-    std::size_t* budget = nullptr;
-    void on_sim_event(lbmv::sim::Simulation& sim,
-                      lbmv::sim::EventKind) override {
-      if (*budget > 0) {
-        --*budget;
-        sim.schedule_event_after(increment,
-                                 lbmv::sim::EventKind::kServiceCompletion,
-                                 this);
-      }
-    }
-  };
-  const auto ring = static_cast<std::size_t>(state.range(0));
-  const std::size_t events = ring * 8;
-  lbmv::sim::Simulation sim;
-  sim.reserve(ring + 8);
-  std::vector<Ticker> sinks(ring);
-  std::size_t budget = 0;
-  for (std::size_t i = 0; i < ring; ++i) {
-    sinks[i].increment = ring_increment(i);
-    sinks[i].budget = &budget;
-  }
-  for (auto _ : state) {
-    sim.reset();
-    budget = events;
-    for (auto& s : sinks) {
-      sim.schedule_event_after(s.increment,
-                               lbmv::sim::EventKind::kServiceCompletion, &s);
-    }
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventLoopTyped)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_EventLoopTypedObsOn(benchmark::State& state) {
-  // BM_EventLoopTyped with metric recording enabled: the delta against the
-  // plain run is the full per-event probe cost (counter + kind counter +
-  // queue-depth gauge per dispatched event).  With recording off the probes
-  // are a single relaxed load, which is what the obs_overhead section of
-  // BENCH_perf.json demonstrates against the same baseline.
-  struct Ticker final : lbmv::sim::EventSink {
-    double increment = 1.0;
-    std::size_t* budget = nullptr;
-    void on_sim_event(lbmv::sim::Simulation& sim,
-                      lbmv::sim::EventKind) override {
-      if (*budget > 0) {
-        --*budget;
-        sim.schedule_event_after(increment,
-                                 lbmv::sim::EventKind::kServiceCompletion,
-                                 this);
-      }
-    }
-  };
-  const auto ring = static_cast<std::size_t>(state.range(0));
-  const std::size_t events = ring * 8;
-  lbmv::sim::Simulation sim;
-  sim.reserve(ring + 8);
-  std::vector<Ticker> sinks(ring);
-  std::size_t budget = 0;
-  for (std::size_t i = 0; i < ring; ++i) {
-    sinks[i].increment = ring_increment(i);
-    sinks[i].budget = &budget;
-  }
-  lbmv::obs::set_enabled(true);
-  for (auto _ : state) {
-    sim.reset();
-    budget = events;
-    for (auto& s : sinks) {
-      sim.schedule_event_after(s.increment,
-                               lbmv::sim::EventKind::kServiceCompletion, &s);
-    }
-    sim.run();
-  }
-  lbmv::obs::set_enabled(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventLoopTypedObsOn)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_EventLoopFunction(benchmark::State& state) {
-  // Captures mirror the seed completion closure: object pointer + Job +
-  // service time (40 bytes), past libstdc++'s 16-byte SSO buffer.
-  struct Ticker {
-    lbmv::sim::legacy::Simulation* sim;
-    double increment;
-    std::size_t* budget;
-    lbmv::sim::Job job;
-    void tick() {
-      if (*budget > 0) {
-        --*budget;
-        Ticker self = *this;
-        sim->schedule_after(increment, [self]() mutable { self.tick(); });
-      }
-    }
-  };
-  const auto ring = static_cast<std::size_t>(state.range(0));
-  const std::size_t events = ring * 8;
-  for (auto _ : state) {
-    lbmv::sim::legacy::Simulation sim;
-    std::size_t budget = events;
-    std::vector<Ticker> sinks(ring);
-    for (std::size_t i = 0; i < ring; ++i) {
-      sinks[i] = Ticker{&sim, ring_increment(i), &budget, lbmv::sim::Job{}};
-      sinks[i].tick();
-    }
-    budget += ring;  // the priming ticks above consumed budget
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventLoopFunction)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_SimStackTyped(benchmark::State& state) {
-  // Full queueing stack (source + FCFS servers), typed loop.
-  const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
-  const std::vector<double> rates{2.0, 1.5, 1.0, 0.5};
-  std::size_t events = 0;
-  for (auto _ : state) {
-    lbmv::util::Rng rng(11);
-    lbmv::sim::Simulation sim;
-    std::vector<std::unique_ptr<lbmv::sim::Server>> servers;
-    std::vector<lbmv::sim::Server*> ptrs;
-    for (std::size_t i = 0; i < exec.size(); ++i) {
-      servers.push_back(std::make_unique<lbmv::sim::Server>(
-          sim, "C", exec[i], lbmv::sim::ServiceModel::kExponential,
-          rng.split(i + 1)));
-      servers.back()->reserve(4096);
-      ptrs.push_back(servers.back().get());
-    }
-    lbmv::sim::JobSource source(sim, ptrs, rates, 2000.0, rng.split(0));
-    source.start();
-    sim.run();
-    events = sim.processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_SimStackTyped);
-
-void BM_SimStackLegacy(benchmark::State& state) {
-  // Identical workload on the preserved seed loop.
-  const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
-  const std::vector<double> rates{2.0, 1.5, 1.0, 0.5};
-  std::size_t events = 0;
-  for (auto _ : state) {
-    lbmv::util::Rng rng(11);
-    lbmv::sim::legacy::Simulation sim;
-    std::vector<std::unique_ptr<lbmv::sim::legacy::Server>> servers;
-    std::vector<lbmv::sim::legacy::Server*> ptrs;
-    for (std::size_t i = 0; i < exec.size(); ++i) {
-      servers.push_back(std::make_unique<lbmv::sim::legacy::Server>(
-          sim, "C", exec[i], lbmv::sim::ServiceModel::kExponential,
-          rng.split(i + 1)));
-      ptrs.push_back(servers.back().get());
-    }
-    lbmv::sim::legacy::JobSource source(sim, ptrs, rates, 2000.0,
-                                        rng.split(0));
-    source.start();
-    sim.run();
-    events = sim.processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_SimStackLegacy);
 
 void BM_ReplicatedRound(benchmark::State& state) {
   // Parallel Monte-Carlo protocol rounds; threads swept via the range arg.

@@ -612,9 +612,10 @@ void render_obs_dashboard(const obs::MetricsSnapshot& snap, std::ostream& out,
                    Table::num(h.quantile(0.95), 4),
                    Table::num(h.quantile(0.99), 4), Table::num(h.max, 4)});
   }
-  out << counters.to_markdown() << '\n'
-      << gauges.to_markdown() << '\n'
-      << hists.to_markdown();
+  out << counters.to_markdown() << '\n';
+  // No built-in probe is a gauge; print the table only when one exists.
+  if (!snap.gauges.empty()) out << gauges.to_markdown() << '\n';
+  out << hists.to_markdown();
 
   std::vector<util::Bar> completion_bars;
   for (const auto& [name, value] : snap.counters) {

@@ -7,9 +7,11 @@
 /// future work is "the problem of distributed handling of payments and the
 /// agents' privacy".  The lbmv::dist subsystem builds that: nodes exchange
 /// typed messages over a network with per-message latency, and protocol
-/// state machines react to deliveries.  The Network runs on the
-/// discrete-event engine, counts every message and every double
-/// transferred, and is deterministic under a fixed seed.
+/// state machines react to deliveries.  The Network runs on
+/// sim::Simulation (sim/engine.h), one scheduled closure per delivery;
+/// protocol rounds of sim/protocol.h run no event loop at all.  It counts
+/// every message and every double transferred, and is deterministic under
+/// a fixed seed.
 
 #include <cstdint>
 #include <functional>

@@ -22,8 +22,8 @@
 ///   * **Counter** — monotone sum of u64 increments.
 ///   * **Gauge** — *additive* gauge (OpenTelemetry's UpDownCounter):
 ///     `add(+d)` / `add(-d)`; the merged value is the sum of all deltas.
-///     Use it for occupancy-style quantities (queue depth, slab slots in
-///     use), not for last-value sampling.
+///     Use it for occupancy-style quantities (queue depth, tasks in
+///     flight), not for last-value sampling.
 ///   * **Histogram** — log-linear buckets (16 linear sub-buckets per
 ///     power of two, ~6% relative width) spanning [2^-34, 2^30), with an
 ///     underflow bucket (zero, negatives, subnormals below range) and an

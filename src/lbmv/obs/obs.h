@@ -15,15 +15,15 @@
 ///     gated on one process-wide flag read with a single relaxed atomic
 ///     load.  The flag starts **off**; nothing is recorded until a caller
 ///     (the `lbmv obs` command, a bench, a test) opts in via
-///     `set_enabled(true)`.  BENCH_perf.json's `obs_overhead` section
-///     tracks that the disabled-but-compiled-in cost stays below the noise
-///     floor of the event-loop microbenchmarks.
+///     `set_enabled(true)`.  BENCH_perf.json's `obs_timeseries` section
+///     times the single-round hot path with recording disabled and
+///     enabled in one run.
 ///
 /// With recording on, a probe is a thread-local shard lookup plus relaxed
 /// loads and stores on cells only that thread writes (no locked
-/// instructions; metrics.h "Cost model"), and the simulation hot loops
-/// batch their per-event probes into plain deltas published every few
-/// thousand events.  DESIGN.md §9 gives the measured end-to-end cost.
+/// instructions; metrics.h "Cost model"), and a protocol round publishes
+/// its per-server families once, after the round, not per job.  DESIGN.md
+/// §9 gives the measured end-to-end cost.
 ///
 /// The layer lives *below* util (lbmv_obs has no lbmv dependencies) so the
 /// thread pool and every layer above it can be instrumented without

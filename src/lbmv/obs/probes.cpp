@@ -6,19 +6,7 @@ SimProbes& SimProbes::get() {
   static SimProbes probes = [] {
     Registry& r = Registry::global();
     SimProbes p;
-    p.events_total = r.counter("lbmv_sim_events_total");
-    static constexpr const char* kKinds[5] = {
-        "closure", "arrival", "service_completion", "epoch_boundary",
-        "horizon"};
-    for (int k = 0; k < 5; ++k) {
-      p.events_by_kind[k] =
-          r.counter(labeled("lbmv_sim_events_kind_total", "kind", kKinds[k]));
-    }
-    p.window_refills = r.counter("lbmv_sim_window_refills_total");
     p.source_jobs = r.counter("lbmv_sim_source_jobs_total");
-    p.queue_depth = r.gauge("lbmv_sim_queue_depth");
-    p.slab_in_use = r.gauge("lbmv_sim_closure_slab_in_use");
-    p.window_fill = r.histogram("lbmv_sim_window_fill_events");
     return p;
   }();
   return probes;

@@ -7,18 +7,15 @@
 /// once from `Registry::global()` behind a function-local static, so
 /// probe sites pay a handle copy at component construction and a relaxed
 /// load plus store on a single-writer cell on the hot path — never a name
-/// lookup and never a locked instruction.  The per-event simulation
-/// families (lbmv_sim_events_total, lbmv_sim_events_kind_total,
-/// lbmv_sim_queue_depth) and the per-server families are published in
-/// batches rather than per event (sim/engine.h, sim/server.h).
+/// lookup and never a locked instruction.  A protocol round publishes its
+/// source job count and the per-server families once, after the round
+/// (sim/lindley.h).
 ///
 /// Families (all exported by `lbmv obs`, documented in DESIGN.md §9):
 ///
 ///   counters
-///     lbmv_sim_events_total                   events dispatched
-///     lbmv_sim_events_kind_total{kind=...}    per EventKind
-///     lbmv_sim_window_refills_total           calendar window refills
-///     lbmv_sim_source_jobs_total              jobs emitted by JobSource
+///     lbmv_sim_source_jobs_total              jobs a protocol round's
+///                                             source emitted
 ///     lbmv_server_arrivals_total{server=...}  per-server submissions
 ///     lbmv_server_completions_total{server=...}
 ///     lbmv_mech_rounds_total                  mechanism rounds (run/run_into)
@@ -59,12 +56,7 @@
 ///     lbmv_strategy_grid_lanes_wasted_total   padded tail lanes the 4-lane
 ///                                             context sweeps evaluated
 ///
-///   gauges (additive)
-///     lbmv_sim_queue_depth        pending events in the calendar queue
-///     lbmv_sim_closure_slab_in_use  pooled closures currently live
-///
 ///   histograms
-///     lbmv_sim_window_fill_events   events replayed per window refill
 ///     lbmv_server_waiting_seconds{server=...}  completed-job waiting time
 ///     lbmv_mech_round_payment       per-agent payment per round
 ///     lbmv_mech_round_bonus         per-agent bonus per round
@@ -80,15 +72,9 @@
 
 namespace lbmv::obs {
 
-/// Simulation core (engine + job source).
+/// Protocol-round job execution (sim::simulate_servers).
 struct SimProbes {
-  Counter events_total;
-  Counter events_by_kind[5];  ///< indexed by sim::EventKind value
-  Counter window_refills;
   Counter source_jobs;
-  Gauge queue_depth;
-  Gauge slab_in_use;
-  Histogram window_fill;
 
   static SimProbes& get();
 };

@@ -1,8 +1,9 @@
 #include "lbmv/sim/job_source.h"
 
-#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 
-#include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::sim {
@@ -20,48 +21,31 @@ JobSource::JobSource(Simulation& sim, std::span<Server* const> servers,
   LBMV_REQUIRE(!servers_.empty(), "job source needs at least one server");
   LBMV_REQUIRE(rates_.size() == servers_.size(),
                "one rate per server required");
-  cumulative_rates_.reserve(rates_.size());
   for (std::size_t i = 0; i < rates_.size(); ++i) {
     LBMV_REQUIRE(servers_[i] != nullptr, "servers must not be null");
-    LBMV_REQUIRE(rates_[i] >= 0.0, "rates must be non-negative");
-    // Accumulate left-to-right exactly like Rng::categorical's running sum
-    // so the binary-search routing is bit-identical to the linear scan.
+    // An infinite rate draws zero-length gaps: the arrivals never pass the
+    // horizon.
+    LBMV_REQUIRE(std::isfinite(rates_[i]) && rates_[i] >= 0.0,
+                 "rates[" + std::to_string(i) +
+                     "] must be finite and non-negative");
     total_rate_ += rates_[i];
-    cumulative_rates_.push_back(total_rate_);
   }
-  LBMV_REQUIRE(total_rate_ > 0.0, "total arrival rate must be positive");
-  LBMV_REQUIRE(horizon_ > 0.0, "horizon must be positive");
+  LBMV_REQUIRE(std::isfinite(total_rate_) && total_rate_ > 0.0,
+               "total arrival rate must be finite and positive");
+  LBMV_REQUIRE(std::isfinite(horizon_) && horizon_ > 0.0,
+               "horizon must be finite and positive");
 }
 
 void JobSource::start() {
-  sim_->schedule_event_after(rng_.exponential(total_rate_),
-                             EventKind::kArrival, this);
-}
-
-void JobSource::on_sim_event(Simulation& sim, EventKind kind) {
-  (void)sim;
-  LBMV_ASSERT(kind == EventKind::kArrival, "job source only handles arrivals");
-  arrival();
-}
-
-std::size_t JobSource::route() {
-  // Equivalent to rng_.categorical(rates_): one uniform draw, first index i
-  // with u < prefix_sum(i), falling back to the last server on round-off.
-  const double u = rng_.uniform() * total_rate_;
-  const auto it = std::upper_bound(cumulative_rates_.begin(),
-                                   cumulative_rates_.end(), u);
-  if (it == cumulative_rates_.end()) return cumulative_rates_.size() - 1;
-  return static_cast<std::size_t>(it - cumulative_rates_.begin());
+  sim_->schedule_after(rng_.exponential(total_rate_), [this] { arrival(); });
 }
 
 void JobSource::arrival() {
   if (sim_->now() > horizon_) return;  // stop generating past the horizon
-  const std::size_t target = route();
-  if (obs::enabled()) obs::SimProbes::get().source_jobs.inc();
+  const std::size_t target = rng_.categorical(rates_);
   ++counts_[target];
   servers_[target]->submit(Job{next_job_id_++, sim_->now()});
-  sim_->schedule_event_after(rng_.exponential(total_rate_),
-                             EventKind::kArrival, this);
+  sim_->schedule_after(rng_.exponential(total_rate_), [this] { arrival(); });
 }
 
 }  // namespace lbmv::sim

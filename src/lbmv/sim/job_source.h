@@ -11,15 +11,8 @@
 ///
 /// Protocol rounds do not run this source: they walk the same stream
 /// directly (lindley.h).  JobSource, with Server and Simulation, is that
-/// walk's event-driven differential oracle, and drives the benches that
-/// measure the event loop.
-///
-/// Hot-path design: arrivals are typed events (the source is an EventSink),
-/// and routing uses a precomputed prefix-sum table with binary search —
-/// O(log n) per arrival instead of the seed's O(n) re-validated weight
-/// scan, while consuming the identical single uniform draw and returning
-/// the identical index (the prefix sums are accumulated in the same
-/// left-to-right order as Rng::categorical's running sum).
+/// walk's event-driven differential oracle: one scheduled closure per
+/// arrival, routed by Rng::categorical.
 
 #include <cstdint>
 #include <span>
@@ -32,18 +25,21 @@
 namespace lbmv::sim {
 
 /// Drives Poisson arrivals into a set of servers until a horizon.
-class JobSource final : public EventSink {
+class JobSource {
  public:
-  /// \p rates: per-server arrival rates (x_i); their sum is the system rate.
-  /// \p servers must outlive the source.  Arrivals stop at \p horizon.
+  /// \p rates: per-server arrival rates (x_i), each finite and non-negative,
+  /// with a positive finite sum (the system rate).  \p servers must outlive
+  /// the source.  Arrivals stop at \p horizon, which must be finite and
+  /// positive.
   JobSource(Simulation& sim, std::span<Server* const> servers,
             std::vector<double> rates, SimTime horizon, util::Rng rng);
+  // Scheduled arrivals capture this source's address, so it can be
+  // neither copied nor moved.
+  JobSource(const JobSource&) = delete;
+  JobSource& operator=(const JobSource&) = delete;
 
   /// Schedule the first arrival; subsequent arrivals self-schedule.
   void start();
-
-  /// Typed-event entry point: fires one arrival.
-  void on_sim_event(Simulation& sim, EventKind kind) override;
 
   [[nodiscard]] std::uint64_t jobs_emitted() const { return next_job_id_; }
   [[nodiscard]] std::span<const std::uint64_t> per_server_counts() const {
@@ -52,12 +48,10 @@ class JobSource final : public EventSink {
 
  private:
   void arrival();
-  [[nodiscard]] std::size_t route();
 
   Simulation* sim_;
   std::vector<Server*> servers_;
   std::vector<double> rates_;
-  std::vector<double> cumulative_rates_;  ///< prefix sums of rates_
   double total_rate_;
   SimTime horizon_;
   util::Rng rng_;

@@ -27,7 +27,7 @@ double draw_service(util::Rng& rng, ServiceModel model, double mean) {
   return mean;
 }
 
-// The per-server families a drained Server publishes, in one batch.
+// One server's arrival, completion and waiting-time families, in one batch.
 void publish_server(std::size_t index, std::span<const Completion> plane) {
   obs::Registry& registry = obs::Registry::global();
   const std::string name = "C" + std::to_string(index + 1);
@@ -58,17 +58,23 @@ ServerPlanes simulate_servers(std::span<const double> rates,
   for (std::size_t i = 0; i < n; ++i) {
     means[i] = mean_service_from_linear_coefficient(execution_values[i], model);
   }
-  // Accumulate left-to-right exactly like JobSource (and Rng::categorical)
-  // so the routing picks the same server for the same uniform draw.
+  // Accumulate left-to-right exactly like Rng::categorical (JobSource's
+  // routing) so the routing picks the same server for the same uniform draw.
   std::vector<double> cumulative(n);
   double total_rate = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    LBMV_REQUIRE(rates[i] >= 0.0, "rates must be non-negative");
+    // An infinite rate draws zero-length gaps: the walk never passes the
+    // horizon.
+    LBMV_REQUIRE(std::isfinite(rates[i]) && rates[i] >= 0.0,
+                 "rates[" + std::to_string(i) +
+                     "] must be finite and non-negative");
     total_rate += rates[i];
     cumulative[i] = total_rate;
   }
-  LBMV_REQUIRE(total_rate > 0.0, "total arrival rate must be positive");
-  LBMV_REQUIRE(horizon > 0.0, "horizon must be positive");
+  LBMV_REQUIRE(std::isfinite(total_rate) && total_rate > 0.0,
+               "total arrival rate must be finite and positive");
+  LBMV_REQUIRE(std::isfinite(horizon) && horizon > 0.0,
+               "horizon must be finite and positive");
 
   ServerPlanes planes;
   planes.completions.resize(n);

@@ -14,9 +14,12 @@
 /// simulate_servers walks the source stream once, buckets every arrival
 /// into its server's completion plane, then runs each server's recursion.
 /// It consumes the streams exactly as the event-driven oracle does
-/// (JobSource on rng.split(0), Server i on rng.split(i + 1)), and every
-/// event time there is `now + delay`, so the planes and busy times are
-/// bit-identical to what that stack records (DESIGN.md §8).
+/// (JobSource on rng.split(0), Server i on rng.split(i + 1), each event one
+/// closure on Simulation's heap), and every event time there is
+/// `now + delay`, so the planes and busy times are bit-identical to what
+/// that stack records (DESIGN.md §8).  The oracle routes with
+/// Rng::categorical's linear scan; the walk binary-searches the same
+/// left-to-right prefix sums, so the two share no routing code.
 
 #include <cstdint>
 #include <span>
@@ -39,7 +42,9 @@ struct ServerPlanes {
 
 /// Route Poisson arrivals at total rate sum(rates) until \p horizon across
 /// FCFS servers running at \p execution_values under \p model, and drain
-/// every server.  Jobs arriving at t <= horizon are served.  Streams:
+/// every server.  Jobs arriving at t <= horizon are served.  Requires a
+/// finite positive horizon and finite non-negative rates with a finite
+/// positive sum (PreconditionError otherwise).  Streams:
 /// rng.split(0) for arrivals and routing, rng.split(i + 1) for server i.
 ///
 /// When recording is on, publishes each server's arrival, completion and

@@ -16,30 +16,13 @@
 /// Protocol rounds do not run this server: each of their servers is the
 /// Lindley recursion of lindley.h, which draws the same service times in
 /// the same order.  Server, with JobSource and Simulation, is that
-/// recursion's event-driven differential oracle (test_protocol).
-///
-/// Hot-path design: the server is an EventSink — service completions are
-/// typed events, and the in-service job's (id, arrival, start, duration)
-/// live in server members rather than a per-event closure capture, so a
-/// steady-state run allocates nothing per job.  The job queue and the
-/// completion log are flat per-server arenas (reserve() pre-sizes them,
-/// reset() recycles them across replications without freeing).
-///
-/// Observability: the per-server arrival and completion counters and the
-/// waiting-time histogram are not touched per job.  They are published from
-/// the completion arena the server keeps anyway, every
-/// kObsPublishCompletions completions, in reset() and on destruction, so a
-/// scraper sees the completion families fewer than that many completions
-/// behind a running server, and every family exactly once the server is
-/// reset or gone.  Arrivals are counted as the jobs the server holds
-/// (completed, queued or in service) since its last reset, so between
-/// publications the arrival counter also misses the jobs queued since.
+/// recursion's event-driven differential oracle (test_protocol): each
+/// service completion is one scheduled closure.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "lbmv/obs/metrics.h"
 #include "lbmv/sim/engine.h"
 #include "lbmv/util/rng.h"
 
@@ -81,40 +64,24 @@ struct Completion {
 };
 
 /// FCFS single-server queue bound to a Simulation.
-class Server final : public EventSink {
+class Server {
  public:
   /// \p execution_value is the linear coefficient t~ the server actually
   /// runs at; the mean service time is derived per \p model.
   Server(Simulation& sim, std::string name, double execution_value,
          ServiceModel model, util::Rng rng);
-  /// Publishes the completions not yet counted (see "Observability").
-  ~Server();
-  // Scheduled completion events carry this server's address, so it can
-  // be neither copied nor moved.
+  // Scheduled completions capture this server's address, so it can be
+  // neither copied nor moved.
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
-
-  /// Completions between two publications of the per-server probes.
-  static constexpr std::size_t kObsPublishCompletions = 1024;
 
   /// Enqueue a job at the simulation's current time.
   void submit(const Job& job);
 
-  /// Typed-event entry point: fires when the in-service job completes.
-  void on_sim_event(Simulation& sim, EventKind kind) override;
-
-  /// Pre-size the job queue and completion arena for \p expected_jobs so a
-  /// run of that length allocates nothing per event.
+  /// Pre-size the job queue and completion log for \p expected_jobs.
   void reserve(std::size_t expected_jobs);
 
-  /// Forget all queued jobs, completions and accounting, keeping arena
-  /// capacity, after publishing the probes.  The RNG stream is NOT
-  /// rewound; pass a fresh stream per replication instead.
-  void reset();
-
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] double execution_value() const { return execution_value_; }
-  [[nodiscard]] ServiceModel model() const { return model_; }
   [[nodiscard]] double mean_service_time() const { return mean_service_; }
   [[nodiscard]] const std::vector<Completion>& completions() const {
     return completions_;
@@ -129,13 +96,9 @@ class Server final : public EventSink {
 
  private:
   void begin_service();
-  /// Publish the arrivals and completions since the last publication.
-  /// Does nothing while recording is off.
-  void publish_obs();
 
   Simulation* sim_;
   std::string name_;
-  double execution_value_;
   ServiceModel model_;
   double mean_service_;
   util::Rng rng_;
@@ -144,23 +107,7 @@ class Server final : public EventSink {
   std::size_t head_ = 0;
   bool busy_ = false;
   double busy_time_ = 0.0;
-  // The one job in service: FCFS single-server, so members (not a per-event
-  // closure capture) are enough to describe the pending completion.
-  Job in_service_{};
-  SimTime service_start_ = 0.0;
-  double service_duration_ = 0.0;
   std::vector<Completion> completions_;
-
-  // Per-server metric handles, resolved once at construction (inert
-  // defaults when recording is off at that point; see server.cpp), and the
-  // publication cursor: completions_[0, obs_published_) and
-  // obs_arrivals_published_ arrivals are already counted.
-  bool obs_live_ = false;
-  obs::Counter obs_arrivals_;
-  obs::Counter obs_completions_;
-  obs::Histogram obs_waiting_;
-  std::size_t obs_published_ = 0;
-  std::size_t obs_arrivals_published_ = 0;
 };
 
 }  // namespace lbmv::sim

@@ -326,14 +326,25 @@ TEST(Cli, ProtocolCommandRuns) {
   if (!lbmv::obs::kCompiledIn)                                          \
   GTEST_SKIP() << "probes compiled out (LBMV_OBS=0)"
 
+// Event-loop families that no longer exist: a protocol round runs no event
+// loop, so rows of these could only read 0.
+constexpr const char* kDeletedSimFamilies[] = {
+    "lbmv_sim_events", "lbmv_sim_window", "lbmv_sim_queue_depth",
+    "lbmv_sim_closure_slab_in_use"};
+
 TEST(Cli, ObsDashboardCrossChecksCompletionCounters) {
   SKIP_IF_OBS_COMPILED_OUT();
   const auto result = cli({"obs", "--types", "0.01,0.02", "--rate", "2",
                            "--horizon", "200", "--replications", "2"});
   EXPECT_EQ(result.code, 0) << result.err;
-  EXPECT_NE(result.out.find("lbmv_sim_events_total"), std::string::npos);
+  EXPECT_NE(result.out.find("lbmv_sim_source_jobs_total"), std::string::npos);
+  EXPECT_NE(result.out.find("lbmv_server_completions_total{server=\"C1\"}"),
+            std::string::npos);
   EXPECT_NE(result.out.find(" == "), std::string::npos);  // cross-check held
   EXPECT_EQ(result.out.find(" != "), std::string::npos);
+  for (const char* family : kDeletedSimFamilies) {
+    EXPECT_EQ(result.out.find(family), std::string::npos) << family;
+  }
 }
 
 TEST(Cli, ObsJsonSnapshotParsesWithDocumentedFamilies) {
@@ -346,16 +357,23 @@ TEST(Cli, ObsJsonSnapshotParsesWithDocumentedFamilies) {
   const auto& counters = doc.at("counters");
   const auto& histograms = doc.at("histograms");
   for (const char* family :
-       {"lbmv_sim_events_total", "lbmv_sim_window_refills_total",
+       {"lbmv_server_arrivals_total{server=\"C1\"}",
+        "lbmv_server_completions_total{server=\"C1\"}",
         "lbmv_sim_source_jobs_total", "lbmv_mech_rounds_total",
         "lbmv_mech_leave_one_out_batches_total",
         "lbmv_protocol_rounds_total", "lbmv_protocol_replications_total",
         "lbmv_pool_tasks_total"}) {
     EXPECT_TRUE(counters.contains(family)) << family;
   }
-  EXPECT_TRUE(doc.at("gauges").contains("lbmv_sim_queue_depth"));
-  EXPECT_TRUE(histograms.contains("lbmv_sim_window_fill_events"));
+  EXPECT_TRUE(histograms.contains("lbmv_server_waiting_seconds{server=\"C1\"}"));
   EXPECT_GT(counters.at("lbmv_sim_source_jobs_total").as_number(), 0.0);
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    for (const auto& [name, value] : doc.at(section).as_object()) {
+      for (const char* family : kDeletedSimFamilies) {
+        EXPECT_NE(name.rfind(family, 0), 0u) << section << ": " << name;
+      }
+    }
+  }
 }
 
 TEST(Cli, ObsPromSnapshotHasTypeLines) {
@@ -364,13 +382,18 @@ TEST(Cli, ObsPromSnapshotHasTypeLines) {
       cli({"obs", "--types", "0.01,0.02", "--rate", "2", "--horizon", "200",
            "--replications", "2", "--snapshot", "prom"});
   EXPECT_EQ(result.code, 0) << result.err;
-  EXPECT_NE(result.out.find("# TYPE lbmv_sim_events_total counter"),
+  EXPECT_NE(result.out.find("# TYPE lbmv_sim_source_jobs_total counter"),
             std::string::npos);
-  EXPECT_NE(result.out.find("# TYPE lbmv_sim_queue_depth gauge"),
+  EXPECT_NE(result.out.find("# TYPE lbmv_server_completions_total counter"),
+            std::string::npos);
+  EXPECT_NE(result.out.find("lbmv_server_completions_total{server=\"C1\"}"),
             std::string::npos);
   EXPECT_NE(
-      result.out.find("# TYPE lbmv_sim_window_fill_events histogram"),
+      result.out.find("# TYPE lbmv_server_waiting_seconds histogram"),
       std::string::npos);
+  for (const char* family : kDeletedSimFamilies) {
+    EXPECT_EQ(result.out.find(family), std::string::npos) << family;
+  }
 }
 
 TEST(Cli, ObsTraceExportIsValidChromeJson) {

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -19,12 +18,8 @@
 #include "lbmv/obs/obs.h"
 #include "lbmv/obs/sampler.h"
 #include "lbmv/obs/trace.h"
-#include "lbmv/sim/engine.h"
-#include "lbmv/sim/job_source.h"
 #include "lbmv/sim/protocol.h"
-#include "lbmv/sim/server.h"
 #include "lbmv/util/json.h"
-#include "lbmv/util/rng.h"
 
 namespace {
 
@@ -253,7 +248,9 @@ TEST(ObsIntegration, ProtocolRoundCountersMatchSystemMetrics) {
     EXPECT_EQ(snap.histograms.at(waiting).nan_count, 0u) << waiting;
   }
   EXPECT_EQ(counted, report.metrics.total_jobs());
-  EXPECT_GT(counted, lbmv::sim::Server::kObsPublishCompletions);
+  // More jobs than one 1024-completion batch: a batched publish would miss some.
+  constexpr std::uint64_t kManyJobs = 1024;
+  EXPECT_GT(counted, kManyJobs);
   // The source's job count is published once per round.
   EXPECT_EQ(snap.counters.at("lbmv_sim_source_jobs_total"),
             report.metrics.total_jobs());
@@ -264,42 +261,6 @@ TEST(ObsIntegration, ProtocolRoundCountersMatchSystemMetrics) {
     if (std::string_view(e.name) == "protocol_round") saw_round_span = true;
   }
   EXPECT_TRUE(saw_round_span);
-}
-
-TEST(ObsIntegration, OracleStackFlushesEventLoopTotalsWhenRunReturns) {
-  SKIP_IF_COMPILED_OUT();
-  EnabledScope on;
-  Registry::global().reset();
-
-  // A round like the protocol round above (that config's allocation and
-  // the default seed's streams), run on the event-driven oracle stack.
-  const std::vector<double> rates = {1.2, 1.2, 0.6};
-  const std::vector<double> executions = {0.01, 0.01, 0.02};
-  const lbmv::util::Rng rng(42);
-  std::uint64_t jobs = 0;
-  {
-    lbmv::sim::Simulation sim;
-    std::vector<std::unique_ptr<lbmv::sim::Server>> servers;
-    std::vector<lbmv::sim::Server*> server_ptrs;
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      servers.push_back(std::make_unique<lbmv::sim::Server>(
-          sim, "C" + std::to_string(i + 1), executions[i],
-          lbmv::sim::ServiceModel::kExponential, rng.split(i + 1)));
-      server_ptrs.push_back(servers.back().get());
-    }
-    lbmv::sim::JobSource source(sim, server_ptrs, rates, 500.0, rng.split(0));
-    source.start();
-    sim.run();
-    jobs = source.jobs_emitted();
-  }
-
-  const MetricsSnapshot snap = Registry::global().snapshot();
-  // More than one publication cadence's worth of jobs went through the
-  // loop, and the event-loop totals were flushed when run() returned.
-  EXPECT_GT(jobs, lbmv::sim::Server::kObsPublishCompletions);
-  EXPECT_EQ(snap.counters.at("lbmv_sim_source_jobs_total"), jobs);
-  EXPECT_GE(snap.counters.at("lbmv_sim_events_total"), 2 * jobs);
-  EXPECT_EQ(snap.gauges.at("lbmv_sim_queue_depth"), 0.0);
 }
 
 TEST(ObsIntegration, ProtocolRoundWithRecordingOffRegistersAndRecordsNothing) {

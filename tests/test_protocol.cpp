@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -405,6 +406,37 @@ TEST(LindleyRecursion, RoundMatchesOracleStackThroughEstimation) {
     EXPECT_EQ(report.estimated_execution[i], estimate->execution_value)
         << "computer " << i;
   }
+}
+
+// ---- simulate_servers input guards ------------------------------------------
+
+// Runs simulate_servers and expects a PreconditionError whose text contains
+// \p needle.  Without the guard, each input below walks the source stream
+// forever: its gaps are zero (infinite rate) or its horizon is never passed.
+void expect_rejected(const std::vector<double>& rates, double horizon,
+                     const std::string& needle) {
+  const std::vector<double> executions(rates.size(), 0.25);
+  try {
+    (void)lbmv::sim::simulate_servers(rates, executions,
+                                      ServiceModel::kExponential, horizon,
+                                      Rng(3));
+    ADD_FAILURE() << "expected a throw naming " << needle;
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SimulateServersGuards, RejectsAnInfiniteHorizon) {
+  expect_rejected({1.0, 2.0}, kInf, "horizon must be finite");
+}
+
+TEST(SimulateServersGuards, RejectsAnInfiniteRate) {
+  expect_rejected({1.0, kInf, 2.0}, 10.0, "rates[1] must be finite");
+  // Finite rates whose sum overflows draw zero gaps too.
+  expect_rejected({1e308, 1e308}, 10.0, "total arrival rate must be finite");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lbmv/sim/engine.h"
@@ -133,6 +134,39 @@ TEST(JobSource, ValidatesConstruction) {
                lbmv::util::PreconditionError);
   EXPECT_THROW(JobSource(sim, servers, {1.0}, 0.0, Rng(2)),
                lbmv::util::PreconditionError);
+}
+
+TEST(JobSource, RejectsAnInfiniteHorizon) {
+  // Arrivals would never pass the horizon, so run() would never return.
+  Simulation sim;
+  Server s(sim, "s", 1.0, ServiceModel::kExponential, Rng(1));
+  std::vector<Server*> servers{&s};
+  const double inf = std::numeric_limits<double>::infinity();
+  try {
+    JobSource source(sim, servers, {1.0}, inf, Rng(2));
+    ADD_FAILURE() << "an infinite horizon was accepted";
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("horizon must be finite"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JobSource, RejectsAnInfiniteRate) {
+  // An infinite rate draws zero-length gaps: the clock would never move.
+  Simulation sim;
+  Server a(sim, "a", 1.0, ServiceModel::kExponential, Rng(1));
+  Server b(sim, "b", 1.0, ServiceModel::kExponential, Rng(3));
+  std::vector<Server*> servers{&a, &b};
+  const double inf = std::numeric_limits<double>::infinity();
+  try {
+    JobSource source(sim, servers, {1.0, inf}, 10.0, Rng(2));
+    ADD_FAILURE() << "an infinite rate was accepted";
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rates[1] must be finite"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Mm1Theory, SimulatedWaitingTimeMatchesRhoOverMuMinusLambda) {

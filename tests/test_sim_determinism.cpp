@@ -1,19 +1,19 @@
-// Differential determinism: the typed event loop (engine.h) must reproduce
-// the seed `std::function` loop (legacy_engine.h) bit-for-bit — identical
-// completion traces (job ids, arrival/start/finish times) for fixed seeds
-// across every ServiceModel.  This is the contract that made the hot-path
-// rewrite safe: same RNG streams, same (time, seq) event ordering, so every
-// downstream estimate, payment and metric is unchanged.
+// Determinism of the event-driven stack (Simulation + Server + JobSource):
+// two runs on the same seed record identical completion traces (job ids,
+// arrival/start/finish times) under every ServiceModel, and the loop
+// processes exactly one arrival and one completion per job, plus the one
+// arrival past the horizon that the source drops.  The stack is the Lindley
+// recursion's oracle (test_protocol), so it must carry no hidden state.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lbmv/sim/engine.h"
 #include "lbmv/sim/job_source.h"
-#include "lbmv/sim/legacy_engine.h"
 #include "lbmv/sim/server.h"
 #include "lbmv/util/rng.h"
 
@@ -29,9 +29,14 @@ struct Workload {
   std::uint64_t seed = 1234;
 };
 
-/// Run the typed stack; returns per-server completion traces.
-std::vector<std::vector<Completion>> run_typed(const Workload& w,
-                                               ServiceModel model) {
+/// One drained run: per-server completion traces and the loop's counts.
+struct StackRun {
+  std::vector<std::vector<Completion>> traces;
+  std::size_t processed = 0;
+  std::uint64_t jobs = 0;
+};
+
+StackRun run_stack(const Workload& w, ServiceModel model) {
   Rng rng(w.seed);
   Simulation sim;
   std::vector<std::unique_ptr<Server>> servers;
@@ -45,66 +50,47 @@ std::vector<std::vector<Completion>> run_typed(const Workload& w,
   JobSource source(sim, ptrs, w.rates, w.horizon, rng.split(0));
   source.start();
   sim.run();
-  std::vector<std::vector<Completion>> traces;
-  for (const Server* s : ptrs) traces.push_back(s->completions());
-  return traces;
+  StackRun run;
+  for (const Server* s : ptrs) run.traces.push_back(s->completions());
+  run.processed = sim.processed();
+  run.jobs = source.jobs_emitted();
+  return run;
 }
 
-/// Run the preserved seed stack on the identical workload and RNG streams.
-std::vector<std::vector<Completion>> run_legacy(const Workload& w,
-                                                ServiceModel model) {
-  Rng rng(w.seed);
-  legacy::Simulation sim;
-  std::vector<std::unique_ptr<legacy::Server>> servers;
-  std::vector<legacy::Server*> ptrs;
-  for (std::size_t i = 0; i < w.execution_values.size(); ++i) {
-    servers.push_back(std::make_unique<legacy::Server>(
-        sim, "C" + std::to_string(i + 1), w.execution_values[i], model,
-        rng.split(i + 1)));
-    ptrs.push_back(servers.back().get());
-  }
-  legacy::JobSource source(sim, ptrs, w.rates, w.horizon, rng.split(0));
-  source.start();
-  sim.run();
-  std::vector<std::vector<Completion>> traces;
-  for (const legacy::Server* s : ptrs) traces.push_back(s->completions());
-  return traces;
-}
-
-void expect_identical(const std::vector<std::vector<Completion>>& typed,
-                      const std::vector<std::vector<Completion>>& legacy_t) {
-  ASSERT_EQ(typed.size(), legacy_t.size());
-  for (std::size_t s = 0; s < typed.size(); ++s) {
-    ASSERT_EQ(typed[s].size(), legacy_t[s].size()) << "server " << s;
-    ASSERT_FALSE(typed[s].empty()) << "workload produced no jobs; weak test";
-    for (std::size_t j = 0; j < typed[s].size(); ++j) {
-      const Completion& a = typed[s][j];
-      const Completion& b = legacy_t[s][j];
+void expect_identical(const StackRun& a, const StackRun& b) {
+  ASSERT_EQ(a.traces.size(), b.traces.size());
+  for (std::size_t s = 0; s < a.traces.size(); ++s) {
+    ASSERT_EQ(a.traces[s].size(), b.traces[s].size()) << "server " << s;
+    ASSERT_FALSE(a.traces[s].empty()) << "workload produced no jobs; weak test";
+    for (std::size_t j = 0; j < a.traces[s].size(); ++j) {
+      const Completion& x = a.traces[s][j];
+      const Completion& y = b.traces[s][j];
       // Bit-for-bit: exact double equality, not approximate.
-      EXPECT_EQ(a.job_id, b.job_id) << "server " << s << " job " << j;
-      EXPECT_EQ(a.arrival, b.arrival) << "server " << s << " job " << j;
-      EXPECT_EQ(a.start, b.start) << "server " << s << " job " << j;
-      EXPECT_EQ(a.finish, b.finish) << "server " << s << " job " << j;
+      EXPECT_EQ(x.job_id, y.job_id) << "server " << s << " job " << j;
+      EXPECT_EQ(x.arrival, y.arrival) << "server " << s << " job " << j;
+      EXPECT_EQ(x.start, y.start) << "server " << s << " job " << j;
+      EXPECT_EQ(x.finish, y.finish) << "server " << s << " job " << j;
     }
   }
+  EXPECT_EQ(a.processed, b.processed);
 }
 
-TEST(SimDeterminism, TypedLoopMatchesSeedLoopExponential) {
+TEST(SimDeterminism, SelfDeterministicExponential) {
   const Workload w;
-  expect_identical(run_typed(w, ServiceModel::kExponential),
-                   run_legacy(w, ServiceModel::kExponential));
+  expect_identical(run_stack(w, ServiceModel::kExponential),
+                   run_stack(w, ServiceModel::kExponential));
 }
 
-TEST(SimDeterminism, TypedLoopMatchesSeedLoopDeterministic) {
+TEST(SimDeterminism, SelfDeterministicDeterministic) {
   const Workload w;
-  expect_identical(run_typed(w, ServiceModel::kDeterministic),
-                   run_legacy(w, ServiceModel::kDeterministic));
+  expect_identical(run_stack(w, ServiceModel::kDeterministic),
+                   run_stack(w, ServiceModel::kDeterministic));
 }
 
-TEST(SimDeterminism, TypedLoopMatchesSeedLoopErlang2) {
+TEST(SimDeterminism, SelfDeterministicErlang2) {
   const Workload w;
-  expect_identical(run_typed(w, ServiceModel::kErlang2),
-                   run_legacy(w, ServiceModel::kErlang2));
+  expect_identical(run_stack(w, ServiceModel::kErlang2),
+                   run_stack(w, ServiceModel::kErlang2));
 }
 
 TEST(SimDeterminism, HoldsAcrossSeedsAndLoads) {
@@ -114,55 +100,25 @@ TEST(SimDeterminism, HoldsAcrossSeedsAndLoads) {
       w.seed = seed;
       for (double& r : w.rates) r *= load_scale;
       w.horizon = 200.0;
-      expect_identical(run_typed(w, ServiceModel::kExponential),
-                       run_legacy(w, ServiceModel::kExponential));
+      expect_identical(run_stack(w, ServiceModel::kExponential),
+                       run_stack(w, ServiceModel::kExponential));
     }
   }
 }
 
-TEST(SimDeterminism, TypedLoopIsSelfDeterministic) {
-  // Two identical typed runs agree exactly (no hidden global state).
-  const Workload w;
-  expect_identical(run_typed(w, ServiceModel::kErlang2),
-                   run_typed(w, ServiceModel::kErlang2));
-}
-
-TEST(SimDeterminism, ProcessedEventCountsMatch) {
-  // Event-for-event equivalence, not just trace equivalence: both loops
-  // schedule one arrival event per job plus one completion event per job.
-  const Workload w;
-  Rng rng(w.seed);
-  Simulation typed_sim;
-  legacy::Simulation legacy_sim;
-  {
-    std::vector<std::unique_ptr<Server>> servers;
-    std::vector<Server*> ptrs;
-    for (std::size_t i = 0; i < w.execution_values.size(); ++i) {
-      servers.push_back(std::make_unique<Server>(
-          typed_sim, "C", w.execution_values[i], ServiceModel::kExponential,
-          rng.split(i + 1)));
-      ptrs.push_back(servers.back().get());
-    }
-    JobSource source(typed_sim, ptrs, w.rates, w.horizon, rng.split(0));
-    source.start();
-    typed_sim.run();
+TEST(SimDeterminism, ProcessesOneArrivalAndOneCompletionPerJob) {
+  // Every emitted job is one arrival event and one completion event; the
+  // first arrival past the horizon is one more event, dropped unrouted.
+  for (const auto model :
+       {ServiceModel::kExponential, ServiceModel::kDeterministic,
+        ServiceModel::kErlang2}) {
+    const StackRun run = run_stack(Workload{}, model);
+    std::size_t completed = 0;
+    for (const auto& trace : run.traces) completed += trace.size();
+    ASSERT_GT(run.jobs, 0u);
+    EXPECT_EQ(completed, run.jobs);
+    EXPECT_EQ(run.processed, 2 * run.jobs + 1);
   }
-  {
-    std::vector<std::unique_ptr<legacy::Server>> servers;
-    std::vector<legacy::Server*> ptrs;
-    for (std::size_t i = 0; i < w.execution_values.size(); ++i) {
-      servers.push_back(std::make_unique<legacy::Server>(
-          legacy_sim, "C", w.execution_values[i], ServiceModel::kExponential,
-          rng.split(i + 1)));
-      ptrs.push_back(servers.back().get());
-    }
-    legacy::JobSource source(legacy_sim, ptrs, w.rates, w.horizon,
-                             rng.split(0));
-    source.start();
-    legacy_sim.run();
-  }
-  EXPECT_EQ(typed_sim.processed(), legacy_sim.processed());
-  EXPECT_EQ(typed_sim.now(), legacy_sim.now());
 }
 
 }  // namespace

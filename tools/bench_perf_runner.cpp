@@ -14,18 +14,9 @@
 //   * audit_all_reference      the reference context: one full mechanism
 //                              run per grid point (n = 64 only)
 //
-// plus a `sim_throughput` section comparing the typed calendar-queue event
-// loop (engine.h) with the preserved seed std::function loop
-// (legacy_engine.h) in the same run: pure dispatch events/sec at several
-// pending-event populations, full queueing-stack events/sec, and
-// replicated protocol rounds/sec at 1/4/8 pool threads (those rounds run
-// the per-server recursion of sim/lindley.h, not an event loop),
-//
-// plus an `obs_overhead` section measuring the observability layer's cost
-// on the same dispatch ring: events/sec with recording off (probes are one
-// relaxed load) and with recording on (counters + gauges live), side by
-// side so the off-state stays within the run-to-run noise of the plain
-// numbers above,
+// plus a `sim_throughput` section timing replicated protocol rounds/sec at
+// 1/4/8 pool threads (each round runs the per-server recursion of
+// sim/lindley.h),
 //
 // plus a `strategy_throughput` section for the single-deviation game
 // engine: one best-response round through the O(1) closed-form profile
@@ -79,7 +70,7 @@
 // mode) is nested under a `config` object, never as stray top-level keys.
 //
 // `--smoke` shrinks every workload (CI-sized: n = 64, short timing
-// windows, sim/obs sections skipped) while still emitting the
+// windows, sim section skipped) while still emitting the
 // strategy_throughput, batch_round_throughput, deviation_grid,
 // obs_timeseries, nonlinear_round, and nonlinear_loo sections
 // (deviation_grid keeping its n = 256 row, nonlinear_round its n = 1024
@@ -113,12 +104,8 @@
 #include "lbmv/obs/monitor.h"
 #include "lbmv/obs/obs.h"
 #include "lbmv/obs/sampler.h"
-#include "lbmv/sim/engine.h"
-#include "lbmv/sim/job_source.h"
-#include "lbmv/sim/legacy_engine.h"
 #include "lbmv/sim/protocol.h"
 #include "lbmv/sim/replication.h"
-#include "lbmv/sim/server.h"
 #include "lbmv/core/no_payment.h"
 #include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
@@ -229,125 +216,14 @@ struct Result {
   double seconds;
 };
 
-// ---- sim throughput workloads ---------------------------------------------
-
-/// Per-sink re-schedule increment, log-spread over two decades to mirror
-/// the paper's heterogeneous service rates.
-double ring_increment(std::size_t i) {
-  return 0.1 * std::pow(100.0, static_cast<double>(i % 997) / 997.0);
-}
-
-/// Typed-loop dispatch: a ring of sinks re-scheduling themselves; returns
-/// events/sec with `ring` events pending throughout.
-double typed_dispatch_events_per_sec(std::size_t ring) {
-  struct Ticker final : lbmv::sim::EventSink {
-    double increment = 1.0;
-    std::size_t* budget = nullptr;
-    void on_sim_event(lbmv::sim::Simulation& sim,
-                      lbmv::sim::EventKind) override {
-      if (*budget > 0) {
-        --*budget;
-        sim.schedule_event_after(increment,
-                                 lbmv::sim::EventKind::kServiceCompletion,
-                                 this);
-      }
-    }
-  };
-  const std::size_t events = ring * 8;
-  lbmv::sim::Simulation sim;
-  sim.reserve(ring + 8);
-  std::vector<Ticker> sinks(ring);
-  std::size_t budget = 0;
-  for (std::size_t i = 0; i < ring; ++i) {
-    sinks[i].increment = ring_increment(i);
-    sinks[i].budget = &budget;
-  }
-  const double seconds = seconds_per_call(
-      [&] {
-        sim.reset();
-        budget = events;
-        for (auto& s : sinks) {
-          sim.schedule_event_after(
-              s.increment, lbmv::sim::EventKind::kServiceCompletion, &s);
-        }
-        sim.run();
-      },
-      0.5, 3);
-  return static_cast<double>(events) / seconds;
-}
-
-/// Seed-loop dispatch on the identical ring workload; each event is a
-/// std::function whose capture (object + Job + service time, 40 bytes)
-/// forces a heap allocation, as the seed server's completion lambda did.
-double function_dispatch_events_per_sec(std::size_t ring) {
-  struct Ticker {
-    lbmv::sim::legacy::Simulation* sim;
-    double increment;
-    std::size_t* budget;
-    lbmv::sim::Job job;
-    void tick() {
-      if (*budget > 0) {
-        --*budget;
-        Ticker self = *this;
-        sim->schedule_after(increment, [self]() mutable { self.tick(); });
-      }
-    }
-  };
-  const std::size_t events = ring * 8;
-  const double seconds = seconds_per_call(
-      [&] {
-        lbmv::sim::legacy::Simulation sim;
-        std::size_t budget = events;
-        std::vector<Ticker> sinks(ring);
-        for (std::size_t i = 0; i < ring; ++i) {
-          sinks[i] = Ticker{&sim, ring_increment(i), &budget,
-                            lbmv::sim::Job{}};
-          sinks[i].tick();
-        }
-        budget += ring;  // priming consumed budget
-        sim.run();
-      },
-      0.5, 3);
-  return static_cast<double>(events) / seconds;
-}
-
-/// Full queueing stack (Poisson source + FCFS servers) on either loop;
-/// returns events/sec.  Shared costs (RNG draws, queue bookkeeping)
-/// dominate here, so this understates the pure loop win by design.
-template <typename Sim, typename Server, typename Source>
-double stack_events_per_sec() {
-  const std::vector<double> exec{0.02, 0.05, 0.11, 0.4};
-  const std::vector<double> rates{2.0, 1.5, 1.0, 0.5};
-  std::size_t events = 0;
-  const double seconds = seconds_per_call(
-      [&] {
-        lbmv::util::Rng rng(11);
-        Sim sim;
-        std::vector<std::unique_ptr<Server>> servers;
-        std::vector<Server*> ptrs;
-        for (std::size_t i = 0; i < exec.size(); ++i) {
-          servers.push_back(std::make_unique<Server>(
-              sim, "C", exec[i], lbmv::sim::ServiceModel::kExponential,
-              rng.split(i + 1)));
-          ptrs.push_back(servers.back().get());
-        }
-        Source source(sim, ptrs, rates, 2000.0, rng.split(0));
-        source.start();
-        sim.run();
-        events = sim.processed();
-      },
-      0.5, 3);
-  return static_cast<double>(events) / seconds;
-}
-
 // ---- batch round workloads -------------------------------------------------
 
 /// Faithful reproduction of the seed comp-bonus round (the pre-batch-kernel
 /// Mechanism::run + CompBonusMechanism::fill_payments): a fresh allocation,
 /// three freshly heap-allocated vectors of per-agent latency functions plus
 /// one make() per agent for the compensation basis, and a fresh
-/// leave-one-out vector — every call.  Kept here, like the audit/sim legacy
-/// baselines, so batch_round_throughput measures its speedup in the same
+/// leave-one-out vector — every call.  Kept here, like the audit reference
+/// baseline, so batch_round_throughput measures its speedup in the same
 /// run and cross-checks the kernels against the original formulation.
 lbmv::core::MechanismOutcome seed_comp_bonus_round(
     const lbmv::model::LatencyFamily& family,
@@ -519,45 +395,9 @@ int main(int argc, char** argv) {
               << audit_reference_64 / audit_incremental_64 << "x\n";
   }
 
-  // Simulation throughput: typed calendar-queue loop vs the seed
-  // std::function loop, measured back to back in this same run.
+  // Simulation throughput: replicated protocol rounds on 1/4/8 threads.
   JsonValue::Object sim_throughput;
   if (!smoke) {
-    JsonValue::Array dispatch;
-    double best_speedup = 0.0;
-    for (std::size_t ring : {64ul, 4096ul, 65536ul}) {
-      const double typed = typed_dispatch_events_per_sec(ring);
-      const double fn = function_dispatch_events_per_sec(ring);
-      JsonValue::Object entry;
-      entry["pending_events"] = static_cast<double>(ring);
-      entry["typed_events_per_sec"] = typed;
-      entry["function_loop_events_per_sec"] = fn;
-      entry["speedup"] = typed / fn;
-      dispatch.emplace_back(std::move(entry));
-      best_speedup = std::max(best_speedup, typed / fn);
-      std::cout << "event_loop_dispatch pending=" << ring << ": typed "
-                << typed / 1e6 << "M ev/s, function-loop " << fn / 1e6
-                << "M ev/s (" << typed / fn << "x)\n";
-    }
-    sim_throughput["event_loop_dispatch"] = std::move(dispatch);
-    sim_throughput["event_loop_best_speedup"] = best_speedup;
-
-    const double stack_typed =
-        stack_events_per_sec<lbmv::sim::Simulation, lbmv::sim::Server,
-                             lbmv::sim::JobSource>();
-    const double stack_legacy =
-        stack_events_per_sec<lbmv::sim::legacy::Simulation,
-                             lbmv::sim::legacy::Server,
-                             lbmv::sim::legacy::JobSource>();
-    JsonValue::Object stack;
-    stack["typed_events_per_sec"] = stack_typed;
-    stack["function_loop_events_per_sec"] = stack_legacy;
-    stack["speedup"] = stack_typed / stack_legacy;
-    sim_throughput["full_stack"] = std::move(stack);
-    std::cout << "full_stack: typed " << stack_typed / 1e6
-              << "M ev/s, function-loop " << stack_legacy / 1e6 << "M ev/s ("
-              << stack_typed / stack_legacy << "x)\n";
-
     JsonValue::Array reps;
     for (std::size_t threads : {1ul, 4ul, 8ul}) {
       const double rate = replications_per_sec(threads);
@@ -573,45 +413,7 @@ int main(int argc, char** argv) {
         static_cast<double>(std::thread::hardware_concurrency());
     sim_throughput["threads_used"] = 8.0;  // widest replication pool above
     sim_throughput["note"] =
-        "dispatch = self-rescheduling sink ring (pure event-loop cost, no "
-        "RNG); full_stack shares RNG/queue bookkeeping between both loops, "
-        "so its ratio is diluted by design; replication scaling is bounded "
-        "by hardware_concurrency";
-  }
-
-  // Observability overhead on the pure dispatch ring: recording off must
-  // track the plain typed numbers (same code path, probes compiled in but
-  // gated on one relaxed load); recording on shows the live probe cost.
-  JsonValue::Object obs_overhead;
-  if (!smoke) {
-    JsonValue::Array dispatch;
-    for (std::size_t ring : {64ul, 4096ul, 65536ul}) {
-      lbmv::obs::set_enabled(false);
-      const double off = typed_dispatch_events_per_sec(ring);
-      lbmv::obs::set_enabled(true);
-      const double on = typed_dispatch_events_per_sec(ring);
-      lbmv::obs::set_enabled(false);
-      JsonValue::Object entry;
-      entry["pending_events"] = static_cast<double>(ring);
-      entry["disabled_events_per_sec"] = off;
-      entry["enabled_events_per_sec"] = on;
-      entry["disabled_over_enabled"] = off / on;
-      dispatch.emplace_back(std::move(entry));
-      std::cout << "obs_overhead pending=" << ring << ": off " << off / 1e6
-                << "M ev/s, on " << on / 1e6 << "M ev/s (on costs "
-                << (off / on - 1.0) * 100.0 << "%)\n";
-    }
-    lbmv::obs::Registry::global().reset();
-    obs_overhead["event_loop_dispatch"] = std::move(dispatch);
-    obs_overhead["compiled_in"] = lbmv::obs::kCompiledIn;
-    obs_overhead["hardware_concurrency"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-    obs_overhead["threads_used"] = 1.0;  // single-threaded dispatch ring
-    obs_overhead["note"] =
-        "disabled_events_per_sec uses the identical ring workload as "
-        "sim_throughput.event_loop_dispatch.typed_events_per_sec; with "
-        "recording disabled every probe is one relaxed atomic load, so the "
-        "two series must agree within run-to-run noise";
+        "replication scaling is bounded by hardware_concurrency";
   }
 
   // Single-deviation game engine: one best-response round through the O(1)
@@ -1514,7 +1316,6 @@ int main(int argc, char** argv) {
   doc["derived"] = std::move(derived);
   if (!smoke) {
     doc["sim_throughput"] = std::move(sim_throughput);
-    doc["obs_overhead"] = std::move(obs_overhead);
   }
   doc["strategy_throughput"] = std::move(strategy_throughput);
   doc["batch_round_throughput"] = std::move(batch_round_throughput);
