@@ -703,44 +703,61 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   const long replications = args.option_as_long("replications");
   if (replications <= 0) throw UsageError("--replications must be positive");
 
-  const auto dump_flight = [&flight_path] {
-    if (flight_path.empty()) return;
-    if (!obs::FlightRecorder::global().dump_jsonl(flight_path)) {
+  strategy::BestResponseOptions dynamics;
+  if (workload == "dynamics") {
+    dynamics.max_rounds = option_as_int(args, "rounds");
+  }
+
+  // Fresh recording session: drop anything earlier commands recorded, then
+  // enable probes for the run (servers register their labelled families at
+  // construction, so this must precede the workload).
+  obs::Registry::global().reset();
+  obs::TraceRecorder::global().clear();
+  obs::FlightRecorder::global().clear();
+  obs::set_enabled(true);
+  const core::CompBonusMechanism mechanism;
+  obs::TimeSeriesSampler sampler;
+
+  // After recording stops: write the flight-recorder and trace files asked
+  // for, and take the registry's snapshot.
+  const auto end_session = [&] {
+    if (!flight_path.empty() &&
+        !obs::FlightRecorder::global().dump_jsonl(flight_path)) {
       throw UsageError("cannot write '" + flight_path + "'");
     }
+    if (!trace_path.empty()) {
+      std::ofstream trace_out(trace_path);
+      if (!trace_out) throw UsageError("cannot write '" + trace_path + "'");
+      trace_out << obs::TraceRecorder::global().to_chrome_json() << '\n';
+    }
+    return obs::Registry::global().snapshot();
+  };
+  // The machine-readable modes print their payload and end the command;
+  // false leaves the dashboard to the workload.
+  const auto emit = [&](const obs::MetricsSnapshot& snap) {
+    if (mode == "json") {
+      out << snap.to_json() << '\n';
+    } else if (mode == "prom") {
+      out << snap.to_prometheus(/*with_timestamps=*/true);
+    } else if (mode == "timeseries") {
+      out << sampler.to_json() << '\n';
+    } else {
+      return false;
+    }
+    return true;
   };
 
   if (workload == "dynamics") {
     // Strategy-layer workload: run best-response dynamics so the
     // lbmv_strategy_* probe family shows up in the dashboard.
-    strategy::BestResponseOptions dynamics;
-    dynamics.max_rounds = option_as_int(args, "rounds");
-    obs::Registry::global().reset();
-    obs::TraceRecorder::global().clear();
-    obs::FlightRecorder::global().clear();
-    obs::set_enabled(true);
-    const core::CompBonusMechanism mechanism;
-    obs::TimeSeriesSampler sampler;
     if (mode == "timeseries") sampler.start(interval);
     const auto result =
         strategy::best_response_dynamics(mechanism, config, dynamics);
     sampler.stop();
     sampler.sample();  // final point so short runs still yield a series
     obs::set_enabled(false);
-    dump_flight();
-    const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-    if (mode == "json") {
-      out << snap.to_json() << '\n';
-      return 0;
-    }
-    if (mode == "prom") {
-      out << snap.to_prometheus(/*with_timestamps=*/true);
-      return 0;
-    }
-    if (mode == "timeseries") {
-      out << sampler.to_json() << '\n';
-      return 0;
-    }
+    const obs::MetricsSnapshot snap = end_session();
+    if (emit(snap)) return 0;
     render_obs_dashboard(snap, out);
     std::uint64_t evals = 0;
     std::uint64_t avoided = 0;
@@ -766,15 +783,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     return obs::kCompiledIn && (evals == 0 || avoided > evals) ? 1 : 0;
   }
 
-  // Fresh recording session: drop anything earlier commands recorded, then
-  // enable probes for the run (servers register their labelled families at
-  // construction, so this must precede the workload).
-  obs::Registry::global().reset();
-  obs::TraceRecorder::global().clear();
-  obs::FlightRecorder::global().clear();
-  obs::set_enabled(true);
-
-  const core::CompBonusMechanism mechanism;
   sim::ProtocolOptions options;
   options.horizon = args.option_as_double("horizon");
   options.seed = static_cast<std::uint64_t>(args.option_as_long("seed"));
@@ -797,7 +805,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       run_error = std::current_exception();
     }
   };
-  obs::TimeSeriesSampler sampler;
   if (args.flag("watch") && mode == "dashboard") {
     std::atomic<bool> done{false};
     std::thread runner([&] {
@@ -869,26 +876,8 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   }
   obs::set_enabled(false);
   if (run_error) std::rethrow_exception(run_error);
-  dump_flight();
-
-  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-  if (!trace_path.empty()) {
-    std::ofstream trace_out(trace_path);
-    if (!trace_out) throw UsageError("cannot write '" + trace_path + "'");
-    trace_out << obs::TraceRecorder::global().to_chrome_json() << '\n';
-  }
-  if (mode == "json") {
-    out << snap.to_json() << '\n';
-    return 0;
-  }
-  if (mode == "prom") {
-    out << snap.to_prometheus(/*with_timestamps=*/true);
-    return 0;
-  }
-  if (mode == "timeseries") {
-    out << sampler.to_json() << '\n';
-    return 0;
-  }
+  const obs::MetricsSnapshot snap = end_session();
+  if (emit(snap)) return 0;
 
   render_obs_dashboard(snap, out,
                        sampler.sample_count() >= 2 ? &sampler : nullptr);

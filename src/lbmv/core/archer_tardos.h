@@ -22,9 +22,13 @@
 /// 2002) for M/M/1 computers; here it serves as the natural
 /// verification-free baseline against the paper's compensation-and-bonus
 /// mechanism: truthful in bids, blind to slow execution.
+///
+/// The class only fills in the Mechanism pair — the PR allocator and
+/// PaymentRule::kArcherTardos — and rule_terms (rule_terms.h) prices it,
+/// C_i = b_i x_i^2 and B_i = the tail, on every path; this file keeps the
+/// tail's closed form and its numeric certificate.
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 #include "lbmv/core/mechanism.h"
@@ -51,13 +55,8 @@ inline void require_rest_capacity(double inverse_bid_sum_rest,
 /// The Archer–Tardos mechanism for the PR allocation on linear latencies.
 class ArcherTardosMechanism final : public Mechanism {
  public:
-  ArcherTardosMechanism();
-
-  [[nodiscard]] std::string name() const override { return "archer-tardos"; }
-  [[nodiscard]] bool uses_verification() const override { return false; }
-  [[nodiscard]] PaymentRule payment_rule() const override {
-    return PaymentRule::kArcherTardos;
-  }
+  ArcherTardosMechanism()
+      : Mechanism(default_allocator(), PaymentRule::kArcherTardos) {}
 
   /// Numeric evaluation of the payment tail integral (adaptive Simpson over
   /// the transformed infinite interval) — used by tests to certify the
@@ -65,15 +64,6 @@ class ArcherTardosMechanism final : public Mechanism {
   [[nodiscard]] static double tail_integral_numeric(
       double bid, double inverse_bid_sum_rest, double arrival_rate,
       double tol = 1e-10);
-
- protected:
-  void fill_payments(const model::LatencyFamily& family, double arrival_rate,
-                     std::span<const double> bids,
-                     std::span<const double> executions,
-                     const model::Allocation& x, double actual_latency,
-                     double reported_latency,
-                     std::vector<AgentOutcome>& outcomes,
-                     RoundWorkspace& ws) const override;
 };
 
 }  // namespace lbmv::core

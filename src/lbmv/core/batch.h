@@ -9,9 +9,9 @@
 /// pays per-round plumbing (fresh vectors, one heap-allocated
 /// LatencyFunction per agent per round) that dwarfs the O(n) closed-form
 /// math; a RoundWorkspace holds every scratch plane one round needs (the
-/// fused engines' planes, leave-one-out optima, per-agent costs, the
-/// reference path's latency arena), reused across rounds so the steady
-/// state allocates nothing on the fused engines (DESIGN.md §11).
+/// fused engines' planes, leave-one-out optima, the reference path's
+/// latency arena), reused across rounds so the steady state allocates
+/// nothing on the fused engines (DESIGN.md §11).
 
 #include <cstddef>
 #include <memory>
@@ -63,7 +63,6 @@ class RoundWorkspace {
 
   // ---- scratch planes (sized by the engine, reused across rounds) --------
   std::vector<double> leave_one_out;  ///< L_{-i} per agent
-  std::vector<double> own_cost;       ///< per-agent reported cost (VCG)
 
   // ---- vectorized-engine planes (simd_round.cpp; reused across rounds) ---
   std::vector<double> inv_bids;        ///< 1/b_i

@@ -21,13 +21,15 @@
 /// truthful (Theorem 3.1) and the truthful utility
 /// L_{-i} - L* >= 0 gives voluntary participation (Theorem 3.2).
 ///
-/// The implementation generalises beyond linear latencies: C_i is the
+/// The construction generalises beyond linear latencies: C_i is the
 /// verified cost x_i * l_i^{t~}(x_i) and L_{-i} is computed by the injected
-/// allocator, so the construction carries over to any family with an exact
-/// allocator (e.g. M/M/1 with MM1Allocator).
+/// allocator, so it carries over to any family with an exact allocator
+/// (e.g. M/M/1 with MM1Allocator).  The class only fills in the Mechanism
+/// pair — the allocator and the comp-bonus PaymentRule at the chosen
+/// basis — and rule_terms (rule_terms.h) prices it on every path.
 
 #include <memory>
-#include <string>
+#include <utility>
 
 #include "lbmv/core/mechanism.h"
 
@@ -49,34 +51,23 @@ enum class CompensationBasis {
 class CompBonusMechanism final : public Mechanism {
  public:
   /// Build with the PR allocator (the paper's setting).
-  CompBonusMechanism();
+  CompBonusMechanism() : CompBonusMechanism(default_allocator()) {}
 
   /// Build with an explicit allocator (e.g. ConvexAllocator for non-linear
   /// families) and compensation basis.
   explicit CompBonusMechanism(
       std::shared_ptr<const alloc::Allocator> allocator,
-      CompensationBasis basis = CompensationBasis::kExecution);
+      CompensationBasis basis = CompensationBasis::kExecution)
+      : Mechanism(std::move(allocator),
+                  basis == CompensationBasis::kExecution
+                      ? PaymentRule::kCompBonusExecution
+                      : PaymentRule::kCompBonusBid) {}
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool uses_verification() const override { return true; }
-  [[nodiscard]] CompensationBasis basis() const { return basis_; }
-  [[nodiscard]] PaymentRule payment_rule() const override {
-    return basis_ == CompensationBasis::kExecution
-               ? PaymentRule::kCompBonusExecution
-               : PaymentRule::kCompBonusBid;
+  [[nodiscard]] CompensationBasis basis() const {
+    return payment_rule() == PaymentRule::kCompBonusBid
+               ? CompensationBasis::kBid
+               : CompensationBasis::kExecution;
   }
-
- protected:
-  void fill_payments(const model::LatencyFamily& family, double arrival_rate,
-                     std::span<const double> bids,
-                     std::span<const double> executions,
-                     const model::Allocation& x, double actual_latency,
-                     double reported_latency,
-                     std::vector<AgentOutcome>& outcomes,
-                     RoundWorkspace& ws) const override;
-
- private:
-  CompensationBasis basis_;
 };
 
 }  // namespace lbmv::core

@@ -7,12 +7,14 @@
 #include "lbmv/alloc/mm1_allocator.h"
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/workload_allocator.h"
+#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/family_round.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/invariants.h"
 #include "lbmv/core/profile_context.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/core/simd_round.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
@@ -23,6 +25,58 @@ namespace {
 
 /// The engine that served a round, for its obs probes.
 enum class RoundEngine { kLinearPr, kMm1, kWorkload, kReference };
+
+/// A rule's name and properties: the one table Mechanism::name(),
+/// uses_verification() and guarantees_voluntary_participation() read.
+struct RuleTraits {
+  const char* name;
+  bool verification;
+  bool participation;
+};
+
+constexpr RuleTraits rule_traits(PaymentRule rule) {
+  switch (rule) {
+    case PaymentRule::kCompBonusExecution:
+      return {"comp-bonus", true, true};
+    case PaymentRule::kCompBonusBid:
+      return {"comp-bonus(bid-compensation)", true, true};
+    case PaymentRule::kVcg:
+      return {"vcg", false, true};
+    case PaymentRule::kArcherTardos:
+      return {"archer-tardos", false, true};
+    case PaymentRule::kNoPayment:
+      break;
+  }
+  return {"no-payment", false, false};
+}
+
+/// Agent i's terms (rule_terms.h) on the reference path: its costs off the
+/// round's latency-function arenas (0 at x = 0; the verified one already
+/// checked finite), L_{-i} off the allocator's leave-one-out plane (filled
+/// only for rules that read it), the round's two total latencies, and the
+/// linear family's Archer–Tardos tail at s_i = S - 1/b_i.
+struct ReferenceTerms {
+  const RoundWorkspace& ws;
+  const MechanismOutcome& out;
+  double arrival_rate;
+  double inverse_bid_sum;  ///< S = sum_j 1/b_j (Archer–Tardos rounds only)
+  std::size_t i;
+  double bid;
+  double x;
+  double cost;
+
+  double exec_cost() const { return cost; }
+  double bid_cost() const { return x == 0.0 ? 0.0 : ws.bid_fns[i]->cost(x); }
+  double loo() const { return ws.leave_one_out[i]; }
+  double actual() const { return out.actual_latency; }
+  double reported() const { return out.reported_latency; }
+  double tail_comp() const { return bid * (x * x); }
+  double tail() const {
+    const double s = inverse_bid_sum - 1.0 / bid;
+    require_rest_capacity(s, i);
+    return archer_tardos_tail_integral(bid, s, arrival_rate);
+  }
+};
 
 /// The family \p allocator solves exactly — the pairing a fused engine and
 /// the family-specific invariant monitors need — or kGeneric.
@@ -111,9 +165,20 @@ double MechanismOutcome::total_valuation_magnitude() const {
   return s;
 }
 
-Mechanism::Mechanism(std::shared_ptr<const alloc::Allocator> allocator)
-    : allocator_(std::move(allocator)) {
+Mechanism::Mechanism(std::shared_ptr<const alloc::Allocator> allocator,
+                     PaymentRule rule)
+    : allocator_(std::move(allocator)), rule_(rule) {
   LBMV_REQUIRE(allocator_ != nullptr, "mechanism requires an allocator");
+}
+
+std::string Mechanism::name() const { return rule_traits(rule_).name; }
+
+bool Mechanism::uses_verification() const {
+  return rule_traits(rule_).verification;
+}
+
+bool Mechanism::guarantees_voluntary_participation() const {
+  return rule_traits(rule_).participation;
 }
 
 void Mechanism::run_into(const model::LatencyFamily& family,
@@ -228,12 +293,36 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
     agent.valuation = -cost;
   }
 
-  fill_payments(family, arrival_rate, bids, executions, out.allocation,
-                out.actual_latency, out.reported_latency, out.agents, ws);
-
-  for (auto& agent : out.agents) {
-    agent.utility = agent.payment + agent.valuation;
+  const PaymentRule rule = payment_rule();
+  if (reads_leave_one_out(rule)) {
+    allocator_->leave_one_out_into(family, bids, arrival_rate,
+                                   ws.leave_one_out);
   }
+  double inverse_bid_sum = 0.0;
+  if (rule == PaymentRule::kArcherTardos) {
+    LBMV_REQUIRE(dynamic_cast<const model::LinearFamily*>(&family) != nullptr,
+                 "the Archer–Tardos closed form is derived for the linear "
+                 "family under PR allocation");
+    // One index-order pass for S — the PR allocation's own sum — so each
+    // s_i = S - 1/b_i replaces an O(n^2) per-agent re-sum.
+    for (double b : bids) inverse_bid_sum += 1.0 / b;
+  }
+  with_payment_rule(rule, [&](auto r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      AgentOutcome& agent = out.agents[i];
+      const RuleRecord<double> rec = rule_terms(
+          r, ReferenceTerms{.ws = ws,
+                            .out = out,
+                            .arrival_rate = arrival_rate,
+                            .inverse_bid_sum = inverse_bid_sum,
+                            .i = i,
+                            .bid = bids[i],
+                            .x = x[i],
+                            .cost = -agent.valuation});
+      agent = {x[i],        rec.compensation, rec.bonus,
+               rec.payment, rec.valuation,    rec.utility};
+    }
+  });
   if (obs::enabled()) {
     observe_round(RoundEngine::kReference, exact_family(family, *allocator_),
                   FusedRoundStats{}, family, arrival_rate, bids, executions,

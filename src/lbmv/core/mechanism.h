@@ -15,12 +15,14 @@
 /// never read the agents' true types; everything they see is the bid profile
 /// and the verified execution values.
 ///
-/// A mechanism names its payment rule (PaymentRule) and implements it once
-/// generically (fill_payments).  Mechanism::run_into serves each round with
-/// one of four engines — the fused linear-PR, M/M/1 and workload engines
-/// for the families whose allocator solves them exactly, or the generic
-/// reference path, run_reference_into, which is also the single oracle the
-/// fused engines are tested against.
+/// A Mechanism is exactly that pair: an allocator and a PaymentRule.  Every
+/// path prices the rule through rule_terms (rule_terms.h), and the
+/// mechanism's name and properties are read off the rule as well.
+/// Mechanism::run_into serves each round with one of four engines — the
+/// fused linear-PR, M/M/1 and workload engines for the families whose
+/// allocator solves them exactly, or the generic reference path,
+/// run_reference_into, which is also the single oracle the fused engines
+/// are tested against.
 
 #include <cstddef>
 #include <memory>
@@ -237,10 +239,11 @@ class ProfileUtilityContext {
   model::BidProfile profile_;
 };
 
-/// Base class for load balancing mechanisms (Definition 3.2).
+/// A load balancing mechanism (Definition 3.2): an allocation rule and a
+/// payment rule.  The shipped mechanisms (comp_bonus.h, vcg.h,
+/// no_payment.h, archer_tardos.h) are this class with their pair filled in.
 class Mechanism {
  public:
-  explicit Mechanism(std::shared_ptr<const alloc::Allocator> allocator);
   virtual ~Mechanism() = default;
 
   /// Run one round: allocate from the bids, evaluate the verified execution,
@@ -295,39 +298,38 @@ class Mechanism {
 
   /// The generic engine and the single oracle the fused engines are held
   /// to: allocate through the allocator, build each agent's latency
-  /// functions from the family, and apply fill_payments.  Same contract
-  /// and obs probes as run_into, for any family, allocator and rule.  A
-  /// verified cost that is not finite throws a PreconditionError naming
-  /// the first such computer instead of publishing a NaN payment.
+  /// functions from the family, and price every agent through rule_terms
+  /// on those functions' costs and the allocator's leave-one-out optima.
+  /// Same contract and obs probes as run_into, for any family, allocator
+  /// and rule.  A verified cost that is not finite throws a
+  /// PreconditionError naming the first such computer instead of
+  /// publishing a NaN payment.
   void run_reference_into(const model::LatencyFamily& family,
                           double arrival_rate, std::span<const double> bids,
                           std::span<const double> executions,
                           MechanismOutcome& out, RoundWorkspace& ws) const;
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  /// The payment rule this mechanism implements, which every engine and
+  /// profile context prices through rule_terms.
+  [[nodiscard]] PaymentRule payment_rule() const { return rule_; }
+
+  /// The rule's name: "comp-bonus", "comp-bonus(bid-compensation)", "vcg",
+  /// "no-payment" or "archer-tardos".
+  [[nodiscard]] std::string name() const;
 
   /// Whether the payment rule observes execution values (a "mechanism with
   /// verification", paper Definition 3.2) — if false, payments depend on the
-  /// bids alone and slow execution goes unpunished.
-  [[nodiscard]] virtual bool uses_verification() const = 0;
+  /// bids alone and slow execution goes unpunished.  Only the comp-bonus
+  /// rules do.
+  [[nodiscard]] bool uses_verification() const;
 
   /// Whether the mechanism guarantees nonnegative utility to agents that
   /// execute exactly as bid (voluntary participation, paper Thm 3.2 —
   /// which every leave-one-out bonus rule satisfies at *any* consistent
   /// profile, not just the truthful one).  The online invariant monitors
   /// (core/invariants.h) arm the participation check only when this holds;
-  /// the no-payment baseline opts out (agents eat their cost unpaid by
-  /// design).
-  [[nodiscard]] virtual bool guarantees_voluntary_participation() const {
-    return true;
-  }
-
-  /// The payment rule this mechanism implements.  The fused engines and
-  /// the profile contexts evaluate its closed form; fill_payments must
-  /// compute the same rule on the reference path, and the differential
-  /// suites (tests/test_simd_kernels.cpp, tests/test_nonlinear_kernels.cpp)
-  /// hold the two to each other.
-  [[nodiscard]] virtual PaymentRule payment_rule() const = 0;
+  /// the no-payment rule opts out (agents eat their cost unpaid by design).
+  [[nodiscard]] bool guarantees_voluntary_participation() const;
 
   /// The deviation context for payment_rule() over the whole profile (any
   /// agent, with commit support): the family's closed form for exactly the
@@ -366,24 +368,12 @@ class Mechanism {
   }
 
  protected:
-  /// Fill compensation / bonus / payment for every agent.  \p outcomes
-  /// arrives with allocation and valuation already set, and the round's
-  /// latencies are precomputed: \p actual_latency is L(x, t~) and
-  /// \p reported_latency is L(x, b), so payment rules never re-derive them.
-  /// Only run_reference_into calls it, so \p ws holds this round's
-  /// latency-function arenas ws.exec_fns / ws.bid_fns (the first n slots);
-  /// rules may use ws.leave_one_out / ws.own_cost as scratch.
-  virtual void fill_payments(const model::LatencyFamily& family,
-                             double arrival_rate,
-                             std::span<const double> bids,
-                             std::span<const double> executions,
-                             const model::Allocation& x,
-                             double actual_latency, double reported_latency,
-                             std::vector<AgentOutcome>& outcomes,
-                             RoundWorkspace& ws) const = 0;
+  Mechanism(std::shared_ptr<const alloc::Allocator> allocator,
+            PaymentRule rule);
 
  private:
   std::shared_ptr<const alloc::Allocator> allocator_;
+  PaymentRule rule_;
 };
 
 /// The default allocation rule used throughout the paper: the PR algorithm.

@@ -10,8 +10,15 @@
 /// jobs and overbidding (pretending to be slow) strictly raises its utility
 /// while degrading the system optimum.  The dynamics bench (A5) and the
 /// verification ablation (A3) quantify the collapse.
+///
+/// The class only fills in the Mechanism pair — the injected allocator and
+/// PaymentRule::kNoPayment, under which rule_terms (rule_terms.h) hands out
+/// no transfers — and, unpaid agents eating their execution cost by
+/// design, the rule does not guarantee voluntary participation, so the
+/// participation monitor does not flag this baseline.
 
-#include <string>
+#include <memory>
+#include <utility>
 
 #include "lbmv/core/mechanism.h"
 
@@ -20,29 +27,10 @@ namespace lbmv::core {
 /// PR allocation from the bids; all payments identically zero.
 class NoPaymentMechanism final : public Mechanism {
  public:
-  NoPaymentMechanism();
+  NoPaymentMechanism() : NoPaymentMechanism(default_allocator()) {}
   explicit NoPaymentMechanism(
-      std::shared_ptr<const alloc::Allocator> allocator);
-
-  [[nodiscard]] std::string name() const override { return "no-payment"; }
-  [[nodiscard]] bool uses_verification() const override { return false; }
-  /// Unpaid agents eat their execution cost, so utility is negative by
-  /// design — the participation monitor must not flag this baseline.
-  [[nodiscard]] bool guarantees_voluntary_participation() const override {
-    return false;
-  }
-  [[nodiscard]] PaymentRule payment_rule() const override {
-    return PaymentRule::kNoPayment;
-  }
-
- protected:
-  void fill_payments(const model::LatencyFamily& family, double arrival_rate,
-                     std::span<const double> bids,
-                     std::span<const double> executions,
-                     const model::Allocation& x, double actual_latency,
-                     double reported_latency,
-                     std::vector<AgentOutcome>& outcomes,
-                     RoundWorkspace& ws) const override;
+      std::shared_ptr<const alloc::Allocator> allocator)
+      : Mechanism(std::move(allocator), PaymentRule::kNoPayment) {}
 };
 
 }  // namespace lbmv::core

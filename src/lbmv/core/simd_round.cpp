@@ -98,9 +98,9 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // AgentOutcome fields through rule_terms.h's publish_block.  No cost or
 // leave-one-out plane is ever materialized.  The one precomputed share
 // replaces the reference path's per-agent division (inv/S)*R at a cost of
-// <= 2 ulp on x; every other term applies the reference fill_payments'
-// operand order on that x, so the leave-one-out R^2/(S - inv) and the
-// Archer–Tardos tail match the reference path bit-for-bit at equal S.
+// <= 2 ulp on x; every other term is the reference path's operand order
+// on that x (both price through rule_terms), so the leave-one-out
+// R^2/(S - inv) and the Archer–Tardos tail match it bit-for-bit at equal S.
 // Padded tail lanes carry inv = 0, b = e = 1, which pass every guard.
 //
 // A block's status: bit 0 is the leave-one-out cancellation guard, which

@@ -14,8 +14,14 @@
 /// step, cannot react when an agent executes slower than it bid.  The
 /// ablation bench (A3) demonstrates exactly this failure mode and why the
 /// paper's verification step matters.
+///
+/// The class only fills in the Mechanism pair — the injected allocator and
+/// PaymentRule::kVcg — and rule_terms (rule_terms.h) prices it on every
+/// path, exposing the agent's own reported cost as C_i and the pivot
+/// L_{-i} - L(x(b), b) as B_i.
 
-#include <string>
+#include <memory>
+#include <utility>
 
 #include "lbmv/core/mechanism.h"
 
@@ -24,23 +30,9 @@ namespace lbmv::core {
 /// Clarke-pivot VCG mechanism over the injected allocator.
 class VcgMechanism final : public Mechanism {
  public:
-  VcgMechanism();
-  explicit VcgMechanism(std::shared_ptr<const alloc::Allocator> allocator);
-
-  [[nodiscard]] std::string name() const override { return "vcg"; }
-  [[nodiscard]] bool uses_verification() const override { return false; }
-  [[nodiscard]] PaymentRule payment_rule() const override {
-    return PaymentRule::kVcg;
-  }
-
- protected:
-  void fill_payments(const model::LatencyFamily& family, double arrival_rate,
-                     std::span<const double> bids,
-                     std::span<const double> executions,
-                     const model::Allocation& x, double actual_latency,
-                     double reported_latency,
-                     std::vector<AgentOutcome>& outcomes,
-                     RoundWorkspace& ws) const override;
+  VcgMechanism() : VcgMechanism(default_allocator()) {}
+  explicit VcgMechanism(std::shared_ptr<const alloc::Allocator> allocator)
+      : Mechanism(std::move(allocator), PaymentRule::kVcg) {}
 };
 
 }  // namespace lbmv::core

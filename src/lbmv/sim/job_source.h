@@ -24,13 +24,29 @@
 
 namespace lbmv::sim {
 
+/// The largest expected job count, sum(rates) * horizon, a source stream
+/// accepts.  simulate_servers keeps every job as one 32-byte Completion, so
+/// this many jobs hold about 3.2 GB (the event-driven stack holds more per
+/// job); the CLI's default protocol round expects 6e4.  A larger product
+/// would only allocate until memory runs out.
+inline constexpr double kMaxExpectedJobs = 1e8;
+
+/// The source stream's input contract, checked once for JobSource and
+/// simulate_servers before either allocates: every rate finite and
+/// non-negative, their sum finite and positive (an infinite rate draws
+/// zero-length gaps, so the stream never passes the horizon), a finite
+/// positive horizon, and an expected job count sum(rates) * horizon of at
+/// most kMaxExpectedJobs.  Throws a PreconditionError naming the input that
+/// fails; returns sum(rates), accumulated left to right.
+[[nodiscard]] double checked_total_rate(std::span<const double> rates,
+                                        SimTime horizon);
+
 /// Drives Poisson arrivals into a set of servers until a horizon.
 class JobSource {
  public:
-  /// \p rates: per-server arrival rates (x_i), each finite and non-negative,
-  /// with a positive finite sum (the system rate).  \p servers must outlive
-  /// the source.  Arrivals stop at \p horizon, which must be finite and
-  /// positive.
+  /// \p rates: per-server arrival rates (x_i), whose sum is the system
+  /// rate.  \p servers must outlive the source.  Arrivals stop at
+  /// \p horizon.  Rates and horizon must pass checked_total_rate.
   JobSource(Simulation& sim, std::span<Server* const> servers,
             std::vector<double> rates, SimTime horizon, util::Rng rng);
   // Scheduled arrivals capture this source's address, so it can be

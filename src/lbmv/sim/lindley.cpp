@@ -6,6 +6,7 @@
 
 #include "lbmv/obs/obs.h"
 #include "lbmv/obs/probes.h"
+#include "lbmv/sim/job_source.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::sim {
@@ -54,6 +55,7 @@ ServerPlanes simulate_servers(std::span<const double> rates,
   const std::size_t n = rates.size();
   LBMV_REQUIRE(n > 0, "job source needs at least one server");
   LBMV_REQUIRE(execution_values.size() == n, "one rate per server required");
+  const double total_rate = checked_total_rate(rates, horizon);
   std::vector<double> means(n);
   for (std::size_t i = 0; i < n; ++i) {
     means[i] = mean_service_from_linear_coefficient(execution_values[i], model);
@@ -61,20 +63,11 @@ ServerPlanes simulate_servers(std::span<const double> rates,
   // Accumulate left-to-right exactly like Rng::categorical (JobSource's
   // routing) so the routing picks the same server for the same uniform draw.
   std::vector<double> cumulative(n);
-  double total_rate = 0.0;
+  double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    // An infinite rate draws zero-length gaps: the walk never passes the
-    // horizon.
-    LBMV_REQUIRE(std::isfinite(rates[i]) && rates[i] >= 0.0,
-                 "rates[" + std::to_string(i) +
-                     "] must be finite and non-negative");
-    total_rate += rates[i];
-    cumulative[i] = total_rate;
+    sum += rates[i];
+    cumulative[i] = sum;
   }
-  LBMV_REQUIRE(std::isfinite(total_rate) && total_rate > 0.0,
-               "total arrival rate must be finite and positive");
-  LBMV_REQUIRE(std::isfinite(horizon) && horizon > 0.0,
-               "horizon must be finite and positive");
 
   ServerPlanes planes;
   planes.completions.resize(n);

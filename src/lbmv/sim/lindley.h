@@ -42,9 +42,9 @@ struct ServerPlanes {
 
 /// Route Poisson arrivals at total rate sum(rates) until \p horizon across
 /// FCFS servers running at \p execution_values under \p model, and drain
-/// every server.  Jobs arriving at t <= horizon are served.  Requires a
-/// finite positive horizon and finite non-negative rates with a finite
-/// positive sum (PreconditionError otherwise).  Streams:
+/// every server.  Jobs arriving at t <= horizon are served.  Rates and
+/// horizon must pass checked_total_rate (job_source.h), which throws its
+/// PreconditionError before anything is allocated.  Streams:
 /// rng.split(0) for arrivals and routing, rng.split(i + 1) for server i.
 ///
 /// When recording is on, publishes each server's arrival, completion and

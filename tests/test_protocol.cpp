@@ -439,4 +439,12 @@ TEST(SimulateServersGuards, RejectsAnInfiniteRate) {
   expect_rejected({1e308, 1e308}, 10.0, "total arrival rate must be finite");
 }
 
+TEST(SimulateServersGuards, RejectsAnExpectedJobCountPastTheLimit) {
+  // Without the bound, the first throws std::bad_alloc from its capacity
+  // hint and the second allocates 1e13 jobs' records until memory runs out.
+  expect_rejected({1e300}, 1.0, "expected job count sum(rates) * horizon");
+  expect_rejected({1e7}, 1e6, "expected job count sum(rates) * horizon");
+  expect_rejected({1e7}, 1e6, "1e+13");
+}
+
 }  // namespace

@@ -169,6 +169,27 @@ TEST(JobSource, RejectsAnInfiniteRate) {
   }
 }
 
+TEST(JobSource, RejectsAnExpectedJobCountPastTheLimit) {
+  // Construction only: past the limit the arrival loop would allocate
+  // until memory runs out.
+  Simulation sim;
+  Server s(sim, "s", 1.0, ServiceModel::kExponential, Rng(1));
+  std::vector<Server*> servers{&s};
+  for (const auto& [rate, horizon] :
+       {std::pair{1e300, 1.0}, std::pair{1e7, 1e6}}) {
+    try {
+      JobSource source(sim, servers, {rate}, horizon, Rng(2));
+      ADD_FAILURE() << "rate " << rate << " x horizon " << horizon
+                    << " was accepted";
+    } catch (const lbmv::util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "expected job count sum(rates) * horizon"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Mm1Theory, SimulatedWaitingTimeMatchesRhoOverMuMinusLambda) {
   // M/M/1 with lambda = 2, mu = 4: Wq = rho / (mu - lambda) = 0.25.
   Simulation sim;

@@ -219,10 +219,10 @@ struct Result {
 // ---- batch round workloads -------------------------------------------------
 
 /// Faithful reproduction of the seed comp-bonus round (the pre-batch-kernel
-/// Mechanism::run + CompBonusMechanism::fill_payments): a fresh allocation,
-/// three freshly heap-allocated vectors of per-agent latency functions plus
-/// one make() per agent for the compensation basis, and a fresh
-/// leave-one-out vector — every call.  Kept here, like the audit reference
+/// Mechanism::run and the comp-bonus payment pass it called): a fresh
+/// allocation, three freshly heap-allocated vectors of per-agent latency
+/// functions plus one make() per agent for the compensation basis, and a
+/// fresh leave-one-out vector — every call.  Kept here, like the audit reference
 /// baseline, so batch_round_throughput measures its speedup in the same
 /// run and cross-checks the kernels against the original formulation.
 lbmv::core::MechanismOutcome seed_comp_bonus_round(
@@ -243,8 +243,8 @@ lbmv::core::MechanismOutcome seed_comp_bonus_round(
       lbmv::model::total_latency(outcome.allocation, exec_fns);
   outcome.reported_latency =
       lbmv::model::total_latency(outcome.allocation, bid_fns);
-  // fill_payments rebuilt the execution latencies for its own actual-latency
-  // term; reproduce that extra pass too.
+  // The seed's payment pass rebuilt the execution latencies for its own
+  // actual-latency term; reproduce that extra pass too.
   const auto payment_exec_fns = make_fns(profile.executions);
   const double actual =
       lbmv::model::total_latency(outcome.allocation, payment_exec_fns);
