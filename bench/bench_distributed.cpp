@@ -3,9 +3,11 @@
 //
 // Four deployments of the mechanism — the paper's centralised star, a
 // fully redundant broadcast, an O(n)-message tree aggregation, and a
-// privacy-preserving variant using additive secret sharing — all compute
-// identical payments; this bench maps their message / bandwidth / latency
-// trade-offs as the system grows.
+// privacy-preserving variant using additive secret sharing — all price
+// through the mechanism's own payment rule (star and broadcast bit-identical
+// to the centralised round, tree within summation roundoff, private within
+// fixed-point quantisation); this bench maps their message / bandwidth /
+// latency trade-offs as the system grows.
 
 #include <cstdio>
 #include <vector>
@@ -24,9 +26,9 @@ int main() {
 
   std::printf(
       "Distributed deployments of the verified mechanism (future work of\n"
-      "the paper).  All four produce bit-identical payments to the\n"
-      "centralised mechanism (private: up to 1e-9 fixed-point quantisation);\n"
-      "they differ in trust and cost:\n\n");
+      "the paper).  Star and broadcast pay bit-identically to the\n"
+      "centralised mechanism, tree within summation roundoff, private within\n"
+      "1e-9 fixed-point quantisation; they differ in trust and cost:\n\n");
 
   for (std::size_t n : {4, 16, 64, 256}) {
     const model::SystemConfig config(std::vector<double>(n, 1.0), 20.0);

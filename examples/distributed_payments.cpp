@@ -1,10 +1,13 @@
 // distributed_payments: the paper's future work, running.
 //
 // One round of the mechanism on each distributed deployment.  All four
-// produce the same allocation and payments; the private deployment does so
-// without any party ever observing another agent's bid — bids enter the
-// computation only as additive secret shares, and only the two aggregates
-// (sum of inverse bids, measured total latency) ever become public.
+// price through the mechanism's payment rule: star and broadcast produce
+// the centralised round's allocation and payments bit for bit, tree within
+// summation roundoff and private within fixed-point quantisation.  The
+// private deployment does so without any party ever observing another
+// agent's bid — bids enter the computation only as additive secret shares,
+// and only the two aggregates (sum of inverse bids, measured total
+// latency) ever become public.
 //
 //   ./distributed_payments
 

@@ -25,7 +25,7 @@ PrSolve pr_allocate_into(std::span<const double> types, double arrival_rate,
                "rates_out must have one slot per computer");
   const double s = inverse_sum(types);
   for (std::size_t i = 0; i < types.size(); ++i) {
-    rates_out[i] = (1.0 / types[i]) / s * arrival_rate;
+    rates_out[i] = pr_rate_at(types[i], s, arrival_rate);
   }
   return PrSolve{s, arrival_rate * arrival_rate / s};
 }
@@ -51,12 +51,9 @@ void pr_leave_one_out_from_sum(double inverse_bid_sum,
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
   LBMV_REQUIRE(out.size() == types.size(),
                "out must have one slot per computer");
-  const double r2 = arrival_rate * arrival_rate;
-  const double min_gap = inverse_bid_sum * kLeaveOneOutMinRelativeGap;
   for (std::size_t i = 0; i < types.size(); ++i) {
-    const double denom = inverse_bid_sum - 1.0 / types[i];
-    require_leave_one_out_gap(denom, min_gap, i, types.size());
-    out[i] = r2 / denom;
+    out[i] = pr_leave_one_out_at(inverse_bid_sum, types[i], arrival_rate, i,
+                                 types.size());
   }
 }
 

@@ -44,6 +44,28 @@ inline void require_leave_one_out_gap(double rest, double min_gap,
           std::to_string(agent) + " of " + std::to_string(n) + ")");
 }
 
+/// One agent's PR rate (1/t_i)/S * R given S = \p inverse_sum: the body of
+/// pr_allocate_into's loop, for callers that allocate one agent at a time
+/// (the distributed deployments, dist/protocols.h).
+[[nodiscard]] inline double pr_rate_at(double type, double inverse_sum,
+                                       double arrival_rate) {
+  return (1.0 / type) / inverse_sum * arrival_rate;
+}
+
+/// One agent's leave-one-out optimum R^2 / (S - 1/t_i) behind
+/// require_leave_one_out_gap: the body of pr_leave_one_out_from_sum's loop,
+/// for the same callers.
+[[nodiscard]] inline double pr_leave_one_out_at(double inverse_sum,
+                                                double type,
+                                                double arrival_rate,
+                                                std::size_t agent,
+                                                std::size_t n) {
+  const double rest = inverse_sum - 1.0 / type;
+  require_leave_one_out_gap(rest, inverse_sum * kLeaveOneOutMinRelativeGap,
+                            agent, n);
+  return arrival_rate * arrival_rate / rest;
+}
+
 /// Everything the PR closed form derives from one pass over the types.
 /// Returned by pr_allocate_into so callers that need the allocation, the
 /// optimum, and the leave-one-out vector never accumulate S twice.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
 
@@ -91,8 +92,7 @@ WorkloadSolve workload_solve_into(std::span<const double> thetas, double gamma,
   solve.lambda = lambda;
 
   // Fill pass: rates and the optimum's total latency in the same 4-lane
-  // sweep, cost accumulated in the latency function's own operation order
-  // x * (theta * x * (1 + gamma * x)).
+  // sweep, each cost model::workload_cost in lanes and tail alike.
   const double k3gl = 3.0 * gamma * lambda;
   const double inv3g = 1.0 / (3.0 * gamma);
   const simd::DVec one = simd::set1(1.0);
@@ -104,16 +104,14 @@ WorkloadSolve workload_solve_into(std::span<const double> thetas, double gamma,
         simd::sqrt(simd::add(one, simd::div(simd::set1(k3gl), t)));
     const simd::DVec x = simd::mul(simd::sub(s, one), simd::set1(inv3g));
     simd::store(&rates_out[i], x);
-    const simd::DVec lat = simd::mul(
-        t, simd::mul(x, simd::add(one, simd::mul(simd::set1(gamma), x))));
-    vl = simd::add(vl, simd::mul(x, lat));
+    vl = simd::add(vl, model::workload_cost(x, t, gamma));
   }
   solve.optimal_latency = simd::hsum(vl);
   for (; i < n; ++i) {
     const double s = std::sqrt(1.0 + k3gl / thetas[i]);
     const double x = (s - 1.0) * inv3g;
     rates_out[i] = x;
-    solve.optimal_latency += x * (thetas[i] * x * (1.0 + gamma * x));
+    solve.optimal_latency += model::workload_cost(x, thetas[i], gamma);
   }
   return solve;
 }
@@ -206,8 +204,8 @@ WorkloadLooStats workload_leave_one_out_into(std::span<const double> thetas,
       const double s =
           std::sqrt(1.0 + 3.0 * gamma * (lambda + delta) / theta);
       const double x = (s - 1.0) * inv3g;
-      const double loo =
-          full.optimal_latency + integral - x * (theta * x * (1.0 + gamma * x));
+      const double loo = full.optimal_latency + integral -
+                         model::workload_cost(x, theta, gamma);
       const double bound =
           3.0 * (lambda + delta) * std::fabs(coef[kK + 1]) * power;
       if (bound <= kWorkloadLooRelTol * loo) {

@@ -10,6 +10,7 @@
 #include "lbmv/alloc/workload_allocator.h"
 #include "lbmv/core/grid_kernels.h"
 #include "lbmv/core/rule_terms.h"
+#include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::core {
@@ -328,11 +329,11 @@ double WorkloadProfileContext::deviation_utility(std::size_t agent,
   double actual = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double e = j == agent ? execution : p.executions[j];
-    actual += x[j] * ((e * x[j]) * (1.0 + gamma_ * x[j]));
+    actual += model::workload_cost(x[j], e, gamma_);
   }
   const double xa = x[agent];
-  const double cost_e = xa * ((execution * xa) * (1.0 + gamma_ * xa));
-  const double comp = xa * ((bid * xa) * (1.0 + gamma_ * xa));
+  const double cost_e = model::workload_cost(xa, execution, gamma_);
+  const double comp = model::workload_cost(xa, bid, gamma_);
   const double loo = reads_leave_one_out(rule()) ? loo_[agent] : 0.0;
   return rule_utility(
       rule(), SolvedTerms{loo, actual, solve.optimal_latency, comp, cost_e});

@@ -27,12 +27,11 @@ struct Mm1Cost {
   DVec operator()(DVec x, DVec mu) const { return x * (1.0 / (mu - x)); }
 };
 
-/// Workload cost term x * ((theta x)(1 + gamma x)) against a type plane, in
-/// WorkloadLatency's operand order.
+/// Workload cost term model::workload_cost against a type plane.
 struct WorkloadCost {
   double gamma;
   DVec operator()(DVec x, DVec theta) const {
-    return x * ((theta * x) * (1.0 + gamma * x));
+    return model::workload_cost(x, theta, gamma);
   }
 };
 

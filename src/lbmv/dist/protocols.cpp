@@ -1,46 +1,53 @@
 #include "lbmv/dist/protocols.h"
 
+#include <array>
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
+#include "lbmv/alloc/pr_allocator.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/dist/private_sum.h"
+#include "lbmv/model/latency.h"
 #include "lbmv/util/error.h"
 
 namespace lbmv::dist {
 namespace {
 
-/// Shared closed forms (linear family only).
-struct LinearMath {
-  double arrival_rate;
+/// Agent i's terms (core/rule_terms.h) once its round's L is known: its
+/// verified cost, its leave-one-out optimum and L.
+struct AgentTerms {
+  double cost;
+  double leave_one_out;
+  double actual_latency;
 
-  [[nodiscard]] double allocation(double own_inverse_bid,
-                                  double inverse_sum) const {
-    return arrival_rate * own_inverse_bid / inverse_sum;
-  }
-  [[nodiscard]] double leave_one_out(double own_inverse_bid,
-                                     double inverse_sum) const {
-    return arrival_rate * arrival_rate / (inverse_sum - own_inverse_bid);
-  }
-  [[nodiscard]] static double cost(double execution_value, double x) {
-    return execution_value * x * x;
-  }
-  [[nodiscard]] static double payment(double own_cost, double leave_one_out,
-                                      double actual_latency) {
-    return own_cost + leave_one_out - actual_latency;
-  }
+  double exec_cost() const { return cost; }
+  double loo() const { return leave_one_out; }
+  double actual() const { return actual_latency; }
 };
 
-/// Common scaffolding: simulation, network, report assembly.
+/// One sum over all agents: agent i adds value_of(i), and every agent
+/// learns the total through on_total(i, total).  The topology forming the
+/// sum tags its messages after name.
+struct Sum {
+  std::string name;
+  std::function<double(std::size_t)> value_of;
+  std::function<void(std::size_t, double)> on_total;
+};
+
+/// Common scaffolding: simulation, network, pricing, report assembly.
 struct RoundContext {
   const model::SystemConfig* config;
   const model::BidProfile* intents;
   DistOptions options;
-  LinearMath math;
 
   sim::Simulation simulation;
   std::unique_ptr<Network> network;
 
+  std::vector<double> inverse_sums;  ///< S as agent i learned it
   std::vector<double> allocations;
   std::vector<double> payments;
+  std::vector<double> utilities;
 
   explicit RoundContext(const model::SystemConfig& cfg,
                         const model::BidProfile& profile,
@@ -48,19 +55,47 @@ struct RoundContext {
       : config(&cfg),
         intents(&profile),
         options(opts),
-        math{cfg.arrival_rate()},
+        inverse_sums(cfg.size(), 0.0),
         allocations(cfg.size(), 0.0),
-        payments(cfg.size(), 0.0) {
+        payments(cfg.size(), 0.0),
+        utilities(cfg.size(), 0.0) {
     network = std::make_unique<Network>(simulation, node_count,
                                         opts.network);
   }
 
   [[nodiscard]] std::size_t n() const { return config->size(); }
-  [[nodiscard]] double inverse_bid(std::size_t i) const {
-    return 1.0 / intents->bids[i];
-  }
+
+  /// Agent i's verified cost on its linear latency, rejected when not
+  /// finite as the mechanism's reference round rejects it.
   [[nodiscard]] double verified_cost(std::size_t i) const {
-    return LinearMath::cost(intents->executions[i], allocations[i]);
+    const double cost =
+        model::LinearLatency(intents->executions[i]).cost(allocations[i]);
+    LBMV_REQUIRE(std::isfinite(cost),
+                 "verified cost is not finite: computer " + std::to_string(i));
+    return cost;
+  }
+
+  /// Phase 1 for agent i at S: its PR rate.
+  void allocate(std::size_t i, double inverse_sum) {
+    inverse_sums[i] = inverse_sum;
+    allocations[i] = alloc::pr_rate_at(intents->bids[i], inverse_sum,
+                                       config->arrival_rate());
+  }
+
+  /// Phase 2 for agent i at L: the mechanism's comp-bonus record, with
+  /// L_{-i} behind the PR allocator's leave-one-out guard.
+  void price(std::size_t i, double actual_latency) {
+    const double cost = verified_cost(i);
+    const core::RuleRecord<double> record = core::rule_terms(
+        std::integral_constant<core::PaymentRule,
+                               core::PaymentRule::kCompBonusExecution>{},
+        AgentTerms{cost,
+                   alloc::pr_leave_one_out_at(inverse_sums[i],
+                                              intents->bids[i],
+                                              config->arrival_rate(), i, n()),
+                   actual_latency});
+    payments[i] = record.payment;
+    utilities[i] = record.utility;
   }
 
   [[nodiscard]] DistributedReport finish(Topology topology) {
@@ -68,12 +103,9 @@ struct RoundContext {
     report.protocol = topology_name(topology);
     report.allocation = model::Allocation(allocations);
     report.payments = payments;
-    report.utilities.resize(n());
-    report.actual_latency = 0.0;
+    report.utilities = utilities;
     for (std::size_t i = 0; i < n(); ++i) {
-      const double cost = verified_cost(i);
-      report.actual_latency += cost;
-      report.utilities[i] = payments[i] - cost;
+      report.actual_latency += verified_cost(i);
     }
     report.messages = network->messages_sent();
     report.doubles_transferred = network->doubles_sent();
@@ -83,242 +115,180 @@ struct RoundContext {
 };
 
 // ---------------------------------------------------------------------------
-// Star: the paper's centralised protocol.  Agents 0..n-1, coordinator n.
+// Star: the paper's centralised protocol.  Agents 0..n-1, coordinator n,
+// which allocates and prices every agent.
 
 DistributedReport run_star(RoundContext& ctx) {
   const std::size_t n = ctx.n();
   const NodeId coordinator = n;
-
-  struct CoordinatorState {
-    std::vector<double> bids;
-    std::size_t received = 0;
-  } coord;
-  coord.bids.assign(n, 0.0);
+  std::vector<double> bids(n, 0.0);
+  std::size_t received = 0;
 
   ctx.network->set_handler(coordinator, [&](const Message& msg) {
-    if (msg.type == "bid") {
-      coord.bids[msg.from] = msg.payload[0];
-      if (++coord.received < n) return;
-      // All bids in: allocate (PR algorithm) and assign.
-      double inverse_sum = 0.0;
-      for (double b : coord.bids) inverse_sum += 1.0 / b;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = ctx.math.allocation(1.0 / coord.bids[i],
-                                             inverse_sum);
-        ctx.network->send({coordinator, i, "assign", {x}});
-      }
-      // Jobs execute; after the execution interval the coordinator has
-      // verified every execution value (oracle) and can pay.
-      ctx.simulation.schedule_after(ctx.options.execution_time, [&, n,
-                                                                 inverse_sum,
-                                                                 coordinator] {
-        double actual_latency = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          actual_latency += ctx.verified_cost(i);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const double payment = LinearMath::payment(
-              ctx.verified_cost(i),
-              ctx.math.leave_one_out(1.0 / coord.bids[i], inverse_sum),
-              actual_latency);
-          ctx.network->send({coordinator, i, "payment", {payment}});
-        }
-      });
+    bids[msg.from] = msg.payload[0];
+    if (++received < n) return;
+    // All bids in: allocate (PR algorithm) and assign.
+    double inverse_sum = 0.0;
+    for (double b : bids) inverse_sum += 1.0 / b;
+    for (std::size_t i = 0; i < n; ++i) {
+      ctx.allocate(i, inverse_sum);
+      ctx.network->send({coordinator, i, "assign", {ctx.allocations[i]}});
     }
+    // Jobs execute; after the execution interval the coordinator has
+    // verified every execution value (oracle) and pays.
+    ctx.simulation.schedule_after(ctx.options.execution_time, [&ctx, n,
+                                                               coordinator] {
+      double actual_latency = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        actual_latency += ctx.verified_cost(i);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ctx.price(i, actual_latency);
+        ctx.network->send({coordinator, i, "payment", {ctx.payments[i]}});
+      }
+    });
   });
 
   for (std::size_t i = 0; i < n; ++i) {
-    ctx.network->set_handler(i, [&, i](const Message& msg) {
-      if (msg.type == "assign") {
-        ctx.allocations[i] = msg.payload[0];
-      } else if (msg.type == "payment") {
-        ctx.payments[i] = msg.payload[0];
-      }
-    });
-    ctx.simulation.schedule(0.0, [&, i, coordinator] {
+    // The coordinator books every assignment and payment it sends.
+    ctx.network->set_handler(i, [](const Message&) {});
+    ctx.simulation.schedule(0.0, [&ctx, i, coordinator] {
       ctx.network->send({i, coordinator, "bid", {ctx.intents->bids[i]}});
     });
   }
 
   ctx.simulation.run();
-  LBMV_ASSERT(coord.received == n, "star protocol lost bids");
+  LBMV_ASSERT(received == n, "star protocol lost bids");
   return ctx.finish(Topology::kStar);
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast: full mesh, every agent computes every payment (auditable).
+// Decentralised deployments: the same two sums, formed by a topology.
 
-DistributedReport run_broadcast(RoundContext& ctx) {
+/// What a topology forming the sums reads: the round, its sums and n.
+struct SumTopology {
+  RoundContext& ctx;
+  const std::array<Sum, 2>& sums;
+  std::size_t n = ctx.n();
+};
+
+/// The round without a coordinator.  Phase 1 sums 1/b_j and each agent
+/// allocates itself at S; the jobs then run for the execution interval.
+/// Phase 2 sums the verified costs and each agent prices itself at L.
+/// Aggregation forms the sums: contribute(i, k) enters agent i's value into
+/// sums[k], and deliver(i, msg) handles a message to agent i.  Under
+/// Aggregation::kOwnInterval each agent's interval starts when it learns S;
+/// otherwise one interval, anchored at agent 0, starts phase 2 for all.
+template <class Aggregation>
+DistributedReport run_two_sums(RoundContext& ctx, Topology topology) {
   const std::size_t n = ctx.n();
-
-  struct AgentState {
-    std::vector<double> bids;
-    std::vector<double> costs;
-    std::size_t bids_seen = 0;
-    std::size_t costs_seen = 0;
-    double inverse_sum = 0.0;
+  std::array<Sum, 2> sums{Sum{"bid", {}, {}}, Sum{"cost", {}, {}}};
+  Aggregation agg{{ctx, sums}};
+  sums[0].value_of = [&ctx](std::size_t i) {
+    return 1.0 / ctx.intents->bids[i];
   };
-  std::vector<AgentState> agents(n);
-  for (auto& a : agents) {
-    a.bids.assign(n, 0.0);
-    a.costs.assign(n, 0.0);
-  }
-
-  auto on_all_bids = [&](std::size_t i) {
-    auto& a = agents[i];
-    for (double b : a.bids) a.inverse_sum += 1.0 / b;
-    ctx.allocations[i] = ctx.math.allocation(ctx.inverse_bid(i),
-                                             a.inverse_sum);
-    // Execute, then broadcast the verified cost.
-    ctx.simulation.schedule_after(ctx.options.execution_time, [&, i] {
-      const double cost = ctx.verified_cost(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        ctx.network->send({i, j, "cost", {cost}});
-      }
-      agents[i].costs[i] = cost;
-      if (++agents[i].costs_seen == n) {
-        double actual = 0.0;
-        for (double c : agents[i].costs) actual += c;
-        ctx.payments[i] = LinearMath::payment(
-            agents[i].costs[i],
-            ctx.math.leave_one_out(ctx.inverse_bid(i), agents[i].inverse_sum),
-            actual);
-      }
-    });
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    ctx.network->set_handler(i, [&, i](const Message& msg) {
-      auto& a = agents[i];
-      if (msg.type == "bid") {
-        a.bids[msg.from] = msg.payload[0];
-        if (++a.bids_seen == n) on_all_bids(i);
-      } else if (msg.type == "cost") {
-        a.costs[msg.from] = msg.payload[0];
-        if (++a.costs_seen == n) {
-          double actual = 0.0;
-          for (double c : a.costs) actual += c;
-          ctx.payments[i] = LinearMath::payment(
-              a.costs[i],
-              ctx.math.leave_one_out(ctx.inverse_bid(i), a.inverse_sum),
-              actual);
-        }
-      }
-    });
-    ctx.simulation.schedule(0.0, [&, i] {
-      auto& a = agents[i];
-      a.bids[i] = ctx.intents->bids[i];
-      if (++a.bids_seen == n) on_all_bids(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        ctx.network->send({i, j, "bid", {ctx.intents->bids[i]}});
-      }
-    });
-  }
-
-  ctx.simulation.run();
-  return ctx.finish(Topology::kBroadcast);
-}
-
-// ---------------------------------------------------------------------------
-// Tree: binary-tree aggregation, two up/down waves (bids, then costs).
-
-DistributedReport run_tree(RoundContext& ctx) {
-  const std::size_t n = ctx.n();
-  auto parent = [](std::size_t i) { return (i - 1) / 2; };
-  auto child_count = [n](std::size_t i) {
-    std::size_t count = 0;
-    if (2 * i + 1 < n) ++count;
-    if (2 * i + 2 < n) ++count;
-    return count;
-  };
-
-  struct AgentState {
-    double partial = 0.0;       ///< subtree partial sum (current wave)
-    std::size_t pending = 0;    ///< children not yet reported
-    double inverse_sum = 0.0;   ///< global S once known
-  };
-  std::vector<AgentState> agents(n);
-
-  // Wave machinery: value_of(i) supplies the local addend, on_total(i, T)
-  // consumes the globally broadcast total.  Tags distinguish the waves.
-  struct Wave {
-    std::string up, down;
-    std::function<double(std::size_t)> value_of;
-    std::function<void(std::size_t, double)> on_total;
-  };
-  std::vector<Wave> waves(2);
-  auto start_wave = [&](std::size_t w) {
-    for (std::size_t i = 0; i < n; ++i) {
-      agents[i].pending = child_count(i);
-      agents[i].partial = waves[w].value_of(i);
-      if (agents[i].pending == 0 && i != 0) {
-        ctx.network->send({i, parent(i), waves[w].up, {agents[i].partial}});
-      }
-    }
-    if (n == 1 || child_count(0) == 0) {
-      waves[w].on_total(0, agents[0].partial);
-    }
-  };
-
-  waves[0].up = "sum_bid_up";
-  waves[0].down = "sum_bid_down";
-  waves[0].value_of = [&](std::size_t i) { return ctx.inverse_bid(i); };
-  waves[0].on_total = [&](std::size_t i, double total) {
-    agents[i].inverse_sum = total;
-    ctx.allocations[i] = ctx.math.allocation(ctx.inverse_bid(i), total);
-    for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
-      if (c < n) ctx.network->send({i, c, waves[0].down, {total}});
-    }
-    // The execution interval is anchored once per round, at the root; the
-    // down-wave reaches every node long before it elapses.
-    if (i == 0) {
+  sums[0].on_total = [&ctx, &agg, n](std::size_t i, double total) {
+    ctx.allocate(i, total);
+    if constexpr (Aggregation::kOwnInterval) {
       ctx.simulation.schedule_after(ctx.options.execution_time,
-                                    [&] { start_wave(1); });
+                                    [&agg, i] { agg.contribute(i, 1); });
+    } else if (i == 0) {
+      ctx.simulation.schedule_after(ctx.options.execution_time, [&agg, n] {
+        for (std::size_t j = 0; j < n; ++j) agg.contribute(j, 1);
+      });
     }
   };
-
-  waves[1].up = "sum_cost_up";
-  waves[1].down = "sum_cost_down";
-  waves[1].value_of = [&](std::size_t i) { return ctx.verified_cost(i); };
-  waves[1].on_total = [&](std::size_t i, double total) {
-    ctx.payments[i] = LinearMath::payment(
-        ctx.verified_cost(i),
-        ctx.math.leave_one_out(ctx.inverse_bid(i), agents[i].inverse_sum),
-        total);
-    for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
-      if (c < n) ctx.network->send({i, c, waves[1].down, {total}});
-    }
+  sums[1].value_of = [&ctx](std::size_t i) { return ctx.verified_cost(i); };
+  sums[1].on_total = [&ctx](std::size_t i, double total) {
+    ctx.price(i, total);
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    ctx.network->set_handler(i, [&, i](const Message& msg) {
-      for (std::size_t w = 0; w < 2; ++w) {
-        if (msg.type == waves[w].up) {
-          agents[i].partial += msg.payload[0];
-          if (--agents[i].pending == 0) {
-            if (i == 0) {
-              waves[w].on_total(0, agents[0].partial);
-            } else {
-              ctx.network->send(
-                  {i, parent(i), waves[w].up, {agents[i].partial}});
-            }
-          }
-        } else if (msg.type == waves[w].down) {
-          waves[w].on_total(i, msg.payload[0]);
-        }
-      }
-    });
+    ctx.network->set_handler(
+        i, [&agg, i](const Message& msg) { agg.deliver(i, msg); });
   }
-  ctx.simulation.schedule(0.0, [&] { start_wave(0); });
-
+  ctx.simulation.schedule(0.0, [&agg, n] {
+    for (std::size_t i = 0; i < n; ++i) agg.contribute(i, 0);
+  });
   ctx.simulation.run();
-  return ctx.finish(Topology::kTree);
+  return ctx.finish(topology);
 }
 
-// ---------------------------------------------------------------------------
-// Private: full mesh + additive secret sharing of both aggregation rounds.
+/// Broadcast: full mesh.  Every agent sends its value to every other agent
+/// and adds the n values in index order, so each agent holds the reference
+/// round's sums bit for bit and can audit every payment.
+struct Broadcast : SumTopology {
+  static constexpr bool kOwnInterval = true;
+  std::vector<double> values = std::vector<double>(2 * n * n);  ///< [k][i][j]
+  std::vector<std::size_t> seen = std::vector<std::size_t>(2 * n);  ///< [k][i]
+
+  void contribute(std::size_t i, std::size_t k) {
+    const double value = sums[k].value_of(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i) ctx.network->send({i, j, sums[k].name, {value}});
+    }
+    receive(i, k, i, value);
+  }
+
+  void deliver(std::size_t i, const Message& msg) {
+    receive(i, msg.type == sums[0].name ? 0 : 1, msg.from, msg.payload[0]);
+  }
+
+  void receive(std::size_t i, std::size_t k, std::size_t from, double value) {
+    double* row = &values[(k * n + i) * n];
+    row[from] = value;
+    if (++seen[k * n + i] < n) return;
+    double total = 0.0;
+    for (std::size_t j = 0; j < n; ++j) total += row[j];
+    sums[k].on_total(i, total);
+  }
+};
+
+/// Tree: binary-tree aggregation, 4(n-1) messages.  Partial sums climb to
+/// agent 0 and the total comes back down.
+struct Tree : SumTopology {
+  static constexpr bool kOwnInterval = false;
+  std::array<std::string, 2> up{"sum_" + sums[0].name + "_up",
+                                "sum_" + sums[1].name + "_up"};
+  std::array<std::string, 2> down{"sum_" + sums[0].name + "_down",
+                                  "sum_" + sums[1].name + "_down"};
+  std::vector<double> partial = std::vector<double>(n);  ///< subtree sum
+  /// Children not yet reported in the current sum.
+  std::vector<std::size_t> pending = std::vector<std::size_t>(n);
+
+  static std::size_t parent(std::size_t i) { return (i - 1) / 2; }
+
+  void contribute(std::size_t i, std::size_t k) {
+    pending[i] = (2 * i + 1 < n ? 1 : 0) + (2 * i + 2 < n ? 1 : 0);
+    partial[i] = sums[k].value_of(i);
+    if (pending[i] == 0 && i != 0) {
+      ctx.network->send({i, parent(i), up[k], {partial[i]}});
+    }
+  }
+
+  void deliver(std::size_t i, const Message& msg) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      if (msg.type == up[k]) {
+        partial[i] += msg.payload[0];
+        if (--pending[i] > 0) return;
+        if (i == 0) {
+          at_total(0, k, partial[0]);
+        } else {
+          ctx.network->send({i, parent(i), up[k], {partial[i]}});
+        }
+      } else if (msg.type == down[k]) {
+        at_total(i, k, msg.payload[0]);
+      }
+    }
+  }
+
+  void at_total(std::size_t i, std::size_t k, double total) {
+    for (std::size_t c : {2 * i + 1, 2 * i + 2}) {
+      if (c < n) ctx.network->send({i, c, down[k], {total}});
+    }
+    sums[k].on_total(i, total);
+  }
+};
 
 /// Ring elements must cross the (double-typed) network losslessly: split
 /// into two exactly representable 32-bit halves.
@@ -333,111 +303,79 @@ std::uint64_t unpack_ring(const std::vector<double>& payload) {
          static_cast<std::uint64_t>(payload[1]);
 }
 
-DistributedReport run_private(RoundContext& ctx) {
-  const std::size_t n = ctx.n();
+/// One private-sum agent: its share stream and the current sum's ring
+/// accumulators.
+struct ShareState {
+  util::Rng rng{0};
+  std::uint64_t share_acc = 0;  ///< ring sum of received shares
+  std::size_t shares_seen = 0;
+  std::vector<std::uint64_t> partials;
+  std::size_t partials_seen = 0;
+};
 
-  struct AgentState {
-    util::Rng rng{0};
-    std::uint64_t share_acc = 0;       ///< ring sum of received shares
-    std::size_t shares_seen = 0;
-    std::vector<std::uint64_t> partials;
-    std::size_t partials_seen = 0;
-    double inverse_sum = 0.0;
-  };
-  std::vector<AgentState> agents(n);
-  util::Rng root_rng(ctx.options.network.seed ^ 0xabcdefull);
+std::vector<ShareState> share_states(std::uint64_t seed, std::size_t n) {
+  std::vector<ShareState> agents(n);
+  const util::Rng root_rng(seed ^ 0xabcdefull);
   for (std::size_t i = 0; i < n; ++i) {
     agents[i].rng = root_rng.split(i + 1);
     agents[i].partials.assign(n, 0);
   }
+  return agents;
+}
 
-  // One private-sum round: each agent shares value_of(i) across all n
-  // agents; partial ring-sums are broadcast; everyone reconstructs the
-  // total and calls on_total.  Message tags carry the round name.
-  struct Round {
-    std::string share, partial;
-    std::function<double(std::size_t)> value_of;
-    std::function<void(std::size_t, double)> on_total;
-  };
-  std::vector<Round> rounds(2);
+/// Private: full mesh with additive secret sharing (private_sum.h).  Each
+/// agent shares its value across all n agents; the partial ring sums are
+/// broadcast and everyone reconstructs the total, so no agent's value is
+/// ever seen by another.
+struct Private : SumTopology {
+  static constexpr bool kOwnInterval = false;
+  std::array<std::string, 2> share{sums[0].name + "_share",
+                                   sums[1].name + "_share"};
+  std::array<std::string, 2> partial{sums[0].name + "_partial",
+                                     sums[1].name + "_partial"};
+  std::vector<ShareState> agents =
+      share_states(ctx.options.network.seed, n);
 
-  auto start_round = [&](std::size_t r) {
-    for (auto& a : agents) {
-      a.share_acc = 0;
-      a.shares_seen = 0;
-      a.partials_seen = 0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto shares =
-          make_shares(rounds[r].value_of(i), n, agents[i].rng);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) {
-          agents[i].share_acc += shares[j];
-          ++agents[i].shares_seen;
-        } else {
-          ctx.network->send(
-              {i, j, rounds[r].share, pack_ring(shares[j])});
-        }
+  void contribute(std::size_t i, std::size_t k) {
+    ShareState& a = agents[i];
+    a.share_acc = 0;
+    a.shares_seen = 0;
+    a.partials_seen = 0;
+    const auto shares = make_shares(sums[k].value_of(i), n, a.rng);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) {
+        a.share_acc += shares[j];
+        ++a.shares_seen;
+      } else {
+        ctx.network->send({i, j, share[k], pack_ring(shares[j])});
       }
     }
-  };
-  auto handle = [&](std::size_t i, std::size_t r, const Message& msg) {
-    auto& a = agents[i];
-    if (msg.type == rounds[r].share) {
+  }
+
+  void deliver(std::size_t i, const Message& msg) {
+    const std::size_t k =
+        msg.type == share[0] || msg.type == partial[0] ? 0 : 1;
+    ShareState& a = agents[i];
+    if (msg.type == share[k]) {
       a.share_acc += unpack_ring(msg.payload);
-      if (++a.shares_seen == n) {
-        a.partials[i] = a.share_acc;
-        if (++a.partials_seen == n) {
-          rounds[r].on_total(i, reconstruct(a.partials));
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j != i) {
-            ctx.network->send(
-                {i, j, rounds[r].partial, pack_ring(a.share_acc)});
-          }
+      if (++a.shares_seen < n) return;
+      a.partials[i] = a.share_acc;
+      if (++a.partials_seen == n) {
+        sums[k].on_total(i, reconstruct(a.partials));
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != i) {
+          ctx.network->send({i, j, partial[k], pack_ring(a.share_acc)});
         }
       }
-    } else if (msg.type == rounds[r].partial) {
+    } else {
       a.partials[msg.from] = unpack_ring(msg.payload);
       if (++a.partials_seen == n) {
-        rounds[r].on_total(i, reconstruct(a.partials));
+        sums[k].on_total(i, reconstruct(a.partials));
       }
     }
-  };
-
-  rounds[0].share = "bid_share";
-  rounds[0].partial = "bid_partial";
-  rounds[0].value_of = [&](std::size_t i) { return ctx.inverse_bid(i); };
-  rounds[0].on_total = [&](std::size_t i, double total) {
-    agents[i].inverse_sum = total;
-    ctx.allocations[i] = ctx.math.allocation(ctx.inverse_bid(i), total);
-    if (i == 0) {
-      ctx.simulation.schedule_after(ctx.options.execution_time,
-                                    [&] { start_round(1); });
-    }
-  };
-  rounds[1].share = "cost_share";
-  rounds[1].partial = "cost_partial";
-  rounds[1].value_of = [&](std::size_t i) { return ctx.verified_cost(i); };
-  rounds[1].on_total = [&](std::size_t i, double total) {
-    ctx.payments[i] = LinearMath::payment(
-        ctx.verified_cost(i),
-        ctx.math.leave_one_out(ctx.inverse_bid(i), agents[i].inverse_sum),
-        total);
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    ctx.network->set_handler(i, [&, i](const Message& msg) {
-      const std::size_t r =
-          (msg.type == "bid_share" || msg.type == "bid_partial") ? 0 : 1;
-      handle(i, r, msg);
-    });
   }
-  ctx.simulation.schedule(0.0, [&] { start_round(0); });
-
-  ctx.simulation.run();
-  return ctx.finish(Topology::kPrivate);
-}
+};
 
 }  // namespace
 
@@ -466,7 +404,12 @@ DistributedReport run_distributed_round(Topology topology,
   LBMV_REQUIRE(config.size() >= 2, "distributed round needs >= 2 agents");
   LBMV_REQUIRE(options.execution_time > 0.0,
                "execution time must be positive");
-  intents.validate(config.size());
+  LBMV_REQUIRE(intents.bids.size() == config.size(),
+               "bid vector size mismatch");
+  LBMV_REQUIRE(intents.executions.size() == config.size(),
+               "execution vector size mismatch");
+  model::require_valid_round(config.arrival_rate(), intents.bids,
+                             intents.executions);
 
   const std::size_t nodes =
       topology == Topology::kStar ? config.size() + 1 : config.size();
@@ -475,11 +418,11 @@ DistributedReport run_distributed_round(Topology topology,
     case Topology::kStar:
       return run_star(ctx);
     case Topology::kBroadcast:
-      return run_broadcast(ctx);
+      return run_two_sums<Broadcast>(ctx, topology);
     case Topology::kTree:
-      return run_tree(ctx);
+      return run_two_sums<Tree>(ctx, topology);
     case Topology::kPrivate:
-      return run_private(ctx);
+      return run_two_sums<Private>(ctx, topology);
   }
   LBMV_ASSERT(false, "unknown topology");
   return {};

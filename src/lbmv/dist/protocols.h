@@ -5,15 +5,23 @@
 /// verification — the paper's future work ("distributed handling of
 /// payments and the agents' privacy") made concrete.
 ///
-/// All four protocols compute *exactly* the centralised mechanism's
-/// allocation and payments for the linear family, exploiting that every
-/// quantity is a function of two sums:
+/// Every protocol runs the centralised mechanism (comp-bonus at the
+/// execution basis, linear family) as two sums:
 ///   S        = sum_j 1/b_j           (from the bids), and
 ///   L_actual = sum_j t~_j x_j^2      (from the verified executions),
 /// plus values agent i already knows (its own bid and verified cost):
-///   x_i     = R (1/b_i) / S,
-///   L_{-i}  = R^2 / (S - 1/b_i),
-///   P_i     = t~_i x_i^2 + L_{-i} - L_actual.
+///   x_i     = (1/b_i) / S * R        (alloc::pr_rate_at),
+///   L_{-i}  = R^2 / (S - 1/b_i)      (alloc::pr_leave_one_out_at, with the
+///                                     PR allocator's cancellation guard),
+/// and the record P_i = C_i + B_i, U_i = B_i priced by core::rule_terms,
+/// the rule every round engine uses.  Star and broadcast add S and L in
+/// index order, as Mechanism::run_reference_into does, so their allocation,
+/// payments, utilities and L are bit-identical to it; tree adds in tree
+/// order (within summation roundoff) and private in fixed point (within
+/// its 1e-9 quantisation).  A profile the round rejects (invalid values, a
+/// non-finite verified cost, a leave-one-out rest that cancels) throws the
+/// round's PreconditionError on every topology; private may instead throw
+/// its fixed-point range error first.
 ///
 /// | protocol   | topology      | messages    | who computes payments |
 /// |------------|---------------|-------------|-----------------------|
@@ -47,7 +55,7 @@ struct DistributedReport {
   std::string protocol;
   model::Allocation allocation;
   std::vector<double> payments;
-  std::vector<double> utilities;  ///< payment - verified own cost
+  std::vector<double> utilities;  ///< U_i = B_i (payment - verified cost)
   double actual_latency = 0.0;    ///< L at the verified execution values
   std::size_t messages = 0;
   std::size_t doubles_transferred = 0;
@@ -71,8 +79,8 @@ enum class Topology {
 [[nodiscard]] std::string topology_name(Topology topology);
 
 /// Run one round of the chosen deployment.  Requires the linear family,
-/// n >= 2, and a validated profile; intents.executions are the (oracle-)
-/// verified execution values.
+/// n >= 2, and a profile model::require_valid_round accepts;
+/// intents.executions are the (oracle-) verified execution values.
 [[nodiscard]] DistributedReport run_distributed_round(
     Topology topology, const model::SystemConfig& config,
     const model::BidProfile& intents, const DistOptions& options = {});

@@ -139,6 +139,15 @@ class WorkloadLatency final : public LatencyFunction {
   double theta_, gamma_;
 };
 
+/// The workload cost x * l(x) = x * ((theta x)(1 + gamma x)) in
+/// WorkloadLatency's operand order, written once for every path that
+/// prices it without a latency object: T is double or util::simd::DVec,
+/// and each lane performs the same IEEE operations as the scalar.
+template <class T>
+[[nodiscard]] inline T workload_cost(T x, T theta, double gamma) {
+  return x * ((theta * x) * (1.0 + gamma * x));
+}
+
 /// Power-law latency l(x) = t * x^k, k >= 1 (used in property tests to
 /// exercise the general convex solver away from the linear special case).
 class PowerLatency final : public LatencyFunction {

@@ -1,14 +1,20 @@
-// Tests for the distributed deployments of the mechanism: all four
-// topologies must reproduce the centralised mechanism's payments exactly,
-// with their advertised message complexities.
+// Tests for the distributed deployments of the mechanism: star and
+// broadcast reproduce the centralised mechanism's reference round bit for
+// bit, tree within summation roundoff and private within its fixed-point
+// quantisation; every topology rejects what the round rejects, with its
+// advertised message complexity.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lbmv/analysis/paper_config.h"
+#include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/dist/protocols.h"
 #include "lbmv/util/error.h"
@@ -76,6 +82,102 @@ TEST(DistProtocols, MatchesCentralisedOnRandomInstances) {
     for (Topology topology : kAll) {
       const double tol = topology == Topology::kPrivate ? 1e-6 : 1e-9;
       expect_matches_centralised(config, intents, topology, tol);
+    }
+  }
+}
+
+/// The diagnostic of a PreconditionError, without its "at file:line" prefix.
+std::string diagnostic(const std::string& what) {
+  const std::size_t at = what.find(" — ");
+  return at == std::string::npos ? what : what.substr(at);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Star and broadcast sum S and L in index order, as the reference round
+/// does, and price through the same rule_terms record (P = C + B, U = B).
+void expect_reference_bits(const model::SystemConfig& config,
+                           const model::BidProfile& intents) {
+  core::MechanismOutcome reference;
+  core::RoundWorkspace ws;
+  core::CompBonusMechanism().run_reference_into(
+      config.family(), config.arrival_rate(), intents.bids,
+      intents.executions, reference, ws);
+  for (Topology topology : {Topology::kStar, Topology::kBroadcast}) {
+    const auto report = run_distributed_round(topology, config, intents);
+    const std::string name = dist::topology_name(topology);
+    EXPECT_EQ(bits(report.actual_latency), bits(reference.actual_latency))
+        << name << " L";
+    for (std::size_t i = 0; i < config.size(); ++i) {
+      EXPECT_EQ(bits(report.allocation[i]), bits(reference.allocation[i]))
+          << name << " x_" << i;
+      EXPECT_EQ(bits(report.payments[i]), bits(reference.agents[i].payment))
+          << name << " P_" << i;
+      EXPECT_EQ(bits(report.utilities[i]), bits(reference.agents[i].utility))
+          << name << " U_" << i;
+    }
+  }
+}
+
+TEST(DistProtocols, StarAndBroadcastEqualTheReferenceRound) {
+  const auto config = analysis::paper_table1_config();
+  for (const auto& experiment : analysis::paper_table2_experiments()) {
+    SCOPED_TRACE(experiment.name);
+    expect_reference_bits(
+        config, model::BidProfile::deviate(config, analysis::kDeviatingAgent,
+                                           experiment.bid_mult,
+                                           experiment.exec_mult));
+  }
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 24));
+    std::vector<double> types(n);
+    for (double& t : types) t = rng.uniform(0.1, 10.0);
+    const model::SystemConfig random(types, rng.uniform(1.0, 50.0));
+    model::BidProfile intents = model::BidProfile::truthful(random);
+    const auto agent = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    intents.bids[agent] *= rng.uniform(0.25, 4.0);
+    intents.executions[agent] *= rng.uniform(1.0, 3.0);
+    expect_reference_bits(random, intents);
+  }
+}
+
+TEST(DistProtocols, RejectsWhatTheCentralisedRoundRejects) {
+  // One agent holding all of S (its leave-one-out rest cancels), and a
+  // verified cost that overflows.
+  const model::SystemConfig dominant({1e-17, 1.0, 1.0}, 20.0);
+  const model::SystemConfig pair({1.0, 2.0}, 20.0);
+  model::BidProfile overflow = model::BidProfile::truthful(pair);
+  overflow.executions[0] = 1e307;
+  const std::pair<model::SystemConfig, model::BidProfile> cases[] = {
+      {dominant, model::BidProfile::truthful(dominant)}, {pair, overflow}};
+  for (const auto& [config, intents] : cases) {
+    std::string expected;
+    try {
+      core::MechanismOutcome out;
+      core::RoundWorkspace ws;
+      core::CompBonusMechanism().run_reference_into(
+          config.family(), config.arrival_rate(), intents.bids,
+          intents.executions, out, ws);
+    } catch (const util::PreconditionError& e) {
+      expected = diagnostic(e.what());
+    }
+    ASSERT_FALSE(expected.empty()) << "the reference round accepted it";
+    for (Topology topology : kAll) {
+      const std::string name = dist::topology_name(topology);
+      try {
+        const auto report = run_distributed_round(topology, config, intents);
+        ADD_FAILURE() << name << " returned P_0 = " << report.payments[0];
+      } catch (const util::PreconditionError& e) {
+        const std::string got = diagnostic(e.what());
+        // Private may fail earlier, encoding 1/b = 1e17 into its ring.
+        EXPECT_TRUE(got == expected ||
+                    (topology == Topology::kPrivate &&
+                     got == " — value out of fixed-point range"))
+            << name << ": " << got << " (reference:" << expected << ")";
+      }
     }
   }
 }
