@@ -5,9 +5,9 @@
 // construction only needs an exact allocator; since PR-9 that allocator is
 // the closed-form MM1Allocator riding the fused nonlinear round kernels
 // (core/family_round.h, DESIGN.md §14) and the audit rides the M/M/1
-// context's lane sweep — this bench is the qualitative story on top of
-// that stack: truthful execution minimises total latency, the deviator's
-// utility peaks at truth, and voluntary participation holds.
+// context's edited-order query — this bench is the qualitative story on
+// top of that stack: truthful execution minimises total latency, the
+// deviator's utility peaks at truth, and voluntary participation holds.
 
 #include <cstdio>
 #include <memory>
@@ -69,8 +69,8 @@ int main() {
 
   // Audit the deviator across a bid/execution grid kept inside the
   // stability region (see OVERLOAD note above).  With the MM1Allocator the
-  // auditor holds an Mm1PrProfileContext, so these rows sweep four
-  // candidate bids per instruction through its lane sweep (§13, §14).
+  // auditor holds an Mm1PrProfileContext, so each candidate bid of these
+  // rows is one O(log n) edit of the committed sorted prefix (§14).
   const core::TruthfulnessAuditor auditor(mechanism);
   core::AuditOptions options;
   options.bid_multipliers = {0.85, 0.9, 1.0, 1.2, 1.5, 2.0, 3.0};

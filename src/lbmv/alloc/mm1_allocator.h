@@ -124,6 +124,14 @@ void mm1_leave_one_out_into(std::span<const double> mus, double arrival_rate,
 [[noreturn]] void throw_mm1_domain_error(std::size_t agent, double x,
                                          double mu);
 
+/// The M/M/1 capacity check for computer \p agent: its load \p x must
+/// satisfy 0 <= x < \p mu_e, the verified (execution) service rate, else
+/// throw_mm1_domain_error.  One check site, so both rounds and the
+/// deviation context raise the same diagnostic.
+inline void require_mm1_capacity(std::size_t agent, double x, double mu_e) {
+  if (!(x >= 0.0 && x < mu_e)) throw_mm1_domain_error(agent, x, mu_e);
+}
+
 /// Closed-form allocation for service rates \p mus.  Requires
 /// 0 < arrival_rate < sum(mus).
 [[nodiscard]] model::Allocation mm1_allocate(std::span<const double> mus,

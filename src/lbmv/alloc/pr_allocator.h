@@ -12,6 +12,7 @@
 ///
 ///     L* = R^2 / sum_j (1/t_j).                 (paper eq. (4))
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -54,7 +55,8 @@ inline void require_leave_one_out_gap(double rest, double min_gap,
 
 /// One agent's leave-one-out optimum R^2 / (S - 1/t_i) behind
 /// require_leave_one_out_gap: the body of pr_leave_one_out_from_sum's loop,
-/// for the same callers.
+/// for the same callers.  A quotient past the double range (R^2 or the
+/// division overflowing) is no optimum and throws naming the agent.
 [[nodiscard]] inline double pr_leave_one_out_at(double inverse_sum,
                                                 double type,
                                                 double arrival_rate,
@@ -63,7 +65,12 @@ inline void require_leave_one_out_gap(double rest, double min_gap,
   const double rest = inverse_sum - 1.0 / type;
   require_leave_one_out_gap(rest, inverse_sum * kLeaveOneOutMinRelativeGap,
                             agent, n);
-  return arrival_rate * arrival_rate / rest;
+  const double loo = arrival_rate * arrival_rate / rest;
+  LBMV_REQUIRE(std::isfinite(loo),
+               "leave-one-out optimum R^2 / (S - 1/t_i) overflows the double "
+               "range (agent " +
+                   std::to_string(agent) + " of " + std::to_string(n) + ")");
+  return loo;
 }
 
 /// Everything the PR closed form derives from one pass over the types.

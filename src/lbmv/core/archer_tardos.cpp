@@ -11,8 +11,8 @@ double archer_tardos_tail_integral(double bid, double inverse_bid_sum_rest,
   LBMV_REQUIRE(inverse_bid_sum_rest > 0.0,
                "the other agents must contribute positive capacity");
   LBMV_REQUIRE(arrival_rate > 0.0, "arrival rate must be positive");
-  const double s = inverse_bid_sum_rest;
-  return arrival_rate * arrival_rate / (s * (1.0 + bid * s));
+  return archer_tardos_tail(bid, inverse_bid_sum_rest,
+                            arrival_rate * arrival_rate);
 }
 
 double ArcherTardosMechanism::tail_integral_numeric(

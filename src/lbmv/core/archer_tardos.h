@@ -36,6 +36,16 @@
 
 namespace lbmv::core {
 
+/// The tail's closed form R^2 / (s (1 + b s)) at bid \p bid, with
+/// \p s_rest = s_i = sum_{j != i} 1/b_j and \p r2 = R^2, unchecked: written
+/// once for the checked scalar entry below, the fused linear round and the
+/// linear deviation context's sweep.  B and S are double or
+/// util::simd::DVec; each lane performs the scalar's IEEE operations.
+template <class B, class S>
+[[nodiscard]] inline auto archer_tardos_tail(B bid, S s_rest, S r2) {
+  return r2 / (s_rest * (1.0 + bid * s_rest));
+}
+
 /// Closed-form payment integral Integral_{bid}^{inf} w_i du under PR.
 /// \p inverse_bid_sum_rest is s_i = sum_{j != i} 1/b_j.
 [[nodiscard]] double archer_tardos_tail_integral(double bid,

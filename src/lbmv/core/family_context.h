@@ -6,24 +6,22 @@
 /// workload-dependent-rate family (alloc/workload_allocator.h), DESIGN.md
 /// §14.
 ///
-/// The M/M/1 context is O(1) per deviation when every computer is active
-/// before and after it and the rest executes as bid (with a = sqrt(mu) the
-/// deviation moves one term of sum mu_j and sum a_j, and every active queue
-/// length is a_j/c - 1), and O(log n) when some computer is idle (an edit
-/// of the committed sorted prefix, alloc::mm1_deviation_solve).
-/// Inconsistent opponents, saturation and any failed gate re-solve inside
-/// utility(), keeping the allocator's typed PreconditionErrors.  The
-/// workload context re-runs the Newton KKT solve per query on local planes
-/// (queries stay safe to issue concurrently) against leave-one-out optima
-/// precomputed per commit.
+/// The M/M/1 context answers a deviation in O(log n) when every opponent
+/// executes as bid: the deviator leaves its slot of the committed sorted
+/// prefix and re-enters at its new rate's rank
+/// (alloc::mm1_deviation_solve), which solves all-active and idle-server
+/// profiles alike, and every active queue length is a_j/c - 1 with
+/// a = sqrt(mu).  Inconsistent opponents, saturation and any failed gate
+/// re-solve inside utility(), keeping the allocator's typed
+/// PreconditionErrors.  The workload context re-runs the Newton KKT solve
+/// per query on local planes (queries stay safe to issue concurrently)
+/// against leave-one-out optima precomputed per commit.
 ///
 /// Every path ends in rule_terms.h's rule_terms, the one definition of the
-/// payment rules that the fused rounds publish through too.  The M/M/1
-/// all-active closed form is a template over the value type: the scalar
-/// query on one double, the sweep on four candidates per instruction
-/// through the lane driver (grid_kernels.h), which defers any lane off that
-/// path to the scalar query — the same bits either way.  The workload
-/// context keeps the default per-candidate sweep.  A commit re-derives once
+/// payment rules that the fused rounds publish through too, and prices the
+/// M/M/1 verified cost as model::mm1_cost behind
+/// alloc::require_mm1_capacity, as the fused round does.  Both contexts
+/// keep the default per-candidate sweep.  A commit re-derives once
 /// (rebuild()); the committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
@@ -42,38 +40,22 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   Mm1PrProfileContext(PaymentRule rule, double arrival_rate,
                       model::BidProfile base);
 
-  [[nodiscard]] bool lane_sweeps() const override { return true; }
-
-  /// Everything a deviation by one agent reads from the caches, O(1).
-  struct Rest {
-    double mu;     ///< sum_{j != agent} mu_j
-    double a;      ///< sum_{j != agent} sqrt(mu_j)
-    double min_a;  ///< min_{j != agent} sqrt(mu_j)
-    double loo;    ///< L_{-agent} (0 for a rule that does not read it)
-    /// Every opponent executes exactly as bid — required for the O(1)
-    /// actual-latency form sum_{j != i} (a_j/c' - 1).
-    bool consistent;
-  };
-
  protected:
   [[nodiscard]] double deviation_utility(std::size_t agent, double bid,
                                          double execution) const override;
-  void sweep(std::size_t agent, std::span<const double> bids,
-             double execution, double* out, GridBest* best) const override;
-  /// O(n): the min/arg-min pair and the leave-one-out plane cannot be
-  /// delta-updated without a re-scan anyway, and commits are rare next to
-  /// queries in every strategy loop.
+  /// O(n log n): the committed solve, the leave-one-out plane and the
+  /// sorted prefix the deviation queries edit.
   void rebuild() override;
 
  private:
-  [[nodiscard]] Rest rest_of(std::size_t agent) const;
-  /// Full scalar re-solve for deviations neither closed-form path covers.
-  /// Allocates locally (concurrent queries stay safe).
+  /// Full scalar re-solve for deviations the edited-order solve does not
+  /// cover.  Allocates locally (concurrent queries stay safe).
   [[nodiscard]] double slow_utility(std::size_t agent, double bid,
                                     double execution) const;
+  /// L_{-agent}, or 0 for a rule that does not read it.
+  [[nodiscard]] double loo_at(std::size_t agent) const;
 
   std::vector<double> mus_;   ///< mu_j = 1/b_j
-  std::vector<double> a_;     ///< sqrt(mu_j)
   std::vector<double> mue_;   ///< 1/e_j (verified service rates)
   std::vector<double> rates_; ///< committed allocation (rebuild scratch)
   std::vector<double> loo_;   ///< L_{-j} (empty unless the rule reads it)
@@ -81,10 +63,6 @@ class Mm1PrProfileContext final : public ProfileUtilityContext {
   alloc::Mm1Planes planes_;   ///< committed sorted prefix (always built)
   std::vector<std::size_t> slot_;  ///< slot_[j]: j's place in planes_.order
   double sum_mu_ = 0.0;
-  double sum_a_ = 0.0;
-  double min_a_ = 0.0;
-  double second_a_ = 0.0;
-  std::size_t argmin_a_ = 0;
   std::size_t inconsistent_count_ = 0;
 };
 

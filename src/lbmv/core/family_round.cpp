@@ -21,10 +21,9 @@ namespace {
 namespace v = lbmv::util::simd;
 using v::DVec;
 
-/// M/M/1 cost term x * (1/(mu - x)) against a service-rate plane (mu = 1/t),
-/// in the reference path's operand order (cost = x * latency).
+/// M/M/1 cost term model::mm1_cost against a service-rate plane (mu = 1/t).
 struct Mm1Cost {
-  DVec operator()(DVec x, DVec mu) const { return x * (1.0 / (mu - x)); }
+  DVec operator()(DVec x, DVec mu) const { return model::mm1_cost(x, mu); }
 };
 
 /// Workload cost term model::workload_cost against a type plane.
@@ -146,14 +145,15 @@ bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,
   const double* const x = rates.data();
 
   // The verified latency needs x_i < 1/e_i, which closed-form feasibility
-  // does not imply; on a failure the reference path re-derives the round
-  // and raises the canonical domain diagnostic.
-  bool served = true;
-  for (std::size_t j = 0; j < n; ++j) served = served && x[j] < mue[j];
+  // does not imply: the first overloaded computer in index order raises
+  // the reference path's domain diagnostic.
+  for (std::size_t j = 0; j < n; ++j) {
+    alloc::require_mm1_capacity(j, x[j], mue[j]);
+  }
   const double reported_total = sum_cost(Mm1Cost{}, n, x, mu);
   const double actual_total = sum_cost(Mm1Cost{}, n, x, mue);
-  served = served && std::isfinite(reported_total) &&
-           std::isfinite(actual_total);
+  const bool served =
+      std::isfinite(reported_total) && std::isfinite(actual_total);
 
   const double* loo = nullptr;
   if (served && reads_leave_one_out(rule)) {

@@ -17,8 +17,8 @@
 /// x = 0) and the leave-one-out plane from the sorted prefix it leaves
 /// behind (alloc::mm1_leave_one_out_into, O(n log n), O(n) when every
 /// computer is active).  Both throw the reference path's own typed
-/// PreconditionErrors; the engine declines when the allocation breaks some
-/// computer's execution domain x_i < 1/e_i.
+/// PreconditionErrors, and so does the execution-domain check
+/// 0 <= x_i < 1/e_i (alloc::require_mm1_capacity, in index order).
 ///
 /// **Workload-dependent rates** (run_workload_vectorized).  The family
 /// l(x) = theta x (1 + gamma x) is always interior: one monotone Newton
@@ -49,11 +49,10 @@ struct FusedRoundStats;  // batch.h
 
 /// Run one fused M/M/1 round end to end (validation, active-set
 /// allocation, latency totals, payments, utilities) and return true, or
-/// return false when the allocation overloads some computer's execution
-/// rate or a published value would be non-finite (\p out's contents are
-/// then unspecified; the reference path owns the round).  Infeasible rounds
-/// and saturated rest sets throw the reference path's typed
-/// PreconditionErrors directly.  \p rule must not be kArcherTardos (whose
+/// return false when a published value would be non-finite (\p out's
+/// contents are then unspecified; the reference path owns the round).
+/// Infeasible rounds, saturated rest sets and execution overloads throw
+/// the reference path's typed PreconditionErrors directly.  \p rule must not be kArcherTardos (whose
 /// tail integral is linear-family-specific).  Bids and executions are mean
 /// service times (MM1Family's convention).
 [[nodiscard]] bool run_mm1_vectorized(PaymentRule rule, double arrival_rate,

@@ -7,24 +7,26 @@
 /// Every strategic sweep in the repo — best-response scans, audit grids,
 /// learning counterfactuals, tournament regret probes — evaluates ONE
 /// agent's utility at MANY candidate bids against the same frozen profile
-/// context.  The linear-PR and M/M/1 contexts write their deviation closed
-/// form once, as a template over the value type: utility() is its double
-/// instantiation, and their ProfileUtilityContext::sweep override runs its
-/// util::simd::DVec instantiation through lane_sweep below, four candidates
-/// per instruction (AVX2 or the bit-identical 4-lane emulation).  Each lane
-/// operation is the scalar IEEE operation, so the sweep equals a loop of
-/// utility() calls bit for bit.
+/// context.  The linear-PR context writes its deviation closed form once,
+/// as a template over the value type: utility() is its double
+/// instantiation, and its ProfileUtilityContext::sweep override runs its
+/// util::simd::DVec instantiation through lane_sweep below, four
+/// candidates per instruction (AVX2 or the bit-identical 4-lane
+/// emulation).  Each lane operation is the scalar IEEE operation, so the
+/// sweep equals a loop of utility() calls bit for bit.  The M/M/1 and
+/// workload contexts have no lane form and keep the base class's
+/// per-candidate sweep.
 ///
-/// lane_sweep owns what the two families share: tail padding (the spare
-/// lanes of the last block repeat the last candidate), the validity mask
-/// (positive finite bids, AND-ed with the family's own fast-path gates),
-/// and the running 4-lane (max, argmax) pair resolved toward the smallest
-/// index, which reproduces a strictly-greater first-wins scalar scan.  A
-/// block whose mask fails is re-evaluated through the context's scalar
-/// query (ProfileUtilityContext::checked_utility, the uncounted utility()),
+/// lane_sweep owns the generic part: tail padding (the spare lanes of the
+/// last block repeat the last candidate), the validity mask (positive
+/// finite bids, AND-ed with the context's own guards), and the running
+/// 4-lane (max, argmax) pair resolved toward the smallest index, which
+/// reproduces a strictly-greater first-wins scalar scan.  A block whose
+/// mask fails is re-evaluated through the context's scalar query
+/// (ProfileUtilityContext::checked_utility, the uncounted utility()),
 /// which raises the canonical PreconditionError for the first offending
-/// candidate or serves the family's slow paths; a sweep in which any lane's
-/// utility is not finite re-checks every candidate through it.
+/// candidate; a sweep in which any lane's utility is not finite re-checks
+/// every candidate through it.
 
 #include <algorithm>
 #include <cstddef>

@@ -271,10 +271,7 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
   // first such computer instead (same check, same index order).
   if (classify_family(family) == FamilyKind::kMm1) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double mue = 1.0 / executions[i];
-      if (x[i] != 0.0 && !(x[i] >= 0.0 && x[i] < mue)) {
-        alloc::throw_mm1_domain_error(i, x[i], mue);
-      }
+      alloc::require_mm1_capacity(i, x[i], 1.0 / executions[i]);
     }
   }
   out.actual_latency =

@@ -182,9 +182,9 @@ class ProfileUtilityContext {
   /// reference context, where every query is one mechanism run.
   [[nodiscard]] virtual bool closed_form() const { return true; }
 
-  /// Whether sweeps evaluate four candidates per instruction (the closed
-  /// forms' lane sweep, grid_kernels.h) rather than one utility() call per
-  /// candidate.  Only telemetry reads it (padded-lane accounting).
+  /// Whether sweeps evaluate four candidates per instruction (the linear
+  /// closed form's lane sweep, grid_kernels.h) rather than one utility()
+  /// call per candidate.  Only telemetry reads it (padded-lane accounting).
   [[nodiscard]] virtual bool lane_sweeps() const { return false; }
 
   /// Make a deviation permanent: agent now bids \p bid and executes at

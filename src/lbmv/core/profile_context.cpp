@@ -45,7 +45,7 @@ struct LinearDeviation {
   T reported() const { return rest.rr / s; }
   // The tail depends only on S_rest: slow execution goes unpunished.
   T tail_comp() const { return bid * (x * x); }
-  T tail() const { return rest.rr / (rest.s_rest * (1.0 + bid * rest.s_rest)); }
+  T tail() const { return archer_tardos_tail(bid, rest.s_rest, rest.rr); }
 };
 
 /// The share of S' that every agent's rest at the deviated profile must

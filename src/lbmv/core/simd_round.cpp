@@ -8,6 +8,7 @@
 
 #include "lbmv/alloc/pr_allocator.h"
 #include "lbmv/alloc/pr_simd.h"
+#include "lbmv/core/archer_tardos.h"
 #include "lbmv/core/batch.h"
 #include "lbmv/core/rule_terms.h"
 #include "lbmv/model/bids.h"
@@ -142,8 +143,7 @@ struct LinearTerms {
   DVec reported() const { return k.reported_total; }
   DVec tail_comp() const { return b * (x * x); }
   DVec tail() const {
-    const DVec s = k.inverse_sum - inv;
-    return k.r2 / (s * (1.0 + b * s));
+    return archer_tardos_tail(b, k.inverse_sum - inv, k.r2);
   }
 };
 

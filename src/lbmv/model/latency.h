@@ -148,6 +148,16 @@ template <class T>
   return x * ((theta * x) * (1.0 + gamma * x));
 }
 
+/// The M/M/1 cost x * (1/(mu - x)) against a service rate mu = 1/theta, in
+/// MM1Latency's operand order (cost = x * latency), written once for every
+/// path that prices it without a latency object.  T is double or
+/// util::simd::DVec.  Unchecked: callers hold x < mu first
+/// (alloc::require_mm1_capacity).
+template <class T>
+[[nodiscard]] inline T mm1_cost(T x, T mu) {
+  return x * (1.0 / (mu - x));
+}
+
 /// Power-law latency l(x) = t * x^k, k >= 1 (used in property tests to
 /// exercise the general convex solver away from the linear special case).
 class PowerLatency final : public LatencyFunction {

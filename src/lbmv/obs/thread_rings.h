@@ -37,15 +37,14 @@ class ThreadRings {
     Ring& ring = rings_[std::this_thread::get_id()];
     if (ring.tid == 0) {
       ring.tid = next_tid_++;
-      ring.capacity = capacity_;
       ring.buf.reserve(std::min(capacity_, reserve_));
     }
     rec.tid = ring.tid;
-    if (ring.buf.size() < ring.capacity) {
+    if (ring.buf.size() < capacity_) {
       ring.buf.push_back(rec);
     } else {
       ring.buf[ring.next] = rec;
-      ring.next = (ring.next + 1) % ring.capacity;
+      ring.next = (ring.next + 1) % capacity_;
     }
     ++ring.recorded;
   }
@@ -83,16 +82,9 @@ class ThreadRings {
     rings_.clear();
   }
 
-  /// Capacity of rings created from now on (existing rings keep theirs).
-  void set_capacity(std::size_t capacity) {
-    std::lock_guard lock(mutex_);
-    capacity_ = capacity == 0 ? 1 : capacity;
-  }
-
  private:
   struct Ring {
     std::uint32_t tid = 0;  ///< 0 until the ring's first record
-    std::size_t capacity = 0;
     std::vector<Record> buf;
     std::size_t next = 0;  ///< overwrite position once buf is full
     std::uint64_t recorded = 0;
@@ -100,8 +92,8 @@ class ThreadRings {
 
   mutable std::mutex mutex_;
   std::map<std::thread::id, Ring> rings_;
-  std::size_t capacity_;
-  std::size_t reserve_;
+  const std::size_t capacity_;
+  const std::size_t reserve_;
   std::uint32_t next_tid_ = 1;
 };
 

@@ -74,12 +74,6 @@ class TraceRecorder {
   /// Forget every retained span (ring capacity and thread ids kept).
   void clear() { rings_.clear(); }
 
-  /// Ring capacity for threads that have not recorded yet (existing rings
-  /// keep their size).
-  void set_capacity(std::size_t capacity_per_thread) {
-    rings_.set_capacity(capacity_per_thread);
-  }
-
   /// The process-wide recorder `Span` writes to.
   static TraceRecorder& global();
 

@@ -45,52 +45,6 @@ RootResult bisect(const std::function<double(double)>& f, double lo, double hi,
   return r;
 }
 
-RootResult newton_bisect(const std::function<double(double)>& f,
-                         const std::function<double(double)>& df, double lo,
-                         double hi, double xtol, int max_iter) {
-  LBMV_REQUIRE(lo <= hi, "newton_bisect requires lo <= hi");
-  double flo = f(lo);
-  double fhi = f(hi);
-  RootResult r;
-  if (flo == 0.0) return {lo, 0.0, 0, true};
-  if (fhi == 0.0) return {hi, 0.0, 0, true};
-  LBMV_REQUIRE(std::signbit(flo) != std::signbit(fhi),
-               "newton_bisect requires a bracketing interval");
-  double x = 0.5 * (lo + hi);
-  double prev_x = lo - 1.0;  // sentinel outside the bracket
-  for (int it = 0; it < max_iter; ++it) {
-    const double fx = f(x);
-    r.iterations = it + 1;
-    // Converged when the residual vanishes, the bracket collapses, or the
-    // iterates stall (Newton can converge to a multiple root long before
-    // the bracket does — e.g. x^3 at 0, where one bracket end never moves).
-    if (fx == 0.0 || (hi - lo) <= xtol || std::fabs(x - prev_x) <= xtol) {
-      r.x = x;
-      r.fx = fx;
-      r.converged = true;
-      return r;
-    }
-    prev_x = x;
-    // Shrink the bracket around the sign change.
-    if (std::signbit(fx) == std::signbit(flo)) {
-      lo = x;
-      flo = fx;
-    } else {
-      hi = x;
-    }
-    const double d = df(x);
-    double next = (d != 0.0) ? x - fx / d : lo - 1.0;  // force fallback if d==0
-    if (!(next > lo && next < hi)) {
-      next = 0.5 * (lo + hi);  // bisection fallback
-    }
-    x = next;
-  }
-  r.x = x;
-  r.fx = f(x);
-  r.converged = (hi - lo) <= xtol;
-  return r;
-}
-
 MinResult golden_section_min(const std::function<double(double)>& f, double lo,
                              double hi, double xtol, int max_iter) {
   LBMV_REQUIRE(lo <= hi, "golden_section_min requires lo <= hi");

@@ -27,16 +27,6 @@ struct RootResult {
                                 double lo, double hi, double xtol = 1e-12,
                                 double ftol = 0.0, int max_iter = 200);
 
-/// Newton's method with bisection fallback, bracketed in [lo, hi].
-///
-/// Takes f and its derivative.  Whenever a Newton step leaves the bracket or
-/// fails to shrink it, a bisection step is taken instead, so convergence is
-/// guaranteed for a bracketing interval.
-[[nodiscard]] RootResult newton_bisect(
-    const std::function<double(double)>& f,
-    const std::function<double(double)>& df, double lo, double hi,
-    double xtol = 1e-12, int max_iter = 200);
-
 /// Result of a scalar minimisation.
 struct MinResult {
   double x = 0.0;          ///< location of the minimum

@@ -320,8 +320,8 @@ std::vector<SharedContextCase> shared_context_cases() {
   nonlinear_grid.bid_multipliers = {0.85, 0.9, 1.0, 1.2, 1.5, 2.0, 3.0};
   nonlinear_grid.exec_multipliers = {1.0, 1.1, 1.2};
   nonlinear_grid.keep_grid = true;
-  // M/M/1 at 10 % load: about half the servers idle, so the grid exercises
-  // both the all-active and the sorted-prefix queries.
+  // M/M/1 at 10 % load: about half the servers idle, so the grid's
+  // edited-order queries both keep and drop the deviator's server.
   const std::vector<double> service{0.1, 0.12, 0.2, 0.3, 0.45,
                                     0.6, 0.8, 0.9, 1.0};
   double capacity = 0.0;

@@ -145,14 +145,17 @@ TEST(DistProtocols, StarAndBroadcastEqualTheReferenceRound) {
 }
 
 TEST(DistProtocols, RejectsWhatTheCentralisedRoundRejects) {
-  // One agent holding all of S (its leave-one-out rest cancels), and a
-  // verified cost that overflows.
+  // One agent holding all of S (its leave-one-out rest cancels), a
+  // verified cost that overflows, and an R^2 that overflows L_{-i}.
   const model::SystemConfig dominant({1e-17, 1.0, 1.0}, 20.0);
   const model::SystemConfig pair({1.0, 2.0}, 20.0);
   model::BidProfile overflow = model::BidProfile::truthful(pair);
   overflow.executions[0] = 1e307;
+  const model::SystemConfig huge_rate({1e-300, 1e-300}, 1e160);
   const std::pair<model::SystemConfig, model::BidProfile> cases[] = {
-      {dominant, model::BidProfile::truthful(dominant)}, {pair, overflow}};
+      {dominant, model::BidProfile::truthful(dominant)},
+      {pair, overflow},
+      {huge_rate, model::BidProfile::truthful(huge_rate)}};
   for (const auto& [config, intents] : cases) {
     std::string expected;
     try {
@@ -172,7 +175,8 @@ TEST(DistProtocols, RejectsWhatTheCentralisedRoundRejects) {
         ADD_FAILURE() << name << " returned P_0 = " << report.payments[0];
       } catch (const util::PreconditionError& e) {
         const std::string got = diagnostic(e.what());
-        // Private may fail earlier, encoding 1/b = 1e17 into its ring.
+        // Private may fail earlier, encoding 1/b = 1e17 (or 1e300) into its
+        // ring.
         EXPECT_TRUE(got == expected ||
                     (topology == Topology::kPrivate &&
                      got == " — value out of fixed-point range"))

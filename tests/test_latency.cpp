@@ -70,6 +70,17 @@ TEST(MM1Latency, MarginalCostIsMuOverSquare) {
   EXPECT_NEAR(l.marginal_cost(x), 3.0 / (2.0 * 2.0), 1e-12);
 }
 
+TEST(MM1Latency, Mm1CostIsTheLatencyObjectsCostBitForBit) {
+  // model::mm1_cost keeps MM1Latency's operand order x * (1/(mu - x)).
+  for (double mu : {0.3, 1.0, 7.0, 1e6}) {
+    const MM1Latency l(mu);
+    for (double share : {0.0, 1e-9, 0.25, 0.5, 0.9, 0.999999}) {
+      const double x = share * mu;
+      EXPECT_EQ(mm1_cost(x, mu), l.cost(x)) << "mu " << mu << " x " << x;
+    }
+  }
+}
+
 TEST(PowerLatency, ValueDerivativeAndConvexityGuard) {
   PowerLatency l(2.0, 3.0);
   EXPECT_DOUBLE_EQ(l.latency(2.0), 16.0);

@@ -17,8 +17,10 @@
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/rule_terms.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/latency.h"
+#include "lbmv/util/error.h"
 
 namespace {
 
@@ -174,6 +176,48 @@ TEST(ReferenceRuleAlgebra, EveryRuleMatchesItsTermsWrittenOut) {
         EXPECT_EQ(a.utility, a.bonus) << "agent " << i;
       }
     }
+  }
+}
+
+// R^2 past the double range: L_{-i} = R^2 / (S - 1/b_i) overflows, so every
+// rule that reads it throws the leave-one-out site's diagnostic naming the
+// agent on both paths instead of publishing an infinite bonus.  No-payment
+// reads no L_{-i} and still prices the round.
+TEST(LeaveOneOutOverflow, EveryRuleThatReadsItThrowsOnBothPaths) {
+  const lbmv::model::LinearFamily linear;
+  const std::vector<double> types{1e-300, 1e-300};
+  const double rate = 1e160;
+  const std::shared_ptr<const Mechanism> reading[] = {
+      std::make_shared<CompBonusMechanism>(),
+      std::make_shared<CompBonusMechanism>(lbmv::core::default_allocator(),
+                                           CompensationBasis::kBid),
+      std::make_shared<VcgMechanism>()};
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  for (const auto& m : reading) {
+    ASSERT_TRUE(lbmv::core::reads_leave_one_out(m->payment_rule()));
+    std::string what[2];
+    for (int path = 0; path < 2; ++path) {
+      try {
+        if (path == 0) {
+          m->run_into(linear, rate, types, types, out, ws);
+        } else {
+          m->run_reference_into(linear, rate, types, types, out, ws);
+        }
+        ADD_FAILURE() << m->name() << " published P_0 = "
+                      << out.agents[0].payment;
+      } catch (const lbmv::util::PreconditionError& e) {
+        what[path] = e.what();
+      }
+    }
+    EXPECT_NE(what[0].find("overflows the double range (agent 0 of 2)"),
+              std::string::npos)
+        << m->name() << ": " << what[0];
+    EXPECT_EQ(what[0], what[1]) << m->name();
+  }
+  NoPaymentMechanism().run_into(linear, rate, types, types, out, ws);
+  for (const AgentOutcome& agent : out.agents) {
+    EXPECT_TRUE(std::isfinite(agent.utility));
   }
 }
 

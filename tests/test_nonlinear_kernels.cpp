@@ -20,8 +20,8 @@
 //     profiles to 90 % idle servers, including deviations that move the
 //     deviator or its sorted neighbours across the active-set threshold;
 //     the gates it leaves to the re-solve keep their exact messages.
-//   * The M/M/1 context's lane sweep (ProfileUtilityContext::utilities_into
-//     / best_response) is bit-identical to its scalar utility(), and
+//   * The M/M/1 context's sweep (ProfileUtilityContext::utilities_into /
+//     best_response) is bit-identical to its scalar utility(), and
 //     audit_all grids are bit-identical parallel vs serial; both families
 //     stay truthful-dominant under audit_all.
 //
@@ -197,27 +197,48 @@ TEST(Mm1Boundary, LeaveOneOutOverloadNamesTheOffendingAgent) {
 }
 
 TEST(Mm1Boundary, ExecutionOverloadThrowsTypedOnBothPaths) {
+  using lbmv::core::PaymentRule;
+  using lbmv::core::Mm1PrProfileContext;
   // Underbid-and-slack: computer 0 bids fast (mu = 10) but executes slow
   // (mu~ = 1).  Its assignment x_0 approaches the bid capacity from below —
   // far beyond the *actual* capacity, x_0 >= mu~_0 — so the actual-latency
-  // pass must throw the typed domain error on both paths (the fused
-  // engine declines such rounds; the reference path owns the diagnostic).
+  // pass must throw the one domain diagnostic on both paths (the fused
+  // engine raises it itself), and so must a deviation query to the same
+  // (bid, execution) from the truthful profile (the edited-order path).
   const MM1Family family;
   const CompBonusMechanism mechanism(
       std::make_shared<const lbmv::alloc::MM1Allocator>());
   const std::vector<double> bids{0.1, 0.5, 0.5};
   const std::vector<double> execs{1.0, 0.5, 0.5};
+  const std::string expected =
+      "M/M/1 latency requires 0 <= x < mu: computer 0 is assigned x = "
+      "7.88854 against execution service rate mu = 1";
   RoundWorkspace ws;
   MechanismOutcome out;
-  for (Path path : {Path::kReference, Path::kDispatched}) {
+  const auto what = [](auto fn) {
     try {
-      run_path(path, mechanism, family, 10.0, bids, execs, out, ws);
-      FAIL() << "overloaded execution did not throw";
+      fn();
     } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find("0 <= x < mu"), std::string::npos)
-          << e.what();
+      return std::string(e.what());
     }
+    return std::string("(no error)");
+  };
+  for (Path path : {Path::kReference, Path::kDispatched}) {
+    EXPECT_EQ(what([&] {
+                run_path(path, mechanism, family, 10.0, bids, execs, out, ws);
+              }),
+              expected);
   }
+  EXPECT_EQ(what([&] {
+              (void)lbmv::core::run_mm1_vectorized(
+                  PaymentRule::kCompBonusExecution, 10.0, bids, execs, out,
+                  ws);
+            }),
+            expected);
+  // No-payment: computer 0's leave-one-out subsystem cannot absorb R.
+  const Mm1PrProfileContext context(PaymentRule::kNoPayment, 10.0,
+                                    BidProfile{bids, bids});
+  EXPECT_EQ(what([&] { (void)context.utility(0, 0.1, 1.0); }), expected);
 }
 
 /// Runs \p fn and expects the typed M/M/1 domain error naming \p agent.
@@ -246,9 +267,9 @@ TEST(Mm1Boundary, ExecutionOverloadNamesTheAgentAtEverySite) {
                             BidProfile{{0.5, 0.5, 0.1}, {0.5, 0.5, 1.0}});
       },
       2);
-  // Deviations by computer 1 against a uniform profile: a moderate
-  // speed-up keeps everyone active (utility()'s closed-form branch), a
-  // large one drops the rest out (the sorted-prefix branch).
+  // Deviations by computer 1 against a uniform profile, both through the
+  // edited-order query: a moderate speed-up keeps everyone active, a large
+  // one drops the rest out.
   const Mm1PrProfileContext context(
       PaymentRule::kCompBonusExecution, 2.0,
       BidProfile{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}});
@@ -699,12 +720,12 @@ TEST(FusedDifferential, InvalidInputsThrowScalarDiagnostics) {
 }
 
 // ---------------------------------------------------------------------------
-// M/M/1 lane sweeps: bit-identical to the scalar oracle.
+// M/M/1 sweeps: bit-identical to the scalar oracle.
 
-TEST(Mm1Grid, LaneSweepBitIdenticalToScalarOracle) {
+TEST(Mm1Grid, SweepBitIdenticalToScalarOracle) {
   const std::size_t n = 9;
   // All active at 40 % load; at 10 % load over a decade of rates about half
-  // the servers idle, so off-fast-path lanes take the sorted-prefix query.
+  // the servers idle.
   std::vector<double> spread(n);
   for (std::size_t j = 0; j < n; ++j) {
     spread[j] = std::pow(10.0, -static_cast<double>(j) / (n - 1.0));
@@ -727,17 +748,16 @@ TEST(Mm1Grid, LaneSweepBitIdenticalToScalarOracle) {
     ASSERT_NE(
         dynamic_cast<const lbmv::core::Mm1PrProfileContext*>(context.get()),
         nullptr);
-    ASSERT_TRUE(context->lane_sweeps());
+    ASSERT_FALSE(context->lane_sweeps());
 
     for (std::size_t agent = 0; agent < n; ++agent) {
       const double truth = config.true_value(agent);
-      // Wide grid: interior candidates ride the all-active fast path while
-      // very slow bids (8x truth) drop the deviator out of the active set
-      // and defer whole lane blocks to the scalar oracle — both must match
-      // bit for bit.  The fast edge stays at 0.9x truth: faster bids win an
+      // Wide grid: interior candidates keep every server active while very
+      // slow bids (8x truth) drop the deviator out of the active set; both
+      // take the edited-order query and the sweep must match it bit for
+      // bit.  The fast edge stays at 0.9x truth: faster bids win an
       // assignment beyond the agent's true capacity, where the domain
-      // REQUIRE fires (covered by Mm1Boundary).  Sizes off the lane
-      // multiple cover tail padding.
+      // REQUIRE fires (covered by Mm1Boundary).
       for (std::size_t points : {2u, 6u, 103u}) {
         const std::vector<double> bids = lbmv::strategy::make_bid_grid(
             0.9 * truth, 8.0 * truth, points,

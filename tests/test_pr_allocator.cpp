@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "lbmv/alloc/pr_allocator.h"
@@ -96,6 +97,21 @@ TEST(PrAllocate, RejectsBadInput) {
                lbmv::util::PreconditionError);
   EXPECT_THROW((void)pr_allocate(std::vector<double>{1.0, -1.0}, 1.0),
                lbmv::util::PreconditionError);
+}
+
+TEST(PrLeaveOneOut, OverflowingQuotientNamesTheAgent) {
+  // R^2 = 1e320 leaves the double range, so R^2 / (S - 1/t_i) is no optimum.
+  std::vector<double> out(2);
+  try {
+    lbmv::alloc::pr_leave_one_out_into(std::vector<double>{1e-300, 1e-300},
+                                       1e160, out);
+    FAIL() << "an infinite leave-one-out optimum was returned";
+  } catch (const lbmv::util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "overflows the double range (agent 0 of 2)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PRAllocatorInterface, DelegatesToClosedForm) {

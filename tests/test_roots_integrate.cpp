@@ -15,7 +15,6 @@ using lbmv::util::golden_section_min;
 using lbmv::util::integrate;
 using lbmv::util::integrate_to_infinity;
 using lbmv::util::minimize_scan;
-using lbmv::util::newton_bisect;
 
 TEST(Bisect, FindsSimpleRoot) {
   const auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
@@ -39,22 +38,6 @@ TEST(Bisect, HonoursFunctionTolerance) {
   const auto r = bisect([](double x) { return x; }, -1.0, 3.0, 0.0, 1e-6, 200);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(std::fabs(r.fx), 1e-6);
-}
-
-TEST(NewtonBisect, ConvergesFastOnSmoothFunction) {
-  const auto r = newton_bisect([](double x) { return x * x * x - 8.0; },
-                               [](double x) { return 3.0 * x * x; }, 0.0, 4.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 2.0, 1e-10);
-}
-
-TEST(NewtonBisect, SurvivesZeroDerivative) {
-  // f(x) = x^3 has f'(0) = 0; the bisection fallback must kick in.
-  const auto r = newton_bisect([](double x) { return x * x * x; },
-                               [](double x) { return 3.0 * x * x; }, -1.0,
-                               2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 0.0, 1e-9);
 }
 
 TEST(GoldenSection, FindsParabolaMinimum) {
