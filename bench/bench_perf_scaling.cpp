@@ -167,35 +167,13 @@ void BM_SingleRoundSimd(benchmark::State& state) {
   const lbmv::core::CompBonusMechanism mechanism;
   lbmv::core::RoundWorkspace ws;
   lbmv::core::MechanismOutcome out;
-  const lbmv::core::RoundOptions serial{1, nullptr};
   for (auto _ : state) {
-    mechanism.run_into(family, 20.0, bids, bids, out, ws, serial);
+    mechanism.run_into(family, 20.0, bids, bids, out, ws);
     benchmark::DoNotOptimize(out.actual_latency);
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SingleRoundSimd)
-    ->RangeMultiplier(4)
-    ->Range(1024, 1 << 20)
-    ->Complexity();
-
-void BM_SingleRoundSimdSharded(benchmark::State& state) {
-  // The vectorized engine with its agent axis fanned over the global pool
-  // (auto shard count).  Bit-identical to the serial run by construction.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const lbmv::model::LinearFamily family;
-  const auto bids = random_types(n, 7);
-  const lbmv::core::CompBonusMechanism mechanism;
-  lbmv::core::RoundWorkspace ws;
-  lbmv::core::MechanismOutcome out;
-  const lbmv::core::RoundOptions sharded{0, nullptr};
-  for (auto _ : state) {
-    mechanism.run_into(family, 20.0, bids, bids, out, ws, sharded);
-    benchmark::DoNotOptimize(out.actual_latency);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SingleRoundSimdSharded)
     ->RangeMultiplier(4)
     ->Range(1024, 1 << 20)
     ->Complexity();

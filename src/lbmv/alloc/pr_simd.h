@@ -9,12 +9,11 @@
 /// vector accumulators over 8-agent steps, one leftover full vector into the
 /// first accumulator, the fixed horizontal sum (l0+l1)+(l2+l3) of their
 /// lane-wise total, then any <4-agent tail appended scalar in index order.
-/// Because the tree depends only on the block's length — never on thread or
-/// shard count — the sharded round engine (core/simd_round.h) gets
-/// bit-identical results for any fan-out by cutting agents into fixed-size
-/// blocks and reducing the returned partials in block order.  The engine's
-/// fused publish pass derives the leave-one-out and Archer–Tardos terms from
-/// the reciprocal plane in-register.
+/// The tree depends only on the block's length, and the round engine
+/// (core/simd_round.h) cuts agents into fixed-size blocks and adds the
+/// returned partials in block order, so the block grid alone fixes S and W.
+/// The engine's fused publish pass derives the leave-one-out and
+/// Archer–Tardos terms from the reciprocal plane in-register.
 ///
 /// Validation is by mask, not by throw: the kernel reports "every lane
 /// finite and positive" and the round engine re-runs the shared input check

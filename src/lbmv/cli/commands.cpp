@@ -581,8 +581,7 @@ std::vector<double> recent_deltas(const obs::TimeSeriesSampler& sampler,
 
 void render_obs_dashboard(const obs::MetricsSnapshot& snap, std::ostream& out,
                           const obs::TimeSeriesSampler* sampler = nullptr) {
-  if (snap.counters.empty() && snap.gauges.empty() &&
-      snap.histograms.empty()) {
+  if (snap.counters.empty() && snap.histograms.empty()) {
     out << "(no metrics recorded"
         << (obs::kCompiledIn ? ")" : "; built with LBMV_OBS=0)") << "\n";
     return;
@@ -601,10 +600,6 @@ void render_obs_dashboard(const obs::MetricsSnapshot& snap, std::ostream& out,
                       Table::num(sampler->rate_per_sec(name), 1),
                       util::sparkline(recent_deltas(*sampler, name))});
   }
-  Table gauges({"Gauge", "Value"});
-  for (const auto& [name, value] : snap.gauges) {
-    gauges.add_row({name, Table::num(value, 0)});
-  }
   Table hists({"Histogram", "Count", "Mean", "p50", "p95", "p99", "Max"});
   for (const auto& [name, h] : snap.histograms) {
     hists.add_row({name, std::to_string(h.count), Table::num(h.mean(), 4),
@@ -613,8 +608,6 @@ void render_obs_dashboard(const obs::MetricsSnapshot& snap, std::ostream& out,
                    Table::num(h.quantile(0.99), 4), Table::num(h.max, 4)});
   }
   out << counters.to_markdown() << '\n';
-  // No built-in probe is a gauge; print the table only when one exists.
-  if (!snap.gauges.empty()) out << gauges.to_markdown() << '\n';
   out << hists.to_markdown();
 
   std::vector<util::Bar> completion_bars;
@@ -885,7 +878,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
   std::uint64_t mech_rounds = 0;
   std::uint64_t fast_rounds = 0;
   std::uint64_t allocs_avoided = 0;
-  std::uint64_t sharded_rounds = 0;
   std::uint64_t nonlinear_rounds = 0;
   std::uint64_t newton_iters = 0;
   for (const auto& [name, value] : snap.counters) {
@@ -895,7 +887,6 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
     if (name == "lbmv_mech_rounds_total") mech_rounds = value;
     if (name == "lbmv_mech_linear_fast_rounds_total") fast_rounds = value;
     if (name == "lbmv_mech_allocs_avoided_total") allocs_avoided = value;
-    if (name == "lbmv_mech_sharded_rounds_total") sharded_rounds = value;
     if (name == "lbmv_mech_nonlinear_rounds_total") nonlinear_rounds = value;
     if (name == "lbmv_mech_newton_iters_total") newton_iters = value;
   }
@@ -912,8 +903,7 @@ int cmd_obs(const std::vector<std::string>& rest, std::ostream& out) {
       << " mechanism rounds on the linear fast path, " << allocs_avoided
       << " heap allocations avoided\n"
       << "vector engine: backend " << core::vector_backend_name() << ", "
-      << fast_rounds << " vectorized rounds (" << sharded_rounds
-      << " sharded), " << nonlinear_rounds
+      << fast_rounds << " vectorized rounds, " << nonlinear_rounds
       << " fused nonlinear-family rounds (" << newton_iters
       << " Newton iterations)\n"
       << "trace: " << spans << " spans retained, "

@@ -21,10 +21,6 @@
 #include "lbmv/core/mechanism.h"
 #include "lbmv/model/bids.h"
 
-namespace lbmv::util {
-class ThreadPool;
-}  // namespace lbmv::util
-
 namespace lbmv::core {
 
 /// The latency families the round engine knows fused kernels for.  The
@@ -66,8 +62,6 @@ class RoundWorkspace {
 
   // ---- vectorized-engine planes (simd_round.cpp; reused across rounds) ---
   std::vector<double> inv_bids;        ///< 1/b_i
-  std::vector<double> block_partials;  ///< per-block partials: S, sum (e/b^2)
-  std::vector<unsigned char> block_ok; ///< per-block validation masks
 
   // ---- nonlinear-family planes (family_round.cpp; reused across rounds) --
   alloc::Mm1Planes mm1_planes;         ///< M/M/1 sorted prefix
@@ -84,27 +78,6 @@ class RoundWorkspace {
   // ---- caller-owned scratch (never touched by run_into) ------------------
   model::BidProfile scratch_profile;
   MechanismOutcome scratch_outcome;
-};
-
-/// Fan-out controls for one round's agent axis (the vectorized engine,
-/// simd_round.h).  Results never depend on these — the fixed block grid
-/// makes every shard/thread count bit-identical — so they tune wall-clock
-/// only.  shards == 0 picks automatically: serial below
-/// kAutoShardMinAgents or on a single-thread pool, one task per pool
-/// thread-quantum above.  shards == 1 forces the serial block loop and
-/// shards > 1 requests that many tasks (capped at the block count); tests
-/// and benches set them.  A round run from a worker of the pool it shards
-/// on runs its blocks inline (ThreadPool::parallel_for runs nested calls on
-/// the calling worker), so a round inside a parallel_for cannot deadlock.
-struct RoundOptions {
-  std::size_t shards = 0;            ///< 0 auto, 1 serial, k explicit tasks
-  util::ThreadPool* pool = nullptr;  ///< null: the process-global pool
-};
-
-/// What a fused engine did, for run_into's obs probes.
-struct FusedRoundStats {
-  std::size_t shards = 1;        ///< tasks the linear engine's blocks ran as
-  std::size_t newton_iters = 0;  ///< O(n) KKT sweeps (workload engine)
 };
 
 }  // namespace lbmv::core

@@ -12,6 +12,7 @@
 #include "lbmv/core/rule_terms.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
+#include "lbmv/obs/probes.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/simd.h"
 
@@ -170,8 +171,7 @@ bool run_workload_vectorized(const model::WorkloadFamily& family,
                              PaymentRule rule, double arrival_rate,
                              std::span<const double> bids,
                              std::span<const double> executions,
-                             MechanismOutcome& out, RoundWorkspace& ws,
-                             FusedRoundStats& stats) {
+                             MechanismOutcome& out, RoundWorkspace& ws) {
   LBMV_ASSERT(rule != PaymentRule::kArcherTardos,
               "the fused workload engine serves leave-one-out rules and "
               "no-payment");
@@ -184,7 +184,7 @@ bool run_workload_vectorized(const model::WorkloadFamily& family,
   rates.resize(n);
   const alloc::WorkloadSolve full =
       alloc::workload_solve_into(bids, gamma, arrival_rate, rates);
-  stats.newton_iters += full.iterations;
+  std::size_t newton_iters = full.iterations;
   // The allocation is the exact optimum for the reported types, so the
   // solve's closed-form cost accumulation IS the reported latency total.
   const double reported_total = full.optimal_latency;
@@ -197,16 +197,20 @@ bool run_workload_vectorized(const model::WorkloadFamily& family,
   const double* loo = nullptr;
   if (served && reads_leave_one_out(rule)) {
     ws.leave_one_out.resize(n);
-    stats.newton_iters +=
+    newton_iters +=
         alloc::workload_leave_one_out_into(bids, gamma, arrival_rate, full,
                                            rates, ws.leave_one_out,
                                            ws.family_scratch)
             .newton_iters;
     loo = ws.leave_one_out.data();
   }
-  return publish_round(rule, cost, served, bids.data(), executions.data(),
-                       std::move(rates), loo, actual_total, reported_total,
-                       out);
+  if (!publish_round(rule, cost, served, bids.data(), executions.data(),
+                     std::move(rates), loo, actual_total, reported_total,
+                     out)) {
+    return false;
+  }
+  if (obs::enabled()) obs::MechProbes::get().newton_iters.inc(newton_iters);
+  return true;
 }
 
 }  // namespace lbmv::core

@@ -24,8 +24,8 @@
 /// l(x) = theta x (1 + gamma x) is always interior: one monotone Newton
 /// solve on the KKT conservation residual (alloc/workload_allocator.h) and
 /// the leave-one-out plane from the moment expansion around its multiplier
-/// (alloc::workload_leave_one_out_into).  The reported Newton count covers
-/// only O(n) KKT sweeps and feeds lbmv_mech_newton_iters_total.
+/// (alloc::workload_leave_one_out_into).  The Newton count it publishes
+/// covers only O(n) KKT sweeps (lbmv_mech_newton_iters_total).
 ///
 /// Both validate with model::require_valid_round, decline any round whose
 /// published values or totals would be non-finite (the reference path then
@@ -44,8 +44,7 @@ class WorkloadFamily;
 
 namespace lbmv::core {
 
-class RoundWorkspace;     // batch.h
-struct FusedRoundStats;  // batch.h
+class RoundWorkspace;  // batch.h
 
 /// Run one fused M/M/1 round end to end (validation, active-set
 /// allocation, latency totals, payments, utilities) and return true, or
@@ -63,12 +62,12 @@ struct FusedRoundStats;  // batch.h
 
 /// Run one fused workload-family round end to end and return true, or
 /// return false when a published value would be non-finite (the reference
-/// path owns the round).  Same rule domain as the M/M/1 engine; \p stats
-/// receives the Newton sweep count.
+/// path owns the round).  Same rule domain as the M/M/1 engine.  A served
+/// round adds its Newton sweep count to lbmv_mech_newton_iters_total.
 [[nodiscard]] bool run_workload_vectorized(
     const model::WorkloadFamily& family, PaymentRule rule,
     double arrival_rate, std::span<const double> bids,
     std::span<const double> executions, MechanismOutcome& out,
-    RoundWorkspace& ws, FusedRoundStats& stats);
+    RoundWorkspace& ws);
 
 }  // namespace lbmv::core

@@ -107,7 +107,6 @@ FamilyKind exact_family(const model::LatencyFamily& family,
 
 /// The obs/monitor epilogue of every round, whichever engine served it.
 void observe_round(RoundEngine engine, FamilyKind exact,
-                   const FusedRoundStats& stats,
                    const model::LatencyFamily& family, double arrival_rate,
                    std::span<const double> bids,
                    std::span<const double> executions,
@@ -123,13 +122,8 @@ void observe_round(RoundEngine engine, FamilyKind exact,
   }
   if (engine == RoundEngine::kLinearPr) {
     probes.linear_pr_rounds.inc();
-    if (stats.shards > 1) {
-      probes.sharded_rounds.inc();
-      probes.shard_count.record(static_cast<double>(stats.shards));
-    }
   } else if (engine != RoundEngine::kReference) {
     probes.nonlinear_rounds.inc();
-    probes.newton_iters.inc(stats.newton_iters);
   }
   // Per-agent payment and bonus histograms: one batched record per family
   // (one shard lookup each), the same values in the same order as a
@@ -185,14 +179,6 @@ void Mechanism::run_into(const model::LatencyFamily& family,
                          double arrival_rate, std::span<const double> bids,
                          std::span<const double> executions,
                          MechanismOutcome& out, RoundWorkspace& ws) const {
-  run_into(family, arrival_rate, bids, executions, out, ws, RoundOptions{});
-}
-
-void Mechanism::run_into(const model::LatencyFamily& family,
-                         double arrival_rate, std::span<const double> bids,
-                         std::span<const double> executions,
-                         MechanismOutcome& out, RoundWorkspace& ws,
-                         const RoundOptions& options) const {
   const std::size_t n = bids.size();
   LBMV_REQUIRE(n >= 2, "mechanisms require at least two agents");
   LBMV_REQUIRE(executions.size() == n, "execution vector size mismatch");
@@ -204,11 +190,10 @@ void Mechanism::run_into(const model::LatencyFamily& family,
   // round and its diagnostics.
   const PaymentRule rule = payment_rule();
   const FamilyKind exact = exact_family(family, *allocator_);
-  FusedRoundStats stats;
   RoundEngine engine = RoundEngine::kReference;
   if (exact == FamilyKind::kLinear) {
     if (run_linear_pr_vectorized(rule, arrival_rate, bids, executions, out,
-                                 ws, options, stats)) {
+                                 ws)) {
       engine = RoundEngine::kLinearPr;
     }
   } else if (rule != PaymentRule::kArcherTardos &&
@@ -220,7 +205,7 @@ void Mechanism::run_into(const model::LatencyFamily& family,
              exact == FamilyKind::kWorkload) {
     if (run_workload_vectorized(
             static_cast<const model::WorkloadFamily&>(family), rule,
-            arrival_rate, bids, executions, out, ws, stats)) {
+            arrival_rate, bids, executions, out, ws)) {
       engine = RoundEngine::kWorkload;
     }
   }
@@ -229,8 +214,8 @@ void Mechanism::run_into(const model::LatencyFamily& family,
     return;
   }
   if (obs::enabled()) {
-    observe_round(engine, exact, stats, family, arrival_rate, bids,
-                  executions, out, guarantees_voluntary_participation());
+    observe_round(engine, exact, family, arrival_rate, bids, executions, out,
+                  guarantees_voluntary_participation());
   }
 }
 
@@ -316,14 +301,19 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
                             .bid = bids[i],
                             .x = x[i],
                             .cost = -agent.valuation});
+      // The fused engines' finite witness (publish_block): an overflowing
+      // term (e.g. the Archer–Tardos x^2 or tail) must not publish.
+      LBMV_REQUIRE(std::isfinite(rec.payment) && std::isfinite(rec.utility),
+                   "payment or utility is not finite: agent " +
+                       std::to_string(i));
       agent = {x[i],        rec.compensation, rec.bonus,
                rec.payment, rec.valuation,    rec.utility};
     }
   });
   if (obs::enabled()) {
     observe_round(RoundEngine::kReference, exact_family(family, *allocator_),
-                  FusedRoundStats{}, family, arrival_rate, bids, executions,
-                  out, guarantees_voluntary_participation());
+                  family, arrival_rate, bids, executions, out,
+                  guarantees_voluntary_participation());
   }
 }
 

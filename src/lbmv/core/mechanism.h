@@ -40,7 +40,6 @@
 namespace lbmv::core {
 
 class RoundWorkspace;  // batch.h
-struct RoundOptions;   // batch.h
 
 /// The payment rules the shipped mechanisms implement.  A mechanism
 /// advertises its rule via Mechanism::payment_rule(); every round engine
@@ -276,15 +275,6 @@ class Mechanism {
                 std::span<const double> bids,
                 std::span<const double> executions, MechanismOutcome& out,
                 RoundWorkspace& ws) const;
-
-  /// run_into with explicit fan-out control for the vectorized engine (see
-  /// RoundOptions in batch.h).  Results are bit-identical for every shard
-  /// and thread count; only wall-clock changes.  The overload above uses
-  /// RoundOptions{} (auto sharding for large n).
-  void run_into(const model::LatencyFamily& family, double arrival_rate,
-                std::span<const double> bids,
-                std::span<const double> executions, MechanismOutcome& out,
-                RoundWorkspace& ws, const RoundOptions& options) const;
 
   /// run_into over a BidProfile.
   void run_into(const model::LatencyFamily& family, double arrival_rate,

@@ -14,26 +14,12 @@
 #include "lbmv/model/bids.h"
 #include "lbmv/obs/probes.h"
 #include "lbmv/util/simd.h"
-#include "lbmv/util/thread_pool.h"
 
 namespace lbmv::core {
 namespace {
 
 namespace v = lbmv::util::simd;
 using v::DVec;
-
-/// Tasks to fan the block grid into.  Never affects results (fixed grid,
-/// block-order reduction) — only wall-clock.
-std::size_t resolve_shards(std::size_t n, std::size_t nblocks,
-                           const RoundOptions& options,
-                           const util::ThreadPool& pool) {
-  if (nblocks <= 1 || options.shards == 1) return 1;
-  if (options.shards > 1) return std::min(options.shards, nblocks);
-  if (n < kAutoShardMinAgents || pool.thread_count() <= 1) return 1;
-  // One task per pool thread-quantum (4 chunks/thread, matching the pool's
-  // own auto grain) keeps stragglers short without drowning in task churn.
-  return std::min(nblocks, pool.thread_count() * 4);
-}
 
 /// Slack appended to the reciprocal plane so its start can slide by up to
 /// one 4 KiB page (see dodge_4k_offset).
@@ -78,19 +64,6 @@ std::size_t dodge_4k_offset(const double* plane, const double* x_hint,
   return 0;  // unreachable: 3 windows exclude < 64 of the 64 candidates
 }
 
-/// Run body(b) over every block, inline when serial so the fast path does
-/// not touch the pool (or the heap) at all.
-template <typename Body>
-void for_blocks(std::size_t nblocks, std::size_t shards,
-                util::ThreadPool& pool, const Body& body) {
-  if (shards <= 1) {
-    for (std::size_t b = 0; b < nblocks; ++b) body(b);
-    return;
-  }
-  const std::size_t grain = (nblocks + shards - 1) / shards;
-  pool.parallel_for(0, nblocks, body, grain);
-}
-
 // ---- fused allocate + rule + publish kernel ------------------------------
 //
 // One pass per block turns the reciprocal plane into everything the round
@@ -104,15 +77,13 @@ void for_blocks(std::size_t nblocks, std::size_t shards,
 // R^2/(S - inv) and the Archer–Tardos tail match it bit-for-bit at equal S.
 // Padded tail lanes carry inv = 0, b = e = 1, which pass every guard.
 //
-// A block's status: bit 0 is the leave-one-out cancellation guard, which
-// loo() accumulates, bit 1 publish_block's finite witness.  The tail needs
-// no guard: S - inv is never negative (a rounded sum of positives is at
-// least each term), and 0 or NaN makes the tail non-finite.  A clear finite
-// bit declines the round; a clear guard bit on a finite round re-raises the
-// scalar guard's diagnostic.
+// Each block reports two bits: the leave-one-out cancellation guard, which
+// loo() accumulates per lane, and publish_block's finite witness.  The tail
+// needs no guard: S - inv is never negative (a rounded sum of positives is
+// at least each term), and 0 or NaN makes the tail non-finite.  A
+// non-finite block declines the round; a failed guard on a finite round
+// re-raises the scalar guard's diagnostic.
 
-inline constexpr unsigned char kGuardOk = 1u;
-inline constexpr unsigned char kFinite = 2u;
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The round scalars every block publishes against, splatted.
@@ -154,19 +125,11 @@ const char* vector_backend_name() { return util::simd::backend_name(); }
 bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
                               std::span<const double> bids,
                               std::span<const double> executions,
-                              MechanismOutcome& out, RoundWorkspace& ws,
-                              const RoundOptions& options,
-                              FusedRoundStats& stats) {
+                              MechanismOutcome& out, RoundWorkspace& ws) {
   const std::size_t n = bids.size();
-  const std::size_t nblocks = (n + kShardBlock - 1) / kShardBlock;
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::global();
-  const std::size_t shards = resolve_shards(n, nblocks, options, pool);
-  stats.shards = shards;
+  const std::size_t nblocks = (n + kReductionBlock - 1) / kReductionBlock;
 
   ws.inv_bids.resize(n + kPlanePadDoubles);
-  ws.block_partials.resize(2 * nblocks);
-  ws.block_ok.resize(nblocks);
   // Slide the reciprocal plane clear of 4K-alias shadows (dodge_4k_offset).
   // The rate-plane hint is last round's buffer — the recycle below reuses
   // it whenever capacity allows, and a stale hint costs only that one
@@ -176,29 +139,24 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
       executions.data());
 
   // ---- P1: reciprocal plane, reductions, validation masks ----------------
+  // Block partials fold into S and W in block order (the fixed reduction
+  // grid, simd_round.h).
   const std::span<double> inv{ws.inv_bids.data() + inv_off, n};
-  for_blocks(nblocks, shards, pool, [&](std::size_t b) {
-    const std::size_t lo = b * kShardBlock;
-    const std::size_t len = std::min(n - lo, kShardBlock);
-    const alloc::simd::ReciprocalPartial part = alloc::simd::pr_reciprocal_block(
-        bids.subspan(lo, len), executions.subspan(lo, len),
-        inv.subspan(lo, len));
-    ws.block_partials[2 * b] = part.inverse_sum;
-    ws.block_partials[2 * b + 1] = part.exec_weight;
-    ws.block_ok[b] = part.inputs_valid ? 1u : 0u;
-  });
   bool inputs_ok = arrival_rate > 0.0 && arrival_rate < kInf;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    inputs_ok = inputs_ok && ws.block_ok[b] == 1u;
-  }
-  // The shared check names the first offender.
-  if (!inputs_ok) model::require_valid_round(arrival_rate, bids, executions);
   double inverse_sum = 0.0;
   double exec_weight = 0.0;
   for (std::size_t b = 0; b < nblocks; ++b) {
-    inverse_sum += ws.block_partials[2 * b];
-    exec_weight += ws.block_partials[2 * b + 1];
+    const std::size_t lo = b * kReductionBlock;
+    const std::size_t len = std::min(n - lo, kReductionBlock);
+    const alloc::simd::ReciprocalPartial part = alloc::simd::pr_reciprocal_block(
+        bids.subspan(lo, len), executions.subspan(lo, len),
+        inv.subspan(lo, len));
+    inputs_ok = inputs_ok && part.inputs_valid;
+    inverse_sum += part.inverse_sum;
+    exec_weight += part.exec_weight;
   }
+  // The shared check names the first offender.
+  if (!inputs_ok) model::require_valid_round(arrival_rate, bids, executions);
 
   // Latency totals in closed form: with x_i = inv_i/S * R the sums factor,
   //   L(x, b) = sum (b_i x_i) x_i = R^2 / S              (the PR optimum L*)
@@ -228,34 +186,30 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
       v::set1(arrival_rate * arrival_rate),
       v::set1(inverse_sum * alloc::kLeaveOneOutMinRelativeGap),
       v::set1(actual_total), v::set1(reported_total)};
+  bool finite = true;
+  bool guards_ok = true;
   with_payment_rule(rule, [&](auto rule_tag) {
-    for_blocks(nblocks, shards, pool, [&](std::size_t b) {
+    for (std::size_t b = 0; b < nblocks; ++b) {
       // Block-local copies stay in registers across the record stores.
-      const std::size_t lo = b * kShardBlock;
+      const std::size_t lo = b * kReductionBlock;
       const double* const r = inv.data() + lo;
       const double* const bb = bids.data() + lo;
       const double* const e = executions.data() + lo;
       const RoundScalars k = scalars;
       // Validity is accumulated per lane and tested once per block.
       DVec guard = v::mask_all();
-      const bool finite = publish_block(
-          rule_tag, std::min(n - lo, kShardBlock),
+      const bool block_finite = publish_block(
+          rule_tag, std::min(n - lo, kReductionBlock),
           [&](auto lanes) {
             const DVec vr = lanes(r, 0.0);
             return LinearTerms{k, guard, vr, lanes(bb, 1.0), lanes(e, 1.0),
                                vr * k.share};
           },
           agents + lo, x + lo);
-      ws.block_ok[b] = static_cast<unsigned char>(
-          (v::mask_all_true(guard) ? kGuardOk : 0u) | (finite ? kFinite : 0u));
-    });
+      finite = finite && block_finite;
+      guards_ok = guards_ok && v::mask_all_true(guard);
+    }
   });
-  bool finite = true;
-  bool guards_ok = true;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    finite = finite && (ws.block_ok[b] & kFinite) != 0u;
-    guards_ok = guards_ok && (ws.block_ok[b] & kGuardOk) != 0u;
-  }
   // Hand the plane back either way, so a declined round's reference run
   // recycles it too.
   out.allocation = model::Allocation::from_validated(std::move(rates));

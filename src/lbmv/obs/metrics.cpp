@@ -19,9 +19,9 @@ constexpr double kHistogramMaxValue = double(1ull << 30);  // 2^30
 
 // Single-writer cells: only the thread that owns a shard ever writes its
 // cells, so an update is a relaxed load plus a relaxed store instead of a
-// locked read-modify-write (fetch_add, or a CAS loop for doubles and
-// min/max).  Scrapers read the same atomics relaxed, so they never see a
-// torn value, only one that is a few updates old.
+// locked read-modify-write (fetch_add, or a CAS loop for min/max).
+// Scrapers read the same atomics relaxed, so they never see a torn value,
+// only one that is a few updates old.
 template <typename T>
 void bump(std::atomic<T>& cell, T delta) {
   cell.store(cell.load(std::memory_order_relaxed) + delta,
@@ -99,10 +99,6 @@ struct CounterCell {
   std::atomic<std::uint64_t> value{0};
 };
 
-struct GaugeCell {
-  std::atomic<double> value{0.0};
-};
-
 struct HistogramCell {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
   std::atomic<std::uint64_t> count{0};
@@ -169,7 +165,6 @@ struct HistogramCell {
 struct Registry::Shard {
   std::mutex mutex;  ///< guards vector *structure*, not cell contents
   std::vector<std::unique_ptr<CounterCell>> counters;
-  std::vector<std::unique_ptr<GaugeCell>> gauges;
   std::vector<std::unique_ptr<HistogramCell>> histograms;
   std::atomic<std::uint64_t> resets_requested{0};
   std::atomic<std::uint64_t> resets_applied{0};
@@ -191,7 +186,6 @@ struct Registry::Shard {
         resets_requested.load(std::memory_order_relaxed);
     if (requested == resets_applied.load(std::memory_order_relaxed)) return;
     for (auto& c : counters) c->value.store(0, std::memory_order_relaxed);
-    for (auto& g : gauges) g->value.store(0.0, std::memory_order_relaxed);
     for (auto& h : histograms) h->zero();
     // Release: a scraper that sees the reset applied also sees the zeros.
     resets_applied.store(requested, std::memory_order_release);
@@ -271,11 +265,6 @@ Counter Registry::counter(const std::string& name) {
   return Counter(this, find_or_register(counter_names_, counter_index_, name));
 }
 
-Gauge Registry::gauge(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  return Gauge(this, find_or_register(gauge_names_, gauge_index_, name));
-}
-
 Histogram Registry::histogram(const std::string& name) {
   std::lock_guard lock(mutex_);
   return Histogram(
@@ -285,11 +274,6 @@ Histogram Registry::histogram(const std::string& name) {
 void Registry::counter_add(std::uint32_t index, std::uint64_t n) {
   Shard& shard = local_shard();
   bump(shard.cell(shard.counters, index).value, n);
-}
-
-void Registry::gauge_add(std::uint32_t index, double delta) {
-  Shard& shard = local_shard();
-  bump(shard.cell(shard.gauges, index).value, delta);
 }
 
 void Registry::histogram_record(std::uint32_t index, double value) {
@@ -310,7 +294,6 @@ void Registry::histogram_record_each(std::uint32_t index, std::size_t count,
 }
 
 void Counter::detail_add(std::uint64_t n) { registry_->counter_add(index_, n); }
-void Gauge::detail_add(double delta) { registry_->gauge_add(index_, delta); }
 void Histogram::detail_record(double value) {
   registry_->histogram_record(index_, value);
 }
@@ -326,17 +309,15 @@ MetricsSnapshot Registry::snapshot() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-  std::vector<std::string> counter_names, gauge_names, histogram_names;
+  std::vector<std::string> counter_names, histogram_names;
   std::vector<std::shared_ptr<Shard>> shards;
   {
     std::lock_guard lock(mutex_);
     counter_names = counter_names_;
-    gauge_names = gauge_names_;
     histogram_names = histogram_names_;
     shards = shards_;
   }
   for (const auto& name : counter_names) snap.counters[name] = 0;
-  for (const auto& name : gauge_names) snap.gauges[name] = 0.0;
   for (const auto& name : histogram_names) {
     snap.histograms[name].buckets.assign(kHistogramBuckets, 0);
   }
@@ -348,11 +329,6 @@ MetricsSnapshot Registry::snapshot() const {
          i < shard->counters.size() && i < counter_names.size(); ++i) {
       snap.counters[counter_names[i]] +=
           shard->counters[i]->value.load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < shard->gauges.size() && i < gauge_names.size();
-         ++i) {
-      snap.gauges[gauge_names[i]] +=
-          shard->gauges[i]->value.load(std::memory_order_relaxed);
     }
     for (std::size_t i = 0;
          i < shard->histograms.size() && i < histogram_names.size(); ++i) {
@@ -431,12 +407,6 @@ std::string MetricsSnapshot::to_prometheus(bool with_timestamps) const {
     type_line(name, "counter");
     os << name << ' ' << value << stamp << '\n';
   }
-  for (const auto& [name, value] : gauges) {
-    type_line(name, "gauge");
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    os << name << ' ' << buf << stamp << '\n';
-  }
   for (const auto& [name, hist] : histograms) {
     type_line(name, "histogram");
     const auto [family, labels] = split_labels(name);
@@ -485,13 +455,6 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : counters) {
     os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
        << "\": " << value;
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
-    append_json_number(os, value);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file metrics.h
-/// Sharded metrics registry: named counters, additive gauges, and
-/// log-linear (HDR-style) histograms.
+/// Sharded metrics registry: named counters and log-linear (HDR-style)
+/// histograms.
 ///
 /// ## Design
 ///
@@ -20,10 +20,6 @@
 /// commutative regardless of which thread recorded what:
 ///
 ///   * **Counter** — monotone sum of u64 increments.
-///   * **Gauge** — *additive* gauge (OpenTelemetry's UpDownCounter):
-///     `add(+d)` / `add(-d)`; the merged value is the sum of all deltas.
-///     Use it for occupancy-style quantities (queue depth, tasks in
-///     flight), not for last-value sampling.
 ///   * **Histogram** — log-linear buckets (16 linear sub-buckets per
 ///     power of two, ~6% relative width) spanning [2^-34, 2^30), with an
 ///     underflow bucket (zero, negatives, subnormals below range) and an
@@ -40,8 +36,8 @@
 /// **single-writer** (only the shard's owning thread writes them), so no
 /// locked read-modify-write is needed, and min/max are a compare followed
 /// by a store.  Measured on a 4-core x86-64 VM (GCC 12, -O2, one thread):
-/// counter ~5 ns, gauge ~5.5 ns, histogram ~9 ns per probe, against ~12,
-/// ~15 and ~27 ns with the fetch_add/CAS cells they replaced.
+/// counter ~5 ns and histogram ~9 ns per probe, against ~12 and ~27 ns
+/// with the fetch_add/CAS cells they replaced.
 /// `Histogram::record_each` records a whole batch with one shard lookup.
 /// Hot loops that fire several probes per event go further and keep plain
 /// deltas that they publish every few thousand events (sim::Simulation,
@@ -125,29 +121,6 @@ class Counter {
   std::uint32_t index_ = 0;
 };
 
-/// Additive gauge handle (merged value = sum of all deltas).
-class Gauge {
- public:
-  Gauge() = default;
-
-  void add(double delta) {
-#if LBMV_OBS
-    if (registry_ != nullptr && enabled()) detail_add(delta);
-#else
-    (void)delta;
-#endif
-  }
-
- private:
-  friend class Registry;
-  Gauge(Registry* registry, std::uint32_t index)
-      : registry_(registry), index_(index) {}
-  void detail_add(double delta);
-
-  Registry* registry_ = nullptr;
-  std::uint32_t index_ = 0;
-};
-
 /// Log-linear histogram handle.
 class Histogram {
  public:
@@ -215,15 +188,14 @@ struct MetricsSnapshot {
   /// time-series sampler (sampler.h).
   std::uint64_t timestamp_ms = 0;
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Prometheus text exposition format (counters, gauges, cumulative
-  /// histogram buckets with `le` labels).  With \p with_timestamps every
+  /// Prometheus text exposition format (counters, cumulative histogram
+  /// buckets with `le` labels).  With \p with_timestamps every
   /// sample line carries the snapshot's timestamp_ms.
   [[nodiscard]] std::string to_prometheus(bool with_timestamps = false) const;
-  /// Plain JSON document: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, sum, min, max, mean, p50, p95, p99,
+  /// Plain JSON document: {"counters": {...}, "histograms": {name:
+  /// {count, sum, min, max, mean, p50, p95, p99,
   /// buckets: [{le, count}...]}}}.  Only non-empty buckets are emitted;
   /// the overflow bucket's le serialises as max-double (JSON has no inf).
   [[nodiscard]] std::string to_json() const;
@@ -244,7 +216,6 @@ class Registry {
   /// Find-or-register a family and return its handle.  Call once per
   /// probe site (e.g. at component construction), not per event.
   [[nodiscard]] Counter counter(const std::string& name);
-  [[nodiscard]] Gauge gauge(const std::string& name);
   [[nodiscard]] Histogram histogram(const std::string& name);
 
   /// Merge every shard (live and retired threads alike) into a snapshot.
@@ -259,14 +230,12 @@ class Registry {
 
  private:
   friend class Counter;
-  friend class Gauge;
   friend class Histogram;
 
   struct Shard;
 
   Shard& local_shard();
   void counter_add(std::uint32_t index, std::uint64_t n);
-  void gauge_add(std::uint32_t index, double delta);
   void histogram_record(std::uint32_t index, double value);
   void histogram_record_each(std::uint32_t index, std::size_t count,
                              const void* fn,
@@ -275,10 +244,8 @@ class Registry {
   const std::uint64_t id_;  ///< process-unique; keys thread-local caches
   mutable std::mutex mutex_;
   std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> histogram_names_;
   std::map<std::string, std::uint32_t> counter_index_;
-  std::map<std::string, std::uint32_t> gauge_index_;
   std::map<std::string, std::uint32_t> histogram_index_;
   std::vector<std::shared_ptr<Shard>> shards_;
 };

@@ -19,7 +19,6 @@ MechProbes& MechProbes::get() {
     p.rounds = r.counter("lbmv_mech_rounds_total");
     p.linear_pr_rounds = r.counter("lbmv_mech_linear_fast_rounds_total");
     p.allocs_avoided = r.counter("lbmv_mech_allocs_avoided_total");
-    p.sharded_rounds = r.counter("lbmv_mech_sharded_rounds_total");
     p.nonlinear_rounds = r.counter("lbmv_mech_nonlinear_rounds_total");
     p.newton_iters = r.counter("lbmv_mech_newton_iters_total");
     p.audit_evaluations = r.counter("lbmv_mech_audit_evaluations_total");
@@ -27,7 +26,6 @@ MechProbes& MechProbes::get() {
     p.round_payment = r.histogram("lbmv_mech_round_payment");
     p.round_bonus = r.histogram("lbmv_mech_round_bonus");
     p.loo_batch_size = r.histogram("lbmv_mech_leave_one_out_batch_size");
-    p.shard_count = r.histogram("lbmv_mech_shard_count");
     return p;
   }();
   return probes;

@@ -24,8 +24,6 @@
 ///                                             (DESIGN.md §12)
 ///     lbmv_mech_allocs_avoided_total          heap allocations the fused
 ///                                             path skipped vs the scalar one
-///     lbmv_mech_sharded_rounds_total          vectorized rounds whose agent
-///                                             axis fanned over the pool
 ///     lbmv_mech_nonlinear_rounds_total        rounds on the fused nonlinear
 ///                                             engines (DESIGN.md §14)
 ///     lbmv_mech_newton_iters_total            O(n) KKT Newton sweeps of the
@@ -60,7 +58,6 @@
 ///     lbmv_server_waiting_seconds{server=...}  completed-job waiting time
 ///     lbmv_mech_round_payment       per-agent payment per round
 ///     lbmv_mech_round_bonus         per-agent bonus per round
-///     lbmv_mech_shard_count         pool tasks per sharded round
 ///     lbmv_core_delta_dirty_agents  changed agents (k) per changing sync
 ///     lbmv_mech_leave_one_out_batch_size
 ///     lbmv_pool_chunk_size          parallel_for grain sizes
@@ -84,7 +81,6 @@ struct MechProbes {
   Counter rounds;
   Counter linear_pr_rounds;
   Counter allocs_avoided;
-  Counter sharded_rounds;
   Counter nonlinear_rounds;
   Counter newton_iters;
   Counter audit_evaluations;
@@ -92,7 +88,6 @@ struct MechProbes {
   Histogram round_payment;
   Histogram round_bonus;
   Histogram loo_batch_size;
-  Histogram shard_count;
 
   static MechProbes& get();
 };

@@ -77,7 +77,6 @@ void TimeSeriesSampler::append_sample_locked(std::uint64_t t_ms,
   for (const auto& [name, value] : snap.counters) {
     touch(name, "counter", static_cast<double>(value));
   }
-  for (const auto& [name, value] : snap.gauges) touch(name, "gauge", value);
   for (const auto& [name, hist] : snap.histograms) {
     touch(name + ":count", "histogram_count",
           static_cast<double>(hist.count));

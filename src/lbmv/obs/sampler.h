@@ -12,7 +12,6 @@
 /// (overwrite-oldest, like the trace and flight rings):
 ///
 ///   * counters    -> the running total,
-///   * gauges      -> the merged value,
 ///   * histograms  -> two series, `<name>:count` and `<name>:sum`.
 ///
 /// From the rings it answers windowed queries (`rate_per_sec`,
@@ -52,7 +51,7 @@ struct SeriesPoint {
 /// A copied-out view of one series.
 struct SeriesView {
   std::string name;
-  /// "counter", "gauge", "histogram_count" or "histogram_sum".
+  /// "counter", "histogram_count" or "histogram_sum".
   std::string kind;
   std::vector<SeriesPoint> points;  ///< oldest first
 };
@@ -97,7 +96,7 @@ class TimeSeriesSampler {
   /// Mean increase per second over (up to) the last \p window intervals —
   /// the delta between the newest point and the one \p window samples
   /// back, divided by the timestamp span.  0 with fewer than two points.
-  /// For counters this is the windowed rate; for gauges, the slope.
+  /// For counters this is the windowed rate.
   [[nodiscard]] double rate_per_sec(const std::string& name,
                                     std::size_t window = 8) const;
 

@@ -20,7 +20,6 @@
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/family_context.h"
 #include "lbmv/core/no_payment.h"
-#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/latency.h"
 #include "lbmv/obs/metrics.h"
@@ -421,14 +420,12 @@ TEST(AuditSharedContext, ContextConstructorErrorSurfacesUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-mechanism audits above the shard threshold.  From 2^16 agents every
-// fused linear round shards its agent axis over the global pool, and the
-// audits fan their grids out on that same pool, so each round's shard loop
-// runs from inside a pool worker.  It must run inline there, not queue
-// work that no free worker is left to run.
+// Full-mechanism audits at n = 2^16: the audits fan their grids out on the
+// global pool, each grid point one full round on a pool worker, and must
+// equal the same audit run serially.
 
-SystemConfig sharded_config() {
-  const std::size_t n = lbmv::core::kAutoShardMinAgents;
+SystemConfig large_config() {
+  const std::size_t n = std::size_t{1} << 16;
   lbmv::util::Rng rng(91);
   std::vector<double> t(n);
   for (double& ti : t) ti = std::exp(rng.uniform(std::log(0.5), std::log(5.0)));
@@ -442,8 +439,8 @@ AuditOptions two_by_two_grid() {
   return options;
 }
 
-TEST(AuditShardedRounds, FullMechanismAgentAuditFinishesAndMatchesSerial) {
-  const SystemConfig config = sharded_config();
+TEST(LargeAudits, AgentAuditParallelMatchesSerial) {
+  const SystemConfig config = large_config();
   const CompBonusMechanism mechanism;
   const TruthfulnessAuditor auditor(mechanism);
   AuditOptions parallel = two_by_two_grid();
@@ -462,8 +459,8 @@ TEST(AuditShardedRounds, FullMechanismAgentAuditFinishesAndMatchesSerial) {
   EXPECT_TRUE(got.truthful_dominant(1e-7)) << got.max_gain;
 }
 
-TEST(AuditShardedRounds, CoalitionAuditFinishesAndMatchesSerial) {
-  const SystemConfig config = sharded_config();
+TEST(LargeAudits, CoalitionAuditParallelMatchesSerial) {
+  const SystemConfig config = large_config();
   const CompBonusMechanism mechanism;
   const lbmv::core::CoalitionAuditor auditor(mechanism);
   const AuditOptions parallel = two_by_two_grid();

@@ -21,6 +21,7 @@
 #include "lbmv/core/batch.h"
 #include "lbmv/core/comp_bonus.h"
 #include "lbmv/core/no_payment.h"
+#include "lbmv/core/simd_round.h"
 #include "lbmv/core/vcg.h"
 #include "lbmv/model/bids.h"
 #include "lbmv/model/latency.h"
@@ -168,22 +169,26 @@ TEST(BatchDifferential, GenericFamilyArenaPathMatchesScalarRun) {
 
 TEST(ZeroAllocation, WarmLinearRoundsNeverTouchTheHeap) {
   const LinearFamily family;
-  const std::size_t n = 64;
-  const BidProfile profile = make_profiles(2, n, 123)[1];
-  RoundWorkspace ws;
-  MechanismOutcome out;
-  for (const auto& mechanism : all_mechanisms()) {
-    // Warm-up: size every plane in the workspace and outcome.
-    mechanism->run_into(family, 9.0, profile, out, ws);
-    mechanism->run_into(family, 9.0, profile, out, ws);
-    g_alloc_count.store(0);
-    g_counting.store(true);
-    for (int round = 0; round < 100; ++round) {
+  // One block, and four blocks of the fixed reduction grid with a ragged
+  // final block.
+  for (const std::size_t n :
+       {std::size_t{64}, 3 * lbmv::core::kReductionBlock + 1234}) {
+    const BidProfile profile = make_profiles(2, n, 123)[1];
+    RoundWorkspace ws;
+    MechanismOutcome out;
+    for (const auto& mechanism : all_mechanisms()) {
+      // Warm-up: size every plane in the workspace and outcome.
       mechanism->run_into(family, 9.0, profile, out, ws);
+      mechanism->run_into(family, 9.0, profile, out, ws);
+      g_alloc_count.store(0);
+      g_counting.store(true);
+      for (int round = 0; round < 100; ++round) {
+        mechanism->run_into(family, 9.0, profile, out, ws);
+      }
+      g_counting.store(false);
+      EXPECT_EQ(g_alloc_count.load(), 0u)
+          << mechanism->name() << " n=" << n << ": fused rounds allocated";
     }
-    g_counting.store(false);
-    EXPECT_EQ(g_alloc_count.load(), 0u)
-        << mechanism->name() << ": fused rounds allocated";
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -179,46 +180,69 @@ TEST(ReferenceRuleAlgebra, EveryRuleMatchesItsTermsWrittenOut) {
   }
 }
 
-// R^2 past the double range: L_{-i} = R^2 / (S - 1/b_i) overflows, so every
-// rule that reads it throws the leave-one-out site's diagnostic naming the
-// agent on both paths instead of publishing an infinite bonus.  No-payment
-// reads no L_{-i} and still prices the round.
-TEST(LeaveOneOutOverflow, EveryRuleThatReadsItThrowsOnBothPaths) {
+/// The PreconditionError messages of run_into and run_reference_into on two
+/// agents bidding 1e-300 at R = 1e160, where R^2 and x^2 overflow while the
+/// allocation stays finite (empty where a path published instead).
+std::array<std::string, 2> overflow_messages(const Mechanism& m) {
   const lbmv::model::LinearFamily linear;
   const std::vector<double> types{1e-300, 1e-300};
   const double rate = 1e160;
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  std::array<std::string, 2> what;
+  for (int path = 0; path < 2; ++path) {
+    try {
+      if (path == 0) {
+        m.run_into(linear, rate, types, types, out, ws);
+      } else {
+        m.run_reference_into(linear, rate, types, types, out, ws);
+      }
+      ADD_FAILURE() << m.name() << " published P_0 = "
+                    << out.agents[0].payment;
+    } catch (const lbmv::util::PreconditionError& e) {
+      what[path] = e.what();
+    }
+  }
+  return what;
+}
+
+// L_{-i} = R^2 / (S - 1/b_i) overflows, so every rule that reads it throws
+// the leave-one-out site's diagnostic naming the agent on both paths
+// instead of publishing an infinite bonus.  No-payment reads no L_{-i} and
+// still prices the round.
+TEST(LeaveOneOutOverflow, EveryRuleThatReadsItThrowsOnBothPaths) {
   const std::shared_ptr<const Mechanism> reading[] = {
       std::make_shared<CompBonusMechanism>(),
       std::make_shared<CompBonusMechanism>(lbmv::core::default_allocator(),
                                            CompensationBasis::kBid),
       std::make_shared<VcgMechanism>()};
-  RoundWorkspace ws;
-  MechanismOutcome out;
   for (const auto& m : reading) {
     ASSERT_TRUE(lbmv::core::reads_leave_one_out(m->payment_rule()));
-    std::string what[2];
-    for (int path = 0; path < 2; ++path) {
-      try {
-        if (path == 0) {
-          m->run_into(linear, rate, types, types, out, ws);
-        } else {
-          m->run_reference_into(linear, rate, types, types, out, ws);
-        }
-        ADD_FAILURE() << m->name() << " published P_0 = "
-                      << out.agents[0].payment;
-      } catch (const lbmv::util::PreconditionError& e) {
-        what[path] = e.what();
-      }
-    }
+    const auto what = overflow_messages(*m);
     EXPECT_NE(what[0].find("overflows the double range (agent 0 of 2)"),
               std::string::npos)
         << m->name() << ": " << what[0];
     EXPECT_EQ(what[0], what[1]) << m->name();
   }
-  NoPaymentMechanism().run_into(linear, rate, types, types, out, ws);
+  const lbmv::model::LinearFamily linear;
+  const std::vector<double> types{1e-300, 1e-300};
+  RoundWorkspace ws;
+  MechanismOutcome out;
+  NoPaymentMechanism().run_into(linear, 1e160, types, types, out, ws);
   for (const AgentOutcome& agent : out.agents) {
     EXPECT_TRUE(std::isfinite(agent.utility));
   }
+}
+
+// Archer–Tardos reads no L_{-i}, but its terms b x^2 and the tail
+// R^2/(s(1 + b s)) overflow: the fused engine declines the round, and the
+// reference path's finite check names the agent instead of publishing inf.
+TEST(ArcherTardosOverflow, BothPathsThrowTheSameMessageNamingTheAgent) {
+  const auto what = overflow_messages(ArcherTardosMechanism());
+  EXPECT_NE(what[0].find("payment or utility is not finite: agent 0"),
+            std::string::npos)
+      << what[0];
+  EXPECT_EQ(what[0], what[1]);
 }
 
 }  // namespace

@@ -636,10 +636,8 @@ TEST(FusedDifferential, WorkloadFusedRoundsMatchReferencePath) {
     for (const auto& mechanism : family_mechanisms(allocator)) {
       mechanism->run_reference_into(family, rate, thetas, execs, generic,
                                     ws);
-      lbmv::core::FusedRoundStats stats;
       EXPECT_TRUE(lbmv::core::run_workload_vectorized(
-          family, mechanism->payment_rule(), rate, thetas, execs, fused, ws,
-          stats))
+          family, mechanism->payment_rule(), rate, thetas, execs, fused, ws))
           << mechanism->name() << " n=" << n << " declined";
       EXPECT_LE(outcome_rel_err(fused, generic), 1e-9)
           << mechanism->name() << " n=" << n;
@@ -705,10 +703,8 @@ TEST(FusedDifferential, InvalidInputsThrowScalarDiagnostics) {
   const auto allocator =
       std::make_shared<const lbmv::alloc::WorkloadAllocator>();
   for (const auto& mechanism : family_mechanisms(allocator)) {
-    lbmv::core::FusedRoundStats stats;
     EXPECT_FALSE(lbmv::core::run_workload_vectorized(
-        workload, mechanism->payment_rule(), 1e300, thetas, thetas, out, ws,
-        stats))
+        workload, mechanism->payment_rule(), 1e300, thetas, thetas, out, ws))
         << mechanism->name();
     for (Path path : {Path::kReference, Path::kDispatched}) {
       EXPECT_THROW(

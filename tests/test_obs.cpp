@@ -144,14 +144,11 @@ TEST(Registry, CounterHandlesAreNoOpsWhenDisabled) {
   set_enabled(false);
   Registry registry;
   Counter c = registry.counter("c");
-  Gauge g = registry.gauge("g");
   Histogram h = registry.histogram("h");
   c.inc(7);
-  g.add(3.0);
   h.record(1.0);
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("c"), 0u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("g"), 0.0);
   EXPECT_EQ(snap.histograms.at("h").count, 0u);
 
   // Default-constructed (unresolved) handles are inert even when enabled.
@@ -165,21 +162,19 @@ TEST(Registry, ShardMergeIsInvariantAcrossThreadCounts) {
   EnabledScope on;
   // The same logical workload recorded under different pool sizes (and
   // hence different shard splits) must merge to identical snapshots:
-  // counter sums, additive-gauge sums, and histogram bucket contents are
-  // all associative and commutative.
+  // counter sums and histogram bucket contents are associative and
+  // commutative.
   constexpr std::size_t kItems = 400;
   std::vector<MetricsSnapshot> snaps;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     Registry registry;
     Counter c = registry.counter("c");
-    Gauge g = registry.gauge("g");
     Histogram h = registry.histogram("h");
     lbmv::util::ThreadPool pool(threads);
     pool.parallel_for(
         0, kItems,
         [&](std::size_t i) {
           c.inc(i % 3 + 1);
-          g.add(i % 2 == 0 ? 1.0 : -1.0);
           h.record(static_cast<double>(i % 10) * 0.5);
         },
         /*grain=*/7);
@@ -187,7 +182,6 @@ TEST(Registry, ShardMergeIsInvariantAcrossThreadCounts) {
   }
   for (std::size_t i = 1; i < snaps.size(); ++i) {
     EXPECT_EQ(snaps[i].counters.at("c"), snaps[0].counters.at("c"));
-    EXPECT_DOUBLE_EQ(snaps[i].gauges.at("g"), snaps[0].gauges.at("g"));
     const HistogramSnapshot& a = snaps[0].histograms.at("h");
     const HistogramSnapshot& b = snaps[i].histograms.at("h");
     EXPECT_EQ(b.count, a.count);
@@ -267,7 +261,6 @@ TEST(Registry, SnapshotsDuringRecordingAreMonotoneAndExactAfterJoin) {
   constexpr std::uint64_t kTotal = kThreads * kPerThread;
   Registry registry;
   Counter c = registry.counter("c");
-  Gauge g = registry.gauge("g");
   Histogram h = registry.histogram("h");
   std::atomic<int> done{0};
   std::vector<std::thread> workers;
@@ -275,7 +268,6 @@ TEST(Registry, SnapshotsDuringRecordingAreMonotoneAndExactAfterJoin) {
     workers.emplace_back([&] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         c.inc();
-        g.add(0.5);
         h.record(static_cast<double>(i % 64 + 1));
       }
       done.fetch_add(1);
@@ -300,7 +292,6 @@ TEST(Registry, SnapshotsDuringRecordingAreMonotoneAndExactAfterJoin) {
   for (auto& w : workers) w.join();
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("c"), kTotal);
-  EXPECT_EQ(snap.gauges.at("g"), 0.5 * static_cast<double>(kTotal));
   const HistogramSnapshot& hs = snap.histograms.at("h");
   EXPECT_EQ(hs.count, kTotal);
   // Per thread: kPerThread / 64 full cycles of 1..64 (sum 2080 each).

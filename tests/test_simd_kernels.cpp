@@ -8,15 +8,12 @@
 // multiplies rates by one precomputed share, each an O(n·eps) perturbation
 // — while the per-agent leave-one-out and Archer–Tardos tail terms of the
 // fused publish, which apply the reference operand order exactly, match it
-// bit-for-bit at equal S.  The block grid and every reduction tree are fixed, so outcomes are
-// bit-identical across shard and thread counts; invalid inputs throw the
-// shared input check's diagnostics, and finite inputs never publish a
-// non-finite outcome.
+// bit-for-bit at equal S.  Invalid inputs throw the shared input check's
+// diagnostics, and finite inputs never publish a non-finite outcome.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -37,7 +34,6 @@
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 #include "lbmv/util/simd.h"
-#include "lbmv/util/thread_pool.h"
 
 namespace {
 
@@ -47,7 +43,6 @@ using lbmv::core::CompensationBasis;
 using lbmv::core::Mechanism;
 using lbmv::core::MechanismOutcome;
 using lbmv::core::NoPaymentMechanism;
-using lbmv::core::RoundOptions;
 using lbmv::core::RoundWorkspace;
 using lbmv::core::VcgMechanism;
 
@@ -79,11 +74,9 @@ Profile random_profile(std::size_t n, std::uint64_t seed, double lo = 0.2,
 /// decline would hand run_into's round to the reference path and compare
 /// the oracle against itself.
 void run_fused(const Mechanism& m, double rate, const Profile& p,
-               MechanismOutcome& out, RoundWorkspace& ws,
-               const RoundOptions& options = {}) {
-  lbmv::core::FusedRoundStats stats;
+               MechanismOutcome& out, RoundWorkspace& ws) {
   EXPECT_TRUE(lbmv::core::run_linear_pr_vectorized(
-      m.payment_rule(), rate, p.bids, p.executions, out, ws, options, stats))
+      m.payment_rule(), rate, p.bids, p.executions, out, ws))
       << m.name() << " n=" << p.bids.size() << ": the engine declined";
 }
 
@@ -255,43 +248,6 @@ TEST(SimdKernels, ReciprocalBlockFlagsNonPositiveLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard invariance: the fixed block grid and block-order reduction make the
-// outcome bit-identical for ANY shard count on ANY pool.
-
-TEST(SimdKernels, ShardCountNeverChangesBits) {
-  // Spans four blocks (kShardBlock = 4096) with a ragged final block.
-  const std::size_t n = 3 * lbmv::core::kShardBlock + 1234;
-  const Profile p = random_profile(n, 11);
-  const auto mechanisms = all_vector_mechanisms();
-  lbmv::util::ThreadPool two(2), four(4);
-  for (const auto& m : mechanisms) {
-    MechanismOutcome serial_out;
-    RoundWorkspace serial_ws;
-    run_fused(*m, 7.0, p, serial_out, serial_ws, RoundOptions{1, nullptr});
-    const struct {
-      std::size_t shards;
-      lbmv::util::ThreadPool* pool;
-    } fanouts[] = {{2, &two}, {8, &four}, {0, &four}};
-    for (const auto& f : fanouts) {
-      MechanismOutcome out;
-      RoundWorkspace ws;
-      run_fused(*m, 7.0, p, out, ws, RoundOptions{f.shards, f.pool});
-      ASSERT_EQ(out.agents.size(), serial_out.agents.size());
-      EXPECT_EQ(0, std::memcmp(out.agents.data(), serial_out.agents.data(),
-                               n * sizeof(lbmv::core::AgentOutcome)))
-          << m->name() << " shards=" << f.shards;
-      EXPECT_EQ(0, std::memcmp(out.allocation.rates().data(),
-                               serial_out.allocation.rates().data(),
-                               n * sizeof(double)))
-          << m->name() << " shards=" << f.shards;
-      EXPECT_EQ(out.actual_latency, serial_out.actual_latency) << m->name();
-      EXPECT_EQ(out.reported_latency, serial_out.reported_latency)
-          << m->name();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Workspace reuse across different mechanisms and sizes stays consistent
 // (the plane-recycling and 4K-dodge offsets must never leak stale state).
 
@@ -394,11 +350,9 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
           }
           MechanismOutcome out;
           RoundWorkspace ws;
-          lbmv::core::FusedRoundStats stats;
           EXPECT_THROW((void)lbmv::core::run_linear_pr_vectorized(
                            m->payment_rule(), 2.0, cancelling.bids,
-                           cancelling.executions, out, ws, RoundOptions{},
-                           stats),
+                           cancelling.executions, out, ws),
                        lbmv::util::PreconditionError)
               << m->name();
           break;
@@ -421,10 +375,8 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
       const lbmv::model::LinearFamily family;
       MechanismOutcome fused_out, reference_out;
       RoundWorkspace fused_ws, reference_ws;
-      lbmv::core::FusedRoundStats stats;
       EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
-          m->payment_rule(), 2.0, p.bids, p.executions, fused_out, fused_ws,
-          RoundOptions{}, stats))
+          m->payment_rule(), 2.0, p.bids, p.executions, fused_out, fused_ws))
           << m->name();
       m->run_into(family, 2.0, p.bids, p.executions, fused_out, fused_ws);
       run_reference(*m, 2.0, p, reference_out, reference_ws);
@@ -451,10 +403,8 @@ TEST(SimdKernels, NonFiniteVerifiedCostThrowsNamingTheComputer) {
   for (const auto& m : mechanisms) {
     MechanismOutcome out;
     RoundWorkspace ws;
-    lbmv::core::FusedRoundStats stats;
     EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
-        m->payment_rule(), 20.0, p.bids, p.executions, out, ws,
-        RoundOptions{}, stats))
+        m->payment_rule(), 20.0, p.bids, p.executions, out, ws))
         << m->name();
     expect_precondition(*m, 20.0, p,
                         "verified cost is not finite: computer 0");

@@ -669,11 +669,10 @@ int main(int argc, char** argv) {
                 << "x)\n";
     }
     // Single-round series (DESIGN.md §12): ONE round at large n through the
-    // reference path (Mechanism::run_reference_into, the generic oracle),
-    // the vectorized engine serial, and the vectorized engine with the
-    // agent axis auto-sharded over the global pool — all in this same
-    // process, with a differential cross-check between the two engines
-    // that shares the exit-code gate.
+    // reference path (Mechanism::run_reference_into, the generic oracle)
+    // and the vectorized engine (run_into), both in this same process,
+    // with a differential cross-check between the two engines that shares
+    // the exit-code gate.
     JsonValue::Array single_series;
     double single_max_err = 0.0;
     double simd_speedup_n1024 = 0.0;
@@ -687,10 +686,6 @@ int main(int argc, char** argv) {
       lbmv::core::RoundWorkspace ws;
       lbmv::core::MechanismOutcome reference_outcome;
       lbmv::core::MechanismOutcome simd_outcome;
-      constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
-                                                      /*pool=*/nullptr};
-      constexpr lbmv::core::RoundOptions auto_round{};
-
       const double reference_secs = seconds_per_call(
           [&] {
             mechanism.run_reference_into(family, arrival_rate, bids, execs,
@@ -700,33 +695,24 @@ int main(int argc, char** argv) {
       const double simd_secs = seconds_per_call(
           [&] {
             mechanism.run_into(family, arrival_rate, bids, execs,
-                               simd_outcome, ws, serial_round);
+                               simd_outcome, ws);
           },
           tmin, treps);
       single_max_err = std::max(
           single_max_err,
           outcome_max_rel_err(simd_outcome, reference_outcome));
-      const double sharded_secs = seconds_per_call(
-          [&] {
-            mechanism.run_into(family, arrival_rate, bids, execs,
-                               simd_outcome, ws, auto_round);
-          },
-          tmin, treps);
 
       JsonValue::Object entry;
       entry["n"] = static_cast<double>(n);
       entry["reference_serial_rounds_per_sec"] = 1.0 / reference_secs;
       entry["simd_serial_rounds_per_sec"] = 1.0 / simd_secs;
-      entry["simd_sharded_rounds_per_sec"] = 1.0 / sharded_secs;
       entry["simd_serial_speedup_vs_reference"] = reference_secs / simd_secs;
-      entry["sharded_speedup_vs_reference"] = reference_secs / sharded_secs;
       single_series.emplace_back(std::move(entry));
       if (n == 1024) simd_speedup_n1024 = reference_secs / simd_secs;
       std::cout << "single_round n=" << n << ": reference "
                 << 1.0 / reference_secs << " rounds/s, simd serial "
                 << 1.0 / simd_secs << " (" << reference_secs / simd_secs
-                << "x), simd sharded " << 1.0 / sharded_secs << " ("
-                << reference_secs / sharded_secs << "x)\n";
+                << "x)\n";
     }
 
     if (max_err >= 1e-9) batch_check_pass = false;
@@ -755,9 +741,9 @@ int main(int argc, char** argv) {
         "fresh leave-one-out vector) in this same process; run() now rides "
         "the fused kernel with a thread-local workspace, so its rate "
         "tracks batch_serial; single_round compares the reference path "
-        "against the vectorized engine (vector_backend) serial and "
-        "auto-sharded on the global pool; parallel scaling is bounded by "
-        "threads_used (the global pool) and hardware_concurrency";
+        "against the serial vectorized engine (vector_backend); parallel "
+        "scaling is bounded by threads_used (the global pool) and "
+        "hardware_concurrency";
     std::cout << "batch kernels cross-check: max rel err " << max_err
               << ", simd " << single_max_err << " -> "
               << (batch_check_pass ? "pass" : "FAIL") << "\n";
@@ -895,11 +881,8 @@ int main(int argc, char** argv) {
     const auto execs = bids;  // consistent: arms the participation monitor
     lbmv::core::RoundWorkspace ws;
     lbmv::core::MechanismOutcome outcome;
-    constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
-                                                    /*pool=*/nullptr};
     const auto one_round = [&] {
-      mechanism.run_into(family, arrival_rate, bids, execs, outcome, ws,
-                         serial_round);
+      mechanism.run_into(family, arrival_rate, bids, execs, outcome, ws);
     };
 
     lbmv::obs::Registry::global().reset();
@@ -991,8 +974,6 @@ int main(int argc, char** argv) {
         std::make_shared<const lbmv::alloc::MM1Allocator>());
     const lbmv::core::CompBonusMechanism workload_mechanism(
         std::make_shared<const lbmv::alloc::WorkloadAllocator>());
-    constexpr lbmv::core::RoundOptions serial_round{/*shards=*/1,
-                                                    /*pool=*/nullptr};
     JsonValue::Array nl_series;
     double mm1_max_err = 0.0;
     double workload_max_err = 0.0;
@@ -1021,7 +1002,7 @@ int main(int argc, char** argv) {
       const double mm1_fused_secs = seconds_per_call(
           [&] {
             mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
-                                   fused_outcome, ws, serial_round);
+                                   fused_outcome, ws);
           },
           tmin, treps);
       mm1_max_err = std::max(
@@ -1038,8 +1019,7 @@ int main(int argc, char** argv) {
       const double workload_fused_secs = seconds_per_call(
           [&] {
             workload_mechanism.run_into(workload_family, workload_rate,
-                                        thetas, execs, fused_outcome, ws,
-                                        serial_round);
+                                        thetas, execs, fused_outcome, ws);
           },
           tmin, treps);
       workload_max_err = std::max(
@@ -1053,9 +1033,9 @@ int main(int argc, char** argv) {
       lbmv::obs::Registry::global().reset();
       lbmv::obs::set_enabled(true);
       mm1_mechanism.run_into(mm1_family, mm1_rate, thetas, execs,
-                             fused_outcome, ws, serial_round);
+                             fused_outcome, ws);
       workload_mechanism.run_into(workload_family, workload_rate, thetas,
-                                  execs, fused_outcome, ws, serial_round);
+                                  execs, fused_outcome, ws);
       lbmv::obs::set_enabled(false);
       {
         const lbmv::obs::MetricsSnapshot snap =
