@@ -49,10 +49,11 @@
 namespace lbmv::alloc {
 
 /// Minimum fraction of the remaining capacity sum the leave-one-out slack
-/// sum_{j != i} mu_j - R must retain (mirroring kLeaveOneOutMinRelativeGap
-/// for the PR closed form): below this the subtraction has cancelled ~9
-/// decimal digits and the closed form would return noise, so such profiles
-/// fail a typed PreconditionError naming the dominant agent instead.
+/// sum_{j != i} mu_j - R must retain: below this the subtraction has
+/// cancelled ~9 decimal digits and the closed form would return noise, so
+/// such profiles fail a typed PreconditionError naming the dominant agent
+/// instead.  (The PR closed form needs no such guard: its rest
+/// sum_{j != i} 1/b_j is a sum of positive terms, alloc::pr_rest_at.)
 inline constexpr double kMm1MinRelativeSlack = 1e-9;
 
 /// Everything one M/M/1 closed-form solve derives.

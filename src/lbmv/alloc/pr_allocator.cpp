@@ -43,6 +43,17 @@ double pr_optimal_latency(std::span<const double> types, double arrival_rate) {
   return arrival_rate * arrival_rate / inverse_sum(types);
 }
 
+double pr_rest_at(double inverse_sum, std::span<const double> types,
+                  std::size_t agent) {
+  const double inverse = 1.0 / types[agent];
+  if (!pr_rest_cancels(inverse_sum, inverse)) return inverse_sum - inverse;
+  double rest = 0.0;
+  for (std::size_t j = 0; j < types.size(); ++j) {
+    if (j != agent) rest += 1.0 / types[j];
+  }
+  return rest;
+}
+
 void pr_leave_one_out_from_sum(double inverse_bid_sum,
                                std::span<const double> types,
                                double arrival_rate, std::span<double> out) {
@@ -52,8 +63,8 @@ void pr_leave_one_out_from_sum(double inverse_bid_sum,
   LBMV_REQUIRE(out.size() == types.size(),
                "out must have one slot per computer");
   for (std::size_t i = 0; i < types.size(); ++i) {
-    out[i] = pr_leave_one_out_at(inverse_bid_sum, types[i], arrival_rate, i,
-                                 types.size());
+    out[i] = pr_leave_one_out_at(pr_rest_at(inverse_bid_sum, types, i),
+                                 arrival_rate, i, types.size());
   }
 }
 

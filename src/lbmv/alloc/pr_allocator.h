@@ -23,27 +23,34 @@
 
 namespace lbmv::alloc {
 
-/// Minimum fraction of S = sum_j 1/t_j the leave-one-out denominator
-/// S - 1/t_i must retain.  Below this the subtraction has cancelled ~9
-/// decimal digits and the accumulated roundoff of S (itself O(n * eps * S))
-/// dominates the result, so the "closed form" would return noise — or, when
-/// 1/t_i absorbs S entirely, infinity.  Shared between the scalar kernel and
-/// the vectorized guard mask (pr_simd.h) so both reject the same profiles.
-inline constexpr double kLeaveOneOutMinRelativeGap = 1e-9;
+/// Bits the subtraction S - 1/t_i may cancel before agent i's rest
+/// S_{-i} = sum_{j != i} 1/t_j is summed from the other agents instead.
+/// At most one agent can hold more than half of S, so for every other agent
+/// S - 1/t_i keeps at least half of S and loses at most one bit.  Only the
+/// agent whose rest falls below 2^-k S is summed directly (pr_rest_cancels),
+/// so every rest carries a relative error of at most 2^k (n - 1) u + u
+/// (u = 2^-53; about 2.7e-14 at n = 16) from a sum of positive terms.
+inline constexpr int kLeaveOneOutMaxLostBits = 4;
 
-/// The leave-one-out cancellation guard for agent \p agent of \p n:
-/// S - 1/t_i (\p rest) must exceed kLeaveOneOutMinRelativeGap * S
-/// (\p min_gap).  One check site, so every round and the linear deviation
-/// context raise the same diagnostic.
-inline void require_leave_one_out_gap(double rest, double min_gap,
-                                      std::size_t agent, std::size_t n) {
-  LBMV_REQUIRE(
-      rest > min_gap,
-      "leave-one-out optimum is numerically unresolvable: one agent is so "
-      "much faster than the rest combined that S - 1/t_i cancels "
-      "catastrophically (agent " +
-          std::to_string(agent) + " of " + std::to_string(n) + ")");
+/// Whether S - 1/t_i (\p inverse_sum minus \p inverse) cancels more than
+/// \p lost_bits bits (below 2^-lost_bits S).  At the default,
+/// kLeaveOneOutMaxLostBits, true for at most one agent of a round: the one
+/// test every round and context applies to decide which rest it sums
+/// directly.  Deployments that hold only S pass their own budget
+/// (dist/protocols.h).
+[[nodiscard]] inline bool pr_rest_cancels(
+    double inverse_sum, double inverse,
+    int lost_bits = kLeaveOneOutMaxLostBits) {
+  return inverse_sum - inverse < inverse_sum * std::ldexp(1.0, -lost_bits);
 }
+
+/// Agent \p agent's rest S_{-i} given S = \p inverse_sum over \p types:
+/// S - 1/t_i, unless that cancels (pr_rest_cancels), in which case the
+/// other agents' 1/t_j are added in index order, the order of S.  O(n) for
+/// at most one agent per round.
+[[nodiscard]] double pr_rest_at(double inverse_sum,
+                                std::span<const double> types,
+                                std::size_t agent);
 
 /// One agent's PR rate (1/t_i)/S * R given S = \p inverse_sum: the body of
 /// pr_allocate_into's loop, for callers that allocate one agent at a time
@@ -53,18 +60,14 @@ inline void require_leave_one_out_gap(double rest, double min_gap,
   return (1.0 / type) / inverse_sum * arrival_rate;
 }
 
-/// One agent's leave-one-out optimum R^2 / (S - 1/t_i) behind
-/// require_leave_one_out_gap: the body of pr_leave_one_out_from_sum's loop,
-/// for the same callers.  A quotient past the double range (R^2 or the
-/// division overflowing) is no optimum and throws naming the agent.
-[[nodiscard]] inline double pr_leave_one_out_at(double inverse_sum,
-                                                double type,
+/// One agent's leave-one-out optimum R^2 / S_{-i} from its rest \p rest
+/// (pr_rest_at): the body of pr_leave_one_out_from_sum's loop, for the same
+/// callers.  A quotient past the double range (R^2 or the division
+/// overflowing) is no optimum and throws naming the agent.
+[[nodiscard]] inline double pr_leave_one_out_at(double rest,
                                                 double arrival_rate,
                                                 std::size_t agent,
                                                 std::size_t n) {
-  const double rest = inverse_sum - 1.0 / type;
-  require_leave_one_out_gap(rest, inverse_sum * kLeaveOneOutMinRelativeGap,
-                            agent, n);
   const double loo = arrival_rate * arrival_rate / rest;
   LBMV_REQUIRE(std::isfinite(loo),
                "leave-one-out optimum R^2 / (S - 1/t_i) overflows the double "
@@ -113,14 +116,9 @@ void pr_leave_one_out_into(std::span<const double> types, double arrival_rate,
                            std::span<double> out);
 
 /// Leave-one-out optima when S = sum_j 1/t_j is already known (e.g. from
-/// pr_allocate_into in the same round): skips the accumulation pass.
-///
-/// Guards against catastrophic cancellation: when one agent is so fast that
-/// S - 1/t_i underflows to a value carrying no correct digits (the
-/// subtraction cancels more than ~9 significant decimal digits), the old
-/// formulation silently returned a garbage — or infinite — subsystem
-/// optimum.  Such a profile now fails an LBMV_REQUIRE with a diagnostic
-/// naming the dominant agent instead.
+/// pr_allocate_into in the same round): skips the accumulation pass.  Each
+/// rest is pr_rest_at's, so an agent holding almost all of S gets its rest
+/// summed from the others rather than cancelled out of S.
 void pr_leave_one_out_from_sum(double inverse_sum,
                                std::span<const double> types,
                                double arrival_rate, std::span<double> out);

@@ -1,5 +1,6 @@
 #include "lbmv/alloc/pr_simd.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "lbmv/util/simd.h"
@@ -30,6 +31,7 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
   DVec acc1 = v::zero();
   DVec wacc0 = v::zero();
   DVec wacc1 = v::zero();
+  DVec vmax = v::zero();
   // Validity is AND-accumulated as lane masks and tested once per block:
   // two compares per plane per step instead of a movemask + branch chain.
   DVec mask = v::mask_all();
@@ -47,6 +49,7 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
     v::store(&inv_out[i + v::kLanes], r1);
     acc0 = v::add(acc0, r0);
     acc1 = v::add(acc1, r1);
+    vmax = v::max(vmax, v::max(r0, r1));
     wacc0 = v::add(wacc0, v::mul(v::mul(e0, r0), r0));
     wacc1 = v::add(wacc1, v::mul(v::mul(e1, r1), r1));
   }
@@ -57,12 +60,15 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
     const DVec r0 = v::div(one, b0);
     v::store(&inv_out[i], r0);
     acc0 = v::add(acc0, r0);
+    vmax = v::max(vmax, r0);
     wacc0 = v::add(wacc0, v::mul(v::mul(e0, r0), r0));
     i += v::kLanes;
   }
   bool ok = v::mask_all_true(mask);
   double partial = v::hsum(v::add(acc0, acc1));
   double weight = v::hsum(v::add(wacc0, wacc1));
+  double max_inverse = std::max(std::max(v::lane(vmax, 0), v::lane(vmax, 1)),
+                                std::max(v::lane(vmax, 2), v::lane(vmax, 3)));
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (; i < n; ++i) {
     ok = ok && bids[i] > 0.0 && bids[i] < kInf && executions[i] > 0.0 &&
@@ -71,8 +77,9 @@ ReciprocalPartial pr_reciprocal_block(std::span<const double> bids,
     inv_out[i] = r;
     partial += r;
     weight += (executions[i] * r) * r;
+    max_inverse = std::max(max_inverse, r);
   }
-  return {partial, weight, ok};
+  return {partial, weight, max_inverse, ok};
 }
 
 }  // namespace lbmv::alloc::simd

@@ -13,7 +13,9 @@
 /// (core/simd_round.h) cuts agents into fixed-size blocks and adds the
 /// returned partials in block order, so the block grid alone fixes S and W.
 /// The engine's fused publish pass derives the leave-one-out and
-/// Archer–Tardos terms from the reciprocal plane in-register.
+/// Archer–Tardos terms from the reciprocal plane in-register; the block's
+/// largest 1/b_i tells it whether one agent's S - 1/b_i would cancel
+/// (alloc::pr_rest_cancels), a round it leaves to the reference path.
 ///
 /// Validation is by mask, not by throw: the kernel reports "every lane
 /// finite and positive" and the round engine re-runs the shared input check
@@ -30,6 +32,7 @@ namespace lbmv::alloc::simd {
 struct ReciprocalPartial {
   double inverse_sum = 0.0;  ///< partial S      = sum 1/b_i
   double exec_weight = 0.0;  ///< partial W      = sum (e_i * inv_i) * inv_i
+  double max_inverse = 0.0;  ///< the block's largest inv_i
   bool inputs_valid = true;  ///< every bid and execution finite and > 0
 };
 

@@ -47,17 +47,15 @@ template <class B, class S>
 }
 
 /// Closed-form payment integral Integral_{bid}^{inf} w_i du under PR.
-/// \p inverse_bid_sum_rest is s_i = sum_{j != i} 1/b_j.
-[[nodiscard]] double archer_tardos_tail_integral(double bid,
-                                                 double inverse_bid_sum_rest,
+/// \p s_rest is s_i = sum_{j != i} 1/b_j.
+[[nodiscard]] double archer_tardos_tail_integral(double bid, double s_rest,
                                                  double arrival_rate);
 
 /// The tail's domain for agent \p agent: the others' capacity
-/// s_i = sum_{j != i} 1/b_j must be positive.  One check site, so the round
-/// and the linear deviation context raise the same diagnostic.
-inline void require_rest_capacity(double inverse_bid_sum_rest,
-                                  std::size_t agent) {
-  LBMV_REQUIRE(inverse_bid_sum_rest > 0.0,
+/// s_i = sum_{j != i} 1/b_j must be positive, checked by the reference
+/// round before its tail.
+inline void require_rest_capacity(double s_rest, std::size_t agent) {
+  LBMV_REQUIRE(s_rest > 0.0,
                "the other agents must contribute positive capacity (agent " +
                    std::to_string(agent) + ")");
 }
@@ -72,8 +70,7 @@ class ArcherTardosMechanism final : public Mechanism {
   /// the transformed infinite interval) — used by tests to certify the
   /// closed form.
   [[nodiscard]] static double tail_integral_numeric(
-      double bid, double inverse_bid_sum_rest, double arrival_rate,
-      double tol = 1e-10);
+      double bid, double s_rest, double arrival_rate, double tol = 1e-10);
 };
 
 }  // namespace lbmv::core

@@ -5,7 +5,7 @@
 /// (DESIGN.md §13).
 ///
 /// Every strategic sweep in the repo — best-response scans, audit grids,
-/// learning counterfactuals, tournament regret probes — evaluates ONE
+/// learning counterfactuals, leader-commitment scans — evaluates ONE
 /// agent's utility at MANY candidate bids against the same frozen profile
 /// context.  The linear-PR context writes its deviation closed form once,
 /// as a template over the value type: utility() is its double
@@ -19,13 +19,12 @@
 ///
 /// lane_sweep owns the generic part: tail padding (the spare lanes of the
 /// last block repeat the last candidate), the validity mask (positive
-/// finite bids, AND-ed with the context's own guards), and the running
-/// 4-lane (max, argmax) pair resolved toward the smallest index, which
-/// reproduces a strictly-greater first-wins scalar scan.  A block whose
-/// mask fails is re-evaluated through the context's scalar query
-/// (ProfileUtilityContext::checked_utility, the uncounted utility()),
-/// which raises the canonical PreconditionError for the first offending
-/// candidate; a sweep in which any lane's utility is not finite re-checks
+/// finite bids), and the running 4-lane (max, argmax) pair resolved toward
+/// the smallest index, which reproduces a strictly-greater first-wins
+/// scalar scan.  A block whose mask fails is re-evaluated through the
+/// context's scalar query (ProfileUtilityContext::checked_utility, the
+/// uncounted utility()), which raises the canonical PreconditionError for
+/// the first offending candidate; a sweep in which any lane's utility is not finite re-checks
 /// every candidate through it.
 
 #include <algorithm>
@@ -47,9 +46,8 @@ namespace lbmv::core {
 
 /// Sweep \p bids (non-empty, candidate 0 already checked) for one agent at
 /// one execution value, writing utilities to \p out and/or the first-index
-/// argmax to \p best (either may be null).  lanes(b, ok) returns the four
-/// candidates' utilities; \p ok arrives as the bid-validity mask and lanes
-/// may AND its own gates in.  scalar(bid) is the context's checked scalar
+/// argmax to \p best (either may be null).  lanes(b) returns the four
+/// candidates' utilities.  scalar(bid) is the context's checked scalar
 /// query at the same agent and execution.
 template <class Scalar, class Lanes>
 void lane_sweep(std::span<const double> bids, double* out, GridBest* best,
@@ -67,10 +65,10 @@ void lane_sweep(std::span<const double> bids, double* out, GridBest* best,
   DVec finite = simd::zero();
   // b's four utilities into u; false when any lane is off the lane form.
   const auto evaluate = [&](DVec b, DVec& u) {
-    DVec ok = simd::mask_and(simd::mask_greater(b, simd::zero()),
-                             simd::mask_greater(inf, b));
-    u = lanes(b, ok);
+    const DVec ok = simd::mask_and(simd::mask_greater(b, simd::zero()),
+                                   simd::mask_greater(inf, b));
     if (!simd::mask_all_true(ok)) return false;
+    u = lanes(b);
     finite = simd::accumulate_finite(finite, u);
     return true;
   };

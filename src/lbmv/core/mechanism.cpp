@@ -54,14 +54,15 @@ constexpr RuleTraits rule_traits(PaymentRule rule) {
 /// round's latency-function arenas (0 at x = 0; the verified one already
 /// checked finite), L_{-i} off the allocator's leave-one-out plane (filled
 /// only for rules that read it), the round's two total latencies, and the
-/// linear family's Archer–Tardos tail at s_i = S - 1/b_i.
+/// linear family's Archer–Tardos tail at the PR allocator's rest s_i
+/// (alloc::pr_rest_at).
 struct ReferenceTerms {
   const RoundWorkspace& ws;
   const MechanismOutcome& out;
   double arrival_rate;
   double inverse_bid_sum;  ///< S = sum_j 1/b_j (Archer–Tardos rounds only)
+  std::span<const double> bids;
   std::size_t i;
-  double bid;
   double x;
   double cost;
 
@@ -70,11 +71,11 @@ struct ReferenceTerms {
   double loo() const { return ws.leave_one_out[i]; }
   double actual() const { return out.actual_latency; }
   double reported() const { return out.reported_latency; }
-  double tail_comp() const { return bid * (x * x); }
+  double tail_comp() const { return bids[i] * (x * x); }
   double tail() const {
-    const double s = inverse_bid_sum - 1.0 / bid;
+    const double s = alloc::pr_rest_at(inverse_bid_sum, bids, i);
     require_rest_capacity(s, i);
-    return archer_tardos_tail_integral(bid, s, arrival_rate);
+    return archer_tardos_tail_integral(bids[i], s, arrival_rate);
   }
 };
 
@@ -286,7 +287,7 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
                  "the Archer–Tardos closed form is derived for the linear "
                  "family under PR allocation");
     // One index-order pass for S — the PR allocation's own sum — so each
-    // s_i = S - 1/b_i replaces an O(n^2) per-agent re-sum.
+    // rest s_i (alloc::pr_rest_at) replaces an O(n^2) per-agent re-sum.
     for (double b : bids) inverse_bid_sum += 1.0 / b;
   }
   with_payment_rule(rule, [&](auto r) {
@@ -297,8 +298,8 @@ void Mechanism::run_reference_into(const model::LatencyFamily& family,
                             .out = out,
                             .arrival_rate = arrival_rate,
                             .inverse_bid_sum = inverse_bid_sum,
+                            .bids = bids,
                             .i = i,
-                            .bid = bids[i],
                             .x = x[i],
                             .cost = -agent.valuation});
       // The fused engines' finite witness (publish_block): an overflowing

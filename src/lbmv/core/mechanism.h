@@ -126,9 +126,9 @@ struct GridBest {
 };
 
 /// The one deviation oracle of the audits and the strategy layers (best
-/// response, learning, tournaments, leader-commitment games): the utility
-/// of *any* agent under a unilateral deviation from a committed base
-/// profile, sweeps of one agent over many candidate bids, plus a way to
+/// response, learning, leader-commitment games): the utility of *any* agent
+/// under a unilateral deviation from a committed base profile, sweeps of
+/// one agent over many candidate bids, plus a way to
 /// make a deviation permanent.  Built once per profile by
 /// Mechanism::make_profile_context — the family's deviation closed form
 /// where one exists, so O(n * grid) deviations cost O(1) each, else the

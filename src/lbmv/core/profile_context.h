@@ -16,18 +16,13 @@
 /// definition of the payment rules, which the fused round publishes
 /// through too.  utility() evaluates it on one double and the sweep on
 /// four candidate bids per instruction through the lane driver
-/// (grid_kernels.h, DESIGN.md §13), with the same bits.  A deviation the
-/// round at the deviated profile rejects is rejected here too, with the
-/// round's diagnostic: every agent's rest at S' must keep the leave-one-out
-/// cancellation guard's share of S' under the rules that read L_{-i}, and
-/// be positive under Archer–Tardos.  Only two agents can fail that: the
-/// deviator (rest S' - 1/b) and the opponent with the largest 1/b_j (rest
-/// S' - 1/b_j), so the context tracks the two largest committed inverse
-/// bids.  Where the closed form leaves the double range (tiny or subnormal
-/// bids overflow 1/b or (R/S')^2 W'), utility() throws a PreconditionError
-/// naming the agent and the bid.  A sweep with a lane of either kind is
-/// served by utility()'s scalar form.  The committed round's outcome is
-/// Mechanism::run_into's.
+/// (grid_kernels.h, DESIGN.md §13), with the same bits.  A deviator's
+/// utility reads only its own rest S - 1/b_i, taken from the committed
+/// profile, so no deviated rest is ever subtracted.  Where the closed form
+/// leaves the double range (tiny or subnormal bids overflow 1/b or
+/// (R/S')^2 W'), utility() throws a PreconditionError naming the agent and
+/// the bid; a sweep with such a lane is served by utility()'s scalar form.
+/// The committed round's outcome is Mechanism::run_into's.
 
 #include <cstddef>
 #include <span>
@@ -38,11 +33,11 @@
 namespace lbmv::core {
 
 /// The closed-form context (file comment above).  Its state — the sums S
-/// and W and the two largest inverse bids — is a function of profile()
-/// alone: rebuild() derives all three in one O(n) pass, once per commit
-/// batch.  Every query is a constant number of flops, except for the one
-/// agent that holds almost all of S: S - 1/b_i cancels for it, so its rest
-/// is summed from the profile instead (O(n), on that agent's queries only).
+/// and W, and both summed without the agent with the largest 1/b_j — is a
+/// function of profile() alone: rebuild() derives it in one O(n) pass,
+/// once per commit batch.  Every query is a constant number of flops.  The
+/// one agent whose S - 1/b_i cancels (alloc::pr_rest_cancels) can only be
+/// that agent, and its rest is the sums without it.
 ///
 /// utilities_into and best_response run the closed form four candidates per
 /// instruction (lane_sweeps() is true).
@@ -60,8 +55,6 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
     double s_rest;  ///< S - 1/b_i
     double l_rest;  ///< L_{-i} = R^2 / (S - 1/b_i)
     double w_rest;  ///< W - t~_i / b_i^2
-    double inv_fastest;   ///< the largest 1/b_j over the others j != i
-    std::size_t fastest;  ///< that opponent's index
   };
 
  protected:
@@ -74,15 +67,11 @@ class LinearPrProfileContext final : public ProfileUtilityContext {
  private:
   [[nodiscard]] Rest rest_of(std::size_t agent) const;
 
-  /// One agent's inverse bid, as ranked among the fastest.
-  struct Fastest {
-    double inv = 0.0;
-    std::size_t agent = 0;
-  };
-
   double s_ = 0.0;
   double w_ = 0.0;
-  Fastest fastest_[2];  ///< the two largest 1/b_j, largest first
+  std::size_t top_ = 0;         ///< the agent with the largest 1/b_j
+  double s_without_top_ = 0.0;  ///< S summed without agent top_
+  double w_without_top_ = 0.0;  ///< W summed without agent top_
 };
 
 }  // namespace lbmv::core

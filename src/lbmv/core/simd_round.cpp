@@ -75,14 +75,14 @@ std::size_t dodge_4k_offset(const double* plane, const double* x_hint,
 // <= 2 ulp on x; every other term is the reference path's operand order
 // on that x (both price through rule_terms), so the leave-one-out
 // R^2/(S - inv) and the Archer–Tardos tail match it bit-for-bit at equal S.
-// Padded tail lanes carry inv = 0, b = e = 1, which pass every guard.
+// Padded tail lanes carry inv = 0, b = e = 1, which keep every term finite.
 //
-// Each block reports two bits: the leave-one-out cancellation guard, which
-// loo() accumulates per lane, and publish_block's finite witness.  The tail
-// needs no guard: S - inv is never negative (a rounded sum of positives is
-// at least each term), and 0 or NaN makes the tail non-finite.  A
-// non-finite block declines the round; a failed guard on a finite round
-// re-raises the scalar guard's diagnostic.
+// Every rest is S - inv: a round in which one agent's subtraction would
+// cancel (alloc::pr_rest_cancels on P1's largest inv) is declined before
+// P2, and the reference path sums that agent's rest (alloc::pr_rest_at).
+// Each block reports publish_block's finite witness.  S - inv is then never
+// 0 or negative, so a non-finite term means a quotient left the double
+// range, and a non-finite block declines the round.
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -91,7 +91,6 @@ struct RoundScalars {
   DVec inverse_sum;     ///< S
   DVec share;           ///< R / S
   DVec r2;              ///< R^2
-  DVec min_gap;         ///< leave-one-out cancellation guard on S - inv
   DVec actual_total;    ///< L(x, e)
   DVec reported_total;  ///< L(x, b)
 };
@@ -100,16 +99,11 @@ struct RoundScalars {
 /// execution e.
 struct LinearTerms {
   const RoundScalars& k;
-  DVec& guard;  ///< the block's leave-one-out guard mask
   DVec inv, b, e, x;
 
   DVec exec_cost() const { return (e * x) * x; }
   DVec bid_cost() const { return (b * x) * x; }
-  DVec loo() const {
-    const DVec denom = k.inverse_sum - inv;
-    guard = v::mask_and(guard, v::mask_greater(denom, k.min_gap));
-    return k.r2 / denom;
-  }
+  DVec loo() const { return k.r2 / (k.inverse_sum - inv); }
   DVec actual() const { return k.actual_total; }
   DVec reported() const { return k.reported_total; }
   DVec tail_comp() const { return b * (x * x); }
@@ -145,6 +139,7 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   bool inputs_ok = arrival_rate > 0.0 && arrival_rate < kInf;
   double inverse_sum = 0.0;
   double exec_weight = 0.0;
+  double max_inverse = 0.0;
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t lo = b * kReductionBlock;
     const std::size_t len = std::min(n - lo, kReductionBlock);
@@ -154,6 +149,7 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
     inputs_ok = inputs_ok && part.inputs_valid;
     inverse_sum += part.inverse_sum;
     exec_weight += part.exec_weight;
+    max_inverse = std::max(max_inverse, part.max_inverse);
   }
   // The shared check names the first offender.
   if (!inputs_ok) model::require_valid_round(arrival_rate, bids, executions);
@@ -169,7 +165,9 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   const double share = arrival_rate / inverse_sum;
   const double actual_total = (share * share) * exec_weight;
   const double reported_total = share * arrival_rate;
-  if (!std::isfinite(actual_total) || !std::isfinite(reported_total)) {
+  // A dominant agent's rest is summed by the reference path, not here.
+  if (!std::isfinite(actual_total) || !std::isfinite(reported_total) ||
+      alloc::pr_rest_cancels(inverse_sum, max_inverse)) {
     return false;
   }
 
@@ -183,11 +181,9 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   AgentOutcome* const agents = out.agents.data();
   const RoundScalars scalars{
       v::set1(inverse_sum), v::set1(share),
-      v::set1(arrival_rate * arrival_rate),
-      v::set1(inverse_sum * alloc::kLeaveOneOutMinRelativeGap),
-      v::set1(actual_total), v::set1(reported_total)};
+      v::set1(arrival_rate * arrival_rate), v::set1(actual_total),
+      v::set1(reported_total)};
   bool finite = true;
-  bool guards_ok = true;
   with_payment_rule(rule, [&](auto rule_tag) {
     for (std::size_t b = 0; b < nblocks; ++b) {
       // Block-local copies stay in registers across the record stores.
@@ -196,18 +192,15 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
       const double* const bb = bids.data() + lo;
       const double* const e = executions.data() + lo;
       const RoundScalars k = scalars;
-      // Validity is accumulated per lane and tested once per block.
-      DVec guard = v::mask_all();
       const bool block_finite = publish_block(
           rule_tag, std::min(n - lo, kReductionBlock),
           [&](auto lanes) {
             const DVec vr = lanes(r, 0.0);
-            return LinearTerms{k, guard, vr, lanes(bb, 1.0), lanes(e, 1.0),
+            return LinearTerms{k, vr, lanes(bb, 1.0), lanes(e, 1.0),
                                vr * k.share};
           },
           agents + lo, x + lo);
       finite = finite && block_finite;
-      guards_ok = guards_ok && v::mask_all_true(guard);
     }
   });
   // Hand the plane back either way, so a declined round's reference run
@@ -216,14 +209,6 @@ bool run_linear_pr_vectorized(PaymentRule rule, double arrival_rate,
   out.actual_latency = actual_total;
   out.reported_latency = reported_total;
   if (!finite) return false;
-  if (!guards_ok) {
-    // Re-run the scalar guard on the same operands (this round's S) to
-    // raise the canonical diagnostic naming the first offending agent.
-    ws.leave_one_out.resize(n);
-    alloc::pr_leave_one_out_from_sum(inverse_sum, bids, arrival_rate,
-                                     ws.leave_one_out);
-    return false;  // unreachable: the scalar guard applies the same test
-  }
   if (reads_leave_one_out(rule) && obs::enabled()) {
     obs::MechProbes& probes = obs::MechProbes::get();
     probes.loo_batches.inc();

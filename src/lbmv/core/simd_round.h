@@ -54,13 +54,14 @@ inline constexpr std::size_t kReductionBlock = 4096;
 
 /// Run one vectorized round end to end: validation, PR allocation, latency
 /// totals, payments, utilities — the full contract of Mechanism::run_into
-/// on linear-family / PR-allocator rounds — and return true.  Invalid
-/// inputs throw model::require_valid_round's diagnostic, and a failed
-/// leave-one-out cancellation guard throws pr_leave_one_out_from_sum's,
-/// naming the agent.  Returns false, leaving \p out's contents unspecified,
-/// only when a latency total or a published value would be non-finite;
-/// run_into then hands the round to the reference path, which returns its
-/// own result or raises its canonical diagnostic.
+/// on linear-family / PR-allocator rounds — and return true.  Every
+/// agent's rest S_{-i} is S - 1/b_i.  Invalid inputs throw
+/// model::require_valid_round's diagnostic.  Returns false, leaving \p
+/// out's contents unspecified, when one agent's S - 1/b_i would cancel
+/// (alloc::pr_rest_cancels) or a latency total or a published value would
+/// be non-finite; run_into then hands the round to the reference path,
+/// which sums that agent's rest (alloc::pr_rest_at) and returns its own
+/// result or raises its canonical diagnostic.
 [[nodiscard]] bool run_linear_pr_vectorized(
     PaymentRule rule, double arrival_rate, std::span<const double> bids,
     std::span<const double> executions, MechanismOutcome& out,

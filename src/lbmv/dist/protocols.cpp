@@ -14,6 +14,13 @@
 namespace lbmv::dist {
 namespace {
 
+/// Bits S - 1/b_i may cancel on tree and private.  They hold only S, so
+/// they cannot sum a cancelling rest from the bids and take S - 1/b_i
+/// itself, whose relative error is S / (S - 1/b_i) times S's: at most 2^30
+/// times it here, which leaves L_{-i} at least 23 of its 53 bits.  Past
+/// that they name the agent.
+inline constexpr int kSumOnlyMaxLostBits = 30;
+
 /// Agent i's terms (core/rule_terms.h) once its round's L is known: its
 /// verified cost, its leave-one-out optimum and L.
 struct AgentTerms {
@@ -39,6 +46,7 @@ struct Sum {
 struct RoundContext {
   const model::SystemConfig* config;
   const model::BidProfile* intents;
+  Topology topology;
   DistOptions options;
 
   sim::Simulation simulation;
@@ -50,10 +58,11 @@ struct RoundContext {
   std::vector<double> utilities;
 
   explicit RoundContext(const model::SystemConfig& cfg,
-                        const model::BidProfile& profile,
+                        const model::BidProfile& profile, Topology top,
                         const DistOptions& opts, std::size_t node_count)
       : config(&cfg),
         intents(&profile),
+        topology(top),
         options(opts),
         inverse_sums(cfg.size(), 0.0),
         allocations(cfg.size(), 0.0),
@@ -83,22 +92,37 @@ struct RoundContext {
   }
 
   /// Phase 2 for agent i at L: the mechanism's comp-bonus record, with
-  /// L_{-i} behind the PR allocator's leave-one-out guard.
+  /// L_{-i} at the rest S_{-i}.  Star and broadcast hold every 1/b_j and
+  /// take the round's rest (alloc::pr_rest_at); tree and private hold only
+  /// S and take S - 1/b_i, within kSumOnlyMaxLostBits.
   void price(std::size_t i, double actual_latency) {
+    const double s = inverse_sums[i];
+    const double inverse = 1.0 / intents->bids[i];
+    const bool sees_every_bid =
+        topology == Topology::kStar || topology == Topology::kBroadcast;
+    LBMV_REQUIRE(
+        sees_every_bid ||
+            !alloc::pr_rest_cancels(s, inverse, kSumOnlyMaxLostBits),
+        "agent " + std::to_string(i) + " holds almost all of S = "
+            "sum_j 1/b_j, so its leave-one-out rest S - 1/b_i cancels, and "
+            "the " + topology_name(topology) +
+            " topology sees only S: run star or broadcast");
+    const double rest = sees_every_bid
+                            ? alloc::pr_rest_at(s, intents->bids, i)
+                            : s - inverse;
     const double cost = verified_cost(i);
     const core::RuleRecord<double> record = core::rule_terms(
         std::integral_constant<core::PaymentRule,
                                core::PaymentRule::kCompBonusExecution>{},
         AgentTerms{cost,
-                   alloc::pr_leave_one_out_at(inverse_sums[i],
-                                              intents->bids[i],
-                                              config->arrival_rate(), i, n()),
+                   alloc::pr_leave_one_out_at(rest, config->arrival_rate(),
+                                              i, n()),
                    actual_latency});
     payments[i] = record.payment;
     utilities[i] = record.utility;
   }
 
-  [[nodiscard]] DistributedReport finish(Topology topology) {
+  [[nodiscard]] DistributedReport finish() {
     DistributedReport report;
     report.protocol = topology_name(topology);
     report.allocation = model::Allocation(allocations);
@@ -159,7 +183,7 @@ DistributedReport run_star(RoundContext& ctx) {
 
   ctx.simulation.run();
   LBMV_ASSERT(received == n, "star protocol lost bids");
-  return ctx.finish(Topology::kStar);
+  return ctx.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -180,7 +204,7 @@ struct SumTopology {
 /// Aggregation::kOwnInterval each agent's interval starts when it learns S;
 /// otherwise one interval, anchored at agent 0, starts phase 2 for all.
 template <class Aggregation>
-DistributedReport run_two_sums(RoundContext& ctx, Topology topology) {
+DistributedReport run_two_sums(RoundContext& ctx) {
   const std::size_t n = ctx.n();
   std::array<Sum, 2> sums{Sum{"bid", {}, {}}, Sum{"cost", {}, {}}};
   Aggregation agg{{ctx, sums}};
@@ -211,7 +235,7 @@ DistributedReport run_two_sums(RoundContext& ctx, Topology topology) {
     for (std::size_t i = 0; i < n; ++i) agg.contribute(i, 0);
   });
   ctx.simulation.run();
-  return ctx.finish(topology);
+  return ctx.finish();
 }
 
 /// Broadcast: full mesh.  Every agent sends its value to every other agent
@@ -413,16 +437,16 @@ DistributedReport run_distributed_round(Topology topology,
 
   const std::size_t nodes =
       topology == Topology::kStar ? config.size() + 1 : config.size();
-  RoundContext ctx(config, intents, options, nodes);
+  RoundContext ctx(config, intents, topology, options, nodes);
   switch (topology) {
     case Topology::kStar:
       return run_star(ctx);
     case Topology::kBroadcast:
-      return run_two_sums<Broadcast>(ctx, topology);
+      return run_two_sums<Broadcast>(ctx);
     case Topology::kTree:
-      return run_two_sums<Tree>(ctx, topology);
+      return run_two_sums<Tree>(ctx);
     case Topology::kPrivate:
-      return run_two_sums<Private>(ctx, topology);
+      return run_two_sums<Private>(ctx);
   }
   LBMV_ASSERT(false, "unknown topology");
   return {};

@@ -11,17 +11,22 @@
 ///   L_actual = sum_j t~_j x_j^2      (from the verified executions),
 /// plus values agent i already knows (its own bid and verified cost):
 ///   x_i     = (1/b_i) / S * R        (alloc::pr_rate_at),
-///   L_{-i}  = R^2 / (S - 1/b_i)      (alloc::pr_leave_one_out_at, with the
-///                                     PR allocator's cancellation guard),
+///   L_{-i}  = R^2 / S_{-i}           (alloc::pr_leave_one_out_at at the
+///                                     rest S_{-i} = S - 1/b_i),
 /// and the record P_i = C_i + B_i, U_i = B_i priced by core::rule_terms,
 /// the rule every round engine uses.  Star and broadcast add S and L in
-/// index order, as Mechanism::run_reference_into does, so their allocation,
-/// payments, utilities and L are bit-identical to it; tree adds in tree
-/// order (within summation roundoff) and private in fixed point (within
-/// its 1e-9 quantisation).  A profile the round rejects (invalid values, a
-/// non-finite verified cost, a leave-one-out rest that cancels) throws the
-/// round's PreconditionError on every topology; private may instead throw
-/// its fixed-point range error first.
+/// index order, as Mechanism::run_reference_into does, and see every 1/b_j,
+/// so they sum the rest of an agent whose S - 1/b_i cancels from the others
+/// as the round does (alloc::pr_rest_at): their allocation, payments,
+/// utilities and L are bit-identical to it.  Tree adds in tree order
+/// (within summation roundoff) and private in fixed point (within its 1e-9
+/// quantisation); both see only S, so they take the rest as S - 1/b_i and
+/// reject an agent for which that subtraction cancels more than 30 bits
+/// (alloc::pr_rest_cancels) with a PreconditionError naming it and the
+/// topology.  A profile the round rejects (invalid values, a non-finite
+/// verified cost, an overflowing L_{-i}) throws the round's
+/// PreconditionError on every topology; private may instead throw its
+/// fixed-point range error first.
 ///
 /// | protocol   | topology      | messages    | who computes payments |
 /// |------------|---------------|-------------|-----------------------|

@@ -6,8 +6,8 @@
 /// A strategy maps an agent's private true value to the bid it reports and
 /// the execution value it then actually runs at (always >= the true value —
 /// a machine cannot exceed its capacity).  The paper's Table 2 experiments
-/// are ScalingStrategy instances; the tournament and dynamics modules pit
-/// richer behaviours against each other under different mechanisms.
+/// are ScalingStrategy instances; the examples pit richer behaviours
+/// against each other under different mechanisms.
 
 #include <string>
 #include <vector>
@@ -61,7 +61,7 @@ class ScalingStrategy final : public Strategy {
 };
 
 /// Bid log-uniformly in [lo_mult, hi_mult] * t; execute truthfully.
-/// A noise-maker for tournaments.
+/// A noise-maker.
 class RandomBidStrategy final : public Strategy {
  public:
   RandomBidStrategy(double lo_mult, double hi_mult);

@@ -280,8 +280,8 @@ TEST_P(DeviationDifferential, OutcomeIntoMatchesMechanismRun) {
 
 TEST_P(DeviationDifferential, UtilityAtCommittedProfileMatchesOutcome) {
   // utility(i, b_i, e_i) at the committed entries must equal the outcome's
-  // per-agent utility — this identity is what makes the tournament's
-  // truthful-counterfactual regret exactly zero.
+  // per-agent utility — this identity is what makes a truthful
+  // counterfactual's regret exactly zero.
   const auto mechanism = make_mechanism(GetParam());
   lbmv::util::Rng rng(91);
   const SystemConfig config(log_uniform_types(7, 41), 16.0);

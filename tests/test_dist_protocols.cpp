@@ -1,8 +1,10 @@
 // Tests for the distributed deployments of the mechanism: star and
 // broadcast reproduce the centralised mechanism's reference round bit for
 // bit, tree within summation roundoff and private within its fixed-point
-// quantisation; every topology rejects what the round rejects, with its
-// advertised message complexity.
+// quantisation; an agent whose leave-one-out rest cancels is priced by
+// star and broadcast and, past 30 lost bits, named by tree and private;
+// every topology rejects what the round rejects, with its advertised
+// message complexity.
 
 #include <gtest/gtest.h>
 
@@ -144,18 +146,58 @@ TEST(DistProtocols, StarAndBroadcastEqualTheReferenceRound) {
   }
 }
 
+TEST(DistProtocols, DominantAgentIsPricedWhereEveryBidIsSeen) {
+  // Agent 0 holds almost all of S, so its rest S - 1/b_0 cancels
+  // (alloc::pr_rest_cancels).  Star and broadcast see every 1/b_j and sum
+  // that rest as the reference round does, bit for bit; tree and private
+  // see only S, where S - 1/b_0 cancels more than 30 bits, and name the
+  // agent and the topology instead.  Private runs at 1/b_0 = 1e9, inside
+  // its fixed-point range.
+  for (const double fast : {1e-17, 1e-12, 1e-9}) {
+    SCOPED_TRACE(fast);
+    const model::SystemConfig dominant({fast, 10.0, 10.0}, 20.0);
+    const auto intents = model::BidProfile::truthful(dominant);
+    expect_reference_bits(dominant, intents);
+  }
+  const model::SystemConfig dominant({1e-9, 10.0, 10.0}, 20.0);
+  for (Topology topology : {Topology::kTree, Topology::kPrivate}) {
+    const std::string name = dist::topology_name(topology);
+    try {
+      (void)run_distributed_round(topology, dominant,
+                                  model::BidProfile::truthful(dominant));
+      ADD_FAILURE() << name << " priced the dominant agent";
+    } catch (const util::PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("agent 0 holds almost all of S"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("the " + name + " topology"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(DistProtocols, SumOnlyTopologiesPriceASkewedProfile) {
+  // Agent 0 holds 89 %, 95 % and 99.8 % of S.  Past 94 % the round sums
+  // its rest from the others (alloc::pr_rest_cancels), while tree and
+  // private take S - 1/b_0, which loses up to 9 of S's bits — far inside
+  // their budget, so they price it within their usual tolerance.
+  for (const double skew : {16.0, 40.0, 1000.0}) {
+    SCOPED_TRACE(skew);
+    const model::SystemConfig skewed({1.0, skew, skew}, 20.0);
+    const auto intents = model::BidProfile::truthful(skewed);
+    expect_matches_centralised(skewed, intents, Topology::kTree, 1e-9);
+    expect_matches_centralised(skewed, intents, Topology::kPrivate, 1e-6);
+  }
+}
+
 TEST(DistProtocols, RejectsWhatTheCentralisedRoundRejects) {
-  // One agent holding all of S (its leave-one-out rest cancels), a
-  // verified cost that overflows, and an R^2 that overflows L_{-i}.
-  const model::SystemConfig dominant({1e-17, 1.0, 1.0}, 20.0);
+  // A verified cost that overflows, and an R^2 that overflows L_{-i}.
   const model::SystemConfig pair({1.0, 2.0}, 20.0);
   model::BidProfile overflow = model::BidProfile::truthful(pair);
   overflow.executions[0] = 1e307;
   const model::SystemConfig huge_rate({1e-300, 1e-300}, 1e160);
   const std::pair<model::SystemConfig, model::BidProfile> cases[] = {
-      {dominant, model::BidProfile::truthful(dominant)},
-      {pair, overflow},
-      {huge_rate, model::BidProfile::truthful(huge_rate)}};
+      {pair, overflow}, {huge_rate, model::BidProfile::truthful(huge_rate)}};
   for (const auto& [config, intents] : cases) {
     std::string expected;
     try {
@@ -175,8 +217,7 @@ TEST(DistProtocols, RejectsWhatTheCentralisedRoundRejects) {
         ADD_FAILURE() << name << " returned P_0 = " << report.payments[0];
       } catch (const util::PreconditionError& e) {
         const std::string got = diagnostic(e.what());
-        // Private may fail earlier, encoding 1/b = 1e17 (or 1e300) into its
-        // ring.
+        // Private may fail earlier, encoding 1/b = 1e300 into its ring.
         EXPECT_TRUE(got == expected ||
                     (topology == Topology::kPrivate &&
                      got == " — value out of fixed-point range"))

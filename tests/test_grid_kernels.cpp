@@ -35,8 +35,6 @@
 #include "lbmv/obs/obs.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/strategy/learning.h"
-#include "lbmv/strategy/strategy.h"
-#include "lbmv/strategy/tournament.h"
 #include "lbmv/util/error.h"
 #include "lbmv/util/rng.h"
 
@@ -324,12 +322,9 @@ TEST(GridKernels, MaskSemanticsRejectInvalidCandidates) {
   }
 }
 
-// Tiny and subnormal bids overflow the linear closed form (1/b, or 0 * inf
-// in (R/S')^2 W'): a non-finite lane defers to utility(), which names the
-// agent instead of answering NaN, on every rule and entry point — by the
-// bid, or by the round's own guard on the deviated rest S' - 1/b where the
-// rule has one (ReferenceContext.LinearClosedFormRejectsWhatTheRoundRejects
-// holds those messages to the round's).
+// Subnormal bids overflow the linear closed form (1/b, and then inf / inf
+// in x): a non-finite lane defers to utility(), which names the agent and
+// the bid instead of answering NaN, on every rule and entry point.
 TEST(GridKernels, LinearClosedFormThrowsInsteadOfNaN) {
   const lbmv::model::LinearFamily family;
   BidProfile base;
@@ -531,26 +526,6 @@ TEST(GridSweepClients, FullFeedbackLearningFindsTruthfulArm) {
   EXPECT_DOUBLE_EQ(result.final_bid_mult[2], 1.0);
   EXPECT_DOUBLE_EQ(result.final_exec_mult[2], 1.0);
   EXPECT_DOUBLE_EQ(result.truthful_fraction, 1.0);
-}
-
-// The tournament's best-response-gain probe: a truthful strategy under the
-// truthful mechanism leaves (at most) grid-resolution crumbs on the table.
-TEST(GridSweepClients, TournamentReportsNearZeroGainForTruthful) {
-  const CompBonusMechanism mechanism;
-  const lbmv::strategy::TruthfulStrategy truthful;
-  lbmv::strategy::TournamentOptions options;
-  options.instances = 12;
-  options.agents = 5;
-  const auto scores = lbmv::strategy::run_tournament(
-      mechanism, {&truthful}, options);
-  ASSERT_EQ(scores.size(), 1u);
-  EXPECT_DOUBLE_EQ(scores[0].mean_regret, 0.0);
-  EXPECT_LE(scores[0].mean_best_response_gain, 1e-9);
-
-  const auto again = lbmv::strategy::run_tournament(
-      mechanism, {&truthful}, options);
-  EXPECT_EQ(scores[0].mean_best_response_gain,
-            again[0].mean_best_response_gain);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(SimdKernels, MatchesReferenceAcrossMechanismsAndSizes) {
 
 TEST(SimdKernels, MatchesReferenceOnBoundaryBids) {
   // Extreme dynamic range: 1e-8 .. 1e8 bids stress S against individual
-  // 1/b_i and push the leave-one-out denominators toward the guard.
+  // 1/b_i and push the leave-one-out rests S - 1/b_i toward cancellation.
   const auto mechanisms = all_vector_mechanisms();
   for (const auto& m : mechanisms) {
     const Profile p = random_profile(301, 77, 1e-8, 1e8);
@@ -222,6 +222,105 @@ TEST(SimdKernels, FusedArcherTardosTailBitIdenticalAtEqualSum) {
               lbmv::core::archer_tardos_tail_integral(
                   p.bids[i], sum - 1.0 / p.bids[i], rate))
         << "agent " << i;
+  }
+}
+
+TEST(SimdKernels, FusedRoundLeavesADominantAgentToTheReferencePath) {
+  // Agent 700 holds almost all of S, so its S - 1/b_i would cancel
+  // (alloc::pr_rest_cancels): the engine declines, and run_into publishes
+  // the reference path's round bit for bit, whose agent 700 is priced at
+  // its summed rest alloc::pr_rest_at.  Slowed until its rest keeps more
+  // than 2^-4 of S, the same agent is served by the engine again.
+  const std::size_t n = 1027;
+  Profile p = random_profile(n, 7);
+  const double rate = 4.0;
+  const lbmv::model::LinearFamily family;
+  const CompBonusMechanism m;
+  p.bids[700] *= 1e-12;
+  MechanismOutcome fused, via_run_into, reference;
+  RoundWorkspace fused_ws, ws, reference_ws;
+  EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
+      m.payment_rule(), rate, p.bids, p.executions, fused, fused_ws));
+  m.run_into(family, rate, p.bids, p.executions, via_run_into, ws);
+  run_reference(m, rate, p, reference, reference_ws);
+  EXPECT_EQ(max_outcome_rel_err(via_run_into, reference), 0.0);
+  double sum = 0.0;
+  for (const double b : p.bids) sum += 1.0 / b;
+  ASSERT_TRUE(lbmv::alloc::pr_rest_cancels(sum, 1.0 / p.bids[700]));
+  EXPECT_EQ(reference.agents[700].bonus,
+            rate * rate / lbmv::alloc::pr_rest_at(sum, p.bids, 700) -
+                reference.actual_latency);
+
+  const double rest = sum - 1.0 / p.bids[700];
+  p.bids[700] = 1.0 / (14.0 * rest);  // 1/b_700 = 14 times the rest
+  run_fused(m, rate, p, fused, fused_ws);
+}
+
+/// Agent i's bonus under \p m's rule at the rest \p rest, against the
+/// round's published totals.
+double bonus_at_rest(const Mechanism& m, const MechanismOutcome& out,
+                     double rate, double bid, double rest) {
+  const double loo = rate * rate / rest;
+  switch (m.payment_rule()) {
+    case lbmv::core::PaymentRule::kCompBonusExecution:
+    case lbmv::core::PaymentRule::kCompBonusBid:
+      return loo - out.actual_latency;
+    case lbmv::core::PaymentRule::kVcg:
+      return loo - out.reported_latency;
+    case lbmv::core::PaymentRule::kArcherTardos:
+      return lbmv::core::archer_tardos_tail(bid, rest, rate * rate);
+    case lbmv::core::PaymentRule::kNoPayment:
+      break;
+  }
+  return 0.0;
+}
+
+TEST(SimdKernels, DominantAgentIsPricedAtItsSummedRestOnBothPaths) {
+  // Agent 0 is so much faster than the rest that S - 1/b_0 cancels: at
+  // {1e-12, 1} to about 12 of its 16 digits, and at {1e-20, 1e20}
+  // entirely (1/b_1 is absorbed into S).  The engine declines each round,
+  // so run_into and the reference path both sum agent 0's rest from the
+  // others (alloc::pr_rest_at): with n = 2 every rest is the other agent's
+  // 1/b_j exactly, and every bonus is the rule's at that rest.  The third
+  // profile spans three engine blocks with the dominant agent in the
+  // second, against a long-double direct sum.
+  Profile wide = random_profile(2 * 4096 + 13, 31);
+  wide.bids[4500] *= 1e-12;
+  const Profile profiles[] = {
+      {{1e-12, 1.0}, {1e-12, 1.0}}, {{1e-20, 1e20}, {1e-20, 1e20}}, wide};
+  const double rate = 2.0;
+  for (const auto& m : all_vector_mechanisms()) {
+    for (const Profile& p : profiles) {
+      const std::size_t n = p.bids.size();
+      SCOPED_TRACE(m->name() + " n=" + std::to_string(n));
+      MechanismOutcome fused, via_run_into, reference;
+      RoundWorkspace fused_ws, ws, reference_ws;
+      EXPECT_FALSE(lbmv::core::run_linear_pr_vectorized(
+          m->payment_rule(), rate, p.bids, p.executions, fused, fused_ws));
+      m->run_into(lbmv::model::LinearFamily(), rate, p.bids, p.executions,
+                  via_run_into, ws);
+      run_reference(*m, rate, p, reference, reference_ws);
+      const std::vector<std::size_t> agents =
+          n == 2 ? std::vector<std::size_t>{0, 1}
+                 : std::vector<std::size_t>{0, 4500, n - 1};
+      for (const std::size_t i : agents) {
+        long double rest = 0.0L;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j != i) rest += 1.0L / p.bids[j];
+        }
+        const double oracle_rest = static_cast<double>(rest);
+        const double scale = rate * rate / oracle_rest;
+        const double tol = (n == 2 ? 1e-15 : 1e-13) * scale;
+        for (const MechanismOutcome* out : {&via_run_into, &reference}) {
+          EXPECT_NEAR(out->agents[i].bonus,
+                      bonus_at_rest(*m, *out, rate, p.bids[i], oracle_rest),
+                      tol)
+              << "agent " << i
+              << (out == &reference ? " reference" : " run_into");
+          EXPECT_TRUE(std::isfinite(out->agents[i].utility)) << "agent " << i;
+        }
+      }
+    }
   }
 }
 
@@ -328,43 +427,6 @@ TEST(SimdKernels, InvalidInputsThrowScalarDiagnostics) {
       Profile p = random_profile(8, 23);
       p.bids[3] = 5e-324;
       expect_precondition(*m, 2.0, p, "finite");
-    }
-    {
-      // Leave-one-out and Archer–Tardos guards through run_into: agent 0 is
-      // so much faster than the rest that S - 1/b_0 cancels.  At {1e-12, 1}
-      // every value stays finite, so the vectorized engine raises the
-      // guard itself (a failed guard is not a decline); at {1e-20, 1e20}
-      // S - 1/b_0 is exactly 0, the fused result is non-finite, and the
-      // reference path raises it.
-      const Profile cancelling{{1e-12, 1.0}, {1e-12, 1.0}};
-      const Profile vanishing{{1e-20, 1e20}, {1e-20, 1e20}};
-      switch (m->payment_rule()) {
-        case lbmv::core::PaymentRule::kCompBonusExecution:
-        case lbmv::core::PaymentRule::kCompBonusBid:
-        case lbmv::core::PaymentRule::kVcg: {
-          for (const Profile* p : {&cancelling, &vanishing}) {
-            expect_precondition(*m, 2.0, *p,
-                                "leave-one-out optimum is numerically "
-                                "unresolvable");
-            expect_precondition(*m, 2.0, *p, "(agent 0 of 2)");
-          }
-          MechanismOutcome out;
-          RoundWorkspace ws;
-          EXPECT_THROW((void)lbmv::core::run_linear_pr_vectorized(
-                           m->payment_rule(), 2.0, cancelling.bids,
-                           cancelling.executions, out, ws),
-                       lbmv::util::PreconditionError)
-              << m->name();
-          break;
-        }
-        case lbmv::core::PaymentRule::kArcherTardos:
-          expect_precondition(*m, 2.0, vanishing,
-                              "the other agents must contribute positive "
-                              "capacity (agent 0)");
-          break;
-        case lbmv::core::PaymentRule::kNoPayment:
-          break;
-      }
     }
     {
       // Finite inputs whose factored totals overflow: (R/S)^2 is inf at

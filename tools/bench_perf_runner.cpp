@@ -22,8 +22,7 @@
 // engine: one best-response round through the O(1) closed-form profile
 // context vs the reference context (re-run the mechanism per deviation)
 // measured in this same run (the closed-form round as the median of 11
-// independent timing windows),
-// tournament instance and learning replication rates at 1 and 8 pool
+// independent timing windows), learning replication rates at 1 and 8 pool
 // threads, and a differential cross-check (incremental vs naive utilities
 // across all four mechanisms including boundary bids) whose failure makes
 // the runner exit non-zero.
@@ -112,8 +111,6 @@
 #include "lbmv/strategy/best_response.h"
 #include "lbmv/strategy/grid.h"
 #include "lbmv/strategy/learning.h"
-#include "lbmv/strategy/strategy.h"
-#include "lbmv/strategy/tournament.h"
 #include "lbmv/util/simd.h"
 #include "lbmv/util/json.h"
 #include "lbmv/util/rng.h"
@@ -418,7 +415,7 @@ int main(int argc, char** argv) {
 
   // Single-deviation game engine: one best-response round through the O(1)
   // profile context against the naive re-run baseline in this same run,
-  // thread scaling for tournaments/learning, and a differential cross-check
+  // thread scaling for learning, and a differential cross-check
   // that gates the exit code.
   JsonValue::Object strategy_throughput;
   bool cross_check_pass = true;
@@ -464,33 +461,6 @@ int main(int argc, char** argv) {
               << ": incremental " << incremental_round * 1e3
               << " ms, naive " << naive_round * 1e3 << " ms ("
               << naive_round / incremental_round << "x)\n";
-
-    const lbmv::strategy::TruthfulStrategy truthful;
-    const lbmv::strategy::ScalingStrategy low2(0.5, 2.0);
-    const lbmv::strategy::RandomBidStrategy noisy(0.5, 3.0);
-    const std::vector<const lbmv::strategy::Strategy*> strategies{
-        &truthful, &low2, &noisy};
-    lbmv::strategy::TournamentOptions topts;
-    topts.instances = smoke ? 64 : 256;
-    topts.agents = 16;
-    JsonValue::Array tournament_rates;
-    for (std::size_t threads : {1ul, 8ul}) {
-      lbmv::util::ThreadPool pool(threads);
-      topts.pool = &pool;
-      const double secs = seconds_per_call(
-          [&] { (void)lbmv::strategy::run_tournament(mechanism, strategies,
-                                                     topts); },
-          tmin, treps);
-      JsonValue::Object entry;
-      entry["threads"] = static_cast<double>(threads);
-      entry["instances_per_sec"] =
-          static_cast<double>(topts.instances) / secs;
-      std::cout << "tournament threads=" << threads << ": "
-                << static_cast<double>(topts.instances) / secs
-                << " instances/s\n";
-      tournament_rates.emplace_back(std::move(entry));
-    }
-    strategy_throughput["tournament"] = std::move(tournament_rates);
 
     const lbmv::model::SystemConfig learn_config(random_types(16, 9),
                                                  arrival_rate);
@@ -562,13 +532,13 @@ int main(int argc, char** argv) {
     strategy_throughput["hardware_concurrency"] =
         static_cast<double>(std::thread::hardware_concurrency());
     strategy_throughput["threads_used"] =
-        8.0;  // widest tournament/learning pool above
+        8.0;  // widest learning pool above
     strategy_throughput["note"] =
         "naive_seconds re-runs the full mechanism per grid point "
         "(use_incremental = false) in the same process as the incremental "
         "timing, which now rides the 4-lane deviation-grid kernels (the "
         "deviation_grid section isolates that lane-level win against the "
-        "scalar per-point closed form); tournament/learning thread scaling "
+        "scalar per-point closed form); learning thread scaling "
         "is bounded by hardware_concurrency (1 on the recording container)";
     std::cout << "utilities cross-check: max rel err " << max_err << " -> "
               << (cross_check_pass ? "pass" : "FAIL") << "\n";
